@@ -10,11 +10,9 @@ from .beams import (
     QuadratureGrid,
     angular_weight,
     build_grid,
-    moment_matrix,
-    pair_kernel,
     reduced_density,
 )
-from .entanglement import Spectrum, hermitian_eigenvalues, log_negativity, partial_transpose_A
+from .entanglement import hermitian_eigenvalues, log_negativity, partial_transpose_A
 from .lorentz import (
     BOOST_Z,
     ROT_Y,
@@ -68,7 +66,6 @@ __all__ = [
     "LorentzTransform",
     "QuadratureConvergenceWarning",
     "QuadratureGrid",
-    "Spectrum",
     "SweepConfig",
     "SweepRow",
     "ValidationReport",
@@ -86,9 +83,7 @@ __all__ = [
     "log_negativity",
     "make_boost",
     "minkowski_dot",
-    "moment_matrix",
     "null_momentum",
-    "pair_kernel",
     "partial_transpose_A",
     "preset_fig2",
     "preset_fig3",

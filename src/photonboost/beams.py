@@ -9,12 +9,18 @@ phi; the squared amplitude, the sphere Jacobian sin(theta) and the overall
 normalization are all folded into the weights, which sum to one.
 
 The pair state is (|h h> - |v v>)/sqrt(2) at every pair of directions.
-Boosting transports each h/v vector with the rotation-form law and the
+Boosting transports each h/v vector with the gauge form
+L e - ((L e)^0 / (L p)^0) L p, which is real linear algebra on the boost
+matrix; the rotation form (polarization.d_rotation_form, through the
+Wigner angle) is the independent oracle it is tested against.  The
 reduced polarization density matrix traces out momentum, leaving a 9x9
-state over the spatial components (x, y, z) of photon A tensor photon B.
-The double direction integral factorizes through 3x3 moment matrices
-M_ab = sum_i w_i x_a(p_i) x_b(p_i)^dagger, so the cost is linear, not
-quadratic, in the node count.
+real symmetric state over the spatial components (x, y, z) of photon A
+tensor photon B.  The double direction integral factorizes through 3x3
+moment matrices M_ab = sum_i w_i x_a(p_i) x_b(p_i)^T, so the cost is
+linear, not quadratic, in the node count.
+
+Every function here takes a (k, 4, 4) stack of boosts and evaluates all k
+states at once; a single transform is the k = 1 case.
 """
 from __future__ import annotations
 
@@ -24,15 +30,25 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from . import polarization, wigner
-from .lorentz import Direction, LorentzTransform, null_momentum
-
-_BASIS_LABELS = ("h", "v")
-_BASIS_SIGNS = {"h": 1.0, "v": -1.0}
+from .lorentz import LorentzTransform
 
 # PSD tolerance on the assembled density matrix; anything below is an
 # internal error, not a tuning problem
 _MIN_EIG_TOL = -1e-9
+
+# the unnormalized trace is 1 exactly for unit, mutually orthogonal
+# transported h/v vectors; rounding in the gauge subtraction keeps it
+# within 4e-10 of 1 for every accepted rapidity, a broken transport moves
+# it by O(1)
+_TRACE_TOL = 1e-8
+
+# bytes of boosted node vectors (4 components of p, h, v per node and
+# boost) held at once: transported_moments works through a boost stack a
+# block of rows at a time, so its memory stays flat in the stack length
+_BLOCK_BYTES = 1 << 18
+
+# s_a s_b of the pair state (|h h> - |v v>)/sqrt(2), basis order (h, v)
+_PAIR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -55,24 +71,43 @@ def angular_weight(theta, spec: BeamSpec):
     return np.exp(-((theta / spec.sigma_theta) ** 2)) * np.sin(theta)
 
 
+def _node_vectors(thetas: np.ndarray, phis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(4, 3, n) real 4-vectors per node: unit-frequency momentum, sqrt(w) h, sqrt(w) v.
+
+    h = R(p)(cos phi, -sin phi, 0) and v = R(p)(sin phi, cos phi, 0) with
+    R(p) = R_z(phi) R_y(theta), written out; both have zero time part.
+    """
+    st, ct = np.sin(thetas), np.cos(thetas)
+    sp, cp = np.sin(phis), np.cos(phis)
+    amp = np.sqrt(weights)
+    out = np.zeros((4, 3, len(thetas)))
+    out[:, 0] = np.ones_like(st), st * cp, st * sp, ct
+    out[1:, 1] = cp * cp * ct + sp * sp, sp * cp * (ct - 1.0), -st * cp
+    out[1:, 2] = sp * cp * (ct - 1.0), sp * sp * ct + cp * cp, -st * sp
+    out[:, 1:] *= amp
+    return out
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Direction nodes and normalized weights (sum exactly one).
 
     Weights are nonnegative rather than strictly positive: for narrow
     beams the Gaussian factor underflows to an exact zero on most of the
-    sphere, and those nodes simply contribute nothing.
+    sphere, and those nodes simply contribute nothing.  ``vectors`` holds
+    the node 4-vectors the transport acts on (see _node_vectors), computed
+    once per grid.
     """
 
-    nodes: tuple[Direction, ...]
     weights: np.ndarray
     thetas: np.ndarray = field(repr=False)
     phis: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.nodes),):
-            raise ValueError("weights must match nodes one to one")
+        if w.ndim != 1 or np.shape(self.thetas) != w.shape or np.shape(self.phis) != w.shape:
+            raise ValueError("weights, thetas and phis must be 1-d arrays of one length")
         if np.any(w < 0.0) or not np.any(w > 0.0):
             raise ValueError("weights must be nonnegative with positive total")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -81,9 +116,12 @@ class QuadratureGrid:
             a = np.asarray(getattr(self, name), dtype=float).copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        vectors = _node_vectors(self.thetas, self.phis, self.weights)
+        vectors.flags.writeable = False
+        object.__setattr__(self, "vectors", vectors)
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.weights)
 
 
 def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
@@ -102,8 +140,6 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
     w_theta = gl_w * (math.pi / 2.0) * angular_weight(thetas, spec)
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
 
-    th = np.repeat(thetas, n_phi)
-    ph = np.tile(phis, n_theta)
     w = np.repeat(w_theta / n_phi, n_phi)
     total = w.sum()
     if not total > 0.0:
@@ -111,28 +147,29 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
             f"every node weight underflowed for sigma_theta={spec.sigma_theta}; "
             "the grid cannot resolve a beam this narrow"
         )
-    w = w / total
-    nodes = tuple(Direction(t, p) for t, p in zip(th, ph))
-    return QuadratureGrid(nodes, w, th, ph)
+    return QuadratureGrid(w / total, np.repeat(thetas, n_phi), np.tile(phis, n_theta))
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """9x9 reduced polarization state, basis (x,y,z) of A tensor (x,y,z) of B."""
+    """9x9 reduced polarization state, basis (x,y,z) of A tensor (x,y,z) of B.
+
+    The boosted states are real symmetric; complex Hermitian entries are
+    accepted too.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         if m.shape != (9, 9):
             raise ValueError(f"expected a 9x9 matrix, got shape {m.shape}")
         herm = float(np.abs(m - m.conj().T).max())
         if herm > 1e-10:
             raise ValueError(f"density matrix is not Hermitian (residual {herm:.3e})")
-        tr = complex(np.trace(m))
+        tr = np.trace(m)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -140,108 +177,98 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.entries).min())
 
     def trace_residual(self) -> float:
-        return abs(complex(np.trace(self.entries)) - 1.0)
+        return float(abs(np.trace(self.entries) - 1.0))
 
 
-def transported_pair_basis(
-    L: LorentzTransform, thetas: np.ndarray, phis: np.ndarray, spec: BeamSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial parts of the boosted h and v vectors at each direction.
+def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Gauge-form transport L e - ((L e)^0 / (L p)^0) L p of node vectors.
 
-    Vectorized equivalent of running polarization.d_rotation_form over
-    h_vec and v_vec node by node (the consistency is pinned by a test).
-    Uses the identities h_p = R(p)(0, cos phi, -sin phi, 0) and
-    v_p = R(p)(0, sin phi, cos phi, 0): transporting rotates the in-plane
-    angle by the little-group angle and re-seats the vector in the frame
-    at the boosted direction.  Returns two real (3, n) arrays.
+    boosts is a (k, 4, 4) stack; vectors is (4, 1 + m, n): per node the
+    unit-frequency momentum (1, p-hat), then m transverse vectors with
+    zero time part.  The result depends on p only through its direction,
+    so the shell momentum cancels exactly and is never needed.  Returns
+    the (k, 3, m, n) spatial parts of the transported vectors; their time
+    part is zero by construction.  For a future-pointing null p and a
+    proper orthochronous L, (L p)^0 > 0.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    st, ct = np.sin(thetas), np.cos(thetas)
-    momenta = spec.p0 * np.stack(
-        [np.ones_like(thetas), st * np.cos(phis), st * np.sin(phis), ct]
-    )
-    theta_w = wigner.wigner_angles(L, momenta)
-    out = L.matrix @ momenta
-    rho = np.hypot(out[1], out[2])
-    r = np.hypot(rho, out[3])
-    ct_o, st_o = out[3] / r, rho / r
-    # phi' enters only through cos/sin; avoid atan2 round trips
-    safe = np.where(rho > 0.0, rho, 1.0)
-    cp_o = np.where(rho > 0.0, out[1] / safe, 1.0)
-    sp_o = np.where(rho > 0.0, out[2] / safe, 0.0)
-
-    psi = phis - theta_w
-    cpsi, spsi = np.cos(psi), np.sin(psi)
-
-    def seat(vx, vy):
-        # R_z(phi') R_y(theta') applied to (vx, vy, 0)
-        return np.stack([ct_o * cp_o * vx - sp_o * vy, ct_o * sp_o * vx + cp_o * vy, -st_o * vx])
-
-    return seat(cpsi, -spsi), seat(spsi, cpsi)
+    k = len(boosts)
+    _, cols, n = vectors.shape
+    lv = (boosts @ vectors.reshape(4, cols * n)).reshape(k, 4, cols, n)
+    lp, le = lv[:, :, :1], lv[:, :, 1:]
+    out = (le[:, :1] / lp[:, :1]) * lp[:, 1:]
+    np.subtract(le[:, 1:], out, out=out)
+    return out
 
 
-def pair_kernel(
-    L: LorentzTransform, p_dir: Direction, q_dir: Direction, spec: BeamSpec
-) -> np.ndarray:
-    """Boosted pair state (|h h> - |v v>)/sqrt(2) at one direction pair.
+def transported_moments(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """All four moment blocks of the transported h/v vectors, one 6x6 per boost.
 
-    Returns the unit-norm complex 9-vector of spatial components, ordered
-    with photon A's component varying slowest.
+    Entry [2i + a, 2j + b] of each block is (M_ab)_ij = sum_n w_n
+    x_a(p_n)_i x_b(p_n)_j, for spatial components i, j in (x, y, z) and
+    basis labels a, b in (h, v) = (0, 1).  The weights enter as sqrt(w) on
+    both factors (see _node_vectors).  The boosts are transported
+    _BLOCK_BYTES worth of node vectors at a time.
     """
-    p = null_momentum(p_dir, spec.p0)
-    q = null_momentum(q_dir, spec.p0)
-    hp = polarization.d_rotation_form(L, p, polarization.h_vec(p_dir))[1:]
-    vp = polarization.d_rotation_form(L, p, polarization.v_vec(p_dir))[1:]
-    hq = polarization.d_rotation_form(L, q, polarization.h_vec(q_dir))[1:]
-    vq = polarization.d_rotation_form(L, q, polarization.v_vec(q_dir))[1:]
-    return (np.kron(hp, hq) - np.kron(vp, vq)) / math.sqrt(2.0)
+    out = np.empty((len(boosts), 6, 6))
+    step = max(1, _BLOCK_BYTES // grid.vectors.nbytes)
+    for lo in range(0, len(boosts), step):
+        x = transport(boosts[lo:lo + step], grid.vectors)
+        x = x.reshape(len(x), 6, len(grid))
+        np.matmul(x, np.swapaxes(x, 1, 2), out=out[lo:lo + step])
+    return out
 
 
-def _moment_matrices(
-    L: LorentzTransform, grid: QuadratureGrid, spec: BeamSpec
-) -> dict[str, np.ndarray]:
-    xh, xv = transported_pair_basis(L, grid.thetas, grid.phis, spec)
-    basis = {"h": xh, "v": xv}
-    return {
-        a + b: np.einsum("n,in,jn->ij", grid.weights, basis[a], basis[b].conj()).astype(complex)
-        for a in _BASIS_LABELS
-        for b in _BASIS_LABELS
-    }
+def _assemble(moments: np.ndarray) -> np.ndarray:
+    """Unnormalized (k, 9, 9) states 1/2 sum_ab s_a s_b M_ab (x) M_ab."""
+    m = moments.reshape(len(moments), 3, 2, 3, 2)
+    signed = m * (0.5 * _PAIR_SIGNS)[:, None, :]
+    return np.einsum("ciajb,ckalb->cikjl", signed, m).reshape(len(moments), 9, 9)
 
 
-def moment_matrix(
-    L: LorentzTransform, a: str, b: str, grid: QuadratureGrid, spec: BeamSpec
-) -> np.ndarray:
-    """Weighted sum of outer products x_a(p_i) x_b(p_i)^dagger, a 3x3 block."""
-    if a not in _BASIS_LABELS or b not in _BASIS_LABELS:
-        raise ValueError(f"basis labels must be 'h' or 'v', got {a!r}, {b!r}")
-    return _moment_matrices(L, grid, spec)[a + b]
+def _guarded_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-normalize a (k, 9, 9) stack in place after the trace and PSD guards.
+
+    Returns the states and their smallest eigenvalues.  Raises
+    numpy.linalg.LinAlgError if a trace is off by more than _TRACE_TOL or
+    an eigenvalue lies below _MIN_EIG_TOL: either is an internal error.
+    """
+    tr = np.trace(raw, axis1=1, axis2=2)
+    ok = np.abs(tr - 1.0) <= _TRACE_TOL  # NaN fails too
+    if not ok.all():
+        raise np.linalg.LinAlgError(
+            f"density matrix trace {float(tr[~ok][0])!r} before normalization is not 1; "
+            "this indicates an internal error"
+        )
+    raw /= tr[:, None, None]
+    min_eig = np.linalg.eigvalsh(raw)[:, 0]
+    if not np.all(min_eig >= _MIN_EIG_TOL):
+        raise np.linalg.LinAlgError(
+            f"density matrix is not positive semidefinite (min eigenvalue "
+            f"{float(np.min(min_eig)):.3e}); this indicates an internal error"
+        )
+    return raw, min_eig
+
+
+def density_states(boosts: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Boosted reduced states for a (k, 4, 4) stack of boosts, and their smallest eigenvalues.
+
+    Assembles rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
+    s_v = -1, which equals the direct double sum of pair projectors over
+    the grid, then trace-normalizes to absorb rounding.  Returns real
+    (k, 9, 9) states and the (k,) smallest eigenvalue of each, computed by
+    the positivity guard.
+    """
+    return _guarded_states(_assemble(transported_moments(boosts, grid)))
 
 
 def reduced_density(
     L: LorentzTransform, grid: QuadratureGrid, spec: BeamSpec
 ) -> DensityMatrix:
-    """Boosted reduced polarization density matrix of the photon pair.
+    """Boosted reduced polarization density matrix of the photon pair (k = 1).
 
-    Assembles rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
-    s_v = -1, which equals the direct double sum of pair projectors over
-    the grid; the result is Hermitized and trace-normalized to absorb
-    rounding.
+    spec is the beam the grid was built for.  Its shell momentum p0
+    cancels exactly from the gauge-form transport, so the grid alone
+    carries the beam into the state.
     """
-    moments = _moment_matrices(L, grid, spec)
-    rho = np.zeros((9, 9), dtype=complex)
-    for a in _BASIS_LABELS:
-        for b in _BASIS_LABELS:
-            m = moments[a + b]
-            rho += 0.5 * _BASIS_SIGNS[a] * _BASIS_SIGNS[b] * np.kron(m, m)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    out = DensityMatrix(rho)
-    min_eig = out.min_eigenvalue()
-    if min_eig < _MIN_EIG_TOL:
-        raise RuntimeError(
-            f"density matrix is not positive semidefinite (min eigenvalue {min_eig:.3e}); "
-            "this indicates an internal error"
-        )
-    return out
+    states, _ = density_states(L.matrix[None], grid)
+    return DensityMatrix(states[0])

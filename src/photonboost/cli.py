@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
@@ -22,21 +23,20 @@ import warnings
 import numpy as np
 
 from . import validation
-from .beams import BeamSpec, build_grid, reduced_density
-from .entanglement import log_negativity
+from .lorentz import MAX_RAPIDITY
 from .sweep import (
     ConfigError,
     FIG2_ALPHAS,
     FIG3_SIGMAS,
+    MAX_GRID_NODES,
     QuadratureConvergenceWarning,
     SweepConfig,
     gnuplot_script,
-    make_boost,
     preset_fig2,
     preset_fig3,
     rows_to_csv,
     run_sweep,
-    write_csv,
+    run_sweeps,
 )
 
 EXIT_OK = 0
@@ -45,8 +45,14 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 
 
+_RAPIDITY_HELP = f"boost rapidity, |xi| <= {MAX_RAPIDITY:g}"
+
+
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-theta", type=int, default=None, help="polar quadrature nodes")
+    parser.add_argument(
+        "--n-theta", type=int, default=None,
+        help=f"polar quadrature nodes (at least 8; n-theta * n-phi <= {MAX_GRID_NODES})",
+    )
     parser.add_argument("--n-phi", type=int, default=None, help="azimuthal quadrature nodes")
     parser.add_argument("--p0", type=float, default=None, help="shell momentum magnitude")
 
@@ -61,15 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_single = sub.add_parser("single", help="evaluate one parameter point")
     p_single.add_argument("--alpha", type=float, required=True, help="boost polar angle (rad)")
     p_single.add_argument("--sigma-theta", type=float, required=True, help="beam angular spread")
-    p_single.add_argument("--xi", type=float, required=True, help="boost rapidity")
+    p_single.add_argument("--xi", type=float, required=True, help=_RAPIDITY_HELP)
     _add_grid_flags(p_single)
 
     p_sweep = sub.add_parser("sweep", help="rapidity sweep to CSV")
     p_sweep.add_argument("--config", help="JSON config file (flags override its fields)")
     p_sweep.add_argument("--alpha", type=float, default=None)
     p_sweep.add_argument("--sigma-theta", type=float, default=None)
-    p_sweep.add_argument("--xi-min", type=float, default=None)
-    p_sweep.add_argument("--xi-max", type=float, default=None)
+    p_sweep.add_argument("--xi-min", type=float, default=None, help=_RAPIDITY_HELP)
+    p_sweep.add_argument("--xi-max", type=float, default=None, help=_RAPIDITY_HELP)
     p_sweep.add_argument("--xi-steps", type=int, default=None)
     _add_grid_flags(p_sweep)
     p_sweep.add_argument("--out", default=None, help="CSV path (default: config output_path or stdout)")
@@ -109,46 +115,50 @@ def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig.from_mapping(raw)
 
 
-def _emit_rows(rows, path: str | None, include_timing: bool) -> None:
-    if path:
-        write_csv(rows, path, include_timing=include_timing)
-    else:
-        sys.stdout.write(rows_to_csv(rows, include_timing=include_timing))
+def _open_output(stack: contextlib.ExitStack, path: str):
+    """Open path for writing before any computation; unwritable paths are config errors."""
+    try:
+        return stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_single(args: argparse.Namespace) -> int:
-    spec = BeamSpec(args.sigma_theta, args.p0 if args.p0 is not None else 1.0)
-    grid = build_grid(spec, args.n_theta or 64, args.n_phi or 64)
-    rho = reduced_density(make_boost(args.alpha, args.xi), grid, spec)
-    print(f"{log_negativity(rho):.9g}")
+    raw = {"alpha": args.alpha, "sigma_theta": args.sigma_theta, "xi_min": args.xi,
+           "xi_max": args.xi, "xi_steps": 1}
+    raw.update({f: getattr(args, f) for f in ("n_theta", "n_phi", "p0")
+                if getattr(args, f) is not None})
+    (row,) = run_sweep(SweepConfig.from_mapping(raw))
+    print(f"{row.log_negativity:.9g}")
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _sweep_config(args)
     status = EXIT_OK
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", QuadratureConvergenceWarning)
-        rows = run_sweep(cfg, check_convergence=args.check_convergence)
-        for w in caught:
-            if issubclass(w.category, QuadratureConvergenceWarning):
-                print(f"warning: {w.message}", file=sys.stderr)
-                status = EXIT_CONVERGENCE
-    _emit_rows(rows, cfg.output_path, args.timing)
-    if args.plot_script:
-        with open(args.plot_script, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(gnuplot_script(cfg.output_path or "-", "alpha", (cfg.alpha,)))
+    with contextlib.ExitStack() as stack:
+        out = _open_output(stack, cfg.output_path) if cfg.output_path else sys.stdout
+        plot = _open_output(stack, args.plot_script) if args.plot_script else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", QuadratureConvergenceWarning)
+            rows = run_sweep(cfg, check_convergence=args.check_convergence)
+            for w in caught:
+                if issubclass(w.category, QuadratureConvergenceWarning):
+                    print(f"warning: {w.message}", file=sys.stderr)
+                    status = EXIT_CONVERGENCE
+        out.write(rows_to_csv(rows, include_timing=args.timing))
+        if plot is not None:
+            plot.write(gnuplot_script(cfg.output_path or "-", "alpha", (cfg.alpha,)))
     return status
 
 
 def _cmd_fig(args: argparse.Namespace, configs, curve_key: str, curve_values) -> int:
-    rows = []
-    for cfg in configs:
-        rows.extend(run_sweep(cfg))
-    _emit_rows(rows, args.out, args.timing)
-    if args.plot_script:
-        with open(args.plot_script, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(gnuplot_script(args.out, curve_key, tuple(curve_values)))
+    with contextlib.ExitStack() as stack:
+        out = _open_output(stack, args.out)
+        plot = _open_output(stack, args.plot_script) if args.plot_script else None
+        out.write(rows_to_csv(run_sweeps(configs), include_timing=args.timing))
+        if plot is not None:
+            plot.write(gnuplot_script(args.out, curve_key, tuple(curve_values)))
     return EXIT_OK
 
 

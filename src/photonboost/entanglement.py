@@ -4,11 +4,11 @@ Log negativity is log2 of the trace norm of the partial transpose over
 photon A.  For a Hermitian matrix the trace norm is the sum of absolute
 eigenvalues; negative eigenvalues of the partial transpose witness
 entanglement, and a positive partial transpose gives exactly zero.
+
+Every function accepts a single 9x9 matrix or a (k, 9, 9) stack and works
+on the whole stack at once.
 """
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,66 +17,56 @@ from .beams import DensityMatrix
 _DIM = 3
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Real eigenvalues in descending order."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self) -> None:
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if ev.ndim != 1 or not np.all(np.isfinite(ev)):
-            raise ValueError("eigenvalues must be a finite 1-d array")
-        ev = np.sort(ev)[::-1].copy()
-        ev.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
-
-    def abs_sum(self) -> float:
-        return float(np.abs(self.eigenvalues).sum())
-
-
 def _entries(rho) -> np.ndarray:
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape != (_DIM * _DIM, _DIM * _DIM):
-        raise ValueError(f"expected a 9x9 matrix, got shape {m.shape}")
+    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if m.shape[-2:] != (_DIM * _DIM, _DIM * _DIM):
+        raise ValueError(f"expected 9x9 matrices, got shape {m.shape}")
     return m
 
 
 def partial_transpose_A(rho) -> np.ndarray:
     """Transpose the photon-A indices: ((a,b),(a',b')) -> ((a',b),(a,b'))."""
     m = _entries(rho)
-    return (
-        m.reshape(_DIM, _DIM, _DIM, _DIM).transpose(2, 1, 0, 3).reshape(_DIM**2, _DIM**2)
-    )
+    blocks = m.reshape(m.shape[:-2] + (_DIM,) * 4)
+    return np.swapaxes(blocks, -4, -2).reshape(m.shape)
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> Spectrum:
-    """Eigenvalues of a (possibly slightly perturbed) Hermitian matrix.
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a (possibly slightly perturbed) Hermitian matrix.
 
-    The input must be Hermitian to 1e-8; it is symmetrized before the
-    solve.  Raises numpy.linalg.LinAlgError if the solver fails to
-    converge, which for matrices this size signals corrupted input.
+    Accepts one square matrix or a stack of them.  The input must be
+    Hermitian to 1e-8; it is symmetrized before the solve.  Raises
+    numpy.linalg.LinAlgError if the solver fails to converge or the
+    eigenvalues of a matrix do not sum to its trace, which for matrices
+    this size signals corrupted input.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    herm = float(np.abs(m - m.conj().T).max())
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    herm = float(np.abs(m - adjoint).max())
     if herm > 1e-8:
         raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
-    ev = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    spectrum = Spectrum(ev)
-    drift = abs(spectrum.eigenvalues.sum() - np.trace(m).real)
-    if drift > 1e-9 * max(1.0, abs(np.trace(m))):
-        raise np.linalg.LinAlgError(f"eigenvalue sum drifted from the trace by {drift:.3e}")
-    return spectrum
+    ev = np.linalg.eigvalsh(0.5 * (m + adjoint))
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    drift = np.abs(ev.sum(axis=-1) - tr)
+    if not np.all(drift <= 1e-9 * np.maximum(1.0, np.abs(tr))):  # NaN fails too
+        raise np.linalg.LinAlgError(
+            f"eigenvalue sum drifted from the trace by {float(np.max(drift)):.3e}"
+        )
+    return ev
 
 
-def log_negativity(rho) -> float:
-    """log2 of the trace norm of the partial transpose; zero for PPT states."""
-    spectrum = hermitian_eigenvalues(partial_transpose_A(rho))
-    ln = math.log2(spectrum.abs_sum())
-    if ln < -1e-9:
+def log_negativity(rho):
+    """log2 of the trace norm of the partial transpose; zero for PPT states.
+
+    Returns a float for one state and a (k,) array for a (k, 9, 9) stack.
+    """
+    ev = hermitian_eigenvalues(partial_transpose_A(rho))
+    ln = np.log2(np.abs(ev).sum(axis=-1))
+    if not np.all(ln >= -1e-9):
         # the trace norm of the partial transpose of a unit-trace state is
         # at least one, so anything beyond rounding is corruption
-        raise ValueError(f"log negativity {ln!r} below the rounding floor")
-    return max(ln, 0.0)
+        raise ValueError(f"log negativity {float(np.min(ln))!r} below the rounding floor")
+    ln = np.maximum(ln, 0.0)
+    return float(ln) if ln.ndim == 0 else ln

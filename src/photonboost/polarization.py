@@ -8,13 +8,18 @@ spatial components.
 
 Transport comes in two algebraically equivalent forms:
 
-* the rotation form, which rotates the vector from the frame at p to the
-  frame at L p with the little-group angle in between.  It is manifestly
-  norm-preserving and is the production path;
 * the gauge form L eps - ((L eps)^0 / (L p)^0) L p, a momentum-dependent
   gauge subtraction that keeps the transported vector in a zero-time-
-  component gauge.  It involves nothing but matrix algebra on L, so it
-  serves as the independent oracle for the rotation form.
+  component gauge.  It involves nothing but real matrix algebra on L and
+  is the production path: beams.transport applies it to every node of a
+  quadrature grid for a whole stack of boosts at once;
+* the rotation form, which rotates the vector from the frame at p to the
+  frame at L p with the little-group angle in between.  It is manifestly
+  norm-preserving and, through the Wigner angle, independent of the gauge
+  form, so it serves as the oracle the production path is checked
+  against (validate's d_form_equivalence group and the test suite).
+
+The two functions here transport one vector at one momentum each.
 
 The h/v linear basis carries momentum-azimuth phase factors that cancel
 the frame winding, so h and v tend to x-hat and y-hat for small polar

@@ -10,15 +10,24 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .beams import BeamSpec, QuadratureGrid, build_grid, reduced_density
+from .beams import BeamSpec, QuadratureGrid, build_grid, density_states
 from .entanglement import log_negativity
-from .lorentz import LorentzTransform, boost_z, compose, rot_y
+from .lorentz import (
+    MAX_RAPIDITY,
+    LorentzTransform,
+    boost_z,
+    compose,
+    require_metric,
+    require_rapidity,
+    rot_y,
+)
 
 CSV_HEADER = "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
 
@@ -28,6 +37,16 @@ CSV_HEADER = "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
 FIG2_ALPHAS = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 FIG3_SIGMAS = (0.1, 0.5, 1.0, 1.3)
 _PRESET_XI = (-3.0, 3.0, 61)
+
+# input bounds: a sweep evaluates a grid of at most MAX_GRID_NODES nodes
+# (the convergence check adds one of four times that) at most
+# MAX_XI_STEPS times
+MAX_GRID_NODES = 512 * 512
+MAX_XI_STEPS = 100_000
+
+# rows whose 9x9 states are assembled and solved together; a curve of any
+# length then needs only a few small (k, 9, 9) stacks at a time
+_ROWS_PER_BLOCK = 64
 
 
 class ConfigError(ValueError):
@@ -42,11 +61,40 @@ def make_boost(alpha: float, xi: float) -> LorentzTransform:
     """Boost of rapidity xi along the direction at polar angle alpha in x-z.
 
     Conjugates the z boost by the y rotation, so the factor list is
-    (rot_y alpha, boost_z xi, rot_y -alpha).
+    (rot_y alpha, boost_z xi, rot_y -alpha); the Wigner-angle oracles read
+    that list.  Sweeps use the same matrices from boost_stack.
     """
     if not (math.isfinite(alpha) and math.isfinite(xi)):
         raise ValueError(f"alpha and xi must be finite, got {alpha!r}, {xi!r}")
     return compose(compose(rot_y(alpha), boost_z(xi)), rot_y(-alpha))
+
+
+def boost_stack(alpha: float, xis) -> np.ndarray:
+    """(k, 4, 4) matrices of make_boost(alpha, xi) for each xi, in closed form.
+
+    R_y(alpha) B_z(xi) R_y(-alpha) is the pure boost of rapidity xi along
+    m = (sin alpha, 0, cos alpha): L00 = cosh xi, L0i = Li0 = m_i sinh xi
+    and Lij = delta_ij + m_i m_j (cosh xi - 1), with cosh xi - 1 written as
+    2 sinh^2(xi/2) to keep its relative accuracy at small xi.  Raises
+    ValueError for a rapidity beyond lorentz.MAX_RAPIDITY or a stack that
+    fails the metric guard.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    xis = np.asarray(xis, dtype=float).reshape(-1)
+    require_rapidity(xis)
+    m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+    out = np.empty((len(xis), 4, 4))
+    out[:, 0, 0] = np.cosh(xis)
+    out[:, 0, 1:] = np.sinh(xis)[:, None] * m
+    out[:, 1:, 0] = out[:, 0, 1:]
+    out[:, 1:, 1:] = np.eye(3) + (2.0 * np.sinh(0.5 * xis) ** 2)[:, None, None] * np.outer(m, m)
+    require_metric(out)
+    return out
+
+
+_REAL_FIELDS = ("alpha", "sigma_theta", "xi_min", "xi_max", "p0")
+_COUNT_FIELDS = ("xi_steps", "n_theta", "n_phi")
 
 
 @dataclass(frozen=True)
@@ -62,18 +110,35 @@ class SweepConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(v)
-            for v in (self.alpha, self.sigma_theta, self.xi_min, self.xi_max, self.p0)
-        ):
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if not all(math.isfinite(getattr(self, name)) for name in _REAL_FIELDS):
             raise ConfigError("all numeric config fields must be finite")
-        if self.xi_steps < 1:
-            raise ConfigError(f"xi_steps must be at least 1, got {self.xi_steps}")
+        if not 1 <= self.xi_steps <= MAX_XI_STEPS:
+            raise ConfigError(f"xi_steps must lie in [1, {MAX_XI_STEPS}], got {self.xi_steps}")
         if self.xi_min > self.xi_max:
             raise ConfigError(f"xi_min {self.xi_min} exceeds xi_max {self.xi_max}")
+        if max(-self.xi_min, self.xi_max) > MAX_RAPIDITY:
+            raise ConfigError(
+                f"rapidities must lie in [-{MAX_RAPIDITY:g}, {MAX_RAPIDITY:g}], "
+                f"got [{self.xi_min}, {self.xi_max}]"
+            )
         if self.n_theta < 8 or self.n_phi < 8:
             raise ConfigError(
                 f"grid counts must be at least 8, got {self.n_theta}x{self.n_phi}"
+            )
+        if self.n_theta * self.n_phi > MAX_GRID_NODES:
+            raise ConfigError(
+                f"grid of {self.n_theta}x{self.n_phi} nodes exceeds the cap of "
+                f"{MAX_GRID_NODES} nodes"
             )
         if not (0.0 < self.sigma_theta <= math.pi):
             raise ConfigError(f"sigma_theta must lie in (0, pi], got {self.sigma_theta}")
@@ -120,9 +185,34 @@ class SweepRow:
     wall_time_ms: float
 
 
-def _evaluate(L: LorentzTransform, grid: QuadratureGrid, spec: BeamSpec) -> tuple[float, float, float]:
-    rho = reduced_density(L, grid, spec)
-    return log_negativity(rho), rho.trace_residual(), rho.min_eigenvalue()
+def _evaluate(
+    alpha: float, xis: np.ndarray, grid: QuadratureGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Log negativity, trace residual, smallest eigenvalue and ms per row of one curve.
+
+    Rows go through the states, the guards and the spectra _ROWS_PER_BLOCK
+    at a time, so memory does not grow with the row count.  The time of a
+    block is shared equally by its rows.
+    """
+    k = len(xis)
+    ln, trace_res, min_eig, ms = np.empty(k), np.empty(k), np.empty(k), np.empty(k)
+    for lo in range(0, k, _ROWS_PER_BLOCK):
+        start = time.perf_counter()
+        block = slice(lo, lo + _ROWS_PER_BLOCK)
+        states, min_eig[block] = density_states(boost_stack(alpha, xis[block]), grid)
+        trace_res[block] = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+        ln[block] = log_negativity(states)
+        ms[block] = (time.perf_counter() - start) * 1e3 / len(states)
+    return ln, trace_res, min_eig, ms
+
+
+def _curve_rows(cfg: SweepConfig, grid: QuadratureGrid) -> list[SweepRow]:
+    xis = cfg.xi_values()
+    columns = _evaluate(cfg.alpha, xis, grid)
+    return [
+        SweepRow(cfg.alpha, cfg.sigma_theta, *values)
+        for values in zip(xis.tolist(), *(c.tolist() for c in columns))
+    ]
 
 
 def run_sweep(
@@ -138,30 +228,13 @@ def run_sweep(
     still returned).
     """
     spec = BeamSpec(cfg.sigma_theta, cfg.p0)
-    grid = build_grid(spec, cfg.n_theta, cfg.n_phi)
-    rows = []
-    for xi in cfg.xi_values():
-        start = time.perf_counter()
-        ln, trace_res, min_eig = _evaluate(make_boost(cfg.alpha, xi), grid, spec)
-        rows.append(
-            SweepRow(
-                alpha=cfg.alpha,
-                sigma_theta=cfg.sigma_theta,
-                xi=float(xi),
-                log_negativity=ln,
-                trace_residual=trace_res,
-                min_eigenvalue=min_eig,
-                wall_time_ms=(time.perf_counter() - start) * 1e3,
-            )
-        )
+    rows = _curve_rows(cfg, build_grid(spec, cfg.n_theta, cfg.n_phi))
 
     if check_convergence:
         fine = build_grid(spec, 2 * cfg.n_theta, 2 * cfg.n_phi)
         probes = sorted({0, len(rows) // 2, len(rows) - 1})
-        worst = 0.0
-        for i in probes:
-            ln_fine, _, _ = _evaluate(make_boost(cfg.alpha, rows[i].xi), fine, spec)
-            worst = max(worst, abs(ln_fine - rows[i].log_negativity))
+        ln_fine = _evaluate(cfg.alpha, np.array([rows[i].xi for i in probes]), fine)[0]
+        worst = max(abs(a - rows[i].log_negativity) for a, i in zip(ln_fine, probes))
         if worst > convergence_tol:
             warnings.warn(
                 f"grid doubling moved the log negativity by {worst:.3e} "
@@ -169,6 +242,22 @@ def run_sweep(
                 QuadratureConvergenceWarning,
                 stacklevel=2,
             )
+    return rows
+
+
+def run_sweeps(configs: list[SweepConfig]) -> list[SweepRow]:
+    """Rows of several sweeps in order.
+
+    Consecutive curves with one (sigma_theta, n_theta, n_phi) share a grid;
+    a grid is dropped as soon as the next curve needs another one.
+    """
+    rows: list[SweepRow] = []
+    key = grid = None
+    for cfg in configs:
+        if (cfg.sigma_theta, cfg.n_theta, cfg.n_phi) != key:
+            key, grid = (cfg.sigma_theta, cfg.n_theta, cfg.n_phi), None
+            grid = build_grid(BeamSpec(cfg.sigma_theta, cfg.p0), cfg.n_theta, cfg.n_phi)
+        rows.extend(_curve_rows(cfg, grid))
     return rows
 
 

@@ -4,20 +4,28 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from oracles import deep_boost_limit_density, direct_double_sum_density, helicity_route_density
+from oracles import (
+    deep_boost_limit_density,
+    direct_double_sum_density,
+    helicity_route_density,
+    pair_kernel,
+    rotation_form_density,
+    rotation_form_pair_basis,
+)
+from photonboost import beams
 from photonboost.beams import (
     BeamSpec,
     DensityMatrix,
     angular_weight,
     build_grid,
-    moment_matrix,
-    pair_kernel,
     reduced_density,
-    transported_pair_basis,
+    transport,
+    transported_moments,
 )
+from photonboost.entanglement import log_negativity
 from photonboost.lorentz import Direction, identity, null_momentum, rot_z
 from photonboost.polarization import d_rotation_form, h_vec, v_vec
-from photonboost.sweep import make_boost
+from photonboost.sweep import SweepConfig, make_boost, run_sweep
 from photonboost.validation import random_direction, random_transform
 
 BELL_KERNEL = np.zeros(9)
@@ -48,7 +56,8 @@ def test_grid_weights_normalized():
 def test_grid_node_count():
     grid = build_grid(BeamSpec(1.0), 12, 7)
     assert len(grid) == 12 * 7
-    assert len(grid.nodes) == len(grid.weights) == len(grid.thetas) == len(grid.phis)
+    assert len(grid.weights) == len(grid.thetas) == len(grid.phis) == 12 * 7
+    assert grid.vectors.shape == (4, 3, 12 * 7)
 
 
 def test_grid_rejects_degenerate_counts():
@@ -111,10 +120,15 @@ def test_pair_kernel_rotation_factorizes(rng):
         assert np.abs(got - np.kron(r3, r3) @ base).max() < 1e-12
 
 
+def _blocks(moments):
+    """M_hh, M_hv, M_vh, M_vv of one 6x6 moment block (index 2i + a)."""
+    return {a + b: moments[ia::2, ib::2] for ia, a in enumerate("hv") for ib, b in enumerate("hv")}
+
+
 def test_moment_matrix_collapses_to_x_projector():
     spec = BeamSpec(0.001)
     grid = build_grid(spec, 64, 16)
-    m = moment_matrix(identity(), "h", "h", grid, spec)
+    m = _blocks(transported_moments(identity().matrix[None], grid)[0])["hh"]
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     assert np.abs(m - want).max() < 1e-5
@@ -123,12 +137,10 @@ def test_moment_matrix_collapses_to_x_projector():
 def test_moment_matrix_conjugate_symmetry(rng):
     spec = BeamSpec(0.9)
     grid = build_grid(spec, 24, 24)
-    L = make_boost(0.6, 1.1)
+    blocks = _blocks(transported_moments(make_boost(0.6, 1.1).matrix[None], grid)[0])
     for a in "hv":
         for b in "hv":
-            m_ab = moment_matrix(L, a, b, grid, spec)
-            m_ba = moment_matrix(L, b, a, grid, spec)
-            assert np.abs(m_ab.conj().T - m_ba).max() < 1e-14
+            assert np.abs(blocks[a + b].T - blocks[b + a]).max() < 1e-14
 
 
 def test_moment_matrix_traces_are_unit():
@@ -137,19 +149,10 @@ def test_moment_matrix_traces_are_unit():
     # pair state come out with trace one)
     spec = BeamSpec(1.2)
     grid = build_grid(spec, 24, 24)
-    L = make_boost(1.0, -0.8)
-    for label in ("h", "v"):
-        tr = np.trace(moment_matrix(L, label, label, grid, spec))
-        assert abs(tr - 1.0) < 1e-12
-    cross = np.trace(moment_matrix(L, "h", "v", grid, spec))
-    assert abs(cross) < 1e-12
-
-
-def test_moment_matrix_rejects_bad_labels():
-    spec = BeamSpec(1.0)
-    grid = build_grid(spec, 8, 8)
-    with pytest.raises(ValueError):
-        moment_matrix(identity(), "h", "x", grid, spec)
+    blocks = _blocks(transported_moments(make_boost(1.0, -0.8).matrix[None], grid)[0])
+    for label in ("hh", "vv"):
+        assert abs(np.trace(blocks[label]) - 1.0) < 1e-12
+    assert abs(np.trace(blocks["hv"])) < 1e-12
 
 
 def test_reduced_density_bell_limit():
@@ -199,19 +202,84 @@ def test_helicity_route_matches_hv_route():
 
 
 def test_bulk_transport_matches_scalar_rotation_form(rng):
+    # the production gauge-form transport and the oracle's vectorized
+    # rotation form both against the scalar rotation form, node by node
     spec = BeamSpec(1.0)
     for _ in range(5):
         L = random_transform(rng)
         dirs = [random_direction(rng) for _ in range(20)]
         thetas = np.array([d.theta for d in dirs])
         phis = np.array([d.phi for d in dirs])
-        xh, xv = transported_pair_basis(L, thetas, phis, spec)
+        vectors = np.array(
+            [[null_momentum(d).as_array(), h_vec(d).real, v_vec(d).real] for d in dirs]
+        ).transpose(2, 1, 0)
+        (xh, xv), = transport(L.matrix[None], vectors).transpose(0, 2, 1, 3)
+        rh, rv = rotation_form_pair_basis(L, thetas, phis, spec)
         for i, d in enumerate(dirs):
             p = null_momentum(d, spec.p0)
             want_h = d_rotation_form(L, p, h_vec(d))[1:]
             want_v = d_rotation_form(L, p, v_vec(d))[1:]
-            assert np.abs(xh[:, i] - want_h).max() < 1e-12
-            assert np.abs(xv[:, i] - want_v).max() < 1e-12
+            for got_h, got_v in ((xh, xv), (rh, rv)):
+                assert np.abs(got_h[:, i] - want_h).max() < 1e-12
+                assert np.abs(got_v[:, i] - want_v).max() < 1e-12
+
+
+def test_grid_vectors_are_weighted_closed_form_h_v():
+    spec = BeamSpec(0.9)
+    grid = build_grid(spec, 6, 5)
+    amp = np.sqrt(grid.weights)
+    for i, d in enumerate(map(Direction, grid.thetas, grid.phis)):
+        assert np.abs(grid.vectors[:, 0, i] - null_momentum(d).as_array()).max() < 1e-15
+        assert np.abs(grid.vectors[:, 1, i] - amp[i] * h_vec(d)).max() < 1e-15
+        assert np.abs(grid.vectors[:, 2, i] - amp[i] * v_vec(d)).max() < 1e-15
+
+
+def test_ln_matches_rotation_form_route_up_to_rapidity_12():
+    # the production sweep on the fig3 sigma = 1.3 preset grid, where the
+    # wide beam makes the transport do the most work, against the rotation
+    # form; the gap stays below 5e-13 on this range
+    cfg = SweepConfig(alpha=2 * math.pi / 5, sigma_theta=1.3, xi_min=-12.0, xi_max=12.0,
+                      xi_steps=25, n_theta=96, n_phi=96)
+    spec = BeamSpec(cfg.sigma_theta)
+    grid = build_grid(spec, cfg.n_theta, cfg.n_phi)
+    for row in run_sweep(cfg):
+        want = log_negativity(rotation_form_density(make_boost(cfg.alpha, row.xi), grid, spec))
+        assert abs(row.log_negativity - want) < 1e-12, row.xi
+
+
+def test_trace_guard_fires_on_a_broken_transport():
+    raw = np.zeros((3, 9, 9))
+    raw[:, 0, 0] = 1.0
+    raw[1, 0, 0] = 1.0 + 2e-8
+    with pytest.raises(np.linalg.LinAlgError, match="trace"):
+        beams._guarded_states(raw)
+    raw[1, 0, 0] = 1.0 + 5e-9
+    beams._guarded_states(raw)
+
+
+def test_psd_guard_fires_below_minus_1e_9():
+    raw = np.zeros((2, 9, 9))
+    raw[:, 0, 0] = 1.0
+    raw[1, 0, 0], raw[1, 4, 4] = 1.0 + 2e-9, -2e-9
+    with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
+        beams._guarded_states(raw.copy())
+    raw[1, 0, 0], raw[1, 4, 4] = 1.0 + 5e-10, -5e-10
+    _, min_eig = beams._guarded_states(raw)
+    assert min_eig[1] == pytest.approx(-5e-10, abs=1e-15)
+
+
+def test_missing_gauge_term_trips_the_trace_guard(monkeypatch):
+    # boosting e without the gauge subtraction leaves a time component and
+    # the wrong spatial norm, which the unnormalized trace exposes
+    def raw_boost(boosts, vectors):
+        k, (_, cols, n) = len(boosts), vectors.shape
+        lv = (boosts @ vectors.reshape(4, cols * n)).reshape(k, 4, cols, n)
+        return np.ascontiguousarray(lv[:, 1:, 1:])
+
+    monkeypatch.setattr(beams, "transport", raw_boost)
+    spec = BeamSpec(1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="trace"):
+        reduced_density(make_boost(0.7, 1.5), build_grid(spec, 16, 16), spec)
 
 
 def test_density_grid_doubling_within_moderate_rapidity():

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from photonboost.beams import BeamSpec, DensityMatrix, build_grid, reduced_density
-from photonboost.entanglement import (
-    Spectrum,
-    hermitian_eigenvalues,
-    log_negativity,
-    partial_transpose_A,
-)
+from photonboost.entanglement import hermitian_eigenvalues, log_negativity, partial_transpose_A
 from photonboost.lorentz import compose, identity, rot_y, rot_z
 
 BELL = np.zeros(9)
@@ -48,29 +43,29 @@ def test_partial_transpose_hermitian(rng):
 
 def test_bell_partial_transpose_spectrum():
     # the embedded two-qubit Bell projector: eigenvalues {1/2 x3, -1/2, 0 x5}
-    ev = hermitian_eigenvalues(partial_transpose_A(BELL_RHO)).eigenvalues
-    want = np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5])
+    ev = hermitian_eigenvalues(partial_transpose_A(BELL_RHO))
+    want = np.array([-0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5])
     assert np.abs(ev - want).max() < 1e-12
 
 
 def test_eigenvalues_of_maximally_mixed():
-    ev = hermitian_eigenvalues(np.eye(9, dtype=complex) / 9.0).eigenvalues
+    ev = hermitian_eigenvalues(np.eye(9, dtype=complex) / 9.0)
     assert np.abs(ev - 1.0 / 9.0).max() < 1e-14
 
 
 def test_eigenvalues_of_diagonal():
-    ev = hermitian_eigenvalues(np.diag(np.arange(1.0, 10.0)).astype(complex)).eigenvalues
-    assert np.abs(ev - np.arange(9.0, 0.0, -1.0)).max() < 1e-12
+    ev = hermitian_eigenvalues(np.diag(np.arange(9.0, 0.0, -1.0)))
+    assert np.abs(ev - np.arange(1.0, 10.0)).max() < 1e-12
 
 
 def test_eigenvalues_reconstruction_oracle(rng):
     for _ in range(20):
         m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         m = 0.5 * (m + m.conj().T)
-        got = hermitian_eigenvalues(m).eigenvalues
+        got = hermitian_eigenvalues(m)
         w, u = np.linalg.eigh(m)
         assert np.abs(u @ np.diag(w) @ u.conj().T - m).max() < 1e-9
-        assert np.abs(got - np.sort(w)[::-1]).max() < 1e-12
+        assert np.abs(got - np.sort(w)).max() < 1e-12
         assert abs(got.sum() - np.trace(m).real) < 1e-9
 
 
@@ -81,10 +76,38 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues(m)
 
 
-def test_spectrum_sorted_descending():
-    s = Spectrum(np.array([1.0, 3.0, -2.0]))
-    assert np.all(np.diff(s.eigenvalues) <= 0.0)
-    assert s.abs_sum() == 6.0
+def test_eigenvalues_of_a_stack_match_one_by_one(rng):
+    m = rng.normal(size=(4, 9, 9)) + 1j * rng.normal(size=(4, 9, 9))
+    m = 0.5 * (m + np.swapaxes(m, 1, 2).conj())
+    got = hermitian_eigenvalues(m)
+    assert got.shape == (4, 9)
+    for one, ev in zip(m, got):
+        assert np.abs(ev - hermitian_eigenvalues(one)).max() < 1e-12
+
+
+def test_eigenvalue_sum_drift_guard(monkeypatch):
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: real(m) + 1e-6)
+    with pytest.raises(np.linalg.LinAlgError, match="drifted"):
+        hermitian_eigenvalues(np.eye(9) / 9.0)
+
+
+def test_log_negativity_floor_guard():
+    # a trace-1/2 "state" has trace norm 1/2: log2 = -1, far below rounding
+    with pytest.raises(ValueError, match="rounding floor"):
+        log_negativity(np.eye(9) / 18.0)
+    # rounding below zero is clamped
+    assert log_negativity(np.eye(9) * (1.0 - 1e-12) / 9.0) == 0.0
+
+
+def test_log_negativity_of_a_stack_matches_one_by_one(rng):
+    spec = BeamSpec(1.0)
+    grid = build_grid(spec, 16, 16)
+    rhos = [reduced_density(compose(rot_y(g), identity()), grid, spec).entries for g in (0.2, 1.1)]
+    rhos.append(BELL_RHO.entries.real)
+    got = log_negativity(np.stack(rhos))
+    assert got.shape == (3,)
+    assert np.abs(got - [log_negativity(r) for r in rhos]).max() < 1e-14
 
 
 def test_log_negativity_maximally_mixed_is_zero():
@@ -126,8 +149,8 @@ def test_transpose_side_does_not_matter(rng):
     pt_a = partial_transpose_A(rho)
     # transposing B instead equals the full transpose of the A result
     pt_b = partial_transpose_A(rho.entries.T).T
-    ln_a = math.log2(hermitian_eigenvalues(pt_a).abs_sum())
-    ln_b = math.log2(hermitian_eigenvalues(pt_b).abs_sum())
+    ln_a = math.log2(np.abs(hermitian_eigenvalues(pt_a)).sum())
+    ln_b = math.log2(np.abs(hermitian_eigenvalues(pt_b)).sum())
     assert abs(ln_a - ln_b) < 1e-9
 
 
@@ -135,7 +158,7 @@ def test_partial_transpose_preserves_trace(rng):
     spec = BeamSpec(1.2)
     grid = build_grid(spec, 24, 24)
     rho = reduced_density(identity(), grid, spec)
-    ev = hermitian_eigenvalues(partial_transpose_A(rho)).eigenvalues
+    ev = hermitian_eigenvalues(partial_transpose_A(rho))
     assert abs(ev.sum() - 1.0) < 1e-9
 
 

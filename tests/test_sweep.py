@@ -6,19 +6,24 @@ import numpy as np
 import pytest
 
 from photonboost import cli
-from photonboost.lorentz import BOOST_Z, ROT_Y, FourVector, boost_z
+from photonboost.beams import BeamSpec, build_grid, reduced_density
+from photonboost.entanglement import log_negativity
+from photonboost.lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, FourVector, boost_z, require_metric
 from photonboost.sweep import (
+    MAX_GRID_NODES,
     ConfigError,
     FIG2_ALPHAS,
     FIG3_SIGMAS,
     QuadratureConvergenceWarning,
     SweepConfig,
+    boost_stack,
     gnuplot_script,
     make_boost,
     preset_fig2,
     preset_fig3,
     rows_to_csv,
     run_sweep,
+    run_sweeps,
     write_csv,
 )
 
@@ -44,6 +49,61 @@ def test_make_boost_transverse_direction():
 
 def test_make_boost_metric_preserving():
     assert make_boost(2 * math.pi / 5, 3.0).metric_residual() < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 2 * math.pi / 5, math.pi / 2, 3.0])
+def test_boost_stack_matches_make_boost(alpha):
+    xis = np.array([-MAX_RAPIDITY, -12.0, -3.0, -1e-9, 0.0, 0.4, 3.0, 12.0, MAX_RAPIDITY])
+    stack = boost_stack(alpha, xis)
+    for xi, got in zip(xis, stack):
+        want = make_boost(alpha, xi).matrix
+        assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+
+
+def test_boost_stack_rejects_rapidities_beyond_the_bound():
+    with pytest.raises(ValueError, match="rapidity"):
+        boost_stack(0.3, [0.0, MAX_RAPIDITY * 1.001])
+    with pytest.raises(ValueError, match="rapidity"):
+        boost_stack(0.3, [math.nan])
+    with pytest.raises(ValueError, match="rapidity"):
+        make_boost(0.3, 800.0)
+
+
+def test_metric_guard_fires_on_a_corrupted_boost_stack():
+    stack = boost_stack(0.9, np.linspace(-MAX_RAPIDITY, MAX_RAPIDITY, 7))
+    require_metric(stack)
+    bad = stack.copy()
+    bad[2, 0, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="metric"):
+        require_metric(bad)
+
+
+def test_batched_curve_matches_per_point_reduced_density():
+    cfg = SweepConfig(alpha=1.1, sigma_theta=1.3, xi_min=-4.0, xi_max=4.0, xi_steps=9,
+                      n_theta=24, n_phi=24)
+    spec = BeamSpec(cfg.sigma_theta)
+    grid = build_grid(spec, cfg.n_theta, cfg.n_phi)
+    for row in run_sweep(cfg):
+        rho = reduced_density(make_boost(cfg.alpha, row.xi), grid, spec)
+        assert abs(row.log_negativity - log_negativity(rho)) < 1e-12
+        assert abs(row.min_eigenvalue - rho.min_eigenvalue()) < 1e-12
+        assert abs(row.trace_residual - rho.trace_residual()) < 1e-12
+
+
+def test_curves_sharing_a_grid_match_separate_sweeps(monkeypatch):
+    cfgs = [SweepConfig(alpha=a, sigma_theta=1.0, xi_min=-1.0, xi_max=1.0, **FAST) for a in (0.0, 1.0)]
+    cfgs.append(SweepConfig(alpha=0.5, sigma_theta=0.5, xi_min=-1.0, xi_max=1.0, **FAST))
+    separate = [row for cfg in cfgs for row in run_sweep(cfg)]
+    import photonboost.sweep as sweep_mod
+
+    built = []
+    real = sweep_mod.build_grid
+    monkeypatch.setattr(sweep_mod, "build_grid", lambda *a: built.append(a) or real(*a))
+    shared = run_sweeps(cfgs)
+    assert [(r.alpha, r.xi, r.log_negativity) for r in shared] == [
+        (r.alpha, r.xi, r.log_negativity) for r in separate
+    ]
+    assert len(built) == 2
 
 
 def test_sweep_rows_cover_the_grid():
@@ -161,6 +221,35 @@ def test_config_validation_errors():
         SweepConfig(alpha=0.0, sigma_theta=1.0, p0=-2.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", True),
+        ("sigma_theta", False),
+        ("xi_min", "0"),
+        ("p0", None),
+        ("xi_steps", 3.5),
+        ("xi_steps", True),
+        ("n_theta", 8.0),
+        ("n_phi", "16"),
+        ("xi_max", 800.0),
+        ("xi_min", -MAX_RAPIDITY - 1.0),
+        ("xi_steps", 10**9),
+        ("n_theta", MAX_GRID_NODES // 8 + 1),
+        ("output_path", 3),
+    ],
+)
+def test_config_rejects_bad_types_and_out_of_range_values(field, value):
+    raw = {"alpha": 0.3, "sigma_theta": 1.0, "n_phi": 8, field: value}
+    with pytest.raises(ConfigError):
+        SweepConfig.from_mapping(raw)
+
+
+def test_config_accepts_integers_for_real_fields_and_the_rapidity_bound():
+    cfg = SweepConfig(alpha=1, sigma_theta=1, xi_min=-MAX_RAPIDITY, xi_max=MAX_RAPIDITY)
+    assert cfg.xi_values()[0] == -MAX_RAPIDITY
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"alpha": 0.5, "sigma_theta": 1.0, "xi_steps": 5}))
@@ -237,6 +326,63 @@ def test_cli_sweep_invalid_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.0, "sigma_theta": 0.8, "n_theta": 2}))
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "800"],
+        ["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "nan"],
+        ["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "0", "--n-theta", "4096",
+         "--n-phi", "4096"],
+        ["sweep", "--alpha", "0", "--sigma-theta", "1", "--xi-max", "800"],
+    ],
+)
+def test_cli_out_of_range_input_exits_1(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"alpha": 0.0, "sigma_theta": 0.8, "xi_max": 800},
+        {"alpha": 0.0, "sigma_theta": 0.8, "xi_steps": 3.5},
+        {"alpha": True, "sigma_theta": 0.8},
+        {"alpha": 0.0, "sigma_theta": 0.8, "n_theta": 8.0},
+    ],
+)
+def test_cli_sweep_bad_config_values_exit_1(doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--alpha", "0", "--sigma-theta", "1", "--out", "{bad}"],
+        ["sweep", "--alpha", "0", "--sigma-theta", "1", "--out", "{ok}", "--plot-script", "{bad}"],
+        ["fig2", "--out", "{bad}"],
+        ["fig3", "--out", "{ok}", "--plot-script", "{bad}"],
+    ],
+)
+def test_cli_unwritable_output_exits_1_before_computing(argv, tmp_path, monkeypatch, capsys):
+    import photonboost.sweep as sweep_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before the outputs were opened")
+
+    monkeypatch.setattr(cli, "run_sweep", must_not_run)
+    monkeypatch.setattr(cli, "run_sweeps", must_not_run)
+    monkeypatch.setattr(sweep_mod, "_curve_rows", must_not_run)
+    paths = {"bad": str(tmp_path / "missing" / "x.csv"), "ok": str(tmp_path / "ok.csv")}
+    assert cli.main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_cli_sweep_convergence_failure_exits_3(tmp_path, capsys):
