@@ -22,6 +22,7 @@ from .lorentz import (
     LorentzTransform,
     boost_z,
     compose,
+    from_factors,
     identity,
     minkowski_dot,
     null_momentum,
@@ -46,7 +47,6 @@ from .wigner import (
     LittleGroupError,
     boost_helicity_state,
     wigner_angle,
-    wigner_angle_generator,
     wigner_angle_oracle,
     wigner_angles,
 )
@@ -77,6 +77,7 @@ __all__ = [
     "d_gauge_form",
     "d_rotation_form",
     "epsilon",
+    "from_factors",
     "h_vec",
     "hermitian_eigenvalues",
     "identity",
@@ -96,7 +97,6 @@ __all__ = [
     "v_vec",
     "validate",
     "wigner_angle",
-    "wigner_angle_generator",
     "wigner_angle_oracle",
     "wigner_angles",
 ]

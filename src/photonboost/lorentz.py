@@ -21,6 +21,10 @@ import numpy as np
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 METRIC.flags.writeable = False
 
+# copied or multiplied, never written: np.eye costs more than a copy
+_IDENTITY = np.eye(4)
+_IDENTITY.flags.writeable = False
+
 BOOST_Z = "boost_z"
 ROT_Y = "rot_y"
 ROT_Z = "rot_z"
@@ -127,14 +131,18 @@ def null_momentum(d: Direction, magnitude: float = 1.0) -> FourVector:
     return FourVector(magnitude, float(n[0]), float(n[1]), float(n[2]))
 
 
+def _rapidity_error(value: float) -> ValueError:
+    return ValueError(
+        f"rapidity must lie in [-{MAX_RAPIDITY:g}, {MAX_RAPIDITY:g}], got {value!r}"
+    )
+
+
 def require_rapidity(xi) -> None:
     """Reject rapidities (scalar or array) outside [-MAX_RAPIDITY, MAX_RAPIDITY]."""
     xi = np.asarray(xi, dtype=float)
     bad = xi[~(np.abs(xi) <= MAX_RAPIDITY)]  # NaN counts as bad
     if bad.size:
-        raise ValueError(
-            f"rapidity must lie in [-{MAX_RAPIDITY:g}, {MAX_RAPIDITY:g}], got {float(bad[0])!r}"
-        )
+        raise _rapidity_error(float(bad[0]))
 
 
 def metric_residuals(matrices: np.ndarray) -> np.ndarray:
@@ -145,27 +153,71 @@ def metric_residuals(matrices: np.ndarray) -> np.ndarray:
     return np.abs(gap).max(axis=(-2, -1))
 
 
+def _metric_error(residual: float) -> ValueError:
+    return ValueError(f"matrix does not preserve the metric (residual {residual:.3e})")
+
+
 def require_metric(matrices: np.ndarray) -> None:
     """Raise ValueError unless every matrix in a (..., 4, 4) stack preserves the metric.
 
     The tolerance scales with the squared largest entry of each matrix,
-    because the rounding of L^T G L grows with it.
+    because the rounding of L^T G L grows with it.  A residual that
+    overflows fails even though its tolerance overflows too.
     """
     m = np.asarray(matrices, dtype=float)
     res = metric_residuals(m)
     scale = np.abs(m).max(axis=(-2, -1)) ** 2
-    if not (res <= _METRIC_GUARD * np.maximum(scale, 1.0)).all():  # NaN fails too
-        raise ValueError(
-            f"matrix does not preserve the metric (residual {float(np.max(res)):.3e})"
-        )
+    ok = (res <= _METRIC_GUARD * np.maximum(scale, 1.0)) & (res < np.inf)  # NaN fails too
+    if not ok.all():
+        raise _metric_error(float(np.max(res)))
+
+
+# G as a column: G @ m scales the rows of m by the diagonal of the metric
+_METRIC_ROWS = np.diag(METRIC)[:, None]
+
+
+def _guarded_matrix(matrix) -> np.ndarray:
+    """Read-only float copy of one 4x4 matrix that passed every transform check.
+
+    Runs the checks of require_metric on a single matrix with a handful of
+    numpy calls: the shape, finite entries (the largest |entry| is finite
+    exactly when every entry is) and a finite max |L^T G L - G| <=
+    _METRIC_GUARD * max(max |L|^2, 1).  Scaling the rows by the metric
+    signs is the same arithmetic as METRIC @ m, so the residual is the one
+    metric_residuals computes.
+    """
+    m = np.array(matrix, dtype=float)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    big = float(np.abs(m).max())
+    if not math.isfinite(big):
+        raise ValueError("transform matrix has non-finite entries")
+    gap = m.T @ (_METRIC_ROWS * m)
+    gap -= METRIC
+    res = float(np.abs(gap).max())
+    if not (res <= _METRIC_GUARD * max(big * big, 1.0) and res < math.inf):
+        raise _metric_error(res)
+    m.flags.writeable = False
+    return m
+
+
+def _checked_factors(factors) -> tuple[tuple[str, float], ...]:
+    out = []
+    for kind, par in factors:
+        if kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        _require_finite("factor parameter", par)
+        out.append((kind, float(par)))
+    return tuple(out)
 
 
 def generator_matrix(kind: str, parameter: float) -> np.ndarray:
     """4x4 matrix of a single generator."""
     _require_finite("generator parameter", parameter)
-    m = np.eye(4)
+    m = _IDENTITY.copy()
     if kind == BOOST_Z:
-        require_rapidity(parameter)
+        if not abs(parameter) <= MAX_RAPIDITY:
+            raise _rapidity_error(float(parameter))
         ch, sh = math.cosh(parameter), math.sinh(parameter)
         m[0, 0] = ch
         m[0, 3] = sh
@@ -194,26 +246,16 @@ class LorentzTransform:
 
     ``matrix`` equals the left-to-right product of the factor matrices
     (first factor is the leftmost matrix, i.e. it acts last on a vector).
+    Construction checks the matrix (shape, finite entries, metric) and
+    every factor (known kind, finite parameter).
     """
 
     matrix: np.ndarray
     factors: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("transform matrix has non-finite entries")
-        for kind, par in self.factors:
-            if kind not in GENERATOR_KINDS:
-                raise ValueError(f"unknown generator kind {kind!r}")
-            _require_finite("factor parameter", par)
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "factors", tuple((k, float(p)) for k, p in self.factors))
-        require_metric(m)
+        object.__setattr__(self, "matrix", _guarded_matrix(self.matrix))
+        object.__setattr__(self, "factors", _checked_factors(self.factors))
 
     def metric_residual(self) -> float:
         return float(metric_residuals(self.matrix))
@@ -230,15 +272,26 @@ class LorentzTransform:
 
     def inverse(self) -> "LorentzTransform":
         """Inverse transform: factor list reversed with negated parameters."""
-        factors = tuple((kind, -par) for kind, par in reversed(self.factors))
-        m = np.eye(4)
-        for kind, par in factors:
-            m = m @ generator_matrix(kind, par)
-        return LorentzTransform(m, factors)
+        return from_factors((kind, -par) for kind, par in reversed(self.factors))
+
+
+def from_factors(factors) -> LorentzTransform:
+    """Transform with the given (kind, parameter) factor list.
+
+    The matrix is the left-to-right product of the generator matrices,
+    folded from the identity: the same floats as composing the factors one
+    by one onto identity(), for one construction (and one guard) instead
+    of two per factor.
+    """
+    factors = tuple(factors)
+    m = _IDENTITY
+    for kind, par in factors:
+        m = m @ generator_matrix(kind, par)
+    return LorentzTransform(m, factors)
 
 
 def identity() -> LorentzTransform:
-    return LorentzTransform(np.eye(4), ())
+    return LorentzTransform(_IDENTITY, ())
 
 
 def boost_z(xi: float) -> LorentzTransform:
@@ -261,9 +314,13 @@ def compose(a: LorentzTransform, b: LorentzTransform) -> LorentzTransform:
     return LorentzTransform(a.matrix @ b.matrix, a.factors + b.factors)
 
 
+def _rotation_factors(d: Direction) -> tuple[tuple[str, float], ...]:
+    return ((ROT_Z, d.phi), (ROT_Y, d.theta))
+
+
 def rotation_to(d: Direction) -> LorentzTransform:
     """Rotation R(p-hat) = R_z(phi) R_y(theta) taking +z to d."""
-    return compose(rot_z(d.phi), rot_y(d.theta))
+    return from_factors(_rotation_factors(d))
 
 
 def standard_boost(d: Direction, magnitude: float) -> LorentzTransform:
@@ -275,4 +332,4 @@ def standard_boost(d: Direction, magnitude: float) -> LorentzTransform:
     """
     if magnitude <= 0.0:
         raise ValueError(f"magnitude must be positive, got {magnitude}")
-    return compose(rotation_to(d), boost_z(math.log(magnitude)))
+    return from_factors(_rotation_factors(d) + ((BOOST_Z, math.log(magnitude)),))

@@ -93,6 +93,13 @@ def boost_stack(alpha: float, xis) -> np.ndarray:
     return out
 
 
+def _finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range, which JSON can carry
+        return False
+
+
 _REAL_FIELDS = ("alpha", "sigma_theta", "xi_min", "xi_max", "p0")
 _COUNT_FIELDS = ("xi_steps", "n_theta", "n_phi")
 
@@ -120,7 +127,7 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
-        if not all(math.isfinite(getattr(self, name)) for name in _REAL_FIELDS):
+        if not all(_finite(getattr(self, name)) for name in _REAL_FIELDS):
             raise ConfigError("all numeric config fields must be finite")
         if not 1 <= self.xi_steps <= MAX_XI_STEPS:
             raise ConfigError(f"xi_steps must lie in [1, {MAX_XI_STEPS}], got {self.xi_steps}")
@@ -308,11 +315,6 @@ def rows_to_csv(rows: list[SweepRow], include_timing: bool = False) -> str:
             cells.append(_fmt(r.wall_time_ms))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(rows: list[SweepRow], path: str, include_timing: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(rows, include_timing=include_timing))
 
 
 def gnuplot_script(csv_path: str, curve_key: str, curve_values: tuple[float, ...]) -> str:

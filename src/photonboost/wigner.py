@@ -82,8 +82,9 @@ def principal_angle(x):
 
 def _require_null_future(p: np.ndarray) -> None:
     t = p[0]
-    bad = (t <= 0.0) | (np.abs(t * t - np.sum(p[1:] * p[1:], axis=0)) > 1e-10 * np.maximum(1.0, t * t))
-    if np.any(bad):
+    tt = t * t
+    ok = (t > 0.0) & (abs(tt - (p[1:] * p[1:]).sum(axis=0)) <= 1e-10 * np.maximum(1.0, tt))
+    if not ok.all():  # NaN fails too
         raise ValueError("momentum must be null and future-pointing")
 
 
@@ -108,17 +109,6 @@ def generator_angle(kind: str, parameter: float, cos_theta, sin_theta, phi):
     if kind == ROT_Y:
         return _rot_y_angle(parameter, cos_theta, sin_theta, phi)
     raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def wigner_angle_generator(kind: str, parameter: float, p: FourVector) -> float:
-    """Little-group angle of a single generator acting at momentum p."""
-    if not math.isfinite(parameter):
-        raise ValueError(f"parameter must be finite, got {parameter!r}")
-    arr = p.as_array()
-    _require_null_future(arr)
-    rho = math.hypot(arr[1], arr[2])
-    r = math.hypot(rho, arr[3])
-    return float(generator_angle(kind, parameter, arr[3] / r, rho / r, math.atan2(arr[2], arr[1])))
 
 
 def wigner_angles(L: LorentzTransform, momenta: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 None of these goes through the gauge-form transport of photonboost.beams:
 they transport with the rotation form (Wigner angle plus frame
-re-seating), with helicity phases, or take a closed-form limit.
+re-seating), with helicity phases, or take a closed-form limit.  The
+single-generator little-group angle, which the Wigner fold applies factor
+by factor, is here too, for the tests of its closed-form rules.
 """
 import math
 
@@ -12,6 +14,19 @@ from photonboost import polarization, wigner
 from photonboost.lorentz import Direction, null_momentum
 from photonboost.polarization import epsilon
 from photonboost.wigner import wigner_angle
+
+
+def wigner_angle_generator(kind, parameter, p):
+    """Little-group angle of a single generator acting at momentum p."""
+    if not math.isfinite(parameter):
+        raise ValueError(f"parameter must be finite, got {parameter!r}")
+    arr = p.as_array()
+    wigner._require_null_future(arr)
+    rho = math.hypot(arr[1], arr[2])
+    r = math.hypot(rho, arr[3])
+    return float(
+        wigner.generator_angle(kind, parameter, arr[3] / r, rho / r, math.atan2(arr[2], arr[1]))
+    )
 
 
 def grid_directions(grid):

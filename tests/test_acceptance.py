@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import angle_gap
-from oracles import deep_boost_limit_density, direct_double_sum_density, helicity_route_density
+from oracles import (
+    deep_boost_limit_density,
+    direct_double_sum_density,
+    helicity_route_density,
+    rotation_form_density,
+)
 from photonboost.beams import BeamSpec, build_grid, reduced_density
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import compose, identity, null_momentum, rot_y, rot_z
@@ -34,8 +39,8 @@ ALPHA_FIG3 = 2 * math.pi / 5
 PPT_TOL = 1e-9
 
 
-def _ln(alpha, xi, sigma, n=64, p0=1.0):
-    spec = BeamSpec(sigma, p0)
+def _ln(alpha, xi, sigma, n=64):
+    spec = BeamSpec(sigma)
     grid = build_grid(spec, n, n)
     return log_negativity(reduced_density(make_boost(alpha, xi), grid, spec))
 
@@ -188,10 +193,18 @@ def test_criterion_09_rotation_invariance():
 
 
 def test_criterion_10_frequency_independence():
-    a = _ln(0.4, 1.0, 1.0, p0=1.0)
-    b = _ln(0.4, 1.0, 1.0, p0=10.0)
-    assert abs(a - b) < 1e-12
-    print(f"\nACCEPTANCE 10 PASS: |LN(p0) - LN(10 p0)| = {abs(a - b):.2e} (< 1e-12)")
+    # the production transport never sees the shell momentum p0; the
+    # rotation-form route transports at p0 * p-hat through the Wigner angle
+    spec = BeamSpec(1.0)
+    grid = build_grid(spec, 64, 64)
+    L = make_boost(0.4, 1.0)
+    a = log_negativity(reduced_density(L, grid, spec))
+    gap = max(
+        abs(log_negativity(rotation_form_density(L, grid, BeamSpec(1.0, p0))) - a)
+        for p0 in (0.1, 10.0)
+    )
+    assert gap < 1e-12
+    print(f"\nACCEPTANCE 10 PASS: |LN - LN_rotation_form(p0 = 0.1, 10)| = {gap:.2e} (< 1e-12)")
 
 
 def test_criterion_11_construction_cross_checks():

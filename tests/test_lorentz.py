@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,21 +6,25 @@ import pytest
 
 from photonboost.lorentz import (
     BOOST_Z,
+    MAX_RAPIDITY,
     ROT_Y,
+    ROT_Z,
     Direction,
     FourVector,
     LorentzTransform,
     boost_z,
     compose,
+    from_factors,
     identity,
     minkowski_dot,
     null_momentum,
+    require_metric,
     rot_y,
     rot_z,
     rotation_to,
     standard_boost,
 )
-from photonboost.validation import random_null_momentum, random_transform
+from photonboost.validation import random_null_momentum, random_transform, validate
 
 K = FourVector(1.0, 0.0, 0.0, 1.0)
 
@@ -210,3 +215,91 @@ def test_null_momentum_rejects_non_positive_magnitude():
 def test_transform_guard_rejects_non_lorentz_matrix():
     with pytest.raises(ValueError):
         LorentzTransform(2.0 * np.eye(4), ())
+
+
+def _with_entry(matrix, index, value):
+    m = np.array(matrix)
+    m[index] = value
+    return m
+
+
+_ROTATION = rot_y(0.7).matrix
+
+
+@pytest.mark.parametrize(
+    "matrix, factors, message",
+    [
+        (_with_entry(np.eye(4), (1, 2), math.nan), (), "non-finite"),
+        (_with_entry(np.eye(4), (0, 0), math.inf), (), "non-finite"),
+        (_with_entry(np.eye(4), (3, 1), -math.inf), (), "non-finite"),
+        (np.eye(3), (), "4x4"),
+        (np.eye(4), (("boost_x", 0.1),), "unknown generator kind"),
+        (np.eye(4), ((ROT_Y, math.nan),), "must be finite"),
+        (_with_entry(_ROTATION, (1, 3), _ROTATION[1, 3] + 1e-6), ((ROT_Y, 0.7),), "metric"),
+        (1e200 * np.eye(4), (), "metric"),
+    ],
+    ids=[
+        "nan", "+inf", "-inf", "3x3", "unknown-kind", "nan-factor", "perturbed-rotation",
+        "overflowing-residual",
+    ],
+)
+def test_transform_guard_rejects_each_defect(matrix, factors, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        LorentzTransform(matrix, factors)
+
+
+def test_stack_guard_rejects_an_overflowing_residual():
+    stack = np.stack([np.eye(4), 1e200 * np.eye(4)])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="metric"):
+        require_metric(stack)
+
+
+def test_transform_guard_accepts_the_largest_rapidity():
+    for xi in (MAX_RAPIDITY, -MAX_RAPIDITY):
+        for L in (boost_z(xi), from_factors(((ROT_Y, 0.4), (BOOST_Z, xi), (ROT_Y, -0.4)))):
+            assert L.factor_residual() == 0.0
+    with pytest.raises(ValueError):
+        boost_z(math.nextafter(MAX_RAPIDITY, math.inf))
+
+
+def test_from_factors_rejects_unknown_kind_and_non_finite_parameter():
+    with pytest.raises(ValueError):
+        from_factors(((ROT_Y, 0.1), ("boost_x", 0.2)))
+    with pytest.raises(ValueError):
+        from_factors(((ROT_Z, math.inf),))
+
+
+def test_from_factors_matches_the_compose_chain_bit_for_bit(rng):
+    generators = {BOOST_Z: boost_z, ROT_Y: rot_y, ROT_Z: rot_z}
+    for _ in range(300):
+        factors = random_transform(rng, max_rapidity=3.0).factors
+        chain = functools.reduce(
+            compose, (generators[k](par) for k, par in factors), identity()
+        )
+        L = from_factors(factors)
+        assert L.factors == chain.factors
+        assert L.matrix.tobytes() == chain.matrix.tobytes()
+
+
+def test_transform_matrix_is_a_read_only_copy():
+    m = np.eye(4)
+    L = LorentzTransform(m, ())
+    m[0, 0] = 2.0
+    assert L.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        L.matrix[0, 0] = 3.0
+
+
+def test_validate_builds_at_most_8000_transforms(monkeypatch):
+    # one guarded construction per transform, not one per generator
+    # factor: validate built 23,545 before from_factors and 7,481 after
+    built = [0]
+    real = LorentzTransform.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        real(self)
+
+    monkeypatch.setattr(LorentzTransform, "__post_init__", counted)
+    assert validate().passed
+    assert 0 < built[0] <= 8000

@@ -24,7 +24,6 @@ from photonboost.sweep import (
     rows_to_csv,
     run_sweep,
     run_sweeps,
-    write_csv,
 )
 
 FAST = dict(xi_steps=3, n_theta=16, n_phi=16)
@@ -149,7 +148,10 @@ def test_csv_deterministic(tmp_path):
     b = rows_to_csv(run_sweep(cfg))
     assert a == b
     path = tmp_path / "rows.csv"
-    write_csv(run_sweep(cfg), str(path))
+    argv = ["sweep", "--alpha", "0.4", "--sigma-theta", "0.9", "--xi-min", "-0.5",
+            "--xi-max", "0.5", "--xi-steps", "3", "--n-theta", "16", "--n-phi", "16",
+            "--out", str(path)]
+    assert cli.main(argv) == 0
     assert path.read_bytes() == a.encode()
 
 
@@ -351,6 +353,7 @@ def test_cli_out_of_range_input_exits_1(argv, capsys):
         {"alpha": 0.0, "sigma_theta": 0.8, "xi_steps": 3.5},
         {"alpha": True, "sigma_theta": 0.8},
         {"alpha": 0.0, "sigma_theta": 0.8, "n_theta": 8.0},
+        {"alpha": 10**400, "sigma_theta": 0.8},
     ],
 )
 def test_cli_sweep_bad_config_values_exit_1(doc, tmp_path, capsys):

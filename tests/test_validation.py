@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import photonboost.beams as beams
 import photonboost.polarization as polarization
 import photonboost.validation as validation
 import photonboost.wigner as wigner
@@ -26,13 +29,17 @@ def test_fresh_build_passes_every_group():
     assert report.passed
 
 
+def _omega_group(seed=validation.DEFAULT_SEED):
+    groups = {name: (fn, cases) for name, fn, cases in validation._GROUPS}
+    fn, cases = groups["omega_independence"]
+    return fn(validation._group_rng(seed, "omega_independence"), cases)
+
+
 @pytest.mark.parametrize("seed", [5, 15, 17, 18, 21, 22])
 def test_omega_independence_holds_across_seeds(seed):
     # these seeds draw angle gaps of 4 to 8 ulp(pi), which a fixed 1e-15
     # bound rejected although the fold is frequency independent
-    groups = {name: (fn, cases) for name, fn, cases in validation._GROUPS}
-    fn, cases = groups["omega_independence"]
-    result = fn(validation._group_rng(seed, "omega_independence"), cases)
+    result = _omega_group(seed)
     assert result.passed, result.detail
 
 
@@ -71,3 +78,32 @@ def test_missing_gauge_term_trips_form_equivalence(monkeypatch):
     report = validate()
     by_name = {g.name: g for g in report.groups}
     assert not by_name["d_form_equivalence"].passed
+
+
+def _drifting_rotation_form(monkeypatch):
+    real = polarization.d_rotation_form
+
+    def drifting(L, p, eps):
+        # a transport that depends on the photon frequency p^0 by one part in 1e9
+        return real(L, p, eps) * (1.0 + 1e-9 * math.log(p.t))
+
+    monkeypatch.setattr(polarization, "d_rotation_form", drifting)
+
+
+def _nan_production_transport(monkeypatch):
+    monkeypatch.setattr(beams, "transport", lambda boosts, vectors: np.full(
+        (len(boosts), 3, vectors.shape[1] - 1, vectors.shape[2]), np.nan
+    ))
+
+
+@pytest.mark.parametrize("inject", [_drifting_rotation_form, _nan_production_transport])
+def test_transport_clause_trips_omega_independence(monkeypatch, inject):
+    base = _omega_group()
+    assert base.passed
+    inject(monkeypatch)
+    result = _omega_group()
+    assert not result.passed
+    # the angle clause uses neither transport: the transport clause tripped
+    angle, _, transport = result.detail.partition(", transport ")
+    assert angle == base.detail.partition(", transport ")[0]
+    assert not float(transport) <= validation._OMEGA_TRANSPORT_TOL

@@ -6,6 +6,7 @@ import pytest
 
 import photonboost.wigner as wigner
 from conftest import angle_gap
+from oracles import wigner_angle_generator
 from photonboost.lorentz import (
     BOOST_Z,
     ROT_Y,
@@ -29,7 +30,6 @@ from photonboost.wigner import (
     LittleGroupError,
     boost_helicity_state,
     wigner_angle,
-    wigner_angle_generator,
     wigner_angle_oracle,
 )
 
@@ -165,6 +165,12 @@ def test_non_null_momentum_rejected():
         wigner_angle(boost_z(0.3), massive)
     with pytest.raises(ValueError):
         wigner_angle_oracle(boost_z(0.3), massive)
+
+
+def test_non_finite_momentum_batch_rejected():
+    momenta = np.array([[1.0, 1.0], [0.0, np.nan], [0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError):
+        wigner.wigner_angles(identity(), momenta)
 
 
 def test_past_pointing_momentum_rejected():
