@@ -10,6 +10,11 @@ Conventions used throughout the package:
   and ``rot_z`` and remembers its generator factorization.  Downstream code
   folds closed-form angle rules over that factor list, so transforms are
   never parsed back out of raw matrices.
+
+A ``TransformStack`` holds k transforms at once: a (k, F) table of factor
+kinds and parameters and the (k, 4, 4) matrices.  The oracle routes of
+wigner and polarization evaluate whole stacks; their one-transform entry
+points are the k = 1 case, and ``from_factors`` is the one-row fold.
 """
 from __future__ import annotations
 
@@ -29,6 +34,13 @@ BOOST_Z = "boost_z"
 ROT_Y = "rot_y"
 ROT_Z = "rot_z"
 GENERATOR_KINDS = (BOOST_Z, ROT_Y, ROT_Z)
+
+# a factor table stores each kind as its index in GENERATOR_KINDS; PAD
+# fills a row past its transform's last factor and is the exact identity,
+# so a padded fold gives the same floats as the unpadded one
+KIND_CODE = {kind: code for code, kind in enumerate(GENERATOR_KINDS)}
+PAD = -1
+_BOOST, _ROT_Y, _ROT_Z = KIND_CODE[BOOST_Z], KIND_CODE[ROT_Y], KIND_CODE[ROT_Z]
 
 # below this value of sin(theta) a direction counts as polar and phi is
 # pinned to 0 (phi is geometrically undefined there)
@@ -116,19 +128,49 @@ class Direction:
         r = math.hypot(rho, v[2])
         if r == 0.0:
             raise ValueError("cannot take the direction of the zero vector")
-        return cls(math.atan2(rho, float(v[2])), math.atan2(float(v[1]), float(v[0])))
+        theta, phi = direction_angles(v)
+        return cls(float(theta), float(phi))
 
     def unit_vector(self) -> np.ndarray:
-        st, ct = math.sin(self.theta), math.cos(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), ct])
+        return unit_vectors(self.theta, self.phi)
+
+
+def unit_vectors(thetas, phis) -> np.ndarray:
+    """(3, ...) unit vectors at polar angles thetas and azimuths phis."""
+    st = np.sin(thetas)
+    return np.stack([st * np.cos(phis), st * np.sin(phis), np.cos(thetas)])
+
+
+def _positive(magnitudes) -> np.ndarray:
+    m = np.asarray(magnitudes, dtype=float)
+    bad = ~(m > 0.0)  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"magnitude must be positive, got {float(m[bad].flat[0])}")
+    return m
+
+
+def null_momenta(thetas, phis, magnitudes) -> np.ndarray:
+    """(4, ...) photon 4-momenta of the given magnitudes along (thetas, phis)."""
+    magnitudes = _positive(magnitudes)
+    n = magnitudes * unit_vectors(thetas, phis)
+    return np.concatenate([np.broadcast_to(magnitudes, n.shape[1:])[None], n])
 
 
 def null_momentum(d: Direction, magnitude: float = 1.0) -> FourVector:
     """Photon 4-momentum of the given magnitude along d."""
-    if magnitude <= 0.0:
-        raise ValueError(f"magnitude must be positive, got {magnitude}")
-    n = magnitude * d.unit_vector()
-    return FourVector(magnitude, float(n[0]), float(n[1]), float(n[2]))
+    return FourVector.from_array(null_momenta(d.theta, d.phi, magnitude))
+
+
+def direction_angles(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Polar angles and azimuths of (3, ...) nonzero vectors, as Direction stores them.
+
+    phi lies in [0, 2*pi) and is 0 wherever sin(theta) < POLE_TOL.
+    """
+    v = np.asarray(vectors, dtype=float)
+    rho = np.hypot(v[0], v[1])
+    thetas = np.arctan2(rho, v[2])
+    phis = np.mod(np.arctan2(v[1], v[0]), 2.0 * math.pi)
+    return thetas, np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)
 
 
 def _rapidity_error(value: float) -> ValueError:
@@ -201,42 +243,119 @@ def _guarded_matrix(matrix) -> np.ndarray:
     return m
 
 
+def _kind_code(kind) -> int:
+    try:
+        return KIND_CODE[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown generator kind {kind!r}") from None
+
+
 def _checked_factors(factors) -> tuple[tuple[str, float], ...]:
+    """The factor list as a tuple, after the checks a factor table gets.
+
+    Every kind must be a generator's, every parameter finite, and every
+    boost rapidity within MAX_RAPIDITY.
+    """
     out = []
     for kind, par in factors:
-        if kind not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {kind!r}")
+        _kind_code(kind)
         _require_finite("factor parameter", par)
+        if kind == BOOST_Z and not abs(par) <= MAX_RAPIDITY:
+            raise _rapidity_error(float(par))
         out.append((kind, float(par)))
     return tuple(out)
 
 
-def generator_matrix(kind: str, parameter: float) -> np.ndarray:
-    """4x4 matrix of a single generator."""
-    _require_finite("generator parameter", parameter)
-    m = _IDENTITY.copy()
-    if kind == BOOST_Z:
-        if not abs(parameter) <= MAX_RAPIDITY:
-            raise _rapidity_error(float(parameter))
-        ch, sh = math.cosh(parameter), math.sinh(parameter)
-        m[0, 0] = ch
-        m[0, 3] = sh
-        m[3, 0] = sh
-        m[3, 3] = ch
-    elif kind == ROT_Y:
-        c, s = math.cos(parameter), math.sin(parameter)
-        m[1, 1] = c
-        m[1, 3] = s
-        m[3, 1] = -s
-        m[3, 3] = c
-    elif kind == ROT_Z:
-        c, s = math.cos(parameter), math.sin(parameter)
-        m[1, 1] = c
-        m[1, 2] = -s
-        m[2, 1] = s
-        m[2, 2] = c
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
+def factor_table(factor_lists) -> tuple[np.ndarray, np.ndarray]:
+    """(k, F) kind codes and parameters of k lists of (kind, parameter) factors.
+
+    F is the longest list's length; shorter rows are padded with PAD and
+    0.0.  Raises ValueError for an unknown kind; TransformStack checks the
+    parameters.
+    """
+    lists = [tuple(f) for f in factor_lists]
+    width = max(map(len, lists), default=0)
+    pad = [(PAD, 0.0)] * width
+    rows = [[(_kind_code(k), p) for k, p in f] + pad[len(f):] for f in lists]
+    table = np.array(rows, dtype=float).reshape(len(rows), width, 2)
+    return table[..., 0].astype(int), table[..., 1].copy()
+
+
+# largest |parameter| of each kind, indexed by code - PAD: padding must be
+# 0, boosts lie within MAX_RAPIDITY, rotations need only be finite
+_FINITE = float(np.finfo(float).max)
+_PARAMETER_BOUND = np.array([0.0, MAX_RAPIDITY, _FINITE, _FINITE])
+
+
+def _checked_table(kinds, params) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of a factor table after its checks.
+
+    Every kind must be a generator's code or PAD, every parameter finite
+    (0 for PAD), and every boost rapidity within MAX_RAPIDITY.
+    """
+    kinds = np.array(kinds)
+    params = np.array(params, dtype=float)
+    if kinds.shape != params.shape:
+        raise ValueError(
+            f"factor kinds {kinds.shape} and parameters {params.shape} differ in shape"
+        )
+    if kinds.size and kinds.dtype.kind not in "iu":
+        raise ValueError(f"generator kinds must be integer codes, got dtype {kinds.dtype}")
+    kinds = kinds.astype(int)
+    known = (kinds >= PAD) & (kinds < len(GENERATOR_KINDS))
+    if not known.all():
+        raise ValueError(f"unknown generator kind code {int(kinds[~known][0])}")
+    # one comparison covers every parameter check; NaN and inf fail it
+    if not (np.abs(params) <= _PARAMETER_BOUND[kinds - PAD]).all():
+        finite = np.isfinite(params)
+        if not finite.all():
+            raise ValueError(f"factor parameter must be finite, got {float(params[~finite][0])!r}")
+        xi = params[kinds == _BOOST]
+        if not (np.abs(xi) <= MAX_RAPIDITY).all():
+            raise _rapidity_error(float(xi[np.abs(xi) > MAX_RAPIDITY][0]))
+        if (params[kinds == PAD] != 0.0).any():
+            raise ValueError("padding factors must have parameter 0")
+    kinds.flags.writeable = False
+    params.flags.writeable = False
+    return kinds, params
+
+
+def _generator_matrices(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """(..., 4, 4) matrices of a checked factor table; PAD gives the identity.
+
+    Each kind's parameter enters only its own entries, and the others see
+    a zero parameter: cosh, cos = 1 and sinh, sin = 0 exactly.
+    """
+    xi = np.where(kinds == _BOOST, params, 0.0)
+    gy = np.where(kinds == _ROT_Y, params, 0.0)
+    gz = np.where(kinds == _ROT_Z, params, 0.0)
+    ch, sh = np.cosh(xi), np.sinh(xi)
+    cy, sy = np.cos(gy), np.sin(gy)
+    cz, sz = np.cos(gz), np.sin(gz)
+    m = np.zeros(kinds.shape + (4, 4))
+    m[..., 0, 0] = ch
+    m[..., 0, 3] = sh
+    m[..., 3, 0] = sh
+    m[..., 3, 3] = ch * cy
+    m[..., 1, 1] = cy * cz
+    m[..., 1, 3] = sy
+    m[..., 3, 1] = 0.0 - sy
+    m[..., 1, 2] = 0.0 - sz
+    m[..., 2, 1] = sz
+    m[..., 2, 2] = cz
+    return m
+
+
+def _fold(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """(k, 4, 4) left-to-right products of the rows of a checked (k, F) table.
+
+    Folds from the identity, the first factor leftmost; padding multiplies
+    by an exact identity and so changes no float.
+    """
+    g = _generator_matrices(kinds, params)
+    m = np.tile(_IDENTITY, (len(kinds), 1, 1))
+    for j in range(kinds.shape[1]):
+        m = m @ g[:, j]
     return m
 
 
@@ -247,7 +366,8 @@ class LorentzTransform:
     ``matrix`` equals the left-to-right product of the factor matrices
     (first factor is the leftmost matrix, i.e. it acts last on a vector).
     Construction checks the matrix (shape, finite entries, metric) and
-    every factor (known kind, finite parameter).
+    every factor (known kind, finite parameter, boosts within
+    MAX_RAPIDITY).
     """
 
     matrix: np.ndarray
@@ -262,10 +382,7 @@ class LorentzTransform:
 
     def factor_residual(self) -> float:
         """Max deviation between matrix and the product of its factors."""
-        prod = np.eye(4)
-        for kind, par in self.factors:
-            prod = prod @ generator_matrix(kind, par)
-        return float(np.abs(prod - self.matrix).max())
+        return float(factor_residuals(TransformStack.of([self]))[0])
 
     def apply(self, p: FourVector) -> FourVector:
         return FourVector.from_array(self.matrix @ p.as_array())
@@ -283,11 +400,130 @@ def from_factors(factors) -> LorentzTransform:
     by one onto identity(), for one construction (and one guard) instead
     of two per factor.
     """
-    factors = tuple(factors)
-    m = _IDENTITY
-    for kind, par in factors:
-        m = m @ generator_matrix(kind, par)
-    return LorentzTransform(m, factors)
+    factors = _checked_factors(factors)
+    return LorentzTransform(_fold(*factor_table([factors]))[0], factors)
+
+
+@dataclass(frozen=True)
+class TransformStack:
+    """k Lorentz transforms as one guarded stack.
+
+    ``kinds`` and ``params`` form the (k, F) factor table: row i holds
+    transform i's generator factors, leftmost first, as kind codes (see
+    KIND_CODE) and parameters, padded past its last factor with PAD and
+    0.0.  ``matrices`` holds the (k, 4, 4) matrices; left out, they are the
+    left-to-right fold of each row, the floats from_factors gives for that
+    row's factor list.  Construction checks the table (known kinds, finite
+    parameters, boosts within MAX_RAPIDITY) and runs require_metric, once
+    for the whole stack.  Every array is a read-only copy.
+    """
+
+    kinds: np.ndarray
+    params: np.ndarray
+    matrices: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        kinds, params = _checked_table(self.kinds, self.params)
+        if kinds.ndim != 2:
+            raise ValueError(f"expected a (k, F) factor table, got shape {kinds.shape}")
+        if self.matrices is None:
+            m = _fold(kinds, params)
+        else:
+            m = np.array(self.matrices, dtype=float)
+            if m.shape != (len(kinds), 4, 4):
+                raise ValueError(f"expected ({len(kinds)}, 4, 4) matrices, got shape {m.shape}")
+        require_metric(m)
+        m.flags.writeable = False
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "matrices", m)
+
+    @classmethod
+    def of(cls, transforms) -> "TransformStack":
+        """Stack of LorentzTransforms, each keeping its own matrix.
+
+        A LorentzTransform ran every check of the stack on its matrix and
+        its factors when it was built, so they are not run again.
+        """
+        transforms = list(transforms)
+        for L in transforms:
+            if not isinstance(L, LorentzTransform):
+                raise TypeError(f"expected LorentzTransforms, got {type(L).__name__}")
+        kinds, params = factor_table(L.factors for L in transforms)
+        stack = object.__new__(cls)
+        for name, a in (
+            ("kinds", kinds),
+            ("params", params),
+            ("matrices", np.array([L.matrix for L in transforms]).reshape(len(transforms), 4, 4)),
+        ):
+            a.flags.writeable = False
+            object.__setattr__(stack, name, a)
+        return stack
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def transform(self, i: int) -> LorentzTransform:
+        """Transform i of the stack: its matrix and its factor list, padding dropped."""
+        factors = tuple(
+            (GENERATOR_KINDS[k], p)
+            for k, p in zip(self.kinds[i].tolist(), self.params[i].tolist())
+            if k != PAD
+        )
+        return LorentzTransform(self.matrices[i], factors)
+
+    @property
+    def factor_counts(self) -> np.ndarray:
+        """Generator factors in each row, padding not counted."""
+        return (self.kinds != PAD).sum(axis=1)
+
+    def factor_matrices(self) -> np.ndarray:
+        """(k, F, 4, 4) matrix of every entry of the factor table (PAD gives the identity)."""
+        return _generator_matrices(self.kinds, self.params)
+
+    def inverse(self) -> "TransformStack":
+        """Inverse of each transform: its factor row reversed with negated parameters."""
+        return TransformStack(self.kinds[:, ::-1], -self.params[:, ::-1])
+
+    def apply(self, columns) -> np.ndarray:
+        """Column i of a (4, n) array mapped by transform i.
+
+        n equals len(self), or the stack holds one transform, which maps
+        every column.
+        """
+        v = paired_columns(self, columns, dtype=None)
+        return (self.matrices @ v.T[:, :, None])[:, :, 0].T
+
+
+def paired_columns(stack: TransformStack, columns, dtype=float) -> np.ndarray:
+    """columns as a (4, n) array whose column i pairs with transform i of stack.
+
+    Raises ValueError unless n == len(stack) or the stack holds one
+    transform, which pairs with every column.
+    """
+    v = np.asarray(columns, dtype=dtype)
+    if v.ndim != 2 or v.shape[0] != 4:
+        raise ValueError(f"expected (4, n) columns, got shape {v.shape}")
+    if len(stack) not in (1, v.shape[1]):
+        raise ValueError(f"{v.shape[1]} columns do not pair with {len(stack)} transforms")
+    return v
+
+
+def stack_from_factors(factor_lists) -> TransformStack:
+    """Stack of the transforms from_factors builds from each factor list."""
+    return TransformStack(*factor_table(factor_lists))
+
+
+def compose_stacks(a: TransformStack, b: TransformStack) -> TransformStack:
+    """Row-wise products a_i * b_i (b_i acts first); factor rows concatenate."""
+    return TransformStack(
+        np.hstack([a.kinds, b.kinds]), np.hstack([a.params, b.params]), a.matrices @ b.matrices
+    )
+
+
+def factor_residuals(stack: TransformStack) -> np.ndarray:
+    """Max deviation of each matrix of the stack from the product of its factors."""
+    return np.abs(_fold(stack.kinds, stack.params) - stack.matrices).max(axis=(1, 2))
 
 
 def identity() -> LorentzTransform:
@@ -296,17 +532,17 @@ def identity() -> LorentzTransform:
 
 def boost_z(xi: float) -> LorentzTransform:
     """Boost along +z with rapidity xi."""
-    return LorentzTransform(generator_matrix(BOOST_Z, xi), ((BOOST_Z, float(xi)),))
+    return from_factors(((BOOST_Z, xi),))
 
 
 def rot_y(gamma: float) -> LorentzTransform:
     """Rotation by gamma about the y axis (takes +z toward +x)."""
-    return LorentzTransform(generator_matrix(ROT_Y, gamma), ((ROT_Y, float(gamma)),))
+    return from_factors(((ROT_Y, gamma),))
 
 
 def rot_z(gamma: float) -> LorentzTransform:
     """Rotation by gamma about the z axis (takes +x toward +y)."""
-    return LorentzTransform(generator_matrix(ROT_Z, gamma), ((ROT_Z, float(gamma)),))
+    return from_factors(((ROT_Z, gamma),))
 
 
 def compose(a: LorentzTransform, b: LorentzTransform) -> LorentzTransform:
@@ -314,22 +550,44 @@ def compose(a: LorentzTransform, b: LorentzTransform) -> LorentzTransform:
     return LorentzTransform(a.matrix @ b.matrix, a.factors + b.factors)
 
 
-def _rotation_factors(d: Direction) -> tuple[tuple[str, float], ...]:
-    return ((ROT_Z, d.phi), (ROT_Y, d.theta))
+def _standard_table(thetas, phis, magnitudes=None) -> tuple[np.ndarray, np.ndarray]:
+    """(k, F) factor table of R_z(phi) R_y(theta), then B_z(log m) if magnitudes are given.
+
+    This is the standard-frame convention, and the only place it is
+    written: the frame R(p-hat) = R_z(phi) R_y(theta) takes +z to p-hat,
+    and the standard transformation H(p) = R(p-hat) B_z(log p^0) takes the
+    reference momentum k to p.  It defines helicity for every momentum, so
+    all little-group angles are relative to it.  phi is taken as 0 wherever
+    sin(theta) < POLE_TOL, as Direction stores it.
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    columns = [(_ROT_Z, np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)), (_ROT_Y, thetas)]
+    if magnitudes is not None:
+        columns.append((_BOOST, np.log(_positive(magnitudes))))
+    params = np.stack(np.broadcast_arrays(*(c for _, c in columns)), axis=-1)
+    return np.broadcast_to([k for k, _ in columns], params.shape), params
+
+
+def rotations_to(thetas, phis) -> TransformStack:
+    """Stack of the frames R(p-hat) = R_z(phi) R_y(theta), one per angle pair of 1-D arrays."""
+    return TransformStack(*_standard_table(thetas, phis))
+
+
+def standard_boosts(momenta) -> TransformStack:
+    """Stack of the standard transformations H(p), one per column p of (4, k) momenta."""
+    p = np.asarray(momenta, dtype=float)
+    return TransformStack(*_standard_table(*direction_angles(p[1:]), p[0]))
 
 
 def rotation_to(d: Direction) -> LorentzTransform:
     """Rotation R(p-hat) = R_z(phi) R_y(theta) taking +z to d."""
-    return from_factors(_rotation_factors(d))
+    return rotations_to(d.theta, d.phi).transform(0)
 
 
 def standard_boost(d: Direction, magnitude: float) -> LorentzTransform:
-    """Standard transformation taking the reference momentum k to (m, m*d).
+    """Standard transformation H taking the reference momentum k to (m, m*d).
 
     Boosts along z to the requested magnitude first, then rotates +z
-    onto d.  This fixed convention is what defines helicity for every
-    momentum, so all little-group angles are relative to it.
+    onto d (see _standard_table).
     """
-    if magnitude <= 0.0:
-        raise ValueError(f"magnitude must be positive, got {magnitude}")
-    return from_factors(_rotation_factors(d) + ((BOOST_Z, math.log(magnitude)),))
+    return TransformStack(*_standard_table(d.theta, d.phi, magnitude)).transform(0)

@@ -19,7 +19,12 @@ Transport comes in two algebraically equivalent forms:
   form, so it serves as the oracle the production path is checked
   against (validate's d_form_equivalence group and the test suite).
 
-The two functions here transport one vector at one momentum each.
+Every function here evaluates a stack: ``epsilon_stack``, ``h_vec_stack``
+and ``v_vec_stack`` build the basis at arrays of angles, and the two
+transport forms take a lorentz.TransformStack and (4, n) momenta and
+polarizations, with the frames R(p-hat) written out in closed form.  The
+one-vector functions (epsilon, h_vec, v_vec, d_rotation_form,
+d_gauge_form) are their k = 1 case.
 
 The h/v linear basis carries momentum-azimuth phase factors that cancel
 the frame winding, so h and v tend to x-hat and y-hat for small polar
@@ -31,72 +36,122 @@ import math
 
 import numpy as np
 
-from . import wigner
-from .lorentz import Direction, FourVector, LorentzTransform, rot_z, rotation_to
+from . import lorentz, wigner
+from .lorentz import ROT_Z, Direction, FourVector, LorentzTransform, TransformStack
 
-_SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# circular basis at the reference direction: (x +/- i y) / sqrt(2)
-_EPS_PLUS = np.array([0.0, 1.0, 1.0j, 0.0]) / _SQRT2
-_EPS_MINUS = np.array([0.0, 1.0, -1.0j, 0.0]) / _SQRT2
+
+def _frames(thetas, phis) -> np.ndarray:
+    """Frames R(p-hat) at arrays of angles as (3, 3, ...): out[c] is the image of unit vector c."""
+    thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float), phis)
+    m = lorentz.rotations_to(thetas.ravel(), phis.ravel()).matrices
+    return m[:, 1:, 1:].transpose(2, 1, 0).reshape((3, 3) + thetas.shape)
+
+
+def epsilon_stack(thetas, phis, lam: int) -> np.ndarray:
+    """(4, ...) helicity-lambda polarization 4-vectors at angles (thetas, phis).
+
+    R(p-hat) applied to (x + i lambda y) / sqrt(2); the time part is 0.
+    """
+    wigner.check_helicity(lam)
+    f = _frames(thetas, phis)
+    spatial = (f[0] + (lam * 1j) * f[1]) * _INV_SQRT2
+    return np.concatenate([np.zeros((1,) + spatial.shape[1:], dtype=complex), spatial])
+
+
+def h_vec_stack(thetas, phis) -> np.ndarray:
+    """Near-horizontal basis vectors; they tend to x-hat as theta -> 0."""
+    ph = np.exp(1j * np.asarray(phis, dtype=float))
+    plus, minus = epsilon_stack(thetas, phis, +1), epsilon_stack(thetas, phis, -1)
+    return (ph * plus + ph.conj() * minus) * _INV_SQRT2
+
+
+def v_vec_stack(thetas, phis) -> np.ndarray:
+    """Near-vertical basis vectors; they tend to y-hat as theta -> 0."""
+    ph = np.exp(1j * np.asarray(phis, dtype=float))
+    plus, minus = epsilon_stack(thetas, phis, +1), epsilon_stack(thetas, phis, -1)
+    return -1j * (ph * plus - ph.conj() * minus) * _INV_SQRT2
 
 
 def epsilon(d: Direction, lam: int) -> np.ndarray:
     """Helicity-lambda polarization 4-vector at direction d."""
-    wigner.check_helicity(lam)
-    seed = _EPS_PLUS if lam > 0 else _EPS_MINUS
-    return rotation_to(d).matrix @ seed
+    return epsilon_stack(d.theta, d.phi, lam)
 
 
 def h_vec(d: Direction) -> np.ndarray:
     """Near-horizontal basis vector; tends to x-hat as theta -> 0."""
-    ph = np.exp(1j * d.phi)
-    return (ph * epsilon(d, +1) + np.conj(ph) * epsilon(d, -1)) / _SQRT2
+    return h_vec_stack(d.theta, d.phi)
 
 
 def v_vec(d: Direction) -> np.ndarray:
     """Near-vertical basis vector; tends to y-hat as theta -> 0."""
-    ph = np.exp(1j * d.phi)
-    return -1j * (ph * epsilon(d, +1) - np.conj(ph) * epsilon(d, -1)) / _SQRT2
+    return v_vec_stack(d.theta, d.phi)
 
 
-def _require_transverse(p: FourVector, eps: np.ndarray) -> np.ndarray:
+def _checked_pairs(stack: TransformStack, momenta, eps) -> tuple[np.ndarray, np.ndarray]:
+    """(4, n) momenta and polarizations after the null-momentum and transversality checks."""
+    p = wigner.momentum_columns(stack, momenta)
     eps = np.asarray(eps, dtype=complex)
-    if eps.shape != (4,):
-        raise ValueError(f"expected a polarization 4-vector, got shape {eps.shape}")
-    if abs(eps[0]) > 1e-10:
-        raise ValueError(f"polarization vector must have zero time component, got {eps[0]!r}")
-    parr = p.as_array()
-    mdot = eps[0] * parr[0] - eps[1] * parr[1] - eps[2] * parr[2] - eps[3] * parr[3]
-    if abs(mdot) > 1e-8 * max(1.0, p.t):
+    if eps.shape != p.shape:
+        raise ValueError(f"expected polarization 4-vectors of shape {p.shape}, got {eps.shape}")
+    t = np.abs(eps[0])
+    if not (t <= 1e-10).all():  # NaN fails too
+        raise ValueError(
+            f"polarization vector must have zero time component, got {eps[0][~(t <= 1e-10)][0]!r}"
+        )
+    mdot = eps[0] * p[0] - eps[1] * p[1] - eps[2] * p[2] - eps[3] * p[3]
+    if not (np.abs(mdot) <= 1e-8 * np.maximum(1.0, p[0])).all():
         raise ValueError("polarization vector is not transverse to the momentum")
-    return eps
+    return p, eps
 
 
-def d_rotation_form(L: LorentzTransform, p: FourVector, eps: np.ndarray) -> np.ndarray:
-    """Transport eps from p to L p via frame rotations.
+def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
+    """Transport each column of eps from p to L p via frame rotations.
 
-    Applies R(dir(L p)) R_z(Theta(L, p)) R(dir(p))^-1, which acts on the
-    circular basis at p as the helicity phase and re-seats the result in
-    the frame at L p.
+    Column i pairs with transform i, or with the only transform of a
+    one-transform stack.  Applies R(dir(L p)) R_z(Theta(L, p)) R(dir(p))^-1,
+    which acts on the circular basis at p as the helicity phase and
+    re-seats the result in the frame at L p; R^-1 is the transpose.
     """
-    eps = _require_transverse(p, eps)
-    theta_w = wigner.wigner_angle(L, p)
-    frame_in = rotation_to(Direction.from_vector(p.spatial()))
-    frame_out = rotation_to(Direction.from_vector(L.apply(p).spatial()))
-    return frame_out.matrix @ (rot_z(theta_w).matrix @ (frame_in.inverse().matrix @ eps))
+    p, eps = _checked_pairs(stack, momenta, eps)
+    theta_w = wigner.wigner_angle_stack(stack, p)
+    n = p.shape[1]
+    # the frames at p and at L p, one stack
+    frames = lorentz.rotations_to(*lorentz.direction_angles(np.hstack([p, stack.apply(p)])[1:]))
+    spin = TransformStack(np.full((n, 1), lorentz.KIND_CODE[ROT_Z]), theta_w[:, None])
+    v = np.swapaxes(frames.matrices[:n], 1, 2) @ eps.T[:, :, None]
+    return (frames.matrices[n:] @ (spin.matrices @ v))[:, :, 0].T
 
 
-def d_gauge_form(L: LorentzTransform, p: FourVector, eps: np.ndarray) -> np.ndarray:
-    """Transport eps from p to L p by boosting and re-gauging.
+def d_gauge_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
+    """Transport each column of eps from p to L p by boosting and re-gauging.
 
-    The subtraction of the momentum-proportional part cancels the time
+    Pairs columns with transforms as d_rotation_form_stack does.  The
+    subtraction of the momentum-proportional part cancels the time
     component picked up by the raw boost; for a future-pointing null p and
     a proper orthochronous L the denominator (L p)^0 is always positive.
     """
-    eps = _require_transverse(p, eps)
-    q = L.apply(p)
-    if q.t <= 1e-12:
-        raise ValueError(f"degenerate transported momentum, (L p)^0 = {q.t!r}")
-    boosted = L.matrix @ eps
-    return boosted - (boosted[0] / q.t) * q.as_array()
+    p, eps = _checked_pairs(stack, momenta, eps)
+    q = stack.apply(p)
+    if not (q[0] > 1e-12).all():
+        raise ValueError(f"degenerate transported momentum, (L p)^0 = {float(np.min(q[0]))!r}")
+    boosted = stack.apply(eps)
+    return boosted - (boosted[0] / q[0]) * q
+
+
+def _column(eps) -> np.ndarray:
+    eps = np.asarray(eps, dtype=complex)
+    if eps.shape != (4,):
+        raise ValueError(f"expected a polarization 4-vector, got shape {eps.shape}")
+    return eps[:, None]
+
+
+def d_rotation_form(L: LorentzTransform, p: FourVector, eps: np.ndarray) -> np.ndarray:
+    """Transport eps from p to L p via frame rotations (see d_rotation_form_stack)."""
+    return d_rotation_form_stack(TransformStack.of([L]), p.as_array()[:, None], _column(eps))[:, 0]
+
+
+def d_gauge_form(L: LorentzTransform, p: FourVector, eps: np.ndarray) -> np.ndarray:
+    """Transport eps from p to L p by boosting and re-gauging (see d_gauge_form_stack)."""
+    return d_gauge_form_stack(TransformStack.of([L]), p.as_array()[:, None], _column(eps))[:, 0]

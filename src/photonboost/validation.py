@@ -6,6 +6,13 @@ the public module surfaces (not cached locals), so an injected bug in any
 single formula flips the matching group to failed.  Case counts are sized
 for an interactive run; the test suite runs larger samples of the same
 checks.
+
+The groups that check the oracle routes case by case draw each case's
+inputs in a plain loop (the same draws, in the same order, as the
+random_* helpers make one at a time), then evaluate every route once over
+the whole group as a lorentz.TransformStack.  Every group folds its
+residuals with np.max / np.min, which keep a NaN, and every pass test is
+written so that a NaN fails it.
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ _FREQUENCY_ULPS_PER_FACTOR = 16
 # worst of seeds 0-39 was 1.8e-15)
 _OMEGA_NODES = 16
 _OMEGA_TRANSPORT_TOL = 1e-12
+_OMEGAS = (0.1, 10.0)
 
 
 @dataclass(frozen=True)
@@ -53,53 +61,92 @@ class ValidationReport:
         }
 
 
+def _draw_factors(rng, max_factors: int = 5, max_rapidity: float = 0.6) -> list:
+    """The (kind, parameter) factor list random_transform draws from rng."""
+    n = int(rng.integers(1, max_factors + 1))
+    factors = []
+    for _ in range(n):
+        kind = lorentz.GENERATOR_KINDS[int(rng.integers(0, 3))]
+        bound = max_rapidity if kind == lorentz.BOOST_Z else math.pi
+        factors.append((kind, rng.uniform(-bound, bound)))
+    return factors
+
+
 def random_transform(rng, max_factors: int = 5, max_rapidity: float = 0.6):
     """Random product of up to max_factors generators.
 
     Rapidities are kept modest so the conditioning stays compatible with
     the tight metric and little-group tolerances.
     """
-    n = int(rng.integers(1, max_factors + 1))
-    factors = []
-    for _ in range(n):
-        kind = lorentz.GENERATOR_KINDS[int(rng.integers(0, 3))]
-        if kind == lorentz.BOOST_Z:
-            factors.append((kind, rng.uniform(-max_rapidity, max_rapidity)))
-        else:
-            factors.append((kind, rng.uniform(-math.pi, math.pi)))
-    return lorentz.from_factors(factors)
+    return lorentz.from_factors(_draw_factors(rng, max_factors, max_rapidity))
+
+
+def _draw_angles(rng) -> tuple[float, float]:
+    """(theta, phi) of a direction uniform on the sphere."""
+    return math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
+
+
+def _draw_magnitude(rng) -> float:
+    return math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
 
 
 def random_direction(rng) -> lorentz.Direction:
-    return lorentz.Direction(
-        math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)
-    )
+    return lorentz.Direction(*_draw_angles(rng))
+
+
+def _draw_momentum(rng) -> tuple[float, float, float]:
+    """(magnitude, theta, phi) of the momentum random_null_momentum draws."""
+    return (_draw_magnitude(rng), *_draw_angles(rng))
 
 
 def random_null_momentum(rng) -> lorentz.FourVector:
-    mag = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-    return lorentz.null_momentum(random_direction(rng), mag)
+    mag, theta, phi = _draw_momentum(rng)
+    return lorentz.null_momentum(lorentz.Direction(theta, phi), mag)
+
+
+def _draw_coefficients(rng) -> np.ndarray:
+    """Unit complex weights of the two helicities."""
+    c = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return c / np.linalg.norm(c)
+
+
+def _polarizations(coefficients, thetas, phis) -> np.ndarray:
+    """c_+ eps_+ + c_- eps_- at each direction, for (..., 2) coefficients."""
+    c = np.asarray(coefficients).T
+    plus = polarization.epsilon_stack(thetas, phis, +1)
+    minus = polarization.epsilon_stack(thetas, phis, -1)
+    return c[0] * plus + c[1] * minus
 
 
 def random_transverse_polarization(rng, d: lorentz.Direction) -> np.ndarray:
-    c = rng.normal(size=2) + 1j * rng.normal(size=2)
-    c /= np.linalg.norm(c)
-    return c[0] * polarization.epsilon(d, +1) + c[1] * polarization.epsilon(d, -1)
+    return _polarizations(_draw_coefficients(rng), d.theta, d.phi)
 
 
-def _angle_gap(a: float, b: float) -> float:
-    return abs(float(wigner.principal_angle(a - b)))
+def _momenta(draws) -> np.ndarray:
+    """(4, k) null momenta of (magnitude, theta, phi) draws."""
+    mags, thetas, phis = np.array(draws).T
+    return lorentz.null_momenta(thetas, phis, mags)
+
+
+def _angle_gap(a, b) -> np.ndarray:
+    return np.abs(wigner.principal_angle(np.subtract(a, b)))
+
+
+def _worst(residuals) -> float:
+    """Largest residual; NaN if any residual is NaN (Python's max would drop it)."""
+    return float(np.max(residuals))
 
 
 def _check_metric(rng, cases: int) -> GroupResult:
-    worst_metric = worst_factor = worst_null = 0.0
+    factors, draws = [], []
     for _ in range(cases):
-        L = random_transform(rng)
-        worst_metric = max(worst_metric, L.metric_residual())
-        worst_factor = max(worst_factor, L.factor_residual())
-        p = random_null_momentum(rng)
-        q = L.apply(p)
-        worst_null = max(worst_null, abs(lorentz.minkowski_dot(q, q)))
+        factors.append(_draw_factors(rng))
+        draws.append(_draw_momentum(rng))
+    stack = lorentz.stack_from_factors(factors)
+    q = stack.apply(_momenta(draws))
+    worst_metric = _worst(lorentz.metric_residuals(stack.matrices))
+    worst_factor = _worst(lorentz.factor_residuals(stack))
+    worst_null = _worst(np.abs(q[0] * q[0] - q[1] * q[1] - q[2] * q[2] - q[3] * q[3]))
     passed = worst_metric < 1e-12 and worst_factor < 1e-12 and worst_null < 1e-10
     return GroupResult(
         "metric",
@@ -109,46 +156,59 @@ def _check_metric(rng, cases: int) -> GroupResult:
 
 
 def _check_wigner_oracle(rng, cases: int) -> GroupResult:
-    worst = 0.0
+    factors, draws = [], []
     for _ in range(cases):
-        L = random_transform(rng)
-        p = random_null_momentum(rng)
-        worst = max(worst, _angle_gap(wigner.wigner_angle(L, p), wigner.wigner_angle_oracle(L, p)))
+        factors.append(_draw_factors(rng))
+        draws.append(_draw_momentum(rng))
+    stack = lorentz.stack_from_factors(factors)
+    p = _momenta(draws)
+    worst = _worst(
+        _angle_gap(wigner.wigner_angle_stack(stack, p), wigner.wigner_angle_oracle_stack(stack, p))
+    )
     return GroupResult("wigner_oracle", worst < 1e-9, f"max angle gap {worst:.2e}")
 
 
 def _check_d_forms(rng, cases: int) -> GroupResult:
-    worst = 0.0
+    factors, angles, mags, coefficients = [], [], [], []
     for _ in range(cases):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        p = lorentz.null_momentum(d, math.exp(rng.uniform(math.log(0.5), math.log(2.0))))
-        eps = random_transverse_polarization(rng, d)
-        a = polarization.d_rotation_form(L, p, eps)
-        b = polarization.d_gauge_form(L, p, eps)
-        worst = max(worst, float(np.abs(a - b).max()))
+        factors.append(_draw_factors(rng))
+        angles.append(_draw_angles(rng))
+        mags.append(_draw_magnitude(rng))
+        coefficients.append(_draw_coefficients(rng))
+    stack = lorentz.stack_from_factors(factors)
+    thetas, phis = np.array(angles).T
+    p = lorentz.null_momenta(thetas, phis, mags)
+    eps = _polarizations(coefficients, thetas, phis)
+    a = polarization.d_rotation_form_stack(stack, p, eps)
+    b = polarization.d_gauge_form_stack(stack, p, eps)
+    worst = _worst(np.abs(a - b))
     return GroupResult("d_form_equivalence", worst < 1e-10, f"max form gap {worst:.2e}")
 
 
 def _check_composition(rng, cases: int) -> GroupResult:
-    worst_angle = worst_transport = 0.0
+    first, second, draws, coefficients = [], [], [], []
     for _ in range(cases):
-        L1 = random_transform(rng, max_factors=3)
-        L2 = random_transform(rng, max_factors=3)
-        p = random_null_momentum(rng)
-        combined = lorentz.compose(L2, L1)
-        worst_angle = max(
-            worst_angle,
-            _angle_gap(
-                wigner.wigner_angle(combined, p),
-                wigner.wigner_angle(L2, L1.apply(p)) + wigner.wigner_angle(L1, p),
-            ),
+        first.append(_draw_factors(rng, max_factors=3))
+        second.append(_draw_factors(rng, max_factors=3))
+        draws.append(_draw_momentum(rng))
+        coefficients.append(_draw_coefficients(rng))
+    s1 = lorentz.stack_from_factors(first)
+    s2 = lorentz.stack_from_factors(second)
+    combined = lorentz.compose_stacks(s2, s1)
+    p = _momenta(draws)
+    p1 = s1.apply(p)
+    worst_angle = _worst(
+        _angle_gap(
+            wigner.wigner_angle_stack(combined, p),
+            wigner.wigner_angle_stack(s2, p1) + wigner.wigner_angle_stack(s1, p),
         )
-        d = lorentz.Direction.from_vector(p.spatial())
-        eps = random_transverse_polarization(rng, d)
-        stepped = polarization.d_rotation_form(L2, L1.apply(p), polarization.d_rotation_form(L1, p, eps))
-        direct = polarization.d_rotation_form(combined, p, eps)
-        worst_transport = max(worst_transport, float(np.abs(stepped - direct).max()))
+    )
+    eps = _polarizations(coefficients, *lorentz.direction_angles(p[1:]))
+    stepped = polarization.d_rotation_form_stack(
+        s2, p1, polarization.d_rotation_form_stack(s1, p, eps)
+    )
+    direct = polarization.d_rotation_form_stack(combined, p, eps)
+    worst_transport = _worst(np.abs(stepped - direct))
     passed = worst_angle < 1e-9 and worst_transport < 1e-9
     return GroupResult(
         "composition_laws", passed, f"angle {worst_angle:.2e}, transport {worst_transport:.2e}"
@@ -156,16 +216,17 @@ def _check_composition(rng, cases: int) -> GroupResult:
 
 
 def _check_rho_sanity(rng, cases: int) -> GroupResult:
-    worst_trace = worst_herm = 0.0
-    worst_eig = math.inf
+    traces, herms, eigs = [], [], []
     for _ in range(cases):
         spec = beams.BeamSpec(rng.uniform(0.05, 1.3))
         grid = beams.build_grid(spec, 32, 32)
         L = sweep.make_boost(rng.uniform(0.0, math.pi / 2), rng.uniform(-2.0, 2.0))
         rho = beams.reduced_density(L, grid, spec)
-        worst_trace = max(worst_trace, rho.trace_residual())
-        worst_herm = max(worst_herm, float(np.abs(rho.entries - rho.entries.conj().T).max()))
-        worst_eig = min(worst_eig, rho.min_eigenvalue())
+        traces.append(rho.trace_residual())
+        herms.append(float(np.abs(rho.entries - rho.entries.conj().T).max()))
+        eigs.append(rho.min_eigenvalue())
+    worst_trace, worst_herm = _worst(traces), _worst(herms)
+    worst_eig = float(np.min(eigs))  # NaN stays NaN and fails
     passed = worst_trace < 1e-10 and worst_herm < 1e-10 and worst_eig >= -1e-9
     return GroupResult(
         "rho_sanity",
@@ -178,56 +239,63 @@ def _check_ln_rotation_invariance(rng, cases: int) -> GroupResult:
     spec = beams.BeamSpec(1.0)
     grid = beams.build_grid(spec, 32, 32)
     base = entanglement.log_negativity(beams.reduced_density(lorentz.identity(), grid, spec))
-    worst = 0.0
+    lns = []
     for _ in range(cases):
         rot = lorentz.rot_z(rng.uniform(-math.pi, math.pi))
         if rng.integers(0, 2):
             rot = lorentz.compose(rot, lorentz.rot_y(rng.uniform(-math.pi, math.pi)))
-        ln = entanglement.log_negativity(beams.reduced_density(rot, grid, spec))
-        worst = max(worst, abs(ln - base))
+        lns.append(entanglement.log_negativity(beams.reduced_density(rot, grid, spec)))
+    worst = _worst(np.abs(np.subtract(lns, base)))
     return GroupResult("ln_rotation_invariance", worst < 1e-8, f"max LN shift {worst:.2e}")
 
 
-def frequency_angle_tolerance(L: lorentz.LorentzTransform) -> float:
-    """Rounding budget for Theta(L, p) against Theta(L, omega p).
+def frequency_angle_tolerance(stack: lorentz.TransformStack) -> np.ndarray:
+    """Rounding budget for Theta(L, p) against Theta(L, omega p), one per transform of stack.
 
     The closed form is exactly frequency independent, but rescaling the
     momentum rounds its components differently, and the fold adds one
     atan2 of magnitude at most pi per generator factor.  The budget is a
-    fixed number of ulp(pi) per factor (_FREQUENCY_ULPS_PER_FACTOR); a
-    frequency-dependent bug moves the angle by O(1) and still trips it.
+    fixed number of ulp(pi) per factor (_FREQUENCY_ULPS_PER_FACTOR),
+    counting each transform's own factors, not the padded width of the
+    table; a frequency-dependent bug moves the angle by O(1) and still
+    trips it.
     """
-    return _FREQUENCY_ULPS_PER_FACTOR * math.ulp(math.pi) * len(L.factors)
+    return _FREQUENCY_ULPS_PER_FACTOR * math.ulp(math.pi) * stack.factor_counts
 
 
 def _check_omega_independence(rng, cases: int) -> GroupResult:
-    worst_ratio = worst_angle = 0.0
+    factors, angles = [], []
     for _ in range(cases):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        base = wigner.wigner_angle(L, lorentz.null_momentum(d, 1.0))
-        for omega in (0.1, 10.0):
-            gap = _angle_gap(wigner.wigner_angle(L, lorentz.null_momentum(d, omega)), base)
-            worst_angle = max(worst_angle, gap)
-            worst_ratio = max(worst_ratio, gap / frequency_angle_tolerance(L))
+        factors.append(_draw_factors(rng))
+        angles.append(_draw_angles(rng))
+    stack = lorentz.stack_from_factors(factors)
+    thetas, phis = np.array(angles).T
+    base = wigner.wigner_angle_stack(stack, lorentz.null_momenta(thetas, phis, 1.0))
+    gaps = np.array([
+        _angle_gap(wigner.wigner_angle_stack(stack, lorentz.null_momenta(thetas, phis, w)), base)
+        for w in _OMEGAS
+    ])
+    worst_angle = _worst(gaps)
+    worst_ratio = _worst(gaps / frequency_angle_tolerance(stack))
     # the production transport never sees a frequency; the rotation form,
     # which goes through the Wigner angle at omega * p-hat, must reproduce
     # it at every omega
     grid = beams.build_grid(beams.BeamSpec(1.0), 32, 32)
     nodes = rng.choice(len(grid), _OMEGA_NODES, replace=False)
-    L = random_transform(rng)
+    L = lorentz.stack_from_factors([_draw_factors(rng)])
     # the grid's h/v vectors carry sqrt(w); transport is linear in them
-    production = beams.transport(L.matrix[None], grid.vectors[:, :, nodes])[0]
+    production = beams.transport(L.matrices, grid.vectors[:, :, nodes])[0]
     production /= np.sqrt(grid.weights[nodes])
-    rotated = np.empty((2,) + production.shape, dtype=complex)
-    for j, i in enumerate(nodes.tolist()):
-        d = lorentz.Direction(float(grid.thetas[i]), float(grid.phis[i]))
-        basis = (polarization.h_vec(d), polarization.v_vec(d))
-        for k, omega in enumerate((0.1, 10.0)):
-            p = lorentz.null_momentum(d, omega)
-            for a, eps in enumerate(basis):
-                rotated[k, :, a, j] = polarization.d_rotation_form(L, p, eps)[1:]
-    worst_transport = float(np.abs(rotated - production).max())  # NaN stays NaN and fails
+    thetas, phis = grid.thetas[nodes], grid.phis[nodes]
+    basis = np.hstack(
+        [polarization.h_vec_stack(thetas, phis), polarization.v_vec_stack(thetas, phis)]
+    )
+    rotated = np.empty((len(_OMEGAS),) + production.shape, dtype=complex)
+    for k, omega in enumerate(_OMEGAS):
+        p = lorentz.null_momenta(thetas, phis, omega)
+        out = polarization.d_rotation_form_stack(L, np.hstack([p, p]), basis)
+        rotated[k] = out[1:].reshape(production.shape)
+    worst_transport = _worst(np.abs(rotated - production))
     passed = worst_ratio <= 1.0 and worst_transport < _OMEGA_TRANSPORT_TOL
     return GroupResult(
         "omega_independence",
@@ -240,7 +308,7 @@ def _check_omega_independence(rng, cases: int) -> GroupResult:
 def _check_convergence(rng, cases: int) -> GroupResult:
     # entrywise grid-doubling stability; |xi| <= 2 keeps the boosted
     # integrand resolvable at the default node count
-    worst = 0.0
+    shifts = []
     for sigma in (0.5, 1.0, 1.3):
         spec = beams.BeamSpec(sigma)
         coarse = beams.build_grid(spec, 64, 64)
@@ -249,7 +317,8 @@ def _check_convergence(rng, cases: int) -> GroupResult:
             L = sweep.make_boost(2 * math.pi / 5, xi)
             a = beams.reduced_density(L, coarse, spec)
             b = beams.reduced_density(L, fine, spec)
-            worst = max(worst, float(np.abs(a.entries - b.entries).max()))
+            shifts.append(np.abs(a.entries - b.entries))
+    worst = _worst(shifts)
     return GroupResult("convergence", worst < 1e-6, f"max entry shift {worst:.2e}")
 
 

@@ -3,10 +3,10 @@
 A Lorentz transform L sends the momentum-helicity state at p to the one at
 L p times a phase exp(-i * lambda * Theta(L, p)).  Theta is the rotation
 angle of the little-group element W = H(Lp)^-1 L H(p), where H is the
-standard boost from lorentz.standard_boost; W leaves the reference null
-momentum k = (1, 0, 0, 1) invariant, and its x-y rotation block is
-unaffected by the Euclidean translation part, so the angle is read off as
-atan2(W_yx, W_xx).
+standard transformation of lorentz.standard_boosts; W leaves the
+reference null momentum k = (1, 0, 0, 1) invariant, and its x-y rotation
+block is unaffected by the Euclidean translation part, so the angle is
+read off as atan2(W_yx, W_xx).
 
 Two independent routes to Theta are provided:
 
@@ -17,7 +17,10 @@ Two independent routes to Theta are provided:
   the matrix.
 
 They must agree modulo 2*pi to ~1e-9 for any transform built from
-generators; the test suite enforces this on large seeded samples.
+generators; the test suite enforces this on large seeded samples.  Both
+evaluate whole lorentz.TransformStacks (``wigner_angle_stack`` and
+``wigner_angle_oracle_stack``); the one-transform functions are their
+k = 1 case.
 
 Per-generator rules, for p at polar angles (theta, phi):
 
@@ -35,23 +38,23 @@ argument arctan of A/B loses the branch and breaks the composition law.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
 from .lorentz import (
-    BOOST_Z,
+    KIND_CODE,
     POLE_TOL,
     ROT_Y,
     ROT_Z,
-    Direction,
     FourVector,
     LorentzTransform,
-    generator_matrix,
-    standard_boost,
+    TransformStack,
+    paired_columns,
+    standard_boosts,
 )
 
 REFERENCE_MOMENTUM = FourVector(1.0, 0.0, 0.0, 1.0)
+_K = REFERENCE_MOMENTUM.as_array()
 
 # tolerance on |W k - k| before W stops counting as a little-group element;
 # two standard-boost inversions accumulate rounding
@@ -81,6 +84,7 @@ def principal_angle(x):
 
 
 def _require_null_future(p: np.ndarray) -> None:
+    """Raise ValueError unless every column of a (4, ...) array is null and future-pointing."""
     t = p[0]
     tt = t * t
     ok = (t > 0.0) & (abs(tt - (p[1:] * p[1:]).sum(axis=0)) <= 1e-10 * np.maximum(1.0, tt))
@@ -88,51 +92,66 @@ def _require_null_future(p: np.ndarray) -> None:
         raise ValueError("momentum must be null and future-pointing")
 
 
-def _rot_y_angle(gamma: float, cos_theta, sin_theta, phi):
-    a = math.sin(gamma) * np.sin(phi)
-    b = math.sin(gamma) * cos_theta * np.cos(phi) + math.cos(gamma) * sin_theta
+def _rot_y_angle(gamma, cos_theta, sin_theta, phi):
+    a = np.sin(gamma) * np.sin(phi)
+    b = np.sin(gamma) * cos_theta * np.cos(phi) + np.cos(gamma) * sin_theta
     return np.arctan2(a, b)
 
 
-def _rot_z_angle(gamma: float, cos_theta, sin_theta):
+def _rot_z_angle(gamma, cos_theta, sin_theta):
     on_axis = sin_theta < POLE_TOL
     signed = np.where(cos_theta > 0.0, gamma, -gamma)
     return np.where(on_axis, signed, 0.0)
 
 
-def generator_angle(kind: str, parameter: float, cos_theta, sin_theta, phi):
-    """Elementwise little-group angle of one generator at (theta, phi)."""
-    if kind == BOOST_Z:
-        return np.zeros(np.shape(cos_theta))
-    if kind == ROT_Z:
-        return _rot_z_angle(parameter, cos_theta, sin_theta)
-    if kind == ROT_Y:
-        return _rot_y_angle(parameter, cos_theta, sin_theta, phi)
-    raise ValueError(f"unknown generator kind {kind!r}")
+def momentum_columns(stack: TransformStack, momenta) -> np.ndarray:
+    """momenta as (4, n) columns paired with stack (see lorentz.paired_columns).
+
+    Raises ValueError unless every column is null and future-pointing.
+    """
+    p = paired_columns(stack, momenta)
+    _require_null_future(p)
+    return p
+
+
+def wigner_angle_stack(stack: TransformStack, momenta) -> np.ndarray:
+    """Closed-form Theta of each (transform, momentum) pair, on (-pi, pi].
+
+    momenta is (4, n); column i pairs with transform i, or with the only
+    transform of a one-transform stack.  Each row's factors are consumed
+    right to left (the rightmost acts on the momentum first), each adding
+    its angle at the momentum current at that point in the chain.  Padding
+    factors add exactly 0 and leave the momentum unchanged.
+    """
+    p = momentum_columns(stack, momenta)
+    g = stack.factor_matrices()
+    total = np.zeros(p.shape[1])
+    p = p.T[:, :, None]
+    for j in reversed(range(stack.kinds.shape[1])):
+        rho = np.hypot(p[:, 1, 0], p[:, 2, 0])
+        r = np.hypot(rho, p[:, 3, 0])
+        ct, st = p[:, 3, 0] / r, rho / r
+        kind, par = stack.kinds[:, j], stack.params[:, j]
+        # a rule whose kind is absent from the column would add only zeros
+        rot_y = kind == KIND_CODE[ROT_Y]
+        if rot_y.any():
+            phi = np.arctan2(p[:, 2, 0], p[:, 1, 0])
+            total += np.where(rot_y, _rot_y_angle(par, ct, st, phi), 0.0)
+        rot_z = kind == KIND_CODE[ROT_Z]
+        if rot_z.any():
+            total += np.where(rot_z, _rot_z_angle(par, ct, st), 0.0)
+        p = g[:, j] @ p
+    return principal_angle(total)
 
 
 def wigner_angles(L: LorentzTransform, momenta: np.ndarray) -> np.ndarray:
-    """Fold the generator rules over L.factors for a (4, n) momentum batch.
+    """wigner_angle_stack of the one transform L over a (4, n) momentum batch.
 
-    Factors are consumed right to left (the rightmost factor acts on the
-    momenta first), each contributing its angle at the momentum current at
-    that point in the chain.  Angles are returned on the branch (-pi, pi].
+    A single (4,) momentum gives a float.
     """
     p = np.asarray(momenta, dtype=float)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p[:, None]
-    if p.shape[0] != 4:
-        raise ValueError(f"expected momenta of shape (4, n), got {p.shape}")
-    _require_null_future(p)
-    total = np.zeros(p.shape[1])
-    for kind, par in reversed(L.factors):
-        rho = np.hypot(p[1], p[2])
-        r = np.hypot(rho, p[3])
-        total += generator_angle(kind, par, p[3] / r, rho / r, np.arctan2(p[2], p[1]))
-        p = generator_matrix(kind, par) @ p
-    out = principal_angle(total)
-    return float(out[0]) if squeeze else out
+    out = wigner_angle_stack(TransformStack.of([L]), p[:, None] if p.ndim == 1 else p)
+    return float(out[0]) if p.ndim == 1 else out
 
 
 def wigner_angle(L: LorentzTransform, p: FourVector) -> float:
@@ -140,22 +159,30 @@ def wigner_angle(L: LorentzTransform, p: FourVector) -> float:
     return float(wigner_angles(L, p.as_array()))
 
 
-def wigner_angle_oracle(L: LorentzTransform, p: FourVector) -> float:
-    """Theta(L, p) extracted from the little-group matrix itself."""
-    arr = p.as_array()
-    _require_null_future(arr)
-    q = L.apply(p)
-    h_p = standard_boost(Direction.from_vector(p.spatial()), p.t)
-    h_q = standard_boost(Direction.from_vector(q.spatial()), q.t)
-    w = h_q.inverse().matrix @ L.matrix @ h_p.matrix
-    k = REFERENCE_MOMENTUM.as_array()
-    residual = float(np.abs(w @ k - k).max())
-    if residual > LITTLE_GROUP_TOL:
+def wigner_angle_oracle_stack(stack: TransformStack, momenta) -> np.ndarray:
+    """Theta of each (transform, momentum) pair from the little-group matrices.
+
+    Pairs columns with transforms as wigner_angle_stack does.  Builds
+    W = H(Lp)^-1 L H(p) for every pair and reads atan2(W_yx, W_xx).
+    Raises LittleGroupError if any W moves the reference momentum by more
+    than LITTLE_GROUP_TOL.
+    """
+    p = momentum_columns(stack, momenta)
+    h_p = standard_boosts(p)
+    h_q = standard_boosts(stack.apply(p))
+    w = h_q.inverse().matrices @ stack.matrices @ h_p.matrices
+    residual = np.abs(w @ _K - _K).max(axis=1)
+    if not (residual <= LITTLE_GROUP_TOL).all():  # NaN fails too
         raise LittleGroupError(
-            f"W does not fix the reference momentum (residual {residual:.3e}); "
+            f"W does not fix the reference momentum (residual {float(np.max(residual)):.3e}); "
             "this indicates an internal error"
         )
-    return math.atan2(w[2, 1], w[1, 1])
+    return np.arctan2(w[:, 2, 1], w[:, 1, 1])
+
+
+def wigner_angle_oracle(L: LorentzTransform, p: FourVector) -> float:
+    """Theta(L, p) extracted from the little-group matrix itself."""
+    return float(wigner_angle_oracle_stack(TransformStack.of([L]), p.as_array()[:, None])[0])
 
 
 def boost_helicity_state(

@@ -11,27 +11,50 @@ import math
 import numpy as np
 
 from photonboost import polarization, wigner
-from photonboost.lorentz import Direction, null_momentum
+from photonboost.lorentz import BOOST_Z, ROT_Y, ROT_Z, Direction, null_momentum
 from photonboost.polarization import epsilon
 from photonboost.wigner import wigner_angle
 
 
 def wigner_angle_generator(kind, parameter, p):
-    """Little-group angle of a single generator acting at momentum p."""
+    """Little-group angle of a single generator acting at momentum p.
+
+    Applies the closed-form rule of that generator (the one the Wigner
+    fold applies factor by factor) without reducing it to (-pi, pi].
+    """
     if not math.isfinite(parameter):
         raise ValueError(f"parameter must be finite, got {parameter!r}")
     arr = p.as_array()
     wigner._require_null_future(arr)
     rho = math.hypot(arr[1], arr[2])
     r = math.hypot(rho, arr[3])
-    return float(
-        wigner.generator_angle(kind, parameter, arr[3] / r, rho / r, math.atan2(arr[2], arr[1]))
-    )
+    ct, st, phi = arr[3] / r, rho / r, math.atan2(arr[2], arr[1])
+    if kind == BOOST_Z:
+        return 0.0
+    if kind == ROT_Z:
+        return float(wigner._rot_z_angle(parameter, ct, st))
+    if kind == ROT_Y:
+        return float(wigner._rot_y_angle(parameter, ct, st, phi))
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def grid_directions(grid):
     """The grid's nodes as Direction objects, built on demand."""
     return [Direction(t, p) for t, p in zip(grid.thetas.tolist(), grid.phis.tolist())]
+
+
+def _transported_hv(L, d, spec):
+    """Spatial parts of the h and v vectors at d, transported by the scalar rotation form."""
+    p = null_momentum(d, spec.p0)
+    return (
+        polarization.d_rotation_form(L, p, polarization.h_vec(d))[1:],
+        polarization.d_rotation_form(L, p, polarization.v_vec(d))[1:],
+    )
+
+
+def _pair_state(a, b):
+    (ha, va), (hb, vb) = a, b
+    return (np.kron(ha, hb) - np.kron(va, vb)) / math.sqrt(2.0)
 
 
 def pair_kernel(L, p_dir, q_dir, spec):
@@ -41,13 +64,7 @@ def pair_kernel(L, p_dir, q_dir, spec):
     with photon A's component varying slowest; every vector is transported
     with the scalar rotation form.
     """
-    p = null_momentum(p_dir, spec.p0)
-    q = null_momentum(q_dir, spec.p0)
-    hp = polarization.d_rotation_form(L, p, polarization.h_vec(p_dir))[1:]
-    vp = polarization.d_rotation_form(L, p, polarization.v_vec(p_dir))[1:]
-    hq = polarization.d_rotation_form(L, q, polarization.h_vec(q_dir))[1:]
-    vq = polarization.d_rotation_form(L, q, polarization.v_vec(q_dir))[1:]
-    return (np.kron(hp, hq) - np.kron(vp, vq)) / math.sqrt(2.0)
+    return _pair_state(_transported_hv(L, p_dir, spec), _transported_hv(L, q_dir, spec))
 
 
 def rotation_form_pair_basis(L, thetas, phis, spec):
@@ -105,13 +122,13 @@ def rotation_form_density(L, grid, spec):
 
 
 def direct_double_sum_density(L, grid, spec):
-    """Brute-force double sum of pair projectors over the grid."""
-    dirs = grid_directions(grid)
-    n = len(dirs)
-    kernels = np.empty((n, n, 9), dtype=complex)
-    for i, p_dir in enumerate(dirs):
-        for j, q_dir in enumerate(dirs):
-            kernels[i, j] = pair_kernel(L, p_dir, q_dir, spec)
+    """Brute-force double sum of pair projectors over the grid.
+
+    Every pair state is pair_kernel's; each node's transported h and v
+    vectors are computed once and reused for all pairs that contain it.
+    """
+    hv = [_transported_hv(L, d, spec) for d in grid_directions(grid)]
+    kernels = np.array([[_pair_state(a, b) for b in hv] for a in hv])
     w = grid.weights
     rho = np.einsum("i,j,ijA,ijB->AB", w, w, kernels, kernels.conj())
     rho = 0.5 * (rho + rho.conj().T)

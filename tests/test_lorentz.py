@@ -235,11 +235,13 @@ _ROTATION = rot_y(0.7).matrix
         (np.eye(3), (), "4x4"),
         (np.eye(4), (("boost_x", 0.1),), "unknown generator kind"),
         (np.eye(4), ((ROT_Y, math.nan),), "must be finite"),
+        (np.eye(4), ((BOOST_Z, 15.5),), "rapidity"),
         (_with_entry(_ROTATION, (1, 3), _ROTATION[1, 3] + 1e-6), ((ROT_Y, 0.7),), "metric"),
         (1e200 * np.eye(4), (), "metric"),
     ],
     ids=[
-        "nan", "+inf", "-inf", "3x3", "unknown-kind", "nan-factor", "perturbed-rotation",
+        "nan", "+inf", "-inf", "3x3", "unknown-kind", "nan-factor", "rapidity-factor",
+        "perturbed-rotation",
         "overflowing-residual",
     ],
 )

@@ -1,4 +1,5 @@
-"""Property tests: the config parser and the composition invariants on generated inputs.
+"""Property tests: the config parser, the composition invariants and the
+rotation and frequency invariants of the boosted state, on generated inputs.
 
 Hypothesis draws the inputs; deadline=None because the wall time of one
 example says nothing about correctness and drifts with the host's CPU speed.
@@ -11,16 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_gap
+from photonboost.beams import BeamSpec, build_grid, density_states, transport
+from photonboost.entanglement import log_negativity
 from photonboost.lorentz import (
     BOOST_Z,
     ROT_Y,
     ROT_Z,
     Direction,
+    TransformStack,
     compose,
     from_factors,
+    null_momenta,
     null_momentum,
+    rot_y,
+    rot_z,
 )
-from photonboost.sweep import ConfigError, SweepConfig
+from photonboost.polarization import d_rotation_form_stack, h_vec_stack, v_vec_stack
+from photonboost.sweep import ConfigError, SweepConfig, boost_stack
 from photonboost.wigner import wigner_angle
 
 # numbers, including ints beyond the float range that JSON can carry
@@ -89,3 +97,39 @@ def test_wigner_angles_add_under_composition(f1, f2, p):
     L1, L2 = from_factors(f1), from_factors(f2)
     stepped = wigner_angle(L2, L1.apply(p)) + wigner_angle(L1, p)
     assert angle_gap(wigner_angle(compose(L2, L1), p), stepped) <= 1e-9
+
+
+_ANGLES = st.floats(-math.pi, math.pi)
+_GRID_SIDES = st.integers(16, 24)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    _ANGLES, _ANGLES, st.floats(0.0, math.pi / 2), st.floats(-3.0, 3.0),
+    st.floats(0.1, 1.3), _GRID_SIDES, _GRID_SIDES,
+)
+def test_log_negativity_is_rotation_invariant(a, b, alpha, xi, sigma, n_theta, n_phi):
+    # a rotation after the boost acts on each photon as the same local
+    # orthogonal map, which no entanglement measure can see
+    grid = build_grid(BeamSpec(sigma), n_theta, n_phi)
+    boost = boost_stack(alpha, [xi])
+    rotation = compose(rot_z(a), rot_y(b)).matrix
+    states, _ = density_states(np.concatenate([boost, rotation @ boost]), grid)
+    ln = log_negativity(states)
+    assert abs(ln[1] - ln[0]) <= 1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(_FACTOR_LISTS, st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_rotation_form_at_any_frequency_matches_production_transport(factors, log10_omega, seed):
+    # the production transport never sees a frequency; the rotation form
+    # goes through the Wigner angle at omega * p-hat
+    grid = build_grid(BeamSpec(1.0), 16, 16)
+    nodes = np.random.default_rng(seed).choice(len(grid), 12, replace=False)
+    L = TransformStack.of([from_factors(factors)])
+    production = transport(L.matrices, grid.vectors[:, :, nodes])[0] / np.sqrt(grid.weights[nodes])
+    thetas, phis = grid.thetas[nodes], grid.phis[nodes]
+    p = null_momenta(thetas, phis, 10.0**log10_omega)
+    for a, basis in enumerate((h_vec_stack(thetas, phis), v_vec_stack(thetas, phis))):
+        rotated = d_rotation_form_stack(L, p, basis)[1:]
+        assert np.abs(rotated - production[:, a]).max() <= 1e-12

@@ -13,6 +13,7 @@ from photonboost.lorentz import (
     ROT_Z,
     Direction,
     FourVector,
+    TransformStack,
     boost_z,
     compose,
     identity,
@@ -113,7 +114,7 @@ def test_frequency_independence_closed_form(rng):
         base = wigner_angle(L, null_momentum(d, 1.0))
         for omega in (0.1, 10.0):
             gap = angle_gap(wigner_angle(L, null_momentum(d, omega)), base)
-            assert gap <= frequency_angle_tolerance(L)
+            assert gap <= frequency_angle_tolerance(TransformStack.of([L]))[0]
 
 
 def test_frequency_independence_oracle(rng):
@@ -182,15 +183,16 @@ def test_past_pointing_momentum_rejected():
 def test_little_group_guard_detects_broken_standard_boost(monkeypatch, rng):
     # corrupting one of the two standard boosts destroys W k = k (scaling
     # both only conjugates W by a z boost, which k survives)
-    real = wigner.standard_boost
+    real = wigner.standard_boosts
     calls = [0]
 
-    def crooked(d, magnitude):
+    def crooked(momenta):
+        # the same magnitude scaling as before, now on the stacked call
         calls[0] += 1
         scale = 1.001 if calls[0] % 2 else 1.0
-        return real(d, magnitude * scale)
+        return real(momenta * scale)
 
-    monkeypatch.setattr(wigner, "standard_boost", crooked)
+    monkeypatch.setattr(wigner, "standard_boosts", crooked)
     with pytest.raises(LittleGroupError):
         wigner_angle_oracle(boost_z(0.4), random_null_momentum(rng))
 
