@@ -11,8 +11,8 @@ normalization are all folded into the weights, which sum to one.
 The pair state is (|h h> - |v v>)/sqrt(2) at every pair of directions.
 Boosting transports each h/v vector with the gauge form
 L e - ((L e)^0 / (L p)^0) L p, which is real linear algebra on the boost
-matrix; the rotation form (polarization.d_rotation_form, through the
-Wigner angle) is the independent oracle it is tested against.  The
+matrix; the rotation form (polarization.d_rotation_form_stack, through
+the Wigner angle) is the independent oracle it is tested against.  The
 reduced polarization density matrix traces out momentum, leaving a 9x9
 real symmetric state over the spatial components (x, y, z) of photon A
 tensor photon B.  The double direction integral factorizes through 3x3
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .lorentz import LorentzTransform
+from .lorentz import TransformStack
 
 # PSD tolerance on the assembled density matrix; anything below is an
 # internal error, not a tuning problem
@@ -53,16 +53,17 @@ _PAIR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """Gaussian angular beam: spread sigma_theta (radians), shell momentum p0."""
+    """Gaussian angular beam of spread sigma_theta (radians).
+
+    The shell momentum is not a parameter: it cancels exactly from the
+    gauge-form transport, so no output depends on it.
+    """
 
     sigma_theta: float
-    p0: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.sigma_theta <= math.pi):
             raise ValueError(f"sigma_theta must lie in (0, pi], got {self.sigma_theta}")
-        if not (math.isfinite(self.p0) and self.p0 > 0.0):
-            raise ValueError(f"p0 must be positive, got {self.p0}")
 
 
 def angular_weight(theta, spec: BeamSpec):
@@ -90,7 +91,7 @@ def _node_vectors(thetas: np.ndarray, phis: np.ndarray, weights: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Direction nodes and normalized weights (sum exactly one).
+    """Nodes on the sphere of directions and normalized weights (sum exactly one).
 
     Weights are nonnegative rather than strictly positive: for narrow
     beams the Gaussian factor underflows to an exact zero on most of the
@@ -154,19 +155,20 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
 class DensityMatrix:
     """9x9 reduced polarization state, basis (x,y,z) of A tensor (x,y,z) of B.
 
-    The boosted states are real symmetric; complex Hermitian entries are
-    accepted too.
+    The boosted states are real symmetric, so entries must be real.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
+        if np.iscomplexobj(self.entries):
+            raise ValueError("density matrix entries must be real")
+        m = np.array(self.entries, dtype=float)
         if m.shape != (9, 9):
             raise ValueError(f"expected a 9x9 matrix, got shape {m.shape}")
-        herm = float(np.abs(m - m.conj().T).max())
+        herm = float(np.abs(m - m.T).max())
         if herm > 1e-10:
-            raise ValueError(f"density matrix is not Hermitian (residual {herm:.3e})")
+            raise ValueError(f"density matrix is not symmetric (residual {herm:.3e})")
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace must be 1, got {tr!r}")
@@ -262,13 +264,12 @@ def density_states(boosts: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray
 
 
 def reduced_density(
-    L: LorentzTransform, grid: QuadratureGrid, spec: BeamSpec
+    L: TransformStack, grid: QuadratureGrid, spec: BeamSpec
 ) -> DensityMatrix:
-    """Boosted reduced polarization density matrix of the photon pair (k = 1).
+    """Boosted reduced polarization density matrix of the photon pair.
 
-    spec is the beam the grid was built for.  Its shell momentum p0
-    cancels exactly from the gauge-form transport, so the grid alone
-    carries the beam into the state.
+    L is a one-transform stack.  spec is the beam the grid was built for;
+    the grid's weights already carry it, so only the grid enters the state.
     """
     states, _ = density_states(L.matrix[None], grid)
     return DensityMatrix(states[0])

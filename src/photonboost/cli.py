@@ -54,7 +54,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         help=f"polar quadrature nodes (at least 8; n-theta * n-phi <= {MAX_GRID_NODES})",
     )
     parser.add_argument("--n-phi", type=int, default=None, help="azimuthal quadrature nodes")
-    parser.add_argument("--p0", type=float, default=None, help="shell momentum magnitude")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = ("alpha", "sigma_theta", "xi_min", "xi_max", "xi_steps", "n_theta", "n_phi", "p0")
+_FLAG_FIELDS = ("alpha", "sigma_theta", "xi_min", "xi_max", "xi_steps", "n_theta", "n_phi")
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
@@ -126,7 +125,7 @@ def _open_output(stack: contextlib.ExitStack, path: str):
 def _cmd_single(args: argparse.Namespace) -> int:
     raw = {"alpha": args.alpha, "sigma_theta": args.sigma_theta, "xi_min": args.xi,
            "xi_max": args.xi, "xi_steps": 1}
-    raw.update({f: getattr(args, f) for f in ("n_theta", "n_phi", "p0")
+    raw.update({f: getattr(args, f) for f in ("n_theta", "n_phi")
                 if getattr(args, f) is not None})
     (row,) = run_sweep(SweepConfig.from_mapping(raw))
     print(f"{row.log_negativity:.9g}")

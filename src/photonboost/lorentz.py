@@ -11,10 +11,11 @@ Conventions used throughout the package:
   folds closed-form angle rules over that factor list, so transforms are
   never parsed back out of raw matrices.
 
-A ``TransformStack`` holds k transforms at once: a (k, F) table of factor
-kinds and parameters and the (k, 4, 4) matrices.  The oracle routes of
-wigner and polarization evaluate whole stacks; their one-transform entry
-points are the k = 1 case, and ``from_factors`` is the one-row fold.
+``TransformStack`` is the one transform type: k transforms as a (k, F)
+table of factor kinds and parameters and the (k, 4, 4) matrices, checked
+by its constructor and nowhere else.  A single transform is a one-row
+stack; ``identity``, ``boost_z``, ``rot_y`` and ``rot_z`` return one, and
+``compose`` multiplies stacks row by row.
 """
 from __future__ import annotations
 
@@ -60,81 +61,6 @@ _METRIC_GUARD = 1e-9
 MAX_RAPIDITY = 15.0
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-
-
-@dataclass(frozen=True)
-class FourVector:
-    """Real 4-vector (t, x, y, z)."""
-
-    t: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        _require_finite("FourVector component", self.t, self.x, self.y, self.z)
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "FourVector":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError(f"expected shape (4,), got {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z])
-
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def spatial_norm(self) -> float:
-        return float(np.linalg.norm(self.spatial()))
-
-
-def minkowski_dot(u: FourVector, v: FourVector) -> float:
-    return u.t * v.t - u.x * v.x - u.y * v.y - u.z * v.z
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit momentum direction in polar coordinates.
-
-    theta is the polar angle from +z in [0, pi], phi the azimuth in
-    [0, 2*pi).  At either pole phi is stored as 0 by convention.
-    """
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite("Direction angle", self.theta, self.phi)
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        phi = self.phi % (2.0 * math.pi)
-        if math.sin(self.theta) < POLE_TOL:
-            phi = 0.0
-        object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "Direction":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (3,):
-            raise ValueError(f"expected shape (3,), got {v.shape}")
-        rho = math.hypot(v[0], v[1])
-        r = math.hypot(rho, v[2])
-        if r == 0.0:
-            raise ValueError("cannot take the direction of the zero vector")
-        theta, phi = direction_angles(v)
-        return cls(float(theta), float(phi))
-
-    def unit_vector(self) -> np.ndarray:
-        return unit_vectors(self.theta, self.phi)
-
-
 def unit_vectors(thetas, phis) -> np.ndarray:
     """(3, ...) unit vectors at polar angles thetas and azimuths phis."""
     st = np.sin(thetas)
@@ -156,15 +82,11 @@ def null_momenta(thetas, phis, magnitudes) -> np.ndarray:
     return np.concatenate([np.broadcast_to(magnitudes, n.shape[1:])[None], n])
 
 
-def null_momentum(d: Direction, magnitude: float = 1.0) -> FourVector:
-    """Photon 4-momentum of the given magnitude along d."""
-    return FourVector.from_array(null_momenta(d.theta, d.phi, magnitude))
-
-
 def direction_angles(vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Polar angles and azimuths of (3, ...) nonzero vectors, as Direction stores them.
+    """Polar angles in [0, pi] and azimuths of (3, ...) nonzero vectors.
 
-    phi lies in [0, 2*pi) and is 0 wherever sin(theta) < POLE_TOL.
+    phi lies in [0, 2*pi) and is 0 wherever sin(theta) < POLE_TOL, where
+    it is geometrically undefined.
     """
     v = np.asarray(vectors, dtype=float)
     rho = np.hypot(v[0], v[1])
@@ -195,10 +117,6 @@ def metric_residuals(matrices: np.ndarray) -> np.ndarray:
     return np.abs(gap).max(axis=(-2, -1))
 
 
-def _metric_error(residual: float) -> ValueError:
-    return ValueError(f"matrix does not preserve the metric (residual {residual:.3e})")
-
-
 def require_metric(matrices: np.ndarray) -> None:
     """Raise ValueError unless every matrix in a (..., 4, 4) stack preserves the metric.
 
@@ -211,36 +129,7 @@ def require_metric(matrices: np.ndarray) -> None:
     scale = np.abs(m).max(axis=(-2, -1)) ** 2
     ok = (res <= _METRIC_GUARD * np.maximum(scale, 1.0)) & (res < np.inf)  # NaN fails too
     if not ok.all():
-        raise _metric_error(float(np.max(res)))
-
-
-# G as a column: G @ m scales the rows of m by the diagonal of the metric
-_METRIC_ROWS = np.diag(METRIC)[:, None]
-
-
-def _guarded_matrix(matrix) -> np.ndarray:
-    """Read-only float copy of one 4x4 matrix that passed every transform check.
-
-    Runs the checks of require_metric on a single matrix with a handful of
-    numpy calls: the shape, finite entries (the largest |entry| is finite
-    exactly when every entry is) and a finite max |L^T G L - G| <=
-    _METRIC_GUARD * max(max |L|^2, 1).  Scaling the rows by the metric
-    signs is the same arithmetic as METRIC @ m, so the residual is the one
-    metric_residuals computes.
-    """
-    m = np.array(matrix, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    big = float(np.abs(m).max())
-    if not math.isfinite(big):
-        raise ValueError("transform matrix has non-finite entries")
-    gap = m.T @ (_METRIC_ROWS * m)
-    gap -= METRIC
-    res = float(np.abs(gap).max())
-    if not (res <= _METRIC_GUARD * max(big * big, 1.0) and res < math.inf):
-        raise _metric_error(res)
-    m.flags.writeable = False
-    return m
+        raise ValueError(f"matrix does not preserve the metric (residual {float(np.max(res)):.3e})")
 
 
 def _kind_code(kind) -> int:
@@ -248,22 +137,6 @@ def _kind_code(kind) -> int:
         return KIND_CODE[kind]
     except (KeyError, TypeError):
         raise ValueError(f"unknown generator kind {kind!r}") from None
-
-
-def _checked_factors(factors) -> tuple[tuple[str, float], ...]:
-    """The factor list as a tuple, after the checks a factor table gets.
-
-    Every kind must be a generator's, every parameter finite, and every
-    boost rapidity within MAX_RAPIDITY.
-    """
-    out = []
-    for kind, par in factors:
-        _kind_code(kind)
-        _require_finite("factor parameter", par)
-        if kind == BOOST_Z and not abs(par) <= MAX_RAPIDITY:
-            raise _rapidity_error(float(par))
-        out.append((kind, float(par)))
-    return tuple(out)
 
 
 def factor_table(factor_lists) -> tuple[np.ndarray, np.ndarray]:
@@ -360,51 +233,6 @@ def _fold(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LorentzTransform:
-    """Metric-preserving 4x4 map plus its generator factorization.
-
-    ``matrix`` equals the left-to-right product of the factor matrices
-    (first factor is the leftmost matrix, i.e. it acts last on a vector).
-    Construction checks the matrix (shape, finite entries, metric) and
-    every factor (known kind, finite parameter, boosts within
-    MAX_RAPIDITY).
-    """
-
-    matrix: np.ndarray
-    factors: tuple[tuple[str, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _guarded_matrix(self.matrix))
-        object.__setattr__(self, "factors", _checked_factors(self.factors))
-
-    def metric_residual(self) -> float:
-        return float(metric_residuals(self.matrix))
-
-    def factor_residual(self) -> float:
-        """Max deviation between matrix and the product of its factors."""
-        return float(factor_residuals(TransformStack.of([self]))[0])
-
-    def apply(self, p: FourVector) -> FourVector:
-        return FourVector.from_array(self.matrix @ p.as_array())
-
-    def inverse(self) -> "LorentzTransform":
-        """Inverse transform: factor list reversed with negated parameters."""
-        return from_factors((kind, -par) for kind, par in reversed(self.factors))
-
-
-def from_factors(factors) -> LorentzTransform:
-    """Transform with the given (kind, parameter) factor list.
-
-    The matrix is the left-to-right product of the generator matrices,
-    folded from the identity: the same floats as composing the factors one
-    by one onto identity(), for one construction (and one guard) instead
-    of two per factor.
-    """
-    factors = _checked_factors(factors)
-    return LorentzTransform(_fold(*factor_table([factors]))[0], factors)
-
-
-@dataclass(frozen=True)
 class TransformStack:
     """k Lorentz transforms as one guarded stack.
 
@@ -412,10 +240,11 @@ class TransformStack:
     transform i's generator factors, leftmost first, as kind codes (see
     KIND_CODE) and parameters, padded past its last factor with PAD and
     0.0.  ``matrices`` holds the (k, 4, 4) matrices; left out, they are the
-    left-to-right fold of each row, the floats from_factors gives for that
-    row's factor list.  Construction checks the table (known kinds, finite
-    parameters, boosts within MAX_RAPIDITY) and runs require_metric, once
-    for the whole stack.  Every array is a read-only copy.
+    left-to-right fold of each row (the first factor is the leftmost
+    matrix, i.e. it acts last on a vector).  Construction checks the table
+    (known kinds, finite parameters, boosts within MAX_RAPIDITY), the
+    matrices' shape, and runs require_metric, once for the whole stack; it
+    is the only transform guard.  Every array is a read-only copy.
     """
 
     kinds: np.ndarray
@@ -438,39 +267,15 @@ class TransformStack:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "matrices", m)
 
-    @classmethod
-    def of(cls, transforms) -> "TransformStack":
-        """Stack of LorentzTransforms, each keeping its own matrix.
-
-        A LorentzTransform ran every check of the stack on its matrix and
-        its factors when it was built, so they are not run again.
-        """
-        transforms = list(transforms)
-        for L in transforms:
-            if not isinstance(L, LorentzTransform):
-                raise TypeError(f"expected LorentzTransforms, got {type(L).__name__}")
-        kinds, params = factor_table(L.factors for L in transforms)
-        stack = object.__new__(cls)
-        for name, a in (
-            ("kinds", kinds),
-            ("params", params),
-            ("matrices", np.array([L.matrix for L in transforms]).reshape(len(transforms), 4, 4)),
-        ):
-            a.flags.writeable = False
-            object.__setattr__(stack, name, a)
-        return stack
-
     def __len__(self) -> int:
         return len(self.matrices)
 
-    def transform(self, i: int) -> LorentzTransform:
-        """Transform i of the stack: its matrix and its factor list, padding dropped."""
-        factors = tuple(
-            (GENERATOR_KINDS[k], p)
-            for k, p in zip(self.kinds[i].tolist(), self.params[i].tolist())
-            if k != PAD
-        )
-        return LorentzTransform(self.matrices[i], factors)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (4, 4) matrix of a one-transform stack."""
+        if len(self) != 1:
+            raise ValueError(f"matrix needs a one-transform stack, got {len(self)} transforms")
+        return self.matrices[0]
 
     @property
     def factor_counts(self) -> np.ndarray:
@@ -510,11 +315,11 @@ def paired_columns(stack: TransformStack, columns, dtype=float) -> np.ndarray:
 
 
 def stack_from_factors(factor_lists) -> TransformStack:
-    """Stack of the transforms from_factors builds from each factor list."""
+    """Stack of one transform per list of (kind, parameter) factors, leftmost first."""
     return TransformStack(*factor_table(factor_lists))
 
 
-def compose_stacks(a: TransformStack, b: TransformStack) -> TransformStack:
+def compose(a: TransformStack, b: TransformStack) -> TransformStack:
     """Row-wise products a_i * b_i (b_i acts first); factor rows concatenate."""
     return TransformStack(
         np.hstack([a.kinds, b.kinds]), np.hstack([a.params, b.params]), a.matrices @ b.matrices
@@ -526,28 +331,23 @@ def factor_residuals(stack: TransformStack) -> np.ndarray:
     return np.abs(_fold(stack.kinds, stack.params) - stack.matrices).max(axis=(1, 2))
 
 
-def identity() -> LorentzTransform:
-    return LorentzTransform(_IDENTITY, ())
+def identity() -> TransformStack:
+    return TransformStack(np.zeros((1, 0), dtype=int), np.zeros((1, 0)))
 
 
-def boost_z(xi: float) -> LorentzTransform:
+def boost_z(xi: float) -> TransformStack:
     """Boost along +z with rapidity xi."""
-    return from_factors(((BOOST_Z, xi),))
+    return stack_from_factors([((BOOST_Z, xi),)])
 
 
-def rot_y(gamma: float) -> LorentzTransform:
+def rot_y(gamma: float) -> TransformStack:
     """Rotation by gamma about the y axis (takes +z toward +x)."""
-    return from_factors(((ROT_Y, gamma),))
+    return stack_from_factors([((ROT_Y, gamma),)])
 
 
-def rot_z(gamma: float) -> LorentzTransform:
+def rot_z(gamma: float) -> TransformStack:
     """Rotation by gamma about the z axis (takes +x toward +y)."""
-    return from_factors(((ROT_Z, gamma),))
-
-
-def compose(a: LorentzTransform, b: LorentzTransform) -> LorentzTransform:
-    """Product a*b, acting as b first then a; factor lists concatenate."""
-    return LorentzTransform(a.matrix @ b.matrix, a.factors + b.factors)
+    return stack_from_factors([((ROT_Z, gamma),)])
 
 
 def _standard_table(thetas, phis, magnitudes=None) -> tuple[np.ndarray, np.ndarray]:
@@ -558,7 +358,7 @@ def _standard_table(thetas, phis, magnitudes=None) -> tuple[np.ndarray, np.ndarr
     and the standard transformation H(p) = R(p-hat) B_z(log p^0) takes the
     reference momentum k to p.  It defines helicity for every momentum, so
     all little-group angles are relative to it.  phi is taken as 0 wherever
-    sin(theta) < POLE_TOL, as Direction stores it.
+    sin(theta) < POLE_TOL, as direction_angles gives it.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     columns = [(_ROT_Z, np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)), (_ROT_Y, thetas)]
@@ -577,17 +377,3 @@ def standard_boosts(momenta) -> TransformStack:
     """Stack of the standard transformations H(p), one per column p of (4, k) momenta."""
     p = np.asarray(momenta, dtype=float)
     return TransformStack(*_standard_table(*direction_angles(p[1:]), p[0]))
-
-
-def rotation_to(d: Direction) -> LorentzTransform:
-    """Rotation R(p-hat) = R_z(phi) R_y(theta) taking +z to d."""
-    return rotations_to(d.theta, d.phi).transform(0)
-
-
-def standard_boost(d: Direction, magnitude: float) -> LorentzTransform:
-    """Standard transformation H taking the reference momentum k to (m, m*d).
-
-    Boosts along z to the requested magnitude first, then rotates +z
-    onto d (see _standard_table).
-    """
-    return TransformStack(*_standard_table(d.theta, d.phi, magnitude)).transform(0)

@@ -20,11 +20,9 @@ Transport comes in two algebraically equivalent forms:
   against (validate's d_form_equivalence group and the test suite).
 
 Every function here evaluates a stack: ``epsilon_stack``, ``h_vec_stack``
-and ``v_vec_stack`` build the basis at arrays of angles, and the two
-transport forms take a lorentz.TransformStack and (4, n) momenta and
-polarizations, with the frames R(p-hat) written out in closed form.  The
-one-vector functions (epsilon, h_vec, v_vec, d_rotation_form,
-d_gauge_form) are their k = 1 case.
+and ``v_vec_stack`` build the basis at arrays of angles (scalar angles
+give one (4,) vector), and the two transport forms take a
+lorentz.TransformStack and (4, n) momenta and polarizations.
 
 The h/v linear basis carries momentum-azimuth phase factors that cancel
 the frame winding, so h and v tend to x-hat and y-hat for small polar
@@ -37,7 +35,7 @@ import math
 import numpy as np
 
 from . import lorentz, wigner
-from .lorentz import ROT_Z, Direction, FourVector, LorentzTransform, TransformStack
+from .lorentz import ROT_Z, TransformStack
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -72,21 +70,6 @@ def v_vec_stack(thetas, phis) -> np.ndarray:
     ph = np.exp(1j * np.asarray(phis, dtype=float))
     plus, minus = epsilon_stack(thetas, phis, +1), epsilon_stack(thetas, phis, -1)
     return -1j * (ph * plus - ph.conj() * minus) * _INV_SQRT2
-
-
-def epsilon(d: Direction, lam: int) -> np.ndarray:
-    """Helicity-lambda polarization 4-vector at direction d."""
-    return epsilon_stack(d.theta, d.phi, lam)
-
-
-def h_vec(d: Direction) -> np.ndarray:
-    """Near-horizontal basis vector; tends to x-hat as theta -> 0."""
-    return h_vec_stack(d.theta, d.phi)
-
-
-def v_vec(d: Direction) -> np.ndarray:
-    """Near-vertical basis vector; tends to y-hat as theta -> 0."""
-    return v_vec_stack(d.theta, d.phi)
 
 
 def _checked_pairs(stack: TransformStack, momenta, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -138,20 +121,3 @@ def d_gauge_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
         raise ValueError(f"degenerate transported momentum, (L p)^0 = {float(np.min(q[0]))!r}")
     boosted = stack.apply(eps)
     return boosted - (boosted[0] / q[0]) * q
-
-
-def _column(eps) -> np.ndarray:
-    eps = np.asarray(eps, dtype=complex)
-    if eps.shape != (4,):
-        raise ValueError(f"expected a polarization 4-vector, got shape {eps.shape}")
-    return eps[:, None]
-
-
-def d_rotation_form(L: LorentzTransform, p: FourVector, eps: np.ndarray) -> np.ndarray:
-    """Transport eps from p to L p via frame rotations (see d_rotation_form_stack)."""
-    return d_rotation_form_stack(TransformStack.of([L]), p.as_array()[:, None], _column(eps))[:, 0]
-
-
-def d_gauge_form(L: LorentzTransform, p: FourVector, eps: np.ndarray) -> np.ndarray:
-    """Transport eps from p to L p by boosting and re-gauging (see d_gauge_form_stack)."""
-    return d_gauge_form_stack(TransformStack.of([L]), p.as_array()[:, None], _column(eps))[:, 0]

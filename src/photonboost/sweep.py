@@ -21,7 +21,7 @@ from .beams import BeamSpec, QuadratureGrid, build_grid, density_states
 from .entanglement import log_negativity
 from .lorentz import (
     MAX_RAPIDITY,
-    LorentzTransform,
+    TransformStack,
     boost_z,
     compose,
     require_metric,
@@ -57,12 +57,12 @@ class QuadratureConvergenceWarning(UserWarning):
     """Grid-doubling check exceeded the requested tolerance."""
 
 
-def make_boost(alpha: float, xi: float) -> LorentzTransform:
-    """Boost of rapidity xi along the direction at polar angle alpha in x-z.
+def make_boost(alpha: float, xi: float) -> TransformStack:
+    """Boost of rapidity xi along the direction at polar angle alpha in x-z, as a one-row stack.
 
-    Conjugates the z boost by the y rotation, so the factor list is
+    Conjugates the z boost by the y rotation, so the factor row is
     (rot_y alpha, boost_z xi, rot_y -alpha); the Wigner-angle oracles read
-    that list.  Sweeps use the same matrices from boost_stack.
+    that row.  Sweeps use the same matrices from boost_stack.
     """
     if not (math.isfinite(alpha) and math.isfinite(xi)):
         raise ValueError(f"alpha and xi must be finite, got {alpha!r}, {xi!r}")
@@ -100,7 +100,7 @@ def _finite(value: numbers.Real) -> bool:
         return False
 
 
-_REAL_FIELDS = ("alpha", "sigma_theta", "xi_min", "xi_max", "p0")
+_REAL_FIELDS = ("alpha", "sigma_theta", "xi_min", "xi_max")
 _COUNT_FIELDS = ("xi_steps", "n_theta", "n_phi")
 
 
@@ -113,7 +113,6 @@ class SweepConfig:
     xi_steps: int = 61
     n_theta: int = 64
     n_phi: int = 64
-    p0: float = 1.0
     output_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -149,8 +148,6 @@ class SweepConfig:
             )
         if not (0.0 < self.sigma_theta <= math.pi):
             raise ConfigError(f"sigma_theta must lie in (0, pi], got {self.sigma_theta}")
-        if self.p0 <= 0.0:
-            raise ConfigError(f"p0 must be positive, got {self.p0}")
 
     def xi_values(self) -> np.ndarray:
         return np.linspace(self.xi_min, self.xi_max, self.xi_steps)
@@ -160,7 +157,8 @@ class SweepConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's recursion limit
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_mapping(raw)
 
@@ -234,7 +232,7 @@ def run_sweep(
     convergence_tol a QuadratureConvergenceWarning is issued (the rows are
     still returned).
     """
-    spec = BeamSpec(cfg.sigma_theta, cfg.p0)
+    spec = BeamSpec(cfg.sigma_theta)
     rows = _curve_rows(cfg, build_grid(spec, cfg.n_theta, cfg.n_phi))
 
     if check_convergence:
@@ -263,13 +261,13 @@ def run_sweeps(configs: list[SweepConfig]) -> list[SweepRow]:
     for cfg in configs:
         if (cfg.sigma_theta, cfg.n_theta, cfg.n_phi) != key:
             key, grid = (cfg.sigma_theta, cfg.n_theta, cfg.n_phi), None
-            grid = build_grid(BeamSpec(cfg.sigma_theta, cfg.p0), cfg.n_theta, cfg.n_phi)
+            grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
         rows.extend(_curve_rows(cfg, grid))
     return rows
 
 
 def preset_fig2() -> list[SweepConfig]:
-    """Direction sweep: one curve per boost angle at sigma_theta = 1.0."""
+    """Boost-direction sweep: one curve per boost angle at sigma_theta = 1.0."""
     xi_min, xi_max, steps = _PRESET_XI
     return [
         SweepConfig(alpha=a, sigma_theta=1.0, xi_min=xi_min, xi_max=xi_max, xi_steps=steps)
@@ -323,8 +321,11 @@ def gnuplot_script(csv_path: str, curve_key: str, curve_values: tuple[float, ...
     curve_key selects the column that distinguishes curves ('alpha' or
     'sigma_theta'); rows of other curves are filtered with the ternary
     trick.  The CSV is the contract, this script is a convenience.
+    csv_path is written between single quotes, in which gnuplot reads a
+    doubled quote as one.
     """
     col = {"alpha": 1, "sigma_theta": 2}[curve_key]
+    quoted = csv_path.replace("'", "''")
     lines = [
         "set datafile separator ','",
         "set key top left",
@@ -332,7 +333,7 @@ def gnuplot_script(csv_path: str, curve_key: str, curve_values: tuple[float, ...
         "set ylabel 'log negativity'",
     ]
     plots = [
-        f"'{csv_path}' every ::1 using 3:(abs(${col} - {v:.9g}) < 1e-9 ? $4 : 1/0) "
+        f"'{quoted}' every ::1 using 3:(abs(${col} - {v:.9g}) < 1e-9 ? $4 : 1/0) "
         f"with lines title '{curve_key}={v:.4g}'"
         for v in curve_values
     ]

@@ -8,9 +8,8 @@ for an interactive run; the test suite runs larger samples of the same
 checks.
 
 The groups that check the oracle routes case by case draw each case's
-inputs in a plain loop (the same draws, in the same order, as the
-random_* helpers make one at a time), then evaluate every route once over
-the whole group as a lorentz.TransformStack.  Every group folds its
+inputs in a plain loop, then evaluate every route once over the whole
+group as a lorentz.TransformStack.  Every group folds its
 residuals with np.max / np.min, which keep a NaN, and every pass test is
 written so that a NaN fails it.
 """
@@ -62,7 +61,11 @@ class ValidationReport:
 
 
 def _draw_factors(rng, max_factors: int = 5, max_rapidity: float = 0.6) -> list:
-    """The (kind, parameter) factor list random_transform draws from rng."""
+    """Random (kind, parameter) list of up to max_factors generator factors.
+
+    Rapidities are kept modest so the conditioning stays compatible with
+    the tight metric and little-group tolerances.
+    """
     n = int(rng.integers(1, max_factors + 1))
     factors = []
     for _ in range(n):
@@ -70,15 +73,6 @@ def _draw_factors(rng, max_factors: int = 5, max_rapidity: float = 0.6) -> list:
         bound = max_rapidity if kind == lorentz.BOOST_Z else math.pi
         factors.append((kind, rng.uniform(-bound, bound)))
     return factors
-
-
-def random_transform(rng, max_factors: int = 5, max_rapidity: float = 0.6):
-    """Random product of up to max_factors generators.
-
-    Rapidities are kept modest so the conditioning stays compatible with
-    the tight metric and little-group tolerances.
-    """
-    return lorentz.from_factors(_draw_factors(rng, max_factors, max_rapidity))
 
 
 def _draw_angles(rng) -> tuple[float, float]:
@@ -90,18 +84,9 @@ def _draw_magnitude(rng) -> float:
     return math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
 
 
-def random_direction(rng) -> lorentz.Direction:
-    return lorentz.Direction(*_draw_angles(rng))
-
-
 def _draw_momentum(rng) -> tuple[float, float, float]:
-    """(magnitude, theta, phi) of the momentum random_null_momentum draws."""
+    """(magnitude, theta, phi) of a random null momentum."""
     return (_draw_magnitude(rng), *_draw_angles(rng))
-
-
-def random_null_momentum(rng) -> lorentz.FourVector:
-    mag, theta, phi = _draw_momentum(rng)
-    return lorentz.null_momentum(lorentz.Direction(theta, phi), mag)
 
 
 def _draw_coefficients(rng) -> np.ndarray:
@@ -116,10 +101,6 @@ def _polarizations(coefficients, thetas, phis) -> np.ndarray:
     plus = polarization.epsilon_stack(thetas, phis, +1)
     minus = polarization.epsilon_stack(thetas, phis, -1)
     return c[0] * plus + c[1] * minus
-
-
-def random_transverse_polarization(rng, d: lorentz.Direction) -> np.ndarray:
-    return _polarizations(_draw_coefficients(rng), d.theta, d.phi)
 
 
 def _momenta(draws) -> np.ndarray:
@@ -194,7 +175,7 @@ def _check_composition(rng, cases: int) -> GroupResult:
         coefficients.append(_draw_coefficients(rng))
     s1 = lorentz.stack_from_factors(first)
     s2 = lorentz.stack_from_factors(second)
-    combined = lorentz.compose_stacks(s2, s1)
+    combined = lorentz.compose(s2, s1)
     p = _momenta(draws)
     p1 = s1.apply(p)
     worst_angle = _worst(
@@ -223,7 +204,7 @@ def _check_rho_sanity(rng, cases: int) -> GroupResult:
         L = sweep.make_boost(rng.uniform(0.0, math.pi / 2), rng.uniform(-2.0, 2.0))
         rho = beams.reduced_density(L, grid, spec)
         traces.append(rho.trace_residual())
-        herms.append(float(np.abs(rho.entries - rho.entries.conj().T).max()))
+        herms.append(float(np.abs(rho.entries - rho.entries.T).max()))
         eigs.append(rho.min_eigenvalue())
     worst_trace, worst_herm = _worst(traces), _worst(herms)
     worst_eig = float(np.min(eigs))  # NaN stays NaN and fails

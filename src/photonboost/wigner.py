@@ -8,19 +8,17 @@ reference null momentum k = (1, 0, 0, 1) invariant, and its x-y rotation
 block is unaffected by the Euclidean translation part, so the angle is
 read off as atan2(W_yx, W_xx).
 
-Two independent routes to Theta are provided:
+Two independent routes to Theta are provided, both evaluating a whole
+lorentz.TransformStack against (4, n) momenta:
 
-* ``wigner_angle`` folds closed-form per-generator rules over the factor
-  list of the transform, updating the momentum as it goes (the rotation
-  angles of successive little-group elements add);
-* ``wigner_angle_oracle`` builds W explicitly and extracts the angle from
-  the matrix.
+* ``wigner_angle_stack`` folds closed-form per-generator rules over the
+  factor list of each transform, updating the momentum as it goes (the
+  rotation angles of successive little-group elements add);
+* ``wigner_angle_oracle_stack`` builds W explicitly and extracts the angle
+  from the matrix.
 
 They must agree modulo 2*pi to ~1e-9 for any transform built from
-generators; the test suite enforces this on large seeded samples.  Both
-evaluate whole lorentz.TransformStacks (``wigner_angle_stack`` and
-``wigner_angle_oracle_stack``); the one-transform functions are their
-k = 1 case.
+generators; the test suite enforces this on large seeded samples.
 
 Per-generator rules, for p at polar angles (theta, phi):
 
@@ -37,8 +35,6 @@ argument arctan of A/B loses the branch and breaks the composition law.
 """
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 from .lorentz import (
@@ -46,15 +42,13 @@ from .lorentz import (
     POLE_TOL,
     ROT_Y,
     ROT_Z,
-    FourVector,
-    LorentzTransform,
     TransformStack,
     paired_columns,
     standard_boosts,
 )
 
-REFERENCE_MOMENTUM = FourVector(1.0, 0.0, 0.0, 1.0)
-_K = REFERENCE_MOMENTUM.as_array()
+REFERENCE_MOMENTUM = np.array([1.0, 0.0, 0.0, 1.0])
+REFERENCE_MOMENTUM.flags.writeable = False
 
 # tolerance on |W k - k| before W stops counting as a little-group element;
 # two standard-boost inversions accumulate rounding
@@ -135,28 +129,15 @@ def wigner_angle_stack(stack: TransformStack, momenta) -> np.ndarray:
         # a rule whose kind is absent from the column would add only zeros
         rot_y = kind == KIND_CODE[ROT_Y]
         if rot_y.any():
-            phi = np.arctan2(p[:, 2, 0], p[:, 1, 0])
+            # the standard frame pins phi to 0 at the poles, where atan2
+            # would read it off rounding (or off the sign of a zero)
+            phi = np.where(st < POLE_TOL, 0.0, np.arctan2(p[:, 2, 0], p[:, 1, 0]))
             total += np.where(rot_y, _rot_y_angle(par, ct, st, phi), 0.0)
         rot_z = kind == KIND_CODE[ROT_Z]
         if rot_z.any():
             total += np.where(rot_z, _rot_z_angle(par, ct, st), 0.0)
         p = g[:, j] @ p
     return principal_angle(total)
-
-
-def wigner_angles(L: LorentzTransform, momenta: np.ndarray) -> np.ndarray:
-    """wigner_angle_stack of the one transform L over a (4, n) momentum batch.
-
-    A single (4,) momentum gives a float.
-    """
-    p = np.asarray(momenta, dtype=float)
-    out = wigner_angle_stack(TransformStack.of([L]), p[:, None] if p.ndim == 1 else p)
-    return float(out[0]) if p.ndim == 1 else out
-
-
-def wigner_angle(L: LorentzTransform, p: FourVector) -> float:
-    """Closed-form Theta(L, p) on the branch (-pi, pi]."""
-    return float(wigner_angles(L, p.as_array()))
 
 
 def wigner_angle_oracle_stack(stack: TransformStack, momenta) -> np.ndarray:
@@ -171,7 +152,7 @@ def wigner_angle_oracle_stack(stack: TransformStack, momenta) -> np.ndarray:
     h_p = standard_boosts(p)
     h_q = standard_boosts(stack.apply(p))
     w = h_q.inverse().matrices @ stack.matrices @ h_p.matrices
-    residual = np.abs(w @ _K - _K).max(axis=1)
+    residual = np.abs(w @ REFERENCE_MOMENTUM - REFERENCE_MOMENTUM).max(axis=1)
     if not (residual <= LITTLE_GROUP_TOL).all():  # NaN fails too
         raise LittleGroupError(
             f"W does not fix the reference momentum (residual {float(np.max(residual)):.3e}); "
@@ -180,15 +161,12 @@ def wigner_angle_oracle_stack(stack: TransformStack, momenta) -> np.ndarray:
     return np.arctan2(w[:, 2, 1], w[:, 1, 1])
 
 
-def wigner_angle_oracle(L: LorentzTransform, p: FourVector) -> float:
-    """Theta(L, p) extracted from the little-group matrix itself."""
-    return float(wigner_angle_oracle_stack(TransformStack.of([L]), p.as_array()[:, None])[0])
+def boost_helicity_state(stack: TransformStack, momenta, lam: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transform momentum-helicity states: (L p, exp(-i lambda Theta(L, p))) per column.
 
-
-def boost_helicity_state(
-    L: LorentzTransform, p: FourVector, lam: int
-) -> tuple[FourVector, complex]:
-    """Transform a momentum-helicity state: returns (L p, helicity phase)."""
+    momenta is (4, n), paired with the stack as wigner_angle_stack pairs
+    them; returns the (4, n) boosted momenta and the (n,) helicity phases.
+    """
     check_helicity(lam)
-    theta_w = wigner_angle(L, p)
-    return L.apply(p), cmath.exp(-1j * lam * theta_w)
+    theta_w = wigner_angle_stack(stack, momenta)
+    return stack.apply(momenta), np.exp(-1j * lam * theta_w)

@@ -2,33 +2,80 @@
 
 None of these goes through the gauge-form transport of photonboost.beams:
 they transport with the rotation form (Wigner angle plus frame
-re-seating), with helicity phases, or take a closed-form limit.  The
-single-generator little-group angle, which the Wigner fold applies factor
-by factor, is here too, for the tests of its closed-form rules.
+re-seating), with helicity phases, or take a closed-form limit.  Every
+route that builds momenta takes their frequency omega as an argument; the
+state must not depend on it.  The single-generator little-group angle,
+which the Wigner fold applies factor by factor, is here too, for the tests
+of its closed-form rules, and so are the seeded draws of transforms,
+momenta and polarizations that many tests share.
 """
 import math
 
 import numpy as np
 
-from photonboost import polarization, wigner
-from photonboost.lorentz import BOOST_Z, ROT_Y, ROT_Z, Direction, null_momentum
-from photonboost.polarization import epsilon
-from photonboost.wigner import wigner_angle
+from photonboost import validation, wigner
+from photonboost.lorentz import (
+    BOOST_Z,
+    POLE_TOL,
+    ROT_Y,
+    ROT_Z,
+    direction_angles,
+    null_momenta,
+    stack_from_factors,
+)
+from photonboost.polarization import d_rotation_form_stack, epsilon_stack, h_vec_stack, v_vec_stack
+
+
+def random_stack(rng, k, max_factors=5, max_rapidity=0.6):
+    """Stack of k random products of up to max_factors generators (validate's draw)."""
+    return stack_from_factors(
+        [validation._draw_factors(rng, max_factors, max_rapidity) for _ in range(k)]
+    )
+
+
+def random_directions(rng, k):
+    """Polar angles and azimuths of k directions uniform on the sphere."""
+    return np.arccos(rng.uniform(-1.0, 1.0, k)), rng.uniform(0.0, 2.0 * math.pi, k)
+
+
+def random_momenta(rng, k):
+    """(4, k) null momenta along random directions, magnitudes log-uniform in [0.5, 2]."""
+    thetas, phis = random_directions(rng, k)
+    return null_momenta(thetas, phis, np.exp(rng.uniform(math.log(0.5), math.log(2.0), k)))
+
+
+def random_polarizations(rng, thetas, phis):
+    """(4, k) random unit transverse polarizations at the given directions."""
+    c = rng.normal(size=(2, len(thetas))) + 1j * rng.normal(size=(2, len(thetas)))
+    c /= np.linalg.norm(c, axis=0)
+    return c[0] * epsilon_stack(thetas, phis, +1) + c[1] * epsilon_stack(thetas, phis, -1)
+
+
+def random_cases(rng, k, magnitudes=1.0, max_factors=5):
+    """k random transforms, each with a null momentum of the given magnitudes and a polarization.
+
+    Returns the stack, the (4, k) momenta and the (4, k) random transverse
+    polarizations at their directions.
+    """
+    stack = random_stack(rng, k, max_factors=max_factors)
+    thetas, phis = random_directions(rng, k)
+    return stack, null_momenta(thetas, phis, magnitudes), random_polarizations(rng, thetas, phis)
 
 
 def wigner_angle_generator(kind, parameter, p):
-    """Little-group angle of a single generator acting at momentum p.
+    """Little-group angle of a single generator acting at a (4,) momentum p.
 
     Applies the closed-form rule of that generator (the one the Wigner
     fold applies factor by factor) without reducing it to (-pi, pi].
     """
     if not math.isfinite(parameter):
         raise ValueError(f"parameter must be finite, got {parameter!r}")
-    arr = p.as_array()
+    arr = np.asarray(p, dtype=float)
     wigner._require_null_future(arr)
     rho = math.hypot(arr[1], arr[2])
     r = math.hypot(rho, arr[3])
-    ct, st, phi = arr[3] / r, rho / r, math.atan2(arr[2], arr[1])
+    ct, st = arr[3] / r, rho / r
+    phi = 0.0 if st < POLE_TOL else math.atan2(arr[2], arr[1])
     if kind == BOOST_Z:
         return 0.0
     if kind == ROT_Z:
@@ -38,41 +85,47 @@ def wigner_angle_generator(kind, parameter, p):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def grid_directions(grid):
-    """The grid's nodes as Direction objects, built on demand."""
-    return [Direction(t, p) for t, p in zip(grid.thetas.tolist(), grid.phis.tolist())]
+def transported_hv(L, thetas, phis, omega):
+    """Spatial parts of the h and v vectors at the given directions, by the rotation form.
 
-
-def _transported_hv(L, d, spec):
-    """Spatial parts of the h and v vectors at d, transported by the scalar rotation form."""
-    p = null_momentum(d, spec.p0)
+    L is a one-transform stack; the momenta have frequency omega.  Returns
+    two (3, n) arrays.
+    """
+    thetas, phis = np.atleast_1d(thetas), np.atleast_1d(phis)
+    p = null_momenta(thetas, phis, omega)
     return (
-        polarization.d_rotation_form(L, p, polarization.h_vec(d))[1:],
-        polarization.d_rotation_form(L, p, polarization.v_vec(d))[1:],
+        d_rotation_form_stack(L, p, h_vec_stack(thetas, phis))[1:],
+        d_rotation_form_stack(L, p, v_vec_stack(thetas, phis))[1:],
     )
 
 
-def _pair_state(a, b):
+def _kron_columns(x, y):
+    """(n_x, n_y, 9) Kronecker products of every column of x with every column of y."""
+    return np.einsum("ai,bj->ijab", x, y).reshape(x.shape[1], y.shape[1], 9)
+
+
+def _pair_states(a, b):
+    """(n_a, n_b, 9) pair states (|h h> - |v v>)/sqrt(2) of every column pair of a and b."""
     (ha, va), (hb, vb) = a, b
-    return (np.kron(ha, hb) - np.kron(va, vb)) / math.sqrt(2.0)
+    return (_kron_columns(ha, hb) - _kron_columns(va, vb)) / math.sqrt(2.0)
 
 
-def pair_kernel(L, p_dir, q_dir, spec):
-    """Boosted pair state (|h h> - |v v>)/sqrt(2) at one direction pair.
+def pair_kernel(L, p_dir, q_dir, omega):
+    """Boosted pair state (|h h> - |v v>)/sqrt(2) at one pair of (theta, phi) directions.
 
     Returns the unit-norm complex 9-vector of spatial components, ordered
     with photon A's component varying slowest; every vector is transported
-    with the scalar rotation form.
+    with the rotation form.
     """
-    return _pair_state(_transported_hv(L, p_dir, spec), _transported_hv(L, q_dir, spec))
+    return _pair_states(transported_hv(L, *p_dir, omega), transported_hv(L, *q_dir, omega))[0, 0]
 
 
-def rotation_form_pair_basis(L, thetas, phis, spec):
+def rotation_form_pair_basis(L, thetas, phis, omega):
     """Spatial parts of the boosted h and v vectors, by the rotation form.
 
-    Vectorized equivalent of running polarization.d_rotation_form over
-    h_vec and v_vec node by node (a test pins the two together).  Uses the
-    identities h_p = R(p)(0, cos phi, -sin phi, 0) and
+    Vectorized equivalent of polarization.d_rotation_form_stack on h_vec
+    and v_vec (a test pins the two together), written out independently.
+    Uses the identities h_p = R(p)(0, cos phi, -sin phi, 0) and
     v_p = R(p)(0, sin phi, cos phi, 0): transporting rotates the in-plane
     angle by the little-group angle from the Wigner fold and re-seats the
     vector in the frame at the boosted direction.  Returns two real (3, n)
@@ -80,12 +133,9 @@ def rotation_form_pair_basis(L, thetas, phis, spec):
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    st, ct = np.sin(thetas), np.cos(thetas)
-    momenta = spec.p0 * np.stack(
-        [np.ones_like(thetas), st * np.cos(phis), st * np.sin(phis), ct]
-    )
-    theta_w = wigner.wigner_angles(L, momenta)
-    out = L.matrix @ momenta
+    momenta = null_momenta(thetas, phis, omega)
+    theta_w = wigner.wigner_angle_stack(L, momenta)
+    out = L.apply(momenta)
     rho = np.hypot(out[1], out[2])
     r = np.hypot(rho, out[3])
     ct_o, st_o = out[3] / r, rho / r
@@ -115,45 +165,41 @@ def _assemble(weights, x):
     return rho / np.trace(rho).real
 
 
-def rotation_form_density(L, grid, spec):
-    """reduced_density with every h/v vector transported by the rotation form."""
-    xh, xv = rotation_form_pair_basis(L, grid.thetas, grid.phis, spec)
+def rotation_form_density(L, grid, omega):
+    """reduced_density with every h/v vector transported by the rotation form at frequency omega."""
+    xh, xv = rotation_form_pair_basis(L, grid.thetas, grid.phis, omega)
     return _assemble(grid.weights, {"h": xh, "v": xv})
 
 
-def direct_double_sum_density(L, grid, spec):
+def direct_double_sum_density(L, grid, omega):
     """Brute-force double sum of pair projectors over the grid.
 
     Every pair state is pair_kernel's; each node's transported h and v
     vectors are computed once and reused for all pairs that contain it.
     """
-    hv = [_transported_hv(L, d, spec) for d in grid_directions(grid)]
-    kernels = np.array([[_pair_state(a, b) for b in hv] for a in hv])
+    hv = transported_hv(L, grid.thetas, grid.phis, omega)
+    kernels = _pair_states(hv, hv)
     w = grid.weights
     rho = np.einsum("i,j,ijA,ijB->AB", w, w, kernels, kernels.conj())
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-def helicity_route_density(L, grid, spec):
+def helicity_route_density(L, grid, omega):
     """Assemble rho from helicity amplitudes and helicity transport.
 
     The initial amplitudes put equal weight on the two like-helicity pairs
     with azimuth phase factors; each single-photon piece transports with
-    the little-group phase onto the circular basis vector at the boosted
-    direction.  Factorizes through 3x3 moments exactly like the h/v route.
+    the little-group phase of wigner.boost_helicity_state onto the circular
+    basis vector at the boosted direction.  Factorizes through 3x3 moments
+    exactly like the h/v route.
     """
-    dirs = grid_directions(grid)
-    n = len(dirs)
+    p = null_momenta(grid.thetas, grid.phis, omega)
     y = {}
     for lam in (+1, -1):
-        vecs = np.empty((3, n), dtype=complex)
-        for i, d in enumerate(dirs):
-            p = null_momentum(d, spec.p0)
-            phase = np.exp(-1j * lam * wigner_angle(L, p))
-            out_dir = Direction.from_vector(L.apply(p).spatial())
-            vecs[:, i] = np.exp(1j * lam * d.phi) * phase * epsilon(out_dir, lam)[1:]
-        y[lam] = vecs
+        q, phase = wigner.boost_helicity_state(L, p, lam)
+        out = epsilon_stack(*direction_angles(q[1:]), lam)[1:]
+        y[lam] = np.exp(1j * lam * grid.phis) * phase * out
     rho = np.zeros((9, 9), dtype=complex)
     for lam in (+1, -1):
         for mu in (+1, -1):

@@ -19,20 +19,17 @@ from oracles import (
     deep_boost_limit_density,
     direct_double_sum_density,
     helicity_route_density,
+    random_cases,
+    random_momenta,
+    random_stack,
     rotation_form_density,
 )
 from photonboost.beams import BeamSpec, build_grid, reduced_density
 from photonboost.entanglement import log_negativity
-from photonboost.lorentz import compose, identity, null_momentum, rot_y, rot_z
-from photonboost.polarization import d_gauge_form, d_rotation_form
-from photonboost.sweep import SweepConfig, make_boost, preset_fig2, preset_fig3, rows_to_csv, run_sweep
-from photonboost.validation import (
-    random_direction,
-    random_null_momentum,
-    random_transform,
-    random_transverse_polarization,
-)
-from photonboost.wigner import wigner_angle, wigner_angle_oracle
+from photonboost.lorentz import compose, identity, rot_y, rot_z
+from photonboost.polarization import d_gauge_form_stack, d_rotation_form_stack
+from photonboost.sweep import make_boost, preset_fig2, preset_fig3, rows_to_csv, run_sweep
+from photonboost.wigner import wigner_angle_oracle_stack, wigner_angle_stack
 
 ALPHA_FIG3 = 2 * math.pi / 5
 # log negativity at or below this marks a positive partial transpose (PPT)
@@ -144,34 +141,21 @@ def test_criterion_06_transverse_symmetry(fig2_runs):
 
 def test_criterion_07_wigner_oracle_equivalence():
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(1000):
-        L = random_transform(rng)
-        p = random_null_momentum(rng)
-        worst = max(worst, float(angle_gap(wigner_angle(L, p), wigner_angle_oracle(L, p))))
+    L, p = random_stack(rng, 1000), random_momenta(rng, 1000)
+    worst = float(angle_gap(wigner_angle_stack(L, p), wigner_angle_oracle_stack(L, p)).max())
     assert worst < 1e-9
     print(f"\nACCEPTANCE 07 PASS: 1000 cases, max closed-form/oracle gap {worst:.2e} (< 1e-9)")
 
 
 def test_criterion_08_transport_form_equivalence():
     rng = np.random.default_rng(8)
-    worst_form = worst_group = 0.0
-    for _ in range(1000):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        p = null_momentum(d, math.exp(rng.uniform(math.log(0.5), math.log(2.0))))
-        eps = random_transverse_polarization(rng, d)
-        gap = np.abs(d_rotation_form(L, p, eps) - d_gauge_form(L, p, eps)).max()
-        worst_form = max(worst_form, float(gap))
-    for _ in range(1000):
-        L1 = random_transform(rng, max_factors=3)
-        L2 = random_transform(rng, max_factors=3)
-        d = random_direction(rng)
-        p = null_momentum(d, 1.0)
-        eps = random_transverse_polarization(rng, d)
-        stepped = d_rotation_form(L2, L1.apply(p), d_rotation_form(L1, p, eps))
-        direct = d_rotation_form(compose(L2, L1), p, eps)
-        worst_group = max(worst_group, float(np.abs(stepped - direct).max()))
+    L, p, eps = random_cases(rng, 1000, np.exp(rng.uniform(math.log(0.5), math.log(2.0), 1000)))
+    worst_form = float(np.abs(d_rotation_form_stack(L, p, eps) - d_gauge_form_stack(L, p, eps)).max())
+    L1, p, eps = random_cases(rng, 1000, max_factors=3)
+    L2 = random_stack(rng, 1000, max_factors=3)
+    stepped = d_rotation_form_stack(L2, L1.apply(p), d_rotation_form_stack(L1, p, eps))
+    direct = d_rotation_form_stack(compose(L2, L1), p, eps)
+    worst_group = float(np.abs(stepped - direct).max())
     assert worst_form < 1e-10
     assert worst_group < 1e-9
     print(
@@ -193,18 +177,17 @@ def test_criterion_09_rotation_invariance():
 
 
 def test_criterion_10_frequency_independence():
-    # the production transport never sees the shell momentum p0; the
-    # rotation-form route transports at p0 * p-hat through the Wigner angle
+    # the production transport never sees a frequency; the rotation-form
+    # route transports at omega * p-hat through the Wigner angle
     spec = BeamSpec(1.0)
     grid = build_grid(spec, 64, 64)
     L = make_boost(0.4, 1.0)
     a = log_negativity(reduced_density(L, grid, spec))
     gap = max(
-        abs(log_negativity(rotation_form_density(L, grid, BeamSpec(1.0, p0))) - a)
-        for p0 in (0.1, 10.0)
+        abs(log_negativity(rotation_form_density(L, grid, omega)) - a) for omega in (0.1, 10.0)
     )
     assert gap < 1e-12
-    print(f"\nACCEPTANCE 10 PASS: |LN - LN_rotation_form(p0 = 0.1, 10)| = {gap:.2e} (< 1e-12)")
+    print(f"\nACCEPTANCE 10 PASS: |LN - LN_rotation_form(omega = 0.1, 10)| = {gap:.2e} (< 1e-12)")
 
 
 def test_criterion_11_construction_cross_checks():
@@ -212,8 +195,8 @@ def test_criterion_11_construction_cross_checks():
     grid = build_grid(spec, 8, 8)
     L = make_boost(ALPHA_FIG3, 0.8)
     fast = reduced_density(L, grid, spec).entries
-    direct_gap = float(np.abs(fast - direct_double_sum_density(L, grid, spec)).max())
-    helicity_gap = float(np.abs(fast - helicity_route_density(L, grid, spec)).max())
+    direct_gap = float(np.abs(fast - direct_double_sum_density(L, grid, 1.0)).max())
+    helicity_gap = float(np.abs(fast - helicity_route_density(L, grid, 1.0)).max())
     assert direct_gap < 1e-10
     assert helicity_gap < 1e-10
     print(
@@ -278,7 +261,7 @@ def test_criterion_13_figure_reproduction(fig2_runs, fig3_runs):
         f"down to xi = {xi[0]:.1f}"
     )
     cfg = next(c for c in preset_fig3() if c.sigma_theta == 1.3)
-    grid = build_grid(BeamSpec(cfg.sigma_theta, cfg.p0), cfg.n_theta, cfg.n_phi)
+    grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
     ln_inf = log_negativity(deep_boost_limit_density(cfg.alpha, grid))
     assert ln[0] <= ln_inf + 1e-4, (
         f"emitted LN({xi[0]:.1f}) = {ln[0]:.5f} exceeds the xi -> -inf limit {ln_inf:.5f}"

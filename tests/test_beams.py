@@ -23,10 +23,10 @@ from photonboost.beams import (
     transported_moments,
 )
 from photonboost.entanglement import log_negativity
-from photonboost.lorentz import Direction, identity, null_momentum, rot_z
-from photonboost.polarization import d_rotation_form, h_vec, v_vec
+from oracles import random_directions, random_stack, transported_hv
+from photonboost.lorentz import identity, null_momenta, rot_z
+from photonboost.polarization import h_vec_stack, v_vec_stack
 from photonboost.sweep import SweepConfig, make_boost, run_sweep
-from photonboost.validation import random_direction, random_transform
 
 BELL_KERNEL = np.zeros(9)
 BELL_KERNEL[0] = 1 / math.sqrt(2)  # x (x) x
@@ -95,28 +95,31 @@ def test_grid_doubling_stability_of_mean_cos_theta():
     assert abs(a - b) < 1e-10
 
 
+def _random_direction(rng):
+    thetas, phis = random_directions(rng, 1)
+    return thetas[0], phis[0]
+
+
 def test_pair_kernel_bell_limit():
-    got = pair_kernel(identity(), Direction(0.0), Direction(0.0), BeamSpec(0.5))
+    got = pair_kernel(identity(), (0.0, 0.0), (0.0, 0.0), 1.0)
     assert np.abs(got - BELL_KERNEL).max() < 1e-14
 
 
 def test_pair_kernel_unit_norm(rng):
-    spec = BeamSpec(1.0)
     for _ in range(30):
-        L = random_transform(rng)
-        got = pair_kernel(L, random_direction(rng), random_direction(rng), spec)
+        L = random_stack(rng, 1)
+        got = pair_kernel(L, _random_direction(rng), _random_direction(rng), 1.0)
         assert abs(np.linalg.norm(got) - 1.0) < 1e-10
 
 
 def test_pair_kernel_rotation_factorizes(rng):
-    spec = BeamSpec(1.0)
     for _ in range(20):
         gamma = rng.uniform(-math.pi, math.pi)
         rot = rot_z(gamma)
         r3 = rot.matrix[1:, 1:]
-        p_dir, q_dir = random_direction(rng), random_direction(rng)
-        base = pair_kernel(identity(), p_dir, q_dir, spec)
-        got = pair_kernel(rot, p_dir, q_dir, spec)
+        p_dir, q_dir = _random_direction(rng), _random_direction(rng)
+        base = pair_kernel(identity(), p_dir, q_dir, 1.0)
+        got = pair_kernel(rot, p_dir, q_dir, 1.0)
         assert np.abs(got - np.kron(r3, r3) @ base).max() < 1e-12
 
 
@@ -128,7 +131,7 @@ def _blocks(moments):
 def test_moment_matrix_collapses_to_x_projector():
     spec = BeamSpec(0.001)
     grid = build_grid(spec, 64, 16)
-    m = _blocks(transported_moments(identity().matrix[None], grid)[0])["hh"]
+    m = _blocks(transported_moments(identity().matrices, grid)[0])["hh"]
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     assert np.abs(m - want).max() < 1e-5
@@ -137,7 +140,7 @@ def test_moment_matrix_collapses_to_x_projector():
 def test_moment_matrix_conjugate_symmetry(rng):
     spec = BeamSpec(0.9)
     grid = build_grid(spec, 24, 24)
-    blocks = _blocks(transported_moments(make_boost(0.6, 1.1).matrix[None], grid)[0])
+    blocks = _blocks(transported_moments(make_boost(0.6, 1.1).matrices, grid)[0])
     for a in "hv":
         for b in "hv":
             assert np.abs(blocks[a + b].T - blocks[b + a]).max() < 1e-14
@@ -149,7 +152,7 @@ def test_moment_matrix_traces_are_unit():
     # pair state come out with trace one)
     spec = BeamSpec(1.2)
     grid = build_grid(spec, 24, 24)
-    blocks = _blocks(transported_moments(make_boost(1.0, -0.8).matrix[None], grid)[0])
+    blocks = _blocks(transported_moments(make_boost(1.0, -0.8).matrices, grid)[0])
     for label in ("hh", "vv"):
         assert abs(np.trace(blocks[label]) - 1.0) < 1e-12
     assert abs(np.trace(blocks["hv"])) < 1e-12
@@ -188,7 +191,7 @@ def test_factorized_matches_direct_double_sum():
     grid = build_grid(spec, 4, 4)
     L = make_boost(0.9, 0.7)
     fast = reduced_density(L, grid, spec).entries
-    slow = direct_double_sum_density(L, grid, spec)
+    slow = direct_double_sum_density(L, grid, 1.0)
     assert np.abs(fast - slow).max() < 1e-10
 
 
@@ -197,41 +200,36 @@ def test_helicity_route_matches_hv_route():
     grid = build_grid(spec, 12, 12)
     L = make_boost(1.1, -0.9)
     hv = reduced_density(L, grid, spec).entries
-    hel = helicity_route_density(L, grid, spec)
+    hel = helicity_route_density(L, grid, 1.0)
     assert np.abs(hv - hel).max() < 1e-10
 
 
 def test_bulk_transport_matches_scalar_rotation_form(rng):
-    # the production gauge-form transport and the oracle's vectorized
-    # rotation form both against the scalar rotation form, node by node
-    spec = BeamSpec(1.0)
+    # the production gauge-form transport and the oracle's written-out
+    # rotation form both against polarization.d_rotation_form_stack, called
+    # node by node
     for _ in range(5):
-        L = random_transform(rng)
-        dirs = [random_direction(rng) for _ in range(20)]
-        thetas = np.array([d.theta for d in dirs])
-        phis = np.array([d.phi for d in dirs])
-        vectors = np.array(
-            [[null_momentum(d).as_array(), h_vec(d).real, v_vec(d).real] for d in dirs]
-        ).transpose(2, 1, 0)
-        (xh, xv), = transport(L.matrix[None], vectors).transpose(0, 2, 1, 3)
-        rh, rv = rotation_form_pair_basis(L, thetas, phis, spec)
-        for i, d in enumerate(dirs):
-            p = null_momentum(d, spec.p0)
-            want_h = d_rotation_form(L, p, h_vec(d))[1:]
-            want_v = d_rotation_form(L, p, v_vec(d))[1:]
+        L = random_stack(rng, 1)
+        thetas, phis = random_directions(rng, 20)
+        p = null_momenta(thetas, phis, 1.0)
+        vectors = np.stack([p, h_vec_stack(thetas, phis).real, v_vec_stack(thetas, phis).real], axis=1)
+        (xh, xv), = transport(L.matrices, vectors).transpose(0, 2, 1, 3)
+        rh, rv = rotation_form_pair_basis(L, thetas, phis, 1.0)
+        for i in range(len(thetas)):
+            want_h, want_v = transported_hv(L, thetas[i], phis[i], 1.0)
             for got_h, got_v in ((xh, xv), (rh, rv)):
-                assert np.abs(got_h[:, i] - want_h).max() < 1e-12
-                assert np.abs(got_v[:, i] - want_v).max() < 1e-12
+                assert np.abs(got_h[:, i] - want_h[:, 0]).max() < 1e-12
+                assert np.abs(got_v[:, i] - want_v[:, 0]).max() < 1e-12
 
 
 def test_grid_vectors_are_weighted_closed_form_h_v():
     spec = BeamSpec(0.9)
     grid = build_grid(spec, 6, 5)
     amp = np.sqrt(grid.weights)
-    for i, d in enumerate(map(Direction, grid.thetas, grid.phis)):
-        assert np.abs(grid.vectors[:, 0, i] - null_momentum(d).as_array()).max() < 1e-15
-        assert np.abs(grid.vectors[:, 1, i] - amp[i] * h_vec(d)).max() < 1e-15
-        assert np.abs(grid.vectors[:, 2, i] - amp[i] * v_vec(d)).max() < 1e-15
+    thetas, phis = grid.thetas, grid.phis
+    assert np.abs(grid.vectors[:, 0] - null_momenta(thetas, phis, 1.0)).max() < 1e-15
+    assert np.abs(grid.vectors[:, 1] - amp * h_vec_stack(thetas, phis)).max() < 1e-15
+    assert np.abs(grid.vectors[:, 2] - amp * v_vec_stack(thetas, phis)).max() < 1e-15
 
 
 def test_ln_matches_rotation_form_route_up_to_rapidity_12():
@@ -243,7 +241,7 @@ def test_ln_matches_rotation_form_route_up_to_rapidity_12():
     spec = BeamSpec(cfg.sigma_theta)
     grid = build_grid(spec, cfg.n_theta, cfg.n_phi)
     for row in run_sweep(cfg):
-        want = log_negativity(rotation_form_density(make_boost(cfg.alpha, row.xi), grid, spec))
+        want = log_negativity(rotation_form_density(make_boost(cfg.alpha, row.xi), grid, 1.0))
         assert abs(row.log_negativity - want) < 1e-12, row.xi
 
 
@@ -309,15 +307,16 @@ def test_deep_boost_converges_to_closed_form_limit(sigma, n):
 
 
 def test_density_frequency_independence():
-    # reduced_density never sees p0, so comparing it at two p0 shows
-    # nothing; the rotation-form oracle transports at momenta p0 * p-hat
-    # through the Wigner angle, where a frequency dependence would show
+    # reduced_density never sees a frequency, so comparing it at two
+    # frequencies shows nothing; the rotation-form oracle transports at
+    # momenta omega * p-hat through the Wigner angle, where a frequency
+    # dependence would show
     spec = BeamSpec(1.0)
     grid = build_grid(spec, 32, 32)
     L = make_boost(0.8, 1.3)
     a = reduced_density(L, grid, spec).entries
-    for p0 in (0.1, 10.0):
-        b = rotation_form_density(L, grid, BeamSpec(1.0, p0=p0))
+    for omega in (0.1, 10.0):
+        b = rotation_form_density(L, grid, omega)
         assert np.abs(a - b).max() < 1e-12
 
 
@@ -326,14 +325,17 @@ def test_beam_spec_validation():
         BeamSpec(0.0)
     with pytest.raises(ValueError):
         BeamSpec(3.5)
-    with pytest.raises(ValueError):
-        BeamSpec(1.0, p0=0.0)
+    with pytest.raises(TypeError):
+        BeamSpec(1.0, p0=1.0)  # the shell momentum is not a beam parameter
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trace"):
         DensityMatrix(np.eye(9))  # trace 9
-    bad = np.eye(9, dtype=complex) / 9.0
+    bad = np.eye(9) / 9.0
     bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         DensityMatrix(bad)
+    with pytest.raises(ValueError, match="real"):
+        DensityMatrix(np.eye(9, dtype=complex) / 9.0)
+    assert DensityMatrix(np.eye(9) / 9.0).entries.dtype == float

@@ -10,7 +10,7 @@ from photonboost.lorentz import compose, identity, rot_y, rot_z
 BELL = np.zeros(9)
 BELL[0] = 1 / math.sqrt(2)
 BELL[4] = -1 / math.sqrt(2)
-BELL_RHO = DensityMatrix(np.outer(BELL, BELL).astype(complex))
+BELL_RHO = DensityMatrix(np.outer(BELL, BELL))
 
 
 def _random_single_state(rng):

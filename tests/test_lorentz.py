@@ -4,29 +4,46 @@ import math
 import numpy as np
 import pytest
 
+from oracles import random_directions, random_momenta, random_stack
+from photonboost import validation
 from photonboost.lorentz import (
     BOOST_Z,
+    KIND_CODE,
     MAX_RAPIDITY,
+    METRIC,
     ROT_Y,
     ROT_Z,
-    Direction,
-    FourVector,
-    LorentzTransform,
+    TransformStack,
     boost_z,
     compose,
-    from_factors,
+    direction_angles,
+    factor_residuals,
+    factor_table,
     identity,
-    minkowski_dot,
-    null_momentum,
+    metric_residuals,
+    null_momenta,
     require_metric,
     rot_y,
     rot_z,
-    rotation_to,
-    standard_boost,
+    rotations_to,
+    stack_from_factors,
+    standard_boosts,
+    unit_vectors,
 )
-from photonboost.validation import random_null_momentum, random_transform, validate
+from photonboost.validation import validate
+from photonboost.wigner import wigner_angle_stack
 
-K = FourVector(1.0, 0.0, 0.0, 1.0)
+K = np.array([1.0, 0.0, 0.0, 1.0])
+Z = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def _column(v):
+    return np.asarray(v, dtype=float)[:, None]
+
+
+def _minkowski(u, v):
+    """Minkowski products of paired columns of two (4, n) arrays."""
+    return np.einsum("in,ij,jn->n", u, METRIC, v)
 
 
 def test_boost_z_zero_rapidity_is_identity():
@@ -35,8 +52,8 @@ def test_boost_z_zero_rapidity_is_identity():
 
 def test_boost_z_ln2_doubles_reference_momentum():
     # cosh(ln 2) = 5/4 and sinh(ln 2) = 3/4, so k -> (2, 0, 0, 2)
-    out = boost_z(math.log(2.0)).apply(K)
-    assert np.abs(out.as_array() - [2.0, 0.0, 0.0, 2.0]).max() < 1e-14
+    out = boost_z(math.log(2.0)).apply(_column(K))[:, 0]
+    assert np.abs(out - [2.0, 0.0, 0.0, 2.0]).max() < 1e-14
 
 
 def test_boost_z_inverse_cancels():
@@ -45,13 +62,13 @@ def test_boost_z_inverse_cancels():
 
 
 def test_rot_y_quarter_turn_maps_z_to_x():
-    out = rot_y(math.pi / 2).apply(K)
-    assert np.abs(out.as_array() - [1.0, 1.0, 0.0, 0.0]).max() < 1e-15
+    out = rot_y(math.pi / 2).apply(_column(K))[:, 0]
+    assert np.abs(out - [1.0, 1.0, 0.0, 0.0]).max() < 1e-15
 
 
 def test_rot_z_fixes_z_axis():
-    out = rot_z(0.9).apply(K)
-    assert np.abs(out.as_array() - K.as_array()).max() < 1e-15
+    out = rot_z(0.9).apply(_column(K))[:, 0]
+    assert np.abs(out - K).max() < 1e-15
 
 
 def test_rot_y_full_turn_is_identity():
@@ -68,131 +85,111 @@ def test_rot_z_composition_is_additive():
 
 
 def test_compose_concatenates_factors():
-    assert compose(boost_z(0.5), rot_y(0.2)).factors == ((BOOST_Z, 0.5), (ROT_Y, 0.2))
-
-
-def test_minkowski_dot_null_reference():
-    assert minkowski_dot(K, K) == 0.0
-
-
-def test_minkowski_dot_timelike_unit():
-    e0 = FourVector(1.0, 0.0, 0.0, 0.0)
-    assert minkowski_dot(e0, e0) == 1.0
+    L = compose(boost_z(0.5), rot_y(0.2))
+    assert L.kinds.tolist() == [[KIND_CODE[BOOST_Z], KIND_CODE[ROT_Y]]]
+    assert L.params.tolist() == [[0.5, 0.2]]
 
 
 def test_minkowski_dot_invariance(rng):
-    for _ in range(200):
-        L = random_transform(rng)
-        u = random_null_momentum(rng)
-        v = FourVector.from_array(rng.normal(size=4))
-        before = minkowski_dot(u, v)
-        after = minkowski_dot(L.apply(u), L.apply(v))
-        assert abs(after - before) < 1e-10
+    L = random_stack(rng, 200)
+    u = random_momenta(rng, 200)
+    v = rng.normal(size=(4, 200))
+    assert np.abs(_minkowski(L.apply(u), L.apply(v)) - _minkowski(u, v)).max() < 1e-10
 
 
 def test_rotation_to_pole_is_identity():
-    assert np.abs(rotation_to(Direction(0.0, 0.0)).matrix - np.eye(4)).max() == 0.0
+    assert np.abs(rotations_to(0.0, 0.0).matrix - np.eye(4)).max() == 0.0
 
 
 def test_rotation_to_equator_x():
-    out = rotation_to(Direction(math.pi / 2, 0.0)).apply(FourVector(0, 0, 0, 1))
-    assert np.abs(out.as_array() - [0.0, 1.0, 0.0, 0.0]).max() < 1e-15
+    out = rotations_to(math.pi / 2, 0.0).apply(_column(Z))[:, 0]
+    assert np.abs(out - [0.0, 1.0, 0.0, 0.0]).max() < 1e-15
 
 
 def test_rotation_to_equator_y():
-    out = rotation_to(Direction(math.pi / 2, math.pi / 2)).apply(FourVector(0, 0, 0, 1))
-    assert np.abs(out.as_array() - [0.0, 0.0, 1.0, 0.0]).max() < 1e-15
+    out = rotations_to(math.pi / 2, math.pi / 2).apply(_column(Z))[:, 0]
+    assert np.abs(out - [0.0, 0.0, 1.0, 0.0]).max() < 1e-15
 
 
 def test_standard_boost_unit_along_z_is_identity():
-    assert np.abs(standard_boost(Direction(0.0), 1.0).matrix - np.eye(4)).max() == 0.0
+    assert np.abs(standard_boosts(_column(K)).matrix - np.eye(4)).max() == 0.0
 
 
 def test_standard_boost_magnitude_two():
-    out = standard_boost(Direction(0.0), 2.0).apply(K)
-    assert np.abs(out.as_array() - [2.0, 0.0, 0.0, 2.0]).max() < 1e-14
+    out = standard_boosts(_column(2.0 * K)).apply(_column(K))[:, 0]
+    assert np.abs(out - [2.0, 0.0, 0.0, 2.0]).max() < 1e-14
+
+
+def _images_of_k(stack):
+    """Each transform of the stack applied to the reference momentum, as (4, k) columns."""
+    return (stack.matrices @ K).T
 
 
 def test_standard_boost_pure_rotation_case(rng):
-    for _ in range(20):
-        d = Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-        out = standard_boost(d, 1.0).apply(K)
-        want = np.concatenate([[1.0], d.unit_vector()])
-        assert np.abs(out.as_array() - want).max() < 1e-14
+    thetas, phis = random_directions(rng, 20)
+    p = null_momenta(thetas, phis, 1.0)
+    assert np.abs(_images_of_k(standard_boosts(p)) - p).max() < 1e-14
 
 
 def test_standard_boost_maps_reference_to_momentum(rng):
-    for _ in range(200):
-        d = Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-        m = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-        got = standard_boost(d, m).apply(K).as_array()
-        want = np.concatenate([[m], m * d.unit_vector()])
-        assert np.abs(got - want).max() < 1e-10
+    p = random_momenta(rng, 200)
+    assert np.abs(_images_of_k(standard_boosts(p)) - p).max() < 1e-10
 
 
 def test_metric_preservation_and_factor_consistency(rng):
-    for _ in range(300):
-        L = random_transform(rng)
-        assert L.metric_residual() < 1e-12
-        assert L.factor_residual() < 1e-12
+    L = random_stack(rng, 300)
+    assert metric_residuals(L.matrices).max() < 1e-12
+    assert factor_residuals(L).max() < 1e-12
 
 
 def test_null_vectors_stay_null(rng):
-    for _ in range(300):
-        L = random_transform(rng)
-        q = L.apply(random_null_momentum(rng))
-        assert abs(minkowski_dot(q, q)) < 1e-10
+    L = random_stack(rng, 300)
+    q = L.apply(random_momenta(rng, 300))
+    assert np.abs(_minkowski(q, q)).max() < 1e-10
 
 
 def test_inverse_reverses_and_negates_factors():
     L = compose(compose(rot_y(0.3), boost_z(0.7)), rot_z(-0.2))
     inv = L.inverse()
-    assert inv.factors == (("rot_z", 0.2), ("boost_z", -0.7), ("rot_y", -0.3))
+    assert inv.kinds.tolist() == [[KIND_CODE[ROT_Z], KIND_CODE[BOOST_Z], KIND_CODE[ROT_Y]]]
+    assert inv.params.tolist() == [[0.2, -0.7, -0.3]]
     assert np.abs(inv.matrix @ L.matrix - np.eye(4)).max() < 1e-12
 
 
 def test_inverse_roundtrip_random(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        assert np.abs(L.inverse().matrix @ L.matrix - np.eye(4)).max() < 1e-11
+    L = random_stack(rng, 100)
+    assert np.abs(L.inverse().matrices @ L.matrices - np.eye(4)).max() < 1e-11
 
 
 def test_direction_pole_pins_phi_to_zero():
-    assert Direction(0.0, 1.2).phi == 0.0
-    assert Direction(math.pi, 5.0).phi == 0.0
+    thetas, phis = direction_angles(np.array([[1e-14, 0.0], [1e-14, 0.0], [1.0, -1.0]]))
+    assert thetas[1] == math.pi
+    assert phis.tolist() == [0.0, 0.0]
 
 
 def test_direction_wraps_phi():
-    d = Direction(1.0, 2 * math.pi + 0.25)
-    assert abs(d.phi - 0.25) < 1e-12
+    _, phis = direction_angles(unit_vectors(1.0, -0.25))
+    assert abs(phis - (2 * math.pi - 0.25)) < 1e-12
 
 
 def test_direction_unit_vector_normalized(rng):
-    for _ in range(100):
-        d = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        assert abs(np.linalg.norm(d.unit_vector()) - 1.0) < 1e-12
+    v = unit_vectors(rng.uniform(0, math.pi, 100), rng.uniform(0, 2 * math.pi, 100))
+    assert np.abs(np.linalg.norm(v, axis=0) - 1.0).max() < 1e-12
 
 
 def test_direction_from_vector_roundtrip(rng):
-    for _ in range(100):
-        d = Direction(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-        d2 = Direction.from_vector(d.unit_vector())
-        assert abs(d.theta - d2.theta) < 1e-12
-        assert abs(d.phi - d2.phi) < 1e-10
-
-
-def test_direction_rejects_bad_theta():
-    with pytest.raises(ValueError):
-        Direction(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        Direction(math.pi + 0.1, 0.0)
+    thetas, phis = random_directions(rng, 100)
+    t2, p2 = direction_angles(3.0 * unit_vectors(thetas, phis))
+    assert np.abs(thetas - t2).max() < 1e-12
+    assert np.abs(phis - p2).max() < 1e-10
 
 
 def test_four_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
-        FourVector(math.inf, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        FourVector(math.nan, 0.0, 0.0, 0.0)
+    # a momentum with a non-finite component fails the routes' null-momentum guard
+    bad = [[1.0, 0.0, x, 1.0] for x in (math.inf, -math.inf, math.nan)] + [[math.inf, 0, 0, math.inf]]
+    for p in bad:
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="null and future"):
+            wigner_angle_stack(identity(), _column(p))
 
 
 def test_boost_z_rejects_non_finite():
@@ -202,19 +199,24 @@ def test_boost_z_rejects_non_finite():
 
 def test_standard_boost_rejects_non_positive_magnitude():
     with pytest.raises(ValueError):
-        standard_boost(Direction(0.0), 0.0)
+        standard_boosts(_column([0.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
-        standard_boost(Direction(0.0), -1.0)
+        standard_boosts(_column(-K))
 
 
 def test_null_momentum_rejects_non_positive_magnitude():
     with pytest.raises(ValueError):
-        null_momentum(Direction(0.3, 0.1), 0.0)
+        null_momenta(0.3, 0.1, 0.0)
+
+
+def _one(matrix, factors=()):
+    """One-transform stack of the given matrix and factor list, through the stack guard."""
+    return TransformStack(*factor_table([factors]), [matrix])
 
 
 def test_transform_guard_rejects_non_lorentz_matrix():
     with pytest.raises(ValueError):
-        LorentzTransform(2.0 * np.eye(4), ())
+        _one(2.0 * np.eye(4))
 
 
 def _with_entry(matrix, index, value):
@@ -229,10 +231,10 @@ _ROTATION = rot_y(0.7).matrix
 @pytest.mark.parametrize(
     "matrix, factors, message",
     [
-        (_with_entry(np.eye(4), (1, 2), math.nan), (), "non-finite"),
-        (_with_entry(np.eye(4), (0, 0), math.inf), (), "non-finite"),
-        (_with_entry(np.eye(4), (3, 1), -math.inf), (), "non-finite"),
-        (np.eye(3), (), "4x4"),
+        (_with_entry(np.eye(4), (1, 2), math.nan), (), "metric"),
+        (_with_entry(np.eye(4), (0, 0), math.inf), (), "metric"),
+        (_with_entry(np.eye(4), (3, 1), -math.inf), (), "metric"),
+        (np.eye(3), (), r"\(1, 4, 4\) matrices"),
         (np.eye(4), (("boost_x", 0.1),), "unknown generator kind"),
         (np.eye(4), ((ROT_Y, math.nan),), "must be finite"),
         (np.eye(4), ((BOOST_Z, 15.5),), "rapidity"),
@@ -246,8 +248,9 @@ _ROTATION = rot_y(0.7).matrix
     ],
 )
 def test_transform_guard_rejects_each_defect(matrix, factors, message):
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
-        LorentzTransform(matrix, factors)
+    # the stack constructor is the only transform guard
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        _one(matrix, factors)
 
 
 def test_stack_guard_rejects_an_overflowing_residual():
@@ -258,50 +261,55 @@ def test_stack_guard_rejects_an_overflowing_residual():
 
 def test_transform_guard_accepts_the_largest_rapidity():
     for xi in (MAX_RAPIDITY, -MAX_RAPIDITY):
-        for L in (boost_z(xi), from_factors(((ROT_Y, 0.4), (BOOST_Z, xi), (ROT_Y, -0.4)))):
-            assert L.factor_residual() == 0.0
+        conjugated = stack_from_factors([((ROT_Y, 0.4), (BOOST_Z, xi), (ROT_Y, -0.4))])
+        for L in (boost_z(xi), conjugated):
+            assert factor_residuals(L)[0] == 0.0
     with pytest.raises(ValueError):
         boost_z(math.nextafter(MAX_RAPIDITY, math.inf))
 
 
 def test_from_factors_rejects_unknown_kind_and_non_finite_parameter():
-    with pytest.raises(ValueError):
-        from_factors(((ROT_Y, 0.1), ("boost_x", 0.2)))
-    with pytest.raises(ValueError):
-        from_factors(((ROT_Z, math.inf),))
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        stack_from_factors([((ROT_Y, 0.1),), ((ROT_Y, 0.1), ("boost_x", 0.2))])
+    with pytest.raises(ValueError, match="must be finite"):
+        stack_from_factors([((ROT_Z, math.inf),)])
 
 
 def test_from_factors_matches_the_compose_chain_bit_for_bit(rng):
     generators = {BOOST_Z: boost_z, ROT_Y: rot_y, ROT_Z: rot_z}
     for _ in range(300):
-        factors = random_transform(rng, max_rapidity=3.0).factors
-        chain = functools.reduce(
-            compose, (generators[k](par) for k, par in factors), identity()
-        )
-        L = from_factors(factors)
-        assert L.factors == chain.factors
-        assert L.matrix.tobytes() == chain.matrix.tobytes()
+        factors = validation._draw_factors(rng, max_rapidity=3.0)
+        chain = functools.reduce(compose, (generators[k](p) for k, p in factors), identity())
+        L = stack_from_factors([factors])
+        for name in ("kinds", "params", "matrices"):
+            assert getattr(chain, name).tobytes() == getattr(L, name).tobytes()
 
 
 def test_transform_matrix_is_a_read_only_copy():
     m = np.eye(4)
-    L = LorentzTransform(m, ())
+    L = _one(m)
     m[0, 0] = 2.0
     assert L.matrix[0, 0] == 1.0
     with pytest.raises(ValueError):
         L.matrix[0, 0] = 3.0
+    with pytest.raises(ValueError, match="one-transform"):
+        stack_from_factors([(), ()]).matrix
 
 
 def test_validate_builds_at_most_8000_transforms(monkeypatch):
-    # one guarded construction per transform, not one per generator
-    # factor: validate built 23,545 before from_factors and 7,481 after
-    built = [0]
-    real = LorentzTransform.__post_init__
+    # every transform is a row of a guarded stack: validate builds about
+    # 160 stacks of about 6,800 rows in all.  Building one guarded
+    # transform per generator factor, as this package once did, took
+    # 23,545 constructions per run.
+    built, rows = [0], [0]
+    real = TransformStack.__post_init__
 
     def counted(self):
-        built[0] += 1
         real(self)
+        built[0] += 1
+        rows[0] += len(self)
 
-    monkeypatch.setattr(LorentzTransform, "__post_init__", counted)
+    monkeypatch.setattr(TransformStack, "__post_init__", counted)
     assert validate().passed
-    assert 0 < built[0] <= 8000
+    assert 0 < built[0] <= 400
+    assert 0 < rows[0] <= 8000

@@ -4,190 +4,157 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from oracles import random_cases, random_directions, random_polarizations, random_stack
 from photonboost.lorentz import (
-    Direction,
-    FourVector,
+    METRIC,
     boost_z,
     compose,
     identity,
-    minkowski_dot,
-    null_momentum,
+    null_momenta,
     rot_y,
     rot_z,
 )
-from photonboost.polarization import d_gauge_form, d_rotation_form, epsilon, h_vec, v_vec
-from photonboost.validation import (
-    random_direction,
-    random_transform,
-    random_transverse_polarization,
+from photonboost.polarization import (
+    d_gauge_form_stack,
+    d_rotation_form_stack,
+    epsilon_stack,
+    h_vec_stack,
+    v_vec_stack,
 )
 
 SQRT2 = math.sqrt(2.0)
-Z_DIR = Direction(0.0)
+K = np.array([[1.0], [0.0], [0.0], [1.0]])
 
 
-def _hermitian_spatial_norm(eps):
-    return float(np.linalg.norm(eps[1:]))
+def _spatial_norms(eps):
+    return np.linalg.norm(eps[1:], axis=0)
 
 
 def test_epsilon_at_pole():
     want_plus = np.array([0.0, 1.0, 1.0j, 0.0]) / SQRT2
     want_minus = np.array([0.0, 1.0, -1.0j, 0.0]) / SQRT2
-    assert np.abs(epsilon(Z_DIR, +1) - want_plus).max() < 1e-15
-    assert np.abs(epsilon(Z_DIR, -1) - want_minus).max() < 1e-15
+    assert np.abs(epsilon_stack(0.0, 0.0, +1) - want_plus).max() < 1e-15
+    assert np.abs(epsilon_stack(0.0, 0.0, -1) - want_minus).max() < 1e-15
 
 
 def test_epsilon_at_equator_hand_value():
-    got = epsilon(Direction(math.pi / 2, 0.0), +1)
+    got = epsilon_stack(math.pi / 2, 0.0, +1)
     want = np.array([0.0, 0.0, 1.0j, -1.0]) / SQRT2
     assert np.abs(got - want).max() < 1e-15
 
 
 def test_epsilon_matches_independent_rotation_library(rng):
     # scipy's intrinsic z-then-y Euler rotation equals our frame rotation
-    for _ in range(50):
-        d = random_direction(rng)
-        R = Rotation.from_euler("ZY", [d.phi, d.theta]).as_matrix()
-        seed = np.array([1.0, 1.0j, 0.0]) / SQRT2
-        want = R @ seed
-        got = epsilon(d, +1)
-        assert abs(got[0]) < 1e-15
-        assert np.abs(got[1:] - want).max() < 1e-13
+    thetas, phis = random_directions(rng, 50)
+    R = Rotation.from_euler("ZY", np.stack([phis, thetas], axis=1)).as_matrix()
+    want = R @ (np.array([1.0, 1.0j, 0.0]) / SQRT2)
+    got = epsilon_stack(thetas, phis, +1)
+    assert np.abs(got[0]).max() < 1e-15
+    assert np.abs(got[1:] - want.T).max() < 1e-13
 
 
 def test_epsilon_invariants(rng):
-    for _ in range(50):
-        d = random_direction(rng)
-        lam = 1 if rng.integers(0, 2) else -1
-        eps = epsilon(d, lam)
-        p = null_momentum(d, 1.0)
-        parr = p.as_array()
-        mdot = eps[0] * parr[0] - eps[1:] @ parr[1:]
-        assert abs(eps[0]) < 1e-12
-        assert abs(mdot) < 1e-10
-        assert abs(_hermitian_spatial_norm(eps) - 1.0) < 1e-12
+    thetas, phis = random_directions(rng, 50)
+    p = null_momenta(thetas, phis, 1.0)
+    for lam in (+1, -1):
+        eps = epsilon_stack(thetas, phis, lam)
+        assert np.abs(eps[0]).max() < 1e-12
+        assert np.abs(np.einsum("in,ij,jn->n", eps, METRIC, p)).max() < 1e-10
+        assert np.abs(_spatial_norms(eps) - 1.0).max() < 1e-12
 
 
 def test_h_vec_small_angle_limit():
-    assert np.abs(h_vec(Z_DIR) - np.array([0, 1.0, 0, 0])).max() < 1e-15
+    assert np.abs(h_vec_stack(0.0, 0.0) - np.array([0, 1.0, 0, 0])).max() < 1e-15
 
 
 def test_v_vec_small_angle_limit():
-    assert np.abs(v_vec(Z_DIR) - np.array([0, 0, 1.0, 0])).max() < 1e-15
+    assert np.abs(v_vec_stack(0.0, 0.0) - np.array([0, 0, 1.0, 0])).max() < 1e-15
 
 
 def test_h_v_orthonormal(rng):
-    for _ in range(50):
-        d = random_direction(rng)
-        h, v = h_vec(d), v_vec(d)
-        assert abs(np.vdot(h[1:], v[1:])) < 1e-12
-        assert abs(_hermitian_spatial_norm(h) - 1.0) < 1e-12
-        assert abs(_hermitian_spatial_norm(v) - 1.0) < 1e-12
+    thetas, phis = random_directions(rng, 50)
+    h, v = h_vec_stack(thetas, phis), v_vec_stack(thetas, phis)
+    assert np.abs((h[1:].conj() * v[1:]).sum(axis=0)).max() < 1e-12
+    assert np.abs(_spatial_norms(h) - 1.0).max() < 1e-12
+    assert np.abs(_spatial_norms(v) - 1.0).max() < 1e-12
 
 
 def test_h_v_real_components(rng):
-    for _ in range(20):
-        d = random_direction(rng)
-        assert np.abs(h_vec(d).imag).max() < 1e-14
-        assert np.abs(v_vec(d).imag).max() < 1e-14
+    thetas, phis = random_directions(rng, 20)
+    assert np.abs(h_vec_stack(thetas, phis).imag).max() < 1e-14
+    assert np.abs(v_vec_stack(thetas, phis).imag).max() < 1e-14
 
 
 def test_rotations_transport_by_plain_rotation(rng):
-    for _ in range(100):
+    for _ in range(20):
         rot = compose(rot_z(rng.uniform(-math.pi, math.pi)), rot_y(rng.uniform(-math.pi, math.pi)))
-        d = random_direction(rng)
-        eps = random_transverse_polarization(rng, d)
-        p = null_momentum(d, 1.0)
-        assert np.abs(d_rotation_form(rot, p, eps) - rot.matrix @ eps).max() < 1e-12
-        assert np.abs(d_gauge_form(rot, p, eps) - rot.matrix @ eps).max() < 1e-12
+        thetas, phis = random_directions(rng, 5)
+        eps = random_polarizations(rng, thetas, phis)
+        p = null_momenta(thetas, phis, 1.0)
+        assert np.abs(d_rotation_form_stack(rot, p, eps) - rot.matrix @ eps).max() < 1e-12
+        assert np.abs(d_gauge_form_stack(rot, p, eps) - rot.matrix @ eps).max() < 1e-12
 
 
 def test_identity_transport_is_identity(rng):
-    d = random_direction(rng)
-    eps = random_transverse_polarization(rng, d)
-    p = null_momentum(d, 1.0)
-    assert np.abs(d_rotation_form(identity(), p, eps) - eps).max() < 1e-13
-    assert np.abs(d_gauge_form(identity(), p, eps) - eps).max() < 1e-15
+    thetas, phis = random_directions(rng, 10)
+    eps = random_polarizations(rng, thetas, phis)
+    p = null_momenta(thetas, phis, 1.0)
+    assert np.abs(d_rotation_form_stack(identity(), p, eps) - eps).max() < 1e-13
+    assert np.abs(d_gauge_form_stack(identity(), p, eps) - eps).max() < 1e-15
 
 
 def test_gauge_form_boost_transverse_to_axis():
     # x-polarized light along z is untouched by a z boost
-    eps = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-    p = FourVector(1.0, 0.0, 0.0, 1.0)
-    out = d_gauge_form(boost_z(1.2), p, eps)
+    eps = np.array([[0.0], [1.0], [0.0], [0.0]], dtype=complex)
+    out = d_gauge_form_stack(boost_z(1.2), K, eps)
     assert np.abs(out - eps).max() < 1e-15
 
 
 def test_transport_forms_agree(rng):
-    worst = 0.0
-    for _ in range(300):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        mag = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-        p = null_momentum(d, mag)
-        eps = random_transverse_polarization(rng, d)
-        gap = np.abs(d_rotation_form(L, p, eps) - d_gauge_form(L, p, eps)).max()
-        worst = max(worst, float(gap))
-    assert worst < 1e-10
+    k = 300
+    L, p, eps = random_cases(rng, k, np.exp(rng.uniform(math.log(0.5), math.log(2.0), k)))
+    assert np.abs(d_rotation_form_stack(L, p, eps) - d_gauge_form_stack(L, p, eps)).max() < 1e-10
 
 
 def test_transport_group_property(rng):
-    for _ in range(150):
-        L1 = random_transform(rng, max_factors=3)
-        L2 = random_transform(rng, max_factors=3)
-        d = random_direction(rng)
-        p = null_momentum(d, 1.0)
-        eps = random_transverse_polarization(rng, d)
-        stepped = d_rotation_form(L2, L1.apply(p), d_rotation_form(L1, p, eps))
-        direct = d_rotation_form(compose(L2, L1), p, eps)
-        assert np.abs(stepped - direct).max() < 1e-9
+    L1, p, eps = random_cases(rng, 150, max_factors=3)
+    L2 = random_stack(rng, 150, max_factors=3)
+    stepped = d_rotation_form_stack(L2, L1.apply(p), d_rotation_form_stack(L1, p, eps))
+    direct = d_rotation_form_stack(compose(L2, L1), p, eps)
+    assert np.abs(stepped - direct).max() < 1e-9
 
 
 def test_transport_outputs_zero_time_component(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        p = null_momentum(d, 1.0)
-        eps = random_transverse_polarization(rng, d)
-        assert abs(d_rotation_form(L, p, eps)[0]) < 1e-12
-        assert abs(d_gauge_form(L, p, eps)[0]) < 1e-12
+    L, p, eps = random_cases(rng, 100)
+    assert np.abs(d_rotation_form_stack(L, p, eps)[0]).max() < 1e-12
+    assert np.abs(d_gauge_form_stack(L, p, eps)[0]).max() < 1e-12
 
 
 def test_transport_outputs_transverse(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        p = null_momentum(d, 1.0)
-        eps = random_transverse_polarization(rng, d)
-        out = d_rotation_form(L, p, eps)
-        q = L.apply(p)
-        assert abs(out[1:] @ q.spatial()) < 1e-9
+    L, p, eps = random_cases(rng, 100)
+    out = d_rotation_form_stack(L, p, eps)
+    q = L.apply(p)
+    assert np.abs((out[1:] * q[1:]).sum(axis=0)).max() < 1e-9
 
 
 def test_transport_preserves_norm(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        p = null_momentum(d, 1.0)
-        eps = random_transverse_polarization(rng, d)
-        out = d_rotation_form(L, p, eps)
-        assert abs(_hermitian_spatial_norm(out) - _hermitian_spatial_norm(eps)) < 1e-10
+    L, p, eps = random_cases(rng, 100)
+    out = d_rotation_form_stack(L, p, eps)
+    assert np.abs(_spatial_norms(out) - _spatial_norms(eps)).max() < 1e-10
 
 
 def test_gauge_form_frequency_independent(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        eps = random_transverse_polarization(rng, d)
-        base = d_gauge_form(L, null_momentum(d, 1.0), eps)
-        for omega in (0.1, 10.0):
-            out = d_gauge_form(L, null_momentum(d, omega), eps)
-            assert np.abs(out - base).max() < 1e-12
+    L = random_stack(rng, 100)
+    thetas, phis = random_directions(rng, 100)
+    eps = random_polarizations(rng, thetas, phis)
+    base = d_gauge_form_stack(L, null_momenta(thetas, phis, 1.0), eps)
+    for omega in (0.1, 10.0):
+        out = d_gauge_form_stack(L, null_momenta(thetas, phis, omega), eps)
+        assert np.abs(out - base).max() < 1e-12
 
 
 def test_non_transverse_input_rejected():
-    p = FourVector(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        d_rotation_form(identity(), p, np.array([0.0, 0.0, 0.0, 1.0], dtype=complex))
+        d_rotation_form_stack(identity(), K, np.array([[0.0], [0.0], [0.0], [1.0]], dtype=complex))
     with pytest.raises(ValueError):
-        d_gauge_form(identity(), p, np.array([0.5, 1.0, 0.0, 0.0], dtype=complex))
+        d_gauge_form_stack(identity(), K, np.array([[0.5], [1.0], [0.0], [0.0]], dtype=complex))

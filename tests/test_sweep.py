@@ -8,7 +8,15 @@ import pytest
 from photonboost import cli
 from photonboost.beams import BeamSpec, build_grid, reduced_density
 from photonboost.entanglement import log_negativity
-from photonboost.lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, FourVector, boost_z, require_metric
+from photonboost.lorentz import (
+    BOOST_Z,
+    KIND_CODE,
+    MAX_RAPIDITY,
+    ROT_Y,
+    boost_z,
+    metric_residuals,
+    require_metric,
+)
 from photonboost.sweep import (
     MAX_GRID_NODES,
     ConfigError,
@@ -31,7 +39,8 @@ FAST = dict(xi_steps=3, n_theta=16, n_phi=16)
 
 def test_make_boost_alpha_zero_is_pure_boost():
     L = make_boost(0.0, 1.4)
-    assert L.factors == ((ROT_Y, 0.0), (BOOST_Z, 1.4), (ROT_Y, -0.0))
+    assert L.kinds.tolist() == [[KIND_CODE[ROT_Y], KIND_CODE[BOOST_Z], KIND_CODE[ROT_Y]]]
+    assert L.params.tolist() == [[0.0, 1.4, -0.0]]
     assert np.abs(L.matrix - boost_z(1.4).matrix).max() < 1e-15
 
 
@@ -41,13 +50,13 @@ def test_make_boost_zero_rapidity_is_identity():
 
 def test_make_boost_transverse_direction():
     xi = 0.9
-    out = make_boost(math.pi / 2, xi).apply(FourVector(1.0, 0.0, 0.0, 0.0))
+    out = make_boost(math.pi / 2, xi).apply(np.array([[1.0], [0.0], [0.0], [0.0]]))[:, 0]
     want = np.array([math.cosh(xi), math.sinh(xi), 0.0, 0.0])
-    assert np.abs(out.as_array() - want).max() < 1e-14
+    assert np.abs(out - want).max() < 1e-14
 
 
 def test_make_boost_metric_preserving():
-    assert make_boost(2 * math.pi / 5, 3.0).metric_residual() < 1e-12
+    assert metric_residuals(make_boost(2 * math.pi / 5, 3.0).matrices)[0] < 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7, 2 * math.pi / 5, math.pi / 2, 3.0])
@@ -219,8 +228,6 @@ def test_config_validation_errors():
         SweepConfig(alpha=0.0, sigma_theta=1.0, n_theta=4)
     with pytest.raises(ConfigError):
         SweepConfig(alpha=0.0, sigma_theta=-1.0)
-    with pytest.raises(ConfigError):
-        SweepConfig(alpha=0.0, sigma_theta=1.0, p0=-2.0)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +284,18 @@ def test_gnuplot_script_mentions_each_curve():
     for s in FIG3_SIGMAS:
         assert f"sigma_theta={s:.4g}" in text
     assert "plot" in text
+
+
+def test_gnuplot_script_doubles_quotes_in_the_csv_path(tmp_path):
+    # gnuplot reads '' as one quote inside a single-quoted string
+    text = gnuplot_script("x'y.csv", "alpha", (0.5,))
+    assert "'x''y.csv' every" in text
+    out, script = tmp_path / "x'y.csv", tmp_path / "p.gp"
+    argv = ["sweep", "--alpha", "0.5", "--sigma-theta", "1", "--xi-steps", "2",
+            "--n-theta", "8", "--n-phi", "8", "--out", str(out), "--plot-script", str(script)]
+    assert cli.main(argv) == 0
+    quoted = str(out).replace("'", "''")
+    assert f"'{quoted}' every" in script.read_text()
 
 
 def test_cli_single_prints_log_negativity(capsys):
@@ -354,14 +373,26 @@ def test_cli_out_of_range_input_exits_1(argv, capsys):
         {"alpha": True, "sigma_theta": 0.8},
         {"alpha": 0.0, "sigma_theta": 0.8, "n_theta": 8.0},
         {"alpha": 10**400, "sigma_theta": 0.8},
+        # nesting deeper than the JSON parser's recursion limit
+        pytest.param("[" * 200_000, id="deeply-nested"),
+        pytest.param({"alpha": 0.0, "sigma_theta": 0.8, "p0": 2.0}, id="p0"),
     ],
 )
 def test_cli_sweep_bad_config_values_exit_1(doc, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert cli.main(["sweep", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_rejects_the_shell_momentum(capsys):
+    # p0 reached no output (it cancels from the transport), so it is no
+    # longer a field or a flag
+    with pytest.raises(ConfigError, match=r"unknown config fields: \['p0'\]"):
+        SweepConfig.from_mapping({"alpha": 0.0, "sigma_theta": 1.0, "p0": 1.0})
+    with pytest.raises(SystemExit):
+        cli.main(["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "0", "--p0", "2"])
 
 
 @pytest.mark.parametrize(

@@ -6,41 +6,48 @@ import pytest
 
 import photonboost.wigner as wigner
 from conftest import angle_gap
-from oracles import wigner_angle_generator
+from oracles import random_directions, random_momenta, random_stack, wigner_angle_generator
 from photonboost.lorentz import (
     BOOST_Z,
     ROT_Y,
     ROT_Z,
-    Direction,
-    FourVector,
-    TransformStack,
     boost_z,
     compose,
     identity,
-    null_momentum,
+    null_momenta,
     rot_y,
     rot_z,
 )
-from photonboost.validation import (
-    frequency_angle_tolerance,
-    random_direction,
-    random_null_momentum,
-    random_transform,
-)
+from photonboost.validation import frequency_angle_tolerance
 from photonboost.wigner import (
+    REFERENCE_MOMENTUM,
     LittleGroupError,
     boost_helicity_state,
-    wigner_angle,
-    wigner_angle_oracle,
+    wigner_angle_oracle_stack,
+    wigner_angle_stack,
 )
 
-K = FourVector(1.0, 0.0, 0.0, 1.0)
-Y_DIR = null_momentum(Direction(math.pi / 2, math.pi / 2))
+K = REFERENCE_MOMENTUM
+Y_DIR = null_momenta(math.pi / 2, math.pi / 2, 1.0)
+
+
+def _angle(stack, p):
+    """Closed-form angle of the one transform of stack at the (4,) momentum p."""
+    return float(wigner_angle_stack(stack, p[:, None])[0])
+
+
+def _oracle(stack, p):
+    return float(wigner_angle_oracle_stack(stack, p[:, None])[0])
+
+
+def test_reference_momentum_is_read_only():
+    assert K.tolist() == [1.0, 0.0, 0.0, 1.0]
+    with pytest.raises(ValueError):
+        K[0] = 2.0
 
 
 def test_boost_generator_angle_vanishes(rng):
-    for _ in range(50):
-        p = random_null_momentum(rng)
+    for p in random_momenta(rng, 50).T:
         assert wigner_angle_generator(BOOST_Z, rng.uniform(-2, 2), p) == 0.0
 
 
@@ -49,9 +56,8 @@ def test_rot_z_on_axis_gives_gamma():
 
 
 def test_rot_z_off_axis_gives_zero(rng):
-    for _ in range(50):
-        p = random_null_momentum(rng)
-        if abs(p.z) / p.t > 1.0 - 1e-9:
+    for p in random_momenta(rng, 50).T:
+        if abs(p[3]) / p[0] > 1.0 - 1e-9:
             continue
         assert wigner_angle_generator(ROT_Z, rng.uniform(-3, 3), p) == 0.0
 
@@ -68,114 +74,119 @@ def test_rot_y_on_axis_gives_zero():
 
 
 def test_empty_factor_list_gives_zero(rng):
-    assert wigner_angle(identity(), random_null_momentum(rng)) == 0.0
+    assert np.all(wigner_angle_stack(identity(), random_momenta(rng, 20)) == 0.0)
 
 
 def test_conjugated_boost_on_axis_aligned_beam():
     L = compose(compose(rot_y(0.0), boost_z(1.1)), rot_y(-0.0))
-    assert wigner_angle(L, K) == 0.0
+    assert _angle(L, K) == 0.0
+
+
+def test_closed_form_pins_phi_at_the_poles():
+    # at a pole the standard frame takes phi = 0; the fold once read phi
+    # off atan2 there, so a signed zero gave pi and a residual azimuth
+    # below POLE_TOL gave that azimuth, where the oracle gives 0
+    poles = np.array([
+        [1.0, -0.0, 0.0, 1.0],
+        [1.0, -0.0, -0.0, -1.0],
+        null_momenta(1e-13, 2.0, 1.0),
+        null_momenta(math.pi - 1e-13, -2.5, 3.0),
+    ]).T
+    for gamma in (1.0, -1.0, 2.5):
+        L = rot_y(gamma)
+        gap = angle_gap(wigner_angle_stack(L, poles), wigner_angle_oracle_stack(L, poles))
+        assert gap.max() < 1e-9
 
 
 def test_oracle_boost_on_reference():
-    assert abs(wigner_angle_oracle(boost_z(0.9), K)) < 1e-12
+    assert abs(_oracle(boost_z(0.9), K)) < 1e-12
 
 
 def test_oracle_rot_z_on_axis():
-    assert abs(wigner_angle_oracle(rot_z(0.6), K) - 0.6) < 1e-12
+    assert abs(_oracle(rot_z(0.6), K) - 0.6) < 1e-12
 
 
 def test_oracle_rot_y_at_y_direction():
-    assert abs(wigner_angle_oracle(rot_y(0.75), Y_DIR) - 0.75) < 1e-12
+    assert abs(_oracle(rot_y(0.75), Y_DIR) - 0.75) < 1e-12
 
 
 def test_closed_form_matches_oracle(rng):
-    worst = 0.0
-    for _ in range(500):
-        L = random_transform(rng)
-        p = random_null_momentum(rng)
-        worst = max(worst, float(angle_gap(wigner_angle(L, p), wigner_angle_oracle(L, p))))
-    assert worst < 1e-9
+    L, p = random_stack(rng, 500), random_momenta(rng, 500)
+    assert angle_gap(wigner_angle_stack(L, p), wigner_angle_oracle_stack(L, p)).max() < 1e-9
 
 
 def test_composition_law(rng):
-    for _ in range(300):
-        L1 = random_transform(rng, max_factors=3)
-        L2 = random_transform(rng, max_factors=3)
-        p = random_null_momentum(rng)
-        combined = wigner_angle(compose(L2, L1), p)
-        stepped = wigner_angle(L2, L1.apply(p)) + wigner_angle(L1, p)
-        assert angle_gap(combined, stepped) < 1e-9
+    L1 = random_stack(rng, 300, max_factors=3)
+    L2 = random_stack(rng, 300, max_factors=3)
+    p = random_momenta(rng, 300)
+    combined = wigner_angle_stack(compose(L2, L1), p)
+    stepped = wigner_angle_stack(L2, L1.apply(p)) + wigner_angle_stack(L1, p)
+    assert angle_gap(combined, stepped).max() < 1e-9
 
 
 def test_frequency_independence_closed_form(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        base = wigner_angle(L, null_momentum(d, 1.0))
-        for omega in (0.1, 10.0):
-            gap = angle_gap(wigner_angle(L, null_momentum(d, omega)), base)
-            assert gap <= frequency_angle_tolerance(TransformStack.of([L]))[0]
+    L = random_stack(rng, 100)
+    thetas, phis = random_directions(rng, 100)
+    base = wigner_angle_stack(L, null_momenta(thetas, phis, 1.0))
+    for omega in (0.1, 10.0):
+        gap = angle_gap(wigner_angle_stack(L, null_momenta(thetas, phis, omega)), base)
+        assert np.all(gap <= frequency_angle_tolerance(L))
 
 
 def test_frequency_independence_oracle(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        d = random_direction(rng)
-        base = wigner_angle_oracle(L, null_momentum(d, 1.0))
-        for omega in (0.1, 10.0):
-            assert angle_gap(wigner_angle_oracle(L, null_momentum(d, omega)), base) < 1e-10
+    L = random_stack(rng, 100)
+    thetas, phis = random_directions(rng, 100)
+    base = wigner_angle_oracle_stack(L, null_momenta(thetas, phis, 1.0))
+    for omega in (0.1, 10.0):
+        gap = angle_gap(wigner_angle_oracle_stack(L, null_momenta(thetas, phis, omega)), base)
+        assert gap.max() < 1e-10
 
 
 def test_helicity_phase_for_pure_boost(rng):
-    p = random_null_momentum(rng)
+    p = random_momenta(rng, 10)
     q, phase = boost_helicity_state(boost_z(1.7), p, +1)
-    assert phase == 1.0
-    assert abs(q.t - math.cosh(1.7) * p.t - math.sinh(1.7) * p.z) < 1e-12
+    assert np.all(phase == 1.0)
+    assert np.abs(q[0] - math.cosh(1.7) * p[0] - math.sinh(1.7) * p[3]).max() < 1e-12
 
 
 def test_helicity_phase_for_axis_rotation():
-    _, phase = boost_helicity_state(rot_z(0.5), K, +1)
-    assert abs(phase - cmath.exp(-0.5j)) < 1e-15
+    _, phase = boost_helicity_state(rot_z(0.5), K[:, None], +1)
+    assert abs(phase[0] - cmath.exp(-0.5j)) < 1e-15
 
 
 def test_opposite_helicities_conjugate(rng):
-    for _ in range(50):
-        L = random_transform(rng)
-        p = random_null_momentum(rng)
-        _, plus = boost_helicity_state(L, p, +1)
-        _, minus = boost_helicity_state(L, p, -1)
-        assert abs(plus - minus.conjugate()) < 1e-15
+    L, p = random_stack(rng, 50), random_momenta(rng, 50)
+    _, plus = boost_helicity_state(L, p, +1)
+    _, minus = boost_helicity_state(L, p, -1)
+    assert np.abs(plus - minus.conj()).max() < 1e-15
 
 
 def test_phase_unitarity(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        p = random_null_momentum(rng)
-        _, phase = boost_helicity_state(L, p, +1)
-        assert abs(abs(phase) - 1.0) < 1e-15
+    _, phase = boost_helicity_state(random_stack(rng, 100), random_momenta(rng, 100), +1)
+    assert np.abs(np.abs(phase) - 1.0).max() < 1e-15
 
 
-def test_invalid_helicity_rejected(rng):
+def test_invalid_helicity_rejected():
     with pytest.raises(ValueError):
-        boost_helicity_state(identity(), K, 0)
+        boost_helicity_state(identity(), K[:, None], 0)
 
 
 def test_non_null_momentum_rejected():
-    massive = FourVector(1.0, 0.0, 0.0, 0.5)
+    massive = np.array([1.0, 0.0, 0.0, 0.5])
     with pytest.raises(ValueError):
-        wigner_angle(boost_z(0.3), massive)
+        _angle(boost_z(0.3), massive)
     with pytest.raises(ValueError):
-        wigner_angle_oracle(boost_z(0.3), massive)
+        _oracle(boost_z(0.3), massive)
 
 
 def test_non_finite_momentum_batch_rejected():
     momenta = np.array([[1.0, 1.0], [0.0, np.nan], [0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
-        wigner.wigner_angles(identity(), momenta)
+        wigner_angle_stack(identity(), momenta)
 
 
 def test_past_pointing_momentum_rejected():
-    past = FourVector(-1.0, 0.0, 0.0, -1.0)
+    past = np.array([-1.0, 0.0, 0.0, -1.0])
     with pytest.raises(ValueError):
         wigner_angle_generator(BOOST_Z, 0.2, past)
 
@@ -187,18 +198,15 @@ def test_little_group_guard_detects_broken_standard_boost(monkeypatch, rng):
     calls = [0]
 
     def crooked(momenta):
-        # the same magnitude scaling as before, now on the stacked call
         calls[0] += 1
         scale = 1.001 if calls[0] % 2 else 1.0
         return real(momenta * scale)
 
     monkeypatch.setattr(wigner, "standard_boosts", crooked)
     with pytest.raises(LittleGroupError):
-        wigner_angle_oracle(boost_z(0.4), random_null_momentum(rng))
+        wigner_angle_oracle_stack(boost_z(0.4), random_momenta(rng, 5))
 
 
 def test_angles_reported_on_principal_branch(rng):
-    for _ in range(100):
-        L = random_transform(rng)
-        a = wigner_angle(L, random_null_momentum(rng))
-        assert -math.pi < a <= math.pi
+    a = wigner_angle_stack(random_stack(rng, 100), random_momenta(rng, 100))
+    assert np.all((-math.pi < a) & (a <= math.pi))
