@@ -151,37 +151,6 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
     return QuadratureGrid(w / total, np.repeat(thetas, n_phi), np.tile(phis, n_theta))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """9x9 reduced polarization state, basis (x,y,z) of A tensor (x,y,z) of B.
-
-    The boosted states are real symmetric, so entries must be real.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.iscomplexobj(self.entries):
-            raise ValueError("density matrix entries must be real")
-        m = np.array(self.entries, dtype=float)
-        if m.shape != (9, 9):
-            raise ValueError(f"expected a 9x9 matrix, got shape {m.shape}")
-        herm = float(np.abs(m - m.T).max())
-        if herm > 1e-10:
-            raise ValueError(f"density matrix is not symmetric (residual {herm:.3e})")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace must be 1, got {tr!r}")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries).min())
-
-    def trace_residual(self) -> float:
-        return float(abs(np.trace(self.entries) - 1.0))
-
-
 def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Gauge-form transport L e - ((L e)^0 / (L p)^0) L p of node vectors.
 
@@ -263,13 +232,14 @@ def density_states(boosts: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray
     return _guarded_states(_assemble(transported_moments(boosts, grid)))
 
 
-def reduced_density(
-    L: TransformStack, grid: QuadratureGrid, spec: BeamSpec
-) -> DensityMatrix:
-    """Boosted reduced polarization density matrix of the photon pair.
+def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> np.ndarray:
+    """Boosted reduced polarization density matrix of the photon pair, read-only (9, 9).
 
-    L is a one-transform stack.  spec is the beam the grid was built for;
-    the grid's weights already carry it, so only the grid enters the state.
+    The k = 1 case of density_states: L is a one-transform stack.  spec is
+    the beam the grid was built for; the grid's weights already carry it,
+    so only the grid enters the state.
     """
     states, _ = density_states(L.matrix[None], grid)
-    return DensityMatrix(states[0])
+    rho = states[0]
+    rho.flags.writeable = False
+    return rho

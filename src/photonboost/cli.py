@@ -9,8 +9,8 @@ Subcommands:
 * ``fig3``      preset spread sweep (four spreads, alpha = 2*pi/5);
 * ``validate``  invariant self-checks, JSON report.
 
-Exit codes: 0 success, 1 invalid configuration, 2 validation failure,
-3 numerical convergence failure.
+Exit codes: 0 success, 1 invalid configuration (a malformed flag too),
+2 validation failure, 3 numerical convergence failure.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from .sweep import (
     MAX_GRID_NODES,
     QuadratureConvergenceWarning,
     SweepConfig,
+    _read_json,
     gnuplot_script,
     preset_fig2,
     preset_fig3,
@@ -48,6 +49,13 @@ EXIT_CONVERGENCE = 3
 _RAPIDITY_HELP = f"boost rapidity, |xi| <= {MAX_RAPIDITY:g}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose malformed-flag errors are config errors (exit 1)."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--n-theta", type=int, default=None,
@@ -57,7 +65,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="photonboost",
         description="Boost polarization-entangled photon beams and track their log negativity.",
     )
@@ -102,15 +110,13 @@ _FLAG_FIELDS = ("alpha", "sigma_theta", "xi_min", "xi_max", "xi_steps", "n_theta
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    raw: dict = {}
-    if args.config:
-        cfg = SweepConfig.from_json(args.config)
-        raw = {f: getattr(cfg, f) for f in _FLAG_FIELDS}
-        raw["output_path"] = cfg.output_path
-    overrides = {f: getattr(args, f) for f in _FLAG_FIELDS if getattr(args, f) is not None}
-    raw.update(overrides)
+    """The config file's fields overlaid with the flags, validated once."""
+    raw = _read_json(args.config) if args.config else {}
+    flags = {f: getattr(args, f) for f in _FLAG_FIELDS if getattr(args, f) is not None}
     if args.out is not None:
-        raw["output_path"] = args.out
+        flags["output_path"] = args.out
+    if isinstance(raw, dict):  # any other document fails in from_mapping
+        raw = {**raw, **flags}
     return SweepConfig.from_mapping(raw)
 
 
@@ -168,8 +174,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "single":
             return _cmd_single(args)
         if args.command == "sweep":

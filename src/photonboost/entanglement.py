@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beams import DensityMatrix
-
 _DIM = 3
 
 
 def _entries(rho) -> np.ndarray:
-    m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    m = np.asarray(rho)
     if m.shape[-2:] != (_DIM * _DIM, _DIM * _DIM):
         raise ValueError(f"expected 9x9 matrices, got shape {m.shape}")
     return m

@@ -48,6 +48,10 @@ MAX_XI_STEPS = 100_000
 # length then needs only a few small (k, 9, 9) stacks at a time
 _ROWS_PER_BLOCK = 64
 
+# largest log negativity shift under grid doubling that the convergence
+# check accepts
+_CONVERGENCE_TOL = 1e-4
+
 
 class ConfigError(ValueError):
     """Invalid sweep configuration."""
@@ -154,13 +158,7 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "SweepConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            # RecursionError: nesting deeper than the parser's recursion limit
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_mapping(raw)
+        return cls.from_mapping(_read_json(path))
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "SweepConfig":
@@ -177,6 +175,16 @@ class SweepConfig:
             return cls(**raw)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _read_json(path: str):
+    """The JSON document in path, unchecked; unreadable or malformed files raise ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's recursion limit
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -220,16 +228,12 @@ def _curve_rows(cfg: SweepConfig, grid: QuadratureGrid) -> list[SweepRow]:
     ]
 
 
-def run_sweep(
-    cfg: SweepConfig,
-    check_convergence: bool = False,
-    convergence_tol: float = 1e-4,
-) -> list[SweepRow]:
+def run_sweep(cfg: SweepConfig, check_convergence: bool = False) -> list[SweepRow]:
     """Evaluate the log negativity over the rapidity grid of cfg.
 
     With check_convergence the endpoints and the midpoint are re-evaluated
     on a doubled grid; if any log negativity moves by more than
-    convergence_tol a QuadratureConvergenceWarning is issued (the rows are
+    _CONVERGENCE_TOL a QuadratureConvergenceWarning is issued (the rows are
     still returned).
     """
     spec = BeamSpec(cfg.sigma_theta)
@@ -240,10 +244,10 @@ def run_sweep(
         probes = sorted({0, len(rows) // 2, len(rows) - 1})
         ln_fine = _evaluate(cfg.alpha, np.array([rows[i].xi for i in probes]), fine)[0]
         worst = max(abs(a - rows[i].log_negativity) for a, i in zip(ln_fine, probes))
-        if worst > convergence_tol:
+        if worst > _CONVERGENCE_TOL:
             warnings.warn(
                 f"grid doubling moved the log negativity by {worst:.3e} "
-                f"(tolerance {convergence_tol:.1e}); increase n_theta/n_phi",
+                f"(tolerance {_CONVERGENCE_TOL:.1e}); increase n_theta/n_phi",
                 QuadratureConvergenceWarning,
                 stacklevel=2,
             )

@@ -126,14 +126,9 @@ def _check_metric(rng, cases: int) -> GroupResult:
     stack = lorentz.stack_from_factors(factors)
     q = stack.apply(_momenta(draws))
     worst_metric = _worst(lorentz.metric_residuals(stack.matrices))
-    worst_factor = _worst(lorentz.factor_residuals(stack))
     worst_null = _worst(np.abs(q[0] * q[0] - q[1] * q[1] - q[2] * q[2] - q[3] * q[3]))
-    passed = worst_metric < 1e-12 and worst_factor < 1e-12 and worst_null < 1e-10
-    return GroupResult(
-        "metric",
-        passed,
-        f"metric {worst_metric:.2e}, factors {worst_factor:.2e}, null {worst_null:.2e}",
-    )
+    passed = worst_metric < 1e-12 and worst_null < 1e-10
+    return GroupResult("metric", passed, f"metric {worst_metric:.2e}, null {worst_null:.2e}")
 
 
 def _check_wigner_oracle(rng, cases: int) -> GroupResult:
@@ -190,22 +185,26 @@ def _check_composition(rng, cases: int) -> GroupResult:
     )
     direct = polarization.d_rotation_form_stack(combined, p, eps)
     worst_transport = _worst(np.abs(stepped - direct))
-    passed = worst_angle < 1e-9 and worst_transport < 1e-9
+    # combined's matrices are products but its factor table is the two
+    # tables side by side, which is what the closed-form fold reads
+    worst_factor = _worst(lorentz.factor_residuals(combined))
+    passed = worst_angle < 1e-9 and worst_transport < 1e-9 and worst_factor < 1e-12
     return GroupResult(
-        "composition_laws", passed, f"angle {worst_angle:.2e}, transport {worst_transport:.2e}"
+        "composition_laws",
+        passed,
+        f"angle {worst_angle:.2e}, transport {worst_transport:.2e}, factors {worst_factor:.2e}",
     )
 
 
 def _check_rho_sanity(rng, cases: int) -> GroupResult:
     traces, herms, eigs = [], [], []
     for _ in range(cases):
-        spec = beams.BeamSpec(rng.uniform(0.05, 1.3))
-        grid = beams.build_grid(spec, 32, 32)
+        grid = beams.build_grid(beams.BeamSpec(rng.uniform(0.05, 1.3)), 32, 32)
         L = sweep.make_boost(rng.uniform(0.0, math.pi / 2), rng.uniform(-2.0, 2.0))
-        rho = beams.reduced_density(L, grid, spec)
-        traces.append(rho.trace_residual())
-        herms.append(float(np.abs(rho.entries - rho.entries.T).max()))
-        eigs.append(rho.min_eigenvalue())
+        (rho,), min_eig = beams.density_states(L.matrices, grid)
+        traces.append(abs(np.trace(rho) - 1.0))
+        herms.append(np.abs(rho - rho.T).max())
+        eigs.append(min_eig)
     worst_trace, worst_herm = _worst(traces), _worst(herms)
     worst_eig = float(np.min(eigs))  # NaN stays NaN and fails
     passed = worst_trace < 1e-10 and worst_herm < 1e-10 and worst_eig >= -1e-9
@@ -217,16 +216,17 @@ def _check_rho_sanity(rng, cases: int) -> GroupResult:
 
 
 def _check_ln_rotation_invariance(rng, cases: int) -> GroupResult:
-    spec = beams.BeamSpec(1.0)
-    grid = beams.build_grid(spec, 32, 32)
-    base = entanglement.log_negativity(beams.reduced_density(lorentz.identity(), grid, spec))
-    lns = []
+    # row 0 is the identity, the rest are the drawn rotations
+    rotations = [lorentz.identity().matrices]
     for _ in range(cases):
         rot = lorentz.rot_z(rng.uniform(-math.pi, math.pi))
         if rng.integers(0, 2):
             rot = lorentz.compose(rot, lorentz.rot_y(rng.uniform(-math.pi, math.pi)))
-        lns.append(entanglement.log_negativity(beams.reduced_density(rot, grid, spec)))
-    worst = _worst(np.abs(np.subtract(lns, base)))
+        rotations.append(rot.matrices)
+    grid = beams.build_grid(beams.BeamSpec(1.0), 32, 32)
+    states, _ = beams.density_states(np.concatenate(rotations), grid)
+    lns = entanglement.log_negativity(states)
+    worst = _worst(np.abs(lns[1:] - lns[0]))
     return GroupResult("ln_rotation_invariance", worst < 1e-8, f"max LN shift {worst:.2e}")
 
 
@@ -289,16 +289,13 @@ def _check_omega_independence(rng, cases: int) -> GroupResult:
 def _check_convergence(rng, cases: int) -> GroupResult:
     # entrywise grid-doubling stability; |xi| <= 2 keeps the boosted
     # integrand resolvable at the default node count
+    boosts = sweep.boost_stack(2 * math.pi / 5, [0.0, 2.0, -2.0])
     shifts = []
     for sigma in (0.5, 1.0, 1.3):
         spec = beams.BeamSpec(sigma)
-        coarse = beams.build_grid(spec, 64, 64)
-        fine = beams.build_grid(spec, 128, 128)
-        for xi in (0.0, 2.0, -2.0):
-            L = sweep.make_boost(2 * math.pi / 5, xi)
-            a = beams.reduced_density(L, coarse, spec)
-            b = beams.reduced_density(L, fine, spec)
-            shifts.append(np.abs(a.entries - b.entries))
+        coarse, _ = beams.density_states(boosts, beams.build_grid(spec, 64, 64))
+        fine, _ = beams.density_states(boosts, beams.build_grid(spec, 128, 128))
+        shifts.append(np.abs(coarse - fine))
     worst = _worst(shifts)
     return GroupResult("convergence", worst < 1e-6, f"max entry shift {worst:.2e}")
 

@@ -194,7 +194,7 @@ def test_criterion_11_construction_cross_checks():
     spec = BeamSpec(1.0)
     grid = build_grid(spec, 8, 8)
     L = make_boost(ALPHA_FIG3, 0.8)
-    fast = reduced_density(L, grid, spec).entries
+    fast = reduced_density(L, grid, spec)
     direct_gap = float(np.abs(fast - direct_double_sum_density(L, grid, 1.0)).max())
     helicity_gap = float(np.abs(fast - helicity_route_density(L, grid, 1.0)).max())
     assert direct_gap < 1e-10

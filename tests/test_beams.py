@@ -15,7 +15,6 @@ from oracles import (
 from photonboost import beams
 from photonboost.beams import (
     BeamSpec,
-    DensityMatrix,
     angular_weight,
     build_grid,
     reduced_density,
@@ -162,17 +161,17 @@ def test_reduced_density_bell_limit():
     spec = BeamSpec(0.01)
     grid = build_grid(spec, 64, 64)
     rho = reduced_density(identity(), grid, spec)
-    assert np.abs(rho.entries - BELL_RHO).max() < 1e-3
+    assert np.abs(rho - BELL_RHO).max() < 1e-3
 
 
 def test_reduced_density_rotation_conjugation():
     spec = BeamSpec(1.0)
     grid = build_grid(spec, 32, 32)
-    base = reduced_density(identity(), grid, spec).entries
+    base = reduced_density(identity(), grid, spec)
     gamma = 0.77
     rot = rot_z(gamma)
     r9 = np.kron(rot.matrix[1:, 1:], rot.matrix[1:, 1:])
-    got = reduced_density(rot, grid, spec).entries
+    got = reduced_density(rot, grid, spec)
     assert np.abs(got - r9 @ base @ r9.T).max() < 1e-10
 
 
@@ -181,16 +180,27 @@ def test_reduced_density_invariants(rng):
         spec = BeamSpec(rng.uniform(0.05, 1.3))
         grid = build_grid(spec, 24, 24)
         rho = reduced_density(make_boost(rng.uniform(0, math.pi / 2), rng.uniform(-2, 2)), grid, spec)
-        assert rho.trace_residual() < 1e-10
-        assert np.abs(rho.entries - rho.entries.conj().T).max() < 1e-10
-        assert rho.min_eigenvalue() >= -1e-9
+        assert abs(np.trace(rho) - 1.0) < 1e-10
+        assert np.abs(rho - rho.T).max() < 1e-10
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-9
+
+
+def test_reduced_density_is_the_read_only_one_row_case_of_density_states():
+    spec = BeamSpec(1.0)
+    grid = build_grid(spec, 64, 64)
+    L = make_boost(0.0, 2.0)
+    rho = reduced_density(L, grid, spec)
+    assert rho.shape == (9, 9) and rho.dtype == float
+    assert not rho.flags.writeable
+    states, _ = beams.density_states(L.matrices, grid)
+    assert rho.tobytes() == states[0].tobytes()
 
 
 def test_factorized_matches_direct_double_sum():
     spec = BeamSpec(0.8)
     grid = build_grid(spec, 4, 4)
     L = make_boost(0.9, 0.7)
-    fast = reduced_density(L, grid, spec).entries
+    fast = reduced_density(L, grid, spec)
     slow = direct_double_sum_density(L, grid, 1.0)
     assert np.abs(fast - slow).max() < 1e-10
 
@@ -199,7 +209,7 @@ def test_helicity_route_matches_hv_route():
     spec = BeamSpec(1.1)
     grid = build_grid(spec, 12, 12)
     L = make_boost(1.1, -0.9)
-    hv = reduced_density(L, grid, spec).entries
+    hv = reduced_density(L, grid, spec)
     hel = helicity_route_density(L, grid, 1.0)
     assert np.abs(hv - hel).max() < 1e-10
 
@@ -289,8 +299,8 @@ def test_density_grid_doubling_within_moderate_rapidity():
         fine = build_grid(spec, 128, 128)
         for xi in (0.0, 2.0, -2.0):
             L = make_boost(2 * math.pi / 5, xi)
-            a = reduced_density(L, coarse, spec).entries
-            b = reduced_density(L, fine, spec).entries
+            a = reduced_density(L, coarse, spec)
+            b = reduced_density(L, fine, spec)
             assert np.abs(a - b).max() < 1e-6
 
 
@@ -302,7 +312,7 @@ def test_deep_boost_converges_to_closed_form_limit(sigma, n):
     alpha = 2 * math.pi / 5
     spec = BeamSpec(sigma)
     grid = build_grid(spec, n, n)
-    rho = reduced_density(make_boost(alpha, -12.0), grid, spec).entries
+    rho = reduced_density(make_boost(alpha, -12.0), grid, spec)
     assert np.abs(rho - deep_boost_limit_density(alpha, grid)).max() < 1e-5
 
 
@@ -314,7 +324,7 @@ def test_density_frequency_independence():
     spec = BeamSpec(1.0)
     grid = build_grid(spec, 32, 32)
     L = make_boost(0.8, 1.3)
-    a = reduced_density(L, grid, spec).entries
+    a = reduced_density(L, grid, spec)
     for omega in (0.1, 10.0):
         b = rotation_form_density(L, grid, omega)
         assert np.abs(a - b).max() < 1e-12
@@ -327,15 +337,3 @@ def test_beam_spec_validation():
         BeamSpec(3.5)
     with pytest.raises(TypeError):
         BeamSpec(1.0, p0=1.0)  # the shell momentum is not a beam parameter
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(9))  # trace 9
-    bad = np.eye(9) / 9.0
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError, match="symmetric"):
-        DensityMatrix(bad)
-    with pytest.raises(ValueError, match="real"):
-        DensityMatrix(np.eye(9, dtype=complex) / 9.0)
-    assert DensityMatrix(np.eye(9) / 9.0).entries.dtype == float

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from photonboost.beams import BeamSpec, DensityMatrix, build_grid, reduced_density
+from photonboost.beams import BeamSpec, build_grid, reduced_density
 from photonboost.entanglement import hermitian_eigenvalues, log_negativity, partial_transpose_A
 from photonboost.lorentz import compose, identity, rot_y, rot_z
 
 BELL = np.zeros(9)
 BELL[0] = 1 / math.sqrt(2)
 BELL[4] = -1 / math.sqrt(2)
-BELL_RHO = DensityMatrix(np.outer(BELL, BELL))
+BELL_RHO = np.outer(BELL, BELL)
 
 
 def _random_single_state(rng):
@@ -103,8 +103,8 @@ def test_log_negativity_floor_guard():
 def test_log_negativity_of_a_stack_matches_one_by_one(rng):
     spec = BeamSpec(1.0)
     grid = build_grid(spec, 16, 16)
-    rhos = [reduced_density(compose(rot_y(g), identity()), grid, spec).entries for g in (0.2, 1.1)]
-    rhos.append(BELL_RHO.entries.real)
+    rhos = [reduced_density(compose(rot_y(g), identity()), grid, spec) for g in (0.2, 1.1)]
+    rhos.append(BELL_RHO)
     got = log_negativity(np.stack(rhos))
     assert got.shape == (3,)
     assert np.abs(got - [log_negativity(r) for r in rhos]).max() < 1e-14
@@ -138,7 +138,7 @@ def test_log_negativity_invariant_under_local_rotations(rng):
         )
         r3 = rot.matrix[1:, 1:]
         r9 = np.kron(r3, r3)
-        rho = reduced_density(identity(), grid, spec).entries
+        rho = reduced_density(identity(), grid, spec)
         assert abs(log_negativity(r9 @ rho @ r9.T) - base) < 1e-8
 
 
@@ -148,7 +148,7 @@ def test_transpose_side_does_not_matter(rng):
     rho = reduced_density(identity(), grid, spec)
     pt_a = partial_transpose_A(rho)
     # transposing B instead equals the full transpose of the A result
-    pt_b = partial_transpose_A(rho.entries.T).T
+    pt_b = partial_transpose_A(rho.T).T
     ln_a = math.log2(np.abs(hermitian_eigenvalues(pt_a)).sum())
     ln_b = math.log2(np.abs(hermitian_eigenvalues(pt_b)).sum())
     assert abs(ln_a - ln_b) < 1e-9

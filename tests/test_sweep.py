@@ -94,8 +94,8 @@ def test_batched_curve_matches_per_point_reduced_density():
     for row in run_sweep(cfg):
         rho = reduced_density(make_boost(cfg.alpha, row.xi), grid, spec)
         assert abs(row.log_negativity - log_negativity(rho)) < 1e-12
-        assert abs(row.min_eigenvalue - rho.min_eigenvalue()) < 1e-12
-        assert abs(row.trace_residual - rho.trace_residual()) < 1e-12
+        assert abs(row.min_eigenvalue - np.linalg.eigvalsh(rho)[0]) < 1e-12
+        assert abs(row.trace_residual - abs(np.trace(rho) - 1.0)) < 1e-12
 
 
 def test_curves_sharing_a_grid_match_separate_sweeps(monkeypatch):
@@ -193,7 +193,7 @@ def test_convergence_check_warns_on_crude_grid():
         n_theta=8, n_phi=8,
     )
     with pytest.warns(QuadratureConvergenceWarning):
-        run_sweep(cfg, check_convergence=True, convergence_tol=1e-8)
+        run_sweep(cfg, check_convergence=True)
 
 
 def test_convergence_check_quiet_on_good_grid():
@@ -376,6 +376,7 @@ def test_cli_out_of_range_input_exits_1(argv, capsys):
         # nesting deeper than the JSON parser's recursion limit
         pytest.param("[" * 200_000, id="deeply-nested"),
         pytest.param({"alpha": 0.0, "sigma_theta": 0.8, "p0": 2.0}, id="p0"),
+        pytest.param([0.0, 0.8], id="non-object"),
     ],
 )
 def test_cli_sweep_bad_config_values_exit_1(doc, tmp_path, capsys):
@@ -391,8 +392,46 @@ def test_config_rejects_the_shell_momentum(capsys):
     # longer a field or a flag
     with pytest.raises(ConfigError, match=r"unknown config fields: \['p0'\]"):
         SweepConfig.from_mapping({"alpha": 0.0, "sigma_theta": 1.0, "p0": 1.0})
-    with pytest.raises(SystemExit):
-        cli.main(["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "0", "--p0", "2"])
+    assert cli.main(["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "0", "--p0", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "abc"], id="xi-abc"),
+        pytest.param(["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "0", "--p0", "2"],
+                     id="p0"),
+        pytest.param(["sweep", "--alpha", "0", "--sigma-theta", "1", "--xi-steps", "2.5"],
+                     id="xi-steps-2.5"),
+        pytest.param([], id="no-subcommand"),
+    ],
+)
+def test_cli_malformed_flags_exit_1(argv, capsys):
+    # argparse would exit 2, the code of a validation failure
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_cli_sweep_flags_complete_a_config_file(tmp_path, capsys):
+    # a field required by the config may come from a flag instead of the file
+    partial, full = tmp_path / "partial.json", tmp_path / "full.json"
+    partial.write_text(json.dumps({"sigma_theta": 1.0, "xi_steps": 3}))
+    full.write_text(json.dumps({"alpha": 0.5, "sigma_theta": 1.0, "xi_steps": 3}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli.main(["sweep", "--config", str(partial), "--alpha", "0.5", "--out", str(a)]) == 0
+    assert cli.main(["sweep", "--config", str(full), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize(

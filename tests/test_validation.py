@@ -82,6 +82,20 @@ def test_sign_flip_in_rotation_angle_rule_trips_wigner_group(monkeypatch):
     assert validate().passed
 
 
+def test_wrong_order_compose_trips_the_factor_clause(monkeypatch):
+    # the product b * a under the factor table of a * b
+    real = lorentz.compose
+
+    def wrong_order(a, b):
+        table = real(a, b)
+        return lorentz.TransformStack(table.kinds, table.params, b.matrices @ a.matrices)
+
+    monkeypatch.setattr(lorentz, "compose", wrong_order)
+    result = _run_group("composition_laws")
+    assert not result.passed
+    assert float(result.detail.rpartition("factors ")[2]) > 1e-12
+
+
 def test_missing_gauge_term_trips_form_equivalence(monkeypatch):
     def gauge_without_subtraction(stack, momenta, eps):
         return stack.apply(np.asarray(eps, dtype=complex))
@@ -121,7 +135,7 @@ def test_transport_clause_trips_omega_independence(monkeypatch, inject):
     assert not float(transport) <= validation._OMEGA_TRANSPORT_TOL
 
 
-def _nan_factor_residuals(monkeypatch):
+def _nan_factors(monkeypatch):
     monkeypatch.setattr(lorentz, "factor_residuals", lambda stack: np.full(len(stack), np.nan))
 
 
@@ -155,12 +169,30 @@ def _nan_composed_angles(monkeypatch):
     monkeypatch.setattr(wigner, "wigner_angle_stack", nan_for_composed)
 
 
+def _nan_metric_residuals(monkeypatch):
+    # only validate's own call reads NaN: the stack guard, inside lorentz,
+    # keeps the real residuals
+    proxy = types.ModuleType(lorentz.__name__)
+    proxy.__dict__.update(vars(lorentz))
+    proxy.metric_residuals = lambda m: np.full(len(m), np.nan)
+    monkeypatch.setattr(validation, "lorentz", proxy)
+
+
 def _nan_min_eigenvalue(monkeypatch):
-    monkeypatch.setattr(beams.DensityMatrix, "min_eigenvalue", lambda self: np.nan)
+    # only rho_sanity evaluates one boost at a time
+    real = beams.density_states
+
+    def nan_for_one_boost(boosts, grid):
+        states, min_eig = real(boosts, grid)
+        return states, min_eig if len(boosts) > 1 else np.full(1, np.nan)
+
+    monkeypatch.setattr(beams, "density_states", nan_for_one_boost)
 
 
 def _nan_log_negativity(monkeypatch):
-    monkeypatch.setattr(entanglement, "log_negativity", lambda rho: np.nan)
+    monkeypatch.setattr(
+        entanglement, "log_negativity", lambda rho: np.full(np.shape(rho)[:-2], np.nan)
+    )
 
 
 def _nan_angle_budget(monkeypatch):
@@ -169,23 +201,25 @@ def _nan_angle_budget(monkeypatch):
 
 def _nan_fine_grid_state(monkeypatch):
     # only the convergence group builds 128^2 grids
-    real = beams.reduced_density
+    real = beams.density_states
 
-    def nan_on_fine_grid(L, grid, spec):
+    def nan_on_fine_grid(boosts, grid):
+        states, min_eig = real(boosts, grid)
         if len(grid) == 128 * 128:
-            return types.SimpleNamespace(entries=np.full((9, 9), np.nan))
-        return real(L, grid, spec)
+            states = np.full_like(states, np.nan)
+        return states, min_eig
 
-    monkeypatch.setattr(beams, "reduced_density", nan_on_fine_grid)
+    monkeypatch.setattr(beams, "density_states", nan_on_fine_grid)
 
 
 @pytest.mark.parametrize(
     "group, inject",
     [
-        ("metric", _nan_factor_residuals),
+        ("metric", _nan_metric_residuals),
         ("wigner_oracle", _nan_oracle_angles),
         ("d_form_equivalence", _nan_gauge_form),
         ("composition_laws", _nan_composed_angles),
+        ("composition_laws", _nan_factors),
         ("rho_sanity", _nan_min_eigenvalue),
         ("ln_rotation_invariance", _nan_log_negativity),
         ("omega_independence", _nan_angle_budget),
