@@ -69,7 +69,9 @@ class BeamSpec:
 def angular_weight(theta, spec: BeamSpec):
     """Unnormalized squared-amplitude density exp(-theta^2/sigma^2) sin(theta)."""
     theta = np.asarray(theta, dtype=float)
-    return np.exp(-((theta / spec.sigma_theta) ** 2)) * np.sin(theta)
+    # for a tiny sigma the square overflows to inf, whose weight exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        return np.exp(-((theta / spec.sigma_theta) ** 2)) * np.sin(theta)
 
 
 def _node_vectors(thetas: np.ndarray, phis: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -155,16 +157,17 @@ def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Gauge-form transport L e - ((L e)^0 / (L p)^0) L p of node vectors.
 
     boosts is a (k, 4, 4) stack; vectors is (4, 1 + m, n): per node the
-    unit-frequency momentum (1, p-hat), then m transverse vectors with
-    zero time part.  The result depends on p only through its direction,
-    so the shell momentum cancels exactly and is never needed.  Returns
-    the (k, 3, m, n) spatial parts of the transported vectors; their time
-    part is zero by construction.  For a future-pointing null p and a
-    proper orthochronous L, (L p)^0 > 0.
+    momentum p, then m transverse vectors with zero time part.  Every boost
+    maps every node, or vectors is (k, 4, 1 + m, n) and boost i maps only
+    vectors[i].  The result depends on p only through its direction, so
+    the grid's unit-frequency momenta stand for every shell.  Returns the
+    (k, 3, m, n) spatial parts of the transported vectors; their time part
+    is zero by construction.  For a future-pointing null p and a proper
+    orthochronous L, (L p)^0 > 0.
     """
-    k = len(boosts)
-    _, cols, n = vectors.shape
-    lv = (boosts @ vectors.reshape(4, cols * n)).reshape(k, 4, cols, n)
+    *_, cols, n = vectors.shape
+    flat = vectors.reshape(vectors.shape[:-2] + (cols * n,))
+    lv = (boosts @ flat).reshape(len(boosts), 4, cols, n)
     lp, le = lv[:, :, :1], lv[:, :, 1:]
     out = (le[:, :1] / lp[:, :1]) * lp[:, 1:]
     np.subtract(le[:, 1:], out, out=out)
@@ -196,15 +199,17 @@ def _assemble(moments: np.ndarray) -> np.ndarray:
     return np.einsum("ciajb,ckalb->cikjl", signed, m).reshape(len(moments), 9, 9)
 
 
-def _guarded_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _guarded_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trace-normalize a (k, 9, 9) stack in place after the trace and PSD guards.
 
-    Returns the states and their smallest eigenvalues.  Raises
-    numpy.linalg.LinAlgError if a trace is off by more than _TRACE_TOL or
-    an eigenvalue lies below _MIN_EIG_TOL: either is an internal error.
+    Returns the states, their smallest eigenvalues and their trace gaps
+    |tr - 1| before normalization.  Raises numpy.linalg.LinAlgError if a
+    gap exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL: either
+    is an internal error.
     """
     tr = np.trace(raw, axis1=1, axis2=2)
-    ok = np.abs(tr - 1.0) <= _TRACE_TOL  # NaN fails too
+    gap = np.abs(tr - 1.0)
+    ok = gap <= _TRACE_TOL  # NaN fails too
     if not ok.all():
         raise np.linalg.LinAlgError(
             f"density matrix trace {float(tr[~ok][0])!r} before normalization is not 1; "
@@ -217,17 +222,19 @@ def _guarded_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"density matrix is not positive semidefinite (min eigenvalue "
             f"{float(np.min(min_eig)):.3e}); this indicates an internal error"
         )
-    return raw, min_eig
+    return raw, min_eig, gap
 
 
-def density_states(boosts: np.ndarray, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Boosted reduced states for a (k, 4, 4) stack of boosts, and their smallest eigenvalues.
+def density_states(
+    boosts: np.ndarray, grid: QuadratureGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boosted reduced states for a (k, 4, 4) stack of boosts, with their guard readings.
 
     Assembles rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
     s_v = -1, which equals the direct double sum of pair projectors over
     the grid, then trace-normalizes to absorb rounding.  Returns real
-    (k, 9, 9) states and the (k,) smallest eigenvalue of each, computed by
-    the positivity guard.
+    (k, 9, 9) states, the (k,) smallest eigenvalue of each and the (k,)
+    trace gap |tr - 1| of each before normalization.
     """
     return _guarded_states(_assemble(transported_moments(boosts, grid)))
 
@@ -239,7 +246,7 @@ def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> 
     the beam the grid was built for; the grid's weights already carry it,
     so only the grid enters the state.
     """
-    states, _ = density_states(L.matrix[None], grid)
+    states, _, _ = density_states(L.matrix[None], grid)
     rho = states[0]
     rho.flags.writeable = False
     return rho

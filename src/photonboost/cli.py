@@ -128,6 +128,18 @@ def _open_output(stack: contextlib.ExitStack, path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write(fh, text: str) -> None:
+    """Write text to an output and flush it; a failed write is a config error."""
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        # the unwritten text stays buffered and would fail the close again
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise ConfigError(f"cannot write {fh.name}: {exc.strerror or exc}") from exc
+
+
 def _cmd_single(args: argparse.Namespace) -> int:
     raw = {"alpha": args.alpha, "sigma_theta": args.sigma_theta, "xi_min": args.xi,
            "xi_max": args.xi, "xi_steps": 1}
@@ -151,9 +163,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 if issubclass(w.category, QuadratureConvergenceWarning):
                     print(f"warning: {w.message}", file=sys.stderr)
                     status = EXIT_CONVERGENCE
-        out.write(rows_to_csv(rows, include_timing=args.timing))
+        _write(out, rows_to_csv(rows, include_timing=args.timing))
         if plot is not None:
-            plot.write(gnuplot_script(cfg.output_path or "-", "alpha", (cfg.alpha,)))
+            _write(plot, gnuplot_script(cfg.output_path or "-", "alpha", (cfg.alpha,)))
     return status
 
 
@@ -161,9 +173,9 @@ def _cmd_fig(args: argparse.Namespace, configs, curve_key: str, curve_values) ->
     with contextlib.ExitStack() as stack:
         out = _open_output(stack, args.out)
         plot = _open_output(stack, args.plot_script) if args.plot_script else None
-        out.write(rows_to_csv(run_sweeps(configs), include_timing=args.timing))
+        _write(out, rows_to_csv(run_sweeps(configs), include_timing=args.timing))
         if plot is not None:
-            plot.write(gnuplot_script(args.out, curve_key, tuple(curve_values)))
+            _write(plot, gnuplot_script(args.out, curve_key, tuple(curve_values)))
     return EXIT_OK
 
 

@@ -31,17 +31,12 @@ METRIC.flags.writeable = False
 _IDENTITY = np.eye(4)
 _IDENTITY.flags.writeable = False
 
-BOOST_Z = "boost_z"
-ROT_Y = "rot_y"
-ROT_Z = "rot_z"
-GENERATOR_KINDS = (BOOST_Z, ROT_Y, ROT_Z)
-
-# a factor table stores each kind as its index in GENERATOR_KINDS; PAD
+# the generator kinds are the integer codes a factor table stores; PAD
 # fills a row past its transform's last factor and is the exact identity,
 # so a padded fold gives the same floats as the unpadded one
-KIND_CODE = {kind: code for code, kind in enumerate(GENERATOR_KINDS)}
+BOOST_Z, ROT_Y, ROT_Z = 0, 1, 2
+GENERATOR_KINDS = (BOOST_Z, ROT_Y, ROT_Z)
 PAD = -1
-_BOOST, _ROT_Y, _ROT_Z = KIND_CODE[BOOST_Z], KIND_CODE[ROT_Y], KIND_CODE[ROT_Z]
 
 # below this value of sin(theta) a direction counts as polar and phi is
 # pinned to 0 (phi is geometrically undefined there)
@@ -132,26 +127,19 @@ def require_metric(matrices: np.ndarray) -> None:
         raise ValueError(f"matrix does not preserve the metric (residual {float(np.max(res)):.3e})")
 
 
-def _kind_code(kind) -> int:
-    try:
-        return KIND_CODE[kind]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown generator kind {kind!r}") from None
-
-
 def factor_table(factor_lists) -> tuple[np.ndarray, np.ndarray]:
     """(k, F) kind codes and parameters of k lists of (kind, parameter) factors.
 
     F is the longest list's length; shorter rows are padded with PAD and
-    0.0.  Raises ValueError for an unknown kind; TransformStack checks the
-    parameters.
+    0.0.  The kinds are collected as they were given, not cast, so that
+    TransformStack rejects a kind that is not an integer code.
     """
     lists = [tuple(f) for f in factor_lists]
     width = max(map(len, lists), default=0)
-    pad = [(PAD, 0.0)] * width
-    rows = [[(_kind_code(k), p) for k, p in f] + pad[len(f):] for f in lists]
-    table = np.array(rows, dtype=float).reshape(len(rows), width, 2)
-    return table[..., 0].astype(int), table[..., 1].copy()
+    kinds = [[k for k, _ in f] + [PAD] * (width - len(f)) for f in lists]
+    params = [[p for _, p in f] + [0.0] * (width - len(f)) for f in lists]
+    shape = (len(lists), width)
+    return np.array(kinds).reshape(shape), np.array(params, dtype=float).reshape(shape)
 
 
 # largest |parameter| of each kind, indexed by code - PAD: padding must be
@@ -183,7 +171,7 @@ def _checked_table(kinds, params) -> tuple[np.ndarray, np.ndarray]:
         finite = np.isfinite(params)
         if not finite.all():
             raise ValueError(f"factor parameter must be finite, got {float(params[~finite][0])!r}")
-        xi = params[kinds == _BOOST]
+        xi = params[kinds == BOOST_Z]
         if not (np.abs(xi) <= MAX_RAPIDITY).all():
             raise _rapidity_error(float(xi[np.abs(xi) > MAX_RAPIDITY][0]))
         if (params[kinds == PAD] != 0.0).any():
@@ -199,9 +187,9 @@ def _generator_matrices(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
     Each kind's parameter enters only its own entries, and the others see
     a zero parameter: cosh, cos = 1 and sinh, sin = 0 exactly.
     """
-    xi = np.where(kinds == _BOOST, params, 0.0)
-    gy = np.where(kinds == _ROT_Y, params, 0.0)
-    gz = np.where(kinds == _ROT_Z, params, 0.0)
+    xi = np.where(kinds == BOOST_Z, params, 0.0)
+    gy = np.where(kinds == ROT_Y, params, 0.0)
+    gz = np.where(kinds == ROT_Z, params, 0.0)
     ch, sh = np.cosh(xi), np.sinh(xi)
     cy, sy = np.cos(gy), np.sin(gy)
     cz, sz = np.cos(gz), np.sin(gz)
@@ -237,8 +225,8 @@ class TransformStack:
     """k Lorentz transforms as one guarded stack.
 
     ``kinds`` and ``params`` form the (k, F) factor table: row i holds
-    transform i's generator factors, leftmost first, as kind codes (see
-    KIND_CODE) and parameters, padded past its last factor with PAD and
+    transform i's generator factors, leftmost first, as kinds (BOOST_Z,
+    ROT_Y, ROT_Z) and parameters, padded past its last factor with PAD and
     0.0.  ``matrices`` holds the (k, 4, 4) matrices; left out, they are the
     left-to-right fold of each row (the first factor is the leftmost
     matrix, i.e. it acts last on a vector).  Construction checks the table
@@ -361,9 +349,9 @@ def _standard_table(thetas, phis, magnitudes=None) -> tuple[np.ndarray, np.ndarr
     sin(theta) < POLE_TOL, as direction_angles gives it.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    columns = [(_ROT_Z, np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)), (_ROT_Y, thetas)]
+    columns = [(ROT_Z, np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)), (ROT_Y, thetas)]
     if magnitudes is not None:
-        columns.append((_BOOST, np.log(_positive(magnitudes))))
+        columns.append((BOOST_Z, np.log(_positive(magnitudes))))
     params = np.stack(np.broadcast_arrays(*(c for _, c in columns)), axis=-1)
     return np.broadcast_to([k for k, _ in columns], params.shape), params
 

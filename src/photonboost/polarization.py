@@ -11,17 +11,17 @@ Transport comes in two algebraically equivalent forms:
 * the gauge form L eps - ((L eps)^0 / (L p)^0) L p, a momentum-dependent
   gauge subtraction that keeps the transported vector in a zero-time-
   component gauge.  It involves nothing but real matrix algebra on L and
-  is the production path: beams.transport applies it to every node of a
-  quadrature grid for a whole stack of boosts at once;
-* the rotation form, which rotates the vector from the frame at p to the
-  frame at L p with the little-group angle in between.  It is manifestly
-  norm-preserving and, through the Wigner angle, independent of the gauge
-  form, so it serves as the oracle the production path is checked
+  is the production path, written once in beams.transport, which applies
+  it to every node of a quadrature grid for a whole stack of boosts;
+* the rotation form here, which rotates the vector from the frame at p to
+  the frame at L p with the little-group angle in between.  It is
+  manifestly norm-preserving and, through the Wigner angle, independent of
+  the gauge form, so it is the oracle the production path is checked
   against (validate's d_form_equivalence group and the test suite).
 
 Every function here evaluates a stack: ``epsilon_stack``, ``h_vec_stack``
 and ``v_vec_stack`` build the basis at arrays of angles (scalar angles
-give one (4,) vector), and the two transport forms take a
+give one (4,) vector), and ``d_rotation_form_stack`` takes a
 lorentz.TransformStack and (4, n) momenta and polarizations.
 
 The h/v linear basis carries momentum-azimuth phase factors that cancel
@@ -72,8 +72,16 @@ def v_vec_stack(thetas, phis) -> np.ndarray:
     return -1j * (ph * plus - ph.conj() * minus) * _INV_SQRT2
 
 
-def _checked_pairs(stack: TransformStack, momenta, eps) -> tuple[np.ndarray, np.ndarray]:
-    """(4, n) momenta and polarizations after the null-momentum and transversality checks."""
+def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
+    """Transport each column of eps from p to L p via frame rotations.
+
+    Column i pairs with transform i, or with the only transform of a
+    one-transform stack.  Applies R(dir(L p)) R_z(Theta(L, p)) R(dir(p))^-1,
+    which acts on the circular basis at p as the helicity phase and
+    re-seats the result in the frame at L p; R^-1 is the transpose.
+    Raises ValueError unless every p is null and future-pointing and every
+    polarization has zero time part and is transverse to its p.
+    """
     p = wigner.momentum_columns(stack, momenta)
     eps = np.asarray(eps, dtype=complex)
     if eps.shape != p.shape:
@@ -86,38 +94,11 @@ def _checked_pairs(stack: TransformStack, momenta, eps) -> tuple[np.ndarray, np.
     mdot = eps[0] * p[0] - eps[1] * p[1] - eps[2] * p[2] - eps[3] * p[3]
     if not (np.abs(mdot) <= 1e-8 * np.maximum(1.0, p[0])).all():
         raise ValueError("polarization vector is not transverse to the momentum")
-    return p, eps
-
-
-def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
-    """Transport each column of eps from p to L p via frame rotations.
-
-    Column i pairs with transform i, or with the only transform of a
-    one-transform stack.  Applies R(dir(L p)) R_z(Theta(L, p)) R(dir(p))^-1,
-    which acts on the circular basis at p as the helicity phase and
-    re-seats the result in the frame at L p; R^-1 is the transpose.
-    """
-    p, eps = _checked_pairs(stack, momenta, eps)
     theta_w = wigner.wigner_angle_stack(stack, p)
     n = p.shape[1]
     # the frames at p and at L p, one stack
     frames = lorentz.rotations_to(*lorentz.direction_angles(np.hstack([p, stack.apply(p)])[1:]))
-    spin = TransformStack(np.full((n, 1), lorentz.KIND_CODE[ROT_Z]), theta_w[:, None])
+    spin = TransformStack(np.full((n, 1), ROT_Z), theta_w[:, None])
     v = np.swapaxes(frames.matrices[:n], 1, 2) @ eps.T[:, :, None]
     return (frames.matrices[n:] @ (spin.matrices @ v))[:, :, 0].T
 
-
-def d_gauge_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
-    """Transport each column of eps from p to L p by boosting and re-gauging.
-
-    Pairs columns with transforms as d_rotation_form_stack does.  The
-    subtraction of the momentum-proportional part cancels the time
-    component picked up by the raw boost; for a future-pointing null p and
-    a proper orthochronous L the denominator (L p)^0 is always positive.
-    """
-    p, eps = _checked_pairs(stack, momenta, eps)
-    q = stack.apply(p)
-    if not (q[0] > 1e-12).all():
-        raise ValueError(f"degenerate transported momentum, (L p)^0 = {float(np.min(q[0]))!r}")
-    boosted = stack.apply(eps)
-    return boosted - (boosted[0] / q[0]) * q

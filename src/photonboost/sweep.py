@@ -201,7 +201,7 @@ class SweepRow:
 def _evaluate(
     alpha: float, xis: np.ndarray, grid: QuadratureGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Log negativity, trace residual, smallest eigenvalue and ms per row of one curve.
+    """Log negativity, trace gap before normalization, smallest eigenvalue and ms per row.
 
     Rows go through the states, the guards and the spectra _ROWS_PER_BLOCK
     at a time, so memory does not grow with the row count.  The time of a
@@ -212,8 +212,8 @@ def _evaluate(
     for lo in range(0, k, _ROWS_PER_BLOCK):
         start = time.perf_counter()
         block = slice(lo, lo + _ROWS_PER_BLOCK)
-        states, min_eig[block] = density_states(boost_stack(alpha, xis[block]), grid)
-        trace_res[block] = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+        boosts = boost_stack(alpha, xis[block])
+        states, min_eig[block], trace_res[block] = density_states(boosts, grid)
         ln[block] = log_negativity(states)
         ms[block] = (time.perf_counter() - start) * 1e3 / len(states)
     return ln, trace_res, min_eig, ms

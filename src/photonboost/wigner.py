@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from .lorentz import (
-    KIND_CODE,
     POLE_TOL,
     ROT_Y,
     ROT_Z,
@@ -127,13 +126,13 @@ def wigner_angle_stack(stack: TransformStack, momenta) -> np.ndarray:
         ct, st = p[:, 3, 0] / r, rho / r
         kind, par = stack.kinds[:, j], stack.params[:, j]
         # a rule whose kind is absent from the column would add only zeros
-        rot_y = kind == KIND_CODE[ROT_Y]
+        rot_y = kind == ROT_Y
         if rot_y.any():
             # the standard frame pins phi to 0 at the poles, where atan2
             # would read it off rounding (or off the sign of a zero)
             phi = np.where(st < POLE_TOL, 0.0, np.arctan2(p[:, 2, 0], p[:, 1, 0]))
             total += np.where(rot_y, _rot_y_angle(par, ct, st, phi), 0.0)
-        rot_z = kind == KIND_CODE[ROT_Z]
+        rot_z = kind == ROT_Z
         if rot_z.any():
             total += np.where(rot_z, _rot_z_angle(par, ct, st), 0.0)
         p = g[:, j] @ p

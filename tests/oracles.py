@@ -7,13 +7,17 @@ route that builds momenta takes their frequency omega as an argument; the
 state must not depend on it.  The single-generator little-group angle,
 which the Wigner fold applies factor by factor, is here too, for the tests
 of its closed-form rules, and so are the seeded draws of transforms,
-momenta and polarizations that many tests share.
+momenta and polarizations that many tests share (validate's own draws).
+production_transport is the one exception to the rule above: it lays the
+production transport out in the rotation form's columns, so that tests
+can compare the two.
 """
 import math
 
 import numpy as np
 
 from photonboost import validation, wigner
+from photonboost.beams import transport
 from photonboost.lorentz import (
     BOOST_Z,
     POLE_TOL,
@@ -21,34 +25,22 @@ from photonboost.lorentz import (
     ROT_Z,
     direction_angles,
     null_momenta,
-    stack_from_factors,
 )
 from photonboost.polarization import d_rotation_form_stack, epsilon_stack, h_vec_stack, v_vec_stack
 
-
-def random_stack(rng, k, max_factors=5, max_rapidity=0.6):
-    """Stack of k random products of up to max_factors generators (validate's draw)."""
-    return stack_from_factors(
-        [validation._draw_factors(rng, max_factors, max_rapidity) for _ in range(k)]
-    )
+# random_stack(rng, k, max_factors=5, max_rapidity=0.6): k products of 1 to
+# max_factors generators, as one padded stack
+random_stack = validation._draw_stack
+# random_momenta(rng, k, magnitudes=None): (4, k) null momenta in uniform
+# directions, magnitudes log-uniform in [0.5, 2] unless given
+random_momenta = validation._draw_momenta
+# random_polarizations(rng, thetas, phis): (4, k) unit transverse polarizations
+random_polarizations = validation._draw_polarizations
 
 
 def random_directions(rng, k):
     """Polar angles and azimuths of k directions uniform on the sphere."""
-    return np.arccos(rng.uniform(-1.0, 1.0, k)), rng.uniform(0.0, 2.0 * math.pi, k)
-
-
-def random_momenta(rng, k):
-    """(4, k) null momenta along random directions, magnitudes log-uniform in [0.5, 2]."""
-    thetas, phis = random_directions(rng, k)
-    return null_momenta(thetas, phis, np.exp(rng.uniform(math.log(0.5), math.log(2.0), k)))
-
-
-def random_polarizations(rng, thetas, phis):
-    """(4, k) random unit transverse polarizations at the given directions."""
-    c = rng.normal(size=(2, len(thetas))) + 1j * rng.normal(size=(2, len(thetas)))
-    c /= np.linalg.norm(c, axis=0)
-    return c[0] * epsilon_stack(thetas, phis, +1) + c[1] * epsilon_stack(thetas, phis, -1)
+    return direction_angles(random_momenta(rng, k, 1.0)[1:])
 
 
 def random_cases(rng, k, magnitudes=1.0, max_factors=5):
@@ -58,8 +50,20 @@ def random_cases(rng, k, magnitudes=1.0, max_factors=5):
     polarizations at their directions.
     """
     stack = random_stack(rng, k, max_factors=max_factors)
-    thetas, phis = random_directions(rng, k)
-    return stack, null_momenta(thetas, phis, magnitudes), random_polarizations(rng, thetas, phis)
+    p = random_momenta(rng, k, magnitudes)
+    return stack, p, random_polarizations(rng, *direction_angles(p[1:]))
+
+
+def production_transport(L, p, eps):
+    """(3, n) spatial parts of beams.transport of each column of eps at p.
+
+    Columns pair with the transforms of L as in d_rotation_form_stack: a
+    one-transform L maps every column, else transform i maps column i.
+    """
+    vectors = np.stack([p, eps], axis=1)
+    if len(L) == 1:
+        return transport(L.matrices, vectors)[0, :, 0]
+    return transport(L.matrices, vectors.transpose(2, 0, 1)[..., None])[:, :, 0, 0].T
 
 
 def wigner_angle_generator(kind, parameter, p):

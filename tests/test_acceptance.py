@@ -19,6 +19,7 @@ from oracles import (
     deep_boost_limit_density,
     direct_double_sum_density,
     helicity_route_density,
+    production_transport,
     random_cases,
     random_momenta,
     random_stack,
@@ -27,7 +28,7 @@ from oracles import (
 from photonboost.beams import BeamSpec, build_grid, reduced_density
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import compose, identity, rot_y, rot_z
-from photonboost.polarization import d_gauge_form_stack, d_rotation_form_stack
+from photonboost.polarization import d_rotation_form_stack
 from photonboost.sweep import make_boost, preset_fig2, preset_fig3, rows_to_csv, run_sweep
 from photonboost.wigner import wigner_angle_oracle_stack, wigner_angle_stack
 
@@ -150,7 +151,8 @@ def test_criterion_07_wigner_oracle_equivalence():
 def test_criterion_08_transport_form_equivalence():
     rng = np.random.default_rng(8)
     L, p, eps = random_cases(rng, 1000, np.exp(rng.uniform(math.log(0.5), math.log(2.0), 1000)))
-    worst_form = float(np.abs(d_rotation_form_stack(L, p, eps) - d_gauge_form_stack(L, p, eps)).max())
+    rotated = d_rotation_form_stack(L, p, eps)
+    worst_form = float(np.abs(rotated[1:] - production_transport(L, p, eps)).max())
     L1, p, eps = random_cases(rng, 1000, max_factors=3)
     L2 = random_stack(rng, 1000, max_factors=3)
     stepped = d_rotation_form_stack(L2, L1.apply(p), d_rotation_form_stack(L1, p, eps))

