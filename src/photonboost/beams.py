@@ -3,10 +3,19 @@
 The two beams share one angular amplitude: a Gaussian in the polar angle
 theta on a fixed momentum-magnitude shell (the magnitude is integrated out
 analytically because it cancels from every transported quantity).  A
-quadrature grid discretizes the remaining direction integral with
+quadrature rule discretizes the remaining direction integral with
 Gauss-Legendre nodes in theta on [0, pi] and a uniform periodic rule in
 phi; the squared amplitude, the sphere Jacobian sin(theta) and the overall
 normalization are all folded into the weights, which sum to one.
+
+The beam is symmetric under the reflection y -> -y, which maps the node
+(theta, phi) to (theta, -phi), and the phi rule maps onto itself under
+it.  So a grid stores only the nodes with phi in [0, pi]; each stored
+node stands for itself and its image at half its weight apiece (a node
+on the mirror plane is its own image).  Every boost of a sweep has its
+axis in the x-z plane and commutes with the reflection, so the image
+nodes cost no transport: their moments are the stored nodes' moments
+with signs flipped (see transported_moments).
 
 The pair state is (|h h> - |v v>)/sqrt(2) at every pair of directions.
 Boosting transports each h/v vector with the gauge form
@@ -43,12 +52,21 @@ _MIN_EIG_TOL = -1e-9
 _TRACE_TOL = 1e-8
 
 # bytes of boosted node vectors (4 components of p, h, v per node and
-# boost) held at once: transported_moments works through a boost stack a
-# block of rows at a time, so its memory stays flat in the stack length
+# boost) held at once: _gram works through a boost stack a block of rows
+# at a time, so its memory stays flat in the stack length
 _BLOCK_BYTES = 1 << 18
 
 # s_a s_b of the pair state (|h h> - |v v>)/sqrt(2), basis order (h, v)
 _PAIR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+# the reflection y -> -y on 4-vectors, P = diag(1, 1, -1, 1); conjugating
+# a boost by it, P L P, flips the signs of these entries
+_MIRROR_SIGNS = np.outer([1.0, 1.0, -1.0, 1.0], [1.0, 1.0, -1.0, 1.0])
+
+# the image of a node has h' = P h and v' = -P v, so on index 2i + a of a
+# moment block the reflection acts as D = diag(1, -1, -1, 1, 1, -1): the
+# spatial sign (1, -1, 1) of i times s_h = +1, s_v = -1; D G D flips these
+_IMAGE_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -93,13 +111,18 @@ def _node_vectors(thetas: np.ndarray, phis: np.ndarray, weights: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes on the sphere of directions and normalized weights (sum exactly one).
+    """Stored nodes on the sphere of directions and normalized weights (sum exactly one).
+
+    The rule is the stored nodes plus their images (theta, -phi), each
+    image taking half the stored weight and the node keeping the other
+    half; the stored weights sum to one.  A node on the mirror plane
+    (phi = 0 or pi) is its own image, so it counts once at its weight.
 
     Weights are nonnegative rather than strictly positive: for narrow
     beams the Gaussian factor underflows to an exact zero on most of the
     sphere, and those nodes simply contribute nothing.  ``vectors`` holds
-    the node 4-vectors the transport acts on (see _node_vectors), computed
-    once per grid.
+    the stored node 4-vectors the transport acts on (see _node_vectors),
+    computed once per grid.
     """
 
     weights: np.ndarray
@@ -128,29 +151,35 @@ class QuadratureGrid:
 
 
 def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
-    """Tensor grid of n_theta x n_phi directions weighted by the beam density.
+    """Rule of n_theta x n_phi directions weighted by the beam density, stored as half.
 
     Gauss-Legendre nodes cover theta on the full [0, pi]; wide beams put
     real weight in the back hemisphere, so the range is never truncated.
-    The phi rule is a uniform periodic grid with equal weights.
-    Renormalizing the weights to sum one absorbs the amplitude
-    normalization constant, which is never needed in closed form.
+    The phi rule is the uniform periodic grid phi_j = 2 pi j / n_phi with
+    equal weights.  It maps onto itself under phi -> -phi, so only
+    j = 0 ... n_phi // 2 are stored, n_theta * (n_phi // 2 + 1) nodes; a
+    stored node off the mirror plane carries its image's weight too (see
+    QuadratureGrid).  Renormalizing the weights to sum one absorbs the
+    amplitude normalization constant, which is never needed in closed
+    form.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid needs at least 2 nodes per axis, got {n_theta}x{n_phi}")
     x, gl_w = leggauss(n_theta)
     thetas = (x + 1.0) * (math.pi / 2.0)
     w_theta = gl_w * (math.pi / 2.0) * angular_weight(thetas, spec)
-    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    j = np.arange(n_phi // 2 + 1)
+    phis = j * (2.0 * math.pi / n_phi)
+    images = np.where((j == 0) | (2 * j == n_phi), 1.0, 2.0)
 
-    w = np.repeat(w_theta / n_phi, n_phi)
+    w = np.outer(w_theta / n_phi, images).reshape(-1)
     total = w.sum()
     if not total > 0.0:
         raise ValueError(
             f"every node weight underflowed for sigma_theta={spec.sigma_theta}; "
             "the grid cannot resolve a beam this narrow"
         )
-    return QuadratureGrid(w / total, np.repeat(thetas, n_phi), np.tile(phis, n_theta))
+    return QuadratureGrid(w / total, np.repeat(thetas, len(phis)), np.tile(phis, n_theta))
 
 
 def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -174,21 +203,42 @@ def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def transported_moments(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """All four moment blocks of the transported h/v vectors, one 6x6 per boost.
-
-    Entry [2i + a, 2j + b] of each block is (M_ab)_ij = sum_n w_n
-    x_a(p_n)_i x_b(p_n)_j, for spatial components i, j in (x, y, z) and
-    basis labels a, b in (h, v) = (0, 1).  The weights enter as sqrt(w) on
-    both factors (see _node_vectors).  The boosts are transported
-    _BLOCK_BYTES worth of node vectors at a time.
-    """
+def _gram(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """(k, 6, 6) Gram matrices of the transported stored node vectors, one per boost."""
     out = np.empty((len(boosts), 6, 6))
     step = max(1, _BLOCK_BYTES // grid.vectors.nbytes)
     for lo in range(0, len(boosts), step):
         x = transport(boosts[lo:lo + step], grid.vectors)
         x = x.reshape(len(x), 6, len(grid))
         np.matmul(x, np.swapaxes(x, 1, 2), out=out[lo:lo + step])
+    return out
+
+
+def transported_moments(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """All four moment blocks of the transported h/v vectors, one 6x6 per boost.
+
+    Entry [2i + a, 2j + b] of each block is (M_ab)_ij = sum_n w_n
+    x_a(p_n)_i x_b(p_n)_j over the grid's whole rule, for spatial
+    components i, j in (x, y, z) and basis labels a, b in (h, v) = (0, 1).
+    The weights enter as sqrt(w) on both factors (see _node_vectors).
+
+    The image of a stored node, transported by L, is the reflection of
+    the node transported by P L P, so the rule's block is
+    1/2 (G(L) + D G(PLP) D), with G the Gram of the transported stored
+    vectors and D the reflection on index 2i + a (_IMAGE_SIGNS).  A boost
+    that commutes with P (every boost with its axis in the x-z plane) has
+    G(PLP) = G(L) and is transported once; any other is transported a
+    second time as P L P.
+    """
+    mirrored = boosts * _MIRROR_SIGNS
+    general = np.flatnonzero(np.any(mirrored != boosts, axis=(1, 2)))
+    k = len(boosts)
+    gram = _gram(np.concatenate([boosts, mirrored[general]]), grid)
+    out, image = gram[:k], gram[:k].copy()
+    image[general] = gram[k:]
+    image *= _IMAGE_SIGNS
+    out += image
+    out *= 0.5
     return out
 
 
@@ -232,7 +282,7 @@ def density_states(
 
     Assembles rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
     s_v = -1, which equals the direct double sum of pair projectors over
-    the grid, then trace-normalizes to absorb rounding.  Returns real
+    the grid's whole rule, then trace-normalizes to absorb rounding.  Returns real
     (k, 9, 9) states, the (k,) smallest eigenvalue of each and the (k,)
     trace gap |tr - 1| of each before normalization.
     """

@@ -146,7 +146,7 @@ def _cmd_single(args: argparse.Namespace) -> int:
     raw.update({f: getattr(args, f) for f in ("n_theta", "n_phi")
                 if getattr(args, f) is not None})
     (row,) = run_sweep(SweepConfig.from_mapping(raw))
-    print(f"{row.log_negativity:.9g}")
+    _write(sys.stdout, f"{row.log_negativity:.9g}\n")
     return EXIT_OK
 
 
@@ -181,7 +181,7 @@ def _cmd_fig(args: argparse.Namespace, configs, curve_key: str, curve_values) ->
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     report = validation.validate(seed=args.seed)
-    print(json.dumps(report.to_dict(), indent=2))
+    _write(sys.stdout, json.dumps(report.to_dict(), indent=2) + "\n")
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 

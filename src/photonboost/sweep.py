@@ -38,9 +38,10 @@ FIG2_ALPHAS = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 FIG3_SIGMAS = (0.1, 0.5, 1.0, 1.3)
 _PRESET_XI = (-3.0, 3.0, 61)
 
-# input bounds: a sweep evaluates a grid of at most MAX_GRID_NODES nodes
-# (the convergence check adds one of four times that) at most
-# MAX_XI_STEPS times
+# input bounds: a sweep evaluates a grid whose rule has at most
+# MAX_GRID_NODES = n_theta * n_phi nodes (the convergence check adds one
+# of four times that) at most MAX_XI_STEPS times; the grid stores and
+# transports n_theta * (n_phi // 2 + 1) of them
 MAX_GRID_NODES = 512 * 512
 MAX_XI_STEPS = 100_000
 

@@ -8,6 +8,8 @@ state must not depend on it.  The single-generator little-group angle,
 which the Wigner fold applies factor by factor, is here too, for the tests
 of its closed-form rules, and so are the seeded draws of transforms,
 momenta and polarizations that many tests share (validate's own draws).
+Every route integrates over the grid's whole rule, expanded by
+expanded_rule, and never uses the mirror fold of transported_moments.
 production_transport is the one exception to the rule above: it lays the
 production transport out in the rotation form's columns, so that tests
 can compare the two.
@@ -64,6 +66,20 @@ def production_transport(L, p, eps):
     if len(L) == 1:
         return transport(L.matrices, vectors)[0, :, 0]
     return transport(L.matrices, vectors.transpose(2, 0, 1)[..., None])[:, :, 0, 0].T
+
+
+def expanded_rule(grid):
+    """Polar angles, azimuths and weights of the whole rule a QuadratureGrid stands for.
+
+    Every stored node (theta, phi) and its image (theta, -phi), each at
+    half the stored weight.  A node on the mirror plane appears twice,
+    which at half weight each is the same as once at its weight.
+    """
+    return (
+        np.concatenate([grid.thetas, grid.thetas]),
+        np.concatenate([grid.phis, -grid.phis]),
+        np.concatenate([grid.weights, grid.weights]) / 2.0,
+    )
 
 
 def wigner_angle_generator(kind, parameter, p):
@@ -171,8 +187,9 @@ def _assemble(weights, x):
 
 def rotation_form_density(L, grid, omega):
     """reduced_density with every h/v vector transported by the rotation form at frequency omega."""
-    xh, xv = rotation_form_pair_basis(L, grid.thetas, grid.phis, omega)
-    return _assemble(grid.weights, {"h": xh, "v": xv})
+    thetas, phis, weights = expanded_rule(grid)
+    xh, xv = rotation_form_pair_basis(L, thetas, phis, omega)
+    return _assemble(weights, {"h": xh, "v": xv})
 
 
 def direct_double_sum_density(L, grid, omega):
@@ -181,9 +198,9 @@ def direct_double_sum_density(L, grid, omega):
     Every pair state is pair_kernel's; each node's transported h and v
     vectors are computed once and reused for all pairs that contain it.
     """
-    hv = transported_hv(L, grid.thetas, grid.phis, omega)
+    thetas, phis, w = expanded_rule(grid)
+    hv = transported_hv(L, thetas, phis, omega)
     kernels = _pair_states(hv, hv)
-    w = grid.weights
     rho = np.einsum("i,j,ijA,ijB->AB", w, w, kernels, kernels.conj())
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
@@ -198,16 +215,17 @@ def helicity_route_density(L, grid, omega):
     basis vector at the boosted direction.  Factorizes through 3x3 moments
     exactly like the h/v route.
     """
-    p = null_momenta(grid.thetas, grid.phis, omega)
+    thetas, phis, weights = expanded_rule(grid)
+    p = null_momenta(thetas, phis, omega)
     y = {}
     for lam in (+1, -1):
         q, phase = wigner.boost_helicity_state(L, p, lam)
         out = epsilon_stack(*direction_angles(q[1:]), lam)[1:]
-        y[lam] = np.exp(1j * lam * grid.phis) * phase * out
+        y[lam] = np.exp(1j * lam * phis) * phase * out
     rho = np.zeros((9, 9), dtype=complex)
     for lam in (+1, -1):
         for mu in (+1, -1):
-            m = np.einsum("n,in,jn->ij", grid.weights, y[lam], y[mu].conj())
+            m = np.einsum("n,in,jn->ij", weights, y[lam], y[mu].conj())
             rho += 0.5 * np.kron(m, m)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
@@ -231,8 +249,9 @@ def deep_boost_limit_density(alpha, grid):
     through the boost matrix, the production transport or the Wigner-angle
     fold.
     """
-    st, ct = np.sin(grid.thetas), np.cos(grid.thetas)
-    sp, cp = np.sin(grid.phis), np.cos(grid.phis)
+    thetas, phis, weights = expanded_rule(grid)
+    st, ct = np.sin(thetas), np.cos(thetas)
+    sp, cp = np.sin(phis), np.cos(phis)
     p = np.stack([st * cp, st * sp, ct])
     h = np.stack([cp * cp * ct + sp * sp, sp * cp * (ct - 1.0), -st * cp])
     v = np.stack([sp * cp * (ct - 1.0), sp * sp * ct + cp * cp, -st * sp])
@@ -244,4 +263,4 @@ def deep_boost_limit_density(alpha, grid):
         n_e = n @ e
         return e - np.outer(n, n_e) - (n_e / (1.0 + n_p)) * p_perp
 
-    return _assemble(grid.weights, {"h": limit(h), "v": limit(v)})
+    return _assemble(weights, {"h": limit(h), "v": limit(v)})

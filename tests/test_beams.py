@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import trapezoid
 
 from oracles import (
     deep_boost_limit_density,
     direct_double_sum_density,
+    expanded_rule,
     helicity_route_density,
     pair_kernel,
     rotation_form_density,
@@ -15,6 +17,7 @@ from oracles import (
 from photonboost import beams
 from photonboost.beams import (
     BeamSpec,
+    QuadratureGrid,
     angular_weight,
     build_grid,
     reduced_density,
@@ -23,9 +26,9 @@ from photonboost.beams import (
 )
 from photonboost.entanglement import log_negativity
 from oracles import random_directions, random_stack, transported_hv
-from photonboost.lorentz import identity, null_momenta, rot_z
+from photonboost.lorentz import TransformStack, compose, identity, null_momenta, rot_y, rot_z
 from photonboost.polarization import h_vec_stack, v_vec_stack
-from photonboost.sweep import SweepConfig, make_boost, run_sweep
+from photonboost.sweep import SweepConfig, boost_stack, make_boost, run_sweep
 
 BELL_KERNEL = np.zeros(9)
 BELL_KERNEL[0] = 1 / math.sqrt(2)  # x (x) x
@@ -53,10 +56,12 @@ def test_grid_weights_normalized():
 
 
 def test_grid_node_count():
+    # phi_j for j = 0 ... n_phi // 2 are stored; the rest are images
     grid = build_grid(BeamSpec(1.0), 12, 7)
-    assert len(grid) == 12 * 7
-    assert len(grid.weights) == len(grid.thetas) == len(grid.phis) == 12 * 7
-    assert grid.vectors.shape == (4, 3, 12 * 7)
+    assert len(grid) == 12 * (7 // 2 + 1)
+    assert len(grid.weights) == len(grid.thetas) == len(grid.phis) == 12 * 4
+    assert grid.vectors.shape == (4, 3, 12 * 4)
+    assert len(expanded_rule(grid)[0]) == 2 * 12 * 4
 
 
 def test_grid_rejects_degenerate_counts():
@@ -92,6 +97,29 @@ def test_grid_doubling_stability_of_mean_cos_theta():
     a = float(coarse.weights @ np.cos(coarse.thetas))
     b = float(fine.weights @ np.cos(fine.thetas))
     assert abs(a - b) < 1e-10
+
+
+def _full_rule(spec, n_theta, n_phi):
+    """The whole n_theta x n_phi rule, every phi_j once, built without build_grid."""
+    x, w = leggauss(n_theta)
+    thetas = (x + 1.0) * (math.pi / 2.0)
+    weights = np.outer(w * angular_weight(thetas, spec), np.ones(n_phi)).ravel()
+    phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    return QuadratureGrid(weights / weights.sum(), np.repeat(thetas, n_phi), np.tile(phis, n_theta))
+
+
+@pytest.mark.parametrize("n_phi", [7, 5, 16])
+def test_grid_stores_the_half_rule_with_mirror_plane_nodes_once(n_phi):
+    spec = BeamSpec(0.9)
+    full = _full_rule(spec, 6, n_phi)
+    grid = build_grid(spec, 6, n_phi)
+    kept = n_phi // 2 + 1
+    j = np.arange(kept)
+    images = np.where((j == 0) | (2 * j == n_phi), 1.0, 2.0)
+    want = full.weights.reshape(6, n_phi)[:, :kept] * images
+    assert np.abs(grid.weights.reshape(6, kept) - want).max() < 1e-16
+    assert np.array_equal(grid.phis.reshape(6, kept), full.phis.reshape(6, n_phi)[:, :kept])
+    assert np.array_equal(grid.thetas, np.repeat(full.thetas[::n_phi], kept))
 
 
 def _random_direction(rng):
@@ -235,11 +263,102 @@ def test_bulk_transport_matches_scalar_rotation_form(rng):
 def test_grid_vectors_are_weighted_closed_form_h_v():
     spec = BeamSpec(0.9)
     grid = build_grid(spec, 6, 5)
+    assert grid.vectors.shape == (4, 3, 6 * (5 // 2 + 1))
     amp = np.sqrt(grid.weights)
     thetas, phis = grid.thetas, grid.phis
     assert np.abs(grid.vectors[:, 0] - null_momenta(thetas, phis, 1.0)).max() < 1e-15
     assert np.abs(grid.vectors[:, 1] - amp * h_vec_stack(thetas, phis)).max() < 1e-15
     assert np.abs(grid.vectors[:, 2] - amp * v_vec_stack(thetas, phis)).max() < 1e-15
+
+
+def _mirrored_vectors(grid):
+    """The stored node vectors of the images (theta, -phi): y components and v negated."""
+    out = grid.vectors * np.array([1.0, 1.0, -1.0, 1.0])[:, None, None]
+    out[:, 2] *= -1.0
+    return out
+
+
+def _gram(boosts, vectors):
+    x = transport(boosts, vectors).reshape(len(boosts), 6, vectors.shape[-1])
+    return x @ np.swapaxes(x, 1, 2)
+
+
+@pytest.mark.parametrize("n_phi", [7, 16])
+def test_fold_of_x_z_plane_boosts_is_the_gram_of_the_mirrored_vectors(n_phi):
+    # these boosts commute with y -> -y, so the images need no transport
+    # of their own; the fold must still equal transporting them, bit for bit
+    grid = build_grid(BeamSpec(1.1), 10, n_phi)
+    mirrored = _mirrored_vectors(grid)
+    amp, thetas, phis = np.sqrt(grid.weights), grid.thetas, -grid.phis
+    assert np.abs(mirrored[:, 0] - null_momenta(thetas, phis, 1.0)).max() < 1e-15
+    assert np.abs(mirrored[:, 1] - amp * h_vec_stack(thetas, phis)).max() < 1e-15
+    assert np.abs(mirrored[:, 2] - amp * v_vec_stack(thetas, phis)).max() < 1e-15
+    xis = np.linspace(-12.0, 12.0, 9)
+    for boosts in (
+        boost_stack(0.7, xis),
+        boost_stack(-2.9, xis),
+        np.concatenate([make_boost(a, xi).matrices for a in (0.0, 1.2, 3.0) for xi in xis]),
+    ):
+        want = 0.5 * (_gram(boosts, grid.vectors) + _gram(boosts, mirrored))
+        assert transported_moments(boosts, grid).tobytes() == want.tobytes()
+
+
+_ROTATIONS = (rot_z(0.4), rot_z(-2.5), compose(rot_z(1.1), rot_y(0.8)))
+
+
+def _fold_cases(rng):
+    """Rotations that mix y with x, then random one-transform stacks."""
+    drawn = random_stack(rng, 5)
+    rows = [
+        TransformStack(drawn.kinds[i:i + 1], drawn.params[i:i + 1], drawn.matrices[i:i + 1])
+        for i in range(len(drawn))
+    ]
+    return list(_ROTATIONS) + rows
+
+
+@pytest.mark.parametrize("n_phi", [7, 5, 16])
+def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi):
+    spec = BeamSpec(1.0)
+    grid = build_grid(spec, 6, n_phi)
+    full = _full_rule(spec, 6, n_phi)
+    cases = _fold_cases(rng)
+    states, _, _ = beams.density_states(np.concatenate([L.matrices for L in cases]), grid)
+    for L, rho in zip(cases, states):
+        # the expanded rule of the stored grid, and the whole rule built
+        # independently, on which the mirror-plane nodes appear once
+        assert np.abs(rho - direct_double_sum_density(L, grid, 1.0)).max() <= 1e-13
+        assert np.abs(rho - direct_double_sum_density(L, full, 1.0)).max() <= 1e-13
+
+
+def test_transport_count_is_half_the_rule_for_sweeps_and_doubles_otherwise(monkeypatch, rng):
+    rows, nodes = [], []
+    real = beams.transport
+
+    def counting(boosts, vectors):
+        rows.append(len(boosts))
+        nodes.append(vectors.shape[-1])
+        return real(boosts, vectors)
+
+    monkeypatch.setattr(beams, "transport", counting)
+    cfg = SweepConfig(alpha=0.9, sigma_theta=1.0, xi_steps=61, n_theta=24, n_phi=17)
+    run_sweep(cfg)
+    assert sum(rows) == 61 and set(nodes) == {24 * (17 // 2 + 1)}
+    rows.clear()
+    grid = build_grid(BeamSpec(1.0), 24, 16)
+    beams.density_states(make_boost(0.3, 1.0).matrices, grid)
+    assert sum(rows) == 1
+    rows.clear()
+    rotations = np.concatenate([L.matrices for L in _ROTATIONS])
+    beams.density_states(rotations, grid)
+    assert sum(rows) == 2 * len(rotations)
+    # a drawn transform may commute with y -> -y (a lone rot_y, say): only
+    # transforms whose y row or column is off the diagonal go twice
+    rows.clear()
+    drawn = random_stack(rng, 40).matrices
+    mixes_y = (np.count_nonzero(drawn[:, 2], axis=1) + np.count_nonzero(drawn[:, :, 2], axis=1)) > 2
+    beams.density_states(drawn, grid)
+    assert sum(rows) == len(drawn) + np.count_nonzero(mixes_y)
+    assert np.count_nonzero(mixes_y) > len(drawn) // 2
 
 
 def test_ln_matches_rotation_form_route_up_to_rapidity_12():

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -483,6 +485,24 @@ def test_cli_failed_write_exits_1_with_one_line(argv, tmp_path, monkeypatch, cap
     assert cli.main([a.format(ok=tmp_path / "ok.csv") for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [["single", "--alpha", "0", "--sigma-theta", "1", "--xi", "0.5"], ["validate"]],
+)
+def test_cli_failed_stdout_write_exits_1_with_one_line(argv):
+    # stdout on /dev/full, as `photonboost ... > /dev/full` runs it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "photonboost.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: cannot write <stdout>: ")
+    assert done.stderr.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")
