@@ -28,8 +28,10 @@ tensor photon B.  The double direction integral factorizes through 3x3
 moment matrices M_ab = sum_i w_i x_a(p_i) x_b(p_i)^T, so the cost is
 linear, not quadratic, in the node count.
 
-Every function here takes a (k, 4, 4) stack of boosts and evaluates all k
-states at once; a single transform is the k = 1 case.
+density_states and transported_moments take a lorentz.TransformStack of
+k boosts, whose constructor has guarded them, and evaluate all k states at
+once; a single transform is the k = 1 case.  transport, the kernel they
+share, takes raw (k, 4, 4) matrices.
 """
 from __future__ import annotations
 
@@ -214,8 +216,8 @@ def _gram(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     return out
 
 
-def transported_moments(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """All four moment blocks of the transported h/v vectors, one 6x6 per boost.
+def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarray:
+    """All four moment blocks of the transported h/v vectors, one 6x6 per boost of stack.
 
     Entry [2i + a, 2j + b] of each block is (M_ab)_ij = sum_n w_n
     x_a(p_n)_i x_b(p_n)_j over the grid's whole rule, for spatial
@@ -230,6 +232,7 @@ def transported_moments(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     G(PLP) = G(L) and is transported once; any other is transported a
     second time as P L P.
     """
+    boosts = stack.matrices
     mirrored = boosts * _MIRROR_SIGNS
     general = np.flatnonzero(np.any(mirrored != boosts, axis=(1, 2)))
     k = len(boosts)
@@ -276,9 +279,9 @@ def _guarded_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def density_states(
-    boosts: np.ndarray, grid: QuadratureGrid
+    stack: TransformStack, grid: QuadratureGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boosted reduced states for a (k, 4, 4) stack of boosts, with their guard readings.
+    """Boosted reduced states for a stack of k boosts, with their guard readings.
 
     Assembles rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
     s_v = -1, which equals the direct double sum of pair projectors over
@@ -286,7 +289,7 @@ def density_states(
     (k, 9, 9) states, the (k,) smallest eigenvalue of each and the (k,)
     trace gap |tr - 1| of each before normalization.
     """
-    return _guarded_states(_assemble(transported_moments(boosts, grid)))
+    return _guarded_states(_assemble(transported_moments(stack, grid)))
 
 
 def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> np.ndarray:
@@ -296,7 +299,9 @@ def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> 
     the beam the grid was built for; the grid's weights already carry it,
     so only the grid enters the state.
     """
-    states, _, _ = density_states(L.matrix[None], grid)
+    if len(L) != 1:
+        raise ValueError(f"expected a one-transform stack, got {len(L)} transforms")
+    states, _, _ = density_states(L, grid)
     rho = states[0]
     rho.flags.writeable = False
     return rho

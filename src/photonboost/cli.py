@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import json
 import sys
-import warnings
 
 import numpy as np
 
@@ -29,8 +28,8 @@ from .sweep import (
     FIG2_ALPHAS,
     FIG3_SIGMAS,
     MAX_GRID_NODES,
-    QuadratureConvergenceWarning,
     SweepConfig,
+    _convergence_warning,
     _read_json,
     gnuplot_script,
     preset_fig2,
@@ -156,13 +155,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         out = _open_output(stack, cfg.output_path) if cfg.output_path else sys.stdout
         plot = _open_output(stack, args.plot_script) if args.plot_script else None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", QuadratureConvergenceWarning)
-            rows = run_sweep(cfg, check_convergence=args.check_convergence)
-            for w in caught:
-                if issubclass(w.category, QuadratureConvergenceWarning):
-                    print(f"warning: {w.message}", file=sys.stderr)
-                    status = EXIT_CONVERGENCE
+        rows = run_sweeps([cfg])
+        message = _convergence_warning(cfg, rows) if args.check_convergence else None
+        if message is not None:
+            print(f"warning: {message}", file=sys.stderr)
+            status = EXIT_CONVERGENCE
         _write(out, rows_to_csv(rows, include_timing=args.timing))
         if plot is not None:
             _write(plot, gnuplot_script(cfg.output_path or "-", "alpha", (cfg.alpha,)))

@@ -90,20 +90,6 @@ def direction_angles(vectors) -> tuple[np.ndarray, np.ndarray]:
     return thetas, np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)
 
 
-def _rapidity_error(value: float) -> ValueError:
-    return ValueError(
-        f"rapidity must lie in [-{MAX_RAPIDITY:g}, {MAX_RAPIDITY:g}], got {value!r}"
-    )
-
-
-def require_rapidity(xi) -> None:
-    """Reject rapidities (scalar or array) outside [-MAX_RAPIDITY, MAX_RAPIDITY]."""
-    xi = np.asarray(xi, dtype=float)
-    bad = xi[~(np.abs(xi) <= MAX_RAPIDITY)]  # NaN counts as bad
-    if bad.size:
-        raise _rapidity_error(float(bad[0]))
-
-
 def metric_residuals(matrices: np.ndarray) -> np.ndarray:
     """max |L^T G L - G| of each matrix in a (..., 4, 4) stack."""
     m = np.asarray(matrices, dtype=float)
@@ -168,12 +154,17 @@ def _checked_table(kinds, params) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"unknown generator kind code {int(kinds[~known][0])}")
     # one comparison covers every parameter check; NaN and inf fail it
     if not (np.abs(params) <= _PARAMETER_BOUND[kinds - PAD]).all():
+        # rapidities first, so that a NaN rapidity is reported as one
+        xi = params[kinds == BOOST_Z]
+        bad = ~(np.abs(xi) <= MAX_RAPIDITY)
+        if bad.any():
+            raise ValueError(
+                f"rapidity must lie in [-{MAX_RAPIDITY:g}, {MAX_RAPIDITY:g}], "
+                f"got {float(xi[bad][0])!r}"
+            )
         finite = np.isfinite(params)
         if not finite.all():
             raise ValueError(f"factor parameter must be finite, got {float(params[~finite][0])!r}")
-        xi = params[kinds == BOOST_Z]
-        if not (np.abs(xi) <= MAX_RAPIDITY).all():
-            raise _rapidity_error(float(xi[np.abs(xi) > MAX_RAPIDITY][0]))
         if (params[kinds == PAD] != 0.0).any():
             raise ValueError("padding factors must have parameter 0")
     kinds.flags.writeable = False

@@ -19,15 +19,7 @@ import numpy as np
 
 from .beams import BeamSpec, QuadratureGrid, build_grid, density_states
 from .entanglement import log_negativity
-from .lorentz import (
-    MAX_RAPIDITY,
-    TransformStack,
-    boost_z,
-    compose,
-    require_metric,
-    require_rapidity,
-    rot_y,
-)
+from .lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, TransformStack, boost_z, compose, rot_y
 
 CSV_HEADER = "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
 
@@ -66,36 +58,39 @@ def make_boost(alpha: float, xi: float) -> TransformStack:
     """Boost of rapidity xi along the direction at polar angle alpha in x-z, as a one-row stack.
 
     Conjugates the z boost by the y rotation, so the factor row is
-    (rot_y alpha, boost_z xi, rot_y -alpha); the Wigner-angle oracles read
-    that row.  Sweeps use the same matrices from boost_stack.
+    (rot_y alpha, boost_z xi, rot_y -alpha) and the matrix is the product
+    of the three generators; the Wigner-angle oracles read that row.
+    Sweeps take the same rows, with closed-form matrices, from boost_stack.
     """
-    if not (math.isfinite(alpha) and math.isfinite(xi)):
-        raise ValueError(f"alpha and xi must be finite, got {alpha!r}, {xi!r}")
     return compose(compose(rot_y(alpha), boost_z(xi)), rot_y(-alpha))
 
 
-def boost_stack(alpha: float, xis) -> np.ndarray:
-    """(k, 4, 4) matrices of make_boost(alpha, xi) for each xi, in closed form.
+def boost_stack(alpha: float, xis) -> TransformStack:
+    """make_boost(alpha, xi) for each xi, as one stack with closed-form matrices.
 
-    R_y(alpha) B_z(xi) R_y(-alpha) is the pure boost of rapidity xi along
-    m = (sin alpha, 0, cos alpha): L00 = cosh xi, L0i = Li0 = m_i sinh xi
-    and Lij = delta_ij + m_i m_j (cosh xi - 1), with cosh xi - 1 written as
-    2 sinh^2(xi/2) to keep its relative accuracy at small xi.  Raises
-    ValueError for a rapidity beyond lorentz.MAX_RAPIDITY or a stack that
-    fails the metric guard.
+    Row i of the factor table is (rot_y alpha, boost_z xi_i, rot_y -alpha),
+    the row make_boost composes.  R_y(alpha) B_z(xi) R_y(-alpha) is the
+    pure boost of rapidity xi along m = (sin alpha, 0, cos alpha):
+    L00 = cosh xi, L0i = Li0 = m_i sinh xi and
+    Lij = delta_ij + m_i m_j (cosh xi - 1), with cosh xi - 1 written as
+    2 sinh^2(xi/2) to keep its relative accuracy at small xi.  The stack
+    constructor is the guard: it raises ValueError for a non-finite alpha,
+    a rapidity beyond lorentz.MAX_RAPIDITY or a matrix off the metric.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
     xis = np.asarray(xis, dtype=float).reshape(-1)
-    require_rapidity(xis)
-    m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
     out = np.empty((len(xis), 4, 4))
-    out[:, 0, 0] = np.cosh(xis)
-    out[:, 0, 1:] = np.sinh(xis)[:, None] * m
-    out[:, 1:, 0] = out[:, 0, 1:]
-    out[:, 1:, 1:] = np.eye(3) + (2.0 * np.sinh(0.5 * xis) ** 2)[:, None, None] * np.outer(m, m)
-    require_metric(out)
-    return out
+    # the table check rejects any row that overflows here, before the
+    # metric check reads its matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.array([np.sin(alpha), 0.0, np.cos(alpha)])
+        out[:, 0, 0] = np.cosh(xis)
+        out[:, 0, 1:] = np.sinh(xis)[:, None] * m
+        out[:, 1:, 0] = out[:, 0, 1:]
+        cosh_m1 = 2.0 * np.sinh(0.5 * xis) ** 2
+        out[:, 1:, 1:] = np.eye(3) + cosh_m1[:, None, None] * np.outer(m, m)
+    kinds = np.broadcast_to([ROT_Y, BOOST_Z, ROT_Y], (len(xis), 3))
+    params = np.column_stack([np.full(len(xis), alpha), xis, np.full(len(xis), -alpha)])
+    return TransformStack(kinds, params, out)
 
 
 def _finite(value: numbers.Real) -> bool:
@@ -158,10 +153,6 @@ class SweepConfig:
         return np.linspace(self.xi_min, self.xi_max, self.xi_steps)
 
     @classmethod
-    def from_json(cls, path: str) -> "SweepConfig":
-        return cls.from_mapping(_read_json(path))
-
-    @classmethod
     def from_mapping(cls, raw: dict) -> "SweepConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
@@ -220,41 +211,6 @@ def _evaluate(
     return ln, trace_res, min_eig, ms
 
 
-def _curve_rows(cfg: SweepConfig, grid: QuadratureGrid) -> list[SweepRow]:
-    xis = cfg.xi_values()
-    columns = _evaluate(cfg.alpha, xis, grid)
-    return [
-        SweepRow(cfg.alpha, cfg.sigma_theta, *values)
-        for values in zip(xis.tolist(), *(c.tolist() for c in columns))
-    ]
-
-
-def run_sweep(cfg: SweepConfig, check_convergence: bool = False) -> list[SweepRow]:
-    """Evaluate the log negativity over the rapidity grid of cfg.
-
-    With check_convergence the endpoints and the midpoint are re-evaluated
-    on a doubled grid; if any log negativity moves by more than
-    _CONVERGENCE_TOL a QuadratureConvergenceWarning is issued (the rows are
-    still returned).
-    """
-    spec = BeamSpec(cfg.sigma_theta)
-    rows = _curve_rows(cfg, build_grid(spec, cfg.n_theta, cfg.n_phi))
-
-    if check_convergence:
-        fine = build_grid(spec, 2 * cfg.n_theta, 2 * cfg.n_phi)
-        probes = sorted({0, len(rows) // 2, len(rows) - 1})
-        ln_fine = _evaluate(cfg.alpha, np.array([rows[i].xi for i in probes]), fine)[0]
-        worst = max(abs(a - rows[i].log_negativity) for a, i in zip(ln_fine, probes))
-        if worst > _CONVERGENCE_TOL:
-            warnings.warn(
-                f"grid doubling moved the log negativity by {worst:.3e} "
-                f"(tolerance {_CONVERGENCE_TOL:.1e}); increase n_theta/n_phi",
-                QuadratureConvergenceWarning,
-                stacklevel=2,
-            )
-    return rows
-
-
 def run_sweeps(configs: list[SweepConfig]) -> list[SweepRow]:
     """Rows of several sweeps in order.
 
@@ -267,7 +223,43 @@ def run_sweeps(configs: list[SweepConfig]) -> list[SweepRow]:
         if (cfg.sigma_theta, cfg.n_theta, cfg.n_phi) != key:
             key, grid = (cfg.sigma_theta, cfg.n_theta, cfg.n_phi), None
             grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
-        rows.extend(_curve_rows(cfg, grid))
+        xis = cfg.xi_values()
+        columns = _evaluate(cfg.alpha, xis, grid)
+        rows.extend(
+            SweepRow(cfg.alpha, cfg.sigma_theta, *values)
+            for values in zip(xis.tolist(), *(c.tolist() for c in columns))
+        )
+    return rows
+
+
+def _convergence_warning(cfg: SweepConfig, rows: list[SweepRow]) -> str | None:
+    """Message of the grid-doubling check on the rows of cfg, or None if it passes.
+
+    The endpoints and the midpoint are re-evaluated on a doubled grid; the
+    check fails if any log negativity moves by more than _CONVERGENCE_TOL.
+    """
+    fine = build_grid(BeamSpec(cfg.sigma_theta), 2 * cfg.n_theta, 2 * cfg.n_phi)
+    probes = sorted({0, len(rows) // 2, len(rows) - 1})
+    ln_fine = _evaluate(cfg.alpha, np.array([rows[i].xi for i in probes]), fine)[0]
+    worst = max(abs(a - rows[i].log_negativity) for a, i in zip(ln_fine, probes))
+    if worst > _CONVERGENCE_TOL:
+        return (
+            f"grid doubling moved the log negativity by {worst:.3e} "
+            f"(tolerance {_CONVERGENCE_TOL:.1e}); increase n_theta/n_phi"
+        )
+    return None
+
+
+def run_sweep(cfg: SweepConfig, check_convergence: bool = False) -> list[SweepRow]:
+    """Evaluate the log negativity over the rapidity grid of cfg.
+
+    With check_convergence a failed grid-doubling check (_convergence_warning)
+    issues a QuadratureConvergenceWarning; the rows are still returned.
+    """
+    rows = run_sweeps([cfg])
+    message = _convergence_warning(cfg, rows) if check_convergence else None
+    if message is not None:
+        warnings.warn(message, QuadratureConvergenceWarning, stacklevel=2)
     return rows
 
 

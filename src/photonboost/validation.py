@@ -164,7 +164,7 @@ def _check_rho_sanity(rng, cases: int) -> GroupResult:
     for _ in range(cases):
         grid = beams.build_grid(beams.BeamSpec(rng.uniform(0.05, 1.3)), 32, 32)
         L = sweep.make_boost(rng.uniform(0.0, math.pi / 2), rng.uniform(-2.0, 2.0))
-        (rho,), min_eig, gap = beams.density_states(L.matrices, grid)
+        (rho,), min_eig, gap = beams.density_states(L, grid)
         traces.append(gap)
         herms.append(np.abs(rho - rho.T).max())
         eigs.append(min_eig)
@@ -179,15 +179,15 @@ def _check_rho_sanity(rng, cases: int) -> GroupResult:
 
 
 def _check_ln_rotation_invariance(rng, cases: int) -> GroupResult:
-    # row 0 is the identity, the rest are the drawn rotations
-    rotations = [lorentz.identity().matrices]
-    for _ in range(cases):
-        rot = lorentz.rot_z(rng.uniform(-math.pi, math.pi))
+    # row 0 is the identity (all PAD), the rest are the drawn R_z or R_z R_y
+    kinds = np.full((cases + 1, 2), lorentz.PAD)
+    params = np.zeros((cases + 1, 2))
+    for i in range(1, cases + 1):
+        kinds[i, 0], params[i, 0] = lorentz.ROT_Z, rng.uniform(-math.pi, math.pi)
         if rng.integers(0, 2):
-            rot = lorentz.compose(rot, lorentz.rot_y(rng.uniform(-math.pi, math.pi)))
-        rotations.append(rot.matrices)
+            kinds[i, 1], params[i, 1] = lorentz.ROT_Y, rng.uniform(-math.pi, math.pi)
     grid = beams.build_grid(beams.BeamSpec(1.0), 32, 32)
-    states, _, _ = beams.density_states(np.concatenate(rotations), grid)
+    states, _, _ = beams.density_states(lorentz.TransformStack(kinds, params), grid)
     lns = entanglement.log_negativity(states)
     worst = _worst(np.abs(lns[1:] - lns[0]))
     return GroupResult("ln_rotation_invariance", worst < 1e-8, f"max LN shift {worst:.2e}")

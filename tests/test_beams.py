@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import trapezoid
 
+from conftest import concatenated
 from oracles import (
     deep_boost_limit_density,
     direct_double_sum_density,
@@ -158,7 +159,7 @@ def _blocks(moments):
 def test_moment_matrix_collapses_to_x_projector():
     spec = BeamSpec(0.001)
     grid = build_grid(spec, 64, 16)
-    m = _blocks(transported_moments(identity().matrices, grid)[0])["hh"]
+    m = _blocks(transported_moments(identity(), grid)[0])["hh"]
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     assert np.abs(m - want).max() < 1e-5
@@ -167,7 +168,7 @@ def test_moment_matrix_collapses_to_x_projector():
 def test_moment_matrix_conjugate_symmetry(rng):
     spec = BeamSpec(0.9)
     grid = build_grid(spec, 24, 24)
-    blocks = _blocks(transported_moments(make_boost(0.6, 1.1).matrices, grid)[0])
+    blocks = _blocks(transported_moments(make_boost(0.6, 1.1), grid)[0])
     for a in "hv":
         for b in "hv":
             assert np.abs(blocks[a + b].T - blocks[b + a]).max() < 1e-14
@@ -179,7 +180,7 @@ def test_moment_matrix_traces_are_unit():
     # pair state come out with trace one)
     spec = BeamSpec(1.2)
     grid = build_grid(spec, 24, 24)
-    blocks = _blocks(transported_moments(make_boost(1.0, -0.8).matrices, grid)[0])
+    blocks = _blocks(transported_moments(make_boost(1.0, -0.8), grid)[0])
     for label in ("hh", "vv"):
         assert abs(np.trace(blocks[label]) - 1.0) < 1e-12
     assert abs(np.trace(blocks["hv"])) < 1e-12
@@ -220,7 +221,7 @@ def test_reduced_density_is_the_read_only_one_row_case_of_density_states():
     rho = reduced_density(L, grid, spec)
     assert rho.shape == (9, 9) and rho.dtype == float
     assert not rho.flags.writeable
-    states, _, _ = beams.density_states(L.matrices, grid)
+    states, _, _ = beams.density_states(L, grid)
     assert rho.tobytes() == states[0].tobytes()
 
 
@@ -278,8 +279,8 @@ def _mirrored_vectors(grid):
     return out
 
 
-def _gram(boosts, vectors):
-    x = transport(boosts, vectors).reshape(len(boosts), 6, vectors.shape[-1])
+def _gram(stack, vectors):
+    x = transport(stack.matrices, vectors).reshape(len(stack), 6, vectors.shape[-1])
     return x @ np.swapaxes(x, 1, 2)
 
 
@@ -297,7 +298,7 @@ def test_fold_of_x_z_plane_boosts_is_the_gram_of_the_mirrored_vectors(n_phi):
     for boosts in (
         boost_stack(0.7, xis),
         boost_stack(-2.9, xis),
-        np.concatenate([make_boost(a, xi).matrices for a in (0.0, 1.2, 3.0) for xi in xis]),
+        concatenated([make_boost(a, xi) for a in (0.0, 1.2, 3.0) for xi in xis]),
     ):
         want = 0.5 * (_gram(boosts, grid.vectors) + _gram(boosts, mirrored))
         assert transported_moments(boosts, grid).tobytes() == want.tobytes()
@@ -322,7 +323,7 @@ def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi)
     grid = build_grid(spec, 6, n_phi)
     full = _full_rule(spec, 6, n_phi)
     cases = _fold_cases(rng)
-    states, _, _ = beams.density_states(np.concatenate([L.matrices for L in cases]), grid)
+    states, _, _ = beams.density_states(concatenated(cases), grid)
     for L, rho in zip(cases, states):
         # the expanded rule of the stored grid, and the whole rule built
         # independently, on which the mirror-plane nodes appear once
@@ -345,17 +346,18 @@ def test_transport_count_is_half_the_rule_for_sweeps_and_doubles_otherwise(monke
     assert sum(rows) == 61 and set(nodes) == {24 * (17 // 2 + 1)}
     rows.clear()
     grid = build_grid(BeamSpec(1.0), 24, 16)
-    beams.density_states(make_boost(0.3, 1.0).matrices, grid)
+    beams.density_states(make_boost(0.3, 1.0), grid)
     assert sum(rows) == 1
     rows.clear()
-    rotations = np.concatenate([L.matrices for L in _ROTATIONS])
+    rotations = concatenated(_ROTATIONS)
     beams.density_states(rotations, grid)
     assert sum(rows) == 2 * len(rotations)
     # a drawn transform may commute with y -> -y (a lone rot_y, say): only
     # transforms whose y row or column is off the diagonal go twice
     rows.clear()
-    drawn = random_stack(rng, 40).matrices
-    mixes_y = (np.count_nonzero(drawn[:, 2], axis=1) + np.count_nonzero(drawn[:, :, 2], axis=1)) > 2
+    drawn = random_stack(rng, 40)
+    m = drawn.matrices
+    mixes_y = (np.count_nonzero(m[:, 2], axis=1) + np.count_nonzero(m[:, :, 2], axis=1)) > 2
     beams.density_states(drawn, grid)
     assert sum(rows) == len(drawn) + np.count_nonzero(mixes_y)
     assert np.count_nonzero(mixes_y) > len(drawn) // 2

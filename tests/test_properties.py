@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angle_gap
+from conftest import angle_gap, concatenated
 from photonboost.beams import BeamSpec, build_grid, density_states, transport
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import (
@@ -111,8 +111,8 @@ def test_log_negativity_is_rotation_invariant(a, b, alpha, xi, sigma, n_theta, n
     # orthogonal map, which no entanglement measure can see
     grid = build_grid(BeamSpec(sigma), n_theta, n_phi)
     boost = boost_stack(alpha, [xi])
-    rotation = compose(rot_z(a), rot_y(b)).matrix
-    states, _, _ = density_states(np.concatenate([boost, rotation @ boost]), grid)
+    rotated = compose(compose(rot_z(a), rot_y(b)), boost)
+    states, _, _ = density_states(concatenated([boost, rotated]), grid)
     ln = log_negativity(states)
     assert abs(ln[1] - ln[0]) <= 1e-9
 

@@ -15,9 +15,9 @@ from photonboost.lorentz import (
     BOOST_Z,
     MAX_RAPIDITY,
     ROT_Y,
+    TransformStack,
     boost_z,
     metric_residuals,
-    require_metric,
 )
 from photonboost.sweep import (
     MAX_GRID_NODES,
@@ -65,9 +65,11 @@ def test_make_boost_metric_preserving():
 def test_boost_stack_matches_make_boost(alpha):
     xis = np.array([-MAX_RAPIDITY, -12.0, -3.0, -1e-9, 0.0, 0.4, 3.0, 12.0, MAX_RAPIDITY])
     stack = boost_stack(alpha, xis)
-    for xi, got in zip(xis, stack):
-        want = make_boost(alpha, xi).matrix
-        assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+    for i, (xi, got) in enumerate(zip(xis, stack.matrices)):
+        want = make_boost(alpha, xi)
+        assert np.array_equal(stack.kinds[i:i + 1], want.kinds)
+        assert np.array_equal(stack.params[i:i + 1], want.params)
+        assert np.abs(got - want.matrix).max() <= 1e-15 * max(1.0, np.abs(want.matrix).max())
 
 
 def test_boost_stack_rejects_rapidities_beyond_the_bound():
@@ -79,13 +81,23 @@ def test_boost_stack_rejects_rapidities_beyond_the_bound():
         make_boost(0.3, 800.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_boost_stack_guard_runs_before_any_overflow_warning():
+    # cosh(800) and sin(inf) would warn while the rows are built; the stack
+    # guard must be what the caller sees
+    with pytest.raises(ValueError, match="rapidity"):
+        boost_stack(0.3, [0.0, 800.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        boost_stack(math.inf, [0.5])
+
+
 def test_metric_guard_fires_on_a_corrupted_boost_stack():
-    stack = boost_stack(0.9, np.linspace(-MAX_RAPIDITY, MAX_RAPIDITY, 7))
-    require_metric(stack)
-    bad = stack.copy()
-    bad[2, 0, 1] *= 1.0 + 1e-6
+    s = boost_stack(0.9, np.linspace(-MAX_RAPIDITY, MAX_RAPIDITY, 7))
+    TransformStack(s.kinds, s.params, s.matrices)
+    corrupted = s.matrices.copy()
+    corrupted[2, 0, 1] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match="metric"):
-        require_metric(bad)
+        TransformStack(s.kinds, s.params, corrupted)
 
 
 def test_batched_curve_matches_per_point_reduced_density():
@@ -99,7 +111,7 @@ def test_batched_curve_matches_per_point_reduced_density():
         assert abs(row.log_negativity - log_negativity(rho)) < 1e-12
         assert abs(row.min_eigenvalue - np.linalg.eigvalsh(rho)[0]) < 1e-12
         # the trace gap before normalization, which the normalized rho no longer shows
-        (gap,) = density_states(L.matrices, grid)[2]
+        (gap,) = density_states(L, grid)[2]
         assert abs(row.trace_residual - gap) < 1e-12
 
 
@@ -264,26 +276,6 @@ def test_config_accepts_integers_for_real_fields_and_the_rapidity_bound():
     assert cfg.xi_values()[0] == -MAX_RAPIDITY
 
 
-def test_config_from_json(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"alpha": 0.5, "sigma_theta": 1.0, "xi_steps": 5}))
-    cfg = SweepConfig.from_json(str(path))
-    assert cfg.alpha == 0.5 and cfg.xi_steps == 5 and cfg.n_theta == 64
-
-
-def test_config_rejects_unknown_and_missing_fields(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"alpha": 0.5, "sigma_theta": 1.0, "sigma": 2.0}))
-    with pytest.raises(ConfigError):
-        SweepConfig.from_json(str(path))
-    path.write_text(json.dumps({"alpha": 0.5}))
-    with pytest.raises(ConfigError):
-        SweepConfig.from_json(str(path))
-    path.write_text("not json")
-    with pytest.raises(ConfigError):
-        SweepConfig.from_json(str(path))
-
-
 def test_gnuplot_script_mentions_each_curve():
     text = gnuplot_script("fig3.csv", "sigma_theta", FIG3_SIGMAS)
     for s in FIG3_SIGMAS:
@@ -382,6 +374,8 @@ def test_cli_out_of_range_input_exits_1(argv, capsys):
         pytest.param("[" * 200_000, id="deeply-nested"),
         pytest.param({"alpha": 0.0, "sigma_theta": 0.8, "p0": 2.0}, id="p0"),
         pytest.param([0.0, 0.8], id="non-object"),
+        pytest.param({"alpha": 0.5}, id="missing-field"),
+        pytest.param("not json", id="not-json"),
     ],
 )
 def test_cli_sweep_bad_config_values_exit_1(doc, tmp_path, capsys):
@@ -456,7 +450,7 @@ def test_cli_unwritable_output_exits_1_before_computing(argv, tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "run_sweep", must_not_run)
     monkeypatch.setattr(cli, "run_sweeps", must_not_run)
-    monkeypatch.setattr(sweep_mod, "_curve_rows", must_not_run)
+    monkeypatch.setattr(sweep_mod, "_evaluate", must_not_run)
     paths = {"bad": str(tmp_path / "missing" / "x.csv"), "ok": str(tmp_path / "ok.csv")}
     assert cli.main([a.format(**paths) for a in argv]) == 1
     err = capsys.readouterr().err
@@ -525,6 +519,23 @@ def test_cli_sweep_convergence_failure_exits_3(tmp_path, capsys):
     assert code == 3
     assert "warning" in capsys.readouterr().err
     assert out.exists()  # rows are still written
+
+
+def test_cli_sweep_passes_other_warnings_to_the_caller(monkeypatch, capsys):
+    # the sweep command reports its own convergence check and must not
+    # swallow any warning it does not raise itself
+    import photonboost.sweep as sweep_mod
+
+    real = sweep_mod._evaluate
+
+    def warning_evaluate(*args):
+        warnings.warn("injected inside the sweep", UserWarning)
+        return real(*args)
+
+    monkeypatch.setattr(sweep_mod, "_evaluate", warning_evaluate)
+    with pytest.warns(UserWarning, match="injected inside the sweep"):
+        assert cli.main(_SMALL_SWEEP) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_fig_commands_write_combined_csv(tmp_path, monkeypatch):
