@@ -28,10 +28,19 @@ tensor photon B.  The double direction integral factorizes through 3x3
 moment matrices M_ab = sum_i w_i x_a(p_i) x_b(p_i)^T, so the cost is
 linear, not quadratic, in the node count.
 
-density_states and transported_moments take a lorentz.TransformStack of
-k boosts, whose constructor has guarded them, and evaluate all k states at
-once; a single transform is the k = 1 case.  transport, the kernel they
-share, takes raw (k, 4, 4) matrices.
+Both photons see the same moments, so the state commutes with photon
+exchange exactly, and so does its partial transpose.  The guards read
+the state through its exchange blocks (entanglement.exchange_blocks): the
+trace is the sum of the blocks' traces, and the smallest eigenvalue is
+the least over the spectra of the 6x6 symmetric and 3x3 antisymmetric
+blocks.  The same solve yields the partial-transpose spectra that the
+log negativity log2(1 + 2 N) reads (state_spectra), so no 9x9 matrix is
+diagonalized.
+
+density_states, state_spectra and transported_moments take a
+lorentz.TransformStack of k boosts, whose constructor has guarded them,
+and evaluate all k states at once; a single transform is the k = 1 case.
+transport, the kernel they share, takes raw (k, 4, 4) matrices.
 """
 from __future__ import annotations
 
@@ -41,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .entanglement import block_spectra, exchange_blocks
 from .lorentz import TransformStack
 
 # PSD tolerance on the assembled density matrix; anything below is an
@@ -58,8 +68,9 @@ _TRACE_TOL = 1e-8
 # at a time, so its memory stays flat in the stack length
 _BLOCK_BYTES = 1 << 18
 
-# s_a s_b of the pair state (|h h> - |v v>)/sqrt(2), basis order (h, v)
-_PAIR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# s_a s_b / 2 of the pair state (|h h> - |v v>)/sqrt(2) for (a, b) = hh,
+# hv, vh, vv, shaped to scale a stack of the four M_ab
+_HALF_PAIR_SIGNS = np.array([0.5, -0.5, -0.5, 0.5])[:, None, None, None]
 
 # the reflection y -> -y on 4-vectors, P = diag(1, 1, -1, 1); conjugating
 # a boost by it, P L P, flips the signs of these entries
@@ -246,21 +257,36 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
 
 
 def _assemble(moments: np.ndarray) -> np.ndarray:
-    """Unnormalized (k, 9, 9) states 1/2 sum_ab s_a s_b M_ab (x) M_ab."""
-    m = moments.reshape(len(moments), 3, 2, 3, 2)
-    signed = m * (0.5 * _PAIR_SIGNS)[:, None, :]
-    return np.einsum("ciajb,ckalb->cikjl", signed, m).reshape(len(moments), 9, 9)
+    """Unnormalized (k, 9, 9) states 1/2 sum_ab s_a s_b M_ab (x) M_ab.
+
+    One broadcast product makes the four terms, one per (a, b).  Entry
+    ((i, k), (j, l)) of a term is the product of (M_ab)_ij and (M_ab)_kl,
+    and the terms are summed in one order for every entry, so exchanging
+    the photons maps each entry onto an exactly equal one:
+    SWAP rho SWAP = rho holds to the last bit.
+    """
+    k = len(moments)
+    m = moments.reshape(k, 3, 2, 3, 2).transpose(2, 4, 0, 1, 3).reshape(4, k, 3, 3)
+    terms = (_HALF_PAIR_SIGNS * m)[:, :, :, None, :, None] * m[:, :, None, :, None, :]
+    return np.add.reduce(terms, axis=0).reshape(k, 9, 9)
 
 
-def _guarded_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _guarded_states(
+    raw: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Trace-normalize a (k, 9, 9) stack in place after the trace and PSD guards.
 
-    Returns the states, their smallest eigenvalues and their trace gaps
-    |tr - 1| before normalization.  Raises numpy.linalg.LinAlgError if a
-    gap exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL: either
-    is an internal error.
+    Both guards read the exchange blocks of the states
+    (entanglement.exchange_blocks): the trace is the sum of the block
+    traces, and the smallest eigenvalue is the least over both blocks'
+    spectra.  Returns the states, their smallest eigenvalues, their trace
+    gaps |tr - 1| before normalization and the (k, 9) spectra of their
+    partial transposes (entanglement.block_spectra order).  Raises
+    numpy.linalg.LinAlgError if a gap exceeds _TRACE_TOL or an eigenvalue
+    lies below _MIN_EIG_TOL: either is an internal error.
     """
-    tr = np.trace(raw, axis1=1, axis2=2)
+    sym, anti = exchange_blocks(raw)
+    tr = np.trace(sym[:, 0], axis1=1, axis2=2) + np.trace(anti[:, 0], axis1=1, axis2=2)
     gap = np.abs(tr - 1.0)
     ok = gap <= _TRACE_TOL  # NaN fails too
     if not ok.all():
@@ -269,13 +295,25 @@ def _guarded_states(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
             "this indicates an internal error"
         )
     raw /= tr[:, None, None]
-    min_eig = np.linalg.eigvalsh(raw)[:, 0]
+    spectra = block_spectra(sym, anti) / tr[:, None, None]
+    min_eig = spectra[:, 0].min(axis=1)
     if not np.all(min_eig >= _MIN_EIG_TOL):
         raise np.linalg.LinAlgError(
             f"density matrix is not positive semidefinite (min eigenvalue "
             f"{float(np.min(min_eig)):.3e}); this indicates an internal error"
         )
-    return raw, min_eig, gap
+    return raw, min_eig, gap, spectra[:, 1]
+
+
+def state_spectra(
+    stack: TransformStack, grid: QuadratureGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """density_states, plus the (k, 9) spectra of the states' partial transposes.
+
+    The spectra are what the log negativity reads
+    (entanglement.log_negativity_from_spectrum); no 9x9 matrix is solved.
+    """
+    return _guarded_states(_assemble(transported_moments(stack, grid)))
 
 
 def density_states(
@@ -289,7 +327,8 @@ def density_states(
     (k, 9, 9) states, the (k,) smallest eigenvalue of each and the (k,)
     trace gap |tr - 1| of each before normalization.
     """
-    return _guarded_states(_assemble(transported_moments(stack, grid)))
+    states, min_eig, gap, _ = state_spectra(stack, grid)
+    return states, min_eig, gap
 
 
 def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> np.ndarray:

@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .beams import BeamSpec, QuadratureGrid, build_grid, density_states
-from .entanglement import log_negativity
+from .beams import BeamSpec, QuadratureGrid, build_grid, state_spectra
+from .entanglement import log_negativity_from_spectrum
 from .lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, TransformStack, boost_z, compose, rot_y
 
 CSV_HEADER = "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
@@ -37,7 +38,7 @@ _PRESET_XI = (-3.0, 3.0, 61)
 MAX_GRID_NODES = 512 * 512
 MAX_XI_STEPS = 100_000
 
-# rows whose 9x9 states are assembled and solved together; a curve of any
+# rows whose states are assembled and solved together; a curve of any
 # length then needs only a few small (k, 9, 9) stacks at a time
 _ROWS_PER_BLOCK = 64
 
@@ -195,9 +196,9 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Log negativity, trace gap before normalization, smallest eigenvalue and ms per row.
 
-    Rows go through the states, the guards and the spectra _ROWS_PER_BLOCK
-    at a time, so memory does not grow with the row count.  The time of a
-    block is shared equally by its rows.
+    Rows go through the states, the guards and the exchange-block spectra
+    _ROWS_PER_BLOCK at a time, so memory does not grow with the row count.
+    The time of a block is shared equally by its rows.
     """
     k = len(xis)
     ln, trace_res, min_eig, ms = np.empty(k), np.empty(k), np.empty(k), np.empty(k)
@@ -205,9 +206,9 @@ def _evaluate(
         start = time.perf_counter()
         block = slice(lo, lo + _ROWS_PER_BLOCK)
         boosts = boost_stack(alpha, xis[block])
-        states, min_eig[block], trace_res[block] = density_states(boosts, grid)
-        ln[block] = log_negativity(states)
-        ms[block] = (time.perf_counter() - start) * 1e3 / len(states)
+        _, min_eig[block], trace_res[block], spectra = state_spectra(boosts, grid)
+        ln[block] = log_negativity_from_spectrum(spectra)
+        ms[block] = (time.perf_counter() - start) * 1e3 / len(spectra)
     return ln, trace_res, min_eig, ms
 
 
@@ -290,26 +291,12 @@ def preset_fig3() -> list[SweepConfig]:
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def rows_to_csv(rows: list[SweepRow], include_timing: bool = False) -> str:
-    header = CSV_HEADER + (",wall_time_ms" if include_timing else "")
-    lines = [header]
-    for r in rows:
-        cells = [
-            _fmt(r.alpha),
-            _fmt(r.sigma_theta),
-            _fmt(r.xi),
-            _fmt(r.log_negativity),
-            _fmt(r.trace_residual),
-            _fmt(r.min_eigenvalue),
-        ]
-        if include_timing:
-            cells.append(_fmt(r.wall_time_ms))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """CSV text of rows: the header, then one line per row with every float at 9 significant digits."""
+    names = CSV_HEADER.split(",") + (["wall_time_ms"] if include_timing else [])
+    line = ",".join(["%.9g"] * len(names))
+    cells = operator.attrgetter(*names)
+    return "\n".join([",".join(names), *(line % cells(r) for r in rows)]) + "\n"
 
 
 def gnuplot_script(csv_path: str, curve_key: str, curve_values: tuple[float, ...]) -> str:

@@ -25,11 +25,18 @@ from oracles import (
     random_stack,
     rotation_form_density,
 )
-from photonboost.beams import BeamSpec, build_grid, reduced_density
-from photonboost.entanglement import log_negativity
+from photonboost.beams import BeamSpec, build_grid, density_states, reduced_density
+from photonboost.entanglement import log_negativity, partial_transpose_A
 from photonboost.lorentz import compose, identity, rot_y, rot_z
 from photonboost.polarization import d_rotation_form_stack
-from photonboost.sweep import make_boost, preset_fig2, preset_fig3, rows_to_csv, run_sweep
+from photonboost.sweep import (
+    boost_stack,
+    make_boost,
+    preset_fig2,
+    preset_fig3,
+    rows_to_csv,
+    run_sweep,
+)
 from photonboost.wigner import wigner_angle_oracle_stack, wigner_angle_stack
 
 ALPHA_FIG3 = 2 * math.pi / 5
@@ -269,3 +276,24 @@ def test_criterion_13_figure_reproduction(fig2_runs, fig3_runs):
         f"emitted LN({xi[0]:.1f}) = {ln[0]:.5f} exceeds the xi -> -inf limit {ln_inf:.5f}"
     )
     print(f"\nACCEPTANCE 13 PASS: fig2 in {t2:.1f} s, fig3 in {t3:.1f} s, curves consistent")
+
+
+def test_ppt_rows_print_an_exact_zero(fig2_runs, fig3_runs):
+    # against the 9x9 route: log2 of the trace norm of the partial
+    # transpose, from the whole spectrum of each normalized state
+    curves = [(cfg, fig2_runs[0][cfg.alpha]) for cfg in preset_fig2()]
+    curves += [(cfg, fig3_runs[0][cfg.sigma_theta]) for cfg in preset_fig3()]
+    ppt_rows = 0
+    for cfg, rows in curves:
+        grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
+        states, _, _ = density_states(boost_stack(cfg.alpha, cfg.xi_values()), grid)
+        pt = np.linalg.eigvalsh(partial_transpose_A(states))
+        old = np.maximum(np.log2(np.abs(pt).sum(axis=1)), 0.0)
+        cells = [line.split(",")[3] for line in rows_to_csv(rows).splitlines()[1:]]
+        for row, cell, smallest, want in zip(rows, cells, pt[:, 0], old):
+            if smallest >= 0.0:
+                ppt_rows += 1
+                assert row.log_negativity == 0.0 and cell == "0", (cfg, row.xi)
+            else:
+                assert cell == f"{want:.9g}", (cfg, row.xi)
+    assert ppt_rows >= 10

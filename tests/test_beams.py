@@ -390,7 +390,7 @@ def test_trace_gap_is_read_before_normalization():
     raw = np.zeros((2, 9, 9))
     raw[:, 0, 0] = 1.0
     raw[1, 0, 0] = 1.0 + 5e-9
-    states, _, gap = beams._guarded_states(raw)
+    states, _, gap, _ = beams._guarded_states(raw)
     assert gap[0] == 0.0 and gap[1] == pytest.approx(5e-9, rel=1e-6)
     assert np.trace(states[1]) == 1.0
 
@@ -402,7 +402,7 @@ def test_psd_guard_fires_below_minus_1e_9():
     with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
         beams._guarded_states(raw.copy())
     raw[1, 0, 0], raw[1, 4, 4] = 1.0 + 5e-10, -5e-10
-    _, min_eig, _ = beams._guarded_states(raw)
+    _, min_eig, _, _ = beams._guarded_states(raw)
     assert min_eig[1] == pytest.approx(-5e-10, abs=1e-15)
 
 

@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from conftest import concatenated
+from oracles import random_stack
+from photonboost import beams
 from photonboost.beams import BeamSpec, build_grid, reduced_density
-from photonboost.entanglement import hermitian_eigenvalues, log_negativity, partial_transpose_A
+from photonboost.entanglement import (
+    block_spectra,
+    exchange_blocks,
+    hermitian_eigenvalues,
+    log_negativity,
+    partial_transpose_A,
+)
 from photonboost.lorentz import compose, identity, rot_y, rot_z
+from photonboost.sweep import boost_stack
 
 BELL = np.zeros(9)
 BELL[0] = 1 / math.sqrt(2)
@@ -166,3 +176,66 @@ def test_small_spread_limit_recovers_bell_value():
     spec = BeamSpec(0.01)
     grid = build_grid(spec, 64, 64)
     assert abs(log_negativity(reduced_density(identity(), grid, spec)) - 1.0) < 1e-3
+
+
+# photon exchange on the 9 = 3 x 3 indices: (a, b) -> (b, a)
+_SWAP = np.arange(9).reshape(3, 3).T.reshape(-1)
+
+
+def _exchange_case(case):
+    """(stack, grid): a fig3-style sweep stack out to |xi| = 12, drawn stacks, or both."""
+    sweep = boost_stack(2 * math.pi / 5, np.linspace(-12.0, 12.0, 25))
+    drawn = random_stack(np.random.default_rng(7), 40)
+    stack, sigma, n_theta, n_phi = [
+        (sweep, 1.3, 48, 48),
+        (sweep, 0.5, 32, 32),
+        (drawn, 1.0, 24, 24),
+        (concatenated([sweep, drawn]), 0.1, 32, 16),
+    ][case]
+    return stack, build_grid(BeamSpec(sigma), n_theta, n_phi)
+
+
+def _exchange_basis_rotation(m):
+    """Q m Q^T in the basis of exchange_blocks, built here from its definition."""
+    r = math.sqrt(0.5)
+    q = np.zeros((9, 3, 3))
+    for i in range(3):
+        q[i, i, i] = 1.0
+    for n, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        q[3 + n, i, j] = q[3 + n, j, i] = r
+        q[6 + n, i, j], q[6 + n, j, i] = r, -r
+    q = q.reshape(9, 9)
+    return q @ m @ q.T
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_states_commute_with_photon_exchange_exactly(case):
+    stack, grid = _exchange_case(case)
+    raw = beams._assemble(beams.transported_moments(stack, grid))
+    assert np.array_equal(raw[:, _SWAP][:, :, _SWAP], raw)
+    states, _, _ = beams.density_states(stack, grid)
+    assert np.array_equal(states[:, _SWAP][:, :, _SWAP], states)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_exchange_blocks_drop_only_vanishing_couplings(case):
+    stack, grid = _exchange_case(case)
+    states, _, _ = beams.density_states(stack, grid)
+    sym, anti = exchange_blocks(states)
+    for i, m in enumerate((states, partial_transpose_A(states))):
+        full = _exchange_basis_rotation(m)
+        assert np.abs(full[:, :6, 6:]).max() <= 1e-15
+        assert np.abs(full[:, :6, :6] - sym[:, i]).max() <= 1e-15
+        assert np.abs(full[:, 6:, 6:] - anti[:, i]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_block_spectra_match_the_9x9_spectra(case):
+    stack, grid = _exchange_case(case)
+    states, min_eig, _, pt_spectra = beams.state_spectra(stack, grid)
+    spectra = block_spectra(*exchange_blocks(states))
+    rho_9, pt_9 = np.linalg.eigvalsh(states), np.linalg.eigvalsh(partial_transpose_A(states))
+    assert np.abs(np.sort(spectra[:, 0], axis=1) - rho_9).max() <= 1e-14
+    assert np.abs(np.sort(spectra[:, 1], axis=1) - pt_9).max() <= 1e-14
+    assert np.abs(np.sort(pt_spectra, axis=1) - pt_9).max() <= 1e-14
+    assert np.abs(min_eig - rho_9[:, 0]).max() <= 1e-14

@@ -258,6 +258,26 @@ def test_stack_guard_rejects_an_overflowing_residual():
         require_metric(stack)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [(0, 0), (0, 3), (2, 0), (1, 2), (3, 3)])
+def test_require_metric_rejects_non_finite_entries(index, value):
+    # rows 1-3 go through the metric's sign flip, row 0 does not
+    stack = np.stack([np.eye(4), _with_entry(rot_y(0.3).matrix, index, value)])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="metric"):
+        require_metric(stack)
+
+
+def test_metric_residuals_match_the_matmul_form_bitwise(rng):
+    matrices = np.concatenate([
+        random_stack(rng, 200).matrices,
+        stack_from_factors([((ROT_Y, 0.4), (BOOST_Z, xi), (ROT_Y, -0.4))
+                            for xi in np.linspace(-MAX_RAPIDITY, MAX_RAPIDITY, 31)]).matrices,
+        rng.normal(size=(50, 4, 4)),
+    ])
+    want = np.abs(np.swapaxes(matrices, 1, 2) @ (METRIC @ matrices) - METRIC).max(axis=(1, 2))
+    assert np.array_equal(metric_residuals(matrices), want)
+
+
 def test_transform_guard_accepts_the_largest_rapidity():
     for xi in (MAX_RAPIDITY, -MAX_RAPIDITY):
         conjugated = stack_from_factors([((ROT_Y, 0.4), (BOOST_Z, xi), (ROT_Y, -0.4))])

@@ -20,12 +20,14 @@ from photonboost.lorentz import (
     metric_residuals,
 )
 from photonboost.sweep import (
+    CSV_HEADER,
     MAX_GRID_NODES,
     ConfigError,
     FIG2_ALPHAS,
     FIG3_SIGMAS,
     QuadratureConvergenceWarning,
     SweepConfig,
+    SweepRow,
     boost_stack,
     gnuplot_script,
     make_boost,
@@ -202,6 +204,47 @@ def test_csv_timing_column_is_optional():
     assert "wall_time_ms" not in rows_to_csv(rows)
     timed = rows_to_csv(rows, include_timing=True)
     assert timed.splitlines()[0].endswith(",wall_time_ms")
+
+
+def test_run_sweeps_solves_no_9x9(monkeypatch):
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def recording(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    cfgs = [SweepConfig(alpha=a, sigma_theta=1.0, xi_min=-12.0, xi_max=12.0, xi_steps=70,
+                        n_theta=16, n_phi=16) for a in (0.0, 2 * math.pi / 5)]
+    rows = run_sweeps(cfgs)
+    assert len(rows) == 140
+    assert (9, 9) not in {s[-2:] for s in shapes}
+    # one solve per block size for each 64-row block of a curve, each
+    # holding the block's states and their partial transposes
+    blocks = [(64, 2), (6, 2)] * 2
+    assert [s[:-2] for s in shapes if s[-2:] == (6, 6)] == blocks
+    assert [s[:-2] for s in shapes if s[-2:] == (3, 3)] == blocks
+
+
+def _per_cell_csv(rows, include_timing):
+    """rows_to_csv's output, formatted one cell at a time."""
+    names = CSV_HEADER.split(",") + (["wall_time_ms"] if include_timing else [])
+    lines = [",".join(names)]
+    lines += [",".join(f"{getattr(r, n):.9g}" for n in names) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("include_timing", [False, True])
+def test_csv_rows_match_per_cell_formatting(include_timing):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, -1.2345678949e-7, 1.0 / 3.0]
+    rows = [SweepRow(*np.roll(specials, i)[:7].tolist()) for i in range(len(specials))]
+    rows += run_sweep(SweepConfig(alpha=0.3, sigma_theta=0.8, **FAST))
+    text = rows_to_csv(rows, include_timing=include_timing)
+    assert text == _per_cell_csv(rows, include_timing)
+    first = "nan,inf,-inf,-0,0,4.94065646e-324" + (",1e+16" if include_timing else "")
+    assert text.splitlines()[1] == first
+    assert "1e+16" in text
 
 
 def test_convergence_check_warns_on_crude_grid():
