@@ -9,6 +9,9 @@ Subcommands:
 * ``fig3``      preset spread sweep (four spreads, alpha = 2*pi/5);
 * ``validate``  invariant self-checks, JSON report.
 
+``sweep``, ``fig2`` and ``fig3`` differ only in their curves and are
+written by one emitter, _cmd_sweep.
+
 Exit codes: 0 success, 1 invalid configuration (a malformed flag too),
 2 validation failure, 3 numerical convergence failure.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,8 +29,6 @@ from . import validation
 from .lorentz import MAX_RAPIDITY
 from .sweep import (
     ConfigError,
-    FIG2_ALPHAS,
-    FIG3_SIGMAS,
     MAX_GRID_NODES,
     SweepConfig,
     _convergence_warning,
@@ -75,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_single.add_argument("--sigma-theta", type=float, required=True, help="beam angular spread")
     p_single.add_argument("--xi", type=float, required=True, help=_RAPIDITY_HELP)
     _add_grid_flags(p_single)
+    p_single.set_defaults(run=_cmd_single)
 
     p_sweep = sub.add_parser("sweep", help="rapidity sweep to CSV")
     p_sweep.add_argument("--config", help="JSON config file (flags override its fields)")
@@ -92,15 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-evaluate sample points on a doubled grid; exit 3 if they move",
     )
     p_sweep.add_argument("--plot-script", default=None, help="also write a gnuplot script here")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     for name, helptext in (("fig2", "direction-sweep preset"), ("fig3", "spread-sweep preset")):
         p_fig = sub.add_parser(name, help=helptext)
         p_fig.add_argument("--out", default=f"{name}.csv", help="combined CSV path")
         p_fig.add_argument("--timing", action="store_true", help="append the wall_time_ms column")
         p_fig.add_argument("--plot-script", default=None, help="also write a gnuplot script here")
+        p_fig.set_defaults(run=_cmd_sweep, check_convergence=False)
 
     p_val = sub.add_parser("validate", help="run the invariant self-checks")
     p_val.add_argument("--seed", type=int, default=validation.DEFAULT_SEED)
+    p_val.set_defaults(run=_cmd_validate)
 
     return parser
 
@@ -150,30 +156,30 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _sweep_config(args)
-    status = EXIT_OK
+    """Run sweep, fig2 or fig3; write its CSV and, if asked, its gnuplot script, both opened first."""
+    if args.command == "sweep":
+        configs = [_sweep_config(args)]
+        curve_key, out_path = "alpha", configs[0].output_path
+    elif args.command == "fig2":
+        configs, curve_key, out_path = preset_fig2(), "alpha", args.out
+    else:
+        configs, curve_key, out_path = preset_fig3(), "sigma_theta", args.out
+    plot_path = args.plot_script
+    if out_path and plot_path and os.path.realpath(out_path) == os.path.realpath(plot_path):
+        raise ConfigError(f"cannot write the CSV and the plot script both to {plot_path}")
     with contextlib.ExitStack() as stack:
-        out = _open_output(stack, cfg.output_path) if cfg.output_path else sys.stdout
-        plot = _open_output(stack, args.plot_script) if args.plot_script else None
-        rows = run_sweeps([cfg])
-        message = _convergence_warning(cfg, rows) if args.check_convergence else None
+        out = _open_output(stack, out_path) if out_path else sys.stdout
+        plot = _open_output(stack, plot_path) if plot_path else None
+        rows = run_sweeps(configs)
+        # only sweep, whose one curve is configs[0], has --check-convergence
+        message = _convergence_warning(configs[0], rows) if args.check_convergence else None
         if message is not None:
             print(f"warning: {message}", file=sys.stderr)
-            status = EXIT_CONVERGENCE
         _write(out, rows_to_csv(rows, include_timing=args.timing))
         if plot is not None:
-            _write(plot, gnuplot_script(cfg.output_path or "-", "alpha", (cfg.alpha,)))
-    return status
-
-
-def _cmd_fig(args: argparse.Namespace, configs, curve_key: str, curve_values) -> int:
-    with contextlib.ExitStack() as stack:
-        out = _open_output(stack, args.out)
-        plot = _open_output(stack, args.plot_script) if args.plot_script else None
-        _write(out, rows_to_csv(run_sweeps(configs), include_timing=args.timing))
-        if plot is not None:
-            _write(plot, gnuplot_script(args.out, curve_key, tuple(curve_values)))
-    return EXIT_OK
+            values = tuple(getattr(c, curve_key) for c in configs)
+            _write(plot, gnuplot_script(out_path or "-", curve_key, values))
+    return EXIT_OK if message is None else EXIT_CONVERGENCE
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -185,17 +191,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "single":
-            return _cmd_single(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "fig2":
-            return _cmd_fig(args, preset_fig2(), "alpha", FIG2_ALPHAS)
-        if args.command == "fig3":
-            return _cmd_fig(args, preset_fig3(), "sigma_theta", FIG3_SIGMAS)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except np.linalg.LinAlgError as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -131,10 +131,14 @@ def log_negativity_from_spectrum(ev) -> np.ndarray:
     """log2(1 + 2 N) of each row of partial-transpose eigenvalues of a unit-trace state.
 
     N sums the magnitudes of the negative eigenvalues, so a positive
-    partial transpose gives exactly zero.  It is evaluated as
-    log1p(2 N) / ln 2, which keeps a small log negativity accurate.
+    partial transpose gives exactly zero.  An eigenvalue within 16 eps of
+    its row's largest magnitude is rounding and counts as zero.  It is
+    evaluated as log1p(2 N) / ln 2, which keeps a small log negativity
+    accurate.
     """
-    negative = np.maximum(-np.asarray(ev), 0.0).sum(axis=-1)
+    ev = np.asarray(ev)
+    floor = 16 * np.finfo(float).eps * np.abs(ev).max(axis=-1, keepdims=True)
+    negative = np.where(ev < -floor, -ev, 0.0).sum(axis=-1)
     return np.log1p(2.0 * negative) / math.log(2.0)
 
 

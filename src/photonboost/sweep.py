@@ -2,19 +2,19 @@
 
 A sweep evaluates one beam and one boost direction over a uniform rapidity
 grid and emits one row per rapidity with the log negativity and the state
-sanity numbers.  The CSV output is deterministic: a fixed header, floats at
-nine significant digits, newline-terminated rows, and no timing column
-unless explicitly requested.
+sanity numbers, a SweepRow.  The CSV output is deterministic: a header
+read from SweepRow's fields, floats at nine significant digits,
+newline-terminated rows, and no timing column unless explicitly requested.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
-import operator
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +22,20 @@ from .beams import BeamSpec, QuadratureGrid, build_grid, state_spectra
 from .entanglement import log_negativity_from_spectrum
 from .lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, TransformStack, boost_z, compose, rot_y
 
-CSV_HEADER = "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
+
+class SweepRow(NamedTuple):
+    """One sweep row; its fields are the CSV columns in order, then the opt-in wall_time_ms."""
+
+    alpha: float
+    sigma_theta: float
+    xi: float
+    log_negativity: float
+    trace_residual: float
+    min_eigenvalue: float
+    wall_time_ms: float
+
+
+CSV_HEADER = ",".join(SweepRow._fields[:-1])
 
 # curve sets for the two preset figures; the sources only pin sigma = 1.0
 # for the direction sweep and alpha = 2*pi/5 for the spread sweep, so the
@@ -180,36 +193,27 @@ def _read_json(path: str):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    alpha: float
-    sigma_theta: float
-    xi: float
-    log_negativity: float
-    trace_residual: float
-    min_eigenvalue: float
-    wall_time_ms: float
-
-
 def _evaluate(
-    alpha: float, xis: np.ndarray, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Log negativity, trace gap before normalization, smallest eigenvalue and ms per row.
+    alpha: float, sigma_theta: float, xis: np.ndarray, grid: QuadratureGrid
+) -> list[SweepRow]:
+    """The rows of one curve at rapidities xis on grid.
 
     Rows go through the states, the guards and the exchange-block spectra
     _ROWS_PER_BLOCK at a time, so memory does not grow with the row count.
-    The time of a block is shared equally by its rows.
+    trace_residual is the trace gap before normalization, and the time of
+    a block is shared equally by its rows.
     """
-    k = len(xis)
-    ln, trace_res, min_eig, ms = np.empty(k), np.empty(k), np.empty(k), np.empty(k)
-    for lo in range(0, k, _ROWS_PER_BLOCK):
+    table = np.empty((len(SweepRow._fields), len(xis)))
+    alphas, sigmas, xi, ln, trace_res, min_eig, ms = table  # views, one per SweepRow field
+    alphas[:], sigmas[:], xi[:] = alpha, sigma_theta, xis
+    for lo in range(0, len(xis), _ROWS_PER_BLOCK):
         start = time.perf_counter()
         block = slice(lo, lo + _ROWS_PER_BLOCK)
         boosts = boost_stack(alpha, xis[block])
         _, min_eig[block], trace_res[block], spectra = state_spectra(boosts, grid)
         ln[block] = log_negativity_from_spectrum(spectra)
         ms[block] = (time.perf_counter() - start) * 1e3 / len(spectra)
-    return ln, trace_res, min_eig, ms
+    return list(map(SweepRow._make, table.T.tolist()))
 
 
 def run_sweeps(configs: list[SweepConfig]) -> list[SweepRow]:
@@ -224,12 +228,7 @@ def run_sweeps(configs: list[SweepConfig]) -> list[SweepRow]:
         if (cfg.sigma_theta, cfg.n_theta, cfg.n_phi) != key:
             key, grid = (cfg.sigma_theta, cfg.n_theta, cfg.n_phi), None
             grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
-        xis = cfg.xi_values()
-        columns = _evaluate(cfg.alpha, xis, grid)
-        rows.extend(
-            SweepRow(cfg.alpha, cfg.sigma_theta, *values)
-            for values in zip(xis.tolist(), *(c.tolist() for c in columns))
-        )
+        rows += _evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values(), grid)
     return rows
 
 
@@ -240,9 +239,9 @@ def _convergence_warning(cfg: SweepConfig, rows: list[SweepRow]) -> str | None:
     check fails if any log negativity moves by more than _CONVERGENCE_TOL.
     """
     fine = build_grid(BeamSpec(cfg.sigma_theta), 2 * cfg.n_theta, 2 * cfg.n_phi)
-    probes = sorted({0, len(rows) // 2, len(rows) - 1})
-    ln_fine = _evaluate(cfg.alpha, np.array([rows[i].xi for i in probes]), fine)[0]
-    worst = max(abs(a - rows[i].log_negativity) for a, i in zip(ln_fine, probes))
+    probes = [rows[i] for i in sorted({0, len(rows) // 2, len(rows) - 1})]
+    refined = _evaluate(cfg.alpha, cfg.sigma_theta, np.array([r.xi for r in probes]), fine)
+    worst = max(abs(a.log_negativity - b.log_negativity) for a, b in zip(refined, probes))
     if worst > _CONVERGENCE_TOL:
         return (
             f"grid doubling moved the log negativity by {worst:.3e} "
@@ -292,11 +291,10 @@ def preset_fig3() -> list[SweepConfig]:
 
 
 def rows_to_csv(rows: list[SweepRow], include_timing: bool = False) -> str:
-    """CSV text of rows: the header, then one line per row with every float at 9 significant digits."""
-    names = CSV_HEADER.split(",") + (["wall_time_ms"] if include_timing else [])
-    line = ",".join(["%.9g"] * len(names))
-    cells = operator.attrgetter(*names)
-    return "\n".join([",".join(names), *(line % cells(r) for r in rows)]) + "\n"
+    """CSV text of rows: SweepRow's fields as the header, then each row at 9 significant digits."""
+    names = SweepRow._fields if include_timing else SweepRow._fields[:-1]
+    line, n = ",".join(["%.9g"] * len(names)), len(names)
+    return "\n".join([",".join(names), *(line % row[:n] for row in rows)]) + "\n"
 
 
 def gnuplot_script(csv_path: str, curve_key: str, curve_values: tuple[float, ...]) -> str:
@@ -308,7 +306,7 @@ def gnuplot_script(csv_path: str, curve_key: str, curve_values: tuple[float, ...
     csv_path is written between single quotes, in which gnuplot reads a
     doubled quote as one.
     """
-    col = {"alpha": 1, "sigma_theta": 2}[curve_key]
+    col = {name: i for i, name in enumerate(SweepRow._fields, 1)}
     quoted = csv_path.replace("'", "''")
     lines = [
         "set datafile separator ','",
@@ -317,7 +315,8 @@ def gnuplot_script(csv_path: str, curve_key: str, curve_values: tuple[float, ...
         "set ylabel 'log negativity'",
     ]
     plots = [
-        f"'{quoted}' every ::1 using 3:(abs(${col} - {v:.9g}) < 1e-9 ? $4 : 1/0) "
+        f"'{quoted}' every ::1 using {col['xi']}:"
+        f"(abs(${col[curve_key]} - {v:.9g}) < 1e-9 ? ${col['log_negativity']} : 1/0) "
         f"with lines title '{curve_key}={v:.4g}'"
         for v in curve_values
     ]

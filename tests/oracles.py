@@ -2,7 +2,8 @@
 
 None of these goes through the gauge-form transport of photonboost.beams:
 they transport with the rotation form (Wigner angle plus frame
-re-seating), with helicity phases, or take a closed-form limit.  Every
+re-seating), with helicity phases, or take a closed-form limit (the deep
+boost, or the narrow-beam coefficient of narrow_beam_coefficient).  Every
 route that builds momenta takes their frequency omega as an argument; the
 state must not depend on it.  The single-generator little-group angle,
 which the Wigner fold applies factor by factor, is here too, for the tests
@@ -264,3 +265,29 @@ def deep_boost_limit_density(alpha, grid):
         return e - np.outer(n, n_e) - (n_e / (1.0 + n_p)) * p_perp
 
     return _assemble(weights, {"h": limit(h), "v": limit(v)})
+
+
+def narrow_beam_coefficient(xi, alpha):
+    """c(xi, alpha) of the narrow-beam limit 1 - LN = c sigma^2 + O(sigma^4), where it is known.
+
+    Three families have a closed form:
+
+    * xi = 0, any alpha: c = 1 / (2 ln 2), the state at rest;
+    * alpha = 0: c = exp(-2 xi) / (2 ln 2); a boost along the beam slides
+      each direction along its meridian, tan(theta'/2) = exp(-xi) tan(theta/2),
+      so a narrow cone is scaled by exp(-xi);
+    * alpha = pi/2: c = (1 + tanh^2 xi) / (2 ln 2); the magnification alone
+      would give sech^2 xi, and the rest is the gradient of the frame
+      rotation across the beam.
+
+    Any other (xi, alpha) raises ValueError.
+    """
+    if xi == 0.0:
+        scale = 1.0
+    elif alpha == 0.0:
+        scale = math.exp(-2.0 * xi)
+    elif alpha == math.pi / 2:
+        scale = 1.0 + math.tanh(xi) ** 2
+    else:
+        raise ValueError(f"no closed form at xi = {xi}, alpha = {alpha}")
+    return scale / (2.0 * math.log(2.0))

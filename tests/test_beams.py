@@ -11,6 +11,7 @@ from oracles import (
     direct_double_sum_density,
     expanded_rule,
     helicity_route_density,
+    narrow_beam_coefficient,
     pair_kernel,
     rotation_form_density,
     rotation_form_pair_basis,
@@ -22,10 +23,11 @@ from photonboost.beams import (
     angular_weight,
     build_grid,
     reduced_density,
+    state_spectra,
     transport,
     transported_moments,
 )
-from photonboost.entanglement import log_negativity
+from photonboost.entanglement import log_negativity, log_negativity_from_spectrum
 from oracles import random_directions, random_stack, transported_hv
 from photonboost.lorentz import TransformStack, compose, identity, null_momenta, rot_y, rot_z
 from photonboost.polarization import h_vec_stack, v_vec_stack
@@ -444,6 +446,46 @@ def test_deep_boost_converges_to_closed_form_limit(sigma, n):
     grid = build_grid(spec, n, n)
     rho = reduced_density(make_boost(alpha, -12.0), grid, spec)
     assert np.abs(rho - deep_boost_limit_density(alpha, grid)).max() < 1e-5
+
+
+@pytest.fixture(scope="module")
+def narrow_beam_deficits():
+    """1 - LN from production state_spectra on 256 x 32 grids, keyed (alpha, xi, sigma).
+
+    The closed forms of narrow_beam_coefficient: alpha in {0, pi/2} at
+    xi in {-2, ..., 2}, and xi = 0 at alpha = 2 pi/5.
+    """
+    curves = {0.0: range(-2, 3), math.pi / 2: range(-2, 3), 2 * math.pi / 5: [0]}
+    deficits = {}
+    for sigma in (0.005, 0.01):
+        grid = build_grid(BeamSpec(sigma), 256, 32)
+        for alpha, xis in curves.items():
+            spectra = state_spectra(boost_stack(alpha, list(xis)), grid)[3]
+            for xi, ln in zip(xis, log_negativity_from_spectrum(spectra)):
+                deficits[alpha, xi, sigma] = 1.0 - ln
+    return deficits
+
+
+def test_narrow_beam_deficit_richardson_limit_is_the_closed_form(narrow_beam_deficits):
+    # D / sigma^2 = c + c4 sigma^2 + ..., so the Richardson combination of
+    # sigma = 0.005 and 0.01 cancels the O(sigma^4) term of D; the rest is
+    # at most 2.4e-6 relative (alpha = 0, xi = -2, where the boost widens
+    # the beam to about sigma e^2) and 4e-8 elsewhere
+    d = narrow_beam_deficits
+    for alpha, xi, sigma in d:
+        if sigma == 0.005:
+            c = narrow_beam_coefficient(float(xi), alpha)
+            c_r = (4.0 * d[alpha, xi, 0.005] / 0.005**2 - d[alpha, xi, 0.01] / 0.01**2) / 3.0
+            assert abs(c_r / c - 1.0) < 1e-5, (alpha, xi, c_r, c)
+
+
+def test_narrow_beam_deficit_is_c_sigma_squared(narrow_beam_deficits):
+    # the raw deficit at sigma = 0.005 differs from c sigma^2 only by its
+    # O(sigma^4) term: at most 6.8e-4 relative, at alpha = 0, xi = -2
+    for (alpha, xi, sigma), deficit in narrow_beam_deficits.items():
+        if sigma == 0.005:
+            c = narrow_beam_coefficient(float(xi), alpha)
+            assert abs(deficit / sigma**2 / c - 1.0) < 1e-3, (alpha, xi, deficit, c)
 
 
 def test_density_frequency_independence():

@@ -12,6 +12,7 @@ from photonboost.entanglement import (
     exchange_blocks,
     hermitian_eigenvalues,
     log_negativity,
+    log_negativity_from_spectrum,
     partial_transpose_A,
 )
 from photonboost.lorentz import compose, identity, rot_y, rot_z
@@ -108,6 +109,19 @@ def test_log_negativity_floor_guard():
         log_negativity(np.eye(9) / 18.0)
     # rounding below zero is clamped
     assert log_negativity(np.eye(9) * (1.0 - 1e-12) / 9.0) == 0.0
+
+
+def test_spectrum_rounding_band_is_relative_to_the_row():
+    # |lambda| <= 16 eps max|lambda| of its row is rounding: 1.8e-15 at 0.5
+    base = [0.5, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
+    rows = np.array([base + [-2.9e-17], base + [-1.7e-15], base + [-1e-13], base + [-2e-15]])
+    got = log_negativity_from_spectrum(rows)
+    assert got[:2].tolist() == [0.0, 0.0]
+    assert got[2] == math.log1p(2e-13) / math.log(2.0)
+    assert got[3] == math.log1p(4e-15) / math.log(2.0)
+    # the band scales with the row: the same -1.7e-15 beside a largest 1e-2 counts
+    small = np.array([1e-2] + [0.0] * 7 + [-1.7e-15])
+    assert log_negativity_from_spectrum(small) == math.log1p(3.4e-15) / math.log(2.0)
 
 
 def test_log_negativity_of_a_stack_matches_one_by_one(rng):

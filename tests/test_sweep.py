@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -204,6 +205,34 @@ def test_csv_timing_column_is_optional():
     assert "wall_time_ms" not in rows_to_csv(rows)
     timed = rows_to_csv(rows, include_timing=True)
     assert timed.splitlines()[0].endswith(",wall_time_ms")
+
+
+def test_csv_header_is_read_from_sweep_row():
+    assert CSV_HEADER == "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
+    assert issubclass(SweepRow, tuple)
+    assert SweepRow._fields[:6] == tuple(CSV_HEADER.split(","))
+    assert SweepRow._fields[6:] == ("wall_time_ms",)
+
+
+def test_sweep_rows_are_named_tuples_in_column_order():
+    # benchmarks/run.py reads .log_negativity and .xi off run_sweep's rows
+    cfg = SweepConfig(alpha=0.3, sigma_theta=0.8, xi_min=-0.5, xi_max=0.5, **FAST)
+    rows = run_sweep(cfg)
+    assert [r.xi for r in rows] == cfg.xi_values().tolist()
+    for row in rows:
+        assert isinstance(row, SweepRow)
+        assert row[:3] == (0.3, 0.8, row.xi)
+        assert row[3] == row.log_negativity and 0.0 < row.log_negativity <= 1.0
+        assert row[5] == row.min_eigenvalue and row[6] == row.wall_time_ms
+
+
+@pytest.mark.parametrize("curve_key", ["alpha", "sigma_theta"])
+def test_gnuplot_columns_are_the_header_positions(curve_key):
+    names = CSV_HEADER.split(",")
+    text = gnuplot_script("rows.csv", curve_key, (0.5,))
+    (using,) = re.findall(r"using (\d+):\(abs\(\$(\d+) - 0\.5\) < 1e-9 \? \$(\d+) : 1/0\)", text)
+    want = [names.index(n) + 1 for n in ("xi", curve_key, "log_negativity")]
+    assert [int(c) for c in using] == want
 
 
 def test_run_sweeps_solves_no_9x9(monkeypatch):
@@ -500,6 +529,40 @@ def test_cli_unwritable_output_exits_1_before_computing(argv, tmp_path, monkeypa
     assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--alpha", "0", "--sigma-theta", "1", "--xi-steps", "1", "--out", "{dir}/x.gp",
+         "--plot-script", "{dir}/x.gp"],
+        ["sweep", "--alpha", "0", "--sigma-theta", "1", "--out", "{dir}/x.gp",
+         "--plot-script", "{dir}/sub/../x.gp"],
+        ["sweep", "--config", "{dir}/cfg.json", "--plot-script", "{dir}/x.gp"],
+        ["fig2", "--out", "{dir}/x.gp", "--plot-script", "{dir}/x.gp"],
+        ["fig3", "--out", "{dir}/link.gp", "--plot-script", "{dir}/x.gp"],
+    ],
+)
+def test_cli_one_path_for_csv_and_plot_script_exits_1(argv, tmp_path, monkeypatch, capsys):
+    # both outputs are opened with "w", so the script would land over the CSV
+    import photonboost.sweep as sweep_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before the outputs were checked")
+
+    monkeypatch.setattr(cli, "run_sweeps", must_not_run)
+    monkeypatch.setattr(sweep_mod, "_evaluate", must_not_run)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "x.gp"
+    target.write_text("kept\n")
+    (tmp_path / "link.gp").symlink_to(target)
+    cfg = {"alpha": 0.0, "sigma_theta": 1.0, "output_path": str(target)}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main([a.format(dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the CSV and the plot script both to ")
+    assert err.count("\n") == 1
+    assert target.read_text() == "kept\n"
+
+
 _SMALL_SWEEP = ["sweep", "--alpha", "0", "--sigma-theta", "1", "--xi-steps", "3",
                 "--n-theta", "8", "--n-phi", "8"]
 
@@ -548,6 +611,17 @@ def test_cli_tiny_spread_prints_only_its_error_line(capsys):
     assert cli.main(["single", "--alpha", "0", "--sigma-theta", "1e-300", "--xi", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: every node weight underflowed") and err.count("\n") == 1
+
+
+def test_cli_deep_boost_ppt_rows_print_an_exact_zero(capsys):
+    # the partial-transpose spectra at xi = -15 and -14 hold rounding
+    # pairs of about -3e-17 and -7e-17, which are not entanglement
+    argv = ["sweep", "--alpha", "0", "--sigma-theta", "3.14159", "--xi-min", "-15",
+            "--xi-max", "-12", "--xi-steps", "4", "--n-theta", "8", "--n-phi", "8"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert [line.split(",")[3] for line in lines[1:]] == ["0"] * 4
 
 
 def test_cli_sweep_convergence_failure_exits_3(tmp_path, capsys):
