@@ -6,7 +6,10 @@ analytically because it cancels from every transported quantity).  A
 quadrature rule discretizes the remaining direction integral with
 Gauss-Legendre nodes in theta on [0, pi] and a uniform periodic rule in
 phi; the squared amplitude, the sphere Jacobian sin(theta) and the overall
-normalization are all folded into the weights, which sum to one.
+normalization are all folded into the weights, which sum to one.  The
+Gauss-Legendre rule is built for each grid by Newton's method on the
+Fourier series of P_n (_gauss_legendre): O(n^2) time and O(n) memory,
+with no eigensolve and no cache.
 
 The beam is symmetric under the reflection y -> -y, which maps the node
 (theta, phi) to (theta, -phi), and the phi rule maps onto itself under
@@ -45,10 +48,10 @@ transport, the kernel they share, takes raw (k, 4, 4) matrices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .entanglement import block_spectra, exchange_blocks
 from .lorentz import TransformStack
@@ -63,10 +66,19 @@ _MIN_EIG_TOL = -1e-9
 # it by O(1)
 _TRACE_TOL = 1e-8
 
-# bytes of boosted node vectors (4 components of p, h, v per node and
-# boost) held at once: _gram works through a boost stack a block of rows
-# at a time, so its memory stays flat in the stack length
+# bytes of one working array held at once by the two loops that would
+# otherwise grow with their input: _gram's boosted node vectors (4
+# components of p, h, v per node and boost), taken a block of boosts at a
+# time, and _gauss_legendre's (roots x series terms) cosines and sines,
+# taken a block of roots at a time
 _BLOCK_BYTES = 1 << 18
+
+# Newton steps allowed per block of Legendre roots; from Tricomi's angles
+# the iteration in t converges cubically and stops after two or three
+_NEWTON_CAP = 10
+
+# a block of roots has converged once no Newton step moves an angle by more
+_NEWTON_TOL = 1e-12
 
 # s_a s_b / 2 of the pair state (|h h> - |v v>)/sqrt(2) for (a, b) = hh,
 # hv, vh, vv, shaped to scale a stack of the four M_ab
@@ -163,11 +175,81 @@ class QuadratureGrid:
         return len(self.weights)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [-1, 1], ascending, and their weights, in O(n^2) time.
+
+    Newton's method in t runs on the Fourier series
+    P_n(cos t) = sum_k a_k a_(n-k) cos((n - 2k) t), a_k = (2k)! / (2^(2k) k!^2)
+    (Swarztrauber, SIAM J. Sci. Comput. 24 (2002) 945; Hale & Townsend,
+    SIAM J. Sci. Comput. 35 (2013) A652), from Tricomi's asymptotic angles.
+    Only the ceil(n/2) roots with x = cos t >= 0 are solved; the others
+    are their mirror images.  A root's weight is 2 / (dP_n(cos t)/dt)^2,
+    and the weights are scaled to sum exactly 2, which absorbs the
+    rounding of the a_k.  The series is summed for a block of roots at a
+    time (_BLOCK_BYTES), so memory is O(n); there is no eigensolve.
+    Raises numpy.linalg.LinAlgError if a block has not converged within
+    _NEWTON_CAP steps.
+    """
+    n = operator.index(n)
+    k = np.arange(1.0, n + 1.0)
+    a = np.cumprod(np.concatenate(([1.0], (2.0 * k - 1.0) / (2.0 * k))))
+    # the series' terms k and n - k are equal, so it runs over the
+    # frequencies m = n, n - 2, ... down to 1 or 0
+    m = np.arange(n, -1, -2.0)
+    c = a[:len(m)] * a[::-1][:len(m)]
+    c[m > 0] *= 2.0
+    cm = c * m
+    half = (n + 1) // 2
+    phi = (4.0 * np.arange(1.0, half + 1.0) - 1.0) * (math.pi / (4.0 * n + 2.0))
+    t = np.arccos((1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(phi))
+    dp = np.empty(half)
+    # Veltkamp's split leaves t's high part n.bit_length() bits short, so
+    # m times it is exact and err recovers the rounding of each product
+    # m t, which would otherwise cost the weights about n t eps
+    split = 2.0 ** n.bit_length() + 1.0
+    step = max(1, _BLOCK_BYTES // m.nbytes)
+    for lo in range(0, half, step):
+        tb = t[lo:lo + step]
+        for _ in range(_NEWTON_CAP):
+            mt = np.multiply.outer(tb, m)
+            cos, sin = np.cos(mt), np.sin(mt)
+            hi = split * tb
+            hi -= hi - tb
+            err = np.multiply.outer(hi, m)
+            err -= mt
+            err += np.multiply.outer(tb - hi, m)
+            p = (cos - err * sin) @ c
+            d = -((sin + err * cos) @ cm)
+            dt = p / d
+            tb -= dt
+            if np.max(np.abs(dt)) <= _NEWTON_TOL:
+                break
+        else:
+            raise np.linalg.LinAlgError(
+                f"Gauss-Legendre roots of degree {n} did not converge in {_NEWTON_CAP} Newton steps"
+            )
+        # dP/dt moved to the updated angles to first order in the last
+        # step, with P'' = -cot(t) P' - n (n + 1) P from Legendre's equation
+        dp[lo:lo + step] = d * (1.0 + dt / np.tan(tb + dt) + n * (n + 1.0) * dt * dt)
+    x = np.cos(t)
+    if n % 2:  # the middle root, t = pi/2, is x = 0 exactly
+        x[-1] = 0.0
+    w = 2.0 / dp**2
+    # roots 1 ... half run from x near 1 down to x >= 0
+    x = np.concatenate([-x, x[::-1][n % 2:]])
+    w = np.concatenate([w, w[::-1][n % 2:]])
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
     """Rule of n_theta x n_phi directions weighted by the beam density, stored as half.
 
     Gauss-Legendre nodes cover theta on the full [0, pi]; wide beams put
     real weight in the back hemisphere, so the range is never truncated.
+    Each call builds that rule afresh by _gauss_legendre, in O(n_theta^2)
+    time and O(n_theta) memory with no eigensolve; nothing is cached
+    between calls.
     The phi rule is the uniform periodic grid phi_j = 2 pi j / n_phi with
     equal weights.  It maps onto itself under phi -> -phi, so only
     j = 0 ... n_phi // 2 are stored, n_theta * (n_phi // 2 + 1) nodes; a
@@ -178,7 +260,7 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid needs at least 2 nodes per axis, got {n_theta}x{n_phi}")
-    x, gl_w = leggauss(n_theta)
+    x, gl_w = _gauss_legendre(n_theta)
     thetas = (x + 1.0) * (math.pi / 2.0)
     w_theta = gl_w * (math.pi / 2.0) * angular_weight(thetas, spec)
     j = np.arange(n_phi // 2 + 1)

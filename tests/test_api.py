@@ -1,5 +1,8 @@
 """The package namespace and the README's library example."""
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import photonboost
@@ -37,3 +40,21 @@ def test_readme_library_snippet_runs(capsys):
     exec(compile(snippet, str(README), "exec"), {})
     ln = float(capsys.readouterr().out.strip())
     assert 0.0 <= ln <= 1.0
+
+
+def test_cli_import_loads_no_numpy_module_beyond_numpy_itself():
+    # the Gauss-Legendre rule is built in beams, so numpy.polynomial stays unloaded
+    probe = (
+        "import sys\n"
+        "import numpy\n"
+        "before = {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
+        "import photonboost.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' and m not in before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(photonboost.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,9 +103,43 @@ def test_grid_doubling_stability_of_mean_cos_theta():
     assert abs(a - b) < 1e-10
 
 
+_RULE_SIZES = [*range(2, 21), 64, 96, 128, 192, 384]
+
+
+@pytest.mark.parametrize("n", _RULE_SIZES)
+def test_gauss_legendre_rule_matches_leggauss(n):
+    x, w = beams._gauss_legendre(n)
+    want_x, want_w = leggauss(n)
+    assert np.abs(x - want_x).max() < 1e-15
+    assert np.abs(w - want_w).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", _RULE_SIZES)
+def test_gauss_legendre_rule_is_symmetric_and_exact_to_degree_2n_minus_1(n):
+    x, w = beams._gauss_legendre(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+    assert abs(w.sum() - 2.0) < 1e-15
+    j = np.arange(n)
+    moments = (x[:, None] ** (2 * j)).T @ w
+    assert np.abs(moments - 2.0 / (2 * j + 1)).max() < 1e-15
+
+
+def test_gauss_legendre_rule_memory_stays_bounded():
+    # leggauss(4096) solves a dense 4096 x 4096 companion matrix and peaks at 135 MB
+    tracemalloc.start()
+    try:
+        x, w = beams._gauss_legendre(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert abs(w.sum() - 2.0) < 1e-15 and np.all(np.diff(x) > 0.0)
+
+
 def _full_rule(spec, n_theta, n_phi):
     """The whole n_theta x n_phi rule, every phi_j once, built without build_grid."""
-    x, w = leggauss(n_theta)
+    x, w = beams._gauss_legendre(n_theta)
     thetas = (x + 1.0) * (math.pi / 2.0)
     weights = np.outer(w * angular_weight(thetas, spec), np.ones(n_phi)).ravel()
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)

@@ -688,6 +688,16 @@ def test_cli_solver_failure_exits_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_unconverged_quadrature_rule_exits_3_with_one_line(monkeypatch, capsys):
+    import photonboost.beams as beams
+
+    monkeypatch.setattr(beams, "_NEWTON_CAP", 0)
+    assert cli.main(_SMALL_SWEEP) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+
+
 def test_cli_validate_failure_exits_2(monkeypatch, capsys):
     from photonboost.validation import GroupResult, ValidationReport
 
