@@ -11,7 +11,6 @@ from .beams import BeamSpec, build_grid, reduced_density
 from .entanglement import log_negativity
 from .sweep import (
     ConfigError,
-    QuadratureConvergenceWarning,
     SweepConfig,
     make_boost,
     preset_fig2,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BeamSpec",
     "ConfigError",
-    "QuadratureConvergenceWarning",
     "SweepConfig",
     "boost_helicity_state",
     "build_grid",

@@ -37,10 +37,10 @@ the state through its exchange blocks (entanglement.exchange_blocks): the
 trace is the sum of the blocks' traces, and the smallest eigenvalue is
 the least over the spectra of the 6x6 symmetric and 3x3 antisymmetric
 blocks.  The same solve yields the partial-transpose spectra that the
-log negativity log2(1 + 2 N) reads (state_spectra), so no 9x9 matrix is
-diagonalized.
+log negativity log2(1 + 2 N) reads (density_states), so no 9x9 matrix
+is diagonalized.
 
-density_states, state_spectra and transported_moments take a
+density_states and transported_moments take a
 lorentz.TransformStack of k boosts, whose constructor has guarded them,
 and evaluate all k states at once; a single transform is the k = 1 case.
 transport, the kernel they share, takes raw (k, 4, 4) matrices.
@@ -66,11 +66,11 @@ _MIN_EIG_TOL = -1e-9
 # it by O(1)
 _TRACE_TOL = 1e-8
 
-# bytes of one working array held at once by the two loops that would
-# otherwise grow with their input: _gram's boosted node vectors (4
-# components of p, h, v per node and boost), taken a block of boosts at a
-# time, and _gauss_legendre's (roots x series terms) cosines and sines,
-# taken a block of roots at a time
+# bytes of one working array that _gauss_legendre holds at once: its
+# (roots x series terms) cosines and sines, taken a block of roots at a
+# time.  _gram takes as many boosts per step as keep their boosted node
+# vectors within it, but at least one, so from 64^2 grids up its arrays
+# grow with the grid (see _gram)
 _BLOCK_BYTES = 1 << 18
 
 # Newton steps allowed per block of Legendre roots; from Tricomi's angles
@@ -299,7 +299,14 @@ def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 
 def _gram(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """(k, 6, 6) Gram matrices of the transported stored node vectors, one per boost."""
+    """(k, 6, 6) Gram matrices of the transported stored node vectors, one per boost.
+
+    A step transports as many boosts as keep their vectors within
+    _BLOCK_BYTES, and at least one.  One boost's vectors take 202,752 B on
+    64^2, so from 64^2 up each step is one boost and its arrays grow with
+    the grid: density_states peaks 15.4 MB above its inputs for 3 rows on
+    384^2, 2.2 times the grid's stored vectors (tracemalloc).
+    """
     out = np.empty((len(boosts), 6, 6))
     step = max(1, _BLOCK_BYTES // grid.vectors.nbytes)
     for lo in range(0, len(boosts), step):
@@ -387,30 +394,20 @@ def _guarded_states(
     return raw, min_eig, gap, spectra[:, 1]
 
 
-def state_spectra(
-    stack: TransformStack, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """density_states, plus the (k, 9) spectra of the states' partial transposes.
-
-    The spectra are what the log negativity reads
-    (entanglement.log_negativity_from_spectrum); no 9x9 matrix is solved.
-    """
-    return _guarded_states(_assemble(transported_moments(stack, grid)))
-
-
 def density_states(
     stack: TransformStack, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boosted reduced states for a stack of k boosts, with their guard readings.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Boosted reduced states for a stack of k boosts, with their guard readings and spectra.
 
     Assembles rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
     s_v = -1, which equals the direct double sum of pair projectors over
     the grid's whole rule, then trace-normalizes to absorb rounding.  Returns real
-    (k, 9, 9) states, the (k,) smallest eigenvalue of each and the (k,)
-    trace gap |tr - 1| of each before normalization.
+    (k, 9, 9) states, the (k,) smallest eigenvalue of each, the (k,)
+    trace gap |tr - 1| of each before normalization and the (k, 9)
+    spectra of their partial transposes, which the log negativity reads
+    (entanglement.log_negativity_from_spectrum); no 9x9 matrix is solved.
     """
-    states, min_eig, gap, _ = state_spectra(stack, grid)
-    return states, min_eig, gap
+    return _guarded_states(_assemble(transported_moments(stack, grid)))
 
 
 def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> np.ndarray:
@@ -422,7 +419,6 @@ def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> 
     """
     if len(L) != 1:
         raise ValueError(f"expected a one-transform stack, got {len(L)} transforms")
-    states, _, _ = density_states(L, grid)
-    rho = states[0]
+    rho = density_states(L, grid)[0][0]
     rho.flags.writeable = False
     return rho

@@ -22,6 +22,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,8 +32,7 @@ from .sweep import (
     ConfigError,
     MAX_GRID_NODES,
     SweepConfig,
-    _convergence_warning,
-    _read_json,
+    convergence_problem,
     gnuplot_script,
     preset_fig2,
     preset_fig3,
@@ -111,13 +111,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = ("alpha", "sigma_theta", "xi_min", "xi_max", "xi_steps", "n_theta", "n_phi")
+def _read_json(path: str):
+    """The JSON document in path, unchecked; unreadable or malformed files raise ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's recursion limit
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     """The config file's fields overlaid with the flags, validated once."""
     raw = _read_json(args.config) if args.config else {}
-    flags = {f: getattr(args, f) for f in _FLAG_FIELDS if getattr(args, f) is not None}
+    # every field has the flag of its name, except output_path, which is --out
+    names = [f.name for f in fields(SweepConfig) if f.name != "output_path"]
+    flags = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
     if args.out is not None:
         flags["output_path"] = args.out
     if isinstance(raw, dict):  # any other document fails in from_mapping
@@ -172,7 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         plot = _open_output(stack, plot_path) if plot_path else None
         rows = run_sweeps(configs)
         # only sweep, whose one curve is configs[0], has --check-convergence
-        message = _convergence_warning(configs[0], rows) if args.check_convergence else None
+        message = convergence_problem(configs[0], rows) if args.check_convergence else None
         if message is not None:
             print(f"warning: {message}", file=sys.stderr)
         _write(out, rows_to_csv(rows, include_timing=args.timing))

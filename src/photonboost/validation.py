@@ -16,6 +16,7 @@ pass test is written so that a NaN fails it.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -164,7 +165,7 @@ def _check_rho_sanity(rng, cases: int) -> GroupResult:
     for _ in range(cases):
         grid = beams.build_grid(beams.BeamSpec(rng.uniform(0.05, 1.3)), 32, 32)
         L = sweep.make_boost(rng.uniform(0.0, math.pi / 2), rng.uniform(-2.0, 2.0))
-        (rho,), min_eig, gap = beams.density_states(L, grid)
+        (rho,), min_eig, gap, _ = beams.density_states(L, grid)
         traces.append(gap)
         herms.append(np.abs(rho - rho.T).max())
         eigs.append(min_eig)
@@ -187,7 +188,7 @@ def _check_ln_rotation_invariance(rng, cases: int) -> GroupResult:
         if rng.integers(0, 2):
             kinds[i, 1], params[i, 1] = lorentz.ROT_Y, rng.uniform(-math.pi, math.pi)
     grid = beams.build_grid(beams.BeamSpec(1.0), 32, 32)
-    states, _, _ = beams.density_states(lorentz.TransformStack(kinds, params), grid)
+    states = beams.density_states(lorentz.TransformStack(kinds, params), grid)[0]
     lns = entanglement.log_negativity(states)
     worst = _worst(np.abs(lns[1:] - lns[0]))
     return GroupResult("ln_rotation_invariance", worst < 1e-8, f"max LN shift {worst:.2e}")
@@ -248,8 +249,8 @@ def _check_convergence(rng, cases: int) -> GroupResult:
     shifts = []
     for sigma in (0.5, 1.0, 1.3):
         spec = beams.BeamSpec(sigma)
-        coarse, _, _ = beams.density_states(boosts, beams.build_grid(spec, 64, 64))
-        fine, _, _ = beams.density_states(boosts, beams.build_grid(spec, 128, 128))
+        coarse = beams.density_states(boosts, beams.build_grid(spec, 64, 64))[0]
+        fine = beams.density_states(boosts, beams.build_grid(spec, 128, 128))[0]
         shifts.append(np.abs(coarse - fine))
     worst = _worst(shifts)
     return GroupResult("convergence", worst < 1e-6, f"max entry shift {worst:.2e}")
@@ -273,7 +274,12 @@ def _group_rng(seed: int, name: str) -> np.random.Generator:
 
 
 def validate(seed: int = DEFAULT_SEED) -> ValidationReport:
-    """Run every invariant group and collect pass/fail results."""
+    """Run every invariant group and collect pass/fail results.
+
+    A seed that is not a non-negative integer raises ValueError first.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     results = []
     for name, fn, cases in _GROUPS:
         rng = _group_rng(seed, name)

@@ -286,7 +286,7 @@ def test_ppt_rows_print_an_exact_zero(fig2_runs, fig3_runs):
     ppt_rows = 0
     for cfg, rows in curves:
         grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
-        states, _, _ = density_states(boost_stack(cfg.alpha, cfg.xi_values()), grid)
+        states = density_states(boost_stack(cfg.alpha, cfg.xi_values()), grid)[0]
         pt = np.linalg.eigvalsh(partial_transpose_A(states))
         old = np.maximum(np.log2(np.abs(pt).sum(axis=1)), 0.0)
         cells = [line.split(",")[3] for line in rows_to_csv(rows).splitlines()[1:]]

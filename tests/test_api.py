@@ -1,4 +1,5 @@
 """The package namespace and the README's library example."""
+import ast
 import os
 import re
 import subprocess
@@ -16,7 +17,6 @@ def test_public_api_is_pinned():
     assert photonboost.__all__ == [
         "BeamSpec",
         "ConfigError",
-        "QuadratureConvergenceWarning",
         "SweepConfig",
         "boost_helicity_state",
         "build_grid",
@@ -31,6 +31,18 @@ def test_public_api_is_pinned():
     ]
     for name in photonboost.__all__:
         assert getattr(photonboost, name) is not None
+
+
+def test_cli_imports_no_private_name_from_sweep():
+    tree = ast.parse(Path(photonboost.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("sweep", "photonboost.sweep")
+        for alias in node.names
+    ]
+    assert "run_sweeps" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_readme_library_snippet_runs(capsys):

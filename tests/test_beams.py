@@ -24,7 +24,6 @@ from photonboost.beams import (
     angular_weight,
     build_grid,
     reduced_density,
-    state_spectra,
     transport,
     transported_moments,
 )
@@ -258,7 +257,7 @@ def test_reduced_density_is_the_read_only_one_row_case_of_density_states():
     rho = reduced_density(L, grid, spec)
     assert rho.shape == (9, 9) and rho.dtype == float
     assert not rho.flags.writeable
-    states, _, _ = beams.density_states(L, grid)
+    states = beams.density_states(L, grid)[0]
     assert rho.tobytes() == states[0].tobytes()
 
 
@@ -360,7 +359,7 @@ def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi)
     grid = build_grid(spec, 6, n_phi)
     full = _full_rule(spec, 6, n_phi)
     cases = _fold_cases(rng)
-    states, _, _ = beams.density_states(concatenated(cases), grid)
+    states = beams.density_states(concatenated(cases), grid)[0]
     for L, rho in zip(cases, states):
         # the expanded rule of the stored grid, and the whole rule built
         # independently, on which the mirror-plane nodes appear once
@@ -485,7 +484,7 @@ def test_deep_boost_converges_to_closed_form_limit(sigma, n):
 
 @pytest.fixture(scope="module")
 def narrow_beam_deficits():
-    """1 - LN from production state_spectra on 256 x 32 grids, keyed (alpha, xi, sigma).
+    """1 - LN from production density_states on 256 x 32 grids, keyed (alpha, xi, sigma).
 
     The closed forms of narrow_beam_coefficient: alpha in {0, pi/2} at
     xi in {-2, ..., 2}, and xi = 0 at alpha = 2 pi/5.
@@ -495,7 +494,7 @@ def narrow_beam_deficits():
     for sigma in (0.005, 0.01):
         grid = build_grid(BeamSpec(sigma), 256, 32)
         for alpha, xis in curves.items():
-            spectra = state_spectra(boost_stack(alpha, list(xis)), grid)[3]
+            spectra = beams.density_states(boost_stack(alpha, list(xis)), grid)[3]
             for xi, ln in zip(xis, log_negativity_from_spectrum(spectra)):
                 deficits[alpha, xi, sigma] = 1.0 - ln
     return deficits

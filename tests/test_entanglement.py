@@ -227,14 +227,14 @@ def test_states_commute_with_photon_exchange_exactly(case):
     stack, grid = _exchange_case(case)
     raw = beams._assemble(beams.transported_moments(stack, grid))
     assert np.array_equal(raw[:, _SWAP][:, :, _SWAP], raw)
-    states, _, _ = beams.density_states(stack, grid)
+    states = beams.density_states(stack, grid)[0]
     assert np.array_equal(states[:, _SWAP][:, :, _SWAP], states)
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_exchange_blocks_drop_only_vanishing_couplings(case):
     stack, grid = _exchange_case(case)
-    states, _, _ = beams.density_states(stack, grid)
+    states = beams.density_states(stack, grid)[0]
     sym, anti = exchange_blocks(states)
     for i, m in enumerate((states, partial_transpose_A(states))):
         full = _exchange_basis_rotation(m)
@@ -246,7 +246,7 @@ def test_exchange_blocks_drop_only_vanishing_couplings(case):
 @pytest.mark.parametrize("case", range(4))
 def test_block_spectra_match_the_9x9_spectra(case):
     stack, grid = _exchange_case(case)
-    states, min_eig, _, pt_spectra = beams.state_spectra(stack, grid)
+    states, min_eig, _, pt_spectra = beams.density_states(stack, grid)
     spectra = block_spectra(*exchange_blocks(states))
     rho_9, pt_9 = np.linalg.eigvalsh(states), np.linalg.eigvalsh(partial_transpose_A(states))
     assert np.abs(np.sort(spectra[:, 0], axis=1) - rho_9).max() <= 1e-14

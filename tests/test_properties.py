@@ -112,7 +112,7 @@ def test_log_negativity_is_rotation_invariant(a, b, alpha, xi, sigma, n_theta, n
     grid = build_grid(BeamSpec(sigma), n_theta, n_phi)
     boost = boost_stack(alpha, [xi])
     rotated = compose(compose(rot_z(a), rot_y(b)), boost)
-    states, _, _ = density_states(concatenated([boost, rotated]), grid)
+    states = density_states(concatenated([boost, rotated]), grid)[0]
     ln = log_negativity(states)
     assert abs(ln[1] - ln[0]) <= 1e-9
 
