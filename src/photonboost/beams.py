@@ -23,7 +23,7 @@ with signs flipped (see transported_moments).
 The pair state is (|h h> - |v v>)/sqrt(2) at every pair of directions.
 Boosting transports each h/v vector with the gauge form
 L e - ((L e)^0 / (L p)^0) L p, which is real linear algebra on the boost
-matrix; the rotation form (polarization.d_rotation_form_stack, through
+matrix; the rotation form (wigner.d_rotation_form_stack, through
 the Wigner angle) is the independent oracle it is tested against.  The
 reduced polarization density matrix traces out momentum, leaving a 9x9
 real symmetric state over the spatial components (x, y, z) of photon A
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import block_spectra, exchange_blocks
+from . import entanglement
 from .lorentz import TransformStack
 
 # PSD tolerance on the assembled density matrix; anything below is an
@@ -134,7 +134,7 @@ def _node_vectors(thetas: np.ndarray, phis: np.ndarray, weights: np.ndarray) -> 
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Stored nodes on the sphere of directions and normalized weights (sum exactly one).
 
@@ -304,8 +304,9 @@ def _gram(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     A step transports as many boosts as keep their vectors within
     _BLOCK_BYTES, and at least one.  One boost's vectors take 202,752 B on
     64^2, so from 64^2 up each step is one boost and its arrays grow with
-    the grid: density_states peaks 15.4 MB above its inputs for 3 rows on
-    384^2, 2.2 times the grid's stored vectors (tracemalloc).
+    the grid.  A step's array is freed before the next step's is built:
+    density_states peaks 11.9 MB above its inputs for 3 rows on 384^2,
+    1.7 times the grid's stored vectors (tracemalloc).
     """
     out = np.empty((len(boosts), 6, 6))
     step = max(1, _BLOCK_BYTES // grid.vectors.nbytes)
@@ -313,6 +314,7 @@ def _gram(boosts: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
         x = transport(boosts[lo:lo + step], grid.vectors)
         x = x.reshape(len(x), 6, len(grid))
         np.matmul(x, np.swapaxes(x, 1, 2), out=out[lo:lo + step])
+        del x
     return out
 
 
@@ -370,11 +372,12 @@ def _guarded_states(
     traces, and the smallest eigenvalue is the least over both blocks'
     spectra.  Returns the states, their smallest eigenvalues, their trace
     gaps |tr - 1| before normalization and the (k, 9) spectra of their
-    partial transposes (entanglement.block_spectra order).  Raises
+    partial transposes: the six eigenvalues of the symmetric block, then
+    the three of the antisymmetric one, each ascending.  Raises
     numpy.linalg.LinAlgError if a gap exceeds _TRACE_TOL or an eigenvalue
     lies below _MIN_EIG_TOL: either is an internal error.
     """
-    sym, anti = exchange_blocks(raw)
+    sym, anti = entanglement.exchange_blocks(raw)
     tr = np.trace(sym[:, 0], axis1=1, axis2=2) + np.trace(anti[:, 0], axis1=1, axis2=2)
     gap = np.abs(tr - 1.0)
     ok = gap <= _TRACE_TOL  # NaN fails too
@@ -384,7 +387,9 @@ def _guarded_states(
             "this indicates an internal error"
         )
     raw /= tr[:, None, None]
-    spectra = block_spectra(sym, anti) / tr[:, None, None]
+    spectra = np.concatenate(
+        [entanglement.hermitian_eigenvalues(sym), entanglement.hermitian_eigenvalues(anti)], axis=-1
+    ) / tr[:, None, None]
     min_eig = spectra[:, 0].min(axis=1)
     if not np.all(min_eig >= _MIN_EIG_TOL):
         raise np.linalg.LinAlgError(

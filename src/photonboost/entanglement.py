@@ -11,8 +11,7 @@ and a log negativity of exactly zero.
 The pair state commutes with photon exchange (SWAP), and so does its
 partial transpose: both are block diagonal in the exchange basis, a 6x6
 block on the symmetric subspace and a 3x3 block on the antisymmetric one
-(exchange_blocks), and their spectra are the union of the blocks'
-(block_spectra).
+(exchange_blocks), and their spectra are the union of the blocks'.
 
 partial_transpose_A, exchange_blocks and log_negativity accept a single
 9x9 matrix or a (k, 9, 9) stack and work on the whole stack at once.
@@ -96,9 +95,9 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
     Accepts one square matrix or a stack of them.  The input must be
     Hermitian to 1e-8; it is symmetrized before the solve.  Raises
-    numpy.linalg.LinAlgError if the solver fails to converge or the
-    eigenvalues of a matrix do not sum to its trace, which for matrices
-    this size signals corrupted input.
+    numpy.linalg.LinAlgError if it is not, if the solver fails to converge
+    or if the eigenvalues of a matrix do not sum to its trace; for matrices
+    this size each signals corrupted input.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -106,7 +105,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     adjoint = np.swapaxes(m, -1, -2).conj()
     herm = float(np.abs(m - adjoint).max())
     if herm > 1e-8:
-        raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
+        raise np.linalg.LinAlgError(f"matrix is not Hermitian (residual {herm:.3e})")
     ev = np.linalg.eigvalsh(0.5 * (m + adjoint))
     tr = np.trace(m, axis1=-2, axis2=-1).real
     drift = np.abs(ev.sum(axis=-1) - tr)
@@ -115,16 +114,6 @@ def hermitian_eigenvalues(m) -> np.ndarray:
             f"eigenvalue sum drifted from the trace by {float(np.max(drift)):.3e}"
         )
     return ev
-
-
-def block_spectra(sym, anti) -> np.ndarray:
-    """(..., 9) eigenvalues of the matrices with these exchange blocks.
-
-    The six of each symmetric block come first, then the three of its
-    antisymmetric block, each group ascending; both stacks go through
-    hermitian_eigenvalues, once each.
-    """
-    return np.concatenate([hermitian_eigenvalues(sym), hermitian_eigenvalues(anti)], axis=-1)
 
 
 def log_negativity_from_spectrum(ev) -> np.ndarray:

@@ -216,7 +216,7 @@ def _fold(kinds: np.ndarray, params: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformStack:
     """k Lorentz transforms as one guarded stack.
 

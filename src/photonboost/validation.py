@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import beams, entanglement, lorentz, polarization, sweep, wigner
+from . import beams, entanglement, lorentz, sweep, wigner
 
 DEFAULT_SEED = 20240801
 
@@ -89,8 +89,8 @@ def _draw_polarizations(rng, thetas, phis) -> np.ndarray:
     """(4, k) unit transverse polarizations c_+ eps_+ + c_- eps_- at k directions."""
     c = rng.normal(size=(2, len(thetas))) + 1j * rng.normal(size=(2, len(thetas)))
     c /= np.linalg.norm(c, axis=0)
-    plus = polarization.epsilon_stack(thetas, phis, +1)
-    minus = polarization.epsilon_stack(thetas, phis, -1)
+    plus = wigner.epsilon_stack(thetas, phis, +1)
+    minus = wigner.epsilon_stack(thetas, phis, -1)
     return c[0] * plus + c[1] * minus
 
 
@@ -123,7 +123,7 @@ def _check_wigner_oracle(rng, cases: int) -> GroupResult:
 def _check_d_forms(rng, cases: int) -> GroupResult:
     stack, p = _draw_stack(rng, cases), _draw_momenta(rng, cases)
     eps = _draw_polarizations(rng, *lorentz.direction_angles(p[1:]))
-    rotated = polarization.d_rotation_form_stack(stack, p, eps)
+    rotated = wigner.d_rotation_form_stack(stack, p, eps)
     # the production transport with one node per boost: vectors[i] is (p_i, eps_i)
     vectors = np.stack([p, eps], axis=1).transpose(2, 0, 1)[..., None]
     production = beams.transport(stack.matrices, vectors)[:, :, 0, 0].T
@@ -143,10 +143,8 @@ def _check_composition(rng, cases: int) -> GroupResult:
         )
     )
     eps = _draw_polarizations(rng, *lorentz.direction_angles(p[1:]))
-    stepped = polarization.d_rotation_form_stack(
-        s2, p1, polarization.d_rotation_form_stack(s1, p, eps)
-    )
-    direct = polarization.d_rotation_form_stack(combined, p, eps)
+    stepped = wigner.d_rotation_form_stack(s2, p1, wigner.d_rotation_form_stack(s1, p, eps))
+    direct = wigner.d_rotation_form_stack(combined, p, eps)
     worst_transport = _worst(np.abs(stepped - direct))
     # combined's matrices are products but its factor table is the two
     # tables side by side, which is what the closed-form fold reads
@@ -225,12 +223,10 @@ def _check_omega_independence(rng, cases: int) -> GroupResult:
     production = beams.transport(L.matrices, grid.vectors[:, :, nodes])[0]
     production /= np.sqrt(grid.weights[nodes])
     thetas, phis = grid.thetas[nodes], grid.phis[nodes]
-    basis = np.hstack(
-        [polarization.h_vec_stack(thetas, phis), polarization.v_vec_stack(thetas, phis)]
-    )
+    basis = np.hstack([wigner.h_vec_stack(thetas, phis), wigner.v_vec_stack(thetas, phis)])
     # one rotation-form call: the h and v columns of every node, once per omega
     p = np.hstack([lorentz.null_momenta(thetas, phis, w) for w in _OMEGAS for _ in "hv"])
-    out = polarization.d_rotation_form_stack(L, p, np.tile(basis, len(_OMEGAS)))[1:]
+    out = wigner.d_rotation_form_stack(L, p, np.tile(basis, len(_OMEGAS)))[1:]
     rotated = out.reshape((3, len(_OMEGAS)) + production.shape[1:]).swapaxes(0, 1)
     worst_transport = _worst(np.abs(rotated - production))
     passed = worst_ratio <= 1.0 and worst_transport < _OMEGA_TRANSPORT_TOL

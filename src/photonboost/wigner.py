@@ -1,4 +1,4 @@
-"""Little-group rotation angles for massless momenta and helicity phases.
+"""The helicity transformation law: Wigner angles, helicity phases and polarization transport.
 
 A Lorentz transform L sends the momentum-helicity state at p to the one at
 L p times a phase exp(-i * lambda * Theta(L, p)).  Theta is the rotation
@@ -32,8 +32,22 @@ Per-generator rules, for p at polar angles (theta, phi):
 
 The quadrant matters, so the two-argument arctangent is used; a single-
 argument arctan of A/B loses the branch and breaks the composition law.
+
+Polarization vectors are complex (4, ...) arrays in (t, x, y, z) order:
+``epsilon_stack`` builds the helicity basis R(p-hat) (x + i lambda y)/sqrt 2
+at arrays of angles, and ``h_vec_stack`` and ``v_vec_stack`` the linear
+basis, whose momentum-azimuth phases cancel the frame winding so that h
+and v tend to x-hat and y-hat as theta -> 0.  ``d_rotation_form_stack``
+transports polarizations in rotation form: from the frame at p to the
+frame at L p with the little-group angle in between.  It is manifestly
+norm-preserving and, through the Wigner angle, independent of the
+production gauge form L e - ((L e)^0 / (L p)^0) L p (beams.transport), so
+it is the oracle that form is checked against (validate's
+d_form_equivalence group and the test suite).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,7 +56,9 @@ from .lorentz import (
     ROT_Y,
     ROT_Z,
     TransformStack,
+    direction_angles,
     paired_columns,
+    rotations_to,
     standard_boosts,
 )
 
@@ -54,6 +70,8 @@ REFERENCE_MOMENTUM.flags.writeable = False
 LITTLE_GROUP_TOL = 1e-9
 
 _HELICITIES = (1, -1)
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class LittleGroupError(RuntimeError):
@@ -116,7 +134,11 @@ def wigner_angle_stack(stack: TransformStack, momenta) -> np.ndarray:
     its angle at the momentum current at that point in the chain.  Padding
     factors add exactly 0 and leave the momentum unchanged.
     """
-    p = momentum_columns(stack, momenta)
+    return _folded_angles(stack, momentum_columns(stack, momenta))
+
+
+def _folded_angles(stack: TransformStack, p: np.ndarray) -> np.ndarray:
+    """wigner_angle_stack on (4, n) columns that momentum_columns has checked."""
     g = stack.factor_matrices()
     total = np.zeros(p.shape[1])
     p = p.T[:, :, None]
@@ -169,3 +191,67 @@ def boost_helicity_state(stack: TransformStack, momenta, lam: int) -> tuple[np.n
     check_helicity(lam)
     theta_w = wigner_angle_stack(stack, momenta)
     return stack.apply(momenta), np.exp(-1j * lam * theta_w)
+
+
+def _frames(thetas, phis) -> np.ndarray:
+    """Frames R(p-hat) at arrays of angles as (3, 3, ...): out[c] is the image of unit vector c."""
+    thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float), phis)
+    m = rotations_to(thetas.ravel(), phis.ravel()).matrices
+    return m[:, 1:, 1:].transpose(2, 1, 0).reshape((3, 3) + thetas.shape)
+
+
+def epsilon_stack(thetas, phis, lam: int) -> np.ndarray:
+    """(4, ...) helicity-lambda polarization 4-vectors at angles (thetas, phis).
+
+    R(p-hat) applied to (x + i lambda y) / sqrt(2); the time part is 0.
+    """
+    check_helicity(lam)
+    f = _frames(thetas, phis)
+    spatial = (f[0] + (lam * 1j) * f[1]) * _INV_SQRT2
+    return np.concatenate([np.zeros((1,) + spatial.shape[1:], dtype=complex), spatial])
+
+
+def h_vec_stack(thetas, phis) -> np.ndarray:
+    """Near-horizontal basis vectors; they tend to x-hat as theta -> 0."""
+    ph = np.exp(1j * np.asarray(phis, dtype=float))
+    plus, minus = epsilon_stack(thetas, phis, +1), epsilon_stack(thetas, phis, -1)
+    return (ph * plus + ph.conj() * minus) * _INV_SQRT2
+
+
+def v_vec_stack(thetas, phis) -> np.ndarray:
+    """Near-vertical basis vectors; they tend to y-hat as theta -> 0."""
+    ph = np.exp(1j * np.asarray(phis, dtype=float))
+    plus, minus = epsilon_stack(thetas, phis, +1), epsilon_stack(thetas, phis, -1)
+    return -1j * (ph * plus - ph.conj() * minus) * _INV_SQRT2
+
+
+def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
+    """Transport each column of eps from p to L p via frame rotations.
+
+    Column i pairs with transform i, or with the only transform of a
+    one-transform stack.  Applies R(dir(L p)) R_z(Theta(L, p)) R(dir(p))^-1,
+    which acts on the circular basis at p as the helicity phase and
+    re-seats the result in the frame at L p; R^-1 is the transpose.
+    Raises ValueError unless every p is null and future-pointing and every
+    polarization has zero time part and is transverse to its p.
+    """
+    p = momentum_columns(stack, momenta)
+    eps = np.asarray(eps, dtype=complex)
+    if eps.shape != p.shape:
+        raise ValueError(f"expected polarization 4-vectors of shape {p.shape}, got {eps.shape}")
+    t = np.abs(eps[0])
+    if not (t <= 1e-10).all():  # NaN fails too
+        raise ValueError(
+            f"polarization vector must have zero time component, got {eps[0][~(t <= 1e-10)][0]!r}"
+        )
+    mdot = eps[0] * p[0] - eps[1] * p[1] - eps[2] * p[2] - eps[3] * p[3]
+    if not (np.abs(mdot) <= 1e-8 * np.maximum(1.0, p[0])).all():
+        raise ValueError("polarization vector is not transverse to the momentum")
+    theta_w = _folded_angles(stack, p)
+    n = p.shape[1]
+    # the frames at p and at L p, one stack
+    frames = rotations_to(*direction_angles(np.hstack([p, stack.apply(p)])[1:]))
+    spin = TransformStack(np.full((n, 1), ROT_Z), theta_w[:, None])
+    v = np.swapaxes(frames.matrices[:n], 1, 2) @ eps.T[:, :, None]
+    return (frames.matrices[n:] @ (spin.matrices @ v))[:, :, 0].T
+

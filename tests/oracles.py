@@ -29,7 +29,7 @@ from photonboost.lorentz import (
     direction_angles,
     null_momenta,
 )
-from photonboost.polarization import d_rotation_form_stack, epsilon_stack, h_vec_stack, v_vec_stack
+from photonboost.wigner import d_rotation_form_stack, epsilon_stack, h_vec_stack, v_vec_stack
 
 # random_stack(rng, k, max_factors=5, max_rapidity=0.6): k products of 1 to
 # max_factors generators, as one padded stack
@@ -144,7 +144,7 @@ def pair_kernel(L, p_dir, q_dir, omega):
 def rotation_form_pair_basis(L, thetas, phis, omega):
     """Spatial parts of the boosted h and v vectors, by the rotation form.
 
-    Vectorized equivalent of polarization.d_rotation_form_stack on h_vec
+    Vectorized equivalent of wigner.d_rotation_form_stack on h_vec
     and v_vec (a test pins the two together), written out independently.
     Uses the identities h_p = R(p)(0, cos phi, -sin phi, 0) and
     v_p = R(p)(0, sin phi, cos phi, 0): transporting rotates the in-plane

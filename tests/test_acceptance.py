@@ -28,7 +28,6 @@ from oracles import (
 from photonboost.beams import BeamSpec, build_grid, density_states, reduced_density
 from photonboost.entanglement import log_negativity, partial_transpose_A
 from photonboost.lorentz import compose, identity, rot_y, rot_z
-from photonboost.polarization import d_rotation_form_stack
 from photonboost.sweep import (
     boost_stack,
     make_boost,
@@ -37,7 +36,7 @@ from photonboost.sweep import (
     rows_to_csv,
     run_sweep,
 )
-from photonboost.wigner import wigner_angle_oracle_stack, wigner_angle_stack
+from photonboost.wigner import d_rotation_form_stack, wigner_angle_oracle_stack, wigner_angle_stack
 
 ALPHA_FIG3 = 2 * math.pi / 5
 # log negativity at or below this marks a positive partial transpose (PPT)

@@ -30,8 +30,8 @@ from photonboost.beams import (
 from photonboost.entanglement import log_negativity, log_negativity_from_spectrum
 from oracles import random_directions, random_stack, transported_hv
 from photonboost.lorentz import TransformStack, compose, identity, null_momenta, rot_y, rot_z
-from photonboost.polarization import h_vec_stack, v_vec_stack
 from photonboost.sweep import SweepConfig, boost_stack, make_boost, run_sweep
+from photonboost.wigner import h_vec_stack, v_vec_stack
 
 BELL_KERNEL = np.zeros(9)
 BELL_KERNEL[0] = 1 / math.sqrt(2)  # x (x) x
@@ -281,7 +281,7 @@ def test_helicity_route_matches_hv_route():
 
 def test_bulk_transport_matches_scalar_rotation_form(rng):
     # the production gauge-form transport and the oracle's written-out
-    # rotation form both against polarization.d_rotation_form_stack, called
+    # rotation form both against wigner.d_rotation_form_stack, called
     # node by node
     for _ in range(5):
         L = random_stack(rng, 1)
@@ -397,6 +397,27 @@ def test_transport_count_is_half_the_rule_for_sweeps_and_doubles_otherwise(monke
     beams.density_states(drawn, grid)
     assert sum(rows) == len(drawn) + np.count_nonzero(mixes_y)
     assert np.count_nonzero(mixes_y) > len(drawn) // 2
+
+
+def test_density_states_frees_each_transported_array_before_the_next():
+    # from 64^2 up each _gram step transports one boost; holding the last
+    # step's array while the next is built peaked at 2.2 times the grid's
+    # stored vectors, freeing it first peaks at 1.7 times
+    grid = build_grid(BeamSpec(1.0), 384, 384)
+    stack = boost_stack(0.7, np.linspace(-1.0, 1.0, 3))
+    tracemalloc.start()
+    try:
+        beams.density_states(stack, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * grid.vectors.nbytes
+
+
+def test_grid_compares_and_hashes_by_identity():
+    grid = build_grid(BeamSpec(1.0), 8, 8)
+    assert grid == grid and grid != build_grid(BeamSpec(1.0), 8, 8)
+    assert {grid: 1}[grid] == 1
 
 
 def test_ln_matches_rotation_form_route_up_to_rapidity_12():

@@ -8,7 +8,6 @@ from oracles import random_stack
 from photonboost import beams
 from photonboost.beams import BeamSpec, build_grid, reduced_density
 from photonboost.entanglement import (
-    block_spectra,
     exchange_blocks,
     hermitian_eigenvalues,
     log_negativity,
@@ -247,7 +246,8 @@ def test_exchange_blocks_drop_only_vanishing_couplings(case):
 def test_block_spectra_match_the_9x9_spectra(case):
     stack, grid = _exchange_case(case)
     states, min_eig, _, pt_spectra = beams.density_states(stack, grid)
-    spectra = block_spectra(*exchange_blocks(states))
+    sym, anti = exchange_blocks(states)
+    spectra = np.concatenate([hermitian_eigenvalues(sym), hermitian_eigenvalues(anti)], axis=-1)
     rho_9, pt_9 = np.linalg.eigvalsh(states), np.linalg.eigvalsh(partial_transpose_A(states))
     assert np.abs(np.sort(spectra[:, 0], axis=1) - rho_9).max() <= 1e-14
     assert np.abs(np.sort(spectra[:, 1], axis=1) - pt_9).max() <= 1e-14

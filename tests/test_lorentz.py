@@ -141,6 +141,12 @@ def test_metric_preservation_and_factor_consistency(rng):
     assert factor_residuals(L).max() < 1e-12
 
 
+def test_transform_stack_compares_and_hashes_by_identity():
+    L = rot_y(0.1)
+    assert L == L and L != rot_y(0.1) and boost_z(1.0) != boost_z(1.0)
+    assert {L: 1}[L] == 1
+
+
 def test_null_vectors_stay_null(rng):
     L = random_stack(rng, 300)
     q = L.apply(random_momenta(rng, 300))

@@ -20,7 +20,7 @@ from photonboost.lorentz import (
     rot_y,
     rot_z,
 )
-from photonboost.polarization import d_rotation_form_stack, epsilon_stack, h_vec_stack, v_vec_stack
+from photonboost.wigner import d_rotation_form_stack, epsilon_stack, h_vec_stack, v_vec_stack
 
 SQRT2 = math.sqrt(2.0)
 K = np.array([[1.0], [0.0], [0.0], [1.0]])

@@ -24,9 +24,8 @@ from photonboost.lorentz import (
     rot_z,
     stack_from_factors,
 )
-from photonboost.polarization import d_rotation_form_stack, h_vec_stack, v_vec_stack
 from photonboost.sweep import ConfigError, SweepConfig, boost_stack
-from photonboost.wigner import wigner_angle_stack
+from photonboost.wigner import d_rotation_form_stack, h_vec_stack, v_vec_stack, wigner_angle_stack
 
 # numbers, including ints beyond the float range that JSON can carry
 _NUMBERS = (

@@ -35,9 +35,14 @@ from photonboost.lorentz import (
     stack_from_factors,
     standard_boosts,
 )
-from photonboost.polarization import d_rotation_form_stack, epsilon_stack
 from photonboost.validation import frequency_angle_tolerance
-from photonboost.wigner import LittleGroupError, wigner_angle_oracle_stack, wigner_angle_stack
+from photonboost.wigner import (
+    LittleGroupError,
+    d_rotation_form_stack,
+    epsilon_stack,
+    wigner_angle_oracle_stack,
+    wigner_angle_stack,
+)
 
 K = np.array([1.0, 0.0, 0.0, 1.0])
 

@@ -686,6 +686,25 @@ def test_cli_solver_failure_exits_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_cli_non_hermitian_exchange_block_exits_3_with_one_line(monkeypatch, capsys):
+    import photonboost.entanglement as ent
+
+    real = ent.exchange_blocks
+
+    def skewed(rho):
+        sym, anti = real(rho)
+        sym = sym.copy()
+        sym[..., 0, 1] += 1e-3
+        return sym, anti
+
+    monkeypatch.setattr(ent, "exchange_blocks", skewed)
+    code = cli.main(["single", "--alpha", "0", "--sigma-theta", "1.0", "--xi", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert "not Hermitian" in captured.err
+
+
 def test_cli_unconverged_quadrature_rule_exits_3_with_one_line(monkeypatch, capsys):
     import photonboost.beams as beams
 

@@ -9,7 +9,6 @@ import photonboost.beams as beams
 import photonboost.cli as cli
 import photonboost.entanglement as entanglement
 import photonboost.lorentz as lorentz
-import photonboost.polarization as polarization
 import photonboost.validation as validation
 import photonboost.wigner as wigner
 from photonboost.validation import validate
@@ -139,13 +138,13 @@ def test_raw_trace_gap_trips_rho_sanity_only(monkeypatch):
 
 
 def _drifting_rotation_form(monkeypatch):
-    real = polarization.d_rotation_form_stack
+    real = wigner.d_rotation_form_stack
 
     def drifting(stack, momenta, eps):
         # a transport that depends on the photon frequency p^0 by one part in 1e9
         return real(stack, momenta, eps) * (1.0 + 1e-9 * np.log(momenta[0]))
 
-    monkeypatch.setattr(polarization, "d_rotation_form_stack", drifting)
+    monkeypatch.setattr(wigner, "d_rotation_form_stack", drifting)
 
 
 def _nan_production_transport(monkeypatch):
