@@ -68,41 +68,26 @@ def make_boost(alpha: float, xi: float) -> TransformStack:
     Conjugates the z boost by the y rotation, so the factor row is
     (rot_y alpha, boost_z xi, rot_y -alpha) and the matrix is the product
     of the three generators; the Wigner-angle oracles read that row.
-    Sweeps take the same rows, with closed-form matrices, from boost_stack.
+    Sweeps take the same rows from boost_stack.
     """
     return compose(compose(rot_y(alpha), boost_z(xi)), rot_y(-alpha))
 
 
 def boost_stack(alpha: float, xis) -> TransformStack:
-    """make_boost(alpha, xi) for each xi, as one stack with closed-form matrices.
+    """make_boost(alpha, xi) for each xi, as one stack.
 
     Row i of the factor table is (rot_y alpha, boost_z xi_i, rot_y -alpha),
-    the row make_boost composes.  R_y(alpha) B_z(xi) R_y(-alpha) is the
-    pure boost of rapidity xi along m = (sin alpha, 0, cos alpha):
-    L00 = cosh xi, L0i = Li0 = m_i sinh xi and
-    Lij = delta_ij + m_i m_j (cosh xi - 1), with cosh xi - 1 written as
-    2 sinh^2(xi/2) to keep its relative accuracy at small xi.  Folding the
-    table instead reproduces make_boost bit for bit, but on the sigma = 1.3,
-    96^2 grid at alpha = 2 pi/5 it puts the xi = 12 log negativity 1.12e-12
-    from the rotation-form route, past the 1e-12 its test allows; the
-    closed form's gap there is 3.1e-13.  The stack constructor is the
-    guard: it raises ValueError for a non-finite alpha, a rapidity beyond
-    lorentz.MAX_RAPIDITY or a matrix off the metric.
+    the row make_boost composes, and the stack folds the table into the
+    same matrices, bit for bit.  The states read these rows from the
+    table, not the matrices (beams.transported_moments).  The stack
+    constructor is the guard: it raises ValueError for a non-finite alpha,
+    a rapidity beyond lorentz.MAX_RAPIDITY or a matrix off the metric,
+    and it checks the table before it folds it.
     """
     xis = np.asarray(xis, dtype=float).reshape(-1)
-    out = np.empty((len(xis), 4, 4))
-    # the table check rejects any row that overflows here, before the
-    # metric check reads its matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = np.array([np.sin(alpha), 0.0, np.cos(alpha)])
-        out[:, 0, 0] = np.cosh(xis)
-        out[:, 0, 1:] = np.sinh(xis)[:, None] * m
-        out[:, 1:, 0] = out[:, 0, 1:]
-        cosh_m1 = 2.0 * np.sinh(0.5 * xis) ** 2
-        out[:, 1:, 1:] = np.eye(3) + cosh_m1[:, None, None] * np.outer(m, m)
     kinds = np.broadcast_to([ROT_Y, BOOST_Z, ROT_Y], (len(xis), 3))
     params = np.column_stack([np.full(len(xis), alpha), xis, np.full(len(xis), -alpha)])
-    return TransformStack(kinds, params, out)
+    return TransformStack(kinds, params)
 
 
 def _finite(value: numbers.Real) -> bool:

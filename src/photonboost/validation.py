@@ -33,7 +33,7 @@ _FREQUENCY_ULPS_PER_FACTOR = 16
 
 # grid nodes whose production transport omega_independence compares with
 # the rotation form at two frequencies, and the largest gap it accepts (the
-# worst of seeds 0-39 was 1.8e-15)
+# worst of seeds 0-39 was 2.2e-15)
 _OMEGA_NODES = 16
 _OMEGA_TRANSPORT_TOL = 1e-12
 _OMEGAS = (0.1, 10.0)

@@ -41,9 +41,9 @@ and v tend to x-hat and y-hat as theta -> 0.  ``d_rotation_form_stack``
 transports polarizations in rotation form: from the frame at p to the
 frame at L p with the little-group angle in between.  It is manifestly
 norm-preserving and, through the Wigner angle, independent of the
-production gauge form L e - ((L e)^0 / (L p)^0) L p (beams.transport), so
-it is the oracle that form is checked against (validate's
-d_form_equivalence group and the test suite).
+production aberration map (beams.transport), so it is the oracle that
+map is checked against (validate's d_form_equivalence and
+omega_independence groups and the test suite).
 """
 from __future__ import annotations
 

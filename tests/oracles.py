@@ -1,16 +1,18 @@
 """Independent construction routes used to cross-check reduced_density.
 
-None of these goes through the gauge-form transport of photonboost.beams:
-they transport with the rotation form (Wigner angle plus frame
-re-seating), with helicity phases, or take a closed-form limit (the deep
-boost, or the narrow-beam coefficient of narrow_beam_coefficient).  Every
-route that builds momenta takes their frequency omega as an argument; the
-state must not depend on it.  The single-generator little-group angle,
-which the Wigner fold applies factor by factor, is here too, for the tests
-of its closed-form rules, and so are the seeded draws of transforms,
-momenta and polarizations that many tests share (validate's own draws).
-Every route integrates over the grid's whole rule, expanded by
-expanded_rule, and never uses the mirror fold of transported_moments.
+None of these goes through the production transport of photonboost.beams
+(the aberration map): they transport with the gauge form
+L e - ((L e)^0 / (L p)^0) L p on the boost matrix, with the rotation form
+(Wigner angle plus frame re-seating), with helicity phases, or take a
+closed form (the deep boost, the boost along the beam axis, or the
+narrow-beam coefficient of narrow_beam_coefficient).  Every route that
+builds momenta takes their frequency omega as an argument; the state must
+not depend on it.  The single-generator little-group angle, which the
+Wigner fold applies factor by factor, is here too, for the tests of its
+closed-form rules, and so are the seeded draws of transforms, momenta and
+polarizations that many tests share (validate's own draws).  Every route
+integrates over the grid's whole rule, expanded by expanded_rule, and
+never uses the mirror fold of transported_moments.
 production_transport is the one exception to the rule above: it lays the
 production transport out in the rotation form's columns, so that tests
 can compare the two.
@@ -67,6 +69,54 @@ def production_transport(L, p, eps):
     if len(L) == 1:
         return transport(L.matrices, vectors)[0, :, 0]
     return transport(L.matrices, vectors.transpose(2, 0, 1)[..., None])[:, :, 0, 0].T
+
+
+def gauge_form_transport(boosts, vectors):
+    """Gauge-form transport L e - ((L e)^0 / (L p)^0) L p of node vectors.
+
+    Takes and returns what beams.transport does: (k, 4, 4) boosts and
+    (4, 1 + m, n) vectors, every boost mapping every node, or
+    (k, 4, 1 + m, n) vectors, boost i mapping vectors[i]; returns the
+    (k, 3, m, n) spatial parts.  It is real linear algebra on the boost
+    matrix, and its rounding grows like eps exp(|xi|) through the
+    subtraction.
+    """
+    *_, cols, n = vectors.shape
+    flat = vectors.reshape(vectors.shape[:-2] + (cols * n,))
+    lv = (boosts @ flat).reshape(len(boosts), 4, cols, n)
+    lp, le = lv[:, :, :1], lv[:, :, 1:]
+    return le[:, 1:] - (le[:, :1] / lp[:, :1]) * lp[:, 1:]
+
+
+def gauge_form_moments(L, grid, omega=1.0):
+    """transported_moments of L on grid, each node of the whole rule transported by the gauge form."""
+    thetas, phis, weights = expanded_rule(grid)
+    amp = np.sqrt(weights)
+    vectors = np.stack([
+        null_momenta(thetas, phis, omega),
+        amp * h_vec_stack(thetas, phis).real,
+        amp * v_vec_stack(thetas, phis).real,
+    ], axis=1)
+    x = gauge_form_transport(L.matrices, vectors).reshape(len(L), 6, len(thetas))
+    return x @ np.swapaxes(x, 1, 2)
+
+
+def axial_boost_density(xi, grid):
+    """reduced_density(make_boost(0, xi)) in closed form.
+
+    A boost along +z moves every direction along its meridian,
+    tan(theta'/2) = exp(-xi) tan(theta/2), and keeps a polarization's
+    components along theta-hat and phi-hat.  The h and v vectors at a
+    node have components that depend on phi alone, so the boosted state
+    is the rest state of the same weights placed at theta'.  Nothing here
+    goes through a boost matrix or a Wigner angle.
+    """
+    thetas, phis, weights = expanded_rule(grid)
+    moved = 2.0 * np.arctan(math.exp(-xi) * np.tan(thetas / 2.0))
+    return _assemble(weights, {
+        "h": h_vec_stack(moved, phis)[1:].real,
+        "v": v_vec_stack(moved, phis)[1:].real,
+    })
 
 
 def expanded_rule(grid):

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import angle_gap
 from oracles import (
+    axial_boost_density,
     deep_boost_limit_density,
     direct_double_sum_density,
     helicity_route_density,
@@ -29,6 +30,7 @@ from photonboost.beams import BeamSpec, build_grid, density_states, reduced_dens
 from photonboost.entanglement import log_negativity, partial_transpose_A
 from photonboost.lorentz import compose, identity, rot_y, rot_z
 from photonboost.sweep import (
+    SweepConfig,
     boost_stack,
     make_boost,
     preset_fig2,
@@ -104,6 +106,21 @@ def test_criterion_04_forward_boost_saturates(fig2_runs):
     tail = float(fwd[np.argmin(np.abs(fwd_xi - 3.0))] - fwd[np.argmin(np.abs(fwd_xi - 2.5))])
     assert tail < 0.02
     print(f"\nACCEPTANCE 04 PASS: LN nondecreasing on [0,3], LN(3)-LN(2.5) = {tail:.5f} (< 0.02)")
+
+
+def test_axial_boost_reaches_both_limits_to_rounding():
+    # alpha = 0, sigma = 1.0 on 64^2: deep backward boosts are PPT, an exact
+    # 0, and deep forward boosts approach L+inf = 1 like exp(-2 xi), as the
+    # closed form of the axial boost (no boost matrix, no Wigner angle) has it
+    # within rounding; the gauge form's own rounding is ~1e-10 at |xi| = 15
+    cfg = SweepConfig(alpha=0.0, sigma_theta=1.0, xi_min=-15.0, xi_max=15.0, xi_steps=11)
+    grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
+    rows = {row.xi: row.log_negativity for row in run_sweep(cfg)}
+    for xi in (-15.0, -12.0):
+        assert rows[xi] <= 1e-14, (xi, rows[xi])
+    for xi in (12.0, 15.0):
+        assert abs(rows[xi] - log_negativity(axial_boost_density(xi, grid))) <= 1e-14, xi
+        assert 0.0 < (1.0 - rows[xi]) * math.exp(2.0 * xi) < 1.0, (xi, rows[xi])
 
 
 def test_criterion_05_zero_crossing_and_revival():

@@ -28,8 +28,25 @@ from photonboost.beams import (
     transported_moments,
 )
 from photonboost.entanglement import log_negativity, log_negativity_from_spectrum
-from oracles import random_directions, random_stack, transported_hv
-from photonboost.lorentz import TransformStack, compose, identity, null_momenta, rot_y, rot_z
+from oracles import (
+    gauge_form_moments,
+    gauge_form_transport,
+    random_directions,
+    random_momenta,
+    random_polarizations,
+    random_stack,
+    transported_hv,
+)
+from photonboost.lorentz import (
+    TransformStack,
+    boost_z,
+    compose,
+    direction_angles,
+    identity,
+    null_momenta,
+    rot_y,
+    rot_z,
+)
 from photonboost.sweep import SweepConfig, boost_stack, make_boost, run_sweep
 from photonboost.wigner import h_vec_stack, v_vec_stack
 
@@ -321,23 +338,26 @@ def _gram(stack, vectors):
 
 
 @pytest.mark.parametrize("n_phi", [7, 16])
-def test_fold_of_x_z_plane_boosts_is_the_gram_of_the_mirrored_vectors(n_phi):
-    # these boosts commute with y -> -y, so the images need no transport
-    # of their own; the fold must still equal transporting them, bit for bit
+def test_x_z_plane_moments_are_the_gram_of_the_stored_and_mirrored_vectors(n_phi):
+    # these boosts commute with y -> -y, so the images need no transport of
+    # their own; the summed moments must still equal transporting every
+    # stored and mirrored vector node by node, to rounding.  transport reads
+    # each boost from its matrix, which costs eps cosh(xi), so |xi| <= 3
     grid = build_grid(BeamSpec(1.1), 10, n_phi)
     mirrored = _mirrored_vectors(grid)
     amp, thetas, phis = np.sqrt(grid.weights), grid.thetas, -grid.phis
     assert np.abs(mirrored[:, 0] - null_momenta(thetas, phis, 1.0)).max() < 1e-15
     assert np.abs(mirrored[:, 1] - amp * h_vec_stack(thetas, phis)).max() < 1e-15
     assert np.abs(mirrored[:, 2] - amp * v_vec_stack(thetas, phis)).max() < 1e-15
-    xis = np.linspace(-12.0, 12.0, 9)
+    xis = np.linspace(-3.0, 3.0, 9)
     for boosts in (
         boost_stack(0.7, xis),
         boost_stack(-2.9, xis),
         concatenated([make_boost(a, xi) for a in (0.0, 1.2, 3.0) for xi in xis]),
+        concatenated([compose(rot_y(a), boost_z(xi)) for a in (0.4, -2.0) for xi in xis]),
     ):
         want = 0.5 * (_gram(boosts, grid.vectors) + _gram(boosts, mirrored))
-        assert transported_moments(boosts, grid).tobytes() == want.tobytes()
+        assert np.abs(transported_moments(boosts, grid) - want).max() <= 1e-14
 
 
 _ROTATIONS = (rot_z(0.4), rot_z(-2.5), compose(rot_z(1.1), rot_y(0.8)))
@@ -367,42 +387,52 @@ def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi)
         assert np.abs(rho - direct_double_sum_density(L, full, 1.0)).max() <= 1e-13
 
 
-def test_transport_count_is_half_the_rule_for_sweeps_and_doubles_otherwise(monkeypatch, rng):
-    rows, nodes = [], []
-    real = beams.transport
+def test_sweeps_sum_each_node_once_per_axis_and_only_off_plane_boosts_transport(monkeypatch, rng):
+    transported, tabled = [], []
+    real_transport, real_table = beams.transport, beams._aberration_table
 
-    def counting(boosts, vectors):
-        rows.append(len(boosts))
-        nodes.append(vectors.shape[-1])
-        return real(boosts, vectors)
+    def counting_transport(boosts, vectors):
+        transported.append(len(boosts))
+        return real_transport(boosts, vectors)
 
-    monkeypatch.setattr(beams, "transport", counting)
+    def counting_table(frame, vectors):
+        tabled.append(vectors.shape[-1])
+        return real_table(frame, vectors)
+
+    monkeypatch.setattr(beams, "transport", counting_transport)
+    monkeypatch.setattr(beams, "_aberration_table", counting_table)
+    # a sweep's rows share one axis: every stored node enters one table once
     cfg = SweepConfig(alpha=0.9, sigma_theta=1.0, xi_steps=61, n_theta=24, n_phi=17)
     run_sweep(cfg)
-    assert sum(rows) == 61 and set(nodes) == {24 * (17 // 2 + 1)}
-    rows.clear()
+    assert transported == [] and sum(tabled) == 24 * (17 // 2 + 1)
     grid = build_grid(BeamSpec(1.0), 24, 16)
+    tabled.clear()
     beams.density_states(make_boost(0.3, 1.0), grid)
-    assert sum(rows) == 1
-    rows.clear()
-    rotations = concatenated(_ROTATIONS)
-    beams.density_states(rotations, grid)
-    assert sum(rows) == 2 * len(rotations)
-    # a drawn transform may commute with y -> -y (a lone rot_y, say): only
-    # transforms whose y row or column is off the diagonal go twice
-    rows.clear()
+    assert transported == [] and sum(tabled) == len(grid)
+    # rotations are boosts with xi = 0 along +z: they share one table
+    tabled.clear()
+    beams.density_states(concatenated(_ROTATIONS), grid)
+    assert transported == [] and sum(tabled) == len(grid)
+    # a drawn transform is R B(xi, m): one table per axis m in the x-z
+    # plane, and a node-by-node transport of L and P L P otherwise
     drawn = random_stack(rng, 40)
-    m = drawn.matrices
-    mixes_y = (np.count_nonzero(m[:, 2], axis=1) + np.count_nonzero(m[:, :, 2], axis=1)) > 2
+    boost = drawn.matrices[:, 0, 1:]
+    norm = np.linalg.norm(boost, axis=1)
+    axes = np.where(norm[:, None] > 0.0, boost / np.maximum(norm, 1e-300)[:, None], [0.0, 0.0, 1.0])
+    off_plane = axes[:, 1] != 0.0
+    in_plane_axes = {tuple(m) for m in axes[~off_plane]}
+    tabled.clear()
     beams.density_states(drawn, grid)
-    assert sum(rows) == len(drawn) + np.count_nonzero(mixes_y)
-    assert np.count_nonzero(mixes_y) > len(drawn) // 2
+    assert transported == [2] * np.count_nonzero(off_plane)
+    assert sum(tabled) == len(in_plane_axes) * len(grid)
+    assert np.count_nonzero(off_plane) and len(in_plane_axes) > 1
 
 
-def test_density_states_frees_each_transported_array_before_the_next():
-    # from 64^2 up each _gram step transports one boost; holding the last
-    # step's array while the next is built peaked at 2.2 times the grid's
-    # stored vectors, freeing it first peaks at 1.7 times
+def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
+    # the nodes are summed a _BLOCK_BYTES block at a time, so no array of
+    # the grid's size is made: 3 rows on 384^2 peak at 1.2 MB, where
+    # transporting a whole boosted copy of the grid's 7.1 MB of stored
+    # vectors peaked at 11.9 MB
     grid = build_grid(BeamSpec(1.0), 384, 384)
     stack = boost_stack(0.7, np.linspace(-1.0, 1.0, 3))
     tracemalloc.start()
@@ -411,7 +441,7 @@ def test_density_states_frees_each_transported_array_before_the_next():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.9 * grid.vectors.nbytes
+    assert peak <= 2 * 2**20
 
 
 def test_grid_compares_and_hashes_by_identity():
@@ -431,6 +461,60 @@ def test_ln_matches_rotation_form_route_up_to_rapidity_12():
     for row in run_sweep(cfg):
         want = log_negativity(rotation_form_density(make_boost(cfg.alpha, row.xi), grid, 1.0))
         assert abs(row.log_negativity - want) < 1e-12, row.xi
+
+
+def test_ln_matches_rotation_form_route_to_1e_14_up_to_rapidity_15():
+    # the same curve over the whole accepted range: the aberration map has
+    # no subtraction whose rounding grows like eps exp(|xi|), so the gap
+    # and the trace gap before normalization stay at rounding level
+    cfg = SweepConfig(alpha=2 * math.pi / 5, sigma_theta=1.3, xi_min=-15.0, xi_max=15.0,
+                      xi_steps=31, n_theta=96, n_phi=96)
+    grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
+    for row in run_sweep(cfg):
+        want = log_negativity(rotation_form_density(make_boost(cfg.alpha, row.xi), grid, 1.0))
+        assert abs(row.log_negativity - want) <= 1e-14, row.xi
+        assert row.trace_residual <= 1e-14, row.xi
+
+
+@pytest.mark.filterwarnings("error")
+def test_boost_axis_through_a_node_matches_the_gauge_oracle():
+    # at alpha = pi/2 the stored node (pi/2, 0) of an odd theta rule lies
+    # on the axis m, where s = 0, and the node (pi/2, pi) lies within
+    # rounding of -m, where s = 1.7e-16 and t = tan(theta_m / 2) ~ 1e16
+    alpha = math.pi / 2
+    grid = build_grid(BeamSpec(1.0), 9, 8)
+    m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+    e1 = np.array([math.cos(alpha), 0.0, -math.sin(alpha)])
+    p = grid.vectors[1:, 0]
+    assert (grid.thetas[20], grid.phis[20]) == (math.pi / 2, 0.0)
+    assert p[:, 20] @ e1 == 0.0 and p[1, 20] == 0.0
+    assert (grid.thetas[24], grid.phis[24]) == (math.pi / 2, math.pi)
+    assert 0.0 < math.hypot(p[:, 24] @ e1, p[1, 24]) < 2e-16 and p[:, 24] @ m == -1.0
+    # the gauge form's rounding grows like eps exp(|xi|), so it is compared
+    # on |xi| <= 3; over the whole range the moments stay finite
+    stack = boost_stack(alpha, np.linspace(-3.0, 3.0, 7))
+    want = gauge_form_moments(stack, grid)
+    assert np.abs(transported_moments(stack, grid) - want).max() <= 1e-14
+    # and node by node, the stored and mirrored vectors
+    by_node = 0.5 * (_gram(stack, grid.vectors) + _gram(stack, _mirrored_vectors(grid)))
+    assert np.abs(by_node - want).max() <= 1e-14
+    deep = beams.density_states(boost_stack(alpha, np.linspace(-15.0, 15.0, 7)), grid)
+    assert np.all(deep[2] <= 1e-14)
+
+
+def test_transport_matches_the_gauge_form_oracle(rng):
+    # drawn stacks, real h/v vectors and complex polarizations, every node
+    # by every boost and node i by boost i
+    stack = random_stack(rng, 30)
+    grid = build_grid(BeamSpec(1.0), 12, 10)
+    got = transport(stack.matrices, grid.vectors)
+    assert np.abs(got - gauge_form_transport(stack.matrices, grid.vectors)).max() < 1e-13
+    p = random_momenta(rng, len(stack))
+    eps = random_polarizations(rng, *direction_angles(p[1:]))
+    paired = np.stack([p, eps], axis=1).transpose(2, 0, 1)[..., None]
+    got = transport(stack.matrices, paired)
+    assert np.iscomplexobj(got)
+    assert np.abs(got - gauge_form_transport(stack.matrices, paired)).max() < 1e-13
 
 
 def test_trace_guard_fires_on_a_broken_transport():
@@ -463,18 +547,30 @@ def test_psd_guard_fires_below_minus_1e_9():
     assert min_eig[1] == pytest.approx(-5e-10, abs=1e-15)
 
 
-def test_missing_gauge_term_trips_the_trace_guard(monkeypatch):
-    # boosting e without the gauge subtraction leaves a time component and
-    # the wrong spatial norm, which the unnormalized trace exposes
-    def raw_boost(boosts, vectors):
-        k, (_, cols, n) = len(boosts), vectors.shape
-        lv = (boosts @ vectors.reshape(4, cols * n)).reshape(k, 4, cols, n)
-        return np.ascontiguousarray(lv[:, 1:, 1:])
+@pytest.mark.parametrize(
+    "boost",
+    [
+        make_boost(0.7, 1.5),
+        boost_z(1.5),
+        compose(compose(rot_z(0.5), make_boost(0.7, 1.5)), rot_z(-0.5)),
+    ],
+    ids=["factor-row", "matrix", "off-plane"],
+)
+def test_unnormalized_azimuth_trips_the_trace_guard(monkeypatch, boost):
+    # an aberration map whose azimuth (cos phi, sin phi) is left unscaled by
+    # 1/s reads the polarizations against a theta-hat of the wrong length,
+    # which the unnormalized trace exposes on the summed path and on the
+    # node-by-node one alike
+    real = beams._node_angles
 
-    monkeypatch.setattr(beams, "transport", raw_boost)
+    def unscaled(p1, p2, p3):
+        s, cphi, sphi, t = real(p1, p2, p3)
+        return s, cphi * s, sphi * s, t
+
+    monkeypatch.setattr(beams, "_node_angles", unscaled)
     spec = BeamSpec(1.0)
     with pytest.raises(np.linalg.LinAlgError, match="trace"):
-        reduced_density(make_boost(0.7, 1.5), build_grid(spec, 16, 16), spec)
+        reduced_density(boost, build_grid(spec, 16, 16), spec)
 
 
 def test_density_grid_doubling_within_moderate_rapidity():

@@ -18,6 +18,7 @@ from photonboost.lorentz import (
     ROT_Y,
     TransformStack,
     boost_z,
+    factor_residuals,
     metric_residuals,
 )
 from photonboost.sweep import (
@@ -73,6 +74,17 @@ def test_boost_stack_matches_make_boost(alpha):
         assert np.array_equal(stack.kinds[i:i + 1], want.kinds)
         assert np.array_equal(stack.params[i:i + 1], want.params)
         assert np.abs(got - want.matrix).max() <= 1e-15 * max(1.0, np.abs(want.matrix).max())
+
+
+def test_boost_stack_matrices_are_the_fold_of_its_factor_table():
+    # the states read boost_stack's rows from the table, so its matrices
+    # must be exactly what the table folds to, bit for bit with make_boost
+    xis = np.linspace(-MAX_RAPIDITY, MAX_RAPIDITY, 31)
+    for alpha in (0.0, 2 * math.pi / 5, -2.9):
+        stack = boost_stack(alpha, xis)
+        assert not factor_residuals(stack).any()
+        want = np.concatenate([make_boost(alpha, xi).matrices for xi in xis])
+        assert stack.matrices.tobytes() == want.tobytes()
 
 
 def test_boost_stack_rejects_rapidities_beyond_the_bound():
