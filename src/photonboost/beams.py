@@ -133,6 +133,7 @@ for _p in (0, 1):
         _GRAM_MAP[:, _p, 3 * _p + _r, 3 * _p + _c] = _GAMMA[_e]
         _GRAM_MAP[:, _p, 3 * _p + _c, 3 * _p + _r] = _GAMMA[_e]
 _GRAM_MAP = _GRAM_MAP.reshape(30, 36)
+del _p, _e, _r, _c
 
 # _node_angles reads a node's distance s from the boost axis as at least
 # this: behind the axis t = 2 / s then stays below 2^481, so exp(2 xi) t^2
@@ -342,7 +343,8 @@ def _polar_parts(boosts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     +z and exp(-xi) = 1.
     """
     boost = boosts[:, 0, 1:]
-    sinh = np.sqrt(np.einsum("ki,ki->k", boost, boost))
+    # hypot keeps a tiny rapidity's axis a unit vector where squares underflow
+    sinh = np.hypot(np.hypot(boost[:, 0], boost[:, 1]), boost[:, 2])
     still = sinh == 0.0
     axes = boost / np.where(still, 1.0, sinh)[:, None]
     axes[still, 2] = 1.0
@@ -372,7 +374,7 @@ def _node_angles(p1, p2, p3):
     front (p3 >= 0) and (1 - p3) / s behind, each free of cancellation,
     with s read as at least _S_FLOOR.
     """
-    s = np.sqrt(p1 * p1 + p2 * p2)
+    s = np.hypot(p1, p2)
     on_axis = s == 0.0  # there p1 = p2 = 0
     safe = s + on_axis
     front = p3 >= 0.0

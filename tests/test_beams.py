@@ -502,6 +502,19 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     assert np.all(deep[2] <= 1e-14)
 
 
+@pytest.mark.parametrize("xi", [1.46e-159, -3e-170, 1e-300])
+def test_tiny_rapidity_read_from_a_matrix_is_a_unit_axis(xi):
+    # sinh(xi) m read from the matrix squares to a subnormal or zero; the
+    # axis must still be a unit vector, so the state is the rotated rest state
+    spec = BeamSpec(1.0)
+    grid = build_grid(spec, 16, 16)
+    rot = rot_z(0.3)
+    r9 = np.kron(rot.matrix[1:, 1:], rot.matrix[1:, 1:])
+    rho = reduced_density(compose(rot, make_boost(0.0, xi)), grid, spec)
+    rest = reduced_density(identity(), grid, spec)
+    assert np.abs(rho - r9 @ rest @ r9.T).max() < 1e-14
+
+
 def test_transport_matches_the_gauge_form_oracle(rng):
     # drawn stacks, real h/v vectors and complex polarizations, every node
     # by every boost and node i by boost i
