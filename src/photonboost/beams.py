@@ -38,6 +38,10 @@ x-z plane, every node's moments are fixed products weighted by 1, g and
 g^2 with g = 1 / (1 + exp(-2 xi) t^2), t = tan(theta_m/2), so
 transported_moments sums each node once per axis and gets every row of
 a block from two matrix products over the nodes (_aberration_sums).
+The grid keeps no vector per node: one pass (_node_blocks) builds each
+block's momenta and weighted h/v vectors from trigonometric factors the
+grid keeps once per theta and once per phi, so no array of the grid's
+node vectors is ever whole.
 
 Both photons see the same moments, so the state commutes with photon
 exchange exactly, and so does its partial transpose.  The guards read
@@ -57,7 +61,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,16 +73,18 @@ from .lorentz import BOOST_Z, PAD, ROT_Y, TransformStack
 _MIN_EIG_TOL = -1e-9
 
 # the unnormalized trace is 1 exactly for unit, mutually orthogonal
-# transported h/v vectors; the aberration map keeps it within 4e-15 of 1
-# on sweep rows at every accepted rapidity (fig2's and fig3's curves and
-# others out to |xi| = 15 on 8^2 to 192^2 grids) and within 9e-15 on
-# drawn stacks, a broken transport moves it by O(1)
-_TRACE_TOL = 1e-8
+# transported h/v vectors; the aberration map keeps it within 7e-15 of 1
+# on sweep rows at every accepted rapidity (alpha = 0.7 curves out to
+# |xi| = 15 on 8^2 to 512^2, 4096 x 64 and 32768 x 8 grids) and within
+# 9e-15 on drawn stacks, while h and v vectors off by 5e-11 move it by
+# 2e-10 and a broken transport by O(1)
+_TRACE_TOL = 1e-12
 
 # bytes of one working array: _gauss_legendre's (roots x series terms)
 # cosines and sines, taken a block of roots at a time, and
-# _aberration_sums' (boosts x nodes) weights, taken a block of nodes at
-# a time, so neither grows with the grid
+# _aberration_sums' (boosts x nodes) weights or _mirror_gram's transported
+# vectors, taken a block of nodes at a time (_node_blocks), so none
+# grows with the grid
 _BLOCK_BYTES = 1 << 18
 
 # Newton steps allowed per block of Legendre roots; from Tricomi's angles
@@ -165,22 +171,6 @@ def angular_weight(theta, spec: BeamSpec):
         return np.exp(-((theta / spec.sigma_theta) ** 2)) * np.sin(theta)
 
 
-def _node_vectors(st, ct, sp, cp, weights: np.ndarray) -> np.ndarray:
-    """(4, 3, n) real 4-vectors per node: unit-frequency momentum, sqrt(w) h, sqrt(w) v.
-
-    st, ct, sp and cp are the sines and cosines of each node's theta and
-    phi.  h = R(p)(cos phi, -sin phi, 0) and v = R(p)(sin phi, cos phi, 0)
-    with R(p) = R_z(phi) R_y(theta), written out; both have zero time part.
-    """
-    amp = np.sqrt(weights)
-    out = np.zeros((4, 3, len(st)))
-    out[:, 0] = np.ones_like(st), st * cp, st * sp, ct
-    out[1:, 1] = cp * cp * ct + sp * sp, sp * cp * (ct - 1.0), -st * cp
-    out[1:, 2] = sp * cp * (ct - 1.0), sp * sp * ct + cp * cp, -st * sp
-    out[:, 1:] *= amp
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Stored nodes on the sphere of directions and normalized weights (sum exactly one).
@@ -192,20 +182,27 @@ class QuadratureGrid:
 
     Weights are nonnegative rather than strictly positive: for narrow
     beams the Gaussian factor underflows to an exact zero on most of the
-    sphere, and those nodes simply contribute nothing.  ``vectors`` holds
-    the stored node 4-vectors the transport acts on (see _node_vectors),
-    computed once per grid.  ``trig``, if given, holds each node's
-    (sin theta, cos theta, sin phi, cos phi), which build_grid has taken
-    once per theta and per phi value; left out, they are computed per node.
+    sphere, and those nodes simply contribute nothing.  The nodes form a
+    product rule: they run over one row of phis for each theta in turn,
+    and every row holds the same phis.  Beside the per-node weights,
+    thetas and phis, the grid keeps only ``row_factors``, (9, rows)
+    functions of each row's theta, and ``column_factors``, (9, columns)
+    functions of each phi: entry (i, a) of a node's spatial (p, h, v),
+    flattened to 3 i + a, is their product, plus sin^2 phi for h_x and
+    cos^2 phi for v_y (_node_vectors builds blocks of nodes from them).
+    With t = theta and f = phi,
+    p = (sin t cos f, sin t sin f, cos t),
+    h = (cos t cos^2 f + sin^2 f, (cos t - 1) sin f cos f, -sin t cos f),
+    v = ((cos t - 1) sin f cos f, cos t sin^2 f + cos^2 f, -sin t sin f).
     """
 
     weights: np.ndarray
     thetas: np.ndarray = field(repr=False)
     phis: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(init=False, repr=False)
-    trig: InitVar[tuple | None] = None
+    row_factors: np.ndarray = field(init=False, repr=False)
+    column_factors: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, trig) -> None:
+    def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or np.shape(self.thetas) != w.shape or np.shape(self.phis) != w.shape:
             raise ValueError("weights, thetas and phis must be 1-d arrays of one length")
@@ -217,14 +214,52 @@ class QuadratureGrid:
             a = np.asarray(getattr(self, name), dtype=float).copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        if trig is None:
-            trig = np.sin(self.thetas), np.cos(self.thetas), np.sin(self.phis), np.cos(self.phis)
-        vectors = _node_vectors(*trig, self.weights)
-        vectors.flags.writeable = False
-        object.__setattr__(self, "vectors", vectors)
+        # a row ends where the first theta does
+        cols = int(np.argmax(self.thetas != self.thetas[0])) or len(w)
+        if len(w) % cols or not (
+            (self.thetas.reshape(-1, cols) == self.thetas[::cols, None]).all()
+            and (self.phis.reshape(-1, cols) == self.phis[:cols]).all()
+        ):
+            raise ValueError("nodes must run over one row of phis per theta, the same phis in every row")
+        thetas, phis = self.thetas[::cols], self.phis[:cols]
+        st, ct, sp, cp = np.sin(thetas), np.cos(thetas), np.sin(phis), np.cos(phis)
+        cc, sc, ss = cp * cp, sp * cp, sp * sp
+        for name, factors in (
+            ("row_factors", [st, ct, ct - 1.0, st, ct - 1.0, ct, ct, -st, -st]),
+            ("column_factors", [cp, cc, sc, sp, sc, ss, np.ones(cols), cp, sp]),
+        ):
+            factors = np.stack(factors)
+            factors.flags.writeable = False
+            object.__setattr__(self, name, factors)
 
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def _node_vectors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
+    """(3, 3, m) spatial parts of stored nodes lo ... hi - 1: unit momentum, sqrt(w) h, sqrt(w) v.
+
+    h = R(p)(cos phi, -sin phi, 0) and v = R(p)(sin phi, cos phi, 0)
+    with R(p) = R_z(phi) R_y(theta), written out; all three have zero
+    time part (the momentum's is 1).  The whole theta rows that hold the
+    nodes are one broadcast product of the grid's row and column
+    factors (QuadratureGrid), cut to the nodes asked for.
+    """
+    hi = min(hi, len(grid))
+    cols = grid.column_factors.shape[1]
+    first, last = lo // cols, -(-hi // cols)
+    rows = grid.row_factors[:, first:last, None] * grid.column_factors[:, None]
+    rows[1] += grid.column_factors[5]
+    rows[5] += grid.column_factors[1]
+    rows = rows.reshape(3, 3, -1)
+    rows[:, 1:] *= np.sqrt(grid.weights[first * cols:last * cols])
+    return rows[:, :, lo - first * cols:hi - first * cols]
+
+
+def _node_blocks(grid: QuadratureGrid, step: int):
+    """The pass over the grid: _node_vectors of each block of step stored nodes, in order."""
+    for lo in range(0, len(grid), step):
+        yield _node_vectors(grid, lo, lo + step)
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +343,8 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
     stored node off the mirror plane carries its image's weight too (see
     QuadratureGrid).  Renormalizing the weights to sum one absorbs the
     amplitude normalization constant, which is never needed in closed
-    form.
+    form.  The grid keeps three floats per stored node and nine factors
+    per theta and per stored phi; no node vector is built here.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid needs at least 2 nodes per axis, got {n_theta}x{n_phi}")
@@ -326,11 +362,8 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
             f"every node weight underflowed for sigma_theta={spec.sigma_theta}; "
             "the grid cannot resolve a beam this narrow"
         )
-    trig = (
-        *(np.repeat(f(thetas), len(phis)) for f in (np.sin, np.cos)),
-        *(np.tile(f(phis), n_theta) for f in (np.sin, np.cos)),
-    )
-    return QuadratureGrid(w / total, np.repeat(thetas, len(phis)), np.tile(phis, n_theta), trig)
+    w /= total
+    return QuadratureGrid(w, np.repeat(thetas, len(phis)), np.tile(phis, n_theta))
 
 
 def _polar_parts(boosts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,10 +419,11 @@ def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Transport of node vectors by the aberration map, node by node.
 
     boosts is a (k, 4, 4) stack; vectors is (4, 1 + m, n): per node the
-    momentum p, then m transverse vectors (real or complex).  Every boost
-    maps every node, or vectors is (k, 4, 1 + m, n) and boost i maps only
-    vectors[i].  Each boost is split as L = R B(xi, m) (_polar_parts).  B
-    moves p along its great circle through m, tan(theta_m'/2) =
+    momentum p, then m transverse vectors (real or complex), or only
+    their (3, 1 + m, n) spatial parts.  Every boost maps every node, or
+    vectors has a leading axis of k and boost i maps only vectors[i].
+    Each boost is split as L = R B(xi, m) (_polar_parts).  B moves p
+    along its great circle through m, tan(theta_m'/2) =
     exp(-xi) tan(theta_m/2), and keeps a vector's components along theta-hat
     and phi-hat about m; R then rotates the result.  Only the direction of
     p enters, and a vector's time part and its part along p (a gauge) drop
@@ -399,7 +433,7 @@ def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     rot, axes, shrink = _polar_parts(boosts)
     frames = _frames(axes)
     *lead, _, cols, n = vectors.shape
-    spatial = vectors[..., 1:, :, :].reshape(*lead, 3, cols * n)
+    spatial = vectors[..., -3:, :, :].reshape(*lead, 3, cols * n)
     f = (np.swapaxes(frames, 1, 2) @ spatial).reshape(len(frames), 3, cols, n)
     p = f[:, :, 0].real
     p = p / np.sqrt(np.einsum("kin,kin->kn", p, p))[:, None]
@@ -453,9 +487,9 @@ def _boost_parts(stack: TransformStack) -> tuple[np.ndarray, np.ndarray, np.ndar
 def _aberration_table(frame: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(12, n) node products and (n,) t^2 of stored node vectors about one axis.
 
-    frame is (e1, e2, m) as columns and vectors a (3, 3, n) slice of the
-    grid's spatial vectors.  With theta-hat about m, h_t = h . theta-hat
-    and v_t = v . theta-hat, the even parity has
+    frame is (e1, e2, m) as columns and vectors a (3, 3, n) block of the
+    grid's spatial node vectors (_node_vectors).  With theta-hat about m,
+    h_t = h . theta-hat and v_t = v . theta-hat, the even parity has
     (a, b, C) = (h_t cos phi, -v_t sin phi, h_t) and the odd parity
     (h_t sin phi, v_t cos phi, v_t); the rows are a^2, b^2, ab, C^2, t C a
     and t C b, each for the even then the odd parity.
@@ -494,9 +528,13 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
     scale = shrink * shrink
     step = max(1, _BLOCK_BYTES // (8 * max(k, 12)))
-    for lo in range(0, len(grid), step):
-        table, t2 = _aberration_table(frame, grid.vectors[1:, :, lo:lo + step])
-        g = np.multiply.outer(scale, t2)
+    # one buffer holds every block's weights: a fresh (k, step) array per
+    # block can be mapped and unmapped by the allocator each time, which
+    # cost fig2 and fig3 up to 8% of their time
+    buf = np.empty(k * min(step, len(grid)))
+    for vectors in _node_blocks(grid, step):
+        table, t2 = _aberration_table(frame, vectors)
+        g = np.multiply.outer(scale, t2, out=buf[:k * len(t2)].reshape(k, -1))
         g += 1.0
         np.reciprocal(g, out=g)
         n0 += table.sum(axis=1)
@@ -516,10 +554,14 @@ def _mirror_gram(boost: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     The image of a stored node, transported by L, is the reflection of the
     node transported by P L P, so the rule's Gram is
     1/2 (G(L) + D G(PLP) D), with G the Gram of the transported stored
-    vectors and D the reflection on index 2i + a (_IMAGE_SIGNS).
+    vectors and D the reflection on index 2i + a (_IMAGE_SIGNS).  Nodes
+    are transported _BLOCK_BYTES of (2, 3, 3, nodes) vectors at a time.
     """
-    x = transport(np.stack([boost, boost * _MIRROR_SIGNS]), grid.vectors).reshape(2, 6, -1)
-    gram = x @ x.swapaxes(1, 2)
+    pair = np.stack([boost, boost * _MIRROR_SIGNS])
+    gram = np.zeros((2, 6, 6))
+    for vectors in _node_blocks(grid, max(1, _BLOCK_BYTES // (8 * 18))):
+        x = transport(pair, vectors).reshape(2, 6, -1)
+        gram += x @ x.swapaxes(1, 2)
     return 0.5 * (gram[0] + gram[1] * _IMAGE_SIGNS)
 
 

@@ -88,15 +88,20 @@ def gauge_form_transport(boosts, vectors):
     return le[:, 1:] - (le[:, :1] / lp[:, :1]) * lp[:, 1:]
 
 
-def gauge_form_moments(L, grid, omega=1.0):
-    """transported_moments of L on grid, each node of the whole rule transported by the gauge form."""
-    thetas, phis, weights = expanded_rule(grid)
+def closed_form_vectors(thetas, phis, weights, omega=1.0):
+    """(4, 3, n) node 4-vectors p, sqrt(w) h and sqrt(w) v from their closed forms."""
     amp = np.sqrt(weights)
-    vectors = np.stack([
+    return np.stack([
         null_momenta(thetas, phis, omega),
         amp * h_vec_stack(thetas, phis).real,
         amp * v_vec_stack(thetas, phis).real,
     ], axis=1)
+
+
+def gauge_form_moments(L, grid, omega=1.0):
+    """transported_moments of L on grid, each node of the whole rule transported by the gauge form."""
+    thetas, phis, weights = expanded_rule(grid)
+    vectors = closed_form_vectors(thetas, phis, weights, omega)
     x = gauge_form_transport(L.matrices, vectors).reshape(len(L), 6, len(thetas))
     return x @ np.swapaxes(x, 1, 2)
 

@@ -29,6 +29,7 @@ from photonboost.beams import (
 )
 from photonboost.entanglement import log_negativity, log_negativity_from_spectrum
 from oracles import (
+    closed_form_vectors,
     gauge_form_moments,
     gauge_form_transport,
     random_directions,
@@ -43,12 +44,10 @@ from photonboost.lorentz import (
     compose,
     direction_angles,
     identity,
-    null_momenta,
     rot_y,
     rot_z,
 )
 from photonboost.sweep import SweepConfig, boost_stack, make_boost, run_sweep
-from photonboost.wigner import h_vec_stack, v_vec_stack
 
 BELL_KERNEL = np.zeros(9)
 BELL_KERNEL[0] = 1 / math.sqrt(2)  # x (x) x
@@ -80,7 +79,7 @@ def test_grid_node_count():
     grid = build_grid(BeamSpec(1.0), 12, 7)
     assert len(grid) == 12 * (7 // 2 + 1)
     assert len(grid.weights) == len(grid.thetas) == len(grid.phis) == 12 * 4
-    assert grid.vectors.shape == (4, 3, 12 * 4)
+    assert grid.row_factors.shape == (9, 12) and grid.column_factors.shape == (9, 4)
     assert len(expanded_rule(grid)[0]) == 2 * 12 * 4
 
 
@@ -303,8 +302,7 @@ def test_bulk_transport_matches_scalar_rotation_form(rng):
     for _ in range(5):
         L = random_stack(rng, 1)
         thetas, phis = random_directions(rng, 20)
-        p = null_momenta(thetas, phis, 1.0)
-        vectors = np.stack([p, h_vec_stack(thetas, phis).real, v_vec_stack(thetas, phis).real], axis=1)
+        vectors = closed_form_vectors(thetas, phis, 1.0)
         (xh, xv), = transport(L.matrices, vectors).transpose(0, 2, 1, 3)
         rh, rv = rotation_form_pair_basis(L, thetas, phis, 1.0)
         for i in range(len(thetas)):
@@ -314,22 +312,26 @@ def test_bulk_transport_matches_scalar_rotation_form(rng):
                 assert np.abs(got_v[:, i] - want_v[:, 0]).max() < 1e-12
 
 
-def test_grid_vectors_are_weighted_closed_form_h_v():
-    spec = BeamSpec(0.9)
-    grid = build_grid(spec, 6, 5)
-    assert grid.vectors.shape == (4, 3, 6 * (5 // 2 + 1))
-    amp = np.sqrt(grid.weights)
-    thetas, phis = grid.thetas, grid.phis
-    assert np.abs(grid.vectors[:, 0] - null_momenta(thetas, phis, 1.0)).max() < 1e-15
-    assert np.abs(grid.vectors[:, 1] - amp * h_vec_stack(thetas, phis)).max() < 1e-15
-    assert np.abs(grid.vectors[:, 2] - amp * v_vec_stack(thetas, phis)).max() < 1e-15
+def test_node_blocks_are_the_weighted_closed_forms_across_every_block_edge():
+    # 9 x (13 // 2 + 1) = 63 stored nodes in rows of 7, passed in blocks
+    # of 10: blocks start and end mid row, and the last one is short
+    grid = build_grid(BeamSpec(0.9), 9, 13)
+    blocks = list(beams._node_blocks(grid, 10))
+    assert [b.shape for b in blocks] == [(3, 3, 10)] * 6 + [(3, 3, 3)]
+    got = np.concatenate(blocks, axis=-1)
+    want = closed_form_vectors(grid.thetas, grid.phis, grid.weights)[1:]
+    assert np.abs(got - want).max() < 1e-15
+    # every node alone, and the two nodes either side of each block edge,
+    # are cut bit for bit from the same rows
+    for i in range(len(grid)):
+        assert np.array_equal(beams._node_vectors(grid, i, i + 1), got[:, :, i:i + 1])
+    for edge in range(10, len(grid), 10):
+        assert np.array_equal(beams._node_vectors(grid, edge - 2, edge + 2), got[:, :, edge - 2:edge + 2])
 
 
 def _mirrored_vectors(grid):
-    """The stored node vectors of the images (theta, -phi): y components and v negated."""
-    out = grid.vectors * np.array([1.0, 1.0, -1.0, 1.0])[:, None, None]
-    out[:, 2] *= -1.0
-    return out
+    """Closed-form node 4-vectors of the stored nodes' images (theta, -phi)."""
+    return closed_form_vectors(grid.thetas, -grid.phis, grid.weights)
 
 
 def _gram(stack, vectors):
@@ -344,11 +346,8 @@ def test_x_z_plane_moments_are_the_gram_of_the_stored_and_mirrored_vectors(n_phi
     # stored and mirrored vector node by node, to rounding.  transport reads
     # each boost from its matrix, which costs eps cosh(xi), so |xi| <= 3
     grid = build_grid(BeamSpec(1.1), 10, n_phi)
+    stored = closed_form_vectors(grid.thetas, grid.phis, grid.weights)
     mirrored = _mirrored_vectors(grid)
-    amp, thetas, phis = np.sqrt(grid.weights), grid.thetas, -grid.phis
-    assert np.abs(mirrored[:, 0] - null_momenta(thetas, phis, 1.0)).max() < 1e-15
-    assert np.abs(mirrored[:, 1] - amp * h_vec_stack(thetas, phis)).max() < 1e-15
-    assert np.abs(mirrored[:, 2] - amp * v_vec_stack(thetas, phis)).max() < 1e-15
     xis = np.linspace(-3.0, 3.0, 9)
     for boosts in (
         boost_stack(0.7, xis),
@@ -356,7 +355,7 @@ def test_x_z_plane_moments_are_the_gram_of_the_stored_and_mirrored_vectors(n_phi
         concatenated([make_boost(a, xi) for a in (0.0, 1.2, 3.0) for xi in xis]),
         concatenated([compose(rot_y(a), boost_z(xi)) for a in (0.4, -2.0) for xi in xis]),
     ):
-        want = 0.5 * (_gram(boosts, grid.vectors) + _gram(boosts, mirrored))
+        want = 0.5 * (_gram(boosts, stored) + _gram(boosts, mirrored))
         assert np.abs(transported_moments(boosts, grid) - want).max() <= 1e-14
 
 
@@ -385,6 +384,20 @@ def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi)
         # independently, on which the mirror-plane nodes appear once
         assert np.abs(rho - direct_double_sum_density(L, grid, 1.0)).max() <= 1e-13
         assert np.abs(rho - direct_double_sum_density(L, full, 1.0)).max() <= 1e-13
+
+
+def test_small_blocks_keep_both_moment_paths_on_the_expanded_rule_double_sum(monkeypatch, rng):
+    # blocks of 50 nodes for the x-z plane sums and of 33 for the
+    # node-by-node transport, on 6 x 9 = 54 stored nodes in rows of 9
+    monkeypatch.setattr(beams, "_BLOCK_BYTES", 8 * 12 * 50)
+    grid = build_grid(BeamSpec(1.0), 6, 16)
+    cases = [make_boost(0.7, 1.0), compose(make_boost(0.7, 1.0), rot_z(0.4)), *_fold_cases(rng)]
+    stack = concatenated(cases)
+    # the boost along R_z(0.4)^T m has an axis off the x-z plane
+    assert stack.matrices[1, 0, 2] != 0.0
+    states = beams.density_states(stack, grid)[0]
+    for L, rho in zip(cases, states):
+        assert np.abs(rho - direct_double_sum_density(L, grid, 1.0)).max() <= 1e-13
 
 
 def test_sweeps_sum_each_node_once_per_axis_and_only_off_plane_boosts_transport(monkeypatch, rng):
@@ -444,6 +457,47 @@ def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
     assert peak <= 2 * 2**20
 
 
+def test_grid_keeps_three_floats_per_stored_node_and_builds_under_5_mb_on_384_squared():
+    # the grid keeps each stored node's weight, theta and phi, and nine
+    # factors per theta and per phi: 1.82 MB kept and a 3.5 MB peak, where
+    # a (4, 3, n) array of node vectors needs 7.1 MB
+    build_grid(BeamSpec(1.3), 8, 8)
+    tracemalloc.start()
+    try:
+        grid = build_grid(BeamSpec(1.3), 384, 384)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 3 * 8 * len(grid) + 128 * (384 + 384)
+    assert peak <= 5 * 2**20
+
+
+def test_grid_rejects_nodes_that_are_not_a_product_rule():
+    weights, thetas, phis = np.full(6, 1 / 6), np.repeat([0.5, 1.0, 1.5], 2), np.tile([0.0, 1.0], 3)
+    assert len(QuadratureGrid(weights, thetas, phis)) == 6
+    with pytest.raises(ValueError, match="row of phis"):
+        QuadratureGrid(weights, thetas, np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="row of phis"):
+        QuadratureGrid(weights, np.array([0.5, 0.5, 1.0, 1.0, 1.0, 1.5]), phis)
+
+
+_GUARD_CASES = {
+    "x_z_plane": boost_stack(0.7, np.linspace(-15.0, 15.0, 7)),
+    "off_plane": compose(make_boost(0.7, 1.0), rot_z(0.4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GUARD_CASES))
+def test_trace_guard_trips_on_node_vectors_scaled_by_1_plus_5e_11(monkeypatch, case):
+    # h and v scaled by 1 + 5e-11 move the trace by 2e-10, on the in-plane
+    # sums and the node-by-node path alike; rounding moves it by at most 7e-15
+    real = beams._node_vectors
+    monkeypatch.setattr(beams, "_node_vectors", lambda *args: real(*args) * (1.0 + 5e-11))
+    grid = build_grid(BeamSpec(1.0), 16, 16)
+    with pytest.raises(np.linalg.LinAlgError, match="trace"):
+        beams.density_states(_GUARD_CASES[case], grid)
+
+
 def test_grid_compares_and_hashes_by_identity():
     grid = build_grid(BeamSpec(1.0), 8, 8)
     assert grid == grid and grid != build_grid(BeamSpec(1.0), 8, 8)
@@ -485,7 +539,7 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     grid = build_grid(BeamSpec(1.0), 9, 8)
     m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
     e1 = np.array([math.cos(alpha), 0.0, -math.sin(alpha)])
-    p = grid.vectors[1:, 0]
+    p = beams._node_vectors(grid, 0, len(grid))[:, 0]
     assert (grid.thetas[20], grid.phis[20]) == (math.pi / 2, 0.0)
     assert p[:, 20] @ e1 == 0.0 and p[1, 20] == 0.0
     assert (grid.thetas[24], grid.phis[24]) == (math.pi / 2, math.pi)
@@ -496,7 +550,8 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     want = gauge_form_moments(stack, grid)
     assert np.abs(transported_moments(stack, grid) - want).max() <= 1e-14
     # and node by node, the stored and mirrored vectors
-    by_node = 0.5 * (_gram(stack, grid.vectors) + _gram(stack, _mirrored_vectors(grid)))
+    stored = closed_form_vectors(grid.thetas, grid.phis, grid.weights)
+    by_node = 0.5 * (_gram(stack, stored) + _gram(stack, _mirrored_vectors(grid)))
     assert np.abs(by_node - want).max() <= 1e-14
     deep = beams.density_states(boost_stack(alpha, np.linspace(-15.0, 15.0, 7)), grid)
     assert np.all(deep[2] <= 1e-14)
@@ -520,8 +575,11 @@ def test_transport_matches_the_gauge_form_oracle(rng):
     # by every boost and node i by boost i
     stack = random_stack(rng, 30)
     grid = build_grid(BeamSpec(1.0), 12, 10)
-    got = transport(stack.matrices, grid.vectors)
-    assert np.abs(got - gauge_form_transport(stack.matrices, grid.vectors)).max() < 1e-13
+    vectors = closed_form_vectors(grid.thetas, grid.phis, grid.weights)
+    got = transport(stack.matrices, vectors)
+    assert np.abs(got - gauge_form_transport(stack.matrices, vectors)).max() < 1e-13
+    # the spatial parts alone transport the same
+    assert np.array_equal(transport(stack.matrices, vectors[1:]), got)
     p = random_momenta(rng, len(stack))
     eps = random_polarizations(rng, *direction_angles(p[1:]))
     paired = np.stack([p, eps], axis=1).transpose(2, 0, 1)[..., None]
@@ -533,19 +591,19 @@ def test_transport_matches_the_gauge_form_oracle(rng):
 def test_trace_guard_fires_on_a_broken_transport():
     raw = np.zeros((3, 9, 9))
     raw[:, 0, 0] = 1.0
-    raw[1, 0, 0] = 1.0 + 2e-8
+    raw[1, 0, 0] = 1.0 + 2e-12
     with pytest.raises(np.linalg.LinAlgError, match="trace"):
         beams._guarded_states(raw)
-    raw[1, 0, 0] = 1.0 + 5e-9
+    raw[1, 0, 0] = 1.0 + 2.0**-41
     beams._guarded_states(raw)
 
 
 def test_trace_gap_is_read_before_normalization():
     raw = np.zeros((2, 9, 9))
     raw[:, 0, 0] = 1.0
-    raw[1, 0, 0] = 1.0 + 5e-9
+    raw[1, 0, 0] = 1.0 + 2.0**-41
     states, _, gap, _ = beams._guarded_states(raw)
-    assert gap[0] == 0.0 and gap[1] == pytest.approx(5e-9, rel=1e-6)
+    assert gap[0] == 0.0 and gap[1] == 2.0**-41
     assert np.trace(states[1]) == 1.0
 
 

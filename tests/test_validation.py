@@ -128,13 +128,13 @@ def test_missing_gauge_term_trips_form_equivalence(monkeypatch):
 
 
 def test_raw_trace_gap_trips_rho_sanity_only(monkeypatch):
-    # moments 1e-9 too large put the trace 2e-9 off: under the 1e-8 guard,
-    # over the 1e-10 clause, and gone once the state is normalized
+    # moments 1e-13 too large put the trace 2e-13 off: under the 1e-12
+    # guard, over the 1e-13 clause, and gone once the state is normalized
     real = beams.transported_moments
-    monkeypatch.setattr(beams, "transported_moments", lambda b, g: real(b, g) * (1.0 + 1e-9))
+    monkeypatch.setattr(beams, "transported_moments", lambda b, g: real(b, g) * (1.0 + 1e-13))
     failed = {g.name: g.detail for g in validate().groups if not g.passed}
     assert list(failed) == ["rho_sanity"]
-    assert float(failed["rho_sanity"].split(",")[0].removeprefix("trace ")) > 1e-10
+    assert float(failed["rho_sanity"].split(",")[0].removeprefix("trace ")) > 1e-13
 
 
 def _drifting_rotation_form(monkeypatch):
