@@ -44,18 +44,24 @@ grid keeps once per theta and once per phi, so no array of the grid's
 node vectors is ever whole.
 
 Both photons see the same moments, so the state commutes with photon
-exchange exactly, and so does its partial transpose.  The guards read
-the state through its exchange blocks (entanglement.exchange_blocks): the
-trace is the sum of the blocks' traces, and the smallest eigenvalue is
-the least over the spectra of the 6x6 symmetric and 3x3 antisymmetric
-blocks.  The same solve yields the partial-transpose spectra that the
-log negativity log2(1 + 2 N) reads (density_states), so no 9x9 matrix
-is diagonalized.
+exchange exactly, and so does its partial transpose.  Each entry of
+their 6x6 symmetric and 3x3 antisymmetric exchange blocks is a fixed
+bilinear form in the moments, and entanglement.exchange_blocks builds
+the blocks straight from them, so a sweep never forms a 9x9 matrix.
+The guards read the state through those blocks: the trace is the sum of
+the blocks' traces, and the smallest eigenvalue is the least over the
+spectra of both of rho's blocks.  The same solve yields the
+partial-transpose spectra that the log negativity log2(1 + 2 N) reads
+(density_spectra, the sweep path).  Only density_states also assembles
+the 9x9 states from the same moments (_assemble), for reduced_density,
+validate and the tests; no 9x9 matrix is diagonalized.
 
-density_states and transported_moments take a
+density_spectra, density_states and transported_moments take a
 lorentz.TransformStack of k boosts, whose constructor has guarded them,
 and evaluate all k states at once; a single transform is the k = 1 case.
-transport takes raw (k, 4, 4) matrices.
+Sweeps pass ROWS_PER_BLOCK boosts at a time, a count derived from the
+bytes a row keeps through the state stage.  transport takes raw
+(k, 4, 4) matrices.
 """
 from __future__ import annotations
 
@@ -86,6 +92,14 @@ _TRACE_TOL = 1e-12
 # vectors, taken a block of nodes at a time (_node_blocks), so none
 # grows with the grid
 _BLOCK_BYTES = 1 << 18
+
+# boosts whose node sums one matrix product takes (_aberration_sums).
+# OpenBLAS 0.3.31 (Haswell kernels) rounds a (boosts x nodes) product of
+# more than about 100 rows up to ten times less tightly: on dense_curve's
+# 16^2 sums the worst entry error grows from 1.1e-16 to 1.1e-15, and the
+# Grams' cancellation carries that into trace gaps of 7.9e-15, against
+# 1.6e-15 for products of 64 rows
+_SUM_ROWS = 64
 
 # Newton steps allowed per block of Legendre roots; from Tricomi's angles
 # the iteration in t converges cubically and stops after two or three
@@ -140,6 +154,17 @@ for _p in (0, 1):
         _GRAM_MAP[:, _p, 3 * _p + _c, 3 * _p + _r] = _GAMMA[_e]
 _GRAM_MAP = _GRAM_MAP.reshape(30, 36)
 del _p, _e, _r, _c
+
+# floats a row keeps through the state stage (_guarded): its 36 moments in
+# and its 90 block entries out (entanglement.exchange_blocks); the stage's
+# short-lived copies take its peak to about twice that, 0.5 MB at
+# ROWS_PER_BLOCK rows
+_STATE_ROW_FLOATS = 36 + 90
+
+# rows whose states are built and solved together (sweep._evaluate): what
+# they keep fills _BLOCK_BYTES, and the stage's fixed cost per call is
+# shared by that many rows
+ROWS_PER_BLOCK = _BLOCK_BYTES // (8 * _STATE_ROW_FLOATS)
 
 # _node_angles reads a node's distance s from the boost axis as at least
 # this: behind the axis t = 2 / s then stays below 2^481, so exp(2 xi) t^2
@@ -373,16 +398,19 @@ def _polar_parts(boosts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     R_ij = L_ij - tanh(xi/2) L_i0 m_j = L_ij - L_i0 L_0j / (1 + L00).
     Returns the (k, 3, 3) rotations R, the (k, 3) unit axes m and the
     (k,) factors exp(-xi) = 1 / (L00 + |L0i|).  A rotation has the axis
-    +z and exp(-xi) = 1.
+    +z and exp(-xi) = 1, and so does a boost whose exp(-xi) rounds to 1:
+    its aberration map is the identity along any axis, and a subnormal
+    sinh(xi) m has lost the direction of m.
     """
     boost = boosts[:, 0, 1:]
     # hypot keeps a tiny rapidity's axis a unit vector where squares underflow
     sinh = np.hypot(np.hypot(boost[:, 0], boost[:, 1]), boost[:, 2])
-    still = sinh == 0.0
+    shrink = 1.0 / (boosts[:, 0, 0] + sinh)
+    still = (sinh == 0.0) | (shrink == 1.0)
     axes = boost / np.where(still, 1.0, sinh)[:, None]
-    axes[still, 2] = 1.0
+    axes[still] = 0.0, 0.0, 1.0
     rot = boosts[:, 1:, 1:] - boosts[:, 1:, :1] * boosts[:, :1, 1:] / (1.0 + boosts[:, :1, :1])
-    return rot, axes, 1.0 / (boosts[:, 0, 0] + sinh)
+    return rot, axes, shrink
 
 
 def _frames(axes: np.ndarray) -> np.ndarray:
@@ -521,26 +549,29 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     no cross terms, and each is a sum over nodes of fixed products
     weighted by 1, g and g^2 (_GAMMA).  The sums are ordered (product,
     parity) as _GRAM_MAP reads them.  Nodes are taken _BLOCK_BYTES of
-    (k, nodes) weights at a time, and each block is summed for every boost
-    with two matrix products.
+    (rows, nodes) weights at a time, rows = min(k, _SUM_ROWS), and each
+    block is summed for every _SUM_ROWS boosts with two matrix products.
     """
     k = len(shrink)
     n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
     scale = shrink * shrink
-    step = max(1, _BLOCK_BYTES // (8 * max(k, 12)))
-    # one buffer holds every block's weights: a fresh (k, step) array per
-    # block can be mapped and unmapped by the allocator each time, which
-    # cost fig2 and fig3 up to 8% of their time
-    buf = np.empty(k * min(step, len(grid)))
+    rows = min(k, _SUM_ROWS)
+    step = max(1, _BLOCK_BYTES // (8 * max(rows, 12)))
+    # one buffer holds every block's weights: a fresh (rows, step) array
+    # per block can be mapped and unmapped by the allocator each time,
+    # which cost fig2 and fig3 up to 8% of their time
+    buf = np.empty(rows * min(step, len(grid)))
     for vectors in _node_blocks(grid, step):
         table, t2 = _aberration_table(frame, vectors)
-        g = np.multiply.outer(scale, t2, out=buf[:k * len(t2)].reshape(k, -1))
-        g += 1.0
-        np.reciprocal(g, out=g)
         n0 += table.sum(axis=1)
-        n1 += g @ table.T
-        g *= g
-        n2 += g @ table.T
+        for lo in range(0, k, rows):
+            part = scale[lo:lo + rows]
+            g = np.multiply.outer(part, t2, out=buf[:len(part) * len(t2)].reshape(len(part), -1))
+            g += 1.0
+            np.reciprocal(g, out=g)
+            n1[lo:lo + rows] += g @ table.T
+            g *= g
+            n2[lo:lo + rows] += g @ table.T
     n1, n2 = n1.reshape(k, 6, 2), n2.reshape(k, 6, 2)
     n1[:, 4:] *= shrink[:, None, None]
     n2[:, 4:] *= shrink[:, None, None]
@@ -611,7 +642,8 @@ def _assemble(moments: np.ndarray) -> np.ndarray:
     ((i, k), (j, l)) of a term is the product of (M_ab)_ij and (M_ab)_kl,
     and the terms are summed in one order for every entry, so exchanging
     the photons maps each entry onto an exactly equal one:
-    SWAP rho SWAP = rho holds to the last bit.
+    SWAP rho SWAP = rho holds to the last bit.  Only density_states calls
+    it, for the callers that read a 9x9 state; sweeps never do.
     """
     k = len(moments)
     m = moments.reshape(k, 3, 2, 3, 2).transpose(2, 4, 0, 1, 3).reshape(4, k, 3, 3)
@@ -619,22 +651,21 @@ def _assemble(moments: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0).reshape(k, 9, 9)
 
 
-def _guarded_states(
-    raw: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Trace-normalize a (k, 9, 9) stack in place after the trace and PSD guards.
+def _guarded(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trace and PSD guards on the states of (k, 6, 6) moments, and their spectra.
 
-    Both guards read the exchange blocks of the states
-    (entanglement.exchange_blocks): the trace is the sum of the block
-    traces, and the smallest eigenvalue is the least over both blocks'
-    spectra.  Returns the states, their smallest eigenvalues, their trace
-    gaps |tr - 1| before normalization and the (k, 9) spectra of their
-    partial transposes: the six eigenvalues of the symmetric block, then
-    the three of the antisymmetric one, each ascending.  Raises
-    numpy.linalg.LinAlgError if a gap exceeds _TRACE_TOL or an eigenvalue
-    lies below _MIN_EIG_TOL: either is an internal error.
+    Both guards read the exchange blocks of the states, built straight
+    from the moments (entanglement.exchange_blocks): the trace is the sum
+    of the block traces, and the smallest eigenvalue is the least over
+    both blocks' spectra.  Returns the traces before
+    normalization, the smallest eigenvalues and trace gaps |tr - 1| of the
+    normalized states and the (k, 9) spectra of their partial transposes:
+    the six eigenvalues of the symmetric block, then the three of the
+    antisymmetric one, each ascending.  Raises numpy.linalg.LinAlgError if
+    a gap exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL:
+    either is an internal error.
     """
-    sym, anti = entanglement.exchange_blocks(raw)
+    sym, anti = entanglement.exchange_blocks(moments)
     tr = np.trace(sym[:, 0], axis1=1, axis2=2) + np.trace(anti[:, 0], axis1=1, axis2=2)
     gap = np.abs(tr - 1.0)
     ok = gap <= _TRACE_TOL  # NaN fails too
@@ -643,7 +674,6 @@ def _guarded_states(
             f"density matrix trace {float(tr[~ok][0])!r} before normalization is not 1; "
             "this indicates an internal error"
         )
-    raw /= tr[:, None, None]
     spectra = np.concatenate(
         [entanglement.hermitian_eigenvalues(sym), entanglement.hermitian_eigenvalues(anti)], axis=-1
     ) / tr[:, None, None]
@@ -653,23 +683,43 @@ def _guarded_states(
             f"density matrix is not positive semidefinite (min eigenvalue "
             f"{float(np.min(min_eig)):.3e}); this indicates an internal error"
         )
-    return raw, min_eig, gap, spectra[:, 1]
+    return tr, min_eig, gap, spectra[:, 1]
+
+
+def density_spectra(
+    stack: TransformStack, grid: QuadratureGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guard readings and partial-transpose spectra of the boosted states of a stack of k boosts.
+
+    The state is rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
+    s_v = -1, which equals the direct double sum of pair projectors over
+    the grid's whole rule, normalized to unit trace to absorb rounding.
+    Returns the (k,) smallest eigenvalue of each state, the (k,) trace gap
+    |tr - 1| of each before normalization and the (k, 9) spectra of their
+    partial transposes, which the log negativity reads
+    (entanglement.log_negativity_from_spectrum).  Everything is read from
+    the exchange blocks built straight from the moments (_guarded); this is
+    the sweep path, and it forms no 9x9 matrix.  Its memory grows with k,
+    so sweeps pass ROWS_PER_BLOCK rows at a time.
+    """
+    return _guarded(transported_moments(stack, grid))[1:]
 
 
 def density_states(
     stack: TransformStack, grid: QuadratureGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boosted reduced states for a stack of k boosts, with their guard readings and spectra.
+    """density_spectra's readings after the real (k, 9, 9) unit-trace states they describe.
 
-    Assembles rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
-    s_v = -1, which equals the direct double sum of pair projectors over
-    the grid's whole rule, then trace-normalizes to absorb rounding.  Returns real
-    (k, 9, 9) states, the (k,) smallest eigenvalue of each, the (k,)
-    trace gap |tr - 1| of each before normalization and the (k, 9)
-    spectra of their partial transposes, which the log negativity reads
-    (entanglement.log_negativity_from_spectrum); no 9x9 matrix is solved.
+    The states are assembled from the same moments (_assemble) and
+    divided by the same traces, for the callers that read a 9x9 state:
+    reduced_density, validate and the tests.  The readings come from the
+    exchange blocks, as on the sweep path; no 9x9 matrix is solved.
     """
-    return _guarded_states(_assemble(transported_moments(stack, grid)))
+    moments = transported_moments(stack, grid)
+    tr, min_eig, gap, spectra = _guarded(moments)
+    states = _assemble(moments)
+    states /= tr[:, None, None]
+    return states, min_eig, gap, spectra
 
 
 def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> np.ndarray:

@@ -9,12 +9,16 @@ eigenvalues witness entanglement; a positive partial transpose has N = 0
 and a log negativity of exactly zero.
 
 The pair state commutes with photon exchange (SWAP), and so does its
-partial transpose: both are block diagonal in the exchange basis, a 6x6
-block on the symmetric subspace and a 3x3 block on the antisymmetric one
-(exchange_blocks), and their spectra are the union of the blocks'.
+partial transpose: both are block diagonal in the exchange basis
+(EXCHANGE_BASIS), a 6x6 block on the symmetric subspace and a 3x3 block
+on the antisymmetric one, and their spectra are the union of the
+blocks'.  exchange_blocks builds those blocks straight from the
+moments of beams.transported_moments, so no 9x9 matrix is formed on the
+sweep path.
 
-partial_transpose_A, exchange_blocks and log_negativity accept a single
-9x9 matrix or a (k, 9, 9) stack and work on the whole stack at once.
+partial_transpose_A and log_negativity accept a single 9x9 matrix or a
+(k, 9, 9) stack and work on the whole stack at once; they serve the
+callers that read a 9x9 state (beams.reduced_density, validate).
 """
 from __future__ import annotations
 
@@ -39,6 +43,12 @@ def partial_transpose_A(rho) -> np.ndarray:
     return np.swapaxes(blocks, -4, -2).reshape(m.shape)
 
 
+# the entries (i, j) of a symmetric 3x3 matrix with i <= j, and of an
+# antisymmetric one with i < j
+_SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_ANTI_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
 def _exchange_basis() -> np.ndarray:
     """(9, 9) orthonormal rows, each a 3x3 two-photon amplitude flattened.
 
@@ -46,48 +56,110 @@ def _exchange_basis() -> np.ndarray:
     (e_i e_j + e_j e_i)/sqrt 2 for i < j; the last three span the
     antisymmetric one, (e_i e_j - e_j e_i)/sqrt 2.
     """
-    pairs = ((0, 1), (0, 2), (1, 2))
     rows = np.zeros((9, _DIM, _DIM))
     for i in range(_DIM):
         rows[i, i, i] = 1.0
-    for n, (i, j) in enumerate(pairs):
+    for n, (i, j) in enumerate(_ANTI_PAIRS):
         rows[3 + n, i, j] = rows[3 + n, j, i] = math.sqrt(0.5)
         rows[6 + n, i, j], rows[6 + n, j, i] = math.sqrt(0.5), -math.sqrt(0.5)
-    return rows.reshape(9, 9)
-
-
-def _block_map() -> np.ndarray:
-    """(81, 90) map from a flattened 9x9 state to its four exchange blocks.
-
-    The block of rho on the subspace spanned by basis rows B is B rho B^T,
-    whose flattening is kron(B, B) applied to the flattened rho.  The
-    partial transpose permutes entries and is its own inverse, so the
-    block of rho^T_A reads the partially transposed rows of kron(B, B).
-    The columns hold the 6x6 blocks of rho and rho^T_A, then their 3x3
-    blocks.
-    """
-    q = _exchange_basis()
-    sym, anti = np.kron(q[:6], q[:6]), np.kron(q[6:], q[6:])
-    pt = [partial_transpose_A(b.reshape(-1, 9, 9)).reshape(-1, 81) for b in (sym, anti)]
-    out = np.concatenate([sym, pt[0], anti, pt[1]]).T.copy()
+    out = rows.reshape(9, 9)
     out.flags.writeable = False
     return out
 
 
-_BLOCK_MAP = _block_map()
+EXCHANGE_BASIS = _exchange_basis()
+
+# the weights of H (x) H, V (x) V and S (x) S in the state (exchange_blocks),
+# shaped to scale a (k, 3, 6) stack of their unique entries
+_TERM_WEIGHTS = np.array([0.5, 0.5, -1.0])[:, None]
 
 
-def exchange_blocks(rho) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric (..., 2, 6, 6) and antisymmetric (..., 2, 3, 3) blocks of rho and rho^T_A.
+def _read_map() -> np.ndarray:
+    """(36, 21) map from flattened 6x6 moments to the unique entries exchange_blocks reads.
 
-    Along axis -3, index 0 holds the blocks of rho and index 1 those of
-    its partial transpose.  rho must commute with photon exchange: the
-    blocks coupling the two subspaces vanish then and are not computed.
+    Entry [2i + a, 2j + b] of the moments is (M_ab)_ij.  The columns hold
+    H = M_hh, V = M_vv and S = (X + X^T)/2 at _SYM_PAIRS, then K =
+    (X - X^T)/2 at _ANTI_PAIRS, with X = (M_hv + M_vh^T)/2; each entry
+    averages the moments' two triangles, which are equal for a Gram.
     """
-    m = _entries(rho)
-    blocks = m.reshape(m.shape[:-2] + (81,)) @ _BLOCK_MAP
-    lead = m.shape[:-2] + (2,)
-    return blocks[..., :72].reshape(lead + (6, 6)), blocks[..., 72:].reshape(lead + (3, 3))
+    read = np.zeros((6, 6, 21))
+    for m, (i, j) in enumerate(_SYM_PAIRS):
+        for a in (0, 1):
+            read[2 * i + a, 2 * j + a, 6 * a + m] += 0.5
+            read[2 * j + a, 2 * i + a, 6 * a + m] += 0.5
+        for r, c in ((2 * i, 2 * j + 1), (2 * j + 1, 2 * i), (2 * j, 2 * i + 1), (2 * i + 1, 2 * j)):
+            read[r, c, 12 + m] += 0.25
+    for m, (i, j) in enumerate(_ANTI_PAIRS):
+        for (r, c), sign in (
+            ((2 * i, 2 * j + 1), 1.0), ((2 * j + 1, 2 * i), 1.0),
+            ((2 * j, 2 * i + 1), -1.0), ((2 * i + 1, 2 * j), -1.0),
+        ):
+            read[r, c, 18 + m] += 0.25 * sign
+    return read.reshape(36, 21)
+
+
+def _product_blocks() -> np.ndarray:
+    """(45, 90) map from the products of exchange_blocks to the exchange blocks of rho and rho^T_A.
+
+    A symmetric A = sum_m a_m E_m, with E_m the symmetric 0/1 matrix at
+    _SYM_PAIRS[m], has A (x) A = sum_mn a_m a_n E_m (x) E_n, and an
+    antisymmetric K = sum_m k_m F_m, with F_m = e_i e_j^T - e_j e_i^T at
+    _ANTI_PAIRS[m], has K (x) K = sum_mn k_m k_n F_m (x) F_n.  Rows 6 m + n
+    hold the blocks of E_m (x) E_n, and rows 36 + 3 m + n those of
+    -F_m (x) F_n, the sign K (x) K has in the state.  The columns hold the
+    flattened 6x6 blocks of rho and rho^T_A, then their 3x3 blocks, in the
+    basis EXCHANGE_BASIS.
+    """
+    sym, anti = np.zeros((6, 3, 3)), np.zeros((3, 3, 3))
+    for m, (i, j) in enumerate(_SYM_PAIRS):
+        sym[m, i, j] = sym[m, j, i] = 1.0
+    for m, (i, j) in enumerate(_ANTI_PAIRS):
+        anti[m, i, j], anti[m, j, i] = 1.0, -1.0
+    terms = np.concatenate([
+        np.einsum("mij,nkl->mnikjl", sym, sym).reshape(36, 9, 9),
+        -np.einsum("mij,nkl->mnikjl", anti, anti).reshape(9, 9, 9),
+    ])
+    q = EXCHANGE_BASIS
+    pt = partial_transpose_A(terms)
+    out = np.concatenate(
+        [(b @ t @ b.T).reshape(45, -1) for b in (q[:6], q[6:]) for t in (terms, pt)], axis=1
+    )
+    # every entry is 0, +-1/2, +-1 or +-sqrt(1/2); the products of the
+    # basis' sqrt(1/2) leave some an ulp off, which is taken back here
+    for unit in (0.5, math.sqrt(0.5)):
+        exact = np.round(out / unit) * unit
+        out = np.where(np.abs(out - exact) <= 1e-12, exact, out)
+    out.flags.writeable = False
+    return out
+
+
+_READ_MAP = _read_map()
+_PRODUCT_BLOCKS = _product_blocks()
+
+
+def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric (k, 2, 6, 6) and antisymmetric (k, 2, 3, 3) blocks of rho and rho^T_A.
+
+    moments is a (k, 6, 6) stack whose entry [2i + a, 2j + b] is (M_ab)_ij
+    (beams.transported_moments), and rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab
+    with s_h = +1 and s_v = -1 is the unnormalized pair state.  Along axis
+    1, index 0 holds the blocks of rho and index 1 those of its partial
+    transpose, in the basis EXCHANGE_BASIS.  With H = M_hh, V = M_vv and
+    M_hv = S + K split into its symmetric and antisymmetric parts,
+    rho = 1/2 H (x) H + 1/2 V (x) V - S (x) S - K (x) K, and each block
+    entry is a fixed bilinear form in their entries.  One matrix product
+    reads those entries (_READ_MAP), a batched one and a broadcast one
+    make their 45 weighted pairwise products, and a third maps these onto
+    the blocks (_PRODUCT_BLOCKS).  No 9x9 matrix is formed.
+    """
+    k = len(moments)
+    u = moments.reshape(k, 36) @ _READ_MAP
+    hvs, kappa = u[:, :18].reshape(k, 3, 6), u[:, 18:]
+    products = np.empty((k, 45))
+    np.matmul((_TERM_WEIGHTS * hvs).swapaxes(1, 2), hvs, out=products[:, :36].reshape(k, 6, 6))
+    np.multiply(kappa[:, :, None], kappa[:, None, :], out=products[:, 36:].reshape(k, 3, 3))
+    blocks = products @ _PRODUCT_BLOCKS
+    return blocks[:, :72].reshape(k, 2, 6, 6), blocks[:, 72:].reshape(k, 2, 3, 3)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -103,10 +175,14 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {m.shape}")
     adjoint = np.swapaxes(m, -1, -2).conj()
-    herm = float(np.abs(m - adjoint).max())
+    # one working copy serves the check and then the symmetrized solve
+    work = m - adjoint
+    herm = float(np.abs(work, out=work).real.max())
     if herm > 1e-8:
         raise np.linalg.LinAlgError(f"matrix is not Hermitian (residual {herm:.3e})")
-    ev = np.linalg.eigvalsh(0.5 * (m + adjoint))
+    np.add(m, adjoint, out=work)
+    work *= 0.5
+    ev = np.linalg.eigvalsh(work)
     tr = np.trace(m, axis1=-2, axis2=-1).real
     drift = np.abs(ev.sum(axis=-1) - tr)
     if not np.all(drift <= 1e-9 * np.maximum(1.0, np.abs(tr))):  # NaN fails too

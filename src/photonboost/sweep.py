@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beams import BeamSpec, QuadratureGrid, build_grid, density_states
+from .beams import ROWS_PER_BLOCK, BeamSpec, QuadratureGrid, build_grid, density_spectra
 from .entanglement import log_negativity_from_spectrum
 from .lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, TransformStack, boost_z, compose, rot_y
 
@@ -48,10 +48,6 @@ _PRESET_XI = (-3.0, 3.0, 61)
 # transports n_theta * (n_phi // 2 + 1) of them
 MAX_GRID_NODES = 512 * 512
 MAX_XI_STEPS = 100_000
-
-# rows whose states are assembled and solved together; a curve of any
-# length then needs only a few small (k, 9, 9) stacks at a time
-_ROWS_PER_BLOCK = 64
 
 # largest log negativity shift under grid doubling that the convergence
 # check accepts
@@ -171,19 +167,22 @@ def _evaluate(
 ) -> list[SweepRow]:
     """The rows of one curve at rapidities xis on grid.
 
-    Rows go through the states, the guards and the exchange-block spectra
-    _ROWS_PER_BLOCK at a time, so memory does not grow with the row count.
-    trace_residual is the trace gap before normalization, and the time of
-    a block is shared equally by its rows.
+    Rows go through the boost stack, the moments, the guards and the
+    exchange-block spectra beams.ROWS_PER_BLOCK at a time, a count derived
+    from the state stage's per-row bytes, so memory does not grow with the
+    row count and no 9x9 state is formed (beams.density_spectra).
+    trace_residual is the trace gap before normalization.  The time of a
+    block is shared equally by its rows, so wall_time_ms is one value per
+    block of up to ROWS_PER_BLOCK rows, not a per-row measurement.
     """
     table = np.empty((len(SweepRow._fields), len(xis)))
     alphas, sigmas, xi, ln, trace_res, min_eig, ms = table  # views, one per SweepRow field
     alphas[:], sigmas[:], xi[:] = alpha, sigma_theta, xis
-    for lo in range(0, len(xis), _ROWS_PER_BLOCK):
+    for lo in range(0, len(xis), ROWS_PER_BLOCK):
         start = time.perf_counter()
-        block = slice(lo, lo + _ROWS_PER_BLOCK)
+        block = slice(lo, lo + ROWS_PER_BLOCK)
         boosts = boost_stack(alpha, xis[block])
-        _, min_eig[block], trace_res[block], spectra = density_states(boosts, grid)
+        min_eig[block], trace_res[block], spectra = density_spectra(boosts, grid)
         ln[block] = log_negativity_from_spectrum(spectra)
         ms[block] = (time.perf_counter() - start) * 1e3 / len(spectra)
     return list(map(SweepRow._make, table.T.tolist()))

@@ -557,17 +557,22 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     assert np.all(deep[2] <= 1e-14)
 
 
-@pytest.mark.parametrize("xi", [1.46e-159, -3e-170, 1e-300])
+@pytest.mark.parametrize("xi", [1.46e-159, -3e-170, 1e-300, 2.2250738585e-313, 5e-324])
 def test_tiny_rapidity_read_from_a_matrix_is_a_unit_axis(xi):
-    # sinh(xi) m read from the matrix squares to a subnormal or zero; the
-    # axis must still be a unit vector, so the state is the rotated rest state
+    # sinh(xi) m read from the matrix squares to a subnormal or zero, or is
+    # itself subnormal, where a tilted m loses its direction ((1, 0, 1) at
+    # 5e-324); the axis must still be a unit vector, so the state is the
+    # rotated rest state
     spec = BeamSpec(1.0)
     grid = build_grid(spec, 16, 16)
     rot = rot_z(0.3)
     r9 = np.kron(rot.matrix[1:, 1:], rot.matrix[1:, 1:])
-    rho = reduced_density(compose(rot, make_boost(0.0, xi)), grid, spec)
     rest = reduced_density(identity(), grid, spec)
-    assert np.abs(rho - r9 @ rest @ r9.T).max() < 1e-14
+    for alpha in (0.0, 1.0, 2 * math.pi / 5):
+        rho = reduced_density(compose(rot, make_boost(alpha, xi)), grid, spec)
+        assert np.abs(rho - r9 @ rest @ r9.T).max() < 1e-14
+        _, axes, shrink = beams._polar_parts(compose(rot, make_boost(alpha, xi)).matrices)
+        assert abs(np.linalg.norm(axes[0]) - 1.0) <= 2e-16 and shrink[0] == 1.0
 
 
 def test_transport_matches_the_gauge_form_oracle(rng):
@@ -588,33 +593,40 @@ def test_transport_matches_the_gauge_form_oracle(rng):
     assert np.abs(got - gauge_form_transport(stack.matrices, paired)).max() < 1e-13
 
 
+def _diagonal_moments(*rows):
+    """(k, 6, 6) moments with M_hh = diag(h, 0, 0), M_vv = diag(0, v, 0) and M_hv = diag(s, 0, 0).
+
+    Each row is (h, v, s); the state is (h^2/2 - s^2) xx(x)xx + v^2/2 yy(x)yy,
+    with trace h^2/2 - s^2 + v^2/2.
+    """
+    g = np.zeros((len(rows), 6, 6))
+    for m, (h, v, s) in zip(g, rows):
+        m[0, 0], m[3, 3], m[0, 1], m[1, 0] = h, v, s, s
+    return g
+
+
 def test_trace_guard_fires_on_a_broken_transport():
-    raw = np.zeros((3, 9, 9))
-    raw[:, 0, 0] = 1.0
-    raw[1, 0, 0] = 1.0 + 2e-12
     with pytest.raises(np.linalg.LinAlgError, match="trace"):
-        beams._guarded_states(raw)
-    raw[1, 0, 0] = 1.0 + 2.0**-41
-    beams._guarded_states(raw)
+        beams._guarded(_diagonal_moments((1.0, 1.0, 0.0), (math.sqrt(1.0 + 4e-12), 1.0, 0.0)))
+    beams._guarded(_diagonal_moments((1.0, 1.0, 0.0), (1.0 + 2.0**-41, 1.0, 0.0)))
 
 
 def test_trace_gap_is_read_before_normalization():
-    raw = np.zeros((2, 9, 9))
-    raw[:, 0, 0] = 1.0
-    raw[1, 0, 0] = 1.0 + 2.0**-41
-    states, _, gap, _ = beams._guarded_states(raw)
-    assert gap[0] == 0.0 and gap[1] == 2.0**-41
-    assert np.trace(states[1]) == 1.0
+    moments = _diagonal_moments((1.0, 1.0, 0.0), (1.0 + 2.0**-41, 1.0, 0.0))
+    tr, _, gap, spectra = beams._guarded(moments)
+    assert gap[0] == 0.0 and gap[1] == 2.0**-41 and tr[1] == 1.0 + 2.0**-41
+    # the spectra are those of the normalized states
+    assert spectra[1].max() == (0.5 + 2.0**-41) / tr[1]
 
 
 def test_psd_guard_fires_below_minus_1e_9():
-    raw = np.zeros((2, 9, 9))
-    raw[:, 0, 0] = 1.0
-    raw[1, 0, 0], raw[1, 4, 4] = 1.0 + 2e-9, -2e-9
+    # the s^2 of M_hv enters the state with a minus sign
+    def moments(eps):
+        return _diagonal_moments((1.0, 1.0, 0.0), (0.0, math.sqrt(2.0 * (1.0 + eps)), math.sqrt(eps)))
+
     with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
-        beams._guarded_states(raw.copy())
-    raw[1, 0, 0], raw[1, 4, 4] = 1.0 + 5e-10, -5e-10
-    _, min_eig, _, _ = beams._guarded_states(raw)
+        beams._guarded(moments(2e-9))
+    _, min_eig, _, _ = beams._guarded(moments(5e-10))
     assert min_eig[1] == pytest.approx(-5e-10, abs=1e-15)
 
 

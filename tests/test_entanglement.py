@@ -8,6 +8,7 @@ from oracles import random_stack
 from photonboost import beams
 from photonboost.beams import BeamSpec, build_grid, reduced_density
 from photonboost.entanglement import (
+    EXCHANGE_BASIS,
     exchange_blocks,
     hermitian_eigenvalues,
     log_negativity,
@@ -209,7 +210,7 @@ def _exchange_case(case):
 
 
 def _exchange_basis_rotation(m):
-    """Q m Q^T in the basis of exchange_blocks, built here from its definition."""
+    """Q m Q^T in the exchange basis, built here from its definition."""
     r = math.sqrt(0.5)
     q = np.zeros((9, 3, 3))
     for i in range(3):
@@ -230,11 +231,26 @@ def test_states_commute_with_photon_exchange_exactly(case):
     assert np.array_equal(states[:, _SWAP][:, :, _SWAP], states)
 
 
+def _normalized_blocks(stack, grid):
+    """exchange_blocks of the stack's moments, divided by each state's trace."""
+    sym, anti = exchange_blocks(beams.transported_moments(stack, grid))
+    tr = np.trace(sym[:, 0], axis1=1, axis2=2) + np.trace(anti[:, 0], axis1=1, axis2=2)
+    return sym / tr[:, None, None, None], anti / tr[:, None, None, None]
+
+
+def test_exchange_basis_is_the_definition():
+    assert np.array_equal(_exchange_basis_rotation(np.eye(9)), EXCHANGE_BASIS @ EXCHANGE_BASIS.T)
+    assert np.array_equal(_exchange_basis_rotation(BELL_RHO), EXCHANGE_BASIS @ BELL_RHO @ EXCHANGE_BASIS.T)
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_exchange_blocks_drop_only_vanishing_couplings(case):
+    # the blocks built straight from the moments are the diagonal blocks of
+    # the 9x9 state and of its partial transpose in the exchange basis, whose
+    # couplings between the two subspaces vanish
     stack, grid = _exchange_case(case)
     states = beams.density_states(stack, grid)[0]
-    sym, anti = exchange_blocks(states)
+    sym, anti = _normalized_blocks(stack, grid)
     for i, m in enumerate((states, partial_transpose_A(states))):
         full = _exchange_basis_rotation(m)
         assert np.abs(full[:, :6, 6:]).max() <= 1e-15
@@ -242,11 +258,24 @@ def test_exchange_blocks_drop_only_vanishing_couplings(case):
         assert np.abs(full[:, 6:, 6:] - anti[:, i]).max() <= 1e-15
 
 
+def test_exchange_blocks_of_any_gram_match_the_rotated_9x9(rng):
+    # any symmetric 6x6 moment matrix, not only a transported one
+    x = rng.normal(size=(20, 6, 8))
+    moments = x @ x.swapaxes(1, 2)
+    raw = beams._assemble(moments)
+    sym, anti = exchange_blocks(moments)
+    for i, m in enumerate((raw, partial_transpose_A(raw))):
+        full = _exchange_basis_rotation(m)
+        scale = np.abs(full).max()
+        assert np.abs(full[:, :6, :6] - sym[:, i]).max() <= 1e-15 * scale
+        assert np.abs(full[:, 6:, 6:] - anti[:, i]).max() <= 1e-15 * scale
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_block_spectra_match_the_9x9_spectra(case):
     stack, grid = _exchange_case(case)
     states, min_eig, _, pt_spectra = beams.density_states(stack, grid)
-    sym, anti = exchange_blocks(states)
+    sym, anti = _normalized_blocks(stack, grid)
     spectra = np.concatenate([hermitian_eigenvalues(sym), hermitian_eigenvalues(anti)], axis=-1)
     rho_9, pt_9 = np.linalg.eigvalsh(states), np.linalg.eigvalsh(partial_transpose_A(states))
     assert np.abs(np.sort(spectra[:, 0], axis=1) - rho_9).max() <= 1e-14

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from photonboost import cli
-from photonboost.beams import BeamSpec, build_grid, density_states, reduced_density
+from photonboost import beams, cli
+from photonboost.beams import ROWS_PER_BLOCK, BeamSpec, build_grid, density_states, reduced_density
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import (
     BOOST_Z,
@@ -256,16 +257,74 @@ def test_run_sweeps_solves_no_9x9(monkeypatch):
         return real(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    cfgs = [SweepConfig(alpha=a, sigma_theta=1.0, xi_min=-12.0, xi_max=12.0, xi_steps=70,
+    steps = ROWS_PER_BLOCK + 6
+    cfgs = [SweepConfig(alpha=a, sigma_theta=1.0, xi_min=-12.0, xi_max=12.0, xi_steps=steps,
                         n_theta=16, n_phi=16) for a in (0.0, 2 * math.pi / 5)]
     rows = run_sweeps(cfgs)
-    assert len(rows) == 140
+    assert len(rows) == 2 * steps
     assert (9, 9) not in {s[-2:] for s in shapes}
-    # one solve per block size for each 64-row block of a curve, each
-    # holding the block's states and their partial transposes
-    blocks = [(64, 2), (6, 2)] * 2
+    # one solve per block size for each ROWS_PER_BLOCK-row block of a
+    # curve, each holding the block's states and their partial transposes
+    blocks = [(ROWS_PER_BLOCK, 2), (6, 2)] * 2
     assert [s[:-2] for s in shapes if s[-2:] == (6, 6)] == blocks
     assert [s[:-2] for s in shapes if s[-2:] == (3, 3)] == blocks
+
+
+def test_rows_per_block_comes_from_the_byte_budget():
+    # a row keeps its 36 moments and its 90 block entries through the state stage
+    assert ROWS_PER_BLOCK == beams._BLOCK_BYTES // (8 * (36 + 90)) == 260
+
+
+def test_sweeps_run_with_the_9x9_assembly_removed(monkeypatch):
+    def no_9x9(moments):
+        raise AssertionError("a sweep assembled a 9x9 state")
+
+    cfg = SweepConfig(alpha=0.4, sigma_theta=1.0, xi_min=-4.0, xi_max=4.0, xi_steps=9,
+                      n_theta=16, n_phi=16)
+    want = [row[:-1] for row in run_sweep(cfg)]  # all but wall_time_ms
+    monkeypatch.setattr(beams, "_assemble", no_9x9)
+    assert [row[:-1] for row in run_sweep(cfg)] == want
+    with pytest.raises(AssertionError, match="9x9"):
+        density_states(boost_stack(0.4, [1.0]), build_grid(BeamSpec(1.0), 16, 16))
+
+
+def test_rows_of_a_curve_over_many_blocks_match_each_row_alone():
+    import photonboost.sweep as sweep_mod
+
+    # 2.5 blocks: two full ones and a half one; a row's state does not
+    # depend on the rows solved with it.  Only rounding does: a lone row's
+    # node sums are matrix-vector products, which round otherwise than a
+    # block's matrix products, and that moves a log negativity by up to
+    # 2.5e-15 on this curve, as it did with 64-row blocks
+    steps = 5 * ROWS_PER_BLOCK // 2
+    cfg = SweepConfig(alpha=2 * math.pi / 5, sigma_theta=1.3, xi_min=-15.0, xi_max=15.0,
+                      xi_steps=steps, n_theta=16, n_phi=16)
+    rows = run_sweep(cfg)
+    grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
+    for i in range(0, steps, 7):
+        (alone,) = sweep_mod._evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values()[i:i + 1], grid)
+        assert abs(alone.log_negativity - rows[i].log_negativity) <= 1e-14
+        assert abs(alone.min_eigenvalue - rows[i].min_eigenvalue) <= 1e-15
+
+
+def test_a_1201_row_curve_peaks_under_1_mb():
+    import photonboost.sweep as sweep_mod
+
+    # dense_curve's length: the rows go through the state stage
+    # ROWS_PER_BLOCK at a time and peak near 0.7 MB, the kept rows included;
+    # the whole curve at once would peak at 2.3 MB, and at 4.8 MB through a
+    # 9x9 stage of about 4 KB per row
+    grid = build_grid(BeamSpec(1.0), 16, 16)
+    xis = np.linspace(-3.0, 3.0, 1201)
+    sweep_mod._evaluate(0.7, 1.0, xis[:3], grid)
+    tracemalloc.start()
+    try:
+        rows = sweep_mod._evaluate(0.7, 1.0, xis, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 1201
+    assert peak <= 2**20
 
 
 def _per_cell_csv(rows, include_timing):
@@ -703,8 +762,8 @@ def test_cli_non_hermitian_exchange_block_exits_3_with_one_line(monkeypatch, cap
 
     real = ent.exchange_blocks
 
-    def skewed(rho):
-        sym, anti = real(rho)
+    def skewed(moments):
+        sym, anti = real(moments)
         sym = sym.copy()
         sym[..., 0, 1] += 1e-3
         return sym, anti
