@@ -52,7 +52,13 @@ The guards read the state through those blocks: the trace is the sum of
 the blocks' traces, and the smallest eigenvalue is the least over the
 spectra of both of rho's blocks.  The same solve yields the
 partial-transpose spectra that the log negativity log2(1 + 2 N) reads
-(density_spectra, the sweep path).  Only density_states also assembles
+(density_spectra, the sweep path).  A boost along an axis in the x-z
+plane also commutes with the reflection y -> -y, and so the states of a
+sweep do too: in the parity-ordered exchange basis each block splits
+into an even and an odd block, 4x4 and 2x2 for the symmetric one and
+1x1 and 2x2 for the antisymmetric one.  Such a stack takes one LAPACK
+solve of its 4x4 blocks and solves the rest in closed form; any other
+stack solves the whole blocks (_guarded).  Only density_states also assembles
 the 9x9 states from the same moments (_assemble), for reduced_density,
 validate and the tests; no 9x9 matrix is diagonalized.
 
@@ -120,6 +126,12 @@ _MIRROR_SIGNS = np.outer([1.0, 1.0, -1.0, 1.0], [1.0, 1.0, -1.0, 1.0])
 # moment block the reflection acts as D = diag(1, -1, -1, 1, 1, -1): the
 # spatial sign (1, -1, 1) of i times s_h = +1, s_v = -1; D G D flips these
 _IMAGE_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+
+# the couplings C of the exchange blocks [[even, C], [C^T, odd]] under the
+# reflection y -> -y, both triangles: entanglement.EXCHANGE_BASIS puts the
+# symmetric block's four even rows first and the antisymmetric block's one
+_SYM_COUPLING = np.not_equal.outer(np.arange(6) < 4, np.arange(6) < 4)
+_ANTI_COUPLING = np.not_equal.outer(np.arange(3) < 1, np.arange(3) < 1)
 
 # the factor row of sweep.make_boost, R_y(a) B_z(xi) R_y(-a): a boost of
 # rapidity xi along (sin a, 0, cos a)
@@ -219,6 +231,8 @@ class QuadratureGrid:
     p = (sin t cos f, sin t sin f, cos t),
     h = (cos t cos^2 f + sin^2 f, (cos t - 1) sin f cos f, -sin t cos f),
     v = ((cos t - 1) sin f cos f, cos t sin^2 f + cos^2 f, -sin t sin f).
+    The grid keeps read-only copies of the arrays it is given, while
+    build_grid hands over arrays it made for the grid alone (_adopt).
     """
 
     weights: np.ndarray
@@ -228,17 +242,31 @@ class QuadratureGrid:
     column_factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or np.shape(self.thetas) != w.shape or np.shape(self.phis) != w.shape:
+        for name in ("weights", "thetas", "phis"):
+            # a copy: the grid neither freezes the caller's array nor follows it
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+        self._freeze()
+
+    @classmethod
+    def _adopt(cls, weights: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> QuadratureGrid:
+        """The grid of float arrays made for it alone (build_grid), taken over without a copy."""
+        grid = cls.__new__(cls)
+        for name, a in zip(("weights", "thetas", "phis"), (weights, thetas, phis)):
+            object.__setattr__(grid, name, a)
+        grid._freeze()
+        return grid
+
+    def _freeze(self) -> None:
+        """Check the grid's own arrays, make them read-only and derive the row and column factors."""
+        w = self.weights
+        if w.ndim != 1 or self.thetas.shape != w.shape or self.phis.shape != w.shape:
             raise ValueError("weights, thetas and phis must be 1-d arrays of one length")
         if np.any(w < 0.0) or not np.any(w > 0.0):
             raise ValueError("weights must be nonnegative with positive total")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        for name in ("weights", "thetas", "phis"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
+        for a in (w, self.thetas, self.phis):
             a.flags.writeable = False
-            object.__setattr__(self, name, a)
         # a row ends where the first theta does
         cols = int(np.argmax(self.thetas != self.thetas[0])) or len(w)
         if len(w) % cols or not (
@@ -388,7 +416,7 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
             "the grid cannot resolve a beam this narrow"
         )
     w /= total
-    return QuadratureGrid(w, np.repeat(thetas, len(phis)), np.tile(phis, n_theta))
+    return QuadratureGrid._adopt(w, np.repeat(thetas, len(phis)), np.tile(phis, n_theta))
 
 
 def _polar_parts(boosts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -657,16 +685,26 @@ def _guarded(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     Both guards read the exchange blocks of the states, built straight
     from the moments (entanglement.exchange_blocks): the trace is the sum
     of the block traces, and the smallest eigenvalue is the least over
-    both blocks' spectra.  Returns the traces before
+    both blocks' spectra.  Each block is [[even, C], [C^T, odd]] under the
+    reflection y -> -y (entanglement.EXCHANGE_BASIS).  Where both
+    triangles of every C of the stack are exactly zero, as on every sweep
+    row, the even 4x4 symmetric blocks of rho and rho^T_A take one
+    hermitian_eigenvalues call, the odd 2x2 blocks the closed form
+    (entanglement.symmetric_2x2_eigenvalues) and the 1x1 blocks none;
+    since no closed form can drift from its trace but by a NaN or an
+    infinity, their eigenvalues must be finite instead.  Any other stack
+    solves the whole 6x6 and 3x3 blocks.  Returns the traces before
     normalization, the smallest eigenvalues and trace gaps |tr - 1| of the
     normalized states and the (k, 9) spectra of their partial transposes:
-    the six eigenvalues of the symmetric block, then the three of the
-    antisymmetric one, each ascending.  Raises numpy.linalg.LinAlgError if
-    a gap exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL:
-    either is an internal error.
+    the symmetric block's six eigenvalues, then the antisymmetric block's
+    three, each block's ascending, or ascending within each parity when
+    split (4 + 2 and 1 + 2).  Raises numpy.linalg.LinAlgError if a gap
+    exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL: either is
+    an internal error.
     """
     sym, anti = entanglement.exchange_blocks(moments)
-    tr = np.trace(sym[:, 0], axis1=1, axis2=2) + np.trace(anti[:, 0], axis1=1, axis2=2)
+    tr = np.add.reduce(sym[:, 0].diagonal(0, 1, 2), axis=1)
+    tr += np.add.reduce(anti[:, 0].diagonal(0, 1, 2), axis=1)
     gap = np.abs(tr - 1.0)
     ok = gap <= _TRACE_TOL  # NaN fails too
     if not ok.all():
@@ -674,9 +712,20 @@ def _guarded(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
             f"density matrix trace {float(tr[~ok][0])!r} before normalization is not 1; "
             "this indicates an internal error"
         )
-    spectra = np.concatenate(
-        [entanglement.hermitian_eigenvalues(sym), entanglement.hermitian_eigenvalues(anti)], axis=-1
-    ) / tr[:, None, None]
+    eigenvalues = entanglement.hermitian_eigenvalues
+    coupled = np.logical_or.reduce(sym, None, where=_SYM_COUPLING)
+    if coupled or np.logical_or.reduce(anti, None, where=_ANTI_COUPLING):
+        spectra = np.concatenate([eigenvalues(sym), eigenvalues(anti)], axis=-1)
+    else:
+        odd = entanglement.symmetric_2x2_eigenvalues(
+            np.concatenate([sym[:, :, None, 4:, 4:], anti[:, :, None, 1:, 1:]], axis=2)
+        )
+        spectra = np.concatenate(
+            [eigenvalues(sym[:, :, :4, :4]), odd[:, :, 0], anti[:, :, :1, 0], odd[:, :, 1]], axis=-1
+        )
+        if not np.isfinite(spectra).all():
+            raise np.linalg.LinAlgError("eigenvalues of the exchange blocks are not finite")
+    spectra /= tr[:, None, None]
     min_eig = spectra[:, 0].min(axis=1)
     if not np.all(min_eig >= _MIN_EIG_TOL):
         raise np.linalg.LinAlgError(
@@ -697,10 +746,13 @@ def density_spectra(
     Returns the (k,) smallest eigenvalue of each state, the (k,) trace gap
     |tr - 1| of each before normalization and the (k, 9) spectra of their
     partial transposes, which the log negativity reads
-    (entanglement.log_negativity_from_spectrum).  Everything is read from
-    the exchange blocks built straight from the moments (_guarded); this is
-    the sweep path, and it forms no 9x9 matrix.  Its memory grows with k,
-    so sweeps pass ROWS_PER_BLOCK rows at a time.
+    (entanglement.log_negativity_from_spectrum), in the order _guarded
+    gives.  Everything is read from the exchange blocks built straight
+    from the moments (_guarded); this is the sweep path, and it forms no
+    9x9 matrix.  A stack of boosts along axes in the x-z plane, as every
+    sweep's is, solves only 4x4 blocks with LAPACK and the rest in closed
+    form.  Its memory grows with k, so sweeps pass ROWS_PER_BLOCK rows at
+    a time.
     """
     return _guarded(transported_moments(stack, grid))[1:]
 

@@ -16,6 +16,15 @@ blocks'.  exchange_blocks builds those blocks straight from the
 moments of beams.transported_moments, so no 9x9 matrix is formed on the
 sweep path.
 
+The basis is ordered by parity under the reflection y -> -y: the
+symmetric block runs xx, yy, zz, xz (even), then xy, yz (odd), and the
+antisymmetric one xz (even), then xy, yz (odd).  So each block is
+[[even, C], [C^T, odd]], and a state that also commutes with the
+reflection, as every state boosted along an axis in the x-z plane does,
+has C = 0: its symmetric block splits into 4x4 and 2x2 blocks and its
+antisymmetric one into 1x1 and 2x2 blocks (beams._guarded).
+symmetric_2x2_eigenvalues solves the 2x2 ones in closed form.
+
 partial_transpose_A and log_negativity accept a single 9x9 matrix or a
 (k, 9, 9) stack and work on the whole stack at once; they serve the
 callers that read a 9x9 state (beams.reduced_density, validate).
@@ -44,22 +53,29 @@ def partial_transpose_A(rho) -> np.ndarray:
 
 
 # the entries (i, j) of a symmetric 3x3 matrix with i <= j, and of an
-# antisymmetric one with i < j
+# antisymmetric one with i < j, in the order the moments are read
+# (_read_map) and multiplied (_product_blocks)
 _SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 _ANTI_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+# the pairs i < j of the exchange basis, by parity under y -> -y: xz is
+# even, xy and yz are odd
+_PARITY_PAIRS = ((0, 2), (0, 1), (1, 2))
 
 
 def _exchange_basis() -> np.ndarray:
     """(9, 9) orthonormal rows, each a 3x3 two-photon amplitude flattened.
 
-    The first six span the exchange-symmetric subspace, e_i e_i and
-    (e_i e_j + e_j e_i)/sqrt 2 for i < j; the last three span the
-    antisymmetric one, (e_i e_j - e_j e_i)/sqrt 2.
+    The first six span the exchange-symmetric subspace: e_i e_i for xx,
+    yy and zz, then (e_i e_j + e_j e_i)/sqrt 2 for xz, xy and yz.  The
+    last three span the antisymmetric one, (e_i e_j - e_j e_i)/sqrt 2 for
+    xz, xy and yz.  So under y -> -y each block's rows run even (xx, yy,
+    zz, xz and xz), then odd (xy, yz and xy, yz).
     """
     rows = np.zeros((9, _DIM, _DIM))
     for i in range(_DIM):
         rows[i, i, i] = 1.0
-    for n, (i, j) in enumerate(_ANTI_PAIRS):
+    for n, (i, j) in enumerate(_PARITY_PAIRS):
         rows[3 + n, i, j] = rows[3 + n, j, i] = math.sqrt(0.5)
         rows[6 + n, i, j], rows[6 + n, j, i] = math.sqrt(0.5), -math.sqrt(0.5)
     out = rows.reshape(9, 9)
@@ -108,7 +124,8 @@ def _product_blocks() -> np.ndarray:
     hold the blocks of E_m (x) E_n, and rows 36 + 3 m + n those of
     -F_m (x) F_n, the sign K (x) K has in the state.  The columns hold the
     flattened 6x6 blocks of rho and rho^T_A, then their 3x3 blocks, in the
-    basis EXCHANGE_BASIS.
+    basis EXCHANGE_BASIS: rows and columns xx, yy, zz, xz, xy, yz of the
+    symmetric blocks and xz, xy, yz of the antisymmetric ones.
     """
     sym, anti = np.zeros((6, 3, 3)), np.zeros((3, 3, 3))
     for m, (i, j) in enumerate(_SYM_PAIRS):
@@ -144,8 +161,11 @@ def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (beams.transported_moments), and rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab
     with s_h = +1 and s_v = -1 is the unnormalized pair state.  Along axis
     1, index 0 holds the blocks of rho and index 1 those of its partial
-    transpose, in the basis EXCHANGE_BASIS.  With H = M_hh, V = M_vv and
-    M_hv = S + K split into its symmetric and antisymmetric parts,
+    transpose, in the basis EXCHANGE_BASIS: the symmetric blocks' rows and
+    columns run xx, yy, zz, xz (even under y -> -y), then xy, yz (odd),
+    and the antisymmetric ones' xz (even), then xy, yz (odd).  With
+    H = M_hh, V = M_vv and M_hv = S + K split into its symmetric and
+    antisymmetric parts,
     rho = 1/2 H (x) H + 1/2 V (x) V - S (x) S - K (x) K, and each block
     entry is a fixed bilinear form in their entries.  One matrix product
     reads those entries (_READ_MAP), a batched one and a broadcast one
@@ -183,12 +203,34 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     np.add(m, adjoint, out=work)
     work *= 0.5
     ev = np.linalg.eigvalsh(work)
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    drift = np.abs(ev.sum(axis=-1) - tr)
-    if not np.all(drift <= 1e-9 * np.maximum(1.0, np.abs(tr))):  # NaN fails too
+    tr = np.add.reduce(m.diagonal(0, -2, -1), axis=-1).real
+    drift = np.abs(np.add.reduce(ev, axis=-1) - tr)
+    if not (drift <= 1e-9 * np.maximum(np.abs(tr), 1.0)).all():  # NaN fails too
         raise np.linalg.LinAlgError(
             f"eigenvalue sum drifted from the trace by {float(np.max(drift)):.3e}"
         )
+    return ev
+
+
+def symmetric_2x2_eigenvalues(m) -> np.ndarray:
+    """Ascending eigenvalues of a (..., 2, 2) stack of real symmetric matrices, in closed form.
+
+    With [[a, b], [c, d]] symmetrized as hermitian_eigenvalues does, they
+    are (a + d)/2 -+ hypot(a - d, b + c)/2, each within a few ulp of the
+    matrix norm.  The input must be symmetric to 1e-8, as for
+    hermitian_eigenvalues; raises numpy.linalg.LinAlgError if it is not.
+    A NaN entry gives NaN eigenvalues rather than an error.
+    """
+    m = np.asarray(m)
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    herm = float(np.abs(b - c).max())
+    if herm > 1e-8:
+        raise np.linalg.LinAlgError(f"matrix is not Hermitian (residual {herm:.3e})")
+    trace, radius = a + d, np.hypot(a - d, b + c)
+    ev = np.empty(m.shape[:-1])
+    np.subtract(trace, radius, out=ev[..., 0])
+    np.add(trace, radius, out=ev[..., 1])
+    ev *= 0.5
     return ev
 
 

@@ -17,7 +17,7 @@ from oracles import (
     rotation_form_density,
     rotation_form_pair_basis,
 )
-from photonboost import beams
+from photonboost import beams, entanglement
 from photonboost.beams import (
     BeamSpec,
     QuadratureGrid,
@@ -47,7 +47,7 @@ from photonboost.lorentz import (
     rot_y,
     rot_z,
 )
-from photonboost.sweep import SweepConfig, boost_stack, make_boost, run_sweep
+from photonboost.sweep import SweepConfig, boost_stack, make_boost, run_sweep, run_sweeps
 
 BELL_KERNEL = np.zeros(9)
 BELL_KERNEL[0] = 1 / math.sqrt(2)  # x (x) x
@@ -459,8 +459,9 @@ def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
 
 def test_grid_keeps_three_floats_per_stored_node_and_builds_under_5_mb_on_384_squared():
     # the grid keeps each stored node's weight, theta and phi, and nine
-    # factors per theta and per phi: 1.82 MB kept and a 3.5 MB peak, where
-    # a (4, 3, n) array of node vectors needs 7.1 MB
+    # factors per theta and per phi: 1.74 MiB kept and a 1.85 MiB peak,
+    # where a (4, 3, n) array of node vectors needs 7.1 MB; a second copy
+    # of the arrays build_grid hands over would take the peak to 3.55 MiB
     build_grid(BeamSpec(1.3), 8, 8)
     tracemalloc.start()
     try:
@@ -469,7 +470,17 @@ def test_grid_keeps_three_floats_per_stored_node_and_builds_under_5_mb_on_384_sq
     finally:
         tracemalloc.stop()
     assert kept <= 3 * 8 * len(grid) + 128 * (384 + 384)
-    assert peak <= 5 * 2**20
+    assert peak <= 2 * 2**20
+    assert not any(a.flags.writeable for a in (grid.weights, grid.thetas, grid.phis))
+
+
+def test_a_grid_keeps_read_only_copies_of_a_callers_arrays():
+    weights, thetas, phis = np.full(6, 1 / 6), np.repeat([0.5, 1.0, 1.5], 2), np.tile([0.0, 1.0], 3)
+    grid = QuadratureGrid(weights, thetas, phis)
+    assert all(a.flags.writeable for a in (weights, thetas, phis))
+    assert not any(a.flags.writeable for a in (grid.weights, grid.thetas, grid.phis))
+    weights[0], thetas[0], phis[0] = 2.0, 3.0, 4.0
+    assert grid.weights[0] == 1 / 6 and grid.thetas[0] == 0.5 and grid.phis[0] == 0.0
 
 
 def test_grid_rejects_nodes_that_are_not_a_product_rule():
@@ -605,10 +616,39 @@ def _diagonal_moments(*rows):
     return g
 
 
-def test_trace_guard_fires_on_a_broken_transport():
-    with pytest.raises(np.linalg.LinAlgError, match="trace"):
-        beams._guarded(_diagonal_moments((1.0, 1.0, 0.0), (math.sqrt(1.0 + 4e-12), 1.0, 0.0)))
-    beams._guarded(_diagonal_moments((1.0, 1.0, 0.0), (1.0 + 2.0**-41, 1.0, 0.0)))
+def _turned(moments):
+    """The moments of the same states turned by 0.3 about x, which couples even and odd rows."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    big = np.kron([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]], np.eye(2))
+    return big @ moments @ big.T
+
+
+def _solved_shapes(monkeypatch):
+    """The shapes np.linalg.eigvalsh is called on from here on."""
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def recording(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+# the guards run on the split solve of a mirror-symmetric state and on the
+# whole-block solve of the same state turned off the mirror
+_PATHS = {"split": (lambda m: m, [(2, 2, 4, 4)]), "whole-block": (_turned, [(2, 2, 6, 6), (2, 2, 3, 3)])}
+
+
+def test_trace_guard_fires_on_a_broken_transport(monkeypatch):
+    shapes = _solved_shapes(monkeypatch)
+    for turn, solves in _PATHS.values():
+        with pytest.raises(np.linalg.LinAlgError, match="trace"):
+            beams._guarded(turn(_diagonal_moments((1.0, 1.0, 0.0), (math.sqrt(1.0 + 4e-12), 1.0, 0.0))))
+        shapes.clear()
+        beams._guarded(turn(_diagonal_moments((1.0, 1.0, 0.0), (1.0 + 2.0**-41, 1.0, 0.0))))
+        assert shapes == solves
 
 
 def test_trace_gap_is_read_before_normalization():
@@ -619,15 +659,104 @@ def test_trace_gap_is_read_before_normalization():
     assert spectra[1].max() == (0.5 + 2.0**-41) / tr[1]
 
 
-def test_psd_guard_fires_below_minus_1e_9():
+def test_psd_guard_fires_below_minus_1e_9(monkeypatch):
     # the s^2 of M_hv enters the state with a minus sign
     def moments(eps):
         return _diagonal_moments((1.0, 1.0, 0.0), (0.0, math.sqrt(2.0 * (1.0 + eps)), math.sqrt(eps)))
 
-    with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
-        beams._guarded(moments(2e-9))
-    _, min_eig, _, _ = beams._guarded(moments(5e-10))
-    assert min_eig[1] == pytest.approx(-5e-10, abs=1e-15)
+    shapes = _solved_shapes(monkeypatch)
+    for turn, solves in _PATHS.values():
+        with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
+            beams._guarded(turn(moments(2e-9)))
+        shapes.clear()
+        _, min_eig, _, _ = beams._guarded(turn(moments(5e-10)))
+        assert min_eig[1] == pytest.approx(-5e-10, abs=1e-15)
+        assert shapes == solves
+
+
+@pytest.mark.parametrize("path", sorted(_PATHS))
+def test_solver_failure_propagates_from_either_path(monkeypatch, path):
+    def broken(m):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(entanglement, "hermitian_eigenvalues", broken)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        beams._guarded(_PATHS[path][0](_diagonal_moments((1.0, 1.0, 0.0))))
+
+
+@pytest.mark.parametrize(
+    "path, block, row, col",
+    [("split", 0, 5, 5), ("split", 0, 4, 5), ("split", 1, 0, 0), ("split", 1, 2, 1), ("split", 0, 0, 0),
+     ("whole-block", 0, 5, 5), ("whole-block", 1, 0, 0)],
+)
+def test_a_nan_in_a_partial_transpose_block_is_a_numerical_failure(monkeypatch, path, block, row, col):
+    # rho's guards never read rho^T_A, so each solve must reject it: LAPACK
+    # or the drift check the whole-block and 4x4 solves, the finite check
+    # the closed forms
+    real = entanglement.exchange_blocks
+
+    def poisoned(moments):
+        blocks = [b.copy() for b in real(moments)]
+        blocks[block][:, 1, row, col] = blocks[block][:, 1, col, row] = np.nan
+        return tuple(blocks)
+
+    monkeypatch.setattr(entanglement, "exchange_blocks", poisoned)
+    with pytest.raises(np.linalg.LinAlgError, match="finite|drifted|converge"):
+        beams._guarded(_PATHS[path][0](_diagonal_moments((1.0, 1.0, 0.0), (1.0, 1.0, 0.0))))
+
+
+def _whole_block_readings(moments):
+    """min eigenvalues and sorted partial-transpose spectra from the whole 6x6 and 3x3 blocks."""
+    sym, anti = entanglement.exchange_blocks(moments)
+    tr = np.trace(sym[:, 0], axis1=1, axis2=2) + np.trace(anti[:, 0], axis1=1, axis2=2)
+    spectra = np.concatenate(
+        [entanglement.hermitian_eigenvalues(sym), entanglement.hermitian_eigenvalues(anti)], axis=-1
+    ) / tr[:, None, None]
+    return spectra[:, 0].min(axis=1), np.sort(spectra[:, 1], axis=1)
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(16, 16), (17, 12)])
+@pytest.mark.parametrize("alpha", [0.0, math.pi / 8, 2 * math.pi / 5, math.pi / 2])
+def test_split_spectra_match_the_whole_block_spectra(monkeypatch, alpha, n_theta, n_phi):
+    grid = build_grid(BeamSpec(1.0), n_theta, n_phi)
+    moments = transported_moments(boost_stack(alpha, np.linspace(-15.0, 15.0, 31)), grid)
+    min_want, spectra_want = _whole_block_readings(moments)
+    shapes = _solved_shapes(monkeypatch)
+    _, min_eig, _, spectra = beams._guarded(moments)
+    assert shapes == [(31, 2, 4, 4)]
+    assert np.abs(min_eig - min_want).max() <= 1e-15
+    assert np.abs(np.sort(spectra, axis=1) - spectra_want).max() <= 1e-15
+
+
+def test_a_stack_with_one_rotated_row_takes_the_whole_block_solve(monkeypatch):
+    turned = compose(compose(rot_z(0.5), make_boost(0.7, 1.5)), rot_z(-0.5))
+    stack = concatenated([boost_stack(2 * math.pi / 5, np.linspace(-6.0, 6.0, 9)), turned])
+    moments = transported_moments(stack, build_grid(BeamSpec(1.3), 16, 16))
+    split = beams._guarded(moments[:-1])
+    alone = beams._guarded(moments[-1:])
+    shapes = _solved_shapes(monkeypatch)
+    tr, min_eig, gap, spectra = beams._guarded(moments)
+    assert shapes == [(10, 2, 6, 6), (10, 2, 3, 3)]
+    for got, want in zip((tr, gap), (np.concatenate(a) for a in zip(split[::2], alone[::2]))):
+        assert np.array_equal(got, want)
+    assert np.abs(min_eig - np.concatenate([split[1], alone[1]])).max() <= 1e-15
+    want = np.sort(np.concatenate([split[3], alone[3]]), axis=1)
+    assert np.abs(np.sort(spectra, axis=1) - want).max() <= 1e-15
+
+
+def test_every_sweep_stack_takes_the_split_solve(monkeypatch):
+    # odd theta rules put a node on the axis at alpha = pi/2, narrow and
+    # full-width beams, rapidities out to the cap
+    cfgs = [
+        SweepConfig(alpha=alpha, sigma_theta=sigma, xi_min=-15.0, xi_max=15.0, xi_steps=7,
+                    n_theta=n_theta, n_phi=n_phi)
+        for n_theta, n_phi in ((8, 8), (9, 8), (33, 12), (48, 48))
+        for sigma in (0.1, 1.0, math.pi)
+        for alpha in (0.0, 0.7, math.pi / 2, 2 * math.pi / 5, 3.0)
+    ]
+    shapes = _solved_shapes(monkeypatch)
+    run_sweeps(cfgs)
+    assert shapes == [(7, 2, 4, 4)] * len(cfgs)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from photonboost.entanglement import (
     log_negativity,
     log_negativity_from_spectrum,
     partial_transpose_A,
+    symmetric_2x2_eigenvalues,
 )
 from photonboost.lorentz import compose, identity, rot_y, rot_z
 from photonboost.sweep import boost_stack
@@ -94,6 +95,47 @@ def test_eigenvalues_of_a_stack_match_one_by_one(rng):
     assert got.shape == (4, 9)
     for one, ev in zip(m, got):
         assert np.abs(ev - hermitian_eigenvalues(one)).max() < 1e-12
+
+
+def _symmetric_2x2_cases(rng):
+    """(name, (n, 2, 2) symmetric stack): the cases the closed form must hold on."""
+    x = rng.normal(size=(200, 2, 2))
+    u = rng.normal(size=(200, 2, 1))
+    a = rng.normal(size=200)
+    degenerate = np.zeros((200, 2, 2))
+    degenerate[:, 0, 0] = degenerate[:, 1, 1] = a
+    scaled = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-150, 150, size=(200, 3))
+    return [
+        ("random", x + x.swapaxes(1, 2)),
+        ("degenerate", degenerate),
+        ("rank-deficient", u @ u.swapaxes(1, 2)),
+        ("badly scaled", scaled[:, [0, 1, 1, 2]].reshape(200, 2, 2)),
+        ("split diagonal", np.array([[[1.0, 1e-300], [1e-300, -1e300]], [[1e-20, 3e-30], [3e-30, 1e-20]]])),
+    ]
+
+
+def test_symmetric_2x2_eigenvalues_match_eigvalsh_to_a_few_ulp_of_the_norm(rng):
+    for name, m in _symmetric_2x2_cases(rng):
+        got = symmetric_2x2_eigenvalues(m)
+        want = np.linalg.eigvalsh(m)
+        norm = np.abs(want).max(axis=1)
+        assert got.shape == want.shape, name
+        assert (got[:, 0] <= got[:, 1]).all(), name
+        assert (np.abs(got - want).max(axis=1) <= 4 * np.finfo(float).eps * norm).all(), name
+
+
+def test_symmetric_2x2_eigenvalues_of_exact_cases():
+    m = np.array([[[2.0, 0.0], [0.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]], [[3.0, 4.0], [4.0, -3.0]]])
+    got = symmetric_2x2_eigenvalues(m)
+    assert got.tolist() == [[2.0, 2.0], [0.0, 2.0], [-5.0, 5.0]]
+
+
+def test_symmetric_2x2_eigenvalues_keep_the_hermitian_tolerance():
+    m = np.array([[1.0, 0.5], [0.5 + 9e-9, 2.0]])
+    assert np.abs(symmetric_2x2_eigenvalues(m) - np.linalg.eigvalsh(0.5 * (m + m.T))).max() <= 1e-15
+    m[1, 0] += 2e-8
+    with pytest.raises(np.linalg.LinAlgError, match="not Hermitian"):
+        symmetric_2x2_eigenvalues(m)
 
 
 def test_eigenvalue_sum_drift_guard(monkeypatch):
@@ -215,7 +257,7 @@ def _exchange_basis_rotation(m):
     q = np.zeros((9, 3, 3))
     for i in range(3):
         q[i, i, i] = 1.0
-    for n, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+    for n, (i, j) in enumerate(((0, 2), (0, 1), (1, 2))):  # xz, xy, yz
         q[3 + n, i, j] = q[3 + n, j, i] = r
         q[6 + n, i, j], q[6 + n, j, i] = r, -r
     q = q.reshape(9, 9)
@@ -241,6 +283,14 @@ def _normalized_blocks(stack, grid):
 def test_exchange_basis_is_the_definition():
     assert np.array_equal(_exchange_basis_rotation(np.eye(9)), EXCHANGE_BASIS @ EXCHANGE_BASIS.T)
     assert np.array_equal(_exchange_basis_rotation(BELL_RHO), EXCHANGE_BASIS @ BELL_RHO @ EXCHANGE_BASIS.T)
+
+
+def test_exchange_basis_runs_even_then_odd_under_the_mirror_in_each_block():
+    # y -> -y on both photons is P (x) P with P = diag(1, -1, 1); in the
+    # basis it is diagonal, +1 on xx, yy, zz, xz and xz, -1 on xy, yz twice
+    p = np.diag([1.0, -1.0, 1.0])
+    mirror = EXCHANGE_BASIS @ np.kron(p, p) @ EXCHANGE_BASIS.T
+    assert np.abs(mirror - np.diag([1.0, 1, 1, 1, -1, -1, 1, -1, -1])).max() <= 1e-15
 
 
 @pytest.mark.parametrize("case", range(4))

@@ -262,12 +262,11 @@ def test_run_sweeps_solves_no_9x9(monkeypatch):
                         n_theta=16, n_phi=16) for a in (0.0, 2 * math.pi / 5)]
     rows = run_sweeps(cfgs)
     assert len(rows) == 2 * steps
-    assert (9, 9) not in {s[-2:] for s in shapes}
-    # one solve per block size for each ROWS_PER_BLOCK-row block of a
-    # curve, each holding the block's states and their partial transposes
-    blocks = [(ROWS_PER_BLOCK, 2), (6, 2)] * 2
-    assert [s[:-2] for s in shapes if s[-2:] == (6, 6)] == blocks
-    assert [s[:-2] for s in shapes if s[-2:] == (3, 3)] == blocks
+    # one solve for each ROWS_PER_BLOCK-row block of a curve: the even 4x4
+    # symmetric blocks of its states and their partial transposes; the
+    # 2x2 and 1x1 blocks are solved in closed form, and no 9x9, 6x6 or
+    # 3x3 matrix is solved
+    assert shapes == [(ROWS_PER_BLOCK, 2, 4, 4), (6, 2, 4, 4)] * 2
 
 
 def test_rows_per_block_comes_from_the_byte_budget():
@@ -758,22 +757,28 @@ def test_cli_solver_failure_exits_3(monkeypatch, capsys):
 
 
 def test_cli_non_hermitian_exchange_block_exits_3_with_one_line(monkeypatch, capsys):
+    # alpha = 0 is a sweep row, solved by parity: a skew in the even 4x4
+    # block, in either odd 2x2 block or in a coupling, which must send the
+    # row to the whole-block solve, is rejected with one line
     import photonboost.entanglement as ent
 
     real = ent.exchange_blocks
+    parts = {
+        "even 4x4": (0, 0, 1), "odd symmetric 2x2": (0, 4, 5), "odd antisymmetric 2x2": (1, 1, 2),
+        "symmetric coupling": (0, 0, 4), "its lower triangle": (0, 5, 3), "antisymmetric coupling": (1, 0, 2),
+    }
+    for part, (block, row, col) in parts.items():
+        def skewed(moments, block=block, row=row, col=col):
+            blocks = [b.copy() for b in real(moments)]
+            blocks[block][..., row, col] += 1e-3
+            return tuple(blocks)
 
-    def skewed(moments):
-        sym, anti = real(moments)
-        sym = sym.copy()
-        sym[..., 0, 1] += 1e-3
-        return sym, anti
-
-    monkeypatch.setattr(ent, "exchange_blocks", skewed)
-    code = cli.main(["single", "--alpha", "0", "--sigma-theta", "1.0", "--xi", "0"])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
-    assert "not Hermitian" in captured.err
+        monkeypatch.setattr(ent, "exchange_blocks", skewed)
+        code = cli.main(["single", "--alpha", "0", "--sigma-theta", "1.0", "--xi", "0"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", part
+        assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1, part
+        assert "not Hermitian" in captured.err, part
 
 
 def test_cli_unconverged_quadrature_rule_exits_3_with_one_line(monkeypatch, capsys):
