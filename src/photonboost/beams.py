@@ -6,7 +6,8 @@ analytically because it cancels from every transported quantity).  A
 quadrature rule discretizes the remaining direction integral with
 Gauss-Legendre nodes in theta on [0, pi] and a uniform periodic rule in
 phi; the squared amplitude, the sphere Jacobian sin(theta) and the overall
-normalization are all folded into the weights, which sum to one.  The
+normalization are all folded into the theta weights, and each rule's
+weights sum to one.  The
 Gauss-Legendre rule is built for each grid by Newton's method on the
 Fourier series of P_n (_gauss_legendre): O(n^2) time and O(n) memory,
 with no eigensolve and no cache.
@@ -38,7 +39,8 @@ x-z plane, every node's moments are fixed products weighted by 1, g and
 g^2 with g = 1 / (1 + exp(-2 xi) t^2), t = tan(theta_m/2), so
 transported_moments sums each node once per axis and gets every row of
 a block from two matrix products over the nodes (_aberration_sums).
-The grid keeps no vector per node: one pass (_node_blocks) builds each
+The grid keeps no array per node: it is the product of a theta rule and
+a rule over the stored phis, and one pass (_node_blocks) builds each
 block's momenta and weighted h/v vectors from trigonometric factors the
 grid keeps once per theta and once per phi, so no array of the grid's
 node vectors is ever whole.
@@ -92,11 +94,14 @@ _MIN_EIG_TOL = -1e-9
 # 2e-10 and a broken transport by O(1)
 _TRACE_TOL = 1e-12
 
-# bytes of one working array: _gauss_legendre's (roots x series terms)
-# cosines and sines, taken a block of roots at a time, and
-# _aberration_sums' (boosts x nodes) weights or _mirror_gram's transported
-# vectors, taken a block of nodes at a time (_node_blocks), so none
-# grows with the grid
+# bytes of one working array: _aberration_sums' (boosts x nodes) weights
+# or _mirror_gram's transported vectors, taken a block of nodes at a time
+# (_node_blocks), so none grows with the grid.  glibc maps an array of
+# 128 KiB or more afresh on every allocation, and each of its pages
+# faults on first touch, where a smaller one reuses heap pages; so
+# _gauss_legendre's (roots x series terms) cosines and sines take a
+# quarter of it each, and _aberration_sums' (12, nodes) products at most
+# half of it
 _BLOCK_BYTES = 1 << 18
 
 # boosts whose node sums one matrix product takes (_aberration_sums).
@@ -107,11 +112,12 @@ _BLOCK_BYTES = 1 << 18
 # 1.6e-15 for products of 64 rows
 _SUM_ROWS = 64
 
-# Newton steps allowed per block of Legendre roots; from Tricomi's angles
-# the iteration in t converges cubically and stops after two or three
+# Newton steps allowed per Legendre root; from Tricomi's angles the
+# iteration in t converges cubically and stops after one to three (at
+# n = 384, 192 roots take 310 steps in all)
 _NEWTON_CAP = 10
 
-# a block of roots has converged once no Newton step moves an angle by more
+# a root has converged once its Newton step moves its angle by no more
 _NEWTON_TOL = 1e-12
 
 # s_a s_b / 2 of the pair state (|h h> - |v v>)/sqrt(2) for (a, b) = hh,
@@ -210,83 +216,69 @@ def angular_weight(theta, spec: BeamSpec):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Stored nodes on the sphere of directions and normalized weights (sum exactly one).
+    """The product of a theta rule and a rule over the stored phis, each with weights summing to one.
 
-    The rule is the stored nodes plus their images (theta, -phi), each
-    image taking half the stored weight and the node keeping the other
-    half; the stored weights sum to one.  A node on the mirror plane
+    Stored node i is (thetas[i // columns], phis[i % columns]), with
+    weight theta_weights[i // columns] * phi_weights[i % columns], so the
+    stored weights sum to one.  The rule is the stored nodes plus their
+    images (theta, -phi), each image taking half the stored weight and
+    the node keeping the other half.  A node on the mirror plane
     (phi = 0 or pi) is its own image, so it counts once at its weight.
 
     Weights are nonnegative rather than strictly positive: for narrow
     beams the Gaussian factor underflows to an exact zero on most of the
-    sphere, and those nodes simply contribute nothing.  The nodes form a
-    product rule: they run over one row of phis for each theta in turn,
-    and every row holds the same phis.  Beside the per-node weights,
-    thetas and phis, the grid keeps only ``row_factors``, (9, rows)
-    functions of each row's theta, and ``column_factors``, (9, columns)
-    functions of each phi: entry (i, a) of a node's spatial (p, h, v),
-    flattened to 3 i + a, is their product, plus sin^2 phi for h_x and
-    cos^2 phi for v_y (_node_vectors builds blocks of nodes from them).
+    sphere, and those nodes simply contribute nothing.  Beside the two
+    1-d rules, which it copies and makes read-only, the grid keeps only
+    ``row_factors``, (10, rows) functions of each row's theta, and
+    ``column_factors``, (9, columns) functions of each phi, those of h
+    and v scaled by the square root of their rule's weight: entry (i, a)
+    of a node's spatial (p, sqrt(w) h, sqrt(w) v), flattened to 3 i + a,
+    is the product of row and column factor 3 i + a, plus
+    sqrt(w) sin^2 phi for h_x and sqrt(w) cos^2 phi for v_y, whose theta
+    part is row factor 9 (_node_vectors builds blocks of nodes from them).
     With t = theta and f = phi,
     p = (sin t cos f, sin t sin f, cos t),
     h = (cos t cos^2 f + sin^2 f, (cos t - 1) sin f cos f, -sin t cos f),
     v = ((cos t - 1) sin f cos f, cos t sin^2 f + cos^2 f, -sin t sin f).
-    The grid keeps read-only copies of the arrays it is given, while
-    build_grid hands over arrays it made for the grid alone (_adopt).
     """
 
-    weights: np.ndarray
     thetas: np.ndarray = field(repr=False)
+    theta_weights: np.ndarray
     phis: np.ndarray = field(repr=False)
+    phi_weights: np.ndarray
     row_factors: np.ndarray = field(init=False, repr=False)
     column_factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("weights", "thetas", "phis"):
+        for name in ("thetas", "theta_weights", "phis", "phi_weights"):
             # a copy: the grid neither freezes the caller's array nor follows it
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-        self._freeze()
-
-    @classmethod
-    def _adopt(cls, weights: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> QuadratureGrid:
-        """The grid of float arrays made for it alone (build_grid), taken over without a copy."""
-        grid = cls.__new__(cls)
-        for name, a in zip(("weights", "thetas", "phis"), (weights, thetas, phis)):
-            object.__setattr__(grid, name, a)
-        grid._freeze()
-        return grid
-
-    def _freeze(self) -> None:
-        """Check the grid's own arrays, make them read-only and derive the row and column factors."""
-        w = self.weights
-        if w.ndim != 1 or self.thetas.shape != w.shape or self.phis.shape != w.shape:
-            raise ValueError("weights, thetas and phis must be 1-d arrays of one length")
-        if np.any(w < 0.0) or not np.any(w > 0.0):
-            raise ValueError("weights must be nonnegative with positive total")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        for a in (w, self.thetas, self.phis):
+            a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
-        # a row ends where the first theta does
-        cols = int(np.argmax(self.thetas != self.thetas[0])) or len(w)
-        if len(w) % cols or not (
-            (self.thetas.reshape(-1, cols) == self.thetas[::cols, None]).all()
-            and (self.phis.reshape(-1, cols) == self.phis[:cols]).all()
+            object.__setattr__(self, name, a)
+        for axis, nodes, w in (
+            ("theta", self.thetas, self.theta_weights), ("phi", self.phis, self.phi_weights)
         ):
-            raise ValueError("nodes must run over one row of phis per theta, the same phis in every row")
-        thetas, phis = self.thetas[::cols], self.phis[:cols]
-        st, ct, sp, cp = np.sin(thetas), np.cos(thetas), np.sin(phis), np.cos(phis)
+            if nodes.ndim != 1 or w.shape != nodes.shape:
+                raise ValueError(f"{axis} nodes and weights must be 1-d arrays of one length")
+            if np.any(w < 0.0) or not np.any(w > 0.0):
+                raise ValueError(f"{axis} weights must be nonnegative with positive total")
+            if abs(w.sum() - 1.0) > 1e-12:
+                raise ValueError(f"{axis} weights must sum to 1, got {w.sum()!r}")
+        st, ct = np.sin(self.thetas), np.cos(self.thetas)
+        sp, cp = np.sin(self.phis), np.cos(self.phis)
         cc, sc, ss = cp * cp, sp * cp, sp * sp
+        rw, cw = np.sqrt(self.theta_weights), np.sqrt(self.phi_weights)
+        rct, rst, rct1, csc = rw * ct, rw * st, rw * (ct - 1.0), cw * sc
         for name, factors in (
-            ("row_factors", [st, ct, ct - 1.0, st, ct - 1.0, ct, ct, -st, -st]),
-            ("column_factors", [cp, cc, sc, sp, sc, ss, np.ones(cols), cp, sp]),
+            ("row_factors", [st, rct, rct1, st, rct1, rct, ct, -rst, -rst, rw]),
+            ("column_factors", [cp, cw * cc, csc, sp, csc, cw * ss, np.ones_like(cp), cw * cp, cw * sp]),
         ):
             factors = np.stack(factors)
             factors.flags.writeable = False
             object.__setattr__(self, name, factors)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.thetas) * len(self.phis)
 
 
 def _node_vectors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
@@ -299,14 +291,13 @@ def _node_vectors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
     factors (QuadratureGrid), cut to the nodes asked for.
     """
     hi = min(hi, len(grid))
-    cols = grid.column_factors.shape[1]
+    cols = len(grid.phis)
     first, last = lo // cols, -(-hi // cols)
-    rows = grid.row_factors[:, first:last, None] * grid.column_factors[:, None]
-    rows[1] += grid.column_factors[5]
-    rows[5] += grid.column_factors[1]
-    rows = rows.reshape(3, 3, -1)
-    rows[:, 1:] *= np.sqrt(grid.weights[first * cols:last * cols])
-    return rows[:, :, lo - first * cols:hi - first * cols]
+    rows = grid.row_factors[:9, first:last, None] * grid.column_factors[:, None]
+    root = grid.row_factors[9, first:last, None]
+    rows[1] += root * grid.column_factors[5]
+    rows[5] += root * grid.column_factors[1]
+    return rows.reshape(3, 3, -1)[:, :, lo - first * cols:hi - first * cols]
 
 
 def _node_blocks(grid: QuadratureGrid, step: int):
@@ -323,12 +314,15 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     (Swarztrauber, SIAM J. Sci. Comput. 24 (2002) 945; Hale & Townsend,
     SIAM J. Sci. Comput. 35 (2013) A652), from Tricomi's asymptotic angles.
     Only the ceil(n/2) roots with x = cos t >= 0 are solved; the others
-    are their mirror images.  A root's weight is 2 / (dP_n(cos t)/dt)^2,
-    and the weights are scaled to sum exactly 2, which absorbs the
-    rounding of the a_k.  The series is summed for a block of roots at a
-    time (_BLOCK_BYTES), so memory is O(n); there is no eigensolve.
-    Raises numpy.linalg.LinAlgError if a block has not converged within
-    _NEWTON_CAP steps.
+    are their mirror images.  Each root leaves the iteration once its own
+    step is within _NEWTON_TOL, so later steps sum the series only for
+    the roots still moving.  A root's weight is 2 / (dP_n(cos t)/dt)^2,
+    and the weights are scaled to sum 2, which absorbs the rounding of
+    the a_k.  The series is summed for a block of roots at a time, in two
+    working arrays allocated once per call, each of at most a quarter of
+    _BLOCK_BYTES or, from n = 16382 on, of one root's series, so memory
+    is O(n); there is no eigensolve.  Raises numpy.linalg.LinAlgError if a root has not
+    converged within _NEWTON_CAP steps.
     """
     n = operator.index(n)
     k = np.arange(1.0, n + 1.0)
@@ -343,34 +337,49 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     phi = (4.0 * np.arange(1.0, half + 1.0) - 1.0) * (math.pi / (4.0 * n + 2.0))
     t = np.arccos((1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(phi))
     dp = np.empty(half)
-    # Veltkamp's split leaves t's high part n.bit_length() bits short, so
-    # m times it is exact and err recovers the rounding of each product
-    # m t, which would otherwise cost the weights about n t eps
+    # Veltkamp's split leaves t's high part hi n.bit_length() bits short,
+    # so m hi is exact: the series is summed at hi and carried to t by its
+    # Taylor terms in lo = t - hi to second order.  |lo n| < 2^(2 s - 53)
+    # with s = n.bit_length(), so the third-order term stays below
+    # rounding for every n < 2^17.  Summing at a rounded m t would cost
+    # the weights about n t eps
     split = 2.0 ** n.bit_length() + 1.0
-    step = max(1, _BLOCK_BYTES // m.nbytes)
-    for lo in range(0, half, step):
-        tb = t[lo:lo + step]
-        for _ in range(_NEWTON_CAP):
-            mt = np.multiply.outer(tb, m)
-            cos, sin = np.cos(mt), np.sin(mt)
-            hi = split * tb
-            hi -= hi - tb
-            err = np.multiply.outer(hi, m)
-            err -= mt
-            err += np.multiply.outer(tb - hi, m)
-            p = (cos - err * sin) @ c
-            d = -((sin + err * cos) @ cm)
-            dt = p / d
-            tb -= dt
-            if np.max(np.abs(dt)) <= _NEWTON_TOL:
-                break
-        else:
-            raise np.linalg.LinAlgError(
-                f"Gauss-Legendre roots of degree {n} did not converge in {_NEWTON_CAP} Newton steps"
-            )
+    # columns summing P and d^2P/dt^2 over the cosines, dP/dt and d^3P/dt^3
+    # over the sines
+    even, odd = np.stack([c, -cm * m], axis=1), np.stack([-cm, cm * m * m], axis=1)
+    step = max(1, _BLOCK_BYTES // (4 * m.nbytes))
+    cos_, sin_ = (np.empty((min(step, half), len(m))) for _ in range(2))
+    todo = np.arange(half)
+    for _ in range(_NEWTON_CAP):
+        hi = split * t[todo]
+        hi -= hi - t[todo]
+        sums = np.empty((len(todo), 4))
+        for i in range(0, len(todo), step):
+            block = hi[i:i + step]
+            cos, sin = cos_[:len(block)], sin_[:len(block)]
+            # a product with one inner term is exact and needs no buffer
+            np.matmul(block[:, None], m[None], out=sin)
+            np.cos(sin, out=cos)
+            np.sin(sin, out=sin)
+            np.matmul(cos, even, out=sums[i:i + step, :2])
+            np.matmul(sin, odd, out=sums[i:i + step, 2:])
+        p, d2, d, d3 = sums.T
+        lo = t[todo] - hi
+        p += lo * (d + 0.5 * lo * d2)
+        d += lo * (d2 + 0.5 * lo * d3)
+        dt = p / d
+        t[todo] -= dt
         # dP/dt moved to the updated angles to first order in the last
         # step, with P'' = -cot(t) P' - n (n + 1) P from Legendre's equation
-        dp[lo:lo + step] = d * (1.0 + dt / np.tan(tb + dt) + n * (n + 1.0) * dt * dt)
+        dp[todo] = d * (1.0 + dt / np.tan(t[todo] + dt) + n * (n + 1.0) * dt * dt)
+        # a root leaves once its own step is within _NEWTON_TOL; NaN stays
+        todo = todo[~(np.abs(dt) <= _NEWTON_TOL)]
+        if not len(todo):
+            break
+    else:
+        raise np.linalg.LinAlgError(
+            f"Gauss-Legendre roots of degree {n} did not converge in {_NEWTON_CAP} Newton steps"
+        )
     x = np.cos(t)
     if n % 2:  # the middle root, t = pi/2, is x = 0 exactly
         x[-1] = 0.0
@@ -389,34 +398,30 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
     real weight in the back hemisphere, so the range is never truncated.
     Each call builds that rule afresh by _gauss_legendre, in O(n_theta^2)
     time and O(n_theta) memory with no eigensolve; nothing is cached
-    between calls.
+    between calls.  Its weights times the beam density, renormalized to
+    sum one, are the theta rule; renormalizing absorbs the amplitude
+    normalization constant, which is never needed in closed form.
     The phi rule is the uniform periodic grid phi_j = 2 pi j / n_phi with
     equal weights.  It maps onto itself under phi -> -phi, so only
     j = 0 ... n_phi // 2 are stored, n_theta * (n_phi // 2 + 1) nodes; a
-    stored node off the mirror plane carries its image's weight too (see
-    QuadratureGrid).  Renormalizing the weights to sum one absorbs the
-    amplitude normalization constant, which is never needed in closed
-    form.  The grid keeps three floats per stored node and nine factors
-    per theta and per stored phi; no node vector is built here.
+    stored phi off the mirror plane carries its image's weight too (see
+    QuadratureGrid).  The grid is the product of the two 1-d rules and
+    keeps O(n_theta + n_phi) floats; no per-node array is built here.
     """
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid needs at least 2 nodes per axis, got {n_theta}x{n_phi}")
     x, gl_w = _gauss_legendre(n_theta)
     thetas = (x + 1.0) * (math.pi / 2.0)
-    w_theta = gl_w * (math.pi / 2.0) * angular_weight(thetas, spec)
-    j = np.arange(n_phi // 2 + 1)
-    phis = j * (2.0 * math.pi / n_phi)
-    images = np.where((j == 0) | (2 * j == n_phi), 1.0, 2.0)
-
-    w = np.outer(w_theta / n_phi, images).reshape(-1)
-    total = w.sum()
+    w_theta = gl_w * angular_weight(thetas, spec)
+    total = w_theta.sum()
     if not total > 0.0:
         raise ValueError(
             f"every node weight underflowed for sigma_theta={spec.sigma_theta}; "
             "the grid cannot resolve a beam this narrow"
         )
-    w /= total
-    return QuadratureGrid._adopt(w, np.repeat(thetas, len(phis)), np.tile(phis, n_theta))
+    j = np.arange(n_phi // 2 + 1)
+    images = np.where((j == 0) | (2 * j == n_phi), 1.0, 2.0)
+    return QuadratureGrid(thetas, w_theta / total, j * (2.0 * math.pi / n_phi), images / n_phi)
 
 
 def _polar_parts(boosts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -584,7 +589,11 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
     scale = shrink * shrink
     rows = min(k, _SUM_ROWS)
-    step = max(1, _BLOCK_BYTES // (8 * max(rows, 12)))
+    # at least 24 rows' worth, so that a block's (12, nodes) table stays
+    # below glibc's 128 KiB mmap threshold (see _BLOCK_BYTES) when few
+    # boosts share the pass, and so do its node vectors on grids of up to
+    # about 220 stored phis
+    step = max(1, _BLOCK_BYTES // (8 * max(rows, 24)))
     # one buffer holds every block's weights: a fresh (rows, step) array
     # per block can be mapped and unmapped by the allocator each time,
     # which cost fig2 and fig3 up to 8% of their time
@@ -597,9 +606,9 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
             g = np.multiply.outer(part, t2, out=buf[:len(part) * len(t2)].reshape(len(part), -1))
             g += 1.0
             np.reciprocal(g, out=g)
-            n1[lo:lo + rows] += g @ table.T
+            n1[lo:lo + rows] += entanglement.rows_product(g, table.T)
             g *= g
-            n2[lo:lo + rows] += g @ table.T
+            n2[lo:lo + rows] += entanglement.rows_product(g, table.T)
     n1, n2 = n1.reshape(k, 6, 2), n2.reshape(k, 6, 2)
     n1[:, 4:] *= shrink[:, None, None]
     n2[:, 4:] *= shrink[:, None, None]
@@ -652,7 +661,8 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
         basis = basis @ _PARITY_BASIS
         # the Kronecker product basis (x) basis, acting on flattened 6x6 Grams
         gram_map = _GRAM_MAP @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
-        out[rows] = (_aberration_sums(shrink[rows], frame, grid) @ gram_map).reshape(-1, 6, 6)
+        sums = _aberration_sums(shrink[rows], frame, grid)
+        out[rows] = entanglement.rows_product(sums, gram_map).reshape(-1, 6, 6)
     for i in np.flatnonzero(~in_plane):
         out[i] = _mirror_gram(stack.matrices[i], grid)
     turned &= in_plane

@@ -114,8 +114,28 @@ def _read_map() -> np.ndarray:
     return read.reshape(36, 21)
 
 
+def _upper_triangles() -> tuple[np.ndarray, np.ndarray]:
+    """The 54 of the 90 flattened block entries on or above each block's diagonal, and their mirror map.
+
+    The 90 entries are the two 6x6 blocks, then the two 3x3 blocks, of
+    exchange_blocks.  Returns the entries i <= j in that order and, for
+    each of the 90, the index among those 54 of the entry
+    (min(i, j), max(i, j)) of its block.
+    """
+    kept, mirror = [], []
+    for offset, size in ((0, 6), (36, 6), (72, 3), (81, 3)):
+        upper = [(i, j) for i in range(size) for j in range(i, size)]
+        rank = {pair: len(kept) + n for n, pair in enumerate(upper)}
+        kept += [offset + size * i + j for i, j in upper]
+        mirror += [rank[min(i, j), max(i, j)] for i in range(size) for j in range(size)]
+    return np.array(kept), np.array(mirror)
+
+
+_UPPER, _MIRROR = _upper_triangles()
+
+
 def _product_blocks() -> np.ndarray:
-    """(45, 90) map from the products of exchange_blocks to the exchange blocks of rho and rho^T_A.
+    """(45, 54) map from the products of exchange_blocks to the exchange blocks of rho and rho^T_A.
 
     A symmetric A = sum_m a_m E_m, with E_m the symmetric 0/1 matrix at
     _SYM_PAIRS[m], has A (x) A = sum_mn a_m a_n E_m (x) E_n, and an
@@ -125,7 +145,9 @@ def _product_blocks() -> np.ndarray:
     -F_m (x) F_n, the sign K (x) K has in the state.  The columns hold the
     flattened 6x6 blocks of rho and rho^T_A, then their 3x3 blocks, in the
     basis EXCHANGE_BASIS: rows and columns xx, yy, zz, xz, xy, yz of the
-    symmetric blocks and xz, xy, yz of the antisymmetric ones.
+    symmetric blocks and xz, xy, yz of the antisymmetric ones; only the
+    entries on and above each diagonal are kept (_UPPER), which
+    exchange_blocks mirrors, so every block is exactly symmetric.
     """
     sym, anti = np.zeros((6, 3, 3)), np.zeros((3, 3, 3))
     for m, (i, j) in enumerate(_SYM_PAIRS):
@@ -146,8 +168,23 @@ def _product_blocks() -> np.ndarray:
     for unit in (0.5, math.sqrt(0.5)):
         exact = np.round(out / unit) * unit
         out = np.where(np.abs(out - exact) <= 1e-12, exact, out)
+    # C order: OpenBLAS multiplies a Fortran-ordered right factor with
+    # kernels that round a row differently for different row counts
+    out = np.ascontiguousarray(out[:, _UPPER])
     out.flags.writeable = False
     return out
+
+
+def rows_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix for a (k, n) stack, each row rounded the same whatever k is.
+
+    numpy sends a (1, n) @ (n, m) product down its matrix-vector path,
+    which rounds otherwise than a matrix product of several rows, so a
+    lone row is multiplied as two copies of itself.
+    """
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ matrix)[:1]
+    return rows @ matrix
 
 
 _READ_MAP = _read_map()
@@ -170,15 +207,18 @@ def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entry is a fixed bilinear form in their entries.  One matrix product
     reads those entries (_READ_MAP), a batched one and a broadcast one
     make their 45 weighted pairwise products, and a third maps these onto
-    the blocks (_PRODUCT_BLOCKS).  No 9x9 matrix is formed.
+    the blocks' entries on and above the diagonal (_PRODUCT_BLOCKS), which
+    are mirrored below it, so every block is exactly symmetric.  Each
+    row's blocks are the same bit for bit whatever k is (rows_product).
+    No 9x9 matrix is formed.
     """
     k = len(moments)
-    u = moments.reshape(k, 36) @ _READ_MAP
+    u = rows_product(moments.reshape(k, 36), _READ_MAP)
     hvs, kappa = u[:, :18].reshape(k, 3, 6), u[:, 18:]
     products = np.empty((k, 45))
     np.matmul((_TERM_WEIGHTS * hvs).swapaxes(1, 2), hvs, out=products[:, :36].reshape(k, 6, 6))
     np.multiply(kappa[:, :, None], kappa[:, None, :], out=products[:, 36:].reshape(k, 3, 3))
-    blocks = products @ _PRODUCT_BLOCKS
+    blocks = rows_product(products, _PRODUCT_BLOCKS)[:, _MIRROR]
     return blocks[:, :72].reshape(k, 2, 6, 6), blocks[:, 72:].reshape(k, 2, 3, 3)
 
 

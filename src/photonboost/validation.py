@@ -163,7 +163,7 @@ def _check_rho_sanity(rng, cases: int) -> GroupResult:
     traces, herms, eigs = [], [], []
     for _ in range(cases):
         grid = beams.build_grid(beams.BeamSpec(rng.uniform(0.05, 1.3)), 32, 32)
-        L = sweep.make_boost(rng.uniform(0.0, math.pi / 2), rng.uniform(-2.0, 2.0))
+        L = sweep.boost_stack(rng.uniform(0.0, math.pi / 2), [rng.uniform(-2.0, 2.0)])
         (rho,), min_eig, gap, _ = beams.density_states(L, grid)
         traces.append(gap)
         herms.append(np.abs(rho - rho.T).max())
@@ -223,8 +223,10 @@ def _check_omega_independence(rng, cases: int) -> GroupResult:
     # the grid's h/v vectors carry sqrt(w); transport is linear in them
     vectors = np.concatenate([beams._node_vectors(grid, i, i + 1) for i in nodes], axis=-1)
     production = beams.transport(L.matrices, vectors)[0]
-    production /= np.sqrt(grid.weights[nodes])
-    thetas, phis = grid.thetas[nodes], grid.phis[nodes]
+    # stored node i is row i // columns and column i % columns of the product rule
+    rows, cols = np.divmod(nodes, len(grid.phis))
+    production /= np.sqrt(grid.theta_weights[rows] * grid.phi_weights[cols])
+    thetas, phis = grid.thetas[rows], grid.phis[cols]
     basis = np.hstack([wigner.h_vec_stack(thetas, phis), wigner.v_vec_stack(thetas, phis)])
     # one rotation-form call: the h and v columns of every node, once per omega
     p = np.hstack([lorentz.null_momenta(thetas, phis, w) for w in _OMEGAS for _ in "hv"])

@@ -124,6 +124,16 @@ def axial_boost_density(xi, grid):
     })
 
 
+def stored_rule(grid):
+    """Polar angles, azimuths and weights of a QuadratureGrid's stored nodes, in order.
+
+    Stored node i is row i // columns of the theta rule and column
+    i % columns of the stored-phi rule, at the product of their weights.
+    """
+    rows, cols = np.divmod(np.arange(len(grid)), len(grid.phis))
+    return grid.thetas[rows], grid.phis[cols], grid.theta_weights[rows] * grid.phi_weights[cols]
+
+
 def expanded_rule(grid):
     """Polar angles, azimuths and weights of the whole rule a QuadratureGrid stands for.
 
@@ -131,10 +141,11 @@ def expanded_rule(grid):
     half the stored weight.  A node on the mirror plane appears twice,
     which at half weight each is the same as once at its weight.
     """
+    thetas, phis, weights = stored_rule(grid)
     return (
-        np.concatenate([grid.thetas, grid.thetas]),
-        np.concatenate([grid.phis, -grid.phis]),
-        np.concatenate([grid.weights, grid.weights]) / 2.0,
+        np.concatenate([thetas, thetas]),
+        np.concatenate([phis, -phis]),
+        np.concatenate([weights, weights]) / 2.0,
     )
 
 

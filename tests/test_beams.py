@@ -36,6 +36,7 @@ from oracles import (
     random_momenta,
     random_polarizations,
     random_stack,
+    stored_rule,
     transported_hv,
 )
 from photonboost.lorentz import (
@@ -68,18 +69,22 @@ def test_angular_weight_direct_value():
 def test_grid_weights_normalized():
     for sigma in (0.01, 0.5, 1.3):
         grid = build_grid(BeamSpec(sigma), 32, 16)
-        assert abs(grid.weights.sum() - 1.0) < 1e-12
+        weights = stored_rule(grid)[2]
+        assert abs(weights.sum() - 1.0) < 1e-12
+        for rule in (grid.theta_weights, grid.phi_weights):
+            assert abs(rule.sum() - 1.0) < 1e-12
         # narrow beams underflow the Gaussian to exact zeros off axis
-        assert np.all(grid.weights >= 0.0)
-        assert grid.weights.max() > 0.0
+        assert np.all(weights >= 0.0)
+        assert weights.max() > 0.0
 
 
 def test_grid_node_count():
     # phi_j for j = 0 ... n_phi // 2 are stored; the rest are images
     grid = build_grid(BeamSpec(1.0), 12, 7)
     assert len(grid) == 12 * (7 // 2 + 1)
-    assert len(grid.weights) == len(grid.thetas) == len(grid.phis) == 12 * 4
-    assert grid.row_factors.shape == (9, 12) and grid.column_factors.shape == (9, 4)
+    assert grid.thetas.shape == grid.theta_weights.shape == (12,)
+    assert grid.phis.shape == grid.phi_weights.shape == (4,)
+    assert grid.row_factors.shape == (10, 12) and grid.column_factors.shape == (9, 4)
     assert len(expanded_rule(grid)[0]) == 2 * 12 * 4
 
 
@@ -103,7 +108,7 @@ def test_grid_mean_theta_matches_dense_integral():
     w = angular_weight(theta, spec)
     dense_mean = trapezoid(theta * w, theta) / trapezoid(w, theta)
     grid = build_grid(spec, 256, 4)
-    grid_mean = float(grid.weights @ grid.thetas)
+    grid_mean = float(grid.theta_weights @ grid.thetas)
     assert abs(grid_mean - dense_mean) < 1e-9
     # small-spread closed form sigma*sqrt(pi)/2 up to O(sigma^2)
     assert abs(grid_mean / (sigma * math.sqrt(math.pi) / 2.0) - 1.0) < 1e-3
@@ -113,8 +118,8 @@ def test_grid_doubling_stability_of_mean_cos_theta():
     spec = BeamSpec(0.5)
     coarse = build_grid(spec, 64, 8)
     fine = build_grid(spec, 128, 16)
-    a = float(coarse.weights @ np.cos(coarse.thetas))
-    b = float(fine.weights @ np.cos(fine.thetas))
+    a = float(coarse.theta_weights @ np.cos(coarse.thetas))
+    b = float(fine.theta_weights @ np.cos(fine.thetas))
     assert abs(a - b) < 1e-10
 
 
@@ -152,13 +157,56 @@ def test_gauss_legendre_rule_memory_stays_bounded():
     assert abs(w.sum() - 2.0) < 1e-15 and np.all(np.diff(x) > 0.0)
 
 
+def test_gauss_legendre_384_peaks_under_half_a_mib():
+    # the series is summed for blocks of roots in two 64 KiB arrays; whole
+    # (roots x terms) arrays of each Newton step peaked at 1.5 MiB
+    beams._gauss_legendre(384)
+    tracemalloc.start()
+    try:
+        beams._gauss_legendre(384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
+
+
+# weights of the n-point Gauss-Legendre rule at root indices 0, 1, 2 (the
+# three nearest x = -1, mirrored at n - 1, n - 2, n - 3 nearest x = +1),
+# n // 4 and n // 2 (the first root above x = 0), to 34 digits: Newton's
+# method on P_n's three-term recurrence at 45 digits with mpmath
+_REFERENCE_WEIGHTS = {
+    192: (
+        "2.002510147471267303712312450255909e-4",
+        "4.660944855912469603944432543932119e-4",
+        "7.322075666250185328339640008748602e-4",
+        "1.165702129621415246785292850221956e-2",
+        "1.631936345670150508355623929347409e-2",
+    ),
+    384: (
+        "5.019410348692173752939580444474545e-5",
+        "1.168390665730188627954282573513176e-4",
+        "1.835749193551260444766282687846523e-4",
+        "5.806904095492834992840479525720097e-3",
+        "8.170516986711110739980316957776575e-3",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_REFERENCE_WEIGHTS))
+def test_gauss_legendre_weights_match_34_digit_references_to_1e_14(n):
+    _, w = beams._gauss_legendre(n)
+    for i, want in zip((0, 1, 2, n // 4, n // 2), map(float, _REFERENCE_WEIGHTS[n])):
+        for j in {i, n - 1 - i}:
+            assert abs(w[j] - want) <= 1e-14 * want, (i, j)
+
+
 def _full_rule(spec, n_theta, n_phi):
     """The whole n_theta x n_phi rule, every phi_j once, built without build_grid."""
     x, w = beams._gauss_legendre(n_theta)
     thetas = (x + 1.0) * (math.pi / 2.0)
-    weights = np.outer(w * angular_weight(thetas, spec), np.ones(n_phi)).ravel()
+    weights = w * angular_weight(thetas, spec)
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    return QuadratureGrid(weights / weights.sum(), np.repeat(thetas, n_phi), np.tile(phis, n_theta))
+    return QuadratureGrid(thetas, weights / weights.sum(), phis, np.full(n_phi, 1.0 / n_phi))
 
 
 @pytest.mark.parametrize("n_phi", [7, 5, 16])
@@ -169,10 +217,10 @@ def test_grid_stores_the_half_rule_with_mirror_plane_nodes_once(n_phi):
     kept = n_phi // 2 + 1
     j = np.arange(kept)
     images = np.where((j == 0) | (2 * j == n_phi), 1.0, 2.0)
-    want = full.weights.reshape(6, n_phi)[:, :kept] * images
-    assert np.abs(grid.weights.reshape(6, kept) - want).max() < 1e-16
-    assert np.array_equal(grid.phis.reshape(6, kept), full.phis.reshape(6, n_phi)[:, :kept])
-    assert np.array_equal(grid.thetas, np.repeat(full.thetas[::n_phi], kept))
+    want = stored_rule(full)[2].reshape(6, n_phi)[:, :kept] * images
+    assert np.abs(stored_rule(grid)[2].reshape(6, kept) - want).max() < 1e-16
+    assert np.array_equal(grid.phis, full.phis[:kept])
+    assert np.array_equal(grid.thetas, full.thetas)
 
 
 def _random_direction(rng):
@@ -319,7 +367,7 @@ def test_node_blocks_are_the_weighted_closed_forms_across_every_block_edge():
     blocks = list(beams._node_blocks(grid, 10))
     assert [b.shape for b in blocks] == [(3, 3, 10)] * 6 + [(3, 3, 3)]
     got = np.concatenate(blocks, axis=-1)
-    want = closed_form_vectors(grid.thetas, grid.phis, grid.weights)[1:]
+    want = closed_form_vectors(*stored_rule(grid))[1:]
     assert np.abs(got - want).max() < 1e-15
     # every node alone, and the two nodes either side of each block edge,
     # are cut bit for bit from the same rows
@@ -331,7 +379,8 @@ def test_node_blocks_are_the_weighted_closed_forms_across_every_block_edge():
 
 def _mirrored_vectors(grid):
     """Closed-form node 4-vectors of the stored nodes' images (theta, -phi)."""
-    return closed_form_vectors(grid.thetas, -grid.phis, grid.weights)
+    thetas, phis, weights = stored_rule(grid)
+    return closed_form_vectors(thetas, -phis, weights)
 
 
 def _gram(stack, vectors):
@@ -346,7 +395,7 @@ def test_x_z_plane_moments_are_the_gram_of_the_stored_and_mirrored_vectors(n_phi
     # stored and mirrored vector node by node, to rounding.  transport reads
     # each boost from its matrix, which costs eps cosh(xi), so |xi| <= 3
     grid = build_grid(BeamSpec(1.1), 10, n_phi)
-    stored = closed_form_vectors(grid.thetas, grid.phis, grid.weights)
+    stored = closed_form_vectors(*stored_rule(grid))
     mirrored = _mirrored_vectors(grid)
     xis = np.linspace(-3.0, 3.0, 9)
     for boosts in (
@@ -387,7 +436,7 @@ def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi)
 
 
 def test_small_blocks_keep_both_moment_paths_on_the_expanded_rule_double_sum(monkeypatch, rng):
-    # blocks of 50 nodes for the x-z plane sums and of 33 for the
+    # blocks of 25 nodes for the x-z plane sums and of 33 for the
     # node-by-node transport, on 6 x 9 = 54 stored nodes in rows of 9
     monkeypatch.setattr(beams, "_BLOCK_BYTES", 8 * 12 * 50)
     grid = build_grid(BeamSpec(1.0), 6, 16)
@@ -457,11 +506,10 @@ def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
     assert peak <= 2 * 2**20
 
 
-def test_grid_keeps_three_floats_per_stored_node_and_builds_under_5_mb_on_384_squared():
-    # the grid keeps each stored node's weight, theta and phi, and nine
-    # factors per theta and per phi: 1.74 MiB kept and a 1.85 MiB peak,
-    # where a (4, 3, n) array of node vectors needs 7.1 MB; a second copy
-    # of the arrays build_grid hands over would take the peak to 3.55 MiB
+def test_grid_keeps_its_two_1d_rules_and_builds_under_a_quarter_mib_on_384_squared():
+    # the grid keeps theta and phi rules and ten factors per theta and
+    # nine per phi: 54 KiB kept and a 0.16 MiB peak, the theta rule's
+    # working arrays; per-node weights, thetas and phis kept 1.74 MiB
     build_grid(BeamSpec(1.3), 8, 8)
     tracemalloc.start()
     try:
@@ -469,27 +517,50 @@ def test_grid_keeps_three_floats_per_stored_node_and_builds_under_5_mb_on_384_sq
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept <= 3 * 8 * len(grid) + 128 * (384 + 384)
-    assert peak <= 2 * 2**20
-    assert not any(a.flags.writeable for a in (grid.weights, grid.thetas, grid.phis))
+    assert kept < 64 * 2**10
+    assert peak < 2**18
+    assert len(grid) == 384 * 193
+    rules = (grid.thetas, grid.theta_weights, grid.phis, grid.phi_weights)
+    assert not any(a.flags.writeable for a in (*rules, grid.row_factors, grid.column_factors))
 
 
-def test_a_grid_keeps_read_only_copies_of_a_callers_arrays():
-    weights, thetas, phis = np.full(6, 1 / 6), np.repeat([0.5, 1.0, 1.5], 2), np.tile([0.0, 1.0], 3)
-    grid = QuadratureGrid(weights, thetas, phis)
-    assert all(a.flags.writeable for a in (weights, thetas, phis))
-    assert not any(a.flags.writeable for a in (grid.weights, grid.thetas, grid.phis))
-    weights[0], thetas[0], phis[0] = 2.0, 3.0, 4.0
-    assert grid.weights[0] == 1 / 6 and grid.thetas[0] == 0.5 and grid.phis[0] == 0.0
+def test_a_grid_keeps_read_only_copies_of_a_callers_rules():
+    rules = [np.array([0.5, 1.0, 1.5]), np.full(3, 1 / 3), np.array([0.0, 1.0]), np.array([0.25, 0.75])]
+    grid = QuadratureGrid(*rules)
+    assert len(grid) == 6
+    assert all(a.flags.writeable for a in rules)
+    kept = (grid.thetas, grid.theta_weights, grid.phis, grid.phi_weights)
+    assert not any(a.flags.writeable for a in kept)
+    for a in rules:
+        a[0] = 9.0
+    assert [a[0] for a in kept] == [0.5, 1 / 3, 0.0, 0.25]
 
 
-def test_grid_rejects_nodes_that_are_not_a_product_rule():
-    weights, thetas, phis = np.full(6, 1 / 6), np.repeat([0.5, 1.0, 1.5], 2), np.tile([0.0, 1.0], 3)
-    assert len(QuadratureGrid(weights, thetas, phis)) == 6
-    with pytest.raises(ValueError, match="row of phis"):
-        QuadratureGrid(weights, thetas, np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0]))
-    with pytest.raises(ValueError, match="row of phis"):
-        QuadratureGrid(weights, np.array([0.5, 0.5, 1.0, 1.0, 1.0, 1.5]), phis)
+@pytest.mark.parametrize("axis, name", [(0, "theta"), (2, "phi")])
+def test_grid_rejects_rules_that_are_not_normalized_nonnegative_1d(axis, name):
+    rules = [np.array([0.5, 1.0, 1.5]), np.full(3, 1 / 3), np.array([0.0, 1.0]), np.array([0.25, 0.75])]
+
+    def with_rule(nodes, weights):
+        changed = list(rules)
+        changed[axis:axis + 2] = nodes, weights
+        return changed
+
+    nodes, weights = rules[axis], rules[axis + 1]
+    for bad, match in (
+        ((nodes, weights[:-1]), "1-d arrays of one length"),
+        ((nodes[None], weights[None]), "1-d arrays of one length"),
+        ((nodes, np.append(weights[:-1], -weights[-1])), "nonnegative"),
+        ((nodes, np.zeros_like(weights)), "positive total"),
+        ((nodes, weights * (1.0 + 2e-12)), "sum to 1"),
+    ):
+        with pytest.raises(ValueError, match=match) as err:
+            QuadratureGrid(*with_rule(*bad))
+        assert str(err.value).startswith(name)
+    # a rule off one by rounding only is a rule
+    assert len(QuadratureGrid(*with_rule(nodes, weights * (1.0 + 4e-16)))) == 6
+    # the beam's theta rule can underflow as a whole; build_grid says so
+    with pytest.raises(ValueError, match="every node weight underflowed"):
+        build_grid(BeamSpec(1e-8), 16, 8)
 
 
 _GUARD_CASES = {
@@ -551,9 +622,10 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
     e1 = np.array([math.cos(alpha), 0.0, -math.sin(alpha)])
     p = beams._node_vectors(grid, 0, len(grid))[:, 0]
-    assert (grid.thetas[20], grid.phis[20]) == (math.pi / 2, 0.0)
+    thetas, phis, _ = stored_rule(grid)
+    assert (thetas[20], phis[20]) == (math.pi / 2, 0.0)
     assert p[:, 20] @ e1 == 0.0 and p[1, 20] == 0.0
-    assert (grid.thetas[24], grid.phis[24]) == (math.pi / 2, math.pi)
+    assert (thetas[24], phis[24]) == (math.pi / 2, math.pi)
     assert 0.0 < math.hypot(p[:, 24] @ e1, p[1, 24]) < 2e-16 and p[:, 24] @ m == -1.0
     # the gauge form's rounding grows like eps exp(|xi|), so it is compared
     # on |xi| <= 3; over the whole range the moments stay finite
@@ -561,7 +633,7 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     want = gauge_form_moments(stack, grid)
     assert np.abs(transported_moments(stack, grid) - want).max() <= 1e-14
     # and node by node, the stored and mirrored vectors
-    stored = closed_form_vectors(grid.thetas, grid.phis, grid.weights)
+    stored = closed_form_vectors(*stored_rule(grid))
     by_node = 0.5 * (_gram(stack, stored) + _gram(stack, _mirrored_vectors(grid)))
     assert np.abs(by_node - want).max() <= 1e-14
     deep = beams.density_states(boost_stack(alpha, np.linspace(-15.0, 15.0, 7)), grid)
@@ -591,7 +663,7 @@ def test_transport_matches_the_gauge_form_oracle(rng):
     # by every boost and node i by boost i
     stack = random_stack(rng, 30)
     grid = build_grid(BeamSpec(1.0), 12, 10)
-    vectors = closed_form_vectors(grid.thetas, grid.phis, grid.weights)
+    vectors = closed_form_vectors(*stored_rule(grid))
     got = transport(stack.matrices, vectors)
     assert np.abs(got - gauge_form_transport(stack.matrices, vectors)).max() < 1e-13
     # the spatial parts alone transport the same

@@ -308,6 +308,26 @@ def test_exchange_blocks_drop_only_vanishing_couplings(case):
         assert np.abs(full[:, 6:, 6:] - anti[:, i]).max() <= 1e-15
 
 
+@pytest.mark.parametrize("case", range(4))
+def test_exchange_blocks_are_exactly_symmetric(case, rng):
+    # each block's entries below the diagonal are its entries above it, on
+    # sweep and drawn stacks and on any Gram
+    stack, grid = _exchange_case(case)
+    x = rng.normal(size=(20, 6, 8))
+    for moments in (beams.transported_moments(stack, grid), x @ x.swapaxes(1, 2)):
+        for b in exchange_blocks(moments):
+            assert np.array_equal(b, b.swapaxes(-1, -2))
+
+
+def test_exchange_blocks_of_a_row_do_not_depend_on_the_rows_beside_it(rng):
+    x = rng.normal(size=(70, 6, 8))
+    moments = x @ x.swapaxes(1, 2)
+    sym, anti = exchange_blocks(moments)
+    for i in (0, 33, 69):
+        alone = exchange_blocks(moments[i:i + 1])
+        assert np.array_equal(alone[0][0], sym[i]) and np.array_equal(alone[1][0], anti[i])
+
+
 def test_exchange_blocks_of_any_gram_match_the_rotated_9x9(rng):
     # any symmetric 6x6 moment matrix, not only a transported one
     x = rng.normal(size=(20, 6, 8))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_gap, concatenated
-from oracles import closed_form_vectors
+from oracles import closed_form_vectors, stored_rule
 from photonboost.beams import BeamSpec, build_grid, density_states, transport
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import (
@@ -125,7 +125,7 @@ def test_rotation_form_at_any_frequency_matches_production_transport(factors, lo
     grid = build_grid(BeamSpec(1.0), 16, 16)
     nodes = np.random.default_rng(seed).choice(len(grid), 12, replace=False)
     L = stack_from_factors([factors])
-    thetas, phis = grid.thetas[nodes], grid.phis[nodes]
+    thetas, phis, _ = (a[nodes] for a in stored_rule(grid))
     production = transport(L.matrices, closed_form_vectors(thetas, phis, 1.0))[0]
     p = null_momenta(thetas, phis, 10.0**log10_omega)
     for a, basis in enumerate((h_vec_stack(thetas, phis), v_vec_stack(thetas, phis))):

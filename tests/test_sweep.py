@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,14 +288,18 @@ def test_sweeps_run_with_the_9x9_assembly_removed(monkeypatch):
         density_states(boost_stack(0.4, [1.0]), build_grid(BeamSpec(1.0), 16, 16))
 
 
+def _state_columns(row):
+    return row.log_negativity, row.trace_residual, row.min_eigenvalue
+
+
 def test_rows_of_a_curve_over_many_blocks_match_each_row_alone():
     import photonboost.sweep as sweep_mod
 
     # 2.5 blocks: two full ones and a half one; a row's state does not
-    # depend on the rows solved with it.  Only rounding does: a lone row's
-    # node sums are matrix-vector products, which round otherwise than a
-    # block's matrix products, and that moves a log negativity by up to
-    # 2.5e-15 on this curve, as it did with 64-row blocks
+    # depend on the rows solved with it, to the last bit: a lone row takes
+    # every matrix product as a block's rows do (entanglement.rows_product),
+    # where numpy's matrix-vector path moved a log negativity by up to
+    # 2.5e-15 on this curve
     steps = 5 * ROWS_PER_BLOCK // 2
     cfg = SweepConfig(alpha=2 * math.pi / 5, sigma_theta=1.3, xi_min=-15.0, xi_max=15.0,
                       xi_steps=steps, n_theta=16, n_phi=16)
@@ -302,8 +307,20 @@ def test_rows_of_a_curve_over_many_blocks_match_each_row_alone():
     grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
     for i in range(0, steps, 7):
         (alone,) = sweep_mod._evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values()[i:i + 1], grid)
-        assert abs(alone.log_negativity - rows[i].log_negativity) <= 1e-14
-        assert abs(alone.min_eigenvalue - rows[i].min_eigenvalue) <= 1e-15
+        assert _state_columns(alone) == _state_columns(rows[i]), i
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.3])
+def test_single_and_sweep_give_the_same_row_bit_for_bit(sigma):
+    # 129 rows are summed 64, 64 and then 1 at a time; single runs each
+    # point as a sweep of one row, and must print what a sweep prints
+    cfg = SweepConfig(alpha=0.7, sigma_theta=sigma, xi_min=-3.0, xi_max=3.0, xi_steps=129,
+                      n_theta=16, n_phi=16)
+    rows = run_sweep(cfg)
+    for i in [*range(0, 129, 7), 128]:
+        xi = rows[i].xi
+        (alone,) = run_sweep(replace(cfg, xi_min=xi, xi_max=xi, xi_steps=1))
+        assert _state_columns(alone) == _state_columns(rows[i]), i
 
 
 def test_a_1201_row_curve_peaks_under_1_mb():
