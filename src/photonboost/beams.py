@@ -94,23 +94,23 @@ _MIN_EIG_TOL = -1e-9
 # 2e-10 and a broken transport by O(1)
 _TRACE_TOL = 1e-12
 
-# bytes of one working array: _aberration_sums' (boosts x nodes) weights
-# or _mirror_gram's transported vectors, taken a block of nodes at a time
-# (_node_blocks), so none grows with the grid.  glibc maps an array of
-# 128 KiB or more afresh on every allocation, and each of its pages
-# faults on first touch, where a smaller one reuses heap pages; so
-# _gauss_legendre's (roots x series terms) cosines and sines take a
-# quarter of it each, and _aberration_sums' (12, nodes) products at most
-# half of it
+# bytes of one working array: _mirror_gram's transported vectors, taken a
+# block of nodes at a time (_node_blocks), so none grows with the grid.
+# glibc maps an array of 128 KiB or more afresh on every allocation, and
+# each of its pages faults on first touch, where a smaller one reuses
+# heap pages; so _gauss_legendre's (roots x series terms) cosines and
+# sines take a quarter of it each, and _aberration_sums' (12, nodes)
+# products at most half of it
 _BLOCK_BYTES = 1 << 18
 
-# boosts whose node sums one matrix product takes (_aberration_sums).
-# OpenBLAS 0.3.31 (Haswell kernels) rounds a (boosts x nodes) product of
-# more than about 100 rows up to ten times less tightly: on dense_curve's
-# 16^2 sums the worst entry error grows from 1.1e-16 to 1.1e-15, and the
-# Grams' cancellation carries that into trace gaps of 7.9e-15, against
-# 1.6e-15 for products of 64 rows
+# boosts whose weights _aberration_sums forms at a time over a block of
+# nodes: their buffer takes 683 KiB at 64
 _SUM_ROWS = 64
+
+# stored nodes per block of _aberration_sums, whatever the number of
+# boosts, so that a row's node sums are added in the same blocks alone as
+# in a sweep; its (12, nodes) products take at most half of _BLOCK_BYTES
+_SUM_NODES = _BLOCK_BYTES // (2 * 8 * 12)
 
 # Newton steps allowed per Legendre root; from Tricomi's angles the
 # iteration in t converges cubically and stops after one to three (at
@@ -581,34 +581,33 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     y -> -y keeps the even and flips the odd parts, so the rule's Gram has
     no cross terms, and each is a sum over nodes of fixed products
     weighted by 1, g and g^2 (_GAMMA).  The sums are ordered (product,
-    parity) as _GRAM_MAP reads them.  Nodes are taken _BLOCK_BYTES of
-    (rows, nodes) weights at a time, rows = min(k, _SUM_ROWS), and each
-    block is summed for every _SUM_ROWS boosts with two matrix products.
+    parity) as _GRAM_MAP reads them.  Nodes are taken _SUM_NODES at a
+    time, and each block is summed for every _SUM_ROWS boosts with two
+    matrix products (entanglement.rows_product).
     """
     k = len(shrink)
     n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
     scale = shrink * shrink
-    rows = min(k, _SUM_ROWS)
-    # at least 24 rows' worth, so that a block's (12, nodes) table stays
-    # below glibc's 128 KiB mmap threshold (see _BLOCK_BYTES) when few
-    # boosts share the pass, and so do its node vectors on grids of up to
-    # about 220 stored phis
-    step = max(1, _BLOCK_BYTES // (8 * max(rows, 24)))
-    # one buffer holds every block's weights: a fresh (rows, step) array
+    unit = entanglement.PRODUCT_ROWS
+    rows = min(_SUM_ROWS, -(-k // unit) * unit)
+    # one buffer holds every block's weights: a fresh (rows, nodes) array
     # per block can be mapped and unmapped by the allocator each time,
-    # which cost fig2 and fig3 up to 8% of their time
-    buf = np.empty(rows * min(step, len(grid)))
-    for vectors in _node_blocks(grid, step):
+    # which cost fig2 and fig3 up to 8% of their time.  Its rows past the
+    # last boost pad the last part to whole products of unit rows
+    buf = np.zeros(rows * min(_SUM_NODES, len(grid)))
+    for vectors in _node_blocks(grid, _SUM_NODES):
         table, t2 = _aberration_table(frame, vectors)
         n0 += table.sum(axis=1)
+        weights = buf[:rows * len(t2)].reshape(rows, -1)
         for lo in range(0, k, rows):
             part = scale[lo:lo + rows]
-            g = np.multiply.outer(part, t2, out=buf[:len(part) * len(t2)].reshape(len(part), -1))
+            padded = weights[:-(-len(part) // unit) * unit]
+            g = np.multiply.outer(part, t2, out=padded[:len(part)])
             g += 1.0
             np.reciprocal(g, out=g)
-            n1[lo:lo + rows] += entanglement.rows_product(g, table.T)
+            n1[lo:lo + rows] += entanglement.rows_product(padded, table.T)[:len(part)]
             g *= g
-            n2[lo:lo + rows] += entanglement.rows_product(g, table.T)
+            n2[lo:lo + rows] += entanglement.rows_product(padded, table.T)[:len(part)]
     n1, n2 = n1.reshape(k, 6, 2), n2.reshape(k, 6, 2)
     n1[:, 4:] *= shrink[:, None, None]
     n2[:, 4:] *= shrink[:, None, None]

@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--xi-steps", type=int, default=None)
     _add_grid_flags(p_sweep)
     p_sweep.add_argument("--out", default=None, help="CSV path (default: config output_path or stdout)")
-    p_sweep.add_argument("--timing", action="store_true", help="append the wall_time_ms column")
     p_sweep.add_argument(
         "--check-convergence",
         action="store_true",
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, helptext in (("fig2", "direction-sweep preset"), ("fig3", "spread-sweep preset")):
         p_fig = sub.add_parser(name, help=helptext)
         p_fig.add_argument("--out", default=f"{name}.csv", help="combined CSV path")
-        p_fig.add_argument("--timing", action="store_true", help="append the wall_time_ms column")
         p_fig.add_argument("--plot-script", default=None, help="also write a gnuplot script here")
         p_fig.set_defaults(run=_cmd_sweep, check_convergence=False)
 
@@ -179,12 +177,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         out = _open_output(stack, out_path) if out_path else sys.stdout
         plot = _open_output(stack, plot_path) if plot_path else None
-        rows = run_sweeps(configs)
+        table = run_sweeps(configs)
         # only sweep, whose one curve is configs[0], has --check-convergence
-        message = convergence_problem(configs[0], rows) if args.check_convergence else None
+        message = convergence_problem(configs[0], table) if args.check_convergence else None
         if message is not None:
             print(f"warning: {message}", file=sys.stderr)
-        _write(out, rows_to_csv(rows, include_timing=args.timing))
+        _write(out, rows_to_csv(table))
         if plot is not None:
             values = tuple(getattr(c, curve_key) for c in configs)
             _write(plot, gnuplot_script(out_path or "-", curve_key, values))

@@ -175,16 +175,23 @@ def _product_blocks() -> np.ndarray:
     return out
 
 
+# rows of each matrix product that rows_product takes
+PRODUCT_ROWS = 8
+
+
 def rows_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """rows @ matrix for a (k, n) stack, each row rounded the same whatever k is.
 
-    numpy sends a (1, n) @ (n, m) product down its matrix-vector path,
-    which rounds otherwise than a matrix product of several rows, so a
-    lone row is multiplied as two copies of itself.
+    A BLAS kernel can round a row otherwise in a product of another
+    number of rows, or in the last, partial tile of a product's rows, and
+    numpy sends a lone row down its matrix-vector path.  So the rows are
+    multiplied as a stack of PRODUCT_ROWS-row products, one BLAS call
+    each, a short last block padded with zero rows.
     """
-    if len(rows) == 1:
-        return (np.concatenate([rows, rows]) @ matrix)[:1]
-    return rows @ matrix
+    k, n = rows.shape
+    if k % PRODUCT_ROWS:
+        rows = np.concatenate([rows, np.zeros((-k % PRODUCT_ROWS, n))])
+    return (rows.reshape(-1, PRODUCT_ROWS, n) @ matrix).reshape(-1, matrix.shape[1])[:k]
 
 
 _READ_MAP = _read_map()

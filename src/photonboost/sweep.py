@@ -1,16 +1,15 @@
 """Rapidity sweeps of the boosted-pair log negativity.
 
 A sweep evaluates one beam and one boost direction over a uniform rapidity
-grid and emits one row per rapidity with the log negativity and the state
-sanity numbers, a SweepRow.  The CSV output is deterministic: a header
-read from SweepRow's fields, floats at nine significant digits,
-newline-terminated rows, and no timing column unless explicitly requested.
+grid.  Its rows (the log negativity and the state sanity numbers per
+rapidity) stay a (6, n) float table, table[i] holding CSV column i, from
+the solve to the CSV text, which is deterministic: a header read from
+SweepRow's fields, floats at nine significant digits, newline-ended rows.
 """
 from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -22,7 +21,7 @@ from .lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, TransformStack, boost_z, comp
 
 
 class SweepRow(NamedTuple):
-    """One sweep row; its fields are the CSV columns in order, then the opt-in wall_time_ms."""
+    """One sweep row; its fields are the CSV columns in order."""
 
     alpha: float
     sigma_theta: float
@@ -30,10 +29,9 @@ class SweepRow(NamedTuple):
     log_negativity: float
     trace_residual: float
     min_eigenvalue: float
-    wall_time_ms: float
 
 
-CSV_HEADER = ",".join(SweepRow._fields[:-1])
+CSV_HEADER = ",".join(SweepRow._fields)
 
 # curve sets for the two preset figures; the sources only pin sigma = 1.0
 # for the direction sweep and alpha = 2*pi/5 for the spread sweep, so the
@@ -163,58 +161,58 @@ class SweepConfig:
 
 
 def _evaluate(
-    alpha: float, sigma_theta: float, xis: np.ndarray, grid: QuadratureGrid
-) -> list[SweepRow]:
-    """The rows of one curve at rapidities xis on grid.
+    alpha: float, sigma_theta: float, xis: np.ndarray, grid: QuadratureGrid, table: np.ndarray | None = None
+) -> np.ndarray:
+    """The (6, n) table of one curve at rapidities xis on grid; table[i] is CSV column i.
 
-    Rows go through the boost stack, the moments, the guards and the
-    exchange-block spectra beams.ROWS_PER_BLOCK at a time, a count derived
-    from the state stage's per-row bytes, so memory does not grow with the
-    row count and no 9x9 state is formed (beams.density_spectra).
-    trace_residual is the trace gap before normalization.  The time of a
-    block is shared equally by its rows, so wall_time_ms is one value per
-    block of up to ROWS_PER_BLOCK rows, not a per-row measurement.
+    Fills table, a (6, n) array, when one is given.  Rows go through the
+    boost stack, the moments, the guards and the exchange-block spectra
+    beams.ROWS_PER_BLOCK at a time, a count derived from the state
+    stage's per-row bytes, so memory does not grow with the row count and
+    no 9x9 state is formed (beams.density_spectra).  trace_residual is
+    the trace gap before normalization.
     """
-    table = np.empty((len(SweepRow._fields), len(xis)))
-    alphas, sigmas, xi, ln, trace_res, min_eig, ms = table  # views, one per SweepRow field
+    if table is None:
+        table = np.empty((len(SweepRow._fields), len(xis)))
+    alphas, sigmas, xi, ln, trace_res, min_eig = table  # views, one per SweepRow field
     alphas[:], sigmas[:], xi[:] = alpha, sigma_theta, xis
     for lo in range(0, len(xis), ROWS_PER_BLOCK):
-        start = time.perf_counter()
         block = slice(lo, lo + ROWS_PER_BLOCK)
-        boosts = boost_stack(alpha, xis[block])
-        min_eig[block], trace_res[block], spectra = density_spectra(boosts, grid)
+        min_eig[block], trace_res[block], spectra = density_spectra(boost_stack(alpha, xis[block]), grid)
         ln[block] = log_negativity_from_spectrum(spectra)
-        ms[block] = (time.perf_counter() - start) * 1e3 / len(spectra)
-    return list(map(SweepRow._make, table.T.tolist()))
+    return table
 
 
-def run_sweeps(configs: list[SweepConfig]) -> list[SweepRow]:
-    """Rows of several sweeps in order.
+def run_sweeps(configs: list[SweepConfig]) -> np.ndarray:
+    """The (6, n) table of several sweeps' rows in order, as _evaluate lays it out.
 
     Consecutive curves with one (sigma_theta, n_theta, n_phi) share a grid;
     a grid is dropped as soon as the next curve needs another one.
     """
-    rows: list[SweepRow] = []
+    table = np.empty((len(SweepRow._fields), sum(cfg.xi_steps for cfg in configs)))
     key = grid = None
+    lo = 0
     for cfg in configs:
         if (cfg.sigma_theta, cfg.n_theta, cfg.n_phi) != key:
             key, grid = (cfg.sigma_theta, cfg.n_theta, cfg.n_phi), None
             grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
-        rows += _evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values(), grid)
-    return rows
+        _evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values(), grid, table[:, lo:lo + cfg.xi_steps])
+        lo += cfg.xi_steps
+    return table
 
 
-def convergence_problem(cfg: SweepConfig, rows: list[SweepRow]) -> str | None:
-    """Message of the grid-doubling check on run_sweep(cfg)'s rows, or None if it passes.
+def convergence_problem(cfg: SweepConfig, table: np.ndarray) -> str | None:
+    """Message of the grid-doubling check on run_sweeps([cfg])'s table, or None if it passes.
 
     The endpoints and the midpoint are re-evaluated on a doubled grid; the
     check fails if any log negativity moves by more than _CONVERGENCE_TOL.
     This is what sweep --check-convergence runs.
     """
+    _, _, xi, ln, _, _ = table
     fine = build_grid(BeamSpec(cfg.sigma_theta), 2 * cfg.n_theta, 2 * cfg.n_phi)
-    probes = [rows[i] for i in sorted({0, len(rows) // 2, len(rows) - 1})]
-    refined = _evaluate(cfg.alpha, cfg.sigma_theta, np.array([r.xi for r in probes]), fine)
-    worst = max(abs(a.log_negativity - b.log_negativity) for a, b in zip(refined, probes))
+    probes = sorted({0, len(xi) // 2, len(xi) - 1})
+    refined = _evaluate(cfg.alpha, cfg.sigma_theta, xi[probes], fine)[3]
+    worst = float(np.abs(refined - ln[probes]).max())
     if worst > _CONVERGENCE_TOL:
         return (
             f"grid doubling moved the log negativity by {worst:.3e} "
@@ -224,8 +222,8 @@ def convergence_problem(cfg: SweepConfig, rows: list[SweepRow]) -> str | None:
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Evaluate the log negativity over the rapidity grid of cfg (see convergence_problem)."""
-    return run_sweeps([cfg])
+    """One SweepRow per rapidity of cfg's grid (see convergence_problem)."""
+    return list(map(SweepRow._make, run_sweeps([cfg]).T.tolist()))
 
 
 def preset_fig2() -> list[SweepConfig]:
@@ -255,11 +253,11 @@ def preset_fig3() -> list[SweepConfig]:
     return out
 
 
-def rows_to_csv(rows: list[SweepRow], include_timing: bool = False) -> str:
-    """CSV text of rows: SweepRow's fields as the header, then each row at 9 significant digits."""
-    names = SweepRow._fields if include_timing else SweepRow._fields[:-1]
-    line, n = ",".join(["%.9g"] * len(names)), len(names)
-    return "\n".join([",".join(names), *(line % row[:n] for row in rows)]) + "\n"
+def rows_to_csv(table: np.ndarray) -> str:
+    """CSV text of a (6, n) sweep table: CSV_HEADER, then its rows at 9 significant digits."""
+    line = ",".join(["%.9g"] * len(table))
+    blocks = (table[:, lo:lo + ROWS_PER_BLOCK].tolist() for lo in range(0, table.shape[1], ROWS_PER_BLOCK))
+    return "\n".join([CSV_HEADER, *("\n".join(map(line.__mod__, zip(*b))) for b in blocks)]) + "\n"
 
 
 def gnuplot_script(csv_path: str, curve_key: str, curve_values: tuple[float, ...]) -> str:

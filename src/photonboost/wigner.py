@@ -20,18 +20,22 @@ lorentz.TransformStack against (4, n) momenta:
 They must agree modulo 2*pi to ~1e-9 for any transform built from
 generators; the test suite enforces this on large seeded samples.
 
-Per-generator rules, for p at polar angles (theta, phi):
+Every momentum of the fold's chain gets one frame R = R_z(phi) R_y(theta)
+from lorentz.direction_angles, which decides once whether it lies on a
+pole (phi = 0 there), and each factor's angle runs from its input's frame
+to its output's.  The chain starts in the frame of p, and a last turn
+takes it to the frame of L p as L's matrix gives it: the momenta the
+oracle's standard boosts read.  So the angles add up to the oracle's
+whatever frames the momenta in between get.  For a factor from the frame
+(theta, phi) to the frame (theta', phi'):
 
-* boost along z: 0;
-* rotation about z: 0 off axis, +gamma at the +z pole, -gamma at the -z
-  pole (helicity there is measured against -z);
-* rotation about y by gamma: atan2(A, B) with
-
-      A = sin(gamma) * sin(phi)
-      B = sin(gamma) * cos(theta) * cos(phi) + cos(gamma) * sin(theta).
-
-The quadrant matters, so the two-argument arctangent is used; a single-
-argument arctan of A/B loses the branch and breaks the composition law.
+* rotation about y by gamma: the angle of R'^T R_y(gamma) R, read off its
+  x column;
+* rotation about z by gamma, boost along z or the last turn (gamma = 0):
+  the turn gamma + phi - phi' of the azimuth, signed by the hemisphere,
+  where either frame lies within _NEAR_POLE of a pole: there the phi = 0
+  convention, or the rounding of a nearly axial momentum, sets it.
+  Elsewhere it is 0 to 1e-10, and the rule gives exactly 0.
 
 Polarization vectors are complex (4, ...) arrays in (t, x, y, z) order:
 ``epsilon_stack`` builds the helicity basis R(p-hat) (x + i lambda y)/sqrt 2
@@ -52,7 +56,7 @@ import math
 import numpy as np
 
 from .lorentz import (
-    POLE_TOL,
+    PAD,
     ROT_Y,
     ROT_Z,
     TransformStack,
@@ -64,6 +68,11 @@ from .lorentz import (
 
 REFERENCE_MOMENTUM = np.array([1.0, 0.0, 0.0, 1.0])
 REFERENCE_MOMENTUM.flags.writeable = False
+
+# sin(theta) below which the fold reads the turn of an axial factor or of
+# its last turn: two roundings of a momentum can differ in azimuth by
+# about 1e-16 / sin(theta), so above it the turn is 0 to 1e-10
+_NEAR_POLE = 1e-6
 
 # tolerance on |W k - k| before W stops counting as a little-group element;
 # two standard-boost inversions accumulate rounding
@@ -103,16 +112,40 @@ def _require_null_future(p: np.ndarray) -> None:
         raise ValueError("momentum must be null and future-pointing")
 
 
-def _rot_y_angle(gamma, cos_theta, sin_theta, phi):
-    a = np.sin(gamma) * np.sin(phi)
-    b = np.sin(gamma) * cos_theta * np.cos(phi) + np.cos(gamma) * sin_theta
-    return np.arctan2(a, b)
+def _frame(vectors) -> tuple[np.ndarray, ...]:
+    """cos theta, sin theta, cos phi, sin phi and phi of (3, n) directions' standard frames.
+
+    lorentz.direction_angles decides whether a direction is on a pole,
+    where phi = 0.
+    """
+    theta, phi = direction_angles(vectors)
+    return np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi), phi
 
 
-def _rot_z_angle(gamma, cos_theta, sin_theta):
-    on_axis = sin_theta < POLE_TOL
-    signed = np.where(cos_theta > 0.0, gamma, -gamma)
-    return np.where(on_axis, signed, 0.0)
+def _rot_y_angle(gamma, frame, frame_out):
+    """Theta of R_y(gamma) from the _frame of its input to that of its output.
+
+    The angle of R(out)^T R_y(gamma) R(in) with R = R_z(phi) R_y(theta),
+    read off its x column; u is R_y(gamma) R(in) x-hat.
+    """
+    (ct, st, cp, sp, _), (ct_out, st_out, cp_out, sp_out, _) = frame, frame_out
+    c, s, a = np.cos(gamma), np.sin(gamma), ct * cp
+    ux, uy, uz = c * a - s * st, ct * sp, -s * a - c * st
+    return np.arctan2(cp_out * uy - sp_out * ux, ct_out * (cp_out * ux + sp_out * uy) - st_out * uz)
+
+
+def _axial_angle(gamma, frame, frame_out):
+    """Theta of R_z(gamma), or of a boost along z with gamma = 0, between two _frames.
+
+    The factor keeps the z axis and carries the azimuth phi to phi + gamma,
+    so W is R_z of the turn gamma + phi - phi' about +z and of its opposite
+    about -z.  The turn is what the phi = 0 convention leaves on a pole;
+    off the _NEAR_POLE band it is 0 to 1e-10, and exactly 0 is returned.
+    """
+    turn = gamma + frame[4] - frame_out[4]
+    turn -= 2.0 * np.pi * np.round(turn / (2.0 * np.pi))  # gamma itself if it is on (-pi, pi)
+    near = np.minimum(frame[1], frame_out[1]) < _NEAR_POLE
+    return np.where(near, np.where(frame[0] < 0.0, -turn, turn), 0.0)
 
 
 def momentum_columns(stack: TransformStack, momenta) -> np.ndarray:
@@ -131,8 +164,9 @@ def wigner_angle_stack(stack: TransformStack, momenta) -> np.ndarray:
     momenta is (4, n); column i pairs with transform i, or with the only
     transform of a one-transform stack.  Each row's factors are consumed
     right to left (the rightmost acts on the momentum first), each adding
-    its angle at the momentum current at that point in the chain.  Padding
-    factors add exactly 0 and leave the momentum unchanged.
+    its angle at the momentum current at that point in the chain, and a
+    last turn takes the chain to the frame of L p.  Padding factors add
+    exactly 0 and leave the momentum unchanged.
     """
     return _folded_angles(stack, momentum_columns(stack, momenta))
 
@@ -140,25 +174,20 @@ def wigner_angle_stack(stack: TransformStack, momenta) -> np.ndarray:
 def _folded_angles(stack: TransformStack, p: np.ndarray) -> np.ndarray:
     """wigner_angle_stack on (4, n) columns that momentum_columns has checked."""
     g = stack.factor_matrices()
-    total = np.zeros(p.shape[1])
-    p = p.T[:, :, None]
-    for j in reversed(range(stack.kinds.shape[1])):
-        rho = np.hypot(p[:, 1, 0], p[:, 2, 0])
-        r = np.hypot(rho, p[:, 3, 0])
-        ct, st = p[:, 3, 0] / r, rho / r
-        kind, par = stack.kinds[:, j], stack.params[:, j]
-        # a rule whose kind is absent from the column would add only zeros
-        rot_y = kind == ROT_Y
-        if rot_y.any():
-            # the standard frame pins phi to 0 at the poles, where atan2
-            # would read it off rounding (or off the sign of a zero)
-            phi = np.where(st < POLE_TOL, 0.0, np.arctan2(p[:, 2, 0], p[:, 1, 0]))
-            total += np.where(rot_y, _rot_y_angle(par, ct, st, phi), 0.0)
-        rot_z = kind == ROT_Z
-        if rot_z.any():
-            total += np.where(rot_z, _rot_z_angle(par, ct, st), 0.0)
-        p = g[:, j] @ p
-    return principal_angle(total)
+    width = stack.kinds.shape[1]
+    chain = [p.T[:, :, None]]  # the momenta, rightmost factor first
+    for j in reversed(range(width)):
+        chain.append(g[:, j] @ chain[-1])
+    # the last turn goes to the frame of L p as L's matrix gives it, which
+    # the oracle, and a caller stepping on, reads
+    vectors = np.concatenate([*(v[:, 1:, 0].T for v in chain), stack.apply(p)[1:]], axis=1)
+    frames = [f.reshape(width + 2, -1) for f in _frame(vectors)]
+    before, after = [f[:-1] for f in frames], [f[1:] for f in frames]
+    # (width + 1, k): the factors right to left, then the last turn as a PAD
+    kinds = np.hstack([np.full((len(stack), 1), PAD), stack.kinds])[:, ::-1].T
+    params = np.hstack([np.zeros((len(stack), 1)), stack.params])[:, ::-1].T
+    axial = _axial_angle(np.where(kinds == ROT_Z, params, 0.0), before, after)
+    return principal_angle(np.where(kinds == ROT_Y, _rot_y_angle(params, before, after), axial).sum(axis=0))
 
 
 def wigner_angle_oracle_stack(stack: TransformStack, momenta) -> np.ndarray:

@@ -25,11 +25,11 @@ from photonboost import validation, wigner
 from photonboost.beams import transport
 from photonboost.lorentz import (
     BOOST_Z,
-    POLE_TOL,
     ROT_Y,
     ROT_Z,
     direction_angles,
     null_momenta,
+    stack_from_factors,
 )
 from photonboost.wigner import d_rotation_form_stack, epsilon_stack, h_vec_stack, v_vec_stack
 
@@ -153,23 +153,20 @@ def wigner_angle_generator(kind, parameter, p):
     """Little-group angle of a single generator acting at a (4,) momentum p.
 
     Applies the closed-form rule of that generator (the one the Wigner
-    fold applies factor by factor) without reducing it to (-pi, pi].
+    fold applies factor by factor) from the frame of p to the frame of
+    its image.
     """
     if not math.isfinite(parameter):
         raise ValueError(f"parameter must be finite, got {parameter!r}")
+    if kind not in (BOOST_Z, ROT_Z, ROT_Y):
+        raise ValueError(f"unknown generator kind {kind!r}")
     arr = np.asarray(p, dtype=float)
     wigner._require_null_future(arr)
-    rho = math.hypot(arr[1], arr[2])
-    r = math.hypot(rho, arr[3])
-    ct, st = arr[3] / r, rho / r
-    phi = 0.0 if st < POLE_TOL else math.atan2(arr[2], arr[1])
-    if kind == BOOST_Z:
-        return 0.0
-    if kind == ROT_Z:
-        return float(wigner._rot_z_angle(parameter, ct, st))
+    image = stack_from_factors([[(kind, parameter)]]).apply(arr[:, None])[:, 0]
+    frames = wigner._frame(arr[1:]), wigner._frame(image[1:])
     if kind == ROT_Y:
-        return float(wigner._rot_y_angle(parameter, ct, st, phi))
-    raise ValueError(f"unknown generator kind {kind!r}")
+        return float(wigner._rot_y_angle(parameter, *frames))
+    return float(wigner._axial_angle(parameter if kind == ROT_Z else 0.0, *frames))
 
 
 def transported_hv(L, thetas, phis, omega):

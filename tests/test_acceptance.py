@@ -37,6 +37,7 @@ from photonboost.sweep import (
     preset_fig3,
     rows_to_csv,
     run_sweep,
+    run_sweeps,
 )
 from photonboost.wigner import d_rotation_form_stack, wigner_angle_oracle_stack, wigner_angle_stack
 
@@ -51,23 +52,22 @@ def _ln(alpha, xi, sigma, n=64):
     return log_negativity(reduced_density(make_boost(alpha, xi), grid, spec))
 
 
-def _curve(rows):
-    xi = np.array([r.xi for r in rows])
-    ln = np.array([r.log_negativity for r in rows])
-    return xi, ln
+def _curve(table):
+    """The xi and log negativity columns of a sweep table."""
+    return table[2], table[3]
 
 
 @pytest.fixture(scope="module")
 def fig2_runs():
     start = time.perf_counter()
-    runs = {cfg.alpha: run_sweep(cfg) for cfg in preset_fig2()}
+    runs = {cfg.alpha: run_sweeps([cfg]) for cfg in preset_fig2()}
     return runs, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def fig3_runs():
     start = time.perf_counter()
-    runs = {cfg.sigma_theta: run_sweep(cfg) for cfg in preset_fig3()}
+    runs = {cfg.sigma_theta: run_sweeps([cfg]) for cfg in preset_fig3()}
     return runs, time.perf_counter() - start
 
 
@@ -258,8 +258,8 @@ def test_criterion_13_figure_reproduction(fig2_runs, fig3_runs):
     runs3, t3 = fig3_runs
     assert t2 < 60.0 and t3 < 60.0
     for runs in (runs2, runs3):
-        for rows in runs.values():
-            text = rows_to_csv(rows)
+        for table in runs.values():
+            text = rows_to_csv(table)
             assert text.splitlines()[0].startswith("alpha,")
 
     # criterion 2 on the emitted curves
@@ -300,16 +300,16 @@ def test_ppt_rows_print_an_exact_zero(fig2_runs, fig3_runs):
     curves = [(cfg, fig2_runs[0][cfg.alpha]) for cfg in preset_fig2()]
     curves += [(cfg, fig3_runs[0][cfg.sigma_theta]) for cfg in preset_fig3()]
     ppt_rows = 0
-    for cfg, rows in curves:
+    for cfg, table in curves:
         grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
         states = density_states(boost_stack(cfg.alpha, cfg.xi_values()), grid)[0]
         pt = np.linalg.eigvalsh(partial_transpose_A(states))
         old = np.maximum(np.log2(np.abs(pt).sum(axis=1)), 0.0)
-        cells = [line.split(",")[3] for line in rows_to_csv(rows).splitlines()[1:]]
-        for row, cell, smallest, want in zip(rows, cells, pt[:, 0], old):
+        cells = [line.split(",")[3] for line in rows_to_csv(table).splitlines()[1:]]
+        for xi, ln, cell, smallest, want in zip(*_curve(table), cells, pt[:, 0], old):
             if smallest >= 0.0:
                 ppt_rows += 1
-                assert row.log_negativity == 0.0 and cell == "0", (cfg, row.xi)
+                assert ln == 0.0 and cell == "0", (cfg, xi)
             else:
-                assert cell == f"{want:.9g}", (cfg, row.xi)
+                assert cell == f"{want:.9g}", (cfg, xi)
     assert ppt_rows >= 10

@@ -438,6 +438,7 @@ def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi)
 def test_small_blocks_keep_both_moment_paths_on_the_expanded_rule_double_sum(monkeypatch, rng):
     # blocks of 25 nodes for the x-z plane sums and of 33 for the
     # node-by-node transport, on 6 x 9 = 54 stored nodes in rows of 9
+    monkeypatch.setattr(beams, "_SUM_NODES", 25)
     monkeypatch.setattr(beams, "_BLOCK_BYTES", 8 * 12 * 50)
     grid = build_grid(BeamSpec(1.0), 6, 16)
     cases = [make_boost(0.7, 1.0), compose(make_boost(0.7, 1.0), rot_z(0.4)), *_fold_cases(rng)]
@@ -491,8 +492,8 @@ def test_sweeps_sum_each_node_once_per_axis_and_only_off_plane_boosts_transport(
 
 
 def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
-    # the nodes are summed a _BLOCK_BYTES block at a time, so no array of
-    # the grid's size is made: 3 rows on 384^2 peak at 1.2 MB, where
+    # the nodes are summed a block of _SUM_NODES at a time, so no array of
+    # the grid's size is made: 3 rows on 384^2 peak at 0.7 MB, where
     # transporting a whole boosted copy of the grid's 7.1 MB of stored
     # vectors peaked at 11.9 MB
     grid = build_grid(BeamSpec(1.0), 384, 384)

@@ -8,7 +8,7 @@ import math
 from dataclasses import fields
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_gap, concatenated
@@ -26,7 +26,13 @@ from photonboost.lorentz import (
     stack_from_factors,
 )
 from photonboost.sweep import ConfigError, SweepConfig, boost_stack
-from photonboost.wigner import d_rotation_form_stack, h_vec_stack, v_vec_stack, wigner_angle_stack
+from photonboost.wigner import (
+    d_rotation_form_stack,
+    h_vec_stack,
+    v_vec_stack,
+    wigner_angle_oracle_stack,
+    wigner_angle_stack,
+)
 
 # numbers, including ints beyond the float range that JSON can carry
 _NUMBERS = (
@@ -91,10 +97,23 @@ def test_from_factors_of_a_concatenation_is_the_composition(f1, f2):
 
 @settings(deadline=None, max_examples=200)
 @given(_FACTOR_LISTS, _FACTOR_LISTS, _MOMENTA)
+# L2's last R_y carries L1 p onto +z, where phi = 0 by convention and only
+# rounding gives the momentum an azimuth; the oracle gives pi
+@example([(ROT_Y, 1.0), (ROT_Y, 0.5)], [(ROT_Y, 1.0), (ROT_Y, 0.5), (ROT_Z, math.pi)],
+         null_momenta(0.0, 0.0, 1.0)[:, None])
+# sin(theta) at POLE_TOL: rounding moves the R_z chain's momenta, and
+# L1 p, across the pole test; the oracle gives 0.5
+@example([(ROT_Z, 0.25), (ROT_Z, 0.25)], [(ROT_Y, 1.0)], null_momenta(1e-12, 0.0, 1.25)[:, None])
+# L p is back within 1e-9 of +z, where its rounding turns the azimuth by
+# 2e-8: the fold reads that last turn as the oracle does
+@example([], [(ROT_Y, 1.0), (ROT_Z, math.pi), (ROT_Y, 1.0)], null_momenta(1e-9, 1.0, 1.0)[:, None])
 def test_wigner_angles_add_under_composition(f1, f2, p):
     L1, L2 = stack_from_factors([f1]), stack_from_factors([f2])
+    L = compose(L2, L1)
+    composed = wigner_angle_stack(L, p)
     stepped = wigner_angle_stack(L2, L1.apply(p)) + wigner_angle_stack(L1, p)
-    assert angle_gap(wigner_angle_stack(compose(L2, L1), p), stepped)[0] <= 1e-9
+    assert angle_gap(composed, wigner_angle_oracle_stack(L, p))[0] <= 1e-9
+    assert angle_gap(composed, stepped)[0] <= 1e-9
 
 
 _ANGLES = st.floats(-math.pi, math.pi)

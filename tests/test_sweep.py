@@ -26,6 +26,7 @@ from photonboost.lorentz import (
 from photonboost.sweep import (
     CSV_HEADER,
     MAX_GRID_NODES,
+    MAX_XI_STEPS,
     ConfigError,
     FIG2_ALPHAS,
     FIG3_SIGMAS,
@@ -142,9 +143,7 @@ def test_curves_sharing_a_grid_match_separate_sweeps(monkeypatch):
     real = sweep_mod.build_grid
     monkeypatch.setattr(sweep_mod, "build_grid", lambda *a: built.append(a) or real(*a))
     shared = run_sweeps(cfgs)
-    assert [(r.alpha, r.xi, r.log_negativity) for r in shared] == [
-        (r.alpha, r.xi, r.log_negativity) for r in separate
-    ]
+    assert shared.T.tolist() == [list(row) for row in separate]
     assert len(built) == 2
 
 
@@ -187,8 +186,8 @@ def test_sweep_wide_beam_zero_crossing_then_revival():
 
 def test_csv_deterministic(tmp_path):
     cfg = SweepConfig(alpha=0.4, sigma_theta=0.9, xi_min=-0.5, xi_max=0.5, **FAST)
-    a = rows_to_csv(run_sweep(cfg))
-    b = rows_to_csv(run_sweep(cfg))
+    a = rows_to_csv(run_sweeps([cfg]))
+    b = rows_to_csv(run_sweeps([cfg]))
     assert a == b
     path = tmp_path / "rows.csv"
     argv = ["sweep", "--alpha", "0.4", "--sigma-theta", "0.9", "--xi-min", "-0.5",
@@ -200,7 +199,7 @@ def test_csv_deterministic(tmp_path):
 
 def test_csv_format():
     cfg = SweepConfig(alpha=0.0, sigma_theta=0.5, xi_min=0.0, xi_max=0.0, xi_steps=1, n_theta=16, n_phi=16)
-    text = rows_to_csv(run_sweep(cfg))
+    text = rows_to_csv(run_sweeps([cfg]))
     lines = text.splitlines()
     assert lines[0] == "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
     assert len(lines) == 2
@@ -213,19 +212,24 @@ def test_csv_format():
         assert len(mantissa.lstrip("0")) <= 9  # nine significant digits
 
 
-def test_csv_timing_column_is_optional():
-    cfg = SweepConfig(alpha=0.0, sigma_theta=0.5, xi_min=0.0, xi_max=0.0, xi_steps=1, n_theta=16, n_phi=16)
-    rows = run_sweep(cfg)
-    assert "wall_time_ms" not in rows_to_csv(rows)
-    timed = rows_to_csv(rows, include_timing=True)
-    assert timed.splitlines()[0].endswith(",wall_time_ms")
+@pytest.mark.parametrize("command", ["sweep", "fig2", "fig3"])
+def test_cli_rejects_the_timing_flag(command, tmp_path, capsys):
+    # no command takes --timing: a malformed flag exits 1 before any output is opened
+    out = tmp_path / "rows.csv"
+    argv = [command, "--timing", "--out", str(out)]
+    if command == "sweep":
+        argv += ["--alpha", "0", "--sigma-theta", "1", "--n-theta", "8", "--n-phi", "8"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--timing" in captured.err
 
 
 def test_csv_header_is_read_from_sweep_row():
     assert CSV_HEADER == "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
     assert issubclass(SweepRow, tuple)
-    assert SweepRow._fields[:6] == tuple(CSV_HEADER.split(","))
-    assert SweepRow._fields[6:] == ("wall_time_ms",)
+    assert SweepRow._fields == tuple(CSV_HEADER.split(","))
 
 
 def test_sweep_rows_are_named_tuples_in_column_order():
@@ -237,7 +241,19 @@ def test_sweep_rows_are_named_tuples_in_column_order():
         assert isinstance(row, SweepRow)
         assert row[:3] == (0.3, 0.8, row.xi)
         assert row[3] == row.log_negativity and 0.0 < row.log_negativity <= 1.0
-        assert row[5] == row.min_eigenvalue and row[6] == row.wall_time_ms
+        assert row[5] == row.min_eigenvalue
+
+
+def test_run_sweep_rows_are_the_cli_csv_cells(capsys):
+    # a library caller's rows and the CLI's CSV carry the same numbers
+    cfg = SweepConfig(alpha=0.9, sigma_theta=1.3, xi_min=-15.0, xi_max=15.0, xi_steps=ROWS_PER_BLOCK + 3,
+                      n_theta=16, n_phi=16)
+    argv = ["sweep", "--alpha", "0.9", "--sigma-theta", "1.3", "--xi-min", "-15", "--xi-max", "15",
+            "--xi-steps", str(cfg.xi_steps), "--n-theta", "16", "--n-phi", "16"]
+    assert cli.main(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == CSV_HEADER
+    assert [line.split(",") for line in lines] == [[f"{x:.9g}" for x in row] for row in run_sweep(cfg)]
 
 
 @pytest.mark.parametrize("curve_key", ["alpha", "sigma_theta"])
@@ -261,8 +277,8 @@ def test_run_sweeps_solves_no_9x9(monkeypatch):
     steps = ROWS_PER_BLOCK + 6
     cfgs = [SweepConfig(alpha=a, sigma_theta=1.0, xi_min=-12.0, xi_max=12.0, xi_steps=steps,
                         n_theta=16, n_phi=16) for a in (0.0, 2 * math.pi / 5)]
-    rows = run_sweeps(cfgs)
-    assert len(rows) == 2 * steps
+    assert run_sweeps(cfgs).shape == (len(SweepRow._fields), 2 * steps)
+    assert run_sweeps([]).shape == (len(SweepRow._fields), 0)
     # one solve for each ROWS_PER_BLOCK-row block of a curve: the even 4x4
     # symmetric blocks of its states and their partial transposes; the
     # 2x2 and 1x1 blocks are solved in closed form, and no 9x9, 6x6 or
@@ -281,15 +297,16 @@ def test_sweeps_run_with_the_9x9_assembly_removed(monkeypatch):
 
     cfg = SweepConfig(alpha=0.4, sigma_theta=1.0, xi_min=-4.0, xi_max=4.0, xi_steps=9,
                       n_theta=16, n_phi=16)
-    want = [row[:-1] for row in run_sweep(cfg)]  # all but wall_time_ms
+    want = run_sweep(cfg)
     monkeypatch.setattr(beams, "_assemble", no_9x9)
-    assert [row[:-1] for row in run_sweep(cfg)] == want
+    assert run_sweep(cfg) == want
     with pytest.raises(AssertionError, match="9x9"):
         density_states(boost_stack(0.4, [1.0]), build_grid(BeamSpec(1.0), 16, 16))
 
 
 def _state_columns(row):
-    return row.log_negativity, row.trace_residual, row.min_eigenvalue
+    """log_negativity, trace_residual and min_eigenvalue of a SweepRow or a table column."""
+    return tuple(row[3:])
 
 
 def test_rows_of_a_curve_over_many_blocks_match_each_row_alone():
@@ -303,19 +320,26 @@ def test_rows_of_a_curve_over_many_blocks_match_each_row_alone():
     steps = 5 * ROWS_PER_BLOCK // 2
     cfg = SweepConfig(alpha=2 * math.pi / 5, sigma_theta=1.3, xi_min=-15.0, xi_max=15.0,
                       xi_steps=steps, n_theta=16, n_phi=16)
-    rows = run_sweep(cfg)
+    table = run_sweeps([cfg])
     grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
     for i in range(0, steps, 7):
-        (alone,) = sweep_mod._evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values()[i:i + 1], grid)
-        assert _state_columns(alone) == _state_columns(rows[i]), i
+        alone = sweep_mod._evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values()[i:i + 1], grid)
+        assert _state_columns(alone[:, 0]) == _state_columns(table[:, i]), i
 
 
-@pytest.mark.parametrize("sigma", [1.0, 1.3])
-def test_single_and_sweep_give_the_same_row_bit_for_bit(sigma):
-    # 129 rows are summed 64, 64 and then 1 at a time; single runs each
-    # point as a sweep of one row, and must print what a sweep prints
+@pytest.mark.parametrize(
+    "sigma, n",
+    [pytest.param(1.0, 16, id="1.0"), pytest.param(1.3, 16, id="1.3"),
+     pytest.param(1.0, 64, id="1.0-64"), pytest.param(1.3, 192, id="1.3-192")],
+)
+def test_single_and_sweep_give_the_same_row_bit_for_bit(sigma, n):
+    # 129 rows are summed 64, 64 and then 1 at a time, each block in a
+    # product of 64 rows (entanglement.rows_product); single runs each
+    # point as a sweep of one row, and must print what a sweep prints.
+    # 64^2 and 192^2 store 2,112 and 18,624 nodes, more than one node
+    # block (beams._SUM_NODES), which is the same for any row count
     cfg = SweepConfig(alpha=0.7, sigma_theta=sigma, xi_min=-3.0, xi_max=3.0, xi_steps=129,
-                      n_theta=16, n_phi=16)
+                      n_theta=n, n_phi=n)
     rows = run_sweep(cfg)
     for i in [*range(0, 129, 7), 128]:
         xi = rows[i].xi
@@ -327,7 +351,7 @@ def test_a_1201_row_curve_peaks_under_1_mb():
     import photonboost.sweep as sweep_mod
 
     # dense_curve's length: the rows go through the state stage
-    # ROWS_PER_BLOCK at a time and peak near 0.7 MB, the kept rows included;
+    # ROWS_PER_BLOCK at a time and peak near 0.7 MB, the kept table included;
     # the whole curve at once would peak at 2.3 MB, and at 4.8 MB through a
     # 9x9 stage of about 4 KB per row
     grid = build_grid(BeamSpec(1.0), 16, 16)
@@ -335,32 +359,52 @@ def test_a_1201_row_curve_peaks_under_1_mb():
     sweep_mod._evaluate(0.7, 1.0, xis[:3], grid)
     tracemalloc.start()
     try:
-        rows = sweep_mod._evaluate(0.7, 1.0, xis, grid)
+        table = sweep_mod._evaluate(0.7, 1.0, xis, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rows) == 1201
+    assert table.shape == (len(SweepRow._fields), 1201)
     assert peak <= 2**20
 
 
-def _per_cell_csv(rows, include_timing):
+def _per_cell_csv(table):
     """rows_to_csv's output, formatted one cell at a time."""
-    names = CSV_HEADER.split(",") + (["wall_time_ms"] if include_timing else [])
-    lines = [",".join(names)]
-    lines += [",".join(f"{getattr(r, n):.9g}" for n in names) for r in rows]
+    lines = [CSV_HEADER, *(",".join(f"{cell:.9g}" for cell in col) for col in table.T.tolist())]
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("include_timing", [False, True])
-def test_csv_rows_match_per_cell_formatting(include_timing):
+def test_csv_rows_match_per_cell_formatting():
+    # a table over two and a bit formatting blocks, its cells rotated
+    # through nan, +-inf, -0, a subnormal and numbers of every width
     specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, -1.2345678949e-7, 1.0 / 3.0]
-    rows = [SweepRow(*np.roll(specials, i)[:7].tolist()) for i in range(len(specials))]
-    rows += run_sweep(SweepConfig(alpha=0.3, sigma_theta=0.8, **FAST))
-    text = rows_to_csv(rows, include_timing=include_timing)
-    assert text == _per_cell_csv(rows, include_timing)
-    first = "nan,inf,-inf,-0,0,4.94065646e-324" + (",1e+16" if include_timing else "")
-    assert text.splitlines()[1] == first
+    cols = [np.roll(specials, -i)[:len(SweepRow._fields)] for i in range(2 * ROWS_PER_BLOCK + 37)]
+    table = np.concatenate(
+        [np.column_stack(cols), run_sweeps([SweepConfig(alpha=0.3, sigma_theta=0.8, **FAST)])], axis=1
+    )
+    text = rows_to_csv(table)
+    assert text == _per_cell_csv(table)
+    lines = text.splitlines()
+    assert len(lines) == 1 + table.shape[1]
+    assert lines[1] == "nan,inf,-inf,-0,0,4.94065646e-324"
     assert "1e+16" in text
+
+
+def test_formatting_a_100000_row_table_peaks_under_13_5_mib():
+    # the CSV text is about 5.4 MiB, and its block texts and their join
+    # peak near 10.7 MiB: no Python float or tuple outlives its block
+    n = MAX_XI_STEPS
+    rng = np.random.default_rng(3)
+    table = np.stack([np.full(n, 0.7), np.full(n, 1.0), np.linspace(-15.0, 15.0, n),
+                      rng.uniform(0.0, 1.58, n), rng.uniform(0.0, 1e-14, n), rng.uniform(-1e-16, 0.3, n)])
+    rows_to_csv(table[:, :3])
+    tracemalloc.start()
+    try:
+        text = rows_to_csv(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == n + 1
+    assert peak <= 13.5 * 2**20
 
 
 def test_convergence_check_warns_on_crude_grid():
@@ -368,13 +412,13 @@ def test_convergence_check_warns_on_crude_grid():
         alpha=2 * math.pi / 5, sigma_theta=1.3, xi_min=-3.0, xi_max=-3.0, xi_steps=1,
         n_theta=8, n_phi=8,
     )
-    message = convergence_problem(cfg, run_sweep(cfg))
+    message = convergence_problem(cfg, run_sweeps([cfg]))
     assert message is not None and "grid doubling" in message
 
 
 def test_convergence_check_quiet_on_good_grid():
     cfg = SweepConfig(alpha=0.2, sigma_theta=0.5, xi_min=-1.0, xi_max=1.0, xi_steps=3, n_theta=48, n_phi=48)
-    assert convergence_problem(cfg, run_sweep(cfg)) is None
+    assert convergence_problem(cfg, run_sweeps([cfg])) is None
 
 
 def test_fig2_presets_share_spread():

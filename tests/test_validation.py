@@ -73,11 +73,9 @@ def test_report_serializes():
 def test_sign_flip_in_rotation_angle_rule_trips_wigner_group(monkeypatch):
     real = wigner._rot_y_angle
 
-    def flipped(gamma, cos_theta, sin_theta, phi):
-        a = np.sin(gamma) * np.sin(phi)
-        # flipped sign on the second term of the denominator
-        b = np.sin(gamma) * cos_theta * np.cos(phi) - np.cos(gamma) * sin_theta
-        return np.arctan2(a, b)
+    def flipped(gamma, frame, frame_out):
+        # the angle of R(out)^T R_y(-gamma) R(in): R_y(gamma) with its sign flipped
+        return real(-gamma, frame, frame_out)
 
     monkeypatch.setattr(wigner, "_rot_y_angle", flipped)
     report = validate()
