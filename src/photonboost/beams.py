@@ -1,4 +1,4 @@
-"""Gaussian-spread photon beams and the boosted two-photon polarization state.
+"""Gaussian-spread photon beams: their quadrature grids, transport and moments.
 
 The two beams share one angular amplitude: a Gaussian in the polar angle
 theta on a fixed momentum-magnitude shell (the magnitude is integrated out
@@ -7,10 +7,9 @@ quadrature rule discretizes the remaining direction integral with
 Gauss-Legendre nodes in theta on [0, pi] and a uniform periodic rule in
 phi; the squared amplitude, the sphere Jacobian sin(theta) and the overall
 normalization are all folded into the theta weights, and each rule's
-weights sum to one.  The
-Gauss-Legendre rule is built for each grid by Newton's method on the
-Fourier series of P_n (_gauss_legendre): O(n^2) time and O(n) memory,
-with no eigensolve and no cache.
+weights sum to one.  The Gauss-Legendre rule is built for each grid by
+Newton's method on the Fourier series of P_n (_gauss_legendre): O(n^2)
+time and O(n) memory, with no eigensolve and no cache.
 
 The beam is symmetric under the reflection y -> -y, which maps the node
 (theta, phi) to (theta, -phi), and the phi rule maps onto itself under
@@ -21,7 +20,6 @@ axis in the x-z plane and commutes with the reflection, so the image
 nodes cost no transport: their moments are the stored nodes' moments
 with signs flipped (see transported_moments).
 
-The pair state is (|h h> - |v v>)/sqrt(2) at every pair of directions.
 A transform is split as L = R B(xi, m), a rotation after a pure boost
 along the unit axis m.  B moves each direction along its great circle
 through m, tan(theta_m'/2) = exp(-xi) tan(theta_m/2), the aberration map
@@ -30,10 +28,9 @@ and phi-hat about m.  transport applies that map node by node; the
 rotation form (wigner.d_rotation_form_stack, through the Wigner angle)
 and, in the tests, the gauge form L e - ((L e)^0 / (L p)^0) L p, whose
 rounding grows like eps exp(|xi|), are the independent oracles it is
-tested against.  The reduced polarization density matrix traces out momentum,
-leaving a 9x9 real symmetric state over the spatial components (x, y, z)
-of photon A tensor photon B.  The double direction integral factorizes
-through 3x3 moment matrices M_ab = sum_i w_i x_a(p_i) x_b(p_i)^T, so the
+tested against.  The pair state's double direction integral factorizes
+through 3x3 moment matrices M_ab = sum_i w_i x_a(p_i) x_b(p_i)^T of the
+transported h/v vectors (entanglement turns them into states), so the
 cost is linear, not quadratic, in the node count.  Along one axis in the
 x-z plane, every node's moments are fixed products weighted by 1, g and
 g^2 with g = 1 / (1 + exp(-2 xi) t^2), t = tan(theta_m/2), so
@@ -45,31 +42,13 @@ block's momenta and weighted h/v vectors from trigonometric factors the
 grid keeps once per theta and once per phi, so no array of the grid's
 node vectors is ever whole.
 
-Both photons see the same moments, so the state commutes with photon
-exchange exactly, and so does its partial transpose.  Each entry of
-their 6x6 symmetric and 3x3 antisymmetric exchange blocks is a fixed
-bilinear form in the moments, and entanglement.exchange_blocks builds
-the blocks straight from them, so a sweep never forms a 9x9 matrix.
-The guards read the state through those blocks: the trace is the sum of
-the blocks' traces, and the smallest eigenvalue is the least over the
-spectra of both of rho's blocks.  The same solve yields the
-partial-transpose spectra that the log negativity log2(1 + 2 N) reads
-(density_spectra, the sweep path).  A boost along an axis in the x-z
-plane also commutes with the reflection y -> -y, and so the states of a
-sweep do too: in the parity-ordered exchange basis each block splits
-into an even and an odd block, 4x4 and 2x2 for the symmetric one and
-1x1 and 2x2 for the antisymmetric one.  Such a stack takes one LAPACK
-solve of its 4x4 blocks and solves the rest in closed form; any other
-stack solves the whole blocks (_guarded).  Only density_states also assembles
-the 9x9 states from the same moments (_assemble), for reduced_density,
-validate and the tests; no 9x9 matrix is diagonalized.
-
-density_spectra, density_states and transported_moments take a
-lorentz.TransformStack of k boosts, whose constructor has guarded them,
-and evaluate all k states at once; a single transform is the k = 1 case.
-Sweeps pass ROWS_PER_BLOCK boosts at a time, a count derived from the
-bytes a row keeps through the state stage.  transport takes raw
-(k, 4, 4) matrices.
+density_states, for reduced_density, validate and the tests, reads the
+states of those moments through entanglement's state stage.  It and
+transported_moments take a lorentz.TransformStack of k boosts, whose
+constructor has guarded them, and evaluate all k at once; a single
+transform is the k = 1 case.  Sweeps pass ROWS_PER_BLOCK boosts at a
+time, a count derived from the bytes a row keeps through the state
+stage.  transport takes raw (k, 4, 4) matrices.
 """
 from __future__ import annotations
 
@@ -81,18 +60,6 @@ import numpy as np
 
 from . import entanglement
 from .lorentz import BOOST_Z, PAD, ROT_Y, TransformStack
-
-# PSD tolerance on the assembled density matrix; anything below is an
-# internal error, not a tuning problem
-_MIN_EIG_TOL = -1e-9
-
-# the unnormalized trace is 1 exactly for unit, mutually orthogonal
-# transported h/v vectors; the aberration map keeps it within 7e-15 of 1
-# on sweep rows at every accepted rapidity (alpha = 0.7 curves out to
-# |xi| = 15 on 8^2 to 512^2, 4096 x 64 and 32768 x 8 grids) and within
-# 9e-15 on drawn stacks, while h and v vectors off by 5e-11 move it by
-# 2e-10 and a broken transport by O(1)
-_TRACE_TOL = 1e-12
 
 # bytes of one working array: _mirror_gram's transported vectors, taken a
 # block of nodes at a time (_node_blocks), so none grows with the grid.
@@ -120,24 +87,14 @@ _NEWTON_CAP = 10
 # a root has converged once its Newton step moves its angle by no more
 _NEWTON_TOL = 1e-12
 
-# s_a s_b / 2 of the pair state (|h h> - |v v>)/sqrt(2) for (a, b) = hh,
-# hv, vh, vv, shaped to scale a stack of the four M_ab
-_HALF_PAIR_SIGNS = np.array([0.5, -0.5, -0.5, 0.5])[:, None, None, None]
-
 # the reflection y -> -y on 4-vectors, P = diag(1, 1, -1, 1); conjugating
 # a boost by it, P L P, flips the signs of these entries
 _MIRROR_SIGNS = np.outer([1.0, 1.0, -1.0, 1.0], [1.0, 1.0, -1.0, 1.0])
 
 # the image of a node has h' = P h and v' = -P v, so on index 2i + a of a
 # moment block the reflection acts as D = diag(1, -1, -1, 1, 1, -1): the
-# spatial sign (1, -1, 1) of i times s_h = +1, s_v = -1; D G D flips these
+# spatial sign (1, -1, 1) of i times +1 for h and -1 for v; D G D flips these
 _IMAGE_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
-
-# the couplings C of the exchange blocks [[even, C], [C^T, odd]] under the
-# reflection y -> -y, both triangles: entanglement.EXCHANGE_BASIS puts the
-# symmetric block's four even rows first and the antisymmetric block's one
-_SYM_COUPLING = np.not_equal.outer(np.arange(6) < 4, np.arange(6) < 4)
-_ANTI_COUPLING = np.not_equal.outer(np.arange(3) < 1, np.arange(3) < 1)
 
 # the factor row of sweep.make_boost, R_y(a) B_z(xi) R_y(-a): a boost of
 # rapidity xi along (sin a, 0, cos a)
@@ -173,10 +130,9 @@ for _p in (0, 1):
 _GRAM_MAP = _GRAM_MAP.reshape(30, 36)
 del _p, _e, _r, _c
 
-# floats a row keeps through the state stage (_guarded): its 36 moments in
-# and its 90 block entries out (entanglement.exchange_blocks); the stage's
-# short-lived copies take its peak to about twice that, 0.5 MB at
-# ROWS_PER_BLOCK rows
+# floats a row keeps through the state stage (entanglement.state_readings):
+# its 36 moments in and its 90 block entries out; the stage's short-lived
+# copies take its peak to about twice that, 0.5 MB at ROWS_PER_BLOCK rows
 _STATE_ROW_FLOATS = 36 + 90
 
 # rows whose states are built and solved together (sweep._evaluate): what
@@ -672,113 +628,22 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
     return out
 
 
-def _assemble(moments: np.ndarray) -> np.ndarray:
-    """Unnormalized (k, 9, 9) states 1/2 sum_ab s_a s_b M_ab (x) M_ab.
-
-    One broadcast product makes the four terms, one per (a, b).  Entry
-    ((i, k), (j, l)) of a term is the product of (M_ab)_ij and (M_ab)_kl,
-    and the terms are summed in one order for every entry, so exchanging
-    the photons maps each entry onto an exactly equal one:
-    SWAP rho SWAP = rho holds to the last bit.  Only density_states calls
-    it, for the callers that read a 9x9 state; sweeps never do.
-    """
-    k = len(moments)
-    m = moments.reshape(k, 3, 2, 3, 2).transpose(2, 4, 0, 1, 3).reshape(4, k, 3, 3)
-    terms = (_HALF_PAIR_SIGNS * m)[:, :, :, None, :, None] * m[:, :, None, :, None, :]
-    return np.add.reduce(terms, axis=0).reshape(k, 9, 9)
-
-
-def _guarded(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The trace and PSD guards on the states of (k, 6, 6) moments, and their spectra.
-
-    Both guards read the exchange blocks of the states, built straight
-    from the moments (entanglement.exchange_blocks): the trace is the sum
-    of the block traces, and the smallest eigenvalue is the least over
-    both blocks' spectra.  Each block is [[even, C], [C^T, odd]] under the
-    reflection y -> -y (entanglement.EXCHANGE_BASIS).  Where both
-    triangles of every C of the stack are exactly zero, as on every sweep
-    row, the even 4x4 symmetric blocks of rho and rho^T_A take one
-    hermitian_eigenvalues call, the odd 2x2 blocks the closed form
-    (entanglement.symmetric_2x2_eigenvalues) and the 1x1 blocks none;
-    since no closed form can drift from its trace but by a NaN or an
-    infinity, their eigenvalues must be finite instead.  Any other stack
-    solves the whole 6x6 and 3x3 blocks.  Returns the traces before
-    normalization, the smallest eigenvalues and trace gaps |tr - 1| of the
-    normalized states and the (k, 9) spectra of their partial transposes:
-    the symmetric block's six eigenvalues, then the antisymmetric block's
-    three, each block's ascending, or ascending within each parity when
-    split (4 + 2 and 1 + 2).  Raises numpy.linalg.LinAlgError if a gap
-    exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL: either is
-    an internal error.
-    """
-    sym, anti = entanglement.exchange_blocks(moments)
-    tr = np.add.reduce(sym[:, 0].diagonal(0, 1, 2), axis=1)
-    tr += np.add.reduce(anti[:, 0].diagonal(0, 1, 2), axis=1)
-    gap = np.abs(tr - 1.0)
-    ok = gap <= _TRACE_TOL  # NaN fails too
-    if not ok.all():
-        raise np.linalg.LinAlgError(
-            f"density matrix trace {float(tr[~ok][0])!r} before normalization is not 1; "
-            "this indicates an internal error"
-        )
-    eigenvalues = entanglement.hermitian_eigenvalues
-    coupled = np.logical_or.reduce(sym, None, where=_SYM_COUPLING)
-    if coupled or np.logical_or.reduce(anti, None, where=_ANTI_COUPLING):
-        spectra = np.concatenate([eigenvalues(sym), eigenvalues(anti)], axis=-1)
-    else:
-        odd = entanglement.symmetric_2x2_eigenvalues(
-            np.concatenate([sym[:, :, None, 4:, 4:], anti[:, :, None, 1:, 1:]], axis=2)
-        )
-        spectra = np.concatenate(
-            [eigenvalues(sym[:, :, :4, :4]), odd[:, :, 0], anti[:, :, :1, 0], odd[:, :, 1]], axis=-1
-        )
-        if not np.isfinite(spectra).all():
-            raise np.linalg.LinAlgError("eigenvalues of the exchange blocks are not finite")
-    spectra /= tr[:, None, None]
-    min_eig = spectra[:, 0].min(axis=1)
-    if not np.all(min_eig >= _MIN_EIG_TOL):
-        raise np.linalg.LinAlgError(
-            f"density matrix is not positive semidefinite (min eigenvalue "
-            f"{float(np.min(min_eig)):.3e}); this indicates an internal error"
-        )
-    return tr, min_eig, gap, spectra[:, 1]
-
-
-def density_spectra(
-    stack: TransformStack, grid: QuadratureGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Guard readings and partial-transpose spectra of the boosted states of a stack of k boosts.
-
-    The state is rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab with s_h = +1 and
-    s_v = -1, which equals the direct double sum of pair projectors over
-    the grid's whole rule, normalized to unit trace to absorb rounding.
-    Returns the (k,) smallest eigenvalue of each state, the (k,) trace gap
-    |tr - 1| of each before normalization and the (k, 9) spectra of their
-    partial transposes, which the log negativity reads
-    (entanglement.log_negativity_from_spectrum), in the order _guarded
-    gives.  Everything is read from the exchange blocks built straight
-    from the moments (_guarded); this is the sweep path, and it forms no
-    9x9 matrix.  A stack of boosts along axes in the x-z plane, as every
-    sweep's is, solves only 4x4 blocks with LAPACK and the rest in closed
-    form.  Its memory grows with k, so sweeps pass ROWS_PER_BLOCK rows at
-    a time.
-    """
-    return _guarded(transported_moments(stack, grid))[1:]
-
-
 def density_states(
     stack: TransformStack, grid: QuadratureGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """density_spectra's readings after the real (k, 9, 9) unit-trace states they describe.
+    """The real (k, 9, 9) unit-trace states of a stack of k boosts, then their readings.
 
-    The states are assembled from the same moments (_assemble) and
-    divided by the same traces, for the callers that read a 9x9 state:
-    reduced_density, validate and the tests.  The readings come from the
-    exchange blocks, as on the sweep path; no 9x9 matrix is solved.
+    The readings are entanglement.state_readings' smallest eigenvalues,
+    trace gaps and partial-transpose spectra of the moments
+    (transported_moments), as on the sweep path, so no 9x9 matrix is
+    solved.  The states are assembled from the same moments
+    (entanglement.pair_states) and divided by the same traces, for the
+    callers that read a 9x9 state: reduced_density, validate and the
+    tests.
     """
     moments = transported_moments(stack, grid)
-    tr, min_eig, gap, spectra = _guarded(moments)
-    states = _assemble(moments)
+    tr, min_eig, gap, spectra = entanglement.state_readings(moments)
+    states = entanglement.pair_states(moments)
     states /= tr[:, None, None]
     return states, min_eig, gap, spectra
 

@@ -1,4 +1,11 @@
-"""Partial transpose, Hermitian spectra and log negativity of the pair state.
+"""The pair state from the beam's moments: its guards, its spectra and its log negativity.
+
+The pair state is (s_h |h h> + s_v |v v>)/sqrt(2) at every pair of
+directions, with the signs _PAIR_SIGNS.  Tracing out momentum leaves a
+9x9 real symmetric state over the spatial components (x, y, z) of photon
+A tensor photon B, rho = sum_ab w_ab M_ab (x) M_ab with w_ab = s_a s_b / 2
+and M_ab the 3x3 moments of the transported h/v vectors
+(beams.transported_moments).
 
 Log negativity is log2 of the trace norm of the partial transpose over
 photon A.  For a Hermitian matrix the trace norm is the sum of absolute
@@ -8,13 +15,17 @@ eigenvalues, and the log negativity is log2(1 + 2 N).  Negative
 eigenvalues witness entanglement; a positive partial transpose has N = 0
 and a log negativity of exactly zero.
 
-The pair state commutes with photon exchange (SWAP), and so does its
-partial transpose: both are block diagonal in the exchange basis
-(EXCHANGE_BASIS), a 6x6 block on the symmetric subspace and a 3x3 block
-on the antisymmetric one, and their spectra are the union of the
-blocks'.  exchange_blocks builds those blocks straight from the
-moments of beams.transported_moments, so no 9x9 matrix is formed on the
-sweep path.
+Both photons see the same moments, so the state commutes with photon
+exchange (SWAP) exactly, and so does its partial transpose: both are
+block diagonal in the exchange basis (EXCHANGE_BASIS), a 6x6 block on
+the symmetric subspace and a 3x3 block on the antisymmetric one, and
+their spectra are the union of the blocks'.  exchange_blocks builds
+those blocks straight from the moments, and state_readings reads the
+state through them: the trace is the sum of the blocks' traces, the
+smallest eigenvalue is the least over the spectra of both of rho's
+blocks, and the same solve yields the partial-transpose spectra that
+log_negativity_from_spectrum reads.  This is the sweep path, and it
+forms no 9x9 matrix.
 
 The basis is ordered by parity under the reflection y -> -y: the
 symmetric block runs xx, yy, zz, xz (even), then xy, yz (odd), and the
@@ -22,12 +33,15 @@ antisymmetric one xz (even), then xy, yz (odd).  So each block is
 [[even, C], [C^T, odd]], and a state that also commutes with the
 reflection, as every state boosted along an axis in the x-z plane does,
 has C = 0: its symmetric block splits into 4x4 and 2x2 blocks and its
-antisymmetric one into 1x1 and 2x2 blocks (beams._guarded).
-symmetric_2x2_eigenvalues solves the 2x2 ones in closed form.
+antisymmetric one into 1x1 and 2x2 blocks.  A stack of such states takes
+one LAPACK solve of its 4x4 blocks and solves the rest in closed form
+(symmetric_2x2_eigenvalues); any other stack solves the whole blocks.
 
-partial_transpose_A and log_negativity accept a single 9x9 matrix or a
-(k, 9, 9) stack and work on the whole stack at once; they serve the
-callers that read a 9x9 state (beams.reduced_density, validate).
+pair_states assembles the 9x9 states from the same moments, for the
+callers that read one (beams.density_states).  partial_transpose_A and
+log_negativity accept a single 9x9 matrix or a (k, 9, 9) stack and work
+on the whole stack at once; they serve those callers
+(beams.reduced_density, validate).
 """
 from __future__ import annotations
 
@@ -36,6 +50,25 @@ import math
 import numpy as np
 
 _DIM = 3
+
+# s_h and s_v of the pair state (s_h |h h> + s_v |v v>)/sqrt(2)
+_PAIR_SIGNS = np.array([1.0, -1.0])
+
+# w_ab = s_a s_b / 2, the weight of M_ab (x) M_ab in the state, for
+# (a, b) = hh, hv, vh, vv
+_PAIR_WEIGHTS = 0.5 * np.multiply.outer(_PAIR_SIGNS, _PAIR_SIGNS).ravel()
+
+# PSD tolerance on the state; anything below is an internal error, not a
+# tuning problem
+_MIN_EIG_TOL = -1e-9
+
+# the unnormalized trace is 1 exactly for unit, mutually orthogonal
+# transported h/v vectors; the aberration map keeps it within 7e-15 of 1
+# on sweep rows at every accepted rapidity (alpha = 0.7 curves out to
+# |xi| = 15 on 8^2 to 512^2, 4096 x 64 and 32768 x 8 grids) and within
+# 9e-15 on drawn stacks, while h and v vectors off by 5e-11 move it by
+# 2e-10 and a broken transport by O(1)
+_TRACE_TOL = 1e-12
 
 
 def _entries(rho) -> np.ndarray:
@@ -62,6 +95,14 @@ _ANTI_PAIRS = ((0, 1), (0, 2), (1, 2))
 # even, xy and yz are odd
 _PARITY_PAIRS = ((0, 2), (0, 1), (1, 2))
 
+# the even rows that lead the symmetric and the antisymmetric exchange
+# block: xx, yy, zz and xz, then xz
+_EVEN_ROWS = (_DIM + 1, 1)
+
+# masks of the couplings C of both exchange blocks [[even, C], [C^T, odd]]
+# under the reflection y -> -y, both triangles
+_COUPLINGS = [np.not_equal.outer(np.arange(n) < e, np.arange(n) < e) for n, e in zip((6, 3), _EVEN_ROWS)]
+
 
 def _exchange_basis() -> np.ndarray:
     """(9, 9) orthonormal rows, each a 3x3 two-photon amplitude flattened.
@@ -85,9 +126,10 @@ def _exchange_basis() -> np.ndarray:
 
 EXCHANGE_BASIS = _exchange_basis()
 
-# the weights of H (x) H, V (x) V and S (x) S in the state (exchange_blocks),
-# shaped to scale a (k, 3, 6) stack of their unique entries
-_TERM_WEIGHTS = np.array([0.5, 0.5, -1.0])[:, None]
+# the weights w_hh, w_vv and w_hv + w_vh of H (x) H, V (x) V and S (x) S in
+# the state (exchange_blocks), shaped to scale a (k, 3, 6) stack of their
+# unique entries; K (x) K has the weight of S (x) S
+_TERM_WEIGHTS = np.array([_PAIR_WEIGHTS[0], _PAIR_WEIGHTS[3], _PAIR_WEIGHTS[1] + _PAIR_WEIGHTS[2]])[:, None]
 
 
 def _read_map() -> np.ndarray:
@@ -142,7 +184,7 @@ def _product_blocks() -> np.ndarray:
     antisymmetric K = sum_m k_m F_m, with F_m = e_i e_j^T - e_j e_i^T at
     _ANTI_PAIRS[m], has K (x) K = sum_mn k_m k_n F_m (x) F_n.  Rows 6 m + n
     hold the blocks of E_m (x) E_n, and rows 36 + 3 m + n those of
-    -F_m (x) F_n, the sign K (x) K has in the state.  The columns hold the
+    F_m (x) F_n times the weight K (x) K has in the state (_TERM_WEIGHTS).  The columns hold the
     flattened 6x6 blocks of rho and rho^T_A, then their 3x3 blocks, in the
     basis EXCHANGE_BASIS: rows and columns xx, yy, zz, xz, xy, yz of the
     symmetric blocks and xz, xy, yz of the antisymmetric ones; only the
@@ -156,7 +198,7 @@ def _product_blocks() -> np.ndarray:
         anti[m, i, j], anti[m, j, i] = 1.0, -1.0
     terms = np.concatenate([
         np.einsum("mij,nkl->mnikjl", sym, sym).reshape(36, 9, 9),
-        -np.einsum("mij,nkl->mnikjl", anti, anti).reshape(9, 9, 9),
+        _TERM_WEIGHTS[2] * np.einsum("mij,nkl->mnikjl", anti, anti).reshape(9, 9, 9),
     ])
     q = EXCHANGE_BASIS
     pt = partial_transpose_A(terms)
@@ -202,16 +244,16 @@ def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric (k, 2, 6, 6) and antisymmetric (k, 2, 3, 3) blocks of rho and rho^T_A.
 
     moments is a (k, 6, 6) stack whose entry [2i + a, 2j + b] is (M_ab)_ij
-    (beams.transported_moments), and rho = 1/2 sum_ab s_a s_b M_ab (x) M_ab
-    with s_h = +1 and s_v = -1 is the unnormalized pair state.  Along axis
+    (beams.transported_moments), and rho = sum_ab w_ab M_ab (x) M_ab is
+    the unnormalized pair state (_PAIR_WEIGHTS).  Along axis
     1, index 0 holds the blocks of rho and index 1 those of its partial
     transpose, in the basis EXCHANGE_BASIS: the symmetric blocks' rows and
     columns run xx, yy, zz, xz (even under y -> -y), then xy, yz (odd),
     and the antisymmetric ones' xz (even), then xy, yz (odd).  With
     H = M_hh, V = M_vv and M_hv = S + K split into its symmetric and
     antisymmetric parts,
-    rho = 1/2 H (x) H + 1/2 V (x) V - S (x) S - K (x) K, and each block
-    entry is a fixed bilinear form in their entries.  One matrix product
+    rho = w_hh H (x) H + w_vv V (x) V + (w_hv + w_vh) (S (x) S + K (x) K),
+    and each block entry is a fixed bilinear form in their entries.  One matrix product
     reads those entries (_READ_MAP), a batched one and a broadcast one
     make their 45 weighted pairwise products, and a third maps these onto
     the blocks' entries on and above the diagonal (_PRODUCT_BLOCKS), which
@@ -279,6 +321,74 @@ def symmetric_2x2_eigenvalues(m) -> np.ndarray:
     np.add(trace, radius, out=ev[..., 1])
     ev *= 0.5
     return ev
+
+
+def pair_states(moments: np.ndarray) -> np.ndarray:
+    """Unnormalized (k, 9, 9) states sum_ab w_ab M_ab (x) M_ab of (k, 6, 6) moments.
+
+    One broadcast product makes the four terms, one per (a, b).  Entry
+    ((i, k), (j, l)) of a term is the product of (M_ab)_ij and (M_ab)_kl,
+    and the terms are summed in one order for every entry, so exchanging
+    the photons maps each entry onto an exactly equal one:
+    SWAP rho SWAP = rho holds to the last bit.  Only the callers that read
+    a 9x9 state call it; sweeps never do.
+    """
+    k = len(moments)
+    m = moments.reshape(k, 3, 2, 3, 2).transpose(2, 4, 0, 1, 3).reshape(4, k, 3, 3)
+    terms = (_PAIR_WEIGHTS[:, None, None, None] * m)[:, :, :, None, :, None] * m[:, :, None, :, None, :]
+    return np.add.reduce(terms, axis=0).reshape(k, 9, 9)
+
+
+def state_readings(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trace and PSD guards on the states of (k, 6, 6) moments, and their spectra.
+
+    Both guards read the exchange blocks of the states (exchange_blocks).
+    Where both triangles of every coupling C of the stack are exactly
+    zero, as on every sweep row, the even 4x4 symmetric blocks of rho and
+    rho^T_A take one hermitian_eigenvalues call, the odd 2x2 blocks the
+    closed form (symmetric_2x2_eigenvalues) and the 1x1 blocks none;
+    since no closed form can drift from its trace but by a NaN or an
+    infinity, their eigenvalues must be finite instead.  Any other stack
+    solves the whole 6x6 and 3x3 blocks.  Returns the traces before
+    normalization, the smallest eigenvalues and trace gaps |tr - 1| of the
+    normalized states and the (k, 9) spectra of their partial transposes:
+    the symmetric block's six eigenvalues, then the antisymmetric block's
+    three, each block's ascending, or ascending within each parity when
+    split (4 + 2 and 1 + 2).  Raises numpy.linalg.LinAlgError if a gap
+    exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL: either is
+    an internal error.  Its memory grows with k, so sweeps pass
+    beams.ROWS_PER_BLOCK rows at a time.
+    """
+    sym, anti = exchange_blocks(moments)
+    tr = np.add.reduce(sym[:, 0].diagonal(0, 1, 2), axis=1)
+    tr += np.add.reduce(anti[:, 0].diagonal(0, 1, 2), axis=1)
+    gap = np.abs(tr - 1.0)
+    ok = gap <= _TRACE_TOL  # NaN fails too
+    if not ok.all():
+        raise np.linalg.LinAlgError(
+            f"density matrix trace {float(tr[~ok][0])!r} before normalization is not 1; "
+            "this indicates an internal error"
+        )
+    if any(np.logical_or.reduce(b, None, where=c) for b, c in zip((sym, anti), _COUPLINGS)):
+        spectra = np.concatenate([hermitian_eigenvalues(sym), hermitian_eigenvalues(anti)], axis=-1)
+    else:
+        e, f = _EVEN_ROWS
+        odd = symmetric_2x2_eigenvalues(
+            np.concatenate([sym[:, :, None, e:, e:], anti[:, :, None, f:, f:]], axis=2)
+        )
+        spectra = np.concatenate(
+            [hermitian_eigenvalues(sym[:, :, :e, :e]), odd[:, :, 0], anti[:, :, :f, 0], odd[:, :, 1]], axis=-1
+        )
+        if not np.isfinite(spectra).all():
+            raise np.linalg.LinAlgError("eigenvalues of the exchange blocks are not finite")
+    spectra /= tr[:, None, None]
+    min_eig = spectra[:, 0].min(axis=1)
+    if not np.all(min_eig >= _MIN_EIG_TOL):
+        raise np.linalg.LinAlgError(
+            f"density matrix is not positive semidefinite (min eigenvalue "
+            f"{float(np.min(min_eig)):.3e}); this indicates an internal error"
+        )
+    return tr, min_eig, gap, spectra[:, 1]
 
 
 def log_negativity_from_spectrum(ev) -> np.ndarray:

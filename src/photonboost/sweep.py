@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beams import ROWS_PER_BLOCK, BeamSpec, QuadratureGrid, build_grid, density_spectra
-from .entanglement import log_negativity_from_spectrum
+from .beams import ROWS_PER_BLOCK, BeamSpec, QuadratureGrid, build_grid, transported_moments
+from .entanglement import log_negativity_from_spectrum, state_readings
 from .lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, TransformStack, boost_z, compose, rot_y
 
 
@@ -166,11 +166,12 @@ def _evaluate(
     """The (6, n) table of one curve at rapidities xis on grid; table[i] is CSV column i.
 
     Fills table, a (6, n) array, when one is given.  Rows go through the
-    boost stack, the moments, the guards and the exchange-block spectra
-    beams.ROWS_PER_BLOCK at a time, a count derived from the state
-    stage's per-row bytes, so memory does not grow with the row count and
-    no 9x9 state is formed (beams.density_spectra).  trace_residual is
-    the trace gap before normalization.
+    boost stack, the moments (beams.transported_moments) and the state
+    stage (entanglement.state_readings: the guards and the exchange-block
+    spectra) beams.ROWS_PER_BLOCK at a time, a count derived from the
+    state stage's per-row bytes, so memory does not grow with the row
+    count and no 9x9 state is formed.  trace_residual is the trace gap
+    before normalization.
     """
     if table is None:
         table = np.empty((len(SweepRow._fields), len(xis)))
@@ -178,7 +179,8 @@ def _evaluate(
     alphas[:], sigmas[:], xi[:] = alpha, sigma_theta, xis
     for lo in range(0, len(xis), ROWS_PER_BLOCK):
         block = slice(lo, lo + ROWS_PER_BLOCK)
-        min_eig[block], trace_res[block], spectra = density_spectra(boost_stack(alpha, xis[block]), grid)
+        moments = transported_moments(boost_stack(alpha, xis[block]), grid)
+        _, min_eig[block], trace_res[block], spectra = state_readings(moments)
         ln[block] = log_negativity_from_spectrum(spectra)
     return table
 

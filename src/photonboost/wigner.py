@@ -37,17 +37,18 @@ whatever frames the momenta in between get.  For a factor from the frame
   convention, or the rounding of a nearly axial momentum, sets it.
   Elsewhere it is 0 to 1e-10, and the rule gives exactly 0.
 
-Polarization vectors are complex (4, ...) arrays in (t, x, y, z) order:
-``epsilon_stack`` builds the helicity basis R(p-hat) (x + i lambda y)/sqrt 2
-at arrays of angles, and ``h_vec_stack`` and ``v_vec_stack`` the linear
-basis, whose momentum-azimuth phases cancel the frame winding so that h
-and v tend to x-hat and y-hat as theta -> 0.  ``d_rotation_form_stack``
-transports polarizations in rotation form: from the frame at p to the
-frame at L p with the little-group angle in between.  It is manifestly
-norm-preserving and, through the Wigner angle, independent of the
-production aberration map (beams.transport), so it is the oracle that
-map is checked against (validate's d_form_equivalence and
-omega_independence groups and the test suite).
+Polarization vectors are (4, ...) arrays in (t, x, y, z) order:
+``epsilon_stack`` builds the complex helicity basis
+R(p-hat) (x + i lambda y)/sqrt 2 at arrays of angles, and ``h_vec_stack``
+and ``v_vec_stack`` the real linear basis R(p-hat) R_z(-phi) (x, y), whose
+turn by -phi cancels the frame winding so that h and v tend to x-hat and
+y-hat as theta -> 0.  ``d_rotation_form_stack`` transports polarizations
+in rotation form: from the frame at p to the frame at L p with the
+little-group angle in between.  It is manifestly norm-preserving and,
+through the Wigner angle, independent of the production aberration map
+(beams.transport), so it is the oracle that map is checked against
+(validate's d_form_equivalence and omega_independence groups and the
+test suite).
 """
 from __future__ import annotations
 
@@ -240,18 +241,30 @@ def epsilon_stack(thetas, phis, lam: int) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + spatial.shape[1:], dtype=complex), spatial])
 
 
+def _in_frame(thetas, phis, x, y) -> np.ndarray:
+    """(4, ...) real 4-vectors R(p-hat)(x, y, 0) at angles (thetas, phis); the time part is 0."""
+    f = _frames(thetas, phis)
+    return np.concatenate([np.zeros((1,) + f.shape[2:]), x * f[0] + y * f[1]])
+
+
 def h_vec_stack(thetas, phis) -> np.ndarray:
-    """Near-horizontal basis vectors; they tend to x-hat as theta -> 0."""
-    ph = np.exp(1j * np.asarray(phis, dtype=float))
-    plus, minus = epsilon_stack(thetas, phis, +1), epsilon_stack(thetas, phis, -1)
-    return (ph * plus + ph.conj() * minus) * _INV_SQRT2
+    """Near-horizontal basis vectors R(p-hat)(cos phi, -sin phi, 0); they tend to x-hat as theta -> 0.
+
+    They are (exp(i phi) eps_+ + exp(-i phi) eps_-)/sqrt 2 of epsilon_stack's
+    helicity vectors, in real arithmetic.
+    """
+    phis = np.asarray(phis, dtype=float)
+    return _in_frame(thetas, phis, np.cos(phis), -np.sin(phis))
 
 
 def v_vec_stack(thetas, phis) -> np.ndarray:
-    """Near-vertical basis vectors; they tend to y-hat as theta -> 0."""
-    ph = np.exp(1j * np.asarray(phis, dtype=float))
-    plus, minus = epsilon_stack(thetas, phis, +1), epsilon_stack(thetas, phis, -1)
-    return -1j * (ph * plus - ph.conj() * minus) * _INV_SQRT2
+    """Near-vertical basis vectors R(p-hat)(sin phi, cos phi, 0); they tend to y-hat as theta -> 0.
+
+    They are -i (exp(i phi) eps_+ - exp(-i phi) eps_-)/sqrt 2 of
+    epsilon_stack's helicity vectors, in real arithmetic.
+    """
+    phis = np.asarray(phis, dtype=float)
+    return _in_frame(thetas, phis, np.sin(phis), np.cos(phis))
 
 
 def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
@@ -260,12 +273,13 @@ def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
     Column i pairs with transform i, or with the only transform of a
     one-transform stack.  Applies R(dir(L p)) R_z(Theta(L, p)) R(dir(p))^-1,
     which acts on the circular basis at p as the helicity phase and
-    re-seats the result in the frame at L p; R^-1 is the transpose.
+    re-seats the result in the frame at L p; R^-1 is the transpose.  The
+    map is real, so real polarizations stay real and others are complex.
     Raises ValueError unless every p is null and future-pointing and every
     polarization has zero time part and is transverse to its p.
     """
     p = momentum_columns(stack, momenta)
-    eps = np.asarray(eps, dtype=complex)
+    eps = np.asarray(eps, dtype=complex if np.iscomplexobj(eps) else float)
     if eps.shape != p.shape:
         raise ValueError(f"expected polarization 4-vectors of shape {p.shape}, got {eps.shape}")
     t = np.abs(eps[0])

@@ -93,8 +93,8 @@ def closed_form_vectors(thetas, phis, weights, omega=1.0):
     amp = np.sqrt(weights)
     return np.stack([
         null_momenta(thetas, phis, omega),
-        amp * h_vec_stack(thetas, phis).real,
-        amp * v_vec_stack(thetas, phis).real,
+        amp * h_vec_stack(thetas, phis),
+        amp * v_vec_stack(thetas, phis),
     ], axis=1)
 
 
@@ -119,8 +119,8 @@ def axial_boost_density(xi, grid):
     thetas, phis, weights = expanded_rule(grid)
     moved = 2.0 * np.arctan(math.exp(-xi) * np.tan(thetas / 2.0))
     return _assemble(weights, {
-        "h": h_vec_stack(moved, phis)[1:].real,
-        "v": v_vec_stack(moved, phis)[1:].real,
+        "h": h_vec_stack(moved, phis)[1:],
+        "v": v_vec_stack(moved, phis)[1:],
     })
 
 

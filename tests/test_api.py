@@ -45,6 +45,28 @@ def test_cli_imports_no_private_name_from_sweep():
     assert [name for name in imported if name.startswith("_")] == []
 
 
+def test_beams_names_only_the_state_stage_and_the_product_of_entanglement():
+    # the beam ends at the moments; the pair state, its exchange basis and
+    # its guards belong to entanglement, which imports nothing from beams
+    source = Path(photonboost.__file__).with_name("beams.py").read_text(encoding="utf-8")
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "entanglement":
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("entanglement"):
+            named.update(alias.name for alias in node.names)
+    assert named <= {"state_readings", "pair_states", "rows_product", "PRODUCT_ROWS"}
+    assert "state_readings" in named
+    ent = ast.parse(Path(photonboost.__file__).with_name("entanglement.py").read_text(encoding="utf-8"))
+    imported = {
+        name.split(".")[-1]
+        for node in ast.walk(ent)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (getattr(node, "module", None) or "", *(alias.name for alias in node.names))
+    }
+    assert "beams" not in imported
+
+
 def test_readme_library_snippet_runs(capsys):
     text = README.read_text(encoding="utf-8")
     section = text.split("## Library", 1)[1]

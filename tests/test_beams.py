@@ -27,7 +27,7 @@ from photonboost.beams import (
     transport,
     transported_moments,
 )
-from photonboost.entanglement import log_negativity, log_negativity_from_spectrum
+from photonboost.entanglement import log_negativity, log_negativity_from_spectrum, state_readings
 from oracles import (
     closed_form_vectors,
     gauge_form_moments,
@@ -718,15 +718,15 @@ def test_trace_guard_fires_on_a_broken_transport(monkeypatch):
     shapes = _solved_shapes(monkeypatch)
     for turn, solves in _PATHS.values():
         with pytest.raises(np.linalg.LinAlgError, match="trace"):
-            beams._guarded(turn(_diagonal_moments((1.0, 1.0, 0.0), (math.sqrt(1.0 + 4e-12), 1.0, 0.0))))
+            state_readings(turn(_diagonal_moments((1.0, 1.0, 0.0), (math.sqrt(1.0 + 4e-12), 1.0, 0.0))))
         shapes.clear()
-        beams._guarded(turn(_diagonal_moments((1.0, 1.0, 0.0), (1.0 + 2.0**-41, 1.0, 0.0))))
+        state_readings(turn(_diagonal_moments((1.0, 1.0, 0.0), (1.0 + 2.0**-41, 1.0, 0.0))))
         assert shapes == solves
 
 
 def test_trace_gap_is_read_before_normalization():
     moments = _diagonal_moments((1.0, 1.0, 0.0), (1.0 + 2.0**-41, 1.0, 0.0))
-    tr, _, gap, spectra = beams._guarded(moments)
+    tr, _, gap, spectra = state_readings(moments)
     assert gap[0] == 0.0 and gap[1] == 2.0**-41 and tr[1] == 1.0 + 2.0**-41
     # the spectra are those of the normalized states
     assert spectra[1].max() == (0.5 + 2.0**-41) / tr[1]
@@ -740,9 +740,9 @@ def test_psd_guard_fires_below_minus_1e_9(monkeypatch):
     shapes = _solved_shapes(monkeypatch)
     for turn, solves in _PATHS.values():
         with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
-            beams._guarded(turn(moments(2e-9)))
+            state_readings(turn(moments(2e-9)))
         shapes.clear()
-        _, min_eig, _, _ = beams._guarded(turn(moments(5e-10)))
+        _, min_eig, _, _ = state_readings(turn(moments(5e-10)))
         assert min_eig[1] == pytest.approx(-5e-10, abs=1e-15)
         assert shapes == solves
 
@@ -754,7 +754,7 @@ def test_solver_failure_propagates_from_either_path(monkeypatch, path):
 
     monkeypatch.setattr(entanglement, "hermitian_eigenvalues", broken)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        beams._guarded(_PATHS[path][0](_diagonal_moments((1.0, 1.0, 0.0))))
+        state_readings(_PATHS[path][0](_diagonal_moments((1.0, 1.0, 0.0))))
 
 
 @pytest.mark.parametrize(
@@ -775,7 +775,7 @@ def test_a_nan_in_a_partial_transpose_block_is_a_numerical_failure(monkeypatch, 
 
     monkeypatch.setattr(entanglement, "exchange_blocks", poisoned)
     with pytest.raises(np.linalg.LinAlgError, match="finite|drifted|converge"):
-        beams._guarded(_PATHS[path][0](_diagonal_moments((1.0, 1.0, 0.0), (1.0, 1.0, 0.0))))
+        state_readings(_PATHS[path][0](_diagonal_moments((1.0, 1.0, 0.0), (1.0, 1.0, 0.0))))
 
 
 def _whole_block_readings(moments):
@@ -795,7 +795,7 @@ def test_split_spectra_match_the_whole_block_spectra(monkeypatch, alpha, n_theta
     moments = transported_moments(boost_stack(alpha, np.linspace(-15.0, 15.0, 31)), grid)
     min_want, spectra_want = _whole_block_readings(moments)
     shapes = _solved_shapes(monkeypatch)
-    _, min_eig, _, spectra = beams._guarded(moments)
+    _, min_eig, _, spectra = state_readings(moments)
     assert shapes == [(31, 2, 4, 4)]
     assert np.abs(min_eig - min_want).max() <= 1e-15
     assert np.abs(np.sort(spectra, axis=1) - spectra_want).max() <= 1e-15
@@ -805,10 +805,10 @@ def test_a_stack_with_one_rotated_row_takes_the_whole_block_solve(monkeypatch):
     turned = compose(compose(rot_z(0.5), make_boost(0.7, 1.5)), rot_z(-0.5))
     stack = concatenated([boost_stack(2 * math.pi / 5, np.linspace(-6.0, 6.0, 9)), turned])
     moments = transported_moments(stack, build_grid(BeamSpec(1.3), 16, 16))
-    split = beams._guarded(moments[:-1])
-    alone = beams._guarded(moments[-1:])
+    split = state_readings(moments[:-1])
+    alone = state_readings(moments[-1:])
     shapes = _solved_shapes(monkeypatch)
-    tr, min_eig, gap, spectra = beams._guarded(moments)
+    tr, min_eig, gap, spectra = state_readings(moments)
     assert shapes == [(10, 2, 6, 6), (10, 2, 3, 3)]
     for got, want in zip((tr, gap), (np.concatenate(a) for a in zip(split[::2], alone[::2]))):
         assert np.array_equal(got, want)

@@ -13,6 +13,7 @@ from photonboost.entanglement import (
     hermitian_eigenvalues,
     log_negativity,
     log_negativity_from_spectrum,
+    pair_states,
     partial_transpose_A,
     symmetric_2x2_eigenvalues,
 )
@@ -267,7 +268,7 @@ def _exchange_basis_rotation(m):
 @pytest.mark.parametrize("case", range(4))
 def test_states_commute_with_photon_exchange_exactly(case):
     stack, grid = _exchange_case(case)
-    raw = beams._assemble(beams.transported_moments(stack, grid))
+    raw = pair_states(beams.transported_moments(stack, grid))
     assert np.array_equal(raw[:, _SWAP][:, :, _SWAP], raw)
     states = beams.density_states(stack, grid)[0]
     assert np.array_equal(states[:, _SWAP][:, :, _SWAP], states)
@@ -332,7 +333,7 @@ def test_exchange_blocks_of_any_gram_match_the_rotated_9x9(rng):
     # any symmetric 6x6 moment matrix, not only a transported one
     x = rng.normal(size=(20, 6, 8))
     moments = x @ x.swapaxes(1, 2)
-    raw = beams._assemble(moments)
+    raw = pair_states(moments)
     sym, anti = exchange_blocks(moments)
     for i, m in enumerate((raw, partial_transpose_A(raw))):
         full = _exchange_basis_rotation(m)

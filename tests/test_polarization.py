@@ -85,6 +85,22 @@ def test_h_v_real_components(rng):
     assert np.abs(v_vec_stack(thetas, phis).imag).max() < 1e-14
 
 
+def test_h_v_are_the_helicity_combinations_in_real_arithmetic(rng):
+    # h = (e^{i phi} eps_+ + e^{-i phi} eps_-)/sqrt 2 and
+    # v = -i (e^{i phi} eps_+ - e^{-i phi} eps_-)/sqrt 2, on drawn
+    # directions, both poles and a broadcast (theta, phi) table
+    thetas, phis = random_directions(rng, 200)
+    cases = [(thetas, phis), (np.array([0.0, math.pi]), np.array([0.7, -2.0])),
+             (thetas[:5, None], phis[None, :7])]
+    for t, f in cases:
+        turn = np.exp(1j * np.asarray(f))
+        plus, minus = epsilon_stack(t, f, +1), epsilon_stack(t, f, -1)
+        h, v = h_vec_stack(t, f), v_vec_stack(t, f)
+        assert h.dtype == v.dtype == np.float64
+        assert np.abs(h - (turn * plus + turn.conj() * minus) / math.sqrt(2.0)).max() <= 1e-15
+        assert np.abs(v + 1j * (turn * plus - turn.conj() * minus) / math.sqrt(2.0)).max() <= 1e-15
+
+
 def test_rotations_transport_by_plain_rotation(rng):
     for _ in range(20):
         rot = compose(rot_z(rng.uniform(-math.pi, math.pi)), rot_y(rng.uniform(-math.pi, math.pi)))

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from photonboost import beams, cli
+from photonboost import beams, cli, entanglement
 from photonboost.beams import ROWS_PER_BLOCK, BeamSpec, build_grid, density_states, reduced_density
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import (
@@ -298,7 +298,7 @@ def test_sweeps_run_with_the_9x9_assembly_removed(monkeypatch):
     cfg = SweepConfig(alpha=0.4, sigma_theta=1.0, xi_min=-4.0, xi_max=4.0, xi_steps=9,
                       n_theta=16, n_phi=16)
     want = run_sweep(cfg)
-    monkeypatch.setattr(beams, "_assemble", no_9x9)
+    monkeypatch.setattr(entanglement, "pair_states", no_9x9)
     assert run_sweep(cfg) == want
     with pytest.raises(AssertionError, match="9x9"):
         density_states(boost_stack(0.4, [1.0]), build_grid(BeamSpec(1.0), 16, 16))
