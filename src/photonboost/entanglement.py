@@ -184,12 +184,13 @@ def _product_blocks() -> np.ndarray:
     antisymmetric K = sum_m k_m F_m, with F_m = e_i e_j^T - e_j e_i^T at
     _ANTI_PAIRS[m], has K (x) K = sum_mn k_m k_n F_m (x) F_n.  Rows 6 m + n
     hold the blocks of E_m (x) E_n, and rows 36 + 3 m + n those of
-    F_m (x) F_n times the weight K (x) K has in the state (_TERM_WEIGHTS).  The columns hold the
-    flattened 6x6 blocks of rho and rho^T_A, then their 3x3 blocks, in the
-    basis EXCHANGE_BASIS: rows and columns xx, yy, zz, xz, xy, yz of the
-    symmetric blocks and xz, xy, yz of the antisymmetric ones; only the
-    entries on and above each diagonal are kept (_UPPER), which
-    exchange_blocks mirrors, so every block is exactly symmetric.
+    F_m (x) F_n times the weight K (x) K has in the state (_TERM_WEIGHTS).
+    The columns hold the flattened 6x6 blocks of rho and rho^T_A, then
+    their 3x3 blocks, in the basis EXCHANGE_BASIS: rows and columns xx,
+    yy, zz, xz, xy, yz of the symmetric blocks and xz, xy, yz of the
+    antisymmetric ones; only the entries on and above each diagonal are
+    kept (_UPPER), which exchange_blocks mirrors, so every block is
+    exactly symmetric.
     """
     sym, anti = np.zeros((6, 3, 3)), np.zeros((3, 3, 3))
     for m, (i, j) in enumerate(_SYM_PAIRS):
@@ -245,21 +246,21 @@ def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     moments is a (k, 6, 6) stack whose entry [2i + a, 2j + b] is (M_ab)_ij
     (beams.transported_moments), and rho = sum_ab w_ab M_ab (x) M_ab is
-    the unnormalized pair state (_PAIR_WEIGHTS).  Along axis
-    1, index 0 holds the blocks of rho and index 1 those of its partial
-    transpose, in the basis EXCHANGE_BASIS: the symmetric blocks' rows and
-    columns run xx, yy, zz, xz (even under y -> -y), then xy, yz (odd),
-    and the antisymmetric ones' xz (even), then xy, yz (odd).  With
-    H = M_hh, V = M_vv and M_hv = S + K split into its symmetric and
-    antisymmetric parts,
+    the unnormalized pair state (_PAIR_WEIGHTS).  Along axis 1, index 0
+    holds the blocks of rho and index 1 those of its partial transpose,
+    in the basis EXCHANGE_BASIS: the symmetric blocks' rows and columns
+    run xx, yy, zz, xz (even under y -> -y), then xy, yz (odd), and the
+    antisymmetric ones' xz (even), then xy, yz (odd).  With H = M_hh,
+    V = M_vv and M_hv = S + K split into its symmetric and antisymmetric
+    parts,
     rho = w_hh H (x) H + w_vv V (x) V + (w_hv + w_vh) (S (x) S + K (x) K),
-    and each block entry is a fixed bilinear form in their entries.  One matrix product
-    reads those entries (_READ_MAP), a batched one and a broadcast one
-    make their 45 weighted pairwise products, and a third maps these onto
-    the blocks' entries on and above the diagonal (_PRODUCT_BLOCKS), which
-    are mirrored below it, so every block is exactly symmetric.  Each
-    row's blocks are the same bit for bit whatever k is (rows_product).
-    No 9x9 matrix is formed.
+    and each block entry is a fixed bilinear form in their entries.  One
+    matrix product reads those entries (_READ_MAP), a batched one and a
+    broadcast one make their 45 weighted pairwise products, and a third
+    maps these onto the blocks' entries on and above the diagonal
+    (_PRODUCT_BLOCKS), which are mirrored below it, so every block is
+    exactly symmetric.  Each row's blocks are the same bit for bit
+    whatever k is (rows_product).  No 9x9 matrix is formed.
     """
     k = len(moments)
     u = rows_product(moments.reshape(k, 36), _READ_MAP)
