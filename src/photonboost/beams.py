@@ -36,11 +36,19 @@ x-z plane, every node's moments are fixed products weighted by 1, g and
 g^2 with g = 1 / (1 + exp(-2 xi) t^2), t = tan(theta_m/2), so
 transported_moments sums each node once per axis and gets every row of
 a block from two matrix products over the nodes (_aberration_sums).
-The grid keeps no array per node: it is the product of a theta rule and
-a rule over the stored phis, and one pass (_node_blocks) builds each
-block's momenta and weighted h/v vectors from trigonometric factors the
-grid keeps once per theta and once per phi, so no array of the grid's
-node vectors is ever whole.
+Those products are built in closed form from five projections of each
+node: p . e1, p . e2 and p . m in the axis frame (e1, e2, m), and
+m . (sqrt(w) h) and m . (sqrt(w) v).  Each is a sum of a few products of
+a per-theta and a per-phi factor, so a block of nodes takes one small
+matrix product and no node vector (_aberration_tables).  The terms that
+vanish at +-m are formed from half angles about the axis, so a node
+keeps its digits relative to its distance from the axis however near it
+lies, and a node on the axis takes phi = 0.  The grid keeps no array per
+node: it is the product of a theta rule and a rule over the stored phis,
+with trigonometric factors kept once per theta and once per phi.  Boosts
+off the x-z plane are transported node by node (_mirror_gram), a block
+of momenta and weighted h/v vectors at a time (_node_blocks), so no
+array of the grid's node vectors is ever whole.
 
 density_states, for reduced_density, validate and the tests, reads the
 states of those moments through entanglement's state stage.  It and
@@ -74,9 +82,11 @@ _BLOCK_BYTES = 1 << 18
 # nodes: their buffer takes 683 KiB at 64
 _SUM_ROWS = 64
 
-# stored nodes per block of _aberration_sums, whatever the number of
-# boosts, so that a row's node sums are added in the same blocks alone as
-# in a sweep; its (12, nodes) products take at most half of _BLOCK_BYTES
+# at most this many stored nodes per block of _aberration_tables: whole
+# theta rows, or parts of one row where a row holds more.  The edges
+# depend only on the grid, whatever the number of boosts, so that a row's
+# node sums are added in the same blocks alone as in a sweep; the block's
+# (12, nodes) products take at most half of _BLOCK_BYTES
 _SUM_NODES = _BLOCK_BYTES // (2 * 8 * 12)
 
 # Newton steps allowed per Legendre root; from Tricomi's angles the
@@ -146,6 +156,10 @@ ROWS_PER_BLOCK = _BLOCK_BYTES // (8 * _STATE_ROW_FLOATS)
 # -m, where the map is the identity, gets g = 1 / (1 + exp(-2 xi) t^2) ~ 0
 _S_FLOOR = 2.0 ** -480
 
+# pi - math.pi, so that pi - x - y is formed to rounding relative to itself
+# where a node and a boost axis lie nearly opposite (_theta_factors)
+_PI_LO = 1.2246467991473532e-16
+
 
 @dataclass(frozen=True)
 class BeamSpec:
@@ -181,17 +195,19 @@ class QuadratureGrid:
     the node keeping the other half.  A node on the mirror plane
     (phi = 0 or pi) is its own image, so it counts once at its weight.
 
-    Weights are nonnegative rather than strictly positive: for narrow
-    beams the Gaussian factor underflows to an exact zero on most of the
-    sphere, and those nodes simply contribute nothing.  Beside the two
-    1-d rules, which it copies and makes read-only, the grid keeps only
-    ``row_factors``, (10, rows) functions of each row's theta, and
-    ``column_factors``, (9, columns) functions of each phi, those of h
-    and v scaled by the square root of their rule's weight: entry (i, a)
-    of a node's spatial (p, sqrt(w) h, sqrt(w) v), flattened to 3 i + a,
-    is the product of row and column factor 3 i + a, plus
-    sqrt(w) sin^2 phi for h_x and sqrt(w) cos^2 phi for v_y, whose theta
-    part is row factor 9 (_node_vectors builds blocks of nodes from them).
+    Polar angles lie in [0, pi], as the in-plane sums read them
+    (_theta_factors).  Weights are nonnegative rather than strictly
+    positive: for narrow beams the Gaussian factor underflows to an exact
+    zero on most of the sphere, and those nodes simply contribute
+    nothing.  Beside the two 1-d rules, which it copies and makes
+    read-only, the grid keeps only ``row_factors``, (10, rows) functions
+    of each row's theta, and ``column_factors``, (9, columns) functions
+    of each phi, those of h and v scaled by the square root of their
+    rule's weight: entry (i, a) of a node's spatial (p, sqrt(w) h,
+    sqrt(w) v), flattened to 3 i + a, is the product of row and column
+    factor 3 i + a, plus sqrt(w) sin^2 phi for h_x and sqrt(w) cos^2 phi
+    for v_y, whose theta part is row factor 9 (_node_vectors builds
+    blocks of nodes from them; the in-plane sums read some of them too).
     With t = theta and f = phi,
     p = (sin t cos f, sin t sin f, cos t),
     h = (cos t cos^2 f + sin^2 f, (cos t - 1) sin f cos f, -sin t cos f),
@@ -220,6 +236,8 @@ class QuadratureGrid:
                 raise ValueError(f"{axis} weights must be nonnegative with positive total")
             if abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError(f"{axis} weights must sum to 1, got {w.sum()!r}")
+        if not np.all((self.thetas >= 0.0) & (self.thetas <= math.pi)):
+            raise ValueError("theta nodes must lie in [0, pi]")
         st, ct = np.sin(self.thetas), np.cos(self.thetas)
         sp, cp = np.sin(self.phis), np.cos(self.phis)
         cc, sc, ss = cp * cp, sp * cp, sp * sp
@@ -501,28 +519,128 @@ def _boost_parts(stack: TransformStack) -> tuple[np.ndarray, np.ndarray, np.ndar
     return rot, axes, shrink, turned
 
 
-def _aberration_table(frame: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(12, n) node products and (n,) t^2 of stored node vectors about one axis.
+def _theta_factors(frame: np.ndarray, grid: QuadratureGrid, top: int, bottom: int) -> np.ndarray:
+    """(6, 4, n) factors of the theta rows top ... bottom - 1 in the projections of _aberration_tables.
 
-    frame is (e1, e2, m) as columns and vectors a (3, 3, n) block of the
-    grid's spatial node vectors (_node_vectors).  With theta-hat about m,
-    h_t = h . theta-hat and v_t = v . theta-hat, the even parity has
-    (a, b, C) = (h_t cos phi, -v_t sin phi, h_t) and the odd parity
-    (h_t sin phi, v_t cos phi, v_t); the rows are a^2, b^2, ab, C^2, t C a
-    and t C b, each for the even then the odd parity.
+    With m at polar angle b and azimuth phi_m (0 or pi), a node (theta,
+    phi) has psi = phi - phi_m, and with u = 1 - cos psi, v = 1 + cos psi
+    and R = sin b (1 - cos theta):
+    p . e1 = sin(theta - b) - cos b sin theta u where cos psi >= 0,
+    and -sin(theta + b) + cos b sin theta v elsewhere;
+    p . e2 = sin theta sin psi;
+    m . h = -p . e1 + R sin^2 psi, m . v = -cos b p . e2 - R sin psi cos psi;
+    1 - p . m = 2 sin^2((theta - b) / 2) + sin b sin theta u and
+    1 + p . m = 2 cos^2((theta + b) / 2) + sin b sin theta v.
+    The sines and cosines of (theta -+ b) / 2 are sines of half angles
+    with pi - x - y led by pi - max(x, y), exact for x >= pi/2, so none
+    loses digits where it vanishes.  Row i times _phi_factors' row i,
+    summed over the 4 terms, is projection i.
     """
-    f = (frame.T @ vectors.reshape(3, -1)).reshape(3, 3, -1)
-    s, cphi, sphi, t = _node_angles(*f[:, 0])
-    theta_hat = np.stack([f[2, 0] * cphi, f[2, 0] * sphi, -s])
-    big_c = np.einsum("ic,ivc->vc", theta_hat, f[:, 1:])
-    trig = np.stack([cphi, sphi])
-    a, b = big_c[0] * trig, big_c[1] * trig[::-1]
-    b[0] *= -1.0
-    tc = t * big_c
-    table = np.empty((6, 2, len(t)))
-    for row, (x, y) in zip(table, ((a, a), (b, b), (a, b), (big_c, big_c), (tc, a), (tc, b))):
-        np.multiply(x, y, out=row)
-    return table.reshape(12, -1), t * t
+    sin_b, cos_b = math.hypot(frame[0, 2], frame[1, 2]), frame[2, 2]
+    b = math.atan2(sin_b, cos_b)
+    th = grid.thetas[top:bottom]
+    st, ct, rw = (grid.row_factors[i, top:bottom] for i in (0, 6, 9))
+    hi, lo = np.maximum(th, b), np.minimum(th, b)
+    # sines of half of theta - b, pi - |theta - b|, theta + b (past pi,
+    # 2 pi - theta - b), pi - theta - b and theta
+    sd, cd, ss, cs, half = np.sin(0.5 * np.array([
+        th - b,
+        math.pi - hi + _PI_LO + lo,
+        np.where(th + b <= math.pi, th + b, (math.pi - th) + (math.pi - b) + 2.0 * _PI_LO),
+        math.pi - hi - lo + _PI_LO,
+        th,
+    ]))
+    f = np.zeros((6, 4, len(th)))
+    f[0, :3] = 2.0 * sd * cd, -2.0 * ss * cs, cos_b * st
+    f[1, 0] = st
+    f[2] = -rw * f[0]
+    f[2, 3] = 2.0 * sin_b * rw * half * half
+    f[3, :2] = f[2, 2], -f[2, 3]
+    f[4:, 0] = 2.0 * sd * sd, 2.0 * cs * cs
+    f[4:, 1] = sin_b * st
+    return f
+
+
+def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
+    """(6, 4, n) factors of the stored phis lo ... hi - 1 in the projections (_theta_factors).
+
+    u and v are 2 sin^2 and 2 cos^2 of half of phi or of phi - pi.  In
+    the form of p . e1 that a node takes, no term exceeds twice its
+    distance s from the axis, so each projection is formed to rounding
+    relative to s.
+    """
+    side = frame[1, 1]  # e2 = side y-hat: psi = phi for side = 1, phi - pi for -1
+    cp, sp = grid.column_factors[0, lo:hi], grid.column_factors[3, lo:hi]
+    half = 0.5 * grid.phis[lo:hi]
+    u, v = 2.0 * np.sin(half) ** 2, 2.0 * np.cos(half) ** 2
+    if side < 0.0:
+        u, v = v, u
+    front = side * cp >= 0.0
+    g = np.zeros((6, 4, len(cp)))
+    g[0, 0], g[0, 1] = front, ~front
+    g[0, 2] = np.where(front, -u, v)
+    g[1, 0] = side * sp
+    # sqrt(w), then sqrt(w) sin^2 phi and sqrt(w) sin phi cos phi
+    g[2, :3] = np.sqrt(grid.phi_weights[lo:hi]) * g[0, :3]
+    g[2, 3], g[3, 1] = grid.column_factors[5, lo:hi], grid.column_factors[2, lo:hi]
+    g[3, 0] = side * grid.column_factors[8, lo:hi]
+    g[4:, 0] = 1.0
+    g[4:, 1] = u, v
+    return g
+
+
+def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
+    """(12, n) node products and (n,) t^2 about the axis frame[:, 2], a block of stored nodes at a time.
+
+    frame is (e1, e2, m) as columns with m in the x-z plane.  A block's
+    projections p . e1, p . e2, m . (sqrt(w) h), m . (sqrt(w) v),
+    1 - p . m and 1 + p . m are one small matrix product of per-theta and
+    per-phi factors (_theta_factors, _phi_factors).  They give
+    s^2 = (1 - p . m)(1 + p . m), the azimuth (p . e1, p . e2) / s and
+    t^2 = (1 - p . m) / (1 + p . m); h and v are orthogonal to p, so their
+    components along theta-hat about m are C = -(m . x) / s.  A node on
+    the axis (s = 0) takes phi = 0, where C_h^2 = w and C_v = 0.  The even
+    parity has (a, b, C) = (C_h cos phi, -C_v sin phi, C_h) and the odd
+    parity (C_h sin phi, C_v cos phi, C_v); the rows are a^2, b^2, ab,
+    C^2, t C a and t C b, each for the even then the odd parity, so the
+    sign of C drops out.  A block is whole theta rows of at most
+    _SUM_NODES nodes, or a part of one row where a row holds more.
+    """
+    n_cols = len(grid.phis)
+    parts = -(-n_cols // _SUM_NODES)
+    width = -(-n_cols // parts)
+    step = max(1, _SUM_NODES // width)
+    # whole blocks of rows whose 24 factors per row take at most _BLOCK_BYTES
+    span = step * max(1, _BLOCK_BYTES // (8 * 24 * step))
+    for top in range(0, len(grid.thetas), span):
+        rows = _theta_factors(frame, grid, top, top + span)
+        for lo in range(0, n_cols, width):
+            cols = _phi_factors(frame, grid, lo, lo + width)
+            n = cols.shape[-1]
+            for first in range(0, rows.shape[-1], step):
+                block = rows[:, :, first:first + step].transpose(0, 2, 1)
+                proj = np.matmul(block, cols).reshape(6, -1)
+                minus, plus = proj[4:]  # 1 - p . m and 1 + p . m
+                t2 = minus / plus
+                s = np.sqrt(minus * plus)
+                on = s == 0.0
+                # cos phi, sin phi, -C_h and -C_v
+                x = proj[:4] / (s + on)
+                if on.any():
+                    i = np.flatnonzero(on)
+                    x[0, i] = 1.0
+                    root = grid.row_factors[9, top + first + i // n]
+                    x[2, i] = root * np.sqrt(grid.phi_weights[lo + i % n])
+                ab = np.empty((2, 2, len(t2)))
+                np.multiply(x[2], x[:2], out=ab[0])
+                np.multiply(x[3], x[1::-1], out=ab[1])
+                ab[1, 0] *= -1.0
+                table = np.empty((6, 2, len(t2)))
+                np.multiply(ab, ab, out=table[:2])
+                np.multiply(ab[0], ab[1], out=table[2])
+                np.multiply(x[2:], x[2:], out=table[3])
+                np.multiply(np.sqrt(t2) * x[2:], ab, out=table[4:])
+                yield table.reshape(12, -1), t2
 
 
 def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -532,14 +650,19 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     A node keeps its azimuth about m and moves to cos theta' = c = 2 g - 1
     and sin theta' = s' = 2 exp(-xi) t g, with g = 1 / (1 + exp(-2 xi) t^2).
     Its transported h and v vectors in the frame are y = (c a - b,
-    a - c b, -s' C) for each parity (_aberration_table): the even one is
-    (e1 h, e2 v, m h) and the odd one (e2 h, -e1 v, m v).  The reflection
-    y -> -y keeps the even and flips the odd parts, so the rule's Gram has
-    no cross terms, and each is a sum over nodes of fixed products
-    weighted by 1, g and g^2 (_GAMMA).  The sums are ordered (product,
-    parity) as _GRAM_MAP reads them.  Nodes are taken _SUM_NODES at a
-    time, and each block is summed for every _SUM_ROWS boosts with two
-    matrix products (entanglement.rows_product).
+    a - c b, -s' C) for each parity: the even one is (e1 h, e2 v, m h)
+    and the odd one (e2 h, -e1 v, m v).  The reflection y -> -y keeps the
+    even and flips the odd parts, so the rule's Gram has no cross terms,
+    and each is a sum over nodes of fixed products weighted by 1, g and
+    g^2 (_GAMMA).  The sums are ordered (product, parity) as _GRAM_MAP
+    reads them.  The products come from _aberration_tables, in closed form
+    from each node's p . e1, p . e2, p . m, m . (sqrt(w) h) and
+    m . (sqrt(w) v); the terms of these that vanish at +-m are formed
+    from half angles, so they keep their digits relative to the node's
+    distance s from the axis, and a node on the axis (s = 0) takes
+    phi = 0.  A block is whole theta rows of at most _SUM_NODES nodes, or
+    part of a longer row, and each block is summed for every _SUM_ROWS
+    boosts with two matrix products (entanglement.rows_product).
     """
     k = len(shrink)
     n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
@@ -551,8 +674,7 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     # which cost fig2 and fig3 up to 8% of their time.  Its rows past the
     # last boost pad the last part to whole products of unit rows
     buf = np.zeros(rows * min(_SUM_NODES, len(grid)))
-    for vectors in _node_blocks(grid, _SUM_NODES):
-        table, t2 = _aberration_table(frame, vectors)
+    for table, t2 in _aberration_tables(frame, grid):
         n0 += table.sum(axis=1)
         weights = buf[:rows * len(t2)].reshape(rows, -1)
         for lo in range(0, k, rows):

@@ -13,15 +13,17 @@ closed-form rules, and so are the seeded draws of transforms, momenta and
 polarizations that many tests share (validate's own draws).  Every route
 integrates over the grid's whole rule, expanded by expanded_rule, and
 never uses the mirror fold of transported_moments.
-production_transport is the one exception to the rule above: it lays the
-production transport out in the rotation form's columns, so that tests
-can compare the two.
+production_transport and aberration_tables are the exceptions to the rule
+above: the first lays the production transport out in the rotation form's
+columns, so that tests can compare the two; the second builds the
+production node table from the grid's node vectors by theta-hat, the
+route the closed-form table of beams._aberration_tables replaced.
 """
 import math
 
 import numpy as np
 
-from photonboost import validation, wigner
+from photonboost import beams, validation, wigner
 from photonboost.beams import transport
 from photonboost.lorentz import (
     BOOST_Z,
@@ -104,6 +106,31 @@ def gauge_form_moments(L, grid, omega=1.0):
     vectors = closed_form_vectors(thetas, phis, weights, omega)
     x = gauge_form_transport(L.matrices, vectors).reshape(len(L), 6, len(thetas))
     return x @ np.swapaxes(x, 1, 2)
+
+
+def aberration_tables(frame, grid):
+    """beams._aberration_tables by theta-hat: (12, n) node products and (n,) t^2 per block.
+
+    Reads each block of the grid's stored node vectors (beams._node_blocks)
+    in the frame (e1, e2, m), takes s, the azimuth and t from
+    beams._node_angles, and the components h_t and v_t of sqrt(w) h and
+    sqrt(w) v along theta-hat = (p3 cos phi, p3 sin phi, -s) about m.  Its
+    rows are the production table's, a^2, b^2, ab, C^2, t C a and t C b
+    for each parity, with (a, b, C) = (h_t cos phi, -v_t sin phi, h_t)
+    and (h_t sin phi, v_t cos phi, v_t).  Blocks are _SUM_NODES stored
+    nodes in order, cut anywhere in a row.
+    """
+    for vectors in beams._node_blocks(grid, beams._SUM_NODES):
+        f = (frame.T @ vectors.reshape(3, -1)).reshape(3, 3, -1)
+        s, cphi, sphi, t = beams._node_angles(*f[:, 0])
+        theta_hat = np.stack([f[2, 0] * cphi, f[2, 0] * sphi, -s])
+        big_c = np.einsum("ic,ivc->vc", theta_hat, f[:, 1:])
+        trig = np.stack([cphi, sphi])
+        a, b = big_c[0] * trig, big_c[1] * trig[::-1]
+        b[0] *= -1.0
+        tc = t * big_c
+        table = np.stack([a * a, b * b, a * b, big_c * big_c, tc * a, tc * b])
+        yield table.reshape(12, -1), t * t
 
 
 def axial_boost_density(xi, grid):

@@ -8,6 +8,7 @@ from scipy.integrate import trapezoid
 
 from conftest import concatenated
 from oracles import (
+    aberration_tables,
     deep_boost_limit_density,
     direct_double_sum_density,
     expanded_rule,
@@ -452,18 +453,19 @@ def test_small_blocks_keep_both_moment_paths_on_the_expanded_rule_double_sum(mon
 
 def test_sweeps_sum_each_node_once_per_axis_and_only_off_plane_boosts_transport(monkeypatch, rng):
     transported, tabled = [], []
-    real_transport, real_table = beams.transport, beams._aberration_table
+    real_transport, real_tables = beams.transport, beams._aberration_tables
 
     def counting_transport(boosts, vectors):
         transported.append(len(boosts))
         return real_transport(boosts, vectors)
 
-    def counting_table(frame, vectors):
-        tabled.append(vectors.shape[-1])
-        return real_table(frame, vectors)
+    def counting_tables(frame, grid):
+        for table, t2 in real_tables(frame, grid):
+            tabled.append(len(t2))
+            yield table, t2
 
     monkeypatch.setattr(beams, "transport", counting_transport)
-    monkeypatch.setattr(beams, "_aberration_table", counting_table)
+    monkeypatch.setattr(beams, "_aberration_tables", counting_tables)
     # a sweep's rows share one axis: every stored node enters one table once
     cfg = SweepConfig(alpha=0.9, sigma_theta=1.0, xi_steps=61, n_theta=24, n_phi=17)
     run_sweep(cfg)
@@ -505,6 +507,35 @@ def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_density_states_on_the_widest_grid_under_the_node_cap_peaks_under_5_mb(monkeypatch):
+    # 8 x 32768 stores 16,385 nodes in each theta row, more than a block of
+    # the in-plane sums takes (_SUM_NODES), so each row is cut into parts
+    # and the per-phi factors are built a part at a time: 3 rows peak at
+    # 1.0 MB, where the theta-hat route's node vectors peaked at 4.05 MB
+    grid = build_grid(BeamSpec(1.0), 8, 32768)
+    stack = boost_stack(0.7, np.linspace(-1.0, 1.0, 3))
+    widths, real = [], beams._aberration_tables
+
+    def counting_tables(frame, grid):
+        for table, t2 in real(frame, grid):
+            widths.append(len(t2))
+            yield table, t2
+
+    monkeypatch.setattr(beams, "_aberration_tables", counting_tables)
+    beams.density_states(stack, grid)
+    parts = -(-len(grid.phis) // beams._SUM_NODES)
+    assert sum(widths) == len(grid) and len(widths) == parts * len(grid.thetas) > len(grid.thetas)
+    assert max(widths) <= beams._SUM_NODES
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        beams.density_states(stack, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_grid_keeps_its_two_1d_rules_and_builds_under_a_quarter_mib_on_384_squared():
@@ -564,18 +595,45 @@ def test_grid_rejects_rules_that_are_not_normalized_nonnegative_1d(axis, name):
         build_grid(BeamSpec(1e-8), 16, 8)
 
 
+def test_grid_rejects_polar_angles_outside_0_pi():
+    # the in-plane sums take sin(theta) >= 0 and half angles of theta -+ b
+    # in [0, pi]; a node at -0.1 or pi + 0.1 is a node of [0, pi] by another name
+    phis, phi_weights = np.array([0.0, 1.0]), np.array([0.25, 0.75])
+    for bad in (-0.1, math.pi + 0.1, math.nan):
+        with pytest.raises(ValueError, match=r"theta nodes must lie in \[0, pi\]"):
+            QuadratureGrid(np.array([0.5, 1.0, bad]), np.full(3, 1 / 3), phis, phi_weights)
+    assert len(QuadratureGrid(np.array([0.0, 1.0, math.pi]), np.full(3, 1 / 3), phis, phi_weights)) == 6
+
+
 _GUARD_CASES = {
     "x_z_plane": boost_stack(0.7, np.linspace(-15.0, 15.0, 7)),
     "off_plane": compose(make_boost(0.7, 1.0), rot_z(0.4)),
 }
 
 
+def _scaled_projections(monkeypatch, rows, factor):
+    """Make _theta_factors scale the in-plane sums' projections of these rows by factor."""
+    real = beams._theta_factors
+
+    def scaled(*args):
+        out = real(*args)
+        out[rows] *= factor
+        return out
+
+    monkeypatch.setattr(beams, "_theta_factors", scaled)
+
+
 @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
 def test_trace_guard_trips_on_node_vectors_scaled_by_1_plus_5e_11(monkeypatch, case):
     # h and v scaled by 1 + 5e-11 move the trace by 2e-10, on the in-plane
-    # sums and the node-by-node path alike; rounding moves it by at most 7e-15
-    real = beams._node_vectors
-    monkeypatch.setattr(beams, "_node_vectors", lambda *args: real(*args) * (1.0 + 5e-11))
+    # sums and the node-by-node path alike; rounding moves it by at most 7e-15.
+    # The in-plane sums read h and v only through m . (sqrt(w) h) and
+    # m . (sqrt(w) v), so those are what is scaled there
+    if case == "x_z_plane":
+        _scaled_projections(monkeypatch, [2, 3], 1.0 + 5e-11)
+    else:
+        real = beams._node_vectors
+        monkeypatch.setattr(beams, "_node_vectors", lambda *args: real(*args) * (1.0 + 5e-11))
     grid = build_grid(BeamSpec(1.0), 16, 16)
     with pytest.raises(np.linalg.LinAlgError, match="trace"):
         beams.density_states(_GUARD_CASES[case], grid)
@@ -639,6 +697,54 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     assert np.abs(by_node - want).max() <= 1e-14
     deep = beams.density_states(boost_stack(alpha, np.linspace(-15.0, 15.0, 7)), grid)
     assert np.all(deep[2] <= 1e-14)
+
+
+def _near_axis_grid(alpha, base):
+    """base's rule plus theta rows 1e-3 ... 1e-12 either side of the polar angles of m and -m, and on them.
+
+    base stores phi = 0 and pi, so a row at b + d, with b = atan2(|sin alpha|,
+    cos alpha) the axis's polar angle, holds a node at distance |d| from m
+    (at m's azimuth) and a row at pi - b + d one at |d| from -m.
+    """
+    b = math.atan2(abs(math.sin(alpha)), math.cos(alpha))
+    offsets = [sign * d for d in (1e-3, 1e-6, 1e-9, 1e-12) for sign in (1.0, -1.0)] + [0.0]
+    rows = [x for x in [b + d for d in offsets] + [math.pi - b + d for d in offsets] if 0.0 < x < math.pi]
+    thetas = np.concatenate([base.thetas, rows])
+    weights = np.concatenate([base.theta_weights, np.full(len(rows), 0.05)])
+    return QuadratureGrid(thetas, weights / weights.sum(), base.phis, base.phi_weights)
+
+
+def _ln_rows(stack, grid):
+    return log_negativity_from_spectrum(state_readings(transported_moments(stack, grid))[3])
+
+
+def test_closed_form_table_matches_the_theta_hat_oracle_near_the_axis(monkeypatch, rng):
+    # p . e1 and m . h vanish at +-m; a product of the grid's plain factors
+    # would keep only eps / s of their digits, s the node's distance from
+    # the axis.  The closed form keeps them to rounding relative to s, so
+    # its rows agree with the theta-hat route's, which reads the node
+    # vectors, within 1e-14 (1.1e-15 measured) on axes with alpha < 0 and
+    # alpha > pi/2 and nodes 1e-3 ... 1e-12 from m and -m
+    base = build_grid(BeamSpec(1.0), 16, 16)
+    cases = [
+        (alpha, _near_axis_grid(alpha, base), np.linspace(-6.0, 6.0, 13))
+        for alpha in [-2.5, -0.6, 0.4, 2.2, *rng.uniform(-math.pi, math.pi, 4)]
+    ]
+    for alpha, grid, _ in cases:
+        m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
+        p = beams._node_vectors(grid, 0, len(grid))[:, 0]
+        gap = np.minimum(np.linalg.norm(p - m[:, None], axis=0), np.linalg.norm(p + m[:, None], axis=0))
+        for d in (1e-3, 1e-6, 1e-9, 1e-12):
+            assert np.count_nonzero(np.abs(gap / d - 1.0) < 1e-3) >= 4, (alpha, d)
+    # an odd theta rule at alpha = +-pi/2 stores a node on m and one within
+    # rounding of -m (test_boost_axis_through_a_node_matches_the_gauge_oracle)
+    on_axis = build_grid(BeamSpec(1.0), 17, 16)
+    cases += [(alpha, on_axis, np.linspace(-15.0, 15.0, 7)) for alpha in (math.pi / 2, -math.pi / 2)]
+    got = [_ln_rows(boost_stack(alpha, xis), grid) for alpha, grid, xis in cases]
+    assert max(row.max() for row in got) > 0.1
+    monkeypatch.setattr(beams, "_aberration_tables", aberration_tables)
+    for (alpha, grid, xis), row in zip(cases, got):
+        assert np.abs(row - _ln_rows(boost_stack(alpha, xis), grid)).max() <= 1e-14, alpha
 
 
 @pytest.mark.parametrize("xi", [1.46e-159, -3e-170, 1e-300, 2.2250738585e-313, 5e-324])
@@ -842,17 +948,23 @@ def test_every_sweep_stack_takes_the_split_solve(monkeypatch):
     ids=["factor-row", "matrix", "off-plane"],
 )
 def test_unnormalized_azimuth_trips_the_trace_guard(monkeypatch, boost):
-    # an aberration map whose azimuth (cos phi, sin phi) is left unscaled by
-    # 1/s reads the polarizations against a theta-hat of the wrong length,
-    # which the unnormalized trace exposes on the summed path and on the
-    # node-by-node one alike
-    real = beams._node_angles
+    # an aberration map whose azimuth (cos phi, sin phi) is not of unit
+    # length reads the polarizations against a theta-hat of the wrong
+    # length, which the unnormalized trace exposes on the summed path and
+    # on the node-by-node one alike.  The summed path (every axis in the
+    # x-z plane) reads the azimuth as (p . e1, p . e2) / s, with s taken
+    # from p . m, so p . e1 and p . e2 are scaled there; transport leaves
+    # it unscaled by 1/s
+    if boost.matrices[0, 0, 2] == 0.0:
+        _scaled_projections(monkeypatch, [0, 1], 1.5)
+    else:
+        real = beams._node_angles
 
-    def unscaled(p1, p2, p3):
-        s, cphi, sphi, t = real(p1, p2, p3)
-        return s, cphi * s, sphi * s, t
+        def unscaled(p1, p2, p3):
+            s, cphi, sphi, t = real(p1, p2, p3)
+            return s, cphi * s, sphi * s, t
 
-    monkeypatch.setattr(beams, "_node_angles", unscaled)
+        monkeypatch.setattr(beams, "_node_angles", unscaled)
     spec = BeamSpec(1.0)
     with pytest.raises(np.linalg.LinAlgError, match="trace"):
         reduced_density(boost, build_grid(spec, 16, 16), spec)

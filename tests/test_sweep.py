@@ -347,6 +347,28 @@ def test_single_and_sweep_give_the_same_row_bit_for_bit(sigma, n):
         assert _state_columns(alone) == _state_columns(rows[i]), i
 
 
+def test_sweeps_keep_both_reflection_symmetries_to_rounding():
+    # the axis at -alpha is the mirror image x -> -x of the one at alpha,
+    # which the beam shares, and a boost of xi along the axis at alpha + pi
+    # is one of -xi along alpha: so LN(-alpha, xi) = LN(alpha, xi) and
+    # LN(alpha + pi, xi) = LN(alpha, -xi), which hold to 2e-15 here.
+    # Axes with sin(alpha) < 0 take the frame e2 = -y-hat; criterion 06
+    # checks the second only at alpha = pi/2, and only to 0.05
+    alphas = (0.3, 1.2, 2 * math.pi / 5, math.pi / 2, 2.0, 2.9)
+    cfgs = [
+        SweepConfig(alpha=a, sigma_theta=1.0, xi_min=-6.0, xi_max=6.0, xi_steps=25, n_theta=32, n_phi=32)
+        for alpha in alphas
+        for a in (alpha, -alpha, alpha + math.pi)
+    ]
+    table = run_sweeps(cfgs)
+    xi = table[2, :25]
+    assert np.array_equal(xi[::-1], -xi)
+    for base, mirrored, opposite in table[3].reshape(len(alphas), 3, 25):
+        assert base.max() > 0.1
+        assert np.abs(mirrored - base).max() <= 1e-13
+        assert np.abs(opposite - base[::-1]).max() <= 1e-13
+
+
 def test_a_1201_row_curve_peaks_under_1_mb():
     import photonboost.sweep as sweep_mod
 
