@@ -8,8 +8,9 @@ Gauss-Legendre nodes in theta on [0, pi] and a uniform periodic rule in
 phi; the squared amplitude, the sphere Jacobian sin(theta) and the overall
 normalization are all folded into the theta weights, and each rule's
 weights sum to one.  The Gauss-Legendre rule is built for each grid by
-Newton's method on the Fourier series of P_n (_gauss_legendre): O(n^2)
-time and O(n) memory, with no eigensolve and no cache.
+Newton's method on the Fourier series of P_n (_gauss_legendre): O(n^1.5)
+cosines and sines, O(n^2) multiply-adds in one matrix product per block
+of roots and O(n) memory, with no eigensolve and no cache.
 
 The beam is symmetric under the reflection y -> -y, which maps the node
 (theta, phi) to (theta, -phi), and the phi rule maps onto itself under
@@ -73,8 +74,8 @@ from .lorentz import BOOST_Z, PAD, ROT_Y, TransformStack
 # block of nodes at a time (_node_blocks), so none grows with the grid.
 # glibc maps an array of 128 KiB or more afresh on every allocation, and
 # each of its pages faults on first touch, where a smaller one reuses
-# heap pages; so _gauss_legendre's (roots x series terms) cosines and
-# sines take a quarter of it each, and _aberration_sums' (12, nodes)
+# heap pages; so each of _gauss_legendre's working arrays for a block of
+# roots takes at most a quarter of it, and _aberration_sums' (12, nodes)
 # products at most half of it
 _BLOCK_BYTES = 1 << 18
 
@@ -96,6 +97,18 @@ _NEWTON_CAP = 10
 
 # a root has converged once its Newton step moves its angle by no more
 _NEWTON_TOL = 1e-12
+
+# _gauss_legendre's series at a root from its sums z[s, f, u] over the
+# split frequencies, with s and u the cosine (0) or sine (1) of the two
+# angles C and A: P and d^2P/dt^2 (f = 0, 2) are z[0, f, 0] + z[1, f, 1],
+# from cos(A - C), and dP/dt and d^3P/dt^3 (f = 1, 3) z[0, f, 1] - z[1, f, 0],
+# from sin(A - C)
+_SPLIT_TERMS = np.zeros((2, 4, 2, 4))
+for _f in range(4):
+    _SPLIT_TERMS[0, _f, _f % 2, _f] = 1.0
+    _SPLIT_TERMS[1, _f, 1 - _f % 2, _f] = 1.0 - 2.0 * (_f % 2)
+_SPLIT_TERMS = _SPLIT_TERMS.reshape(16, 4)
+del _f
 
 # the reflection y -> -y on 4-vectors, P = diag(1, 1, -1, 1); conjugating
 # a boost by it, P L P, flips the signs of these entries
@@ -281,7 +294,7 @@ def _node_blocks(grid: QuadratureGrid, step: int):
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [-1, 1], ascending, and their weights, in O(n^2) time.
+    """Gauss-Legendre nodes on [-1, 1], ascending, and their weights, from O(n^1.5) cosines.
 
     Newton's method in t runs on the Fourier series
     P_n(cos t) = sum_k a_k a_(n-k) cos((n - 2k) t), a_k = (2k)! / (2^(2k) k!^2)
@@ -292,60 +305,87 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     step is within _NEWTON_TOL, so later steps sum the series only for
     the roots still moving.  A root's weight is 2 / (dP_n(cos t)/dt)^2,
     and the weights are scaled to sum 2, which absorbs the rounding of
-    the a_k.  The series is summed for a block of roots at a time, in two
-    working arrays allocated once per call, each of at most a quarter of
-    _BLOCK_BYTES or, from n = 16382 on, of one root's series, so memory
-    is O(n); there is no eigensolve.  Raises numpy.linalg.LinAlgError if a root has not
-    converged within _NEWTON_CAP steps.
+    the a_k.
+
+    Each of the J = n // 2 + 1 frequencies is split in two, m = A - C,
+    over nq + nb ~ 2 sqrt(J) angles A and C, so a Newton step takes
+    O(sqrt(n)) cosines and sines per root, O(n^1.5) in all.  The series
+    is then one matrix product of the (cos, sin) of each root's C angles
+    with a fixed (4 nq, nb) coefficient matrix, O(n^2) multiply-adds in
+    all, and a sum over the A angles.  It is formed for a block of roots
+    at a time, in working arrays of at most a quarter of _BLOCK_BYTES for
+    every n below 2^21, so memory is O(n); there is no eigensolve.  Raises
+    numpy.linalg.LinAlgError if a root has not converged within
+    _NEWTON_CAP steps.
     """
     n = operator.index(n)
-    k = np.arange(1.0, n + 1.0)
-    a = np.cumprod(np.concatenate(([1.0], (2.0 * k - 1.0) / (2.0 * k))))
+    half = (n + 1) // 2
+    a = np.cumprod(np.concatenate(([1.0], np.arange(0.5, n) / np.arange(1.0, n + 1.0))))
     # the series' terms k and n - k are equal, so it runs over the
-    # frequencies m = n, n - 2, ... down to 1 or 0
+    # frequencies m = n, n - 2, ... down to 1 or 0, the nonzero ones twice
     m = np.arange(n, -1, -2.0)
     c = a[:len(m)] * a[::-1][:len(m)]
-    c[m > 0] *= 2.0
+    c[:half] *= 2.0
     cm = c * m
-    half = (n + 1) // 2
+    # frequency j = nb q + r is m_j = A_q - C_r with A_q = n - 2 nb q and
+    # C_r = 2 r, so cos(m_j t) = cos(A_q t) cos(C_r t) + sin(A_q t) sin(C_r t)
+    # and sin(m_j t) = sin(A_q t) cos(C_r t) - cos(A_q t) sin(C_r t).  Row
+    # nq f + q of coef holds the coefficients over r of P, dP/dt, d^2P/dt^2
+    # and d^3P/dt^3 (f = 0 ... 3) at A_q, zero past the last frequency
+    nb = math.isqrt(len(m))
+    nq = -(-len(m) // nb)
+    coef = np.zeros((4, nq * nb))
+    coef[:, :len(m)] = c, -cm, -cm * m, cm * m * m
+    coef = coef.reshape(4 * nq, nb)
+    freqs = np.concatenate((m[::nb], n - m[:nb]))[:, None]
     phi = (4.0 * np.arange(1.0, half + 1.0) - 1.0) * (math.pi / (4.0 * n + 2.0))
     t = np.arccos((1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(phi))
-    dp = np.empty(half)
+    # each root's dP/dt and Newton step from the last step it took
+    d_last, dt_last = np.empty(half), np.empty(half)
     # Veltkamp's split leaves t's high part hi n.bit_length() bits short,
-    # so m hi is exact: the series is summed at hi and carried to t by its
-    # Taylor terms in lo = t - hi to second order.  |lo n| < 2^(2 s - 53)
-    # with s = n.bit_length(), so the third-order term stays below
-    # rounding for every n < 2^17.  Summing at a rounded m t would cost
-    # the weights about n t eps
+    # so A hi and C hi, both at most n in size, are exact: the series is
+    # summed at hi and carried to t by its Taylor terms in lo = t - hi to
+    # second order.  |lo n| < 2^(2 s - 53) with s = n.bit_length(), so the
+    # third-order term stays below rounding for every n < 2^17.  Summing
+    # at a rounded m t would cost the weights about n t eps
     split = 2.0 ** n.bit_length() + 1.0
-    # columns summing P and d^2P/dt^2 over the cosines, dP/dt and d^3P/dt^3
-    # over the sines
-    even, odd = np.stack([c, -cm * m], axis=1), np.stack([-cm, cm * m * m], axis=1)
-    step = max(1, _BLOCK_BYTES // (4 * m.nbytes))
-    cos_, sin_ = (np.empty((min(step, half), len(m))) for _ in range(2))
+    # roots per block: their (cos, sin) sums over r, 8 nq per root, are the
+    # largest working array and take at most a quarter of _BLOCK_BYTES
+    step = max(1, _BLOCK_BYTES // (4 * 8 * 8 * nq))
     todo = np.arange(half)
     for _ in range(_NEWTON_CAP):
-        hi = split * t[todo]
-        hi -= hi - t[todo]
-        sums = np.empty((len(todo), 4))
+        tt = t[todo]
+        hi = split * tt
+        hi -= hi - tt
+        # rows P, dP/dt, d^2P/dt^2 and d^3P/dt^3 at hi, one column per root
+        sums = np.empty((4, len(todo)))
         for i in range(0, len(todo), step):
             block = hi[i:i + step]
-            cos, sin = cos_[:len(block)], sin_[:len(block)]
-            # a product with one inner term is exact and needs no buffer
-            np.matmul(block[:, None], m[None], out=sin)
-            np.cos(sin, out=cos)
-            np.sin(sin, out=sin)
-            np.matmul(cos, even, out=sums[i:i + step, :2])
-            np.matmul(sin, odd, out=sums[i:i + step, 2:])
-        p, d2, d, d3 = sums.T
-        lo = t[todo] - hi
-        p += lo * (d + 0.5 * lo * d2)
-        d += lo * (d2 + 0.5 * lo * d3)
-        dt = p / d
-        t[todo] -= dt
-        # dP/dt moved to the updated angles to first order in the last
-        # step, with P'' = -cot(t) P' - n (n + 1) P from Legendre's equation
-        dp[todo] = d * (1.0 + dt / np.tan(t[todo] + dt) + n * (n + 1.0) * dt * dt)
+            width = len(block)
+            # cos and sin of the angles A hi (rows :nq) and C hi, one
+            # column per root
+            trig = np.empty((2, nq + nb, width))
+            np.multiply(freqs, block, out=trig[1])
+            np.cos(trig[1], out=trig[0])
+            np.sin(trig[1], out=trig[1])
+            # z[root, s, f, u]: the sums over r against the cos (s = 0) or
+            # sin (s = 1) of C, summed over q against the cos (u = 0) or
+            # sin (u = 1) of A
+            y = np.matmul(coef, trig[:, nq:]).reshape(8, nq, width)
+            z = np.matmul(y.transpose(2, 0, 1), trig[:, :nq].T).reshape(width, 16)
+            np.matmul(z, _SPLIT_TERMS, out=sums[:, i:i + step].T)
+            # freed before the next block allocates its own
+            del trig, y, z
+        lo = tt - hi
+        # P and dP/dt move by lo times (dP/dt, d^2P/dt^2) plus lo^2 / 2
+        # times (d^2P/dt^2, d^3P/dt^3)
+        sums[:2] += lo * (sums[1:3] + 0.5 * lo * sums[2:])
+        d = sums[1]
+        dt = sums[0] / d
+        d_last[todo] = d
+        dt_last[todo] = dt
+        tt -= dt
+        t[todo] = tt
         # a root leaves once its own step is within _NEWTON_TOL; NaN stays
         todo = todo[~(np.abs(dt) <= _NEWTON_TOL)]
         if not len(todo):
@@ -354,6 +394,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise np.linalg.LinAlgError(
             f"Gauss-Legendre roots of degree {n} did not converge in {_NEWTON_CAP} Newton steps"
         )
+    # dP/dt moved to the final angles to first order in the last step, with
+    # P'' = -cot(t) P' - n (n + 1) P from Legendre's equation
+    dp = d_last * (1.0 + dt_last / np.tan(t + dt_last) + n * (n + 1.0) * dt_last * dt_last)
     x = np.cos(t)
     if n % 2:  # the middle root, t = pi/2, is x = 0 exactly
         x[-1] = 0.0
@@ -370,11 +413,13 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
 
     Gauss-Legendre nodes cover theta on the full [0, pi]; wide beams put
     real weight in the back hemisphere, so the range is never truncated.
-    Each call builds that rule afresh by _gauss_legendre, in O(n_theta^2)
-    time and O(n_theta) memory with no eigensolve; nothing is cached
-    between calls.  Its weights times the beam density, renormalized to
-    sum one, are the theta rule; renormalizing absorbs the amplitude
-    normalization constant, which is never needed in closed form.
+    Each call builds that rule afresh by _gauss_legendre, from
+    O(n_theta^1.5) cosines and sines and O(n_theta^2) multiply-adds in one
+    matrix product per block of roots, in O(n_theta) memory with no
+    eigensolve; nothing is cached between calls.  Its weights times the
+    beam density, renormalized to sum one, are the theta rule;
+    renormalizing absorbs the amplitude normalization constant, which is
+    never needed in closed form.
     The phi rule is the uniform periodic grid phi_j = 2 pi j / n_phi with
     equal weights.  It maps onto itself under phi -> -phi, so only
     j = 0 ... n_phi // 2 are stored, n_theta * (n_phi // 2 + 1) nodes; a

@@ -108,6 +108,18 @@ def test_criterion_04_forward_boost_saturates(fig2_runs):
     print(f"\nACCEPTANCE 04 PASS: LN nondecreasing on [0,3], LN(3)-LN(2.5) = {tail:.5f} (< 0.02)")
 
 
+def test_criterion_04_forward_limit_is_one_at_alpha_0():
+    # alpha = 0, sigma = 1.0 on 64^2: L+inf = 1 exactly, and 1 - LN falls
+    # with c(xi, 0) = exp(-2 xi) / (2 ln 2), by exp(6) from xi = 6 to 9
+    # (401.6 measured); 1 - LN(15) measures 8.5e-14 (2.5e-12 at sigma = pi)
+    cfg = SweepConfig(alpha=0.0, sigma_theta=1.0, xi_min=6.0, xi_max=15.0, xi_steps=4)
+    xi, ln = _curve(run_sweeps([cfg]))
+    gap = 1.0 - ln
+    assert np.array_equal(xi, [6.0, 9.0, 12.0, 15.0])
+    assert np.all(np.diff(gap) < 0.0) and 0.0 < gap[-1] <= 1e-11, gap
+    assert abs(gap[0] / gap[1] / math.exp(6.0) - 1.0) < 0.01, gap
+
+
 def test_axial_boost_reaches_both_limits_to_rounding():
     # alpha = 0, sigma = 1.0 on 64^2: deep backward boosts are PPT, an exact
     # 0, and deep forward boosts approach L+inf = 1 like exp(-2 xi), as the

@@ -124,7 +124,9 @@ def test_grid_doubling_stability_of_mean_cos_theta():
     assert abs(a - b) < 1e-10
 
 
-_RULE_SIZES = [*range(2, 21), 64, 96, 128, 192, 384]
+# 255 ... 257 and 511 ... 513 straddle a change of n.bit_length(), and with
+# it of the split that keeps each frequency's angle exact
+_RULE_SIZES = [*range(2, 21), 64, 96, 128, 192, 255, 256, 257, 384, 511, 512, 513, 1024]
 
 
 @pytest.mark.parametrize("n", _RULE_SIZES)
@@ -159,8 +161,9 @@ def test_gauss_legendre_rule_memory_stays_bounded():
 
 
 def test_gauss_legendre_384_peaks_under_half_a_mib():
-    # the series is summed for blocks of roots in two 64 KiB arrays; whole
-    # (roots x terms) arrays of each Newton step peaked at 1.5 MiB
+    # the series is summed for blocks of roots in arrays of at most 64 KiB,
+    # a 0.14 MiB peak; whole (roots x terms) arrays of each Newton step
+    # peaked at 1.5 MiB
     beams._gauss_legendre(384)
     tracemalloc.start()
     try:
@@ -169,6 +172,30 @@ def test_gauss_legendre_384_peaks_under_half_a_mib():
     finally:
         tracemalloc.stop()
     assert peak < 2**19
+
+
+def test_gauss_legendre_4096_takes_at_most_4_n_to_the_1_5_cosines_and_sines(monkeypatch):
+    # each frequency is split in two, so a Newton step takes about
+    # 2 sqrt(n / 2) angles per root (392,302 elements in all here); a
+    # cosine and a sine per root and frequency took 8,745,130
+    counted = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cos(self, x, *args, **kwargs):
+            counted.append(np.size(x))
+            return np.cos(x, *args, **kwargs)
+
+        def sin(self, x, *args, **kwargs):
+            counted.append(np.size(x))
+            return np.sin(x, *args, **kwargs)
+
+    monkeypatch.setattr(beams, "np", CountingNumpy())
+    x, w = beams._gauss_legendre(4096)
+    assert sum(counted) <= 4 * 4096**1.5
+    assert abs(w.sum() - 2.0) < 1e-15 and np.all(np.diff(x) > 0.0)
 
 
 # weights of the n-point Gauss-Legendre rule at root indices 0, 1, 2 (the
@@ -189,6 +216,20 @@ _REFERENCE_WEIGHTS = {
         "1.835749193551260444766282687846523e-4",
         "5.806904095492834992840479525720097e-3",
         "8.170516986711110739980316957776575e-3",
+    ),
+    1024: (
+        "7.070076410182589871295805175639999e-6",
+        "1.645772757989686810680579875671041e-5",
+        "2.58591246764618586715766963671602e-5",
+        "2.172469110212858171971971740703101e-3",
+        "3.066460309243908211551278492051044e-3",
+    ),
+    4096: (
+        "4.422038513909486725230689275684237e-7",
+        "1.029366140415132914918384411030143e-6",
+        "1.617397251702019286777149988686328e-6",
+        "5.425377657755921771129688030110902e-4",
+        "7.668967165215304046895329928523429e-4",
     ),
 }
 
@@ -540,7 +581,7 @@ def test_density_states_on_the_widest_grid_under_the_node_cap_peaks_under_5_mb(m
 
 def test_grid_keeps_its_two_1d_rules_and_builds_under_a_quarter_mib_on_384_squared():
     # the grid keeps theta and phi rules and ten factors per theta and
-    # nine per phi: 54 KiB kept and a 0.16 MiB peak, the theta rule's
+    # nine per phi: 54 KiB kept and a 0.14 MiB peak, the theta rule's
     # working arrays; per-node weights, thetas and phis kept 1.74 MiB
     build_grid(BeamSpec(1.3), 8, 8)
     tracemalloc.start()
