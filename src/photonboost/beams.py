@@ -45,11 +45,12 @@ matrix product and no node vector (_aberration_tables).  The terms that
 vanish at +-m are formed from half angles about the axis, so a node
 keeps its digits relative to its distance from the axis however near it
 lies, and a node on the axis takes phi = 0.  The grid keeps no array per
-node: it is the product of a theta rule and a rule over the stored phis,
-with trigonometric factors kept once per theta and once per phi.  Boosts
-off the x-z plane are transported node by node (_mirror_gram), a block
-of momenta and weighted h/v vectors at a time (_node_blocks), so no
-array of the grid's node vectors is ever whole.
+node and no derived table: it is the product of a theta rule and a rule
+over the stored phis and keeps only those, so every pass forms the
+trigonometric factors it reads from the two rules.  Boosts off the x-z
+plane are transported node by node (_mirror_gram), a block of momenta
+and weighted h/v vectors at a time (_node_blocks), so no array of the
+grid's node vectors is ever whole.
 
 density_states, for reduced_density, validate and the tests, reads the
 states of those moments through entanglement's state stage.  It and
@@ -212,27 +213,15 @@ class QuadratureGrid:
     (_theta_factors).  Weights are nonnegative rather than strictly
     positive: for narrow beams the Gaussian factor underflows to an exact
     zero on most of the sphere, and those nodes simply contribute
-    nothing.  Beside the two 1-d rules, which it copies and makes
-    read-only, the grid keeps only ``row_factors``, (10, rows) functions
-    of each row's theta, and ``column_factors``, (9, columns) functions
-    of each phi, those of h and v scaled by the square root of their
-    rule's weight: entry (i, a) of a node's spatial (p, sqrt(w) h,
-    sqrt(w) v), flattened to 3 i + a, is the product of row and column
-    factor 3 i + a, plus sqrt(w) sin^2 phi for h_x and sqrt(w) cos^2 phi
-    for v_y, whose theta part is row factor 9 (_node_vectors builds
-    blocks of nodes from them; the in-plane sums read some of them too).
-    With t = theta and f = phi,
-    p = (sin t cos f, sin t sin f, cos t),
-    h = (cos t cos^2 f + sin^2 f, (cos t - 1) sin f cos f, -sin t cos f),
-    v = ((cos t - 1) sin f cos f, cos t sin^2 f + cos^2 f, -sin t sin f).
+    nothing.  The grid keeps only the two 1-d rules, as read-only
+    copies; whoever reads a node's trigonometric factors forms them from
+    the rules (_node_vectors, _theta_factors, _phi_factors).
     """
 
     thetas: np.ndarray = field(repr=False)
     theta_weights: np.ndarray
     phis: np.ndarray = field(repr=False)
     phi_weights: np.ndarray
-    row_factors: np.ndarray = field(init=False, repr=False)
-    column_factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("thetas", "theta_weights", "phis", "phi_weights"):
@@ -251,18 +240,6 @@ class QuadratureGrid:
                 raise ValueError(f"{axis} weights must sum to 1, got {w.sum()!r}")
         if not np.all((self.thetas >= 0.0) & (self.thetas <= math.pi)):
             raise ValueError("theta nodes must lie in [0, pi]")
-        st, ct = np.sin(self.thetas), np.cos(self.thetas)
-        sp, cp = np.sin(self.phis), np.cos(self.phis)
-        cc, sc, ss = cp * cp, sp * cp, sp * sp
-        rw, cw = np.sqrt(self.theta_weights), np.sqrt(self.phi_weights)
-        rct, rst, rct1, csc = rw * ct, rw * st, rw * (ct - 1.0), cw * sc
-        for name, factors in (
-            ("row_factors", [st, rct, rct1, st, rct1, rct, ct, -rst, -rst, rw]),
-            ("column_factors", [cp, cw * cc, csc, sp, csc, cw * ss, np.ones_like(cp), cw * cp, cw * sp]),
-        ):
-            factors = np.stack(factors)
-            factors.flags.writeable = False
-            object.__setattr__(self, name, factors)
 
     def __len__(self) -> int:
         return len(self.thetas) * len(self.phis)
@@ -273,17 +250,30 @@ def _node_vectors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
 
     h = R(p)(cos phi, -sin phi, 0) and v = R(p)(sin phi, cos phi, 0)
     with R(p) = R_z(phi) R_y(theta), written out; all three have zero
-    time part (the momentum's is 1).  The whole theta rows that hold the
-    nodes are one broadcast product of the grid's row and column
-    factors (QuadratureGrid), cut to the nodes asked for.
+    time part (the momentum's is 1).  With t = theta and f = phi,
+    p = (sin t cos f, sin t sin f, cos t),
+    h = (cos t cos^2 f + sin^2 f, (cos t - 1) sin f cos f, -sin t cos f),
+    v = ((cos t - 1) sin f cos f, cos t sin^2 f + cos^2 f, -sin t sin f),
+    the weight's square root split between the two rules.  Entry 3 i + a
+    of the whole theta rows that hold the nodes is the product of a
+    factor per theta and one per phi, plus a second such product for h_x
+    and v_y; they are formed from the rules, multiplied in one broadcast
+    product and cut to the nodes asked for.
     """
     hi = min(hi, len(grid))
     cols = len(grid.phis)
     first, last = lo // cols, -(-hi // cols)
-    rows = grid.row_factors[:9, first:last, None] * grid.column_factors[:, None]
-    root = grid.row_factors[9, first:last, None]
-    rows[1] += root * grid.column_factors[5]
-    rows[5] += root * grid.column_factors[1]
+    th = grid.thetas[first:last]
+    st, ct = np.sin(th), np.cos(th)
+    sp, cp = np.sin(grid.phis), np.cos(grid.phis)
+    rw, cw = np.sqrt(grid.theta_weights[first:last]), np.sqrt(grid.phi_weights)
+    rct, rst, rct1, csc = rw * ct, rw * st, rw * (ct - 1.0), cw * (sp * cp)
+    hx, vy = cw * (cp * cp), cw * (sp * sp)
+    rows = np.stack([st, rct, rct1, st, rct1, rct, ct, -rst, -rst])[:, :, None] * np.stack(
+        [cp, hx, csc, sp, csc, vy, np.ones_like(cp), cw * cp, cw * sp]
+    )[:, None]
+    rows[1] += rw[:, None] * vy
+    rows[5] += rw[:, None] * hx
     return rows.reshape(3, 3, -1)[:, :, lo - first * cols:hi - first * cols]
 
 
@@ -579,12 +569,14 @@ def _theta_factors(frame: np.ndarray, grid: QuadratureGrid, top: int, bottom: in
     The sines and cosines of (theta -+ b) / 2 are sines of half angles
     with pi - x - y led by pi - max(x, y), exact for x >= pi/2, so none
     loses digits where it vanishes.  Row i times _phi_factors' row i,
-    summed over the 4 terms, is projection i.
+    summed over the 4 terms, is projection i.  sin theta, cos theta and
+    the square root of the theta weight are formed here from the rows'
+    thetas and weights.
     """
     sin_b, cos_b = math.hypot(frame[0, 2], frame[1, 2]), frame[2, 2]
     b = math.atan2(sin_b, cos_b)
     th = grid.thetas[top:bottom]
-    st, ct, rw = (grid.row_factors[i, top:bottom] for i in (0, 6, 9))
+    st, ct, rw = np.sin(th), np.cos(th), np.sqrt(grid.theta_weights[top:bottom])
     hi, lo = np.maximum(th, b), np.minimum(th, b)
     # sines of half of theta - b, pi - |theta - b|, theta + b (past pi,
     # 2 pi - theta - b), pi - theta - b and theta
@@ -612,11 +604,13 @@ def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> n
     u and v are 2 sin^2 and 2 cos^2 of half of phi or of phi - pi.  In
     the form of p . e1 that a node takes, no term exceeds twice its
     distance s from the axis, so each projection is formed to rounding
-    relative to s.
+    relative to s.  cos phi, sin phi and the square root of the phi
+    weight are formed here from the stored phis and their weights.
     """
     side = frame[1, 1]  # e2 = side y-hat: psi = phi for side = 1, phi - pi for -1
-    cp, sp = grid.column_factors[0, lo:hi], grid.column_factors[3, lo:hi]
-    half = 0.5 * grid.phis[lo:hi]
+    phis = grid.phis[lo:hi]
+    cp, sp, cw = np.cos(phis), np.sin(phis), np.sqrt(grid.phi_weights[lo:hi])
+    half = 0.5 * phis
     u, v = 2.0 * np.sin(half) ** 2, 2.0 * np.cos(half) ** 2
     if side < 0.0:
         u, v = v, u
@@ -626,9 +620,9 @@ def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> n
     g[0, 2] = np.where(front, -u, v)
     g[1, 0] = side * sp
     # sqrt(w), then sqrt(w) sin^2 phi and sqrt(w) sin phi cos phi
-    g[2, :3] = np.sqrt(grid.phi_weights[lo:hi]) * g[0, :3]
-    g[2, 3], g[3, 1] = grid.column_factors[5, lo:hi], grid.column_factors[2, lo:hi]
-    g[3, 0] = side * grid.column_factors[8, lo:hi]
+    g[2, :3] = cw * g[0, :3]
+    g[2, 3], g[3, 1] = cw * (sp * sp), cw * (sp * cp)
+    g[3, 0] = side * (cw * sp)
     g[4:, 0] = 1.0
     g[4:, 1] = u, v
     return g
@@ -674,7 +668,7 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
                 if on.any():
                     i = np.flatnonzero(on)
                     x[0, i] = 1.0
-                    root = grid.row_factors[9, top + first + i // n]
+                    root = np.sqrt(grid.theta_weights[top + first + i // n])
                     x[2, i] = root * np.sqrt(grid.phi_weights[lo + i % n])
                 ab = np.empty((2, 2, len(t2)))
                 np.multiply(x[2], x[:2], out=ab[0])

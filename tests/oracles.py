@@ -322,13 +322,14 @@ def helicity_route_density(L, grid, omega):
     return rho / np.trace(rho).real
 
 
-def deep_boost_limit_density(alpha, grid):
-    """Closed-form limit of reduced_density(make_boost(alpha, xi)) as xi -> -inf.
+def deep_boost_limit_density(alpha, grid, sign=-1):
+    """Closed-form limit of reduced_density(make_boost(alpha, xi)) as xi -> sign * inf.
 
     A boost of rapidity xi along m = (sin alpha, 0, cos alpha) squeezes
-    every boosted momentum onto n = -m as xi -> -inf.  The gauge-form
-    transport L e - ((L e)^0 / (L p)^0) L p of a transverse unit vector e
-    at direction p then tends to
+    every boosted momentum onto n = sign m: onto -m as xi -> -inf (the
+    default, sign = -1) and onto +m as xi -> +inf (sign = 1).  The
+    gauge-form transport L e - ((L e)^0 / (L p)^0) L p of a transverse
+    unit vector e at direction p then tends to
 
         e - (n.e) n - (n.e) p_perp / (1 + n.p),   p_perp = p - (n.p) n,
 
@@ -346,7 +347,7 @@ def deep_boost_limit_density(alpha, grid):
     p = np.stack([st * cp, st * sp, ct])
     h = np.stack([cp * cp * ct + sp * sp, sp * cp * (ct - 1.0), -st * cp])
     v = np.stack([sp * cp * (ct - 1.0), sp * sp * ct + cp * cp, -st * sp])
-    n = -np.array([np.sin(alpha), 0.0, np.cos(alpha)])
+    n = sign * np.array([np.sin(alpha), 0.0, np.cos(alpha)])
     n_p = n @ p
     p_perp = p - np.outer(n, n_p)
 

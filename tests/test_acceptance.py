@@ -120,6 +120,25 @@ def test_criterion_04_forward_limit_is_one_at_alpha_0():
     assert abs(gap[0] / gap[1] / math.exp(6.0) - 1.0) < 0.01, gap
 
 
+@pytest.mark.parametrize("sigma, converged", [(1.0, 0.4051561744), (1.3, 0.2443125836)])
+def test_criterion_04_forward_limit_is_the_deep_boost_oracle_at_alpha_2pi_5(sigma, converged):
+    # on 96^2 LN rises to the same grid's xi -> +inf limit: L+inf - LN at
+    # xi = 6, 9, 12 measures 2.0e-6, 6.2e-9, 1.5e-11 at sigma = 1.0 and
+    # 1.6e-5, 4.0e-8, 9.9e-11 at sigma = 1.3.  On 192^2 the oracle is
+    # 2.8e-5 and 6.7e-5 from the converged L+inf of ROADMAP item 3
+    cfg = SweepConfig(alpha=ALPHA_FIG3, sigma_theta=sigma, xi_min=6.0, xi_max=15.0, xi_steps=4,
+                      n_theta=96, n_phi=96)
+    xi, ln = _curve(run_sweeps([cfg]))
+    grid = build_grid(BeamSpec(sigma), cfg.n_theta, cfg.n_phi)
+    gap = log_negativity(deep_boost_limit_density(ALPHA_FIG3, grid, sign=1)) - ln
+    assert np.array_equal(xi, [6.0, 9.0, 12.0, 15.0])
+    assert np.all(gap[:3] > 0.0) and np.all(np.diff(gap[:3]) < 0.0), gap
+    assert np.all(np.abs(gap[2:]) <= 1e-9), gap
+    fine = build_grid(BeamSpec(sigma), 192, 192)
+    ln_inf = log_negativity(deep_boost_limit_density(ALPHA_FIG3, fine, sign=1))
+    assert abs(ln_inf - converged) < 1e-4, ln_inf
+
+
 def test_axial_boost_reaches_both_limits_to_rounding():
     # alpha = 0, sigma = 1.0 on 64^2: deep backward boosts are PPT, an exact
     # 0, and deep forward boosts approach L+inf = 1 like exp(-2 xi), as the

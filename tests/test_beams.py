@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -85,7 +86,10 @@ def test_grid_node_count():
     assert len(grid) == 12 * (7 // 2 + 1)
     assert grid.thetas.shape == grid.theta_weights.shape == (12,)
     assert grid.phis.shape == grid.phi_weights.shape == (4,)
-    assert grid.row_factors.shape == (10, 12) and grid.column_factors.shape == (9, 4)
+    # the grid is its two 1-d rules and keeps nothing derived from them
+    assert [f.name for f in dataclasses.fields(QuadratureGrid)] == [
+        "thetas", "theta_weights", "phis", "phi_weights"
+    ]
     assert len(expanded_rule(grid)[0]) == 2 * 12 * 4
 
 
@@ -580,21 +584,25 @@ def test_density_states_on_the_widest_grid_under_the_node_cap_peaks_under_5_mb(m
 
 
 def test_grid_keeps_its_two_1d_rules_and_builds_under_a_quarter_mib_on_384_squared():
-    # the grid keeps theta and phi rules and ten factors per theta and
-    # nine per phi: 54 KiB kept and a 0.14 MiB peak, the theta rule's
-    # working arrays; per-node weights, thetas and phis kept 1.74 MiB
+    # the grid keeps only its theta and phi rules: 10.6 KB kept at 384^2
+    # with a 0.14 MiB peak, the theta rule's working arrays, and 133 KB
+    # kept with a 0.9 MB peak at 8192 x 8.  Ten factors per theta and nine
+    # per phi kept 55.8 KB and 789 KB; per-node weights, thetas and phis
+    # kept 1.74 MiB at 384^2
     build_grid(BeamSpec(1.3), 8, 8)
-    tracemalloc.start()
-    try:
-        grid = build_grid(BeamSpec(1.3), 384, 384)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept < 64 * 2**10
-    assert peak < 2**18
-    assert len(grid) == 384 * 193
-    rules = (grid.thetas, grid.theta_weights, grid.phis, grid.phi_weights)
-    assert not any(a.flags.writeable for a in (*rules, grid.row_factors, grid.column_factors))
+    cases = ((384, 384, 16 * 2**10, 2**18), (8192, 8, 160 * 2**10, 2**20))
+    for n_theta, n_phi, kept_cap, peak_cap in cases:
+        tracemalloc.start()
+        try:
+            grid = build_grid(BeamSpec(1.3), n_theta, n_phi)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < kept_cap, (n_theta, kept)
+        assert peak < peak_cap, (n_theta, peak)
+        assert len(grid) == n_theta * (n_phi // 2 + 1)
+        rules = (grid.thetas, grid.theta_weights, grid.phis, grid.phi_weights)
+        assert not any(a.flags.writeable for a in rules)
 
 
 def test_a_grid_keeps_read_only_copies_of_a_callers_rules():
