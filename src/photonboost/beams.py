@@ -56,9 +56,10 @@ density_states, for reduced_density, validate and the tests, reads the
 states of those moments through entanglement's state stage.  It and
 transported_moments take a lorentz.TransformStack of k boosts, whose
 constructor has guarded them, and evaluate all k at once; a single
-transform is the k = 1 case.  Sweeps pass ROWS_PER_BLOCK boosts at a
-time, a count derived from the bytes a row keeps through the state
-stage.  transport takes raw (k, 4, 4) matrices.
+transform is the k = 1 case.  Sweeps build no stack: a curve's one axis
+and its rows' exp(-xi) go straight to in_plane_moments, ROWS_PER_BLOCK
+rows at a time, a count derived from the bytes a row keeps through the
+state stage.  transport takes raw (k, 4, 4) matrices.
 """
 from __future__ import annotations
 
@@ -532,22 +533,29 @@ def _axis_rows(stack: TransformStack) -> np.ndarray:
     )
 
 
+def in_plane_axes(alpha) -> np.ndarray:
+    """(..., 3) axes (sin a, 0, cos a) of R_y(a) B_z(xi) R_y(-a), read alike by _boost_parts and sweeps."""
+    alpha = np.asarray(alpha, dtype=float)
+    return np.stack([np.sin(alpha), np.zeros_like(alpha), np.cos(alpha)], axis=-1)
+
+
 def _boost_parts(stack: TransformStack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each row of stack as L = R B(xi, m), and a mask of the rows whose R is not read as I.
 
     A row R_y(a) B_z(xi) R_y(-a) (every sweep.boost_stack and
     sweep.make_boost row) is read from its factor row: R = I,
-    m = (sin a, 0, cos a) and exp(-xi) exactly, where reading its matrix
-    would cost eps cosh(xi).  Any other row is split from its matrix
-    (_polar_parts), and its R is left out of the returned (k, 3, 3)
-    rotations where the mask is False.
+    m = (sin a, 0, cos a) (in_plane_axes) and exp(-xi) exactly, as a
+    sweep reads its rows, where reading its matrix would cost
+    eps cosh(xi).  Any other row is split from its matrix (_polar_parts),
+    and its R is left out of the returned (k, 3, 3) rotations where the
+    mask is False.
     """
     k = len(stack)
     rot, axes, shrink = np.empty((k, 3, 3)), np.empty((k, 3)), np.empty(k)
     turned = ~_axis_rows(stack)
     if not turned.all():
         alpha, xi = stack.params[~turned, :2].T
-        axes[~turned] = np.stack([np.sin(alpha), np.zeros_like(alpha), np.cos(alpha)], axis=-1)
+        axes[~turned] = in_plane_axes(alpha)
         shrink[~turned] = np.exp(-xi)
     if turned.any():
         rot[turned], axes[turned], shrink[turned] = _polar_parts(stack.matrices[turned])
@@ -749,6 +757,24 @@ def _mirror_gram(boost: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     return 0.5 * (gram[0] + gram[1] * _IMAGE_SIGNS)
 
 
+def in_plane_moments(axis: np.ndarray, shrinks, grid: QuadratureGrid):
+    """The (k, 6, 6) moments (transported_moments) of each block of boosts B(xi, axis) in shrinks.
+
+    axis is a (3,) unit vector in the x-z plane and each block of shrinks
+    a (k,) array of exp(-xi).  The axis frame and the map from node sums
+    (_aberration_sums) to Grams are formed once, for every block.
+    """
+    frame = _frames(axis[None])[0]
+    basis = np.zeros((6, 6))
+    basis[::2, ::2] = basis[1::2, 1::2] = frame
+    basis = basis @ _PARITY_BASIS
+    # the Kronecker product basis (x) basis, acting on flattened 6x6 Grams
+    gram_map = _GRAM_MAP @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
+    for shrink in shrinks:
+        sums = _aberration_sums(shrink, frame, grid)
+        yield entanglement.rows_product(sums, gram_map).reshape(-1, 6, 6)
+
+
 def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarray:
     """All four moment blocks of the transported h/v vectors, one 6x6 per transform of stack.
 
@@ -760,8 +786,9 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
     Each row is L = R B(xi, m) (_boost_parts), and its block is
     (R (x) I2) G(B) (R (x) I2)^T.  Boosts along one axis in the x-z plane
     (a rotation is one with xi = 0 along +z) share one pass over the nodes
-    (_aberration_sums); a boost along any other axis does not commute with
-    the reflection and is transported node by node (_mirror_gram).
+    (in_plane_moments), the pass a sweep runs on its rows; a boost along
+    any other axis does not commute with the reflection and is
+    transported node by node (_mirror_gram).
     """
     rot, axes, shrink, turned = _boost_parts(stack)
     out = np.empty((len(stack), 6, 6))
@@ -771,14 +798,7 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
         m = axes[np.argmax(pending)]
         rows = pending & (axes == m).all(axis=1)
         pending &= ~rows
-        frame = _frames(m[None])[0]
-        basis = np.zeros((6, 6))
-        basis[::2, ::2] = basis[1::2, 1::2] = frame
-        basis = basis @ _PARITY_BASIS
-        # the Kronecker product basis (x) basis, acting on flattened 6x6 Grams
-        gram_map = _GRAM_MAP @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
-        sums = _aberration_sums(shrink[rows], frame, grid)
-        out[rows] = entanglement.rows_product(sums, gram_map).reshape(-1, 6, 6)
+        out[rows] = next(in_plane_moments(m, [shrink[rows]], grid))
     for i in np.flatnonzero(~in_plane):
         out[i] = _mirror_gram(stack.matrices[i], grid)
     turned &= in_plane

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beams import ROWS_PER_BLOCK, BeamSpec, QuadratureGrid, build_grid, transported_moments
+from .beams import ROWS_PER_BLOCK, BeamSpec, QuadratureGrid, build_grid, in_plane_axes, in_plane_moments
 from .entanglement import log_negativity_from_spectrum, state_readings
 from .lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, TransformStack, boost_z, compose, rot_y
 
@@ -62,7 +62,7 @@ def make_boost(alpha: float, xi: float) -> TransformStack:
     Conjugates the z boost by the y rotation, so the factor row is
     (rot_y alpha, boost_z xi, rot_y -alpha) and the matrix is the product
     of the three generators; the Wigner-angle oracles read that row.
-    Sweeps take the same rows from boost_stack.
+    Sweeps read the same boost from (alpha, xi) and build no stack.
     """
     return compose(compose(rot_y(alpha), boost_z(xi)), rot_y(-alpha))
 
@@ -73,10 +73,11 @@ def boost_stack(alpha: float, xis) -> TransformStack:
     Row i of the factor table is (rot_y alpha, boost_z xi_i, rot_y -alpha),
     the row make_boost composes, and the stack folds the table into the
     same matrices, bit for bit.  The states read these rows from the
-    table, not the matrices (beams.transported_moments).  The stack
-    constructor is the guard: it raises ValueError for a non-finite alpha,
-    a rapidity beyond lorentz.MAX_RAPIDITY or a matrix off the metric,
-    and it checks the table before it folds it.
+    table, not the matrices (beams.transported_moments), as a sweep reads
+    (alpha, xi), so density_states of this stack gives a sweep's rows bit
+    for bit.  The stack constructor is the guard: it raises ValueError for
+    a non-finite alpha, a rapidity beyond lorentz.MAX_RAPIDITY or a matrix
+    off the metric, and it checks the table before it folds it.
     """
     xis = np.asarray(xis, dtype=float).reshape(-1)
     kinds = np.broadcast_to([ROT_Y, BOOST_Z, ROT_Y], (len(xis), 3))
@@ -165,21 +166,25 @@ def _evaluate(
 ) -> np.ndarray:
     """The (6, n) table of one curve at rapidities xis on grid; table[i] is CSV column i.
 
-    Fills table, a (6, n) array, when one is given.  Rows go through the
-    boost stack, the moments (beams.transported_moments) and the state
-    stage (entanglement.state_readings: the guards and the exchange-block
-    spectra) beams.ROWS_PER_BLOCK at a time, a count derived from the
-    state stage's per-row bytes, so memory does not grow with the row
-    count and no 9x9 state is formed.  trace_residual is the trace gap
+    Fills table, a (6, n) array, when one is given.  No TransformStack is
+    built: SweepConfig has checked alpha and xi as a stack would.  The
+    axis is read from alpha once (beams.in_plane_axes), and the rows'
+    exp(-xi) go through the in-plane axis pass (beams.in_plane_moments)
+    and the state stage (entanglement.state_readings: the trace and
+    positivity guards and the exchange-block spectra)
+    beams.ROWS_PER_BLOCK at a time, a count derived from the state
+    stage's per-row bytes, so memory does not grow with the row count and
+    no 9x9 state is formed.  The rows are density_states(boost_stack(alpha,
+    xis), grid)'s readings bit for bit.  trace_residual is the trace gap
     before normalization.
     """
     if table is None:
         table = np.empty((len(SweepRow._fields), len(xis)))
     alphas, sigmas, xi, ln, trace_res, min_eig = table  # views, one per SweepRow field
     alphas[:], sigmas[:], xi[:] = alpha, sigma_theta, xis
-    for lo in range(0, len(xis), ROWS_PER_BLOCK):
-        block = slice(lo, lo + ROWS_PER_BLOCK)
-        moments = transported_moments(boost_stack(alpha, xis[block]), grid)
+    blocks = [slice(lo, lo + ROWS_PER_BLOCK) for lo in range(0, len(xis), ROWS_PER_BLOCK)]
+    shrinks = (np.exp(-xis[block]) for block in blocks)
+    for block, moments in zip(blocks, in_plane_moments(in_plane_axes(alpha), shrinks, grid)):
         _, min_eig[block], trace_res[block], spectra = state_readings(moments)
         ln[block] = log_negativity_from_spectrum(spectra)
     return table

@@ -38,6 +38,11 @@ _OMEGA_NODES = 16
 _OMEGA_TRANSPORT_TOL = 1e-12
 _OMEGAS = (0.1, 10.0)
 
+# drawn in-plane boosts whose axis pass d_form_equivalence compares with
+# the rotation form, on a grid of this many thetas and phis
+_IN_PLANE_BOOSTS = 3
+_IN_PLANE_NODES = 8
+
 
 @dataclass(frozen=True)
 class GroupResult:
@@ -120,6 +125,38 @@ def _check_wigner_oracle(rng, cases: int) -> GroupResult:
     return GroupResult("wigner_oracle", worst < 1e-9, f"max angle gap {worst:.2e}")
 
 
+def _in_plane_gap(rng) -> float:
+    """Largest moment gap of the in-plane axis pass against the rotation form, over _IN_PLANE_BOOSTS boosts.
+
+    The pass is the one sweeps run (beams.in_plane_moments); the rotation
+    form transports the h/v vectors of the same stored nodes and of their
+    images (theta, -phi), each at half the stored weight, and their Gram
+    is the moments.
+    """
+    grid = beams.build_grid(beams.BeamSpec(rng.uniform(0.3, 1.3)), _IN_PLANE_NODES, _IN_PLANE_NODES)
+    rows, cols = np.divmod(np.arange(len(grid)), len(grid.phis))
+    thetas = np.tile(grid.thetas[rows], 2)
+    phis = np.concatenate([grid.phis[cols], -grid.phis[cols]])
+    root = np.sqrt(0.5 * np.tile(grid.theta_weights[rows] * grid.phi_weights[cols], 2))
+    p = lorentz.null_momenta(thetas, phis, 1.0)
+    # the map is real and linear: h + i v goes to the transported h + i v
+    eps = wigner.h_vec_stack(thetas, phis) + 1j * wigner.v_vec_stack(thetas, phis)
+    alphas, xis = rng.uniform([-math.pi, -2.0], [math.pi, 2.0], size=(_IN_PLANE_BOOSTS, 2)).T
+    # one rotation-form call: each boost's factor row once per node column
+    factors = np.repeat(np.column_stack([alphas, xis, -alphas]), len(thetas), axis=0)
+    kinds = np.broadcast_to([lorentz.ROT_Y, lorentz.BOOST_Z, lorentz.ROT_Y], factors.shape)
+    x = wigner.d_rotation_form_stack(
+        lorentz.TransformStack(kinds, factors), np.tile(p, _IN_PLANE_BOOSTS), np.tile(eps, _IN_PLANE_BOOSTS)
+    )[1:].reshape(3, _IN_PLANE_BOOSTS, -1)
+    gaps = []
+    for alpha, xi, y in zip(alphas, xis, x.swapaxes(0, 1)):
+        (moments,) = beams.in_plane_moments(beams.in_plane_axes(alpha), [np.exp([-xi])], grid)
+        # entry 2i + a of a node's column is component i of its h (a = 0) or v vector
+        y = (np.stack([y.real, y.imag], axis=1) * root).reshape(6, -1)
+        gaps.append(np.abs(moments[0] - y @ y.T))
+    return _worst(gaps)
+
+
 def _check_d_forms(rng, cases: int) -> GroupResult:
     stack, p = _draw_stack(rng, cases), _draw_momenta(rng, cases)
     eps = _draw_polarizations(rng, *lorentz.direction_angles(p[1:]))
@@ -128,7 +165,12 @@ def _check_d_forms(rng, cases: int) -> GroupResult:
     vectors = np.stack([p, eps], axis=1).transpose(2, 0, 1)[..., None]
     production = beams.transport(stack.matrices, vectors)[:, :, 0, 0].T
     worst = _worst(np.abs(rotated[1:] - production))
-    return GroupResult("d_form_equivalence", worst < 1e-10, f"max form gap {worst:.2e}")
+    worst_moments = _in_plane_gap(rng)
+    return GroupResult(
+        "d_form_equivalence",
+        worst < 1e-10 and worst_moments < 1e-10,
+        f"max form gap {worst:.2e}, in-plane moments gap {worst_moments:.2e}",
+    )
 
 
 def _check_composition(rng, cases: int) -> GroupResult:

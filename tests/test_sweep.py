@@ -309,22 +309,55 @@ def _state_columns(row):
     return tuple(row[3:])
 
 
-def test_rows_of_a_curve_over_many_blocks_match_each_row_alone():
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize(
+    "alpha",
+    [0.0, 0.7, math.pi / 2, 2 * math.pi / 5, -2.9, 3.0],
+    ids=["0", "0_7", "pi_2", "2pi_5", "-2_9", "3_0"],
+)
+def test_rows_of_a_curve_over_many_blocks_match_each_row_alone_and_the_stack(alpha, n):
     import photonboost.sweep as sweep_mod
 
     # 2.5 blocks: two full ones and a half one; a row's state does not
     # depend on the rows solved with it, to the last bit: a lone row takes
     # every matrix product as a block's rows do (entanglement.rows_product),
     # where numpy's matrix-vector path moved a log negativity by up to
-    # 2.5e-15 on this curve
+    # 2.5e-15 on this curve.  A sweep reads each row's axis and exp(-xi) as
+    # the stack route reads them from boost_stack's factor rows, so its
+    # rows are density_states' readings of that stack, bit for bit; 64^2
+    # stores 2,112 nodes, more than one node block (beams._SUM_NODES)
     steps = 5 * ROWS_PER_BLOCK // 2
-    cfg = SweepConfig(alpha=2 * math.pi / 5, sigma_theta=1.3, xi_min=-15.0, xi_max=15.0,
-                      xi_steps=steps, n_theta=16, n_phi=16)
-    table = run_sweeps([cfg])
-    grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
+    xis = np.linspace(-15.0, 15.0, steps)
+    grid = build_grid(BeamSpec(1.3), n, n)
+    table = sweep_mod._evaluate(alpha, 1.3, xis, grid)
+    _, min_eig, gap, spectra = density_states(boost_stack(alpha, xis), grid)
+    stacked = (entanglement.log_negativity_from_spectrum(spectra), gap, min_eig)
+    for column, want in zip(table[3:], stacked):
+        assert column.tobytes() == want.tobytes()
     for i in range(0, steps, 7):
-        alone = sweep_mod._evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values()[i:i + 1], grid)
+        alone = sweep_mod._evaluate(alpha, 1.3, xis[i:i + 1], grid)
         assert _state_columns(alone[:, 0]) == _state_columns(table[:, i]), i
+
+
+def test_sweeps_build_no_transform_stack(monkeypatch, tmp_path, capsys):
+    # a sweep row goes from (alpha, xi) to the in-plane axis pass: no stack
+    # is folded for it and no metric guard runs on matrices it never reads
+    def no_stack(self):
+        raise AssertionError("a sweep built a TransformStack")
+
+    monkeypatch.setattr(TransformStack, "__post_init__", no_stack)
+    steps = 5 * ROWS_PER_BLOCK // 2
+    cfg = SweepConfig(alpha=0.7, sigma_theta=1.0, xi_min=-15.0, xi_max=15.0, xi_steps=steps,
+                      n_theta=16, n_phi=16)
+    assert run_sweeps([cfg]).shape == (len(SweepRow._fields), steps)
+    assert cli.main(["single", "--alpha", "0.7", "--sigma-theta", "1.0", "--xi", "1.5"]) == 0
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--alpha", "0.8", "--sigma-theta", "1.0", "--xi-steps", "5",
+            "--check-convergence", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(out.read_text().splitlines()) == 6
+    with pytest.raises(AssertionError, match="TransformStack"):
+        boost_stack(0.7, [1.5])
 
 
 @pytest.mark.parametrize(

@@ -125,6 +125,28 @@ def test_missing_gauge_term_trips_form_equivalence(monkeypatch):
     assert failed == ["d_form_equivalence"]
 
 
+def test_flipped_in_plane_product_trips_form_equivalence(monkeypatch, capsys):
+    # the t C b products (row 5 of _aberration_tables' (6, 2, n) table)
+    # with their sign flipped: single prints 0.458840595 instead of
+    # 0.482574042 and exits 0, and the states on validate's 32^2 and 64^2
+    # grids fail only the positivity guard; the in-plane clause compares
+    # the pass itself with the rotation form
+    real = beams._aberration_tables
+
+    def flipped(frame, grid):
+        for table, t2 in real(frame, grid):
+            table = table.copy()
+            table.reshape(6, 2, -1)[5] *= -1.0
+            yield table, t2
+
+    monkeypatch.setattr(beams, "_aberration_tables", flipped)
+    assert cli.main(["single", "--alpha", "1.2", "--xi", "1.5", "--sigma-theta", "1.0"]) == 0
+    assert capsys.readouterr().out == "0.458840595\n"
+    result = _run_group("d_form_equivalence")
+    assert not result.passed
+    assert float(result.detail.rpartition("in-plane moments gap ")[2]) > 1e-10
+
+
 def test_raw_trace_gap_trips_rho_sanity_only(monkeypatch):
     # moments 1e-13 too large put the trace 2e-13 off: under the 1e-12
     # guard, over the 1e-13 clause, and gone once the state is normalized
