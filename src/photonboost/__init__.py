@@ -5,8 +5,12 @@ Gaussian-spread beams and evaluates their log negativity as a function of
 boost direction, rapidity and angular spread.  The package namespace holds
 what the CLI runs, the boost-to-log-negativity pipeline, and the
 transformation law itself: a boost multiplies each momentum-helicity state
-by the phase exp(-i lambda Theta) of its Wigner angle.
+by the phase exp(-i lambda Theta) of its Wigner angle.  validate and the
+transformation law are imported on first access, so a sweep never loads
+the validation and wigner modules.
 """
+import importlib
+
 from .beams import BeamSpec, build_grid, reduced_density
 from .entanglement import log_negativity
 from .sweep import (
@@ -17,8 +21,6 @@ from .sweep import (
     preset_fig3,
     run_sweep,
 )
-from .validation import validate
-from .wigner import boost_helicity_state, wigner_angle_stack
 
 __version__ = "0.1.0"
 
@@ -37,3 +39,22 @@ __all__ = [
     "validate",
     "wigner_angle_stack",
 ]
+
+# the public names whose modules load on first access, and those modules
+_LAZY = {
+    "validate": "validation",
+    "boost_helicity_state": "wigner",
+    "wigner_angle_stack": "wigner",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

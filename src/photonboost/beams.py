@@ -7,10 +7,12 @@ quadrature rule discretizes the remaining direction integral with
 Gauss-Legendre nodes in theta on [0, pi] and a uniform periodic rule in
 phi; the squared amplitude, the sphere Jacobian sin(theta) and the overall
 normalization are all folded into the theta weights, and each rule's
-weights sum to one.  The Gauss-Legendre rule is built for each grid by
-Newton's method on the Fourier series of P_n (_gauss_legendre): O(n^1.5)
-cosines and sines, O(n^2) multiply-adds in one matrix product per block
-of roots and O(n) memory, with no eigensolve and no cache.
+weights sum to one.  The Gauss-Legendre rule is built by Newton's method
+on the Fourier series of P_n (_gauss_legendre): O(n^1.5) cosines and
+sines, O(n^2) multiply-adds in one matrix product per block of roots and
+O(n) memory, with no eigensolve.  It depends on n alone, so it is built
+once per size and kept, read-only, for the _RULE_CACHE sizes used last;
+every grid reweights it by its own beam.
 
 The beam is symmetric under the reflection y -> -y, which maps the node
 (theta, phi) to (theta, -phi), and the phi rule maps onto itself under
@@ -63,6 +65,7 @@ state stage.  transport takes raw (k, 4, 4) matrices.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -99,6 +102,10 @@ _NEWTON_CAP = 10
 
 # a root has converged once its Newton step moves its angle by no more
 _NEWTON_TOL = 1e-12
+
+# Gauss-Legendre rules kept, the sizes used last: a rule keeps 16 n bytes,
+# so at most 8 MB even at the node cap's 65,536-node convergence probe
+_RULE_CACHE = 8
 
 # _gauss_legendre's series at a root from its sums z[s, f, u] over the
 # split frequencies, with s and u the cosine (0) or sine (1) of the two
@@ -284,8 +291,15 @@ def _node_blocks(grid: QuadratureGrid, step: int):
         yield _node_vectors(grid, lo, lo + step)
 
 
+@functools.lru_cache(maxsize=_RULE_CACHE, typed=True)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on [-1, 1], ascending, and their weights, from O(n^1.5) cosines.
+
+    Each size is built once and kept for the _RULE_CACHE sizes used last,
+    keyed by its type too, so a float size still raises.  The two arrays
+    are read-only, so no caller can alter a shared rule; a size whose
+    roots do not converge raises and is not kept.  __wrapped__ builds a
+    rule afresh.
 
     Newton's method in t runs on the Fourier series
     P_n(cos t) = sum_k a_k a_(n-k) cos((n - 2k) t), a_k = (2k)! / (2^(2k) k!^2)
@@ -396,6 +410,7 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.concatenate([-x, x[::-1][n % 2:]])
     w = np.concatenate([w, w[::-1][n % 2:]])
     w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -404,11 +419,12 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
 
     Gauss-Legendre nodes cover theta on the full [0, pi]; wide beams put
     real weight in the back hemisphere, so the range is never truncated.
-    Each call builds that rule afresh by _gauss_legendre, from
-    O(n_theta^1.5) cosines and sines and O(n_theta^2) multiply-adds in one
-    matrix product per block of roots, in O(n_theta) memory with no
-    eigensolve; nothing is cached between calls.  Its weights times the
-    beam density, renormalized to sum one, are the theta rule;
+    That rule is _gauss_legendre's, built from O(n_theta^1.5) cosines and
+    sines and O(n_theta^2) multiply-adds in one matrix product per block
+    of roots, in O(n_theta) memory with no eigensolve, once per size: a
+    later grid of the same n_theta reads the kept read-only rule.  Its
+    weights times the beam density, renormalized to sum one, are the
+    theta rule of this grid alone, formed on every call;
     renormalizing absorbs the amplitude normalization constant, which is
     never needed in closed form.
     The phi rule is the uniform periodic grid phi_j = 2 pi j / n_phi with
@@ -712,6 +728,8 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     boosts with two matrix products (entanglement.rows_product).
     """
     k = len(shrink)
+    if not k:
+        return np.empty((0, 30))
     n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
     scale = shrink * shrink
     unit = entanglement.PRODUCT_ROWS

@@ -287,7 +287,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     adjoint = np.swapaxes(m, -1, -2).conj()
     # one working copy serves the check and then the symmetrized solve
     work = m - adjoint
-    herm = float(np.abs(work, out=work).real.max())
+    herm = float(np.abs(work, out=work).real.max(initial=0.0))
     if herm > 1e-8:
         raise np.linalg.LinAlgError(f"matrix is not Hermitian (residual {herm:.3e})")
     np.add(m, adjoint, out=work)
@@ -313,7 +313,7 @@ def symmetric_2x2_eigenvalues(m) -> np.ndarray:
     """
     m = np.asarray(m)
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    herm = float(np.abs(b - c).max())
+    herm = float(np.abs(b - c).max(initial=0.0))
     if herm > 1e-8:
         raise np.linalg.LinAlgError(f"matrix is not Hermitian (residual {herm:.3e})")
     trace, radius = a + d, np.hypot(a - d, b + c)
@@ -358,7 +358,7 @@ def state_readings(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     split (4 + 2 and 1 + 2).  Raises numpy.linalg.LinAlgError if a gap
     exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL: either is
     an internal error.  Its memory grows with k, so sweeps pass
-    beams.ROWS_PER_BLOCK rows at a time.
+    beams.ROWS_PER_BLOCK rows at a time; k = 0 gives empty readings.
     """
     sym, anti = exchange_blocks(moments)
     tr = np.add.reduce(sym[:, 0].diagonal(0, 1, 2), axis=1)

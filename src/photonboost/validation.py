@@ -3,7 +3,10 @@
 Each group re-verifies one family of invariants on seeded random inputs and
 reports the worst residual it saw.  The groups deliberately route through
 the public module surfaces (not cached locals), so an injected bug in any
-single formula flips the matching group to failed.  Case counts are sized
+single formula flips the matching group to failed.  The one exception is
+the Gauss-Legendre rule, which beams keeps per size once built: a fault
+injected into its internals shows only after
+beams._gauss_legendre.cache_clear().  Case counts are sized
 for an interactive run; the test suite runs larger samples of the same
 checks.
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import photonboost
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -92,3 +94,36 @@ def test_cli_import_loads_no_numpy_module_beyond_numpy_itself():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_sweep_leaves_validation_and_wigner_unloaded():
+    # they load on the first validate, or on the first access of a name
+    # they give the package
+    probe = (
+        "import sys\n"
+        "import photonboost\n"
+        "from photonboost import cli\n"
+        "code = cli.main(['sweep', '--alpha', '0.5', '--sigma-theta', '1', '--xi-steps', '2',\n"
+        "                 '--n-theta', '8', '--n-phi', '8', '--out', sys.argv[1]])\n"
+        "print(code, sorted(m for m in ('photonboost.validation', 'photonboost.wigner') if m in sys.modules))\n"
+        "photonboost.wigner_angle_stack\n"
+        "print(sorted(m for m in ('photonboost.validation', 'photonboost.wigner') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(photonboost.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, os.devnull], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0 []", "['photonboost.wigner']"]
+
+
+def test_lazy_names_are_the_module_functions():
+    from photonboost import validation, wigner
+
+    assert photonboost.validate is validation.validate
+    assert photonboost.wigner_angle_stack is wigner.wigner_angle_stack
+    assert photonboost.boost_helicity_state is wigner.boost_helicity_state
+    assert set(photonboost.__all__) <= set(dir(photonboost))
+    with pytest.raises(AttributeError):
+        photonboost.not_a_name

@@ -153,10 +153,11 @@ def test_gauss_legendre_rule_is_symmetric_and_exact_to_degree_2n_minus_1(n):
 
 
 def test_gauss_legendre_rule_memory_stays_bounded():
-    # leggauss(4096) solves a dense 4096 x 4096 companion matrix and peaks at 135 MB
+    # leggauss(4096) solves a dense 4096 x 4096 companion matrix and peaks at 135 MB;
+    # the rule is built afresh, past the cache
     tracemalloc.start()
     try:
-        x, w = beams._gauss_legendre(4096)
+        x, w = beams._gauss_legendre.__wrapped__(4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -167,11 +168,11 @@ def test_gauss_legendre_rule_memory_stays_bounded():
 def test_gauss_legendre_384_peaks_under_half_a_mib():
     # the series is summed for blocks of roots in arrays of at most 64 KiB,
     # a 0.14 MiB peak; whole (roots x terms) arrays of each Newton step
-    # peaked at 1.5 MiB
-    beams._gauss_legendre(384)
+    # peaked at 1.5 MiB.  Both builds go past the cache
+    beams._gauss_legendre.__wrapped__(384)
     tracemalloc.start()
     try:
-        beams._gauss_legendre(384)
+        beams._gauss_legendre.__wrapped__(384)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,9 +198,58 @@ def test_gauss_legendre_4096_takes_at_most_4_n_to_the_1_5_cosines_and_sines(monk
             return np.sin(x, *args, **kwargs)
 
     monkeypatch.setattr(beams, "np", CountingNumpy())
-    x, w = beams._gauss_legendre(4096)
+    x, w = beams._gauss_legendre.__wrapped__(4096)
     assert sum(counted) <= 4 * 4096**1.5
     assert abs(w.sum() - 2.0) < 1e-15 and np.all(np.diff(x) > 0.0)
+
+
+def test_gauss_legendre_rule_is_kept_read_only_per_size():
+    beams._gauss_legendre.cache_clear()
+    x, w = beams._gauss_legendre(64)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    again = beams._gauss_legendre(64)
+    assert again[0] is x and again[1] is w
+    info = beams._gauss_legendre.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, beams._RULE_CACHE)
+    fresh_x, fresh_w = beams._gauss_legendre.__wrapped__(64)
+    assert np.array_equal(fresh_x, x) and np.array_equal(fresh_w, w)
+
+
+def test_gauss_legendre_cache_keeps_only_the_sizes_used_last():
+    beams._gauss_legendre.cache_clear()
+    for n in range(2, 2 + beams._RULE_CACHE + 3):
+        beams._gauss_legendre(n)
+    assert beams._gauss_legendre.cache_info().currsize == beams._RULE_CACHE
+
+
+def test_unconverged_gauss_legendre_rule_is_not_kept(monkeypatch):
+    beams._gauss_legendre.cache_clear()
+    monkeypatch.setattr(beams, "_NEWTON_CAP", 0)
+    with pytest.raises(np.linalg.LinAlgError):
+        beams._gauss_legendre(48)
+    assert beams._gauss_legendre.cache_info().currsize == 0
+    monkeypatch.undo()
+    x, w = beams._gauss_legendre(48)
+    assert beams._gauss_legendre.cache_info().misses == 2
+    assert abs(w.sum() - 2.0) < 1e-15 and np.all(np.diff(x) > 0.0)
+
+
+def test_grids_from_a_cold_and_a_warm_rule_cache_are_identical():
+    def grids():
+        return [build_grid(BeamSpec(sigma), n_theta, n_phi)
+                for sigma, n_theta, n_phi in ((0.1, 64, 64), (0.5, 64, 64), (1.0, 64, 64),
+                                              (1.3, 96, 96), (1.0, 9, 8), (3.14159, 8, 8))]
+
+    beams._gauss_legendre.cache_clear()
+    cold = grids()
+    assert beams._gauss_legendre.cache_info().misses == 4
+    warm = grids()
+    assert beams._gauss_legendre.cache_info().misses == 4
+    for a, b in zip(cold, warm):
+        for name in ("thetas", "theta_weights", "phis", "phi_weights"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 # weights of the n-point Gauss-Legendre rule at root indices 0, 1, 2 (the
@@ -369,6 +419,18 @@ def test_reduced_density_is_the_read_only_one_row_case_of_density_states():
     assert not rho.flags.writeable
     states = beams.density_states(L, grid)[0]
     assert rho.tobytes() == states[0].tobytes()
+
+
+def test_an_empty_block_of_boosts_has_an_empty_block_of_moments():
+    grid = build_grid(BeamSpec(1.0), 8, 8)
+    blocks = list(beams.in_plane_moments(beams.in_plane_axes(0.5), [np.empty(0), np.array([2.0])], grid))
+    assert [b.shape for b in blocks] == [(0, 6, 6), (1, 6, 6)]
+
+
+def test_an_empty_stack_has_empty_states_and_readings():
+    grid = build_grid(BeamSpec(1.0), 8, 8)
+    states, min_eig, gap, spectra = beams.density_states(boost_stack(0.5, []), grid)
+    assert (states.shape, min_eig.shape, gap.shape, spectra.shape) == ((0, 9, 9), (0,), (0,), (0, 9))
 
 
 def test_factorized_matches_direct_double_sum():
@@ -588,17 +650,21 @@ def test_grid_keeps_its_two_1d_rules_and_builds_under_a_quarter_mib_on_384_squar
     # with a 0.14 MiB peak, the theta rule's working arrays, and 133 KB
     # kept with a 0.9 MB peak at 8192 x 8.  Ten factors per theta and nine
     # per phi kept 55.8 KB and 789 KB; per-node weights, thetas and phis
-    # kept 1.74 MiB at 384^2
+    # kept 1.74 MiB at 384^2.  The rule is built afresh, and the 16 n_theta
+    # bytes of it that _gauss_legendre keeps for later grids are not the grid's
     build_grid(BeamSpec(1.3), 8, 8)
     cases = ((384, 384, 16 * 2**10, 2**18), (8192, 8, 160 * 2**10, 2**20))
     for n_theta, n_phi, kept_cap, peak_cap in cases:
+        beams._gauss_legendre.cache_clear()
         tracemalloc.start()
         try:
             grid = build_grid(BeamSpec(1.3), n_theta, n_phi)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept < kept_cap, (n_theta, kept)
+        rule = sum(a.nbytes for a in beams._gauss_legendre(n_theta))
+        assert rule == 16 * n_theta
+        assert kept - rule < kept_cap, (n_theta, kept, rule)
         assert peak < peak_cap, (n_theta, peak)
         assert len(grid) == n_theta * (n_phi // 2 + 1)
         rules = (grid.thetas, grid.theta_weights, grid.phis, grid.phi_weights)

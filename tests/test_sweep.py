@@ -197,6 +197,17 @@ def test_csv_deterministic(tmp_path):
     assert path.read_bytes() == a.encode()
 
 
+@pytest.mark.parametrize("command", ["fig2", "fig3"])
+def test_preset_csv_is_identical_from_a_cold_and_a_warm_rule_cache(command, tmp_path):
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    beams._gauss_legendre.cache_clear()
+    assert cli.main([command, "--out", str(cold)]) == 0
+    built = beams._gauss_legendre.cache_info().misses
+    assert cli.main([command, "--out", str(warm)]) == 0
+    assert beams._gauss_legendre.cache_info().misses == built
+    assert cold.read_bytes() == warm.read_bytes()
+
+
 def test_csv_format():
     cfg = SweepConfig(alpha=0.0, sigma_theta=0.5, xi_min=0.0, xi_max=0.0, xi_steps=1, n_theta=16, n_phi=16)
     text = rows_to_csv(run_sweeps([cfg]))
@@ -900,6 +911,8 @@ def test_cli_non_hermitian_exchange_block_exits_3_with_one_line(monkeypatch, cap
 def test_cli_unconverged_quadrature_rule_exits_3_with_one_line(monkeypatch, capsys):
     import photonboost.beams as beams
 
+    # a kept rule would not be rebuilt
+    beams._gauss_legendre.cache_clear()
     monkeypatch.setattr(beams, "_NEWTON_CAP", 0)
     assert cli.main(_SMALL_SWEEP) == 3
     captured = capsys.readouterr()
@@ -908,10 +921,11 @@ def test_cli_unconverged_quadrature_rule_exits_3_with_one_line(monkeypatch, caps
 
 
 def test_cli_validate_failure_exits_2(monkeypatch, capsys):
+    from photonboost import validation
     from photonboost.validation import GroupResult, ValidationReport
 
     monkeypatch.setattr(
-        cli.validation, "validate", lambda seed: ValidationReport((GroupResult("metric", False, "boom"),))
+        validation, "validate", lambda seed: ValidationReport((GroupResult("metric", False, "boom"),))
     )
     assert cli.main(["validate"]) == 2
     report = json.loads(capsys.readouterr().out)

@@ -320,3 +320,10 @@ def test_drawn_factor_lists_fold_to_random_transform_bit_for_bit(seed):
     for kinds, params, m in zip(stack.kinds, stack.params, stack.matrices):
         factors = [(k, p) for k, p in zip(kinds.tolist(), params.tolist()) if k != lorentz.PAD]
         assert m.tobytes() == lorentz.stack_from_factors([factors]).matrix.tobytes()
+
+
+def test_validate_builds_each_of_its_four_rule_sizes_once():
+    # 8, 32, 64 and 128 theta nodes, over about twenty grids
+    beams._gauss_legendre.cache_clear()
+    validate(validation.DEFAULT_SEED)
+    assert beams._gauss_legendre.cache_info().misses == 4
