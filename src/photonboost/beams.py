@@ -18,50 +18,52 @@ The beam is symmetric under the reflection y -> -y, which maps the node
 (theta, phi) to (theta, -phi), and the phi rule maps onto itself under
 it.  So a grid stores only the nodes with phi in [0, pi]; each stored
 node stands for itself and its image at half its weight apiece (a node
-on the mirror plane is its own image).  Every boost of a sweep has its
-axis in the x-z plane and commutes with the reflection, so the image
-nodes cost no transport: their moments are the stored nodes' moments
-with signs flipped (see transported_moments).
+on the mirror plane is its own image).  A boost along an axis in the x-z
+plane, every boost of a sweep, commutes with the reflection, so the image
+nodes cost nothing: their moments are the stored nodes' moments with
+signs flipped.  A boost along any other axis m moves the image nodes as
+the boost along the mirror axis P m moves the stored ones, so it takes a
+second pass over the stored nodes, about P m (see axis_moments).
 
 A transform is split as L = R B(xi, m), a rotation after a pure boost
 along the unit axis m.  B moves each direction along its great circle
 through m, tan(theta_m'/2) = exp(-xi) tan(theta_m/2), the aberration map
 (Penrose 1959), and keeps a polarization's components along theta-hat
-and phi-hat about m.  transport applies that map node by node; the
-rotation form (wigner.d_rotation_form_stack, through the Wigner angle)
-and, in the tests, the gauge form L e - ((L e)^0 / (L p)^0) L p, whose
-rounding grows like eps exp(|xi|), are the independent oracles it is
+and phi-hat about m.  The rotation form (wigner.d_rotation_form_stack,
+through the Wigner angle) and, in the tests, the gauge form
+L e - ((L e)^0 / (L p)^0) L p, whose rounding grows like eps exp(|xi|),
+and the same map applied node by node are the independent oracles it is
 tested against.  The pair state's double direction integral factorizes
 through 3x3 moment matrices M_ab = sum_i w_i x_a(p_i) x_b(p_i)^T of the
 transported h/v vectors (entanglement turns them into states), so the
-cost is linear, not quadratic, in the node count.  Along one axis in the
-x-z plane, every node's moments are fixed products weighted by 1, g and
-g^2 with g = 1 / (1 + exp(-2 xi) t^2), t = tan(theta_m/2), so
-transported_moments sums each node once per axis and gets every row of
-a block from two matrix products over the nodes (_aberration_sums).
-Those products are built in closed form from five projections of each
-node: p . e1, p . e2 and p . m in the axis frame (e1, e2, m), and
-m . (sqrt(w) h) and m . (sqrt(w) v).  Each is a sum of a few products of
-a per-theta and a per-phi factor, so a block of nodes takes one small
-matrix product and no node vector (_aberration_tables).  The terms that
-vanish at +-m are formed from half angles about the axis, so a node
-keeps its digits relative to its distance from the axis however near it
-lies, and a node on the axis takes phi = 0.  The grid keeps no array per
-node and no derived table: it is the product of a theta rule and a rule
-over the stored phis and keeps only those, so every pass forms the
-trigonometric factors it reads from the two rules.  Boosts off the x-z
-plane are transported node by node (_mirror_gram), a block of momenta
-and weighted h/v vectors at a time (_node_blocks), so no array of the
-grid's node vectors is ever whole.
+cost is linear, not quadratic, in the node count.  Along one axis, every
+node's moments are fixed products weighted by 1, g and g^2 with
+g = 1 / (1 + exp(-2 xi) t^2), t = tan(theta_m/2), so transported_moments
+sums each node once per pass and gets every row of a block from two
+matrix products over the nodes (_aberration_sums).  Those products are
+built in closed form from five projections of each node: p . e1, p . e2
+and p . m in the axis frame (e1, e2, m), and m . (sqrt(w) h) and
+m . (sqrt(w) v).  Each is a sum of a few products of a per-theta and a
+per-phi factor, so a block of nodes takes one small matrix product and
+no node vector (_aberration_tables).  The per-phi factors read a node's
+azimuth about the axis from phi less the axis's azimuth folded into
+(-pi/2, pi/2], a fold that is exactly 0 in the x-z plane; h and v are
+read turned by the fold, and the map to the moments turns them back.
+The terms that vanish at +-m are formed from half angles about the
+axis, so a node keeps its digits relative to its distance from the axis
+however near it lies, and a node on the axis takes the azimuth 0.  The
+grid keeps no array per node and no derived table: it is the product of
+a theta rule and a rule over the stored phis and keeps only those, so
+every pass forms the trigonometric factors it reads from the two rules.
 
 density_states, for reduced_density, validate and the tests, reads the
 states of those moments through entanglement's state stage.  It and
 transported_moments take a lorentz.TransformStack of k boosts, whose
 constructor has guarded them, and evaluate all k at once; a single
 transform is the k = 1 case.  Sweeps build no stack: a curve's one axis
-and its rows' exp(-xi) go straight to in_plane_moments, ROWS_PER_BLOCK
-rows at a time, a count derived from the bytes a row keeps through the
-state stage.  transport takes raw (k, 4, 4) matrices.
+and its rows' exp(-xi) go straight to axis_moments, ROWS_PER_BLOCK rows
+at a time, a count derived from the bytes a row keeps through the state
+stage.
 """
 from __future__ import annotations
 
@@ -75,13 +77,13 @@ import numpy as np
 from . import entanglement
 from .lorentz import BOOST_Z, PAD, ROT_Y, TransformStack
 
-# bytes of one working array: _mirror_gram's transported vectors, taken a
-# block of nodes at a time (_node_blocks), so none grows with the grid.
-# glibc maps an array of 128 KiB or more afresh on every allocation, and
-# each of its pages faults on first touch, where a smaller one reuses
-# heap pages; so each of _gauss_legendre's working arrays for a block of
-# roots takes at most a quarter of it, and _aberration_sums' (12, nodes)
-# products at most half of it
+# bytes of one working array, taken a block of nodes or roots at a time,
+# so none grows with the grid.  glibc maps an array of 128 KiB or more
+# afresh on every allocation, and each of its pages faults on first
+# touch, where a smaller one reuses heap pages; so each of
+# _gauss_legendre's working arrays for a block of roots takes at most a
+# quarter of it, and _aberration_sums' (12, nodes) products at most half
+# of it (the (21, nodes) products of an axis off the x-z plane take 7/8)
 _BLOCK_BYTES = 1 << 18
 
 # boosts whose weights _aberration_sums forms at a time over a block of
@@ -119,13 +121,10 @@ for _f in range(4):
 _SPLIT_TERMS = _SPLIT_TERMS.reshape(16, 4)
 del _f
 
-# the reflection y -> -y on 4-vectors, P = diag(1, 1, -1, 1); conjugating
-# a boost by it, P L P, flips the signs of these entries
-_MIRROR_SIGNS = np.outer([1.0, 1.0, -1.0, 1.0], [1.0, 1.0, -1.0, 1.0])
-
-# the image of a node has h' = P h and v' = -P v, so on index 2i + a of a
-# moment block the reflection acts as D = diag(1, -1, -1, 1, 1, -1): the
-# spatial sign (1, -1, 1) of i times +1 for h and -1 for v; D G D flips these
+# the image of a node under the reflection P: y -> -y has h' = P h and
+# v' = -P v, so on index 2i + a of a moment block the reflection acts as
+# D = diag(1, -1, -1, 1, 1, -1): the spatial sign (1, -1, 1) of i times +1
+# for h and -1 for v; D G D flips these
 _IMAGE_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
 
 # the factor row of sweep.make_boost, R_y(a) B_z(xi) R_y(-a): a boost of
@@ -160,7 +159,37 @@ for _p in (0, 1):
         _GRAM_MAP[:, _p, 3 * _p + _r, 3 * _p + _c] = _GAMMA[_e]
         _GRAM_MAP[:, _p, 3 * _p + _c, 3 * _p + _r] = _GAMMA[_e]
 _GRAM_MAP = _GRAM_MAP.reshape(30, 36)
+
+# entries 00, 11, 01, 10, 22, 02, 20, 12 and 21 of the cross block
+# y_even y_odd^T of an off-plane pass (_aberration_tables), as multiples of
+# its node sums: a0 a1, a0 b1, b0 a1 and b0 b1, then those, C0 C1, t a0 C1,
+# t b0 C1, t C0 a1 and t C0 b1 weighted by g, then the same weighted by g^2,
+# the t-sums times exp(-xi); digit 0 is the even parity and 1 the odd one
+_CROSS_GAMMA = np.zeros((9, 22))
+_CROSS_GAMMA[:4, :4] = [[1], [1], [-1], [-1]]
+_CROSS_GAMMA[:4, 4:8] = [[-4, -2, -2, 0], [0, -2, -2, -4], [2, 4, 0, 2], [2, 0, 4, 2]]
+_CROSS_GAMMA[[0, 1, 2, 3], [13, 16, 14, 15]] = 4, 4, -4, -4
+_CROSS_GAMMA[4, [8, 17]] = 4, -4
+_CROSS_GAMMA[5:, 9:13] = [[2, 2, 0, 0], [0, 0, 2, 2], [-2, -2, 0, 0], [0, 0, -2, -2]]
+_CROSS_GAMMA[[5, 6, 7, 8], [18, 20, 19, 21]] = -4, -4, 4, 4
+
+# the map from an off-plane pass's (52,) node sums to its flattened 6x6
+# Gram in the parity basis: _GRAM_MAP's rows, each of its three groups
+# followed by the cross block's
+_CROSS_MAP = np.zeros((22, 6, 6))
+for _e, (_r, _c) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (0, 2), (2, 0), (1, 2), (2, 1))):
+    _CROSS_MAP[:, _r, 3 + _c] = _CROSS_MAP[:, 3 + _c, _r] = _CROSS_GAMMA[_e]
+_CROSS_MAP = _CROSS_MAP.reshape(22, 36)
+_FULL_MAP = np.vstack(
+    [_GRAM_MAP[:6], _CROSS_MAP[:4], _GRAM_MAP[6:18], _CROSS_MAP[4:13], _GRAM_MAP[18:], _CROSS_MAP[13:]]
+)
 del _p, _e, _r, _c
+
+# the rows of a pass's (12, n) or (21, n) node products summed unweighted,
+# and those scaled by exp(-xi) once weighted (_aberration_sums); the second
+# slice of each is empty on an axis in the x-z plane
+_ONE_ROWS = (slice(0, 6), slice(12, 16))
+_T_ROWS = (slice(8, 12), slice(17, 21))
 
 # floats a row keeps through the state stage (entanglement.state_readings):
 # its 36 moments in and its 90 block entries out; the stage's short-lived
@@ -171,12 +200,6 @@ _STATE_ROW_FLOATS = 36 + 90
 # they keep fills _BLOCK_BYTES, and the stage's fixed cost per call is
 # shared by that many rows
 ROWS_PER_BLOCK = _BLOCK_BYTES // (8 * _STATE_ROW_FLOATS)
-
-# _node_angles reads a node's distance s from the boost axis as at least
-# this: behind the axis t = 2 / s then stays below 2^481, so exp(2 xi) t^2
-# stays finite for every |xi| <= MAX_RAPIDITY, and a node within this of
-# -m, where the map is the identity, gets g = 1 / (1 + exp(-2 xi) t^2) ~ 0
-_S_FLOOR = 2.0 ** -480
 
 # pi - math.pi, so that pi - x - y is formed to rounding relative to itself
 # where a node and a boost axis lie nearly opposite (_theta_factors)
@@ -223,7 +246,7 @@ class QuadratureGrid:
     zero on most of the sphere, and those nodes simply contribute
     nothing.  The grid keeps only the two 1-d rules, as read-only
     copies; whoever reads a node's trigonometric factors forms them from
-    the rules (_node_vectors, _theta_factors, _phi_factors).
+    the rules (_theta_factors, _phi_factors).
     """
 
     thetas: np.ndarray = field(repr=False)
@@ -251,44 +274,6 @@ class QuadratureGrid:
 
     def __len__(self) -> int:
         return len(self.thetas) * len(self.phis)
-
-
-def _node_vectors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
-    """(3, 3, m) spatial parts of stored nodes lo ... hi - 1: unit momentum, sqrt(w) h, sqrt(w) v.
-
-    h = R(p)(cos phi, -sin phi, 0) and v = R(p)(sin phi, cos phi, 0)
-    with R(p) = R_z(phi) R_y(theta), written out; all three have zero
-    time part (the momentum's is 1).  With t = theta and f = phi,
-    p = (sin t cos f, sin t sin f, cos t),
-    h = (cos t cos^2 f + sin^2 f, (cos t - 1) sin f cos f, -sin t cos f),
-    v = ((cos t - 1) sin f cos f, cos t sin^2 f + cos^2 f, -sin t sin f),
-    the weight's square root split between the two rules.  Entry 3 i + a
-    of the whole theta rows that hold the nodes is the product of a
-    factor per theta and one per phi, plus a second such product for h_x
-    and v_y; they are formed from the rules, multiplied in one broadcast
-    product and cut to the nodes asked for.
-    """
-    hi = min(hi, len(grid))
-    cols = len(grid.phis)
-    first, last = lo // cols, -(-hi // cols)
-    th = grid.thetas[first:last]
-    st, ct = np.sin(th), np.cos(th)
-    sp, cp = np.sin(grid.phis), np.cos(grid.phis)
-    rw, cw = np.sqrt(grid.theta_weights[first:last]), np.sqrt(grid.phi_weights)
-    rct, rst, rct1, csc = rw * ct, rw * st, rw * (ct - 1.0), cw * (sp * cp)
-    hx, vy = cw * (cp * cp), cw * (sp * sp)
-    rows = np.stack([st, rct, rct1, st, rct1, rct, ct, -rst, -rst])[:, :, None] * np.stack(
-        [cp, hx, csc, sp, csc, vy, np.ones_like(cp), cw * cp, cw * sp]
-    )[:, None]
-    rows[1] += rw[:, None] * vy
-    rows[5] += rw[:, None] * hx
-    return rows.reshape(3, 3, -1)[:, :, lo - first * cols:hi - first * cols]
-
-
-def _node_blocks(grid: QuadratureGrid, step: int):
-    """The pass over the grid: _node_vectors of each block of step stored nodes, in order."""
-    for lo in range(0, len(grid), step):
-        yield _node_vectors(grid, lo, lo + step)
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE, typed=True)
@@ -475,66 +460,19 @@ def _polar_parts(boosts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _frames(axes: np.ndarray) -> np.ndarray:
     """(k, 3, 3) right-handed frames with columns (e1, e2, m), one per unit axis m of (k, 3).
 
-    e1 and e2 are theta-hat and phi-hat at m about +z (_node_angles), so an
-    axis m = (sin a, 0, cos a) with sin a >= 0 gets e1 = (cos a, 0, -sin a)
-    and e2 = y-hat, and any axis in the x-z plane gets e2 = +-y-hat.
+    e1 and e2 are theta-hat and phi-hat at m about +z, and an axis on the
+    z axis takes the azimuth 0, so an axis m = (sin a, 0, cos a) with
+    sin a >= 0 gets e1 = (cos a, 0, -sin a) and e2 = y-hat, and any axis
+    in the x-z plane gets e2 = +-y-hat.
     """
-    rho, cb, sb, _ = _node_angles(*axes.T)
+    rho = np.hypot(axes[:, 0], axes[:, 1])
+    on_axis = rho == 0.0
+    safe = rho + on_axis
+    cb, sb = (axes[:, 0] + on_axis) / safe, axes[:, 1] / safe
     mz = axes[:, 2]
     e1 = np.stack([mz * cb, mz * sb, -rho], axis=-1)
     e2 = np.stack([-sb, cb, np.zeros_like(cb)], axis=-1)
     return np.stack([e1, e2, axes], axis=-1)
-
-
-def _node_angles(p1, p2, p3):
-    """s = sin(theta_m), the azimuth (cos phi, sin phi) and t = tan(theta_m / 2) of directions.
-
-    (p1, p2, p3) are the directions' coordinates in a frame (e1, e2, m).
-    A direction on the axis (s = 0) takes phi = 0.  t is s / (1 + p3) in
-    front (p3 >= 0) and (1 - p3) / s behind, each free of cancellation,
-    with s read as at least _S_FLOOR.
-    """
-    s = np.hypot(p1, p2)
-    on_axis = s == 0.0  # there p1 = p2 = 0
-    safe = s + on_axis
-    front = p3 >= 0.0
-    t = np.where(front, s, 1.0 - p3) / np.where(front, 1.0 + p3, np.maximum(s, _S_FLOOR))
-    return s, (p1 + on_axis) / safe, p2 / safe, t
-
-
-def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Transport of node vectors by the aberration map, node by node.
-
-    boosts is a (k, 4, 4) stack; vectors is (4, 1 + m, n): per node the
-    momentum p, then m transverse vectors (real or complex), or only
-    their (3, 1 + m, n) spatial parts.  Every boost maps every node, or
-    vectors has a leading axis of k and boost i maps only vectors[i].
-    Each boost is split as L = R B(xi, m) (_polar_parts).  B moves p
-    along its great circle through m, tan(theta_m'/2) =
-    exp(-xi) tan(theta_m/2), and keeps a vector's components along theta-hat
-    and phi-hat about m; R then rotates the result.  Only the direction of
-    p enters, and a vector's time part and its part along p (a gauge) drop
-    out.  Returns the (k, 3, m, n) spatial parts of the transported
-    vectors; their time part is zero.
-    """
-    rot, axes, shrink = _polar_parts(boosts)
-    frames = _frames(axes)
-    *lead, _, cols, n = vectors.shape
-    spatial = vectors[..., -3:, :, :].reshape(*lead, 3, cols * n)
-    f = (np.swapaxes(frames, 1, 2) @ spatial).reshape(len(frames), 3, cols, n)
-    p = f[:, :, 0].real
-    p = p / np.sqrt(np.einsum("kin,kin->kn", p, p))[:, None]
-    s, cphi, sphi, t = (a[:, None] for a in _node_angles(*p.swapaxes(0, 1)))
-    p3, (e1, e2, em) = p[:, 2, None], f[:, :, 1:].swapaxes(0, 1)
-    tau = shrink[:, None, None] * t
-    g = 1.0 / (1.0 + tau * tau)
-    c, sn = 2.0 * g - 1.0, 2.0 * tau * g
-    # theta-hat = (p3 cos phi, p3 sin phi, -s) and phi-hat = (-sin phi, cos phi, 0);
-    # B turns theta-hat into (c cos phi, c sin phi, -sn)
-    along = p3 * (cphi * e1 + sphi * e2) - s * em
-    across = cphi * e2 - sphi * e1
-    out = np.stack([c * cphi * along - sphi * across, c * sphi * along + cphi * across, -sn * along], 1)
-    return ((rot @ frames) @ out.reshape(len(out), 3, -1)).reshape(out.shape)
 
 
 def _axis_rows(stack: TransformStack) -> np.ndarray:
@@ -622,17 +560,30 @@ def _theta_factors(frame: np.ndarray, grid: QuadratureGrid, top: int, bottom: in
     return f
 
 
+def _folded_azimuth(frame: np.ndarray) -> tuple[float, float]:
+    """(side, beta): the axis frame[:, 2] has the azimuth beta for side = 1 and beta + pi for -1.
+
+    beta lies in (-pi/2, pi/2], and is exactly 0 on every axis in the x-z
+    plane, where side = frame[1, 1] is e2 = side y-hat.
+    """
+    cos_m, sin_m = frame[1, 1], -frame[0, 1]
+    side = 1.0 if cos_m > 0.0 or (cos_m == 0.0 and sin_m > 0.0) else -1.0
+    return side, math.atan2(side * sin_m, side * cos_m) if sin_m else 0.0
+
+
 def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
     """(6, 4, n) factors of the stored phis lo ... hi - 1 in the projections (_theta_factors).
 
-    u and v are 2 sin^2 and 2 cos^2 of half of phi or of phi - pi.  In
-    the form of p . e1 that a node takes, no term exceeds twice its
-    distance s from the axis, so each projection is formed to rounding
-    relative to s.  cos phi, sin phi and the square root of the phi
-    weight are formed here from the stored phis and their weights.
+    The axis has the azimuth beta or beta + pi (_folded_azimuth), so a
+    node's psi is phi - beta or phi - beta - pi, and u and v are 2 sin^2
+    and 2 cos^2 of half of it.  In the form of p . e1 that a node takes,
+    no term exceeds twice its distance s from the axis, so each
+    projection is formed to rounding relative to s.  cos, sin of
+    phi - beta and the square root of the phi weight are formed here from
+    the stored phis and their weights.
     """
-    side = frame[1, 1]  # e2 = side y-hat: psi = phi for side = 1, phi - pi for -1
-    phis = grid.phis[lo:hi]
+    side, beta = _folded_azimuth(frame)  # psi = phi - beta for side = 1, phi - beta - pi for -1
+    phis = grid.phis[lo:hi] - beta
     cp, sp, cw = np.cos(phis), np.sin(phis), np.sqrt(grid.phi_weights[lo:hi])
     half = 0.5 * phis
     u, v = 2.0 * np.sin(half) ** 2, 2.0 * np.cos(half) ** 2
@@ -643,7 +594,7 @@ def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> n
     g[0, 0], g[0, 1] = front, ~front
     g[0, 2] = np.where(front, -u, v)
     g[1, 0] = side * sp
-    # sqrt(w), then sqrt(w) sin^2 phi and sqrt(w) sin phi cos phi
+    # sqrt(w), then sqrt(w) sin^2 psi and sqrt(w) sin psi cos psi
     g[2, :3] = cw * g[0, :3]
     g[2, 3], g[3, 1] = cw * (sp * sp), cw * (sp * cp)
     g[3, 0] = side * (cw * sp)
@@ -653,22 +604,32 @@ def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> n
 
 
 def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
-    """(12, n) node products and (n,) t^2 about the axis frame[:, 2], a block of stored nodes at a time.
+    """(12, n) or (21, n) node products and (n,) t^2 about the axis frame[:, 2], a block of nodes at a time.
 
-    frame is (e1, e2, m) as columns with m in the x-z plane.  A block's
-    projections p . e1, p . e2, m . (sqrt(w) h), m . (sqrt(w) v),
-    1 - p . m and 1 + p . m are one small matrix product of per-theta and
-    per-phi factors (_theta_factors, _phi_factors).  They give
+    frame is (e1, e2, m) as columns.  A block's projections p . e1,
+    p . e2, m . (sqrt(w) h), m . (sqrt(w) v), 1 - p . m and 1 + p . m are
+    one small matrix product of per-theta and per-phi factors
+    (_theta_factors, _phi_factors); h and v here are the node's own turned
+    by the axis's folded azimuth beta (axis_moments turns them back), so
+    the projections depend on theta and psi alone.  They give
     s^2 = (1 - p . m)(1 + p . m), the azimuth (p . e1, p . e2) / s and
     t^2 = (1 - p . m) / (1 + p . m); h and v are orthogonal to p, so their
     components along theta-hat about m are C = -(m . x) / s.  A node on
-    the axis (s = 0) takes phi = 0, where C_h^2 = w and C_v = 0.  The even
-    parity has (a, b, C) = (C_h cos phi, -C_v sin phi, C_h) and the odd
-    parity (C_h sin phi, C_v cos phi, C_v); the rows are a^2, b^2, ab,
-    C^2, t C a and t C b, each for the even then the odd parity, so the
-    sign of C drops out.  A block is whole theta rows of at most
-    _SUM_NODES nodes, or a part of one row where a row holds more.
+    the axis (s = 0), in front of it or behind, takes psi = 0, where
+    theta-hat about m is the turned h, so C_h^2 = w and C_v = 0 whatever
+    the azimuths of the node and the axis; only a node at theta = pi,
+    which no Gauss-Legendre rule holds, has an h that turns with phi
+    there.  The even parity has (a, b, C) =
+    (C_h cos psi, -C_v sin psi, C_h) and the odd parity (C_h sin psi,
+    C_v cos psi, C_v); the rows are a^2, b^2, ab, C^2, t C a and t C b,
+    each for the even then the odd parity, so the sign of C drops out.  An
+    axis off the x-z plane adds the nine cross-parity products a0 a1,
+    a0 b1, b0 a1, b0 b1, C0 C1, t a0 C1, t b0 C1, t C0 a1 and t C0 b1
+    (_CROSS_GAMMA): the stored nodes alone are not mirror symmetric about
+    it.  A block is whole theta rows of at most _SUM_NODES nodes, or a
+    part of one row where a row holds more.
     """
+    cross = frame[1, 2] != 0.0
     n_cols = len(grid.phis)
     parts = -(-n_cols // _SUM_NODES)
     width = -(-n_cols // parts)
@@ -687,7 +648,7 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
                 t2 = minus / plus
                 s = np.sqrt(minus * plus)
                 on = s == 0.0
-                # cos phi, sin phi, -C_h and -C_v
+                # cos psi, sin psi, -C_h and -C_v
                 x = proj[:4] / (s + on)
                 if on.any():
                     i = np.flatnonzero(on)
@@ -698,39 +659,49 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
                 np.multiply(x[2], x[:2], out=ab[0])
                 np.multiply(x[3], x[1::-1], out=ab[1])
                 ab[1, 0] *= -1.0
-                table = np.empty((6, 2, len(t2)))
-                np.multiply(ab, ab, out=table[:2])
-                np.multiply(ab[0], ab[1], out=table[2])
-                np.multiply(x[2:], x[2:], out=table[3])
-                np.multiply(np.sqrt(t2) * x[2:], ab, out=table[4:])
-                yield table.reshape(12, -1), t2
+                table = np.empty((21 if cross else 12, len(t2)))
+                paired = table[:12].reshape(6, 2, -1)
+                np.multiply(ab, ab, out=paired[:2])
+                np.multiply(ab[0], ab[1], out=paired[2])
+                np.multiply(x[2:], x[2:], out=paired[3])
+                t = np.sqrt(t2)
+                np.multiply(t * x[2:], ab, out=paired[4:])
+                if cross:
+                    np.multiply(ab[:, :1], ab[:, 1], out=table[12:16].reshape(2, 2, -1))
+                    np.multiply(x[2], x[3], out=table[16])
+                    np.multiply(t * x[3], ab[:, 0], out=table[17:19])
+                    np.multiply(t * x[2], ab[:, 1], out=table[19:])
+                yield table, t2
 
 
 def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """(k, 30) node sums that give the grid's Grams under k boosts B(xi, m) along one axis.
+    """(k, 30) or (k, 52) node sums that give the stored nodes' Grams under k boosts B(xi, m).
 
     shrink holds each boost's exp(-xi), and frame is (e1, e2, m) as columns.
     A node keeps its azimuth about m and moves to cos theta' = c = 2 g - 1
     and sin theta' = s' = 2 exp(-xi) t g, with g = 1 / (1 + exp(-2 xi) t^2).
     Its transported h and v vectors in the frame are y = (c a - b,
     a - c b, -s' C) for each parity: the even one is (e1 h, e2 v, m h)
-    and the odd one (e2 h, -e1 v, m v).  The reflection y -> -y keeps the
-    even and flips the odd parts, so the rule's Gram has no cross terms,
-    and each is a sum over nodes of fixed products weighted by 1, g and
-    g^2 (_GAMMA).  The sums are ordered (product, parity) as _GRAM_MAP
-    reads them.  The products come from _aberration_tables, in closed form
-    from each node's p . e1, p . e2, p . m, m . (sqrt(w) h) and
-    m . (sqrt(w) v); the terms of these that vanish at +-m are formed
-    from half angles, so they keep their digits relative to the node's
-    distance s from the axis, and a node on the axis (s = 0) takes
-    phi = 0.  A block is whole theta rows of at most _SUM_NODES nodes, or
-    part of a longer row, and each block is summed for every _SUM_ROWS
-    boosts with two matrix products (entanglement.rows_product).
+    and the odd one (e2 h, -e1 v, m v).  Each Gram entry is a sum over
+    nodes of fixed products weighted by 1, g and g^2 (_GAMMA within a
+    parity, _CROSS_GAMMA across the two).  The sums are ordered as
+    _GRAM_MAP reads them, on an axis in the x-z plane, or as _FULL_MAP
+    does, with the cross-parity sums, off it.  The products come from
+    _aberration_tables, in closed form from each node's p . e1, p . e2,
+    p . m, m . (sqrt(w) h) and m . (sqrt(w) v); the terms of these that
+    vanish at +-m are formed from half angles, so they keep their digits
+    relative to the node's distance s from the axis, and a node on the
+    axis (s = 0) takes psi = 0.  A block is whole theta rows of at most
+    _SUM_NODES nodes, or part of a longer row, and each block is summed
+    for every _SUM_ROWS boosts with two matrix products
+    (entanglement.rows_product).
     """
     k = len(shrink)
+    cross = frame[1, 2] != 0.0
     if not k:
-        return np.empty((0, 30))
-    n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
+        return np.empty((0, len(_FULL_MAP if cross else _GRAM_MAP)))
+    products = 21 if cross else 12
+    n0, n1, n2 = np.zeros(products), np.zeros((k, products)), np.zeros((k, products))
     scale = shrink * shrink
     unit = entanglement.PRODUCT_ROWS
     rows = min(_SUM_ROWS, -(-k // unit) * unit)
@@ -751,45 +722,61 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
             n1[lo:lo + rows] += entanglement.rows_product(padded, table.T)[:len(part)]
             g *= g
             n2[lo:lo + rows] += entanglement.rows_product(padded, table.T)[:len(part)]
-    n1, n2 = n1.reshape(k, 6, 2), n2.reshape(k, 6, 2)
-    n1[:, 4:] *= shrink[:, None, None]
-    n2[:, 4:] *= shrink[:, None, None]
-    one = np.broadcast_to(n0.reshape(6, 2)[:3], (k, 3, 2))
-    return np.concatenate([one, n1, n2], axis=1).reshape(k, 30)
+    for cut in _T_ROWS:
+        n1[:, cut] *= shrink[:, None]
+        n2[:, cut] *= shrink[:, None]
+    one = np.concatenate([n0[cut] for cut in _ONE_ROWS])
+    return np.concatenate([np.broadcast_to(one, (k, len(one))), n1, n2], axis=1)
 
 
-def _mirror_gram(boost: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """(6, 6) Gram of the grid's whole rule transported node by node by one (4, 4) boost.
+def _pass_map(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame (e1, e2, m) of one table pass about axis, and the map from its node sums to its 6x6 Gram.
 
-    The image of a stored node, transported by L, is the reflection of the
-    node transported by P L P, so the rule's Gram is
-    1/2 (G(L) + D G(PLP) D), with G the Gram of the transported stored
-    vectors and D the reflection on index 2i + a (_IMAGE_SIGNS).  Nodes
-    are transported _BLOCK_BYTES of (2, 3, 3, nodes) vectors at a time.
-    """
-    pair = np.stack([boost, boost * _MIRROR_SIGNS])
-    gram = np.zeros((2, 6, 6))
-    for vectors in _node_blocks(grid, max(1, _BLOCK_BYTES // (8 * 18))):
-        x = transport(pair, vectors).reshape(2, 6, -1)
-        gram += x @ x.swapaxes(1, 2)
-    return 0.5 * (gram[0] + gram[1] * _IMAGE_SIGNS)
-
-
-def in_plane_moments(axis: np.ndarray, shrinks, grid: QuadratureGrid):
-    """The (k, 6, 6) moments (transported_moments) of each block of boosts B(xi, axis) in shrinks.
-
-    axis is a (3,) unit vector in the x-z plane and each block of shrinks
-    a (k,) array of exp(-xi).  The axis frame and the map from node sums
-    (_aberration_sums) to Grams are formed once, for every block.
+    The map takes the node sums to the Gram in the parity basis
+    (_GRAM_MAP or _FULL_MAP), the parity basis to the frame's components
+    (_PARITY_BASIS), and those to x, y and z.  The pass reads h' and v',
+    the node's h and v turned by the axis's folded azimuth beta
+    (_folded_azimuth), and the map turns them back to
+    h = cos beta h' - sin beta v' and v = sin beta h' + cos beta v', up to
+    a sign common to both.  The Gram is flattened, entry [2i + a, 2j + b]
+    at 6 (2i + a) + 2j + b.
     """
     frame = _frames(axis[None])[0]
     basis = np.zeros((6, 6))
     basis[::2, ::2] = basis[1::2, 1::2] = frame
+    beta = _folded_azimuth(frame)[1]
+    if beta:
+        c, s = math.cos(beta), math.sin(beta)
+        basis = basis @ np.kron(np.eye(3), [[c, -s], [s, c]])
     basis = basis @ _PARITY_BASIS
+    gram_map = _FULL_MAP if frame[1, 2] != 0.0 else _GRAM_MAP
     # the Kronecker product basis (x) basis, acting on flattened 6x6 Grams
-    gram_map = _GRAM_MAP @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
+    return frame, gram_map @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
+
+
+def axis_moments(axis: np.ndarray, shrinks, grid: QuadratureGrid):
+    """The (k, 6, 6) moments (transported_moments) of each block of boosts B(xi, axis) in shrinks.
+
+    axis is a (3,) unit vector and each block of shrinks a (k,) array of
+    exp(-xi).  On an axis in the x-z plane the boost commutes with the
+    reflection P: y -> -y, so an image node's moments are its stored
+    node's with the signs of D (_IMAGE_SIGNS): the rule's Gram is the
+    even and odd parity blocks of one pass over the stored nodes, and the
+    cross-parity terms cancel.  Off the plane, the image of a stored node
+    transported by B(m) is the reflection of the node transported by
+    B(P m), so the rule's Gram is 1/2 (G(m) + D G(P m) D), G the Gram of
+    the stored nodes at their stored weights: two passes, each with its
+    cross-parity sums.  The passes' frames and the maps from node sums
+    (_aberration_sums) to Grams are formed once, for every block.
+    """
+    if axis[1] == 0.0:
+        passes = [_pass_map(axis)]
+        gram_map = passes[0][1]
+    else:
+        passes = [_pass_map(axis), _pass_map(axis * [1.0, -1.0, 1.0])]
+        gram_map = 0.5 * np.vstack([passes[0][1], passes[1][1] * _IMAGE_SIGNS.reshape(36)])
     for shrink in shrinks:
-        sums = _aberration_sums(shrink, frame, grid)
+        sums = np.hstack([_aberration_sums(shrink, frame, grid) for frame, _ in passes])
         yield entanglement.rows_product(sums, gram_map).reshape(-1, 6, 6)
 
 
@@ -799,27 +786,21 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
     Entry [2i + a, 2j + b] of each block is (M_ab)_ij = sum_n w_n
     x_a(p_n)_i x_b(p_n)_j over the grid's whole rule, for spatial
     components i, j in (x, y, z) and basis labels a, b in (h, v) = (0, 1).
-    The weights enter as sqrt(w) on both factors (see _node_vectors).
+    The weights enter as sqrt(w) on both factors.
 
     Each row is L = R B(xi, m) (_boost_parts), and its block is
-    (R (x) I2) G(B) (R (x) I2)^T.  Boosts along one axis in the x-z plane
-    (a rotation is one with xi = 0 along +z) share one pass over the nodes
-    (in_plane_moments), the pass a sweep runs on its rows; a boost along
-    any other axis does not commute with the reflection and is
-    transported node by node (_mirror_gram).
+    (R (x) I2) G(B) (R (x) I2)^T.  Boosts along one axis (a rotation is
+    one with xi = 0 along +z) share one table pass over the nodes, two off
+    the x-z plane (axis_moments), the pass a sweep runs on its rows.
     """
     rot, axes, shrink, turned = _boost_parts(stack)
     out = np.empty((len(stack), 6, 6))
-    in_plane = axes[:, 1] == 0.0
-    pending = in_plane.copy()
+    pending = np.ones(len(stack), dtype=bool)
     while pending.any():
         m = axes[np.argmax(pending)]
         rows = pending & (axes == m).all(axis=1)
         pending &= ~rows
-        out[rows] = next(in_plane_moments(m, [shrink[rows]], grid))
-    for i in np.flatnonzero(~in_plane):
-        out[i] = _mirror_gram(stack.matrices[i], grid)
-    turned &= in_plane
+        out[rows] = next(axis_moments(m, [shrink[rows]], grid))
     if turned.any():
         r = np.zeros((np.count_nonzero(turned), 6, 6))
         r[:, ::2, ::2] = r[:, 1::2, 1::2] = rot[turned]

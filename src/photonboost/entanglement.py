@@ -276,10 +276,10 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     """Ascending eigenvalues of a (possibly slightly perturbed) Hermitian matrix.
 
     Accepts one square matrix or a stack of them.  The input must be
-    Hermitian to 1e-8; it is symmetrized before the solve.  Raises
-    numpy.linalg.LinAlgError if it is not, if the solver fails to converge
-    or if the eigenvalues of a matrix do not sum to its trace; for matrices
-    this size each signals corrupted input.
+    finite and Hermitian to 1e-8; it is symmetrized before the solve.
+    Raises numpy.linalg.LinAlgError if it is not, if the solver fails to
+    converge or if the eigenvalues of a matrix do not sum to its trace;
+    for matrices this size each signals corrupted input.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -288,8 +288,10 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     # one working copy serves the check and then the symmetrized solve
     work = m - adjoint
     herm = float(np.abs(work, out=work).real.max(initial=0.0))
-    if herm > 1e-8:
-        raise np.linalg.LinAlgError(f"matrix is not Hermitian (residual {herm:.3e})")
+    if not herm <= 1e-8:  # a NaN or inf entry leaves a NaN or inf residual
+        raise np.linalg.LinAlgError(
+            f"matrix is not Hermitian or has a non-finite entry (residual {herm:.3e})"
+        )
     np.add(m, adjoint, out=work)
     work *= 0.5
     ev = np.linalg.eigvalsh(work)

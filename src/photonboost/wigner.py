@@ -46,7 +46,8 @@ y-hat as theta -> 0.  ``d_rotation_form_stack`` transports polarizations
 in rotation form: from the frame at p to the frame at L p with the
 little-group angle in between.  It is manifestly norm-preserving and,
 through the Wigner angle, independent of the production aberration map
-(beams.transport), so it is the oracle that map is checked against
+(beams.axis_moments, which sums it over a grid in closed form), so it is
+the oracle that map is checked against
 (validate's d_form_equivalence and omega_independence groups and the
 test suite).
 """

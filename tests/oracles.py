@@ -1,11 +1,11 @@
 """Independent construction routes used to cross-check reduced_density.
 
-None of these goes through the production transport of photonboost.beams
-(the aberration map): they transport with the gauge form
-L e - ((L e)^0 / (L p)^0) L p on the boost matrix, with the rotation form
-(Wigner angle plus frame re-seating), with helicity phases, or take a
-closed form (the deep boost, the boost along the beam axis, or the
-narrow-beam coefficient of narrow_beam_coefficient).  Every route that
+None of these goes through the table pass of photonboost.beams (the
+aberration map summed over the grid in closed form): they transport with
+the gauge form L e - ((L e)^0 / (L p)^0) L p on the boost matrix, with the
+rotation form (Wigner angle plus frame re-seating), with helicity phases,
+or take a closed form (the deep boost, the boost along the beam axis, or
+the narrow-beam coefficient of narrow_beam_coefficient).  Every route that
 builds momenta takes their frequency omega as an argument; the state must
 not depend on it.  The single-generator little-group angle, which the
 Wigner fold applies factor by factor, is here too, for the tests of its
@@ -13,18 +13,21 @@ closed-form rules, and so are the seeded draws of transforms, momenta and
 polarizations that many tests share (validate's own draws).  Every route
 integrates over the grid's whole rule, expanded by expanded_rule, and
 never uses the mirror fold of transported_moments.
-production_transport and aberration_tables are the exceptions to the rule
-above: the first lays the production transport out in the rotation form's
-columns, so that tests can compare the two; the second builds the
-production node table from the grid's node vectors by theta-hat, the
-route the closed-form table of beams._aberration_tables replaced.
+transport and aberration_tables are the exceptions to the rule above.
+transport is the aberration map applied node by node to node vectors
+(node_vectors), from the same split L = R B(xi, m) and axis frame as the
+table pass (beams._polar_parts, beams._frames); production_transport lays
+it out in the rotation form's columns, so that tests can compare the two.
+aberration_tables builds the table pass's node products about an axis in
+the x-z plane from the grid's node vectors by theta-hat, the route the
+closed-form table of beams._aberration_tables replaced.
 """
 import math
 
 import numpy as np
 
 from photonboost import beams, validation, wigner
-from photonboost.beams import transport
+from photonboost.beams import QuadratureGrid, _frames, _polar_parts
 from photonboost.lorentz import (
     BOOST_Z,
     ROT_Y,
@@ -45,6 +48,96 @@ random_momenta = validation._draw_momenta
 random_polarizations = validation._draw_polarizations
 
 
+# _node_angles reads a node's distance s from the boost axis as at least
+# this: behind the axis t = 2 / s then stays below 2^481, so exp(2 xi) t^2
+# stays finite for every |xi| <= MAX_RAPIDITY, and a node within this of
+# -m, where the map is the identity, gets g = 1 / (1 + exp(-2 xi) t^2) ~ 0
+_S_FLOOR = 2.0 ** -480
+
+
+def node_vectors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
+    """(3, 3, m) spatial parts of stored nodes lo ... hi - 1: unit momentum, sqrt(w) h, sqrt(w) v.
+
+    h = R(p)(cos phi, -sin phi, 0) and v = R(p)(sin phi, cos phi, 0)
+    with R(p) = R_z(phi) R_y(theta), written out; all three have zero
+    time part (the momentum's is 1).  With t = theta and f = phi,
+    p = (sin t cos f, sin t sin f, cos t),
+    h = (cos t cos^2 f + sin^2 f, (cos t - 1) sin f cos f, -sin t cos f),
+    v = ((cos t - 1) sin f cos f, cos t sin^2 f + cos^2 f, -sin t sin f),
+    the weight's square root split between the two rules.  Entry 3 i + a
+    of the whole theta rows that hold the nodes is the product of a
+    factor per theta and one per phi, plus a second such product for h_x
+    and v_y; they are formed from the rules, multiplied in one broadcast
+    product and cut to the nodes asked for.
+    """
+    hi = min(hi, len(grid))
+    cols = len(grid.phis)
+    first, last = lo // cols, -(-hi // cols)
+    th = grid.thetas[first:last]
+    st, ct = np.sin(th), np.cos(th)
+    sp, cp = np.sin(grid.phis), np.cos(grid.phis)
+    rw, cw = np.sqrt(grid.theta_weights[first:last]), np.sqrt(grid.phi_weights)
+    rct, rst, rct1, csc = rw * ct, rw * st, rw * (ct - 1.0), cw * (sp * cp)
+    hx, vy = cw * (cp * cp), cw * (sp * sp)
+    rows = np.stack([st, rct, rct1, st, rct1, rct, ct, -rst, -rst])[:, :, None] * np.stack(
+        [cp, hx, csc, sp, csc, vy, np.ones_like(cp), cw * cp, cw * sp]
+    )[:, None]
+    rows[1] += rw[:, None] * vy
+    rows[5] += rw[:, None] * hx
+    return rows.reshape(3, 3, -1)[:, :, lo - first * cols:hi - first * cols]
+
+
+def _node_angles(p1, p2, p3):
+    """s = sin(theta_m), the azimuth (cos phi, sin phi) and t = tan(theta_m / 2) of directions.
+
+    (p1, p2, p3) are the directions' coordinates in a frame (e1, e2, m).
+    A direction on the axis (s = 0) takes phi = 0.  t is s / (1 + p3) in
+    front (p3 >= 0) and (1 - p3) / s behind, each free of cancellation,
+    with s read as at least _S_FLOOR.
+    """
+    s = np.hypot(p1, p2)
+    on_axis = s == 0.0  # there p1 = p2 = 0
+    safe = s + on_axis
+    front = p3 >= 0.0
+    t = np.where(front, s, 1.0 - p3) / np.where(front, 1.0 + p3, np.maximum(s, _S_FLOOR))
+    return s, (p1 + on_axis) / safe, p2 / safe, t
+
+
+def transport(boosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Transport of node vectors by the aberration map, node by node.
+
+    boosts is a (k, 4, 4) stack; vectors is (4, 1 + m, n): per node the
+    momentum p, then m transverse vectors (real or complex), or only
+    their (3, 1 + m, n) spatial parts.  Every boost maps every node, or
+    vectors has a leading axis of k and boost i maps only vectors[i].
+    Each boost is split as L = R B(xi, m) (_polar_parts).  B moves p
+    along its great circle through m, tan(theta_m'/2) =
+    exp(-xi) tan(theta_m/2), and keeps a vector's components along theta-hat
+    and phi-hat about m; R then rotates the result.  Only the direction of
+    p enters, and a vector's time part and its part along p (a gauge) drop
+    out.  Returns the (k, 3, m, n) spatial parts of the transported
+    vectors; their time part is zero.
+    """
+    rot, axes, shrink = _polar_parts(boosts)
+    frames = _frames(axes)
+    *lead, _, cols, n = vectors.shape
+    spatial = vectors[..., -3:, :, :].reshape(*lead, 3, cols * n)
+    f = (np.swapaxes(frames, 1, 2) @ spatial).reshape(len(frames), 3, cols, n)
+    p = f[:, :, 0].real
+    p = p / np.sqrt(np.einsum("kin,kin->kn", p, p))[:, None]
+    s, cphi, sphi, t = (a[:, None] for a in _node_angles(*p.swapaxes(0, 1)))
+    p3, (e1, e2, em) = p[:, 2, None], f[:, :, 1:].swapaxes(0, 1)
+    tau = shrink[:, None, None] * t
+    g = 1.0 / (1.0 + tau * tau)
+    c, sn = 2.0 * g - 1.0, 2.0 * tau * g
+    # theta-hat = (p3 cos phi, p3 sin phi, -s) and phi-hat = (-sin phi, cos phi, 0);
+    # B turns theta-hat into (c cos phi, c sin phi, -sn)
+    along = p3 * (cphi * e1 + sphi * e2) - s * em
+    across = cphi * e2 - sphi * e1
+    out = np.stack([c * cphi * along - sphi * across, c * sphi * along + cphi * across, -sn * along], 1)
+    return ((rot @ frames) @ out.reshape(len(out), 3, -1)).reshape(out.shape)
+
+
 def random_directions(rng, k):
     """Polar angles and azimuths of k directions uniform on the sphere."""
     return direction_angles(random_momenta(rng, k, 1.0)[1:])
@@ -62,7 +155,7 @@ def random_cases(rng, k, magnitudes=1.0, max_factors=5):
 
 
 def production_transport(L, p, eps):
-    """(3, n) spatial parts of beams.transport of each column of eps at p.
+    """(3, n) spatial parts of transport of each column of eps at p.
 
     Columns pair with the transforms of L as in d_rotation_form_stack: a
     one-transform L maps every column, else transform i maps column i.
@@ -76,7 +169,7 @@ def production_transport(L, p, eps):
 def gauge_form_transport(boosts, vectors):
     """Gauge-form transport L e - ((L e)^0 / (L p)^0) L p of node vectors.
 
-    Takes and returns what beams.transport does: (k, 4, 4) boosts and
+    Takes and returns what transport does: (k, 4, 4) boosts and
     (4, 1 + m, n) vectors, every boost mapping every node, or
     (k, 4, 1 + m, n) vectors, boost i mapping vectors[i]; returns the
     (k, 3, m, n) spatial parts.  It is real linear algebra on the boost
@@ -111,18 +204,21 @@ def gauge_form_moments(L, grid, omega=1.0):
 def aberration_tables(frame, grid):
     """beams._aberration_tables by theta-hat: (12, n) node products and (n,) t^2 per block.
 
-    Reads each block of the grid's stored node vectors (beams._node_blocks)
-    in the frame (e1, e2, m), takes s, the azimuth and t from
-    beams._node_angles, and the components h_t and v_t of sqrt(w) h and
-    sqrt(w) v along theta-hat = (p3 cos phi, p3 sin phi, -s) about m.  Its
+    frame is (e1, e2, m) as columns with m in the x-z plane, where the
+    table pass reads the nodes' own h and v.  Reads each block of the
+    grid's stored node vectors (node_vectors) in the frame, takes s, the
+    azimuth and t from _node_angles, and the components h_t and v_t of
+    sqrt(w) h and sqrt(w) v along theta-hat = (p3 cos phi, p3 sin phi, -s)
+    about m.  Its
     rows are the production table's, a^2, b^2, ab, C^2, t C a and t C b
     for each parity, with (a, b, C) = (h_t cos phi, -v_t sin phi, h_t)
     and (h_t sin phi, v_t cos phi, v_t).  Blocks are _SUM_NODES stored
     nodes in order, cut anywhere in a row.
     """
-    for vectors in beams._node_blocks(grid, beams._SUM_NODES):
+    for lo in range(0, len(grid), beams._SUM_NODES):
+        vectors = node_vectors(grid, lo, lo + beams._SUM_NODES)
         f = (frame.T @ vectors.reshape(3, -1)).reshape(3, 3, -1)
-        s, cphi, sphi, t = beams._node_angles(*f[:, 0])
+        s, cphi, sphi, t = _node_angles(*f[:, 0])
         theta_hat = np.stack([f[2, 0] * cphi, f[2, 0] * sphi, -s])
         big_c = np.einsum("ic,ivc->vc", theta_hat, f[:, 1:])
         trig = np.stack([cphi, sphi])
@@ -338,8 +434,7 @@ def deep_boost_limit_density(alpha, grid, sign=-1):
     momentum measure gives the boost no Jacobian to add.  The h and v
     vectors come from their closed forms R_z(phi) R_y(theta) applied to
     (cos phi, -sin phi, 0) and (sin phi, cos phi, 0).  Nothing here goes
-    through the boost matrix, the production transport or the Wigner-angle
-    fold.
+    through the boost matrix, the aberration map or the Wigner-angle fold.
     """
     thetas, phis, weights = expanded_rule(grid)
     st, ct = np.sin(thetas), np.cos(thetas)

@@ -15,6 +15,7 @@ from oracles import (
     expanded_rule,
     helicity_route_density,
     narrow_beam_coefficient,
+    node_vectors,
     pair_kernel,
     rotation_form_density,
     rotation_form_pair_basis,
@@ -26,7 +27,6 @@ from photonboost.beams import (
     angular_weight,
     build_grid,
     reduced_density,
-    transport,
     transported_moments,
 )
 from photonboost.entanglement import log_negativity, log_negativity_from_spectrum, state_readings
@@ -39,6 +39,7 @@ from oracles import (
     random_polarizations,
     random_stack,
     stored_rule,
+    transport,
     transported_hv,
 )
 from photonboost.lorentz import (
@@ -423,8 +424,9 @@ def test_reduced_density_is_the_read_only_one_row_case_of_density_states():
 
 def test_an_empty_block_of_boosts_has_an_empty_block_of_moments():
     grid = build_grid(BeamSpec(1.0), 8, 8)
-    blocks = list(beams.in_plane_moments(beams.in_plane_axes(0.5), [np.empty(0), np.array([2.0])], grid))
-    assert [b.shape for b in blocks] == [(0, 6, 6), (1, 6, 6)]
+    for axis in (beams.in_plane_axes(0.5), np.array([0.6, 0.48, 0.64])):
+        blocks = list(beams.axis_moments(axis, [np.empty(0), np.array([2.0])], grid))
+        assert [b.shape for b in blocks] == [(0, 6, 6), (1, 6, 6)]
 
 
 def test_an_empty_stack_has_empty_states_and_readings():
@@ -452,9 +454,9 @@ def test_helicity_route_matches_hv_route():
 
 
 def test_bulk_transport_matches_scalar_rotation_form(rng):
-    # the production gauge-form transport and the oracle's written-out
-    # rotation form both against wigner.d_rotation_form_stack, called
-    # node by node
+    # the node-by-node aberration map (oracles.transport) and the oracle's
+    # written-out rotation form both against wigner.d_rotation_form_stack,
+    # called node by node
     for _ in range(5):
         L = random_stack(rng, 1)
         thetas, phis = random_directions(rng, 20)
@@ -469,10 +471,11 @@ def test_bulk_transport_matches_scalar_rotation_form(rng):
 
 
 def test_node_blocks_are_the_weighted_closed_forms_across_every_block_edge():
-    # 9 x (13 // 2 + 1) = 63 stored nodes in rows of 7, passed in blocks
-    # of 10: blocks start and end mid row, and the last one is short
+    # the node-by-node oracle's vectors: 9 x (13 // 2 + 1) = 63 stored
+    # nodes in rows of 7, cut in blocks of 10: blocks start and end mid
+    # row, and the last one is short
     grid = build_grid(BeamSpec(0.9), 9, 13)
-    blocks = list(beams._node_blocks(grid, 10))
+    blocks = [node_vectors(grid, lo, lo + 10) for lo in range(0, len(grid), 10)]
     assert [b.shape for b in blocks] == [(3, 3, 10)] * 6 + [(3, 3, 3)]
     got = np.concatenate(blocks, axis=-1)
     want = closed_form_vectors(*stored_rule(grid))[1:]
@@ -480,9 +483,9 @@ def test_node_blocks_are_the_weighted_closed_forms_across_every_block_edge():
     # every node alone, and the two nodes either side of each block edge,
     # are cut bit for bit from the same rows
     for i in range(len(grid)):
-        assert np.array_equal(beams._node_vectors(grid, i, i + 1), got[:, :, i:i + 1])
+        assert np.array_equal(node_vectors(grid, i, i + 1), got[:, :, i:i + 1])
     for edge in range(10, len(grid), 10):
-        assert np.array_equal(beams._node_vectors(grid, edge - 2, edge + 2), got[:, :, edge - 2:edge + 2])
+        assert np.array_equal(node_vectors(grid, edge - 2, edge + 2), got[:, :, edge - 2:edge + 2])
 
 
 def _mirrored_vectors(grid):
@@ -544,10 +547,11 @@ def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi)
 
 
 def test_small_blocks_keep_both_moment_paths_on_the_expanded_rule_double_sum(monkeypatch, rng):
-    # blocks of 25 nodes for the x-z plane sums and of 33 for the
-    # node-by-node transport, on 6 x 9 = 54 stored nodes in rows of 9
+    # blocks of 25 nodes, whole rows of 9 of the 6 x 9 = 54 stored nodes,
+    # and theta factors formed 4 rows at a time, for the one pass of an
+    # axis in the x-z plane and the two of an axis off it
     monkeypatch.setattr(beams, "_SUM_NODES", 25)
-    monkeypatch.setattr(beams, "_BLOCK_BYTES", 8 * 12 * 50)
+    monkeypatch.setattr(beams, "_BLOCK_BYTES", 8 * 24 * 4)
     grid = build_grid(BeamSpec(1.0), 6, 16)
     cases = [make_boost(0.7, 1.0), compose(make_boost(0.7, 1.0), rot_z(0.4)), *_fold_cases(rng)]
     stack = concatenated(cases)
@@ -558,46 +562,51 @@ def test_small_blocks_keep_both_moment_paths_on_the_expanded_rule_double_sum(mon
         assert np.abs(rho - direct_double_sum_density(L, grid, 1.0)).max() <= 1e-13
 
 
-def test_sweeps_sum_each_node_once_per_axis_and_only_off_plane_boosts_transport(monkeypatch, rng):
-    transported, tabled = [], []
-    real_transport, real_tables = beams.transport, beams._aberration_tables
-
-    def counting_transport(boosts, vectors):
-        transported.append(len(boosts))
-        return real_transport(boosts, vectors)
+def test_sweeps_sum_each_node_once_per_axis_and_off_plane_axes_table_twice(monkeypatch, rng):
+    tabled, products = [], []
+    real_tables = beams._aberration_tables
 
     def counting_tables(frame, grid):
         for table, t2 in real_tables(frame, grid):
             tabled.append(len(t2))
+            products.append(len(table))
             yield table, t2
 
-    monkeypatch.setattr(beams, "transport", counting_transport)
+    def nodes_with(count):
+        return sum(n for n, rows in zip(tabled, products) if rows == count)
+
     monkeypatch.setattr(beams, "_aberration_tables", counting_tables)
     # a sweep's rows share one axis: every stored node enters one table once
     cfg = SweepConfig(alpha=0.9, sigma_theta=1.0, xi_steps=61, n_theta=24, n_phi=17)
     run_sweep(cfg)
-    assert transported == [] and sum(tabled) == 24 * (17 // 2 + 1)
+    assert sum(tabled) == 24 * (17 // 2 + 1) and set(products) == {12}
     grid = build_grid(BeamSpec(1.0), 24, 16)
     tabled.clear()
     beams.density_states(make_boost(0.3, 1.0), grid)
-    assert transported == [] and sum(tabled) == len(grid)
+    assert sum(tabled) == len(grid)
     # rotations are boosts with xi = 0 along +z: they share one table
     tabled.clear()
     beams.density_states(concatenated(_ROTATIONS), grid)
-    assert transported == [] and sum(tabled) == len(grid)
+    assert sum(tabled) == len(grid)
     # a drawn transform is R B(xi, m): one table per axis m in the x-z
-    # plane, and a node-by-node transport of L and P L P otherwise
+    # plane, and two off it, for m and its mirror image, each with the
+    # cross-parity products; no row is transported node by node
     drawn = random_stack(rng, 40)
-    boost = drawn.matrices[:, 0, 1:]
-    norm = np.linalg.norm(boost, axis=1)
-    axes = np.where(norm[:, None] > 0.0, boost / np.maximum(norm, 1e-300)[:, None], [0.0, 0.0, 1.0])
+    axes = beams._boost_parts(drawn)[1]
     off_plane = axes[:, 1] != 0.0
     in_plane_axes = {tuple(m) for m in axes[~off_plane]}
+    off_plane_axes = {tuple(m) for m in axes[off_plane]}
     tabled.clear()
+    products.clear()
     beams.density_states(drawn, grid)
-    assert transported == [2] * np.count_nonzero(off_plane)
-    assert sum(tabled) == len(in_plane_axes) * len(grid)
-    assert np.count_nonzero(off_plane) and len(in_plane_axes) > 1
+    assert nodes_with(12) == len(in_plane_axes) * len(grid)
+    assert nodes_with(21) == 2 * len(off_plane_axes) * len(grid)
+    assert len(off_plane_axes) and len(in_plane_axes) > 1
+    assert not hasattr(beams, "transport")
+    # every block of boosts along one off-plane axis tables the grid twice
+    tabled.clear()
+    blocks = list(beams.axis_moments(np.array([0.6, 0.48, 0.64]), [np.ones(3), np.ones(2)], grid))
+    assert len(blocks) == 2 and sum(tabled) == 4 * len(grid)
 
 
 def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
@@ -727,7 +736,7 @@ _GUARD_CASES = {
 
 
 def _scaled_projections(monkeypatch, rows, factor):
-    """Make _theta_factors scale the in-plane sums' projections of these rows by factor."""
+    """Make _theta_factors scale the table pass's projections of these rows by factor."""
     real = beams._theta_factors
 
     def scaled(*args):
@@ -740,15 +749,12 @@ def _scaled_projections(monkeypatch, rows, factor):
 
 @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
 def test_trace_guard_trips_on_node_vectors_scaled_by_1_plus_5e_11(monkeypatch, case):
-    # h and v scaled by 1 + 5e-11 move the trace by 2e-10, on the in-plane
-    # sums and the node-by-node path alike; rounding moves it by at most 7e-15.
-    # The in-plane sums read h and v only through m . (sqrt(w) h) and
-    # m . (sqrt(w) v), so those are what is scaled there
-    if case == "x_z_plane":
-        _scaled_projections(monkeypatch, [2, 3], 1.0 + 5e-11)
-    else:
-        real = beams._node_vectors
-        monkeypatch.setattr(beams, "_node_vectors", lambda *args: real(*args) * (1.0 + 5e-11))
+    # h and v scaled by 1 + 5e-11 move the trace by 2e-10, on the one
+    # table pass of an axis in the x-z plane and the two of an axis off it
+    # alike; rounding moves it by at most 7e-15.  The pass reads h and v
+    # only through m . (sqrt(w) h) and m . (sqrt(w) v), so those are what
+    # is scaled
+    _scaled_projections(monkeypatch, [2, 3], 1.0 + 5e-11)
     grid = build_grid(BeamSpec(1.0), 16, 16)
     with pytest.raises(np.linalg.LinAlgError, match="trace"):
         beams.density_states(_GUARD_CASES[case], grid)
@@ -795,7 +801,7 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     grid = build_grid(BeamSpec(1.0), 9, 8)
     m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
     e1 = np.array([math.cos(alpha), 0.0, -math.sin(alpha)])
-    p = beams._node_vectors(grid, 0, len(grid))[:, 0]
+    p = node_vectors(grid, 0, len(grid))[:, 0]
     thetas, phis, _ = stored_rule(grid)
     assert (thetas[20], phis[20]) == (math.pi / 2, 0.0)
     assert p[:, 20] @ e1 == 0.0 and p[1, 20] == 0.0
@@ -812,6 +818,44 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
     assert np.abs(by_node - want).max() <= 1e-14
     deep = beams.density_states(boost_stack(alpha, np.linspace(-15.0, 15.0, 7)), grid)
     assert np.all(deep[2] <= 1e-14)
+
+
+def test_an_off_plane_axis_takes_the_table_pass_to_the_node_by_node_moments():
+    # the boost along R_z(0.4) (sin 0.7, 0, cos 0.7) = (0.593, 0.251, 0.765):
+    # one pass about it, read as an axis in the x-z plane, puts the moments
+    # 0.28 away from these
+    grid = build_grid(BeamSpec(1.0), 16, 16)
+    stack = compose(compose(rot_z(0.4), make_boost(0.7, 1.0)), rot_z(-0.4))
+    _, (axis,), shrink = beams._polar_parts(stack.matrices)
+    assert axis[1] > 0.25
+    (got,) = beams.axis_moments(axis, [shrink], grid)
+    assert np.abs(got - transported_moments(stack, grid)).max() <= 1e-14
+    assert np.abs(got - gauge_form_moments(stack, grid)).max() <= 1e-14
+
+
+def _y_axis_boosts(xis):
+    """B(xi, m) R_z(-pi/2) for each xi, with m = R_z(pi/2) x-hat = (6e-17, 1, 6e-17), off the x-z plane."""
+    return concatenated([compose(make_boost(math.pi / 2, xi), rot_z(-math.pi / 2)) for xi in xis])
+
+
+@pytest.mark.filterwarnings("error")
+def test_off_plane_boost_axis_through_a_node_matches_the_gauge_oracle():
+    # the stored node (pi/2, pi/2) of an odd theta rule lies on the axis m,
+    # where 1 - p . m = 0, and its image (pi/2, -pi/2) on -m; the pass about
+    # m puts the node on its axis, and the pass about P m puts it within
+    # rounding of -P m
+    grid = build_grid(BeamSpec(1.0), 9, 8)
+    _, (m,), _ = beams._polar_parts(_y_axis_boosts([1.0]).matrices)
+    assert m[1] == 1.0 and 0.0 < m[0] == m[2] < 1e-16
+    thetas, phis, _ = stored_rule(grid)
+    (on,) = np.flatnonzero((thetas == math.pi / 2) & (phis == math.pi / 2))
+    assert 1.0 - node_vectors(grid, on, on + 1)[:, 0, 0] @ m == 0.0
+    # the gauge form's rounding grows like eps exp(|xi|), so it is compared
+    # on |xi| <= 3; over the whole range the states stay finite
+    stack = _y_axis_boosts(np.linspace(-3.0, 3.0, 7))
+    assert np.abs(transported_moments(stack, grid) - gauge_form_moments(stack, grid)).max() <= 1e-14
+    states, _, gap, _ = beams.density_states(_y_axis_boosts(np.linspace(-15.0, 15.0, 7)), grid)
+    assert np.isfinite(states).all() and np.all(gap <= 1e-14)
 
 
 def _near_axis_grid(alpha, base):
@@ -847,7 +891,7 @@ def test_closed_form_table_matches_the_theta_hat_oracle_near_the_axis(monkeypatc
     ]
     for alpha, grid, _ in cases:
         m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
-        p = beams._node_vectors(grid, 0, len(grid))[:, 0]
+        p = node_vectors(grid, 0, len(grid))[:, 0]
         gap = np.minimum(np.linalg.norm(p - m[:, None], axis=0), np.linalg.norm(p + m[:, None], axis=0))
         for d in (1e-3, 1e-6, 1e-9, 1e-12):
             assert np.count_nonzero(np.abs(gap / d - 1.0) < 1e-3) >= 4, (alpha, d)
@@ -1063,23 +1107,13 @@ def test_every_sweep_stack_takes_the_split_solve(monkeypatch):
     ids=["factor-row", "matrix", "off-plane"],
 )
 def test_unnormalized_azimuth_trips_the_trace_guard(monkeypatch, boost):
-    # an aberration map whose azimuth (cos phi, sin phi) is not of unit
+    # an aberration map whose azimuth (cos psi, sin psi) is not of unit
     # length reads the polarizations against a theta-hat of the wrong
-    # length, which the unnormalized trace exposes on the summed path and
-    # on the node-by-node one alike.  The summed path (every axis in the
-    # x-z plane) reads the azimuth as (p . e1, p . e2) / s, with s taken
-    # from p . m, so p . e1 and p . e2 are scaled there; transport leaves
-    # it unscaled by 1/s
-    if boost.matrices[0, 0, 2] == 0.0:
-        _scaled_projections(monkeypatch, [0, 1], 1.5)
-    else:
-        real = beams._node_angles
-
-        def unscaled(p1, p2, p3):
-            s, cphi, sphi, t = real(p1, p2, p3)
-            return s, cphi * s, sphi * s, t
-
-        monkeypatch.setattr(beams, "_node_angles", unscaled)
+    # length, which the unnormalized trace exposes on every axis, in the
+    # x-z plane or off it.  The table pass reads the azimuth as
+    # (p . e1, p . e2) / s, with s taken from p . m, so p . e1 and p . e2
+    # are scaled
+    _scaled_projections(monkeypatch, [0, 1], 1.5)
     spec = BeamSpec(1.0)
     with pytest.raises(np.linalg.LinAlgError, match="trace"):
         reduced_density(boost, build_grid(spec, 16, 16), spec)

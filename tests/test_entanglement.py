@@ -89,6 +89,19 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues(m)
 
 
+@pytest.mark.parametrize("where", ["everywhere", "off-diagonal"])
+def test_eigenvalues_reject_a_nan_entry_as_non_finite(where):
+    # NaN > 1e-8 is false: a check written that way lets a NaN through, to
+    # be reported as an eigenvalue sum drifted from the trace by nan
+    if where == "everywhere":
+        m = np.full((1, 2, 2), np.nan)
+    else:
+        m = np.eye(3)
+        m[0, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="not Hermitian or has a non-finite entry"):
+        hermitian_eigenvalues(m)
+
+
 def test_eigenvalues_of_a_stack_match_one_by_one(rng):
     m = rng.normal(size=(4, 9, 9)) + 1j * rng.normal(size=(4, 9, 9))
     m = 0.5 * (m + np.swapaxes(m, 1, 2).conj())

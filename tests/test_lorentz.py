@@ -323,8 +323,8 @@ def test_transform_matrix_is_a_read_only_copy():
 
 
 def test_validate_builds_at_most_8000_transforms(monkeypatch):
-    # every transform is a row of a guarded stack: validate builds 46
-    # stacks of 7,819 rows in all.  Building one guarded
+    # every transform is a row of a guarded stack: validate builds 45
+    # stacks of 6,284 rows in all.  Building one guarded
     # transform per generator factor, as this package once did, took
     # 23,545 constructions per run.
     built, rows = [0], [0]

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_gap, concatenated
-from oracles import closed_form_vectors, stored_rule
-from photonboost.beams import BeamSpec, build_grid, density_states, transport
+from oracles import expanded_rule
+from photonboost.beams import BeamSpec, build_grid, density_states, transported_moments
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import (
     BOOST_Z,
@@ -150,16 +150,16 @@ def test_log_negativity_is_rotation_invariant(a, b, alpha, xi, sigma, n_theta, n
 
 
 @settings(deadline=None, max_examples=60)
-@given(_FACTOR_LISTS, st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
-def test_rotation_form_at_any_frequency_matches_production_transport(factors, log10_omega, seed):
-    # the production transport never sees a frequency; the rotation form
-    # goes through the Wigner angle at omega * p-hat
+@given(_FACTOR_LISTS, st.floats(-3.0, 3.0))
+def test_rotation_form_at_any_frequency_matches_production_transport(factors, log10_omega):
+    # the production table pass never sees a frequency; the rotation form
+    # goes through the Wigner angle at omega * p-hat.  The pass's moments
+    # are the Gram of the rotation form's vectors over the whole rule
     grid = build_grid(BeamSpec(1.0), 16, 16)
-    nodes = np.random.default_rng(seed).choice(len(grid), 12, replace=False)
     L = stack_from_factors([factors])
-    thetas, phis, _ = (a[nodes] for a in stored_rule(grid))
-    production = transport(L.matrices, closed_form_vectors(thetas, phis, 1.0))[0]
+    thetas, phis, weights = expanded_rule(grid)
     p = null_momenta(thetas, phis, 10.0**log10_omega)
-    for a, basis in enumerate((h_vec_stack(thetas, phis), v_vec_stack(thetas, phis))):
-        rotated = d_rotation_form_stack(L, p, basis)[1:]
-        assert np.abs(rotated - production[:, a]).max() <= 1e-12
+    basis = (h_vec_stack(thetas, phis), v_vec_stack(thetas, phis))
+    x = np.stack([d_rotation_form_stack(L, p, e)[1:] for e in basis], axis=1).reshape(6, -1)
+    x *= np.sqrt(weights)
+    assert np.abs(transported_moments(L, grid)[0] - x @ x.T).max() <= 1e-12

@@ -99,52 +99,73 @@ def test_wrong_order_compose_trips_the_factor_clause(monkeypatch):
     assert float(result.detail.rpartition("factors ")[2]) > 1e-12
 
 
-def _on_paired_vectors(monkeypatch, replacement):
-    """Route beams.transport calls with (k, 4, 1 + m, n) vectors to replacement.
+def _on_tables(monkeypatch, replacement, on_form_grid=False):
+    """Route the table pass (beams._aberration_tables) through replacement(table, t2), which returns the table to sum.
 
-    Only d_form_equivalence pairs its vectors with the boosts; every state
-    and the omega_independence transport clause map one node set by all
-    boosts, and keep the real transport.
+    With on_form_grid, only the passes on d_form_equivalence's grid are
+    routed: it is the one group that builds a grid of _FORM_NODES thetas
+    and phis, and every other group keeps the real pass.
     """
-    real = beams.transport
+    real = beams._aberration_tables
+    form = (validation._FORM_NODES, validation._FORM_NODES // 2 + 1)
 
-    def transport(boosts, vectors):
-        return (replacement if np.ndim(vectors) == 4 else real)(boosts, vectors)
+    def tables(frame, grid):
+        routed = not on_form_grid or (len(grid.thetas), len(grid.phis)) == form
+        for table, t2 in real(frame, grid):
+            yield (replacement(table.copy(), t2) if routed else table), t2
 
-    monkeypatch.setattr(beams, "transport", transport)
+    monkeypatch.setattr(beams, "_aberration_tables", tables)
+
+
+def _flipped(rows):
+    """A replacement for _on_tables that flips the sign of the node products in these rows, where a table has them."""
+
+    def flip(table, t2):
+        table[[row for row in rows if row < len(table)]] *= -1.0
+        return table
+
+    return flip
 
 
 def test_missing_gauge_term_trips_form_equivalence(monkeypatch):
-    def gauge_without_subtraction(boosts, vectors):
-        k, _, cols, n = vectors.shape
-        lv = (boosts @ vectors.reshape(k, 4, cols * n)).reshape(k, 4, cols, n)
-        return lv[:, 1:, 1:]
+    # the C^2 products dropped: the transported vectors lose their part
+    # along m, -s' C, as the gauge form without its subtraction keeps one
+    # along the momentum
+    def without_m_part(table, t2):
+        table[6:8] = 0.0
+        return table
 
-    _on_paired_vectors(monkeypatch, gauge_without_subtraction)
+    _on_tables(monkeypatch, without_m_part, on_form_grid=True)
     failed = [g.name for g in validate().groups if not g.passed]
     assert failed == ["d_form_equivalence"]
 
 
 def test_flipped_in_plane_product_trips_form_equivalence(monkeypatch, capsys):
-    # the t C b products (row 5 of _aberration_tables' (6, 2, n) table)
+    # the t C b products (row 5 of the table's 6 products of each parity)
     # with their sign flipped: single prints 0.458840595 instead of
     # 0.482574042 and exits 0, and the states on validate's 32^2 and 64^2
-    # grids fail only the positivity guard; the in-plane clause compares
+    # grids fail only the positivity guard; the moments clause compares
     # the pass itself with the rotation form
-    real = beams._aberration_tables
-
-    def flipped(frame, grid):
-        for table, t2 in real(frame, grid):
-            table = table.copy()
-            table.reshape(6, 2, -1)[5] *= -1.0
-            yield table, t2
-
-    monkeypatch.setattr(beams, "_aberration_tables", flipped)
+    _on_tables(monkeypatch, _flipped([10, 11]))
     assert cli.main(["single", "--alpha", "1.2", "--xi", "1.5", "--sigma-theta", "1.0"]) == 0
     assert capsys.readouterr().out == "0.458840595\n"
     result = _run_group("d_form_equivalence")
     assert not result.passed
-    assert float(result.detail.rpartition("in-plane moments gap ")[2]) > 1e-10
+    assert float(result.detail.split()[3]) > 1e-10
+
+
+@pytest.mark.parametrize("seed", [validation.DEFAULT_SEED, *range(5)])
+def test_flipped_cross_parity_product_trips_form_equivalence(monkeypatch, seed):
+    # the t C0 b1 products, the last of the nine cross-parity ones that only
+    # a pass about an axis off the x-z plane sums, with their sign flipped;
+    # two of every three drawn transforms have such an axis
+    result = _run_group("d_form_equivalence", seed)
+    assert result.passed
+    assert int(result.detail.split(", ")[1].split()[0]) >= 2
+    _on_tables(monkeypatch, _flipped([20]))
+    result = _run_group("d_form_equivalence", seed)
+    assert not result.passed
+    assert float(result.detail.split()[3]) > 1e-10
 
 
 def test_raw_trace_gap_trips_rho_sanity_only(monkeypatch):
@@ -168,9 +189,7 @@ def _drifting_rotation_form(monkeypatch):
 
 
 def _nan_production_transport(monkeypatch):
-    monkeypatch.setattr(beams, "transport", lambda boosts, vectors: np.full(
-        (len(boosts), 3, vectors.shape[1] - 1, vectors.shape[2]), np.nan
-    ))
+    _on_tables(monkeypatch, lambda table, t2: np.full_like(table, np.nan))
 
 
 @pytest.mark.parametrize("inject", [_drifting_rotation_form, _nan_production_transport])
@@ -180,10 +199,10 @@ def test_transport_clause_trips_omega_independence(monkeypatch, inject):
     inject(monkeypatch)
     result = _omega_group()
     assert not result.passed
-    # the angle clause uses neither transport: the transport clause tripped
-    angle, _, transport = result.detail.partition(", transport ")
-    assert angle == base.detail.partition(", transport ")[0]
-    assert not float(transport) <= validation._OMEGA_TRANSPORT_TOL
+    # the angle clause uses neither transport: the moments clause tripped
+    angle, _, moments = result.detail.partition(", moments ")
+    assert angle == base.detail.partition(", moments ")[0]
+    assert not float(moments) <= validation._OMEGA_MOMENTS_TOL
 
 
 def _nan_factors(monkeypatch):
@@ -197,9 +216,7 @@ def _nan_oracle_angles(monkeypatch):
 
 
 def _nan_gauge_form(monkeypatch):
-    _on_paired_vectors(monkeypatch, lambda boosts, vectors: np.full(
-        (len(boosts), 3, vectors.shape[2] - 1, vectors.shape[3]), np.nan
-    ))
+    _on_tables(monkeypatch, lambda table, t2: np.full_like(table, np.nan), on_form_grid=True)
 
 
 def _nan_composed_angles(monkeypatch):
