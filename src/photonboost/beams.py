@@ -45,10 +45,11 @@ built in closed form from five projections of each node: p . e1, p . e2
 and p . m in the axis frame (e1, e2, m), and m . (sqrt(w) h) and
 m . (sqrt(w) v).  Each is a sum of a few products of a per-theta and a
 per-phi factor, so a block of nodes takes one small matrix product and
-no node vector (_aberration_tables).  The per-phi factors read a node's
-azimuth about the axis from phi less the axis's azimuth folded into
-(-pi/2, pi/2], a fold that is exactly 0 in the x-z plane; h and v are
-read turned by the fold, and the map to the moments turns them back.
+no node vector (_aberration_tables); a pass forms every block in one
+workspace.  The per-phi factors read a node's azimuth about the axis
+from phi less the axis's azimuth folded into (-pi/2, pi/2], a fold that
+is exactly 0 in the x-z plane; h and v are read turned by the fold, and
+the map to the moments turns them back.
 The terms that vanish at +-m are formed from half angles about the
 axis, so a node keeps its digits relative to its distance from the axis
 however near it lies, and a node on the axis takes the azimuth 0.  The
@@ -78,24 +79,21 @@ from . import entanglement
 from .lorentz import BOOST_Z, PAD, ROT_Y, TransformStack
 
 # bytes of one working array, taken a block of nodes or roots at a time,
-# so none grows with the grid.  glibc maps an array of 128 KiB or more
-# afresh on every allocation, and each of its pages faults on first
-# touch, where a smaller one reuses heap pages; so each of
-# _gauss_legendre's working arrays for a block of roots takes at most a
-# quarter of it, and _aberration_sums' (12, nodes) products at most half
-# of it (the (21, nodes) products of an axis off the x-z plane take 7/8)
+# so none grows with the grid: _gauss_legendre's arrays for a block of
+# roots and _aberration_sums' weights for a block of nodes take at most a
+# quarter of it each, below glibc's 128 KiB mmap threshold (the weights
+# take one product of PRODUCT_ROWS boosts where that is more)
 _BLOCK_BYTES = 1 << 18
-
-# boosts whose weights _aberration_sums forms at a time over a block of
-# nodes: their buffer takes 683 KiB at 64
-_SUM_ROWS = 64
 
 # at most this many stored nodes per block of _aberration_tables: whole
 # theta rows, or parts of one row where a row holds more.  The edges
 # depend only on the grid, whatever the number of boosts, so that a row's
-# node sums are added in the same blocks alone as in a sweep; the block's
-# (12, nodes) products take at most half of _BLOCK_BYTES
-_SUM_NODES = _BLOCK_BYTES // (2 * 8 * 12)
+# node sums are added in the same blocks alone as in a sweep.  A block's
+# table and t^2 (13 floats per node in the x-z plane) and the weights of
+# PRODUCT_ROWS boosts take twice _BLOCK_BYTES and stay in a core's L2
+# cache: 1,365-node blocks took 1.3 to 1.6 times as long on 192^2 and
+# 384^2, and 10,920-node ones 1.2 times
+_SUM_NODES = 2 * _BLOCK_BYTES // (8 * (13 + entanglement.PRODUCT_ROWS))
 
 # Newton steps allowed per Legendre root; from Tricomi's angles the
 # iteration in t converges cubically and stops after one to three (at
@@ -617,25 +615,35 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
     components along theta-hat about m are C = -(m . x) / s.  A node on
     the axis (s = 0), in front of it or behind, takes psi = 0, where
     theta-hat about m is the turned h, so C_h^2 = w and C_v = 0 whatever
-    the azimuths of the node and the axis; only a node at theta = pi,
-    which no Gauss-Legendre rule holds, has an h that turns with phi
-    there.  The even parity has (a, b, C) =
-    (C_h cos psi, -C_v sin psi, C_h) and the odd parity (C_h sin psi,
-    C_v cos psi, C_v); the rows are a^2, b^2, ab, C^2, t C a and t C b,
-    each for the even then the odd parity, so the sign of C drops out.  An
-    axis off the x-z plane adds the nine cross-parity products a0 a1,
-    a0 b1, b0 a1, b0 b1, C0 C1, t a0 C1, t b0 C1, t C0 a1 and t C0 b1
-    (_CROSS_GAMMA): the stored nodes alone are not mirror symmetric about
-    it.  A block is whole theta rows of at most _SUM_NODES nodes, or a
-    part of one row where a row holds more.
+    the azimuths of the node and the axis, except at theta = pi on the
+    axis -z, whose frame takes the azimuth 0: there h turns with phi, and
+    (C_h, C_v) = sqrt(w) (cos 2 phi, sin 2 phi).  The even parity has
+    (a, b, C) = (C_h cos psi, -C_v sin psi, C_h) and the odd parity
+    (C_h sin psi, C_v cos psi, C_v); the rows are a^2, b^2, ab, C^2,
+    t C a and t C b, each for the even then the odd parity, so the sign
+    of C drops out.  An axis off the x-z plane adds the nine
+    cross-parity products a0 a1, a0 b1, b0 a1, b0 b1, C0 C1, t a0 C1,
+    t b0 C1, t C0 a1 and t C0 b1 (_CROSS_GAMMA): the stored nodes alone
+    are not mirror symmetric about it.  A block is whole theta rows of at
+    most _SUM_NODES nodes, or a part of one row where a row holds more.
+    Every block is formed in one workspace per call: the yielded table
+    and t^2 are views into it, valid only until the next block is asked
+    for.
     """
     cross = frame[1, 2] != 0.0
+    products = 21 if cross else 12
+    # the axis is -z, where the frame's azimuth is 0
+    pinned_south = frame[2, 2] < 0.0 and frame[0, 2] == frame[1, 2] == 0.0
     n_cols = len(grid.phis)
     parts = -(-n_cols // _SUM_NODES)
     width = -(-n_cols // parts)
     step = max(1, _SUM_NODES // width)
     # whole blocks of rows whose 24 factors per row take at most _BLOCK_BYTES
     span = step * max(1, _BLOCK_BYTES // (8 * 24 * step))
+    # the largest block's table and t^2; each block lays its own out from the start
+    most = min(step, len(grid.thetas)) * width
+    work = np.empty((products + 1) * most)
+    on_axis = np.empty(most, dtype=bool)
     for top in range(0, len(grid.thetas), span):
         rows = _theta_factors(frame, grid, top, top + span)
         for lo in range(0, n_cols, width):
@@ -643,34 +651,51 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
             n = cols.shape[-1]
             for first in range(0, rows.shape[-1], step):
                 block = rows[:, :, first:first + step].transpose(0, 2, 1)
-                proj = np.matmul(block, cols).reshape(6, -1)
-                minus, plus = proj[4:]  # 1 - p . m and 1 + p . m
-                t2 = minus / plus
-                s = np.sqrt(minus * plus)
-                on = s == 0.0
-                # cos psi, sin psi, -C_h and -C_v
-                x = proj[:4] / (s + on)
+                size = block.shape[1] * n
+                table = work[:products * size].reshape(products, size)
+                t2 = work[products * size:(products + 1) * size]
+                paired = table[:12].reshape(6, 2, -1)
+                # the projections, in the rows of C^2, t C a and t C b
+                proj = table[6:12]
+                np.matmul(block, cols, out=proj.reshape(6, -1, n))
+                x, (minus, plus) = proj[:4], proj[4:]  # 1 - p . m and 1 + p . m
+                np.divide(minus, plus, out=t2)
+                s = np.sqrt(np.multiply(minus, plus, out=plus), out=plus)
+                on = np.equal(s, 0.0, out=on_axis[:size])
+                # cos psi, sin psi, -C_h and -C_v; s is 1 on the axis (adding
+                # the mask would cast it through a 64 KiB buffer per block)
+                np.copyto(s, 1.0, where=on)
+                np.divide(x, s, out=x)
                 if on.any():
                     i = np.flatnonzero(on)
                     x[0, i] = 1.0
                     root = np.sqrt(grid.theta_weights[top + first + i // n])
-                    x[2, i] = root * np.sqrt(grid.phi_weights[lo + i % n])
-                ab = np.empty((2, 2, len(t2)))
+                    root *= np.sqrt(grid.phi_weights[lo + i % n])
+                    if pinned_south:
+                        twice = 2.0 * grid.phis[lo + i % n]
+                        x[2, i], x[3, i] = root * np.cos(twice), root * np.sin(twice)
+                    else:
+                        x[2, i] = root
+                # a and b of both parities, in the rows of their squares
+                ab = paired[:2]
                 np.multiply(x[2], x[:2], out=ab[0])
                 np.multiply(x[3], x[1::-1], out=ab[1])
                 ab[1, 0] *= -1.0
-                table = np.empty((21 if cross else 12, len(t2)))
-                paired = table[:12].reshape(6, 2, -1)
-                np.multiply(ab, ab, out=paired[:2])
                 np.multiply(ab[0], ab[1], out=paired[2])
-                np.multiply(x[2:], x[2:], out=paired[3])
-                t = np.sqrt(t2)
-                np.multiply(t * x[2:], ab, out=paired[4:])
+                # t C_h and t C_v, over t and s
+                tc = proj[4:]
+                t = np.sqrt(t2, out=minus)
+                np.multiply(t, x[3], out=plus)
+                np.multiply(t, x[2], out=minus)
                 if cross:
                     np.multiply(ab[:, :1], ab[:, 1], out=table[12:16].reshape(2, 2, -1))
                     np.multiply(x[2], x[3], out=table[16])
-                    np.multiply(t * x[3], ab[:, 0], out=table[17:19])
-                    np.multiply(t * x[2], ab[:, 1], out=table[19:])
+                    np.multiply(tc[1], ab[:, 0], out=table[17:19])
+                    np.multiply(tc[0], ab[:, 1], out=table[19:])
+                np.multiply(x[2:], x[2:], out=paired[3])
+                np.multiply(tc, ab[0], out=paired[4])
+                np.multiply(tc, ab[1], out=paired[5])
+                np.multiply(ab, ab, out=ab)
                 yield table, t2
 
 
@@ -693,8 +718,10 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     relative to the node's distance s from the axis, and a node on the
     axis (s = 0) takes psi = 0.  A block is whole theta rows of at most
     _SUM_NODES nodes, or part of a longer row, and each block is summed
-    for every _SUM_ROWS boosts with two matrix products
-    (entanglement.rows_product).
+    for as many boosts at a time as their weights fit in a quarter of
+    _BLOCK_BYTES, at least PRODUCT_ROWS, with two matrix products
+    (entanglement.rows_product); the weights of every block share one
+    buffer.
     """
     k = len(shrink)
     cross = frame[1, 2] != 0.0
@@ -704,12 +731,14 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     n0, n1, n2 = np.zeros(products), np.zeros((k, products)), np.zeros((k, products))
     scale = shrink * shrink
     unit = entanglement.PRODUCT_ROWS
-    rows = min(_SUM_ROWS, -(-k // unit) * unit)
+    nodes = min(_SUM_NODES, len(grid))
+    # boosts whose weights are formed at a time; a row rounds alike in any number
+    rows = min(max(unit, _BLOCK_BYTES // (32 * nodes) // unit * unit), -(-k // unit) * unit)
     # one buffer holds every block's weights: a fresh (rows, nodes) array
     # per block can be mapped and unmapped by the allocator each time,
     # which cost fig2 and fig3 up to 8% of their time.  Its rows past the
     # last boost pad the last part to whole products of unit rows
-    buf = np.zeros(rows * min(_SUM_NODES, len(grid)))
+    buf = np.zeros(rows * nodes)
     for table, t2 in _aberration_tables(frame, grid):
         n0 += table.sum(axis=1)
         weights = buf[:rows * len(t2)].reshape(rows, -1)

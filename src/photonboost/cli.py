@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -64,7 +65,9 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-phi", type=int, default=None, help="azimuthal quadrature nodes")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by every main call: parsing leaves it unchanged."""
     parser = _Parser(
         prog="photonboost",
         description="Boost polarization-entangled photon beams and track their log negativity.",

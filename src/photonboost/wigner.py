@@ -42,12 +42,14 @@ Polarization vectors are (4, ...) arrays in (t, x, y, z) order:
 R(p-hat) (x + i lambda y)/sqrt 2 at arrays of angles, and ``h_vec_stack``
 and ``v_vec_stack`` the real linear basis R(p-hat) R_z(-phi) (x, y), whose
 turn by -phi cancels the frame winding so that h and v tend to x-hat and
-y-hat as theta -> 0.  ``d_rotation_form_stack`` transports polarizations
-in rotation form: from the frame at p to the frame at L p with the
-little-group angle in between.  It is manifestly norm-preserving and,
-through the Wigner angle, independent of the production aberration map
-(beams.axis_moments, which sums it over a grid in closed form), so it is
-the oracle that map is checked against
+y-hat as theta -> 0; at a pole, where the frame's azimuth is pinned to 0,
+the turn is 0 at theta = 0 and -2 phi at theta = pi, so that both take
+their limits along the meridian phi there too.  ``d_rotation_form_stack``
+transports polarizations in rotation form: from the frame at p to the
+frame at L p with the little-group angle in between.  It is manifestly
+norm-preserving and, through the Wigner angle, independent of the
+production aberration map (beams.axis_moments, which sums it over a grid
+in closed form), so it is the oracle that map is checked against
 (validate's d_form_equivalence and omega_independence groups and the
 test suite).
 """
@@ -59,6 +61,7 @@ import numpy as np
 
 from .lorentz import (
     PAD,
+    POLE_TOL,
     ROT_Y,
     ROT_Z,
     TransformStack,
@@ -248,24 +251,41 @@ def _in_frame(thetas, phis, x, y) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + f.shape[2:]), x * f[0] + y * f[1]])
 
 
-def h_vec_stack(thetas, phis) -> np.ndarray:
-    """Near-horizontal basis vectors R(p-hat)(cos phi, -sin phi, 0); they tend to x-hat as theta -> 0.
+def _basis_angles(thetas, phis) -> np.ndarray:
+    """The angle g with h = R(p-hat) R_z(-g) x-hat = R_z(phi) R_y(theta) R_z(-phi) x-hat.
 
-    They are (exp(i phi) eps_+ + exp(-i phi) eps_-)/sqrt 2 of epsilon_stack's
-    helicity vectors, in real arithmetic.
+    g is phi, except where rotations_to pins the frame's azimuth to 0
+    (sin(theta) < POLE_TOL): there R_z(phi) R_y(theta) R_z(-phi) is
+    R_y(theta) near theta = 0 and R_y(theta) R_z(-2 phi) near theta = pi,
+    so g is 0 and 2 phi.  h and v are then the limits along the meridian
+    phi, as their closed forms give them: x-hat at theta = 0 and
+    -(cos 2 phi, sin 2 phi, 0) at theta = pi.
     """
+    thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    return _in_frame(thetas, phis, np.cos(phis), -np.sin(phis))
+    return np.where(np.sin(thetas) < POLE_TOL, np.where(thetas < math.pi / 2, 0.0, 2.0 * phis), phis)
+
+
+def h_vec_stack(thetas, phis) -> np.ndarray:
+    """Near-horizontal basis vectors R(p-hat)(cos g, -sin g, 0); they tend to x-hat as theta -> 0.
+
+    g is phi off the poles (_basis_angles).  They are
+    (exp(i g) eps_+ + exp(-i g) eps_-)/sqrt 2 of epsilon_stack's helicity
+    vectors, in real arithmetic.
+    """
+    g = _basis_angles(thetas, phis)
+    return _in_frame(thetas, phis, np.cos(g), -np.sin(g))
 
 
 def v_vec_stack(thetas, phis) -> np.ndarray:
-    """Near-vertical basis vectors R(p-hat)(sin phi, cos phi, 0); they tend to y-hat as theta -> 0.
+    """Near-vertical basis vectors R(p-hat)(sin g, cos g, 0); they tend to y-hat as theta -> 0.
 
-    They are -i (exp(i phi) eps_+ - exp(-i phi) eps_-)/sqrt 2 of
-    epsilon_stack's helicity vectors, in real arithmetic.
+    g is phi off the poles (_basis_angles).  They are
+    -i (exp(i g) eps_+ - exp(-i g) eps_-)/sqrt 2 of epsilon_stack's
+    helicity vectors, in real arithmetic.
     """
-    phis = np.asarray(phis, dtype=float)
-    return _in_frame(thetas, phis, np.sin(phis), np.cos(phis))
+    g = _basis_angles(thetas, phis)
+    return _in_frame(thetas, phis, np.sin(g), np.cos(g))
 
 
 def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -611,7 +612,7 @@ def test_sweeps_sum_each_node_once_per_axis_and_off_plane_axes_table_twice(monke
 
 def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
     # the nodes are summed a block of _SUM_NODES at a time, so no array of
-    # the grid's size is made: 3 rows on 384^2 peak at 0.7 MB, where
+    # the grid's size is made: 3 rows on 384^2 peak at 0.67 MiB, where
     # transporting a whole boosted copy of the grid's 7.1 MB of stored
     # vectors peaked at 11.9 MB
     grid = build_grid(BeamSpec(1.0), 384, 384)
@@ -625,11 +626,73 @@ def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
     assert peak <= 2 * 2**20
 
 
+def _allocations_over_64_kib_per_block(monkeypatch, run):
+    """The lines of beams that allocated more than 64 KiB at once while run() ran, after the first node block.
+
+    Traced memory is read at every line of beams: a line whose peak
+    exceeds what was held when it began, by more than 64 KiB, allocated
+    that much, whatever it freed; the line is counted once the table pass
+    has formed its first block.  numpy's ufunc buffers, which numpy may
+    allocate per call for a broadcast operand and which are at most 64 KiB
+    whatever the block, are cut to 16 elements, so that only the pass's
+    own arrays count.
+    """
+    real, state, big = beams._aberration_tables, {"formed": False, "held": 0}, []
+
+    def tables(frame, grid):
+        for block in real(frame, grid):
+            state["formed"] = True
+            yield block
+
+    def lines(frame, event, arg):
+        if state["formed"] and tracemalloc.get_traced_memory()[1] - state["held"] > 64 * 2**10:
+            big.append((frame.f_code.co_name, frame.f_lineno))
+        tracemalloc.reset_peak()
+        state["held"] = tracemalloc.get_traced_memory()[0]
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename == beams.__file__ else None
+
+    monkeypatch.setattr(beams, "_aberration_tables", tables)
+    previous = sys.gettrace()
+    with np.errstate():
+        np.setbufsize(16)
+        tracemalloc.start()
+        sys.settrace(calls)
+        try:
+            run()
+        finally:
+            sys.settrace(previous)
+            tracemalloc.stop()
+    monkeypatch.undo()
+    return big
+
+
+def test_table_pass_allocations_over_64_kib_do_not_grow_with_its_node_blocks(monkeypatch):
+    # each pass forms every block in one workspace, and every block's
+    # weights in one buffer, both allocated before its first block: 3 rows
+    # on 384^2, 24 node blocks, allocate no more over 64 KiB once the first
+    # block is formed than on 96^2, 2 blocks: nothing.  With a fresh
+    # (12, nodes) table and fresh temporaries per block, each of the 55
+    # blocks of 1,365 nodes on 384^2 allocated a 131 KB table
+    stack = boost_stack(0.7, np.linspace(-1.0, 1.0, 3))
+    big, blocks = {}, {}
+    for n in (96, 384):
+        grid = build_grid(BeamSpec(1.0), n, n)
+        big[n] = _allocations_over_64_kib_per_block(monkeypatch, lambda: beams.density_states(stack, grid))
+        frame = beams._frames(beams.in_plane_axes(0.7)[None])[0]
+        blocks[n] = sum(1 for _ in beams._aberration_tables(frame, grid))
+    assert blocks[384] > 4 * blocks[96] > 4
+    assert len(big[384]) <= len(big[96]) == 0, big
+
+
 def test_density_states_on_the_widest_grid_under_the_node_cap_peaks_under_5_mb(monkeypatch):
     # 8 x 32768 stores 16,385 nodes in each theta row, more than a block of
     # the in-plane sums takes (_SUM_NODES), so each row is cut into parts
     # and the per-phi factors are built a part at a time: 3 rows peak at
-    # 1.0 MB, where the theta-hat route's node vectors peaked at 4.05 MB
+    # 1.8 MiB, 0.5 MiB of it the factors of a part of 2,731 phis, where
+    # the theta-hat route's node vectors peaked at 4.05 MB
     grid = build_grid(BeamSpec(1.0), 8, 32768)
     stack = boost_stack(0.7, np.linspace(-1.0, 1.0, 3))
     widths, real = [], beams._aberration_tables
@@ -856,6 +919,39 @@ def test_off_plane_boost_axis_through_a_node_matches_the_gauge_oracle():
     assert np.abs(transported_moments(stack, grid) - gauge_form_moments(stack, grid)).max() <= 1e-14
     states, _, gap, _ = beams.density_states(_y_axis_boosts(np.linspace(-15.0, 15.0, 7)), grid)
     assert np.isfinite(states).all() and np.all(gap <= 1e-14)
+
+
+def _polar_row_grid(thetas, n_phi):
+    """Two theta rows at weight 1/2 each and the stored phis 2 pi j / n_phi, j = 0 ... n_phi // 2, of a uniform rule."""
+    j = np.arange(n_phi // 2 + 1)
+    images = np.where((j == 0) | (2 * j == n_phi), 1.0, 2.0)
+    return QuadratureGrid(thetas, [0.5, 0.5], j * (2.0 * math.pi / n_phi), images / n_phi)
+
+
+@pytest.mark.parametrize("n_phi", [8, 4])
+@pytest.mark.parametrize("xi", [-1.0, 1.0])
+def test_a_node_at_theta_pi_takes_its_turning_h_on_the_axis_minus_z(xi, n_phi):
+    # boost_z(-1) boosts along -z exactly, whose axis frame takes the
+    # azimuth 0, so every node at theta = pi lies on the axis, where
+    # h = -(cos 2 phi, sin 2 phi, 0) turns with phi; the on-axis fix-up read
+    # C_h^2 = w and C_v = 0 there and was 0.25 from the node-by-node
+    # transport.  boost_z(1) takes the same nodes within rounding of -m.
+    # On the 4-phi rule, h turning by phi instead of 2 phi gives other
+    # moments
+    grid = _polar_row_grid([1.0, math.pi], n_phi)
+    stack = boost_z(xi)
+    want = _gram(stack, closed_form_vectors(*expanded_rule(grid)))
+    assert np.abs(transported_moments(stack, grid) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, math.pi], ids=["0", "0_7", "pi"])
+def test_a_theta_0_row_matches_the_gauge_oracle(alpha):
+    # h and v at theta = 0 are x-hat and y-hat whatever phi; read with the
+    # frame's phi they were turned by -phi there, and the gauge form of the
+    # whole rule was 0.25 from the table pass even at rest
+    grid = _polar_row_grid([0.0, 1.0], 8)
+    stack = boost_stack(alpha, [-1.0, 0.0, 1.0])
+    assert np.abs(transported_moments(stack, grid) - gauge_form_moments(stack, grid)).max() <= 1e-14
 
 
 def _near_axis_grid(alpha, base):

@@ -86,19 +86,39 @@ def test_h_v_real_components(rng):
 
 
 def test_h_v_are_the_helicity_combinations_in_real_arithmetic(rng):
-    # h = (e^{i phi} eps_+ + e^{-i phi} eps_-)/sqrt 2 and
-    # v = -i (e^{i phi} eps_+ - e^{-i phi} eps_-)/sqrt 2, on drawn
-    # directions, both poles and a broadcast (theta, phi) table
+    # h = (e^{i g} eps_+ + e^{-i g} eps_-)/sqrt 2 and
+    # v = -i (e^{i g} eps_+ - e^{-i g} eps_-)/sqrt 2, with g = phi off the
+    # poles, and 0 at theta = 0 and 2 phi at theta = pi, where the frame
+    # takes the azimuth 0; on drawn directions, both poles and a broadcast
+    # (theta, phi) table
     thetas, phis = random_directions(rng, 200)
-    cases = [(thetas, phis), (np.array([0.0, math.pi]), np.array([0.7, -2.0])),
-             (thetas[:5, None], phis[None, :7])]
-    for t, f in cases:
-        turn = np.exp(1j * np.asarray(f))
+    poles = (np.array([0.0, math.pi]), np.array([0.7, -2.0]), np.array([0.0, -4.0]))
+    cases = [(thetas, phis, phis), poles, (thetas[:5, None], phis[None, :7], phis[None, :7])]
+    for t, f, g in cases:
+        turn = np.exp(1j * g)
         plus, minus = epsilon_stack(t, f, +1), epsilon_stack(t, f, -1)
         h, v = h_vec_stack(t, f), v_vec_stack(t, f)
         assert h.dtype == v.dtype == np.float64
         assert np.abs(h - (turn * plus + turn.conj() * minus) / math.sqrt(2.0)).max() <= 1e-15
         assert np.abs(v + 1j * (turn * plus - turn.conj() * minus) / math.sqrt(2.0)).max() <= 1e-15
+
+
+def test_h_v_take_their_meridian_limits_at_both_poles():
+    # the frame's azimuth is pinned to 0 at a pole (sin theta < POLE_TOL),
+    # and h and v keep the closed forms R_z(phi) R_y(theta) R_z(-phi) of
+    # x-hat and y-hat there: x-hat and y-hat at theta = 0, whatever phi,
+    # and -(cos 2 phi, sin 2 phi, 0) and (-sin 2 phi, cos 2 phi, 0) at
+    # theta = pi.  Read with the frame's phi, theta = 0 gave
+    # (0.540, -0.841, 0) for h at phi = 1
+    phis = np.linspace(-3.0, 3.0, 13)
+    for theta in (0.0, 1e-13, math.pi - 1e-13, math.pi):
+        st, ct, sf, cf = math.sin(theta), math.cos(theta), np.sin(phis), np.cos(phis)
+        want_h = np.stack([ct * cf * cf + sf * sf, (ct - 1.0) * sf * cf, -st * cf])
+        want_v = np.stack([(ct - 1.0) * sf * cf, ct * sf * sf + cf * cf, -st * sf])
+        thetas = np.full_like(phis, theta)
+        assert np.abs(h_vec_stack(thetas, phis)[1:] - want_h).max() <= 1e-12, theta
+        assert np.abs(v_vec_stack(thetas, phis)[1:] - want_v).max() <= 1e-12, theta
+    assert np.abs(h_vec_stack(0.0, 1.0) - np.array([0, 1.0, 0, 0])).max() < 1e-15
 
 
 def test_rotations_transport_by_plain_rotation(rng):

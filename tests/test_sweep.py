@@ -237,6 +237,36 @@ def test_cli_rejects_the_timing_flag(command, tmp_path, capsys):
     assert "--timing" in captured.err
 
 
+def test_one_parser_serves_every_main_call_as_a_fresh_one_would(tmp_path, capsys):
+    # build_parser runs once per process; fig2, a sweep with flags, a
+    # malformed flag and validate, in that order through the kept parser,
+    # exit and print as each does on a parser built for it alone
+    def runs(fresh):
+        folder = tmp_path / ("fresh" if fresh else "kept")
+        folder.mkdir()
+        results = []
+        for argv in (
+            ["fig2", "--out", str(folder / "fig2.csv")],
+            ["sweep", "--alpha", "0.4", "--sigma-theta", "0.9", "--xi-steps", "3",
+             "--n-theta", "16", "--n-phi", "16", "--out", str(folder / "sweep.csv")],
+            ["sweep", "--alpha", "zero", "--sigma-theta", "1"],
+            ["validate"],
+        ):
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            out = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in folder.iterdir()}
+            results.append((code, out.out, out.err, files))
+        return results
+
+    kept = runs(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, *_ in kept] == [0, 0, 1, 0]
+    assert "invalid float value: 'zero'" in kept[2][2]
+    assert runs(fresh=True) == kept
+
+
 def test_csv_header_is_read_from_sweep_row():
     assert CSV_HEADER == "alpha,sigma_theta,xi,log_negativity,trace_residual,min_eigenvalue"
     assert issubclass(SweepRow, tuple)
@@ -320,7 +350,7 @@ def _state_columns(row):
     return tuple(row[3:])
 
 
-@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("n", [16, 64, 128])
 @pytest.mark.parametrize(
     "alpha",
     [0.0, 0.7, math.pi / 2, 2 * math.pi / 5, -2.9, 3.0],
@@ -335,11 +365,13 @@ def test_rows_of_a_curve_over_many_blocks_match_each_row_alone_and_the_stack(alp
     # where numpy's matrix-vector path moved a log negativity by up to
     # 2.5e-15 on this curve.  A sweep reads each row's axis and exp(-xi) as
     # the stack route reads them from boost_stack's factor rows, so its
-    # rows are density_states' readings of that stack, bit for bit; 64^2
-    # stores 2,112 nodes, more than one node block (beams._SUM_NODES)
+    # rows are density_states' readings of that stack, bit for bit; 128^2
+    # stores 8,320 nodes, three node blocks (beams._SUM_NODES), and 16^2
+    # and 64^2 one each
     steps = 5 * ROWS_PER_BLOCK // 2
     xis = np.linspace(-15.0, 15.0, steps)
     grid = build_grid(BeamSpec(1.3), n, n)
+    assert (len(grid) > 2 * beams._SUM_NODES) == (n == 128)
     table = sweep_mod._evaluate(alpha, 1.3, xis, grid)
     _, min_eig, gap, spectra = density_states(boost_stack(alpha, xis), grid)
     stacked = (entanglement.log_negativity_from_spectrum(spectra), gap, min_eig)
@@ -374,14 +406,15 @@ def test_sweeps_build_no_transform_stack(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize(
     "sigma, n",
     [pytest.param(1.0, 16, id="1.0"), pytest.param(1.3, 16, id="1.3"),
-     pytest.param(1.0, 64, id="1.0-64"), pytest.param(1.3, 192, id="1.3-192")],
+     pytest.param(1.0, 64, id="1.0-64"), pytest.param(1.0, 128, id="1.0-128"),
+     pytest.param(1.3, 192, id="1.3-192")],
 )
 def test_single_and_sweep_give_the_same_row_bit_for_bit(sigma, n):
-    # 129 rows are summed 64, 64 and then 1 at a time, each block in a
-    # product of 64 rows (entanglement.rows_product); single runs each
-    # point as a sweep of one row, and must print what a sweep prints.
-    # 64^2 and 192^2 store 2,112 and 18,624 nodes, more than one node
-    # block (beams._SUM_NODES), which is the same for any row count
+    # 129 rows are summed a part at a time, each part in whole products of
+    # 8 rows (entanglement.rows_product), the last one padded; single runs
+    # each point as a sweep of one row, and must print what a sweep prints.
+    # 128^2 and 192^2 store 8,320 and 18,624 nodes, three and six node
+    # blocks (beams._SUM_NODES), which are the same for any row count
     cfg = SweepConfig(alpha=0.7, sigma_theta=sigma, xi_min=-3.0, xi_max=3.0, xi_steps=129,
                       n_theta=n, n_phi=n)
     rows = run_sweep(cfg)
