@@ -238,11 +238,12 @@ class QuadratureGrid:
     the node keeping the other half.  A node on the mirror plane
     (phi = 0 or pi) is its own image, so it counts once at its weight.
 
-    Polar angles lie in [0, pi], as the in-plane sums read them
-    (_theta_factors).  Weights are nonnegative rather than strictly
-    positive: for narrow beams the Gaussian factor underflows to an exact
-    zero on most of the sphere, and those nodes simply contribute
-    nothing.  The grid keeps only the two 1-d rules, as read-only
+    Every node and weight is finite, and polar angles lie in [0, pi], as
+    the in-plane sums read them (_theta_factors).  Weights are
+    nonnegative rather than strictly positive: for narrow beams the
+    Gaussian factor underflows to an exact zero on most of the sphere,
+    and those nodes simply contribute nothing.  The grid keeps only the
+    two 1-d rules, as read-only
     copies; whoever reads a node's trigonometric factors forms them from
     the rules (_theta_factors, _phi_factors).
     """
@@ -258,17 +259,19 @@ class QuadratureGrid:
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if not np.all((self.thetas >= 0.0) & (self.thetas <= math.pi)):  # NaN fails too
+            raise ValueError("theta nodes must lie in [0, pi]")
         for axis, nodes, w in (
             ("theta", self.thetas, self.theta_weights), ("phi", self.phis, self.phi_weights)
         ):
             if nodes.ndim != 1 or w.shape != nodes.shape:
                 raise ValueError(f"{axis} nodes and weights must be 1-d arrays of one length")
+            if not (np.isfinite(nodes).all() and np.isfinite(w).all()):
+                raise ValueError(f"{axis} nodes and weights must be finite")
             if np.any(w < 0.0) or not np.any(w > 0.0):
                 raise ValueError(f"{axis} weights must be nonnegative with positive total")
-            if abs(w.sum() - 1.0) > 1e-12:
+            if not abs(w.sum() - 1.0) <= 1e-12:
                 raise ValueError(f"{axis} weights must sum to 1, got {w.sum()!r}")
-        if not np.all((self.thetas >= 0.0) & (self.thetas <= math.pi)):
-            raise ValueError("theta nodes must lie in [0, pi]")
 
     def __len__(self) -> int:
         return len(self.thetas) * len(self.phis)
@@ -499,8 +502,8 @@ def _boost_parts(stack: TransformStack) -> tuple[np.ndarray, np.ndarray, np.ndar
     m = (sin a, 0, cos a) (in_plane_axes) and exp(-xi) exactly, as a
     sweep reads its rows, where reading its matrix would cost
     eps cosh(xi).  Any other row is split from its matrix (_polar_parts),
-    and its R is left out of the returned (k, 3, 3) rotations where the
-    mask is False.
+    the fold of the same factor row, and its R is left out of the
+    returned (k, 3, 3) rotations where the mask is False.
     """
     k = len(stack)
     rot, axes, shrink = np.empty((k, 3, 3)), np.empty((k, 3)), np.empty(k)

@@ -12,15 +12,16 @@ Conventions used throughout the package:
   never parsed back out of raw matrices.
 
 ``TransformStack`` is the one transform type: k transforms as a (k, F)
-table of factor kinds and parameters and the (k, 4, 4) matrices, checked
-by its constructor and nowhere else.  A single transform is a one-row
-stack; ``identity``, ``boost_z``, ``rot_y`` and ``rot_z`` return one, and
-``compose`` multiplies stacks row by row.
+table of factor kinds and parameters, checked by its constructor and
+nowhere else, and the (k, 4, 4) matrices the constructor folds from it.
+A single transform is a one-row stack; ``identity``, ``boost_z``,
+``rot_y`` and ``rot_z`` return one, and ``compose`` joins two stacks'
+factor rows side by side and folds them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,6 +100,8 @@ def direction_angles(vectors) -> tuple[np.ndarray, np.ndarray]:
 def metric_residuals(matrices: np.ndarray) -> np.ndarray:
     """max |L^T G L - G| of each matrix in a (..., 4, 4) stack."""
     m = np.asarray(matrices, dtype=float)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected (..., 4, 4) matrices, got shape {m.shape}")
     gap = np.swapaxes(m, -1, -2) @ (_METRIC_ROW_SIGNS * m)
     gap -= METRIC
     return np.abs(gap).max(axis=(-2, -1))
@@ -224,29 +227,27 @@ class TransformStack:
     ``kinds`` and ``params`` form the (k, F) factor table: row i holds
     transform i's generator factors, leftmost first, as kinds (BOOST_Z,
     ROT_Y, ROT_Z) and parameters, padded past its last factor with PAD and
-    0.0.  ``matrices`` holds the (k, 4, 4) matrices; left out, they are the
-    left-to-right fold of each row (the first factor is the leftmost
-    matrix, i.e. it acts last on a vector).  Construction checks the table
-    (known kinds, finite parameters, boosts within MAX_RAPIDITY), the
-    matrices' shape, and runs require_metric, once for the whole stack; it
-    is the only transform guard.  Every array is a read-only copy.
+    0.0.  The table is the transform: ``matrices`` are not an input but
+    the (k, 4, 4) left-to-right fold of each row (the first factor is the
+    leftmost matrix, i.e. it acts last on a vector).  Construction checks
+    the table (known kinds, finite parameters, boosts within
+    MAX_RAPIDITY), folds it and runs require_metric on the fold, once for
+    the whole stack, with numpy's overflow warnings silenced so that a
+    fold too large to check raises the guard's ValueError; it is the only
+    transform guard.  Every array is a read-only copy.
     """
 
     kinds: np.ndarray
     params: np.ndarray
-    matrices: np.ndarray | None = None
+    matrices: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         kinds, params = _checked_table(self.kinds, self.params)
         if kinds.ndim != 2:
             raise ValueError(f"expected a (k, F) factor table, got shape {kinds.shape}")
-        if self.matrices is None:
+        with np.errstate(over="ignore", invalid="ignore"):
             m = _fold(kinds, params)
-        else:
-            m = np.array(self.matrices, dtype=float)
-            if m.shape != (len(kinds), 4, 4):
-                raise ValueError(f"expected ({len(kinds)}, 4, 4) matrices, got shape {m.shape}")
-        require_metric(m)
+            require_metric(m)
         m.flags.writeable = False
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "params", params)
@@ -305,15 +306,8 @@ def stack_from_factors(factor_lists) -> TransformStack:
 
 
 def compose(a: TransformStack, b: TransformStack) -> TransformStack:
-    """Row-wise products a_i * b_i (b_i acts first); factor rows concatenate."""
-    return TransformStack(
-        np.hstack([a.kinds, b.kinds]), np.hstack([a.params, b.params]), a.matrices @ b.matrices
-    )
-
-
-def factor_residuals(stack: TransformStack) -> np.ndarray:
-    """Max deviation of each matrix of the stack from the product of its factors."""
-    return np.abs(_fold(stack.kinds, stack.params) - stack.matrices).max(axis=(1, 2))
+    """Row-wise products a_i * b_i (b_i acts first): the factor rows side by side, folded."""
+    return TransformStack(np.hstack([a.kinds, b.kinds]), np.hstack([a.params, b.params]))
 
 
 def identity() -> TransformStack:

@@ -12,7 +12,10 @@ checks.
 
 The groups that check the oracle routes draw all their cases at once (a
 padded factor table, momenta, polarizations) and evaluate every route
-once over the whole group as a lorentz.TransformStack.  Every group
+once over the whole group as a lorentz.TransformStack.  A stack's
+matrices are its table's fold, so no group checks one against the
+other: composition_laws checks the composed angle and transport against
+the stepped ones.  Every group
 folds its residuals with np.max / np.min, which keep a NaN, and every
 pass test is written so that a NaN fails it.
 """
@@ -145,9 +148,7 @@ def _moments_gap(stack: lorentz.TransformStack, grid: beams.QuadratureGrid, omeg
     # the map is real and linear: h + i v goes to the transported h + i v
     eps = np.tile(wigner.h_vec_stack(thetas, phis) + 1j * wigner.v_vec_stack(thetas, phis), len(omegas))
     # one rotation-form call: each transform once per node column
-    tiled = lorentz.TransformStack(
-        *(np.repeat(a, p.shape[1], axis=0) for a in (stack.kinds, stack.params, stack.matrices))
-    )
+    tiled = lorentz.TransformStack(*(np.repeat(a, p.shape[1], axis=0) for a in (stack.kinds, stack.params)))
     x = wigner.d_rotation_form_stack(tiled, np.tile(p, len(stack)), np.tile(eps, len(stack)))[1:]
     # entry 2i + a of a node's column is component i of its h (a = 0) or v vector
     y = (np.stack([x.real, x.imag], axis=1).reshape(6, -1, len(thetas)) * root).swapaxes(0, 1)
@@ -190,14 +191,9 @@ def _check_composition(rng, cases: int) -> GroupResult:
     stepped = wigner.d_rotation_form_stack(s2, p1, wigner.d_rotation_form_stack(s1, p, eps))
     direct = wigner.d_rotation_form_stack(combined, p, eps)
     worst_transport = _worst(np.abs(stepped - direct))
-    # combined's matrices are products but its factor table is the two
-    # tables side by side, which is what the closed-form fold reads
-    worst_factor = _worst(lorentz.factor_residuals(combined))
-    passed = worst_angle < 1e-9 and worst_transport < 1e-9 and worst_factor < 1e-12
+    passed = worst_angle < 1e-9 and worst_transport < 1e-9
     return GroupResult(
-        "composition_laws",
-        passed,
-        f"angle {worst_angle:.2e}, transport {worst_transport:.2e}, factors {worst_factor:.2e}",
+        "composition_laws", passed, f"angle {worst_angle:.2e}, transport {worst_transport:.2e}"
     )
 
 

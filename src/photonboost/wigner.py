@@ -40,13 +40,13 @@ whatever frames the momenta in between get.  For a factor from the frame
 Polarization vectors are (4, ...) arrays in (t, x, y, z) order:
 ``epsilon_stack`` builds the complex helicity basis
 R(p-hat) (x + i lambda y)/sqrt 2 at arrays of angles, and ``h_vec_stack``
-and ``v_vec_stack`` the real linear basis R(p-hat) R_z(-phi) (x, y), whose
-turn by -phi cancels the frame winding so that h and v tend to x-hat and
-y-hat as theta -> 0; at a pole, where the frame's azimuth is pinned to 0,
-the turn is 0 at theta = 0 and -2 phi at theta = pi, so that both take
-their limits along the meridian phi there too.  ``d_rotation_form_stack``
-transports polarizations in rotation form: from the frame at p to the
-frame at L p with the little-group angle in between.  It is manifestly
+and ``v_vec_stack`` the real linear basis R_z(phi) R_y(theta) R_z(-phi)
+(x, y) in closed form, whose turn by -phi cancels the frame winding so
+that h and v tend to x-hat and y-hat as theta -> 0; no frame is pinned,
+so at the poles too they are the limits along the meridian phi.
+``d_rotation_form_stack`` transports polarizations in rotation form:
+from the frame at p to the frame at L p with the little-group angle in
+between.  It is manifestly
 norm-preserving and, through the Wigner angle, independent of the
 production aberration map (beams.axis_moments, which sums it over a grid
 in closed form), so it is the oracle that map is checked against
@@ -61,7 +61,6 @@ import numpy as np
 
 from .lorentz import (
     PAD,
-    POLE_TOL,
     ROT_Y,
     ROT_Z,
     TransformStack,
@@ -245,47 +244,35 @@ def epsilon_stack(thetas, phis, lam: int) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + spatial.shape[1:], dtype=complex), spatial])
 
 
-def _in_frame(thetas, phis, x, y) -> np.ndarray:
-    """(4, ...) real 4-vectors R(p-hat)(x, y, 0) at angles (thetas, phis); the time part is 0."""
-    f = _frames(thetas, phis)
-    return np.concatenate([np.zeros((1,) + f.shape[2:]), x * f[0] + y * f[1]])
-
-
-def _basis_angles(thetas, phis) -> np.ndarray:
-    """The angle g with h = R(p-hat) R_z(-g) x-hat = R_z(phi) R_y(theta) R_z(-phi) x-hat.
-
-    g is phi, except where rotations_to pins the frame's azimuth to 0
-    (sin(theta) < POLE_TOL): there R_z(phi) R_y(theta) R_z(-phi) is
-    R_y(theta) near theta = 0 and R_y(theta) R_z(-2 phi) near theta = pi,
-    so g is 0 and 2 phi.  h and v are then the limits along the meridian
-    phi, as their closed forms give them: x-hat at theta = 0 and
-    -(cos 2 phi, sin 2 phi, 0) at theta = pi.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    return np.where(np.sin(thetas) < POLE_TOL, np.where(thetas < math.pi / 2, 0.0, 2.0 * phis), phis)
+def _basis_terms(thetas, phis) -> tuple[np.ndarray, ...]:
+    """L = 2 sin^2(theta/2), cos phi, sin phi and sin theta at broadcast arrays of angles."""
+    thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float), phis)
+    return 2.0 * np.sin(0.5 * thetas) ** 2, np.cos(phis), np.sin(phis), np.sin(thetas)
 
 
 def h_vec_stack(thetas, phis) -> np.ndarray:
-    """Near-horizontal basis vectors R(p-hat)(cos g, -sin g, 0); they tend to x-hat as theta -> 0.
+    """Near-horizontal basis vectors R_z(phi) R_y(theta) R_z(-phi) x-hat; they tend to x-hat as theta -> 0.
 
-    g is phi off the poles (_basis_angles).  They are
-    (exp(i g) eps_+ + exp(-i g) eps_-)/sqrt 2 of epsilon_stack's helicity
-    vectors, in real arithmetic.
+    In closed form (0, 1 - L c^2, -L s c, -sin theta c) with L, c, s of
+    _basis_terms.  Off the poles they are (exp(i phi) eps_+ +
+    exp(-i phi) eps_-)/sqrt 2 of epsilon_stack's helicity vectors, in real
+    arithmetic; on a pole, where the frame's azimuth is pinned to 0, they
+    stay the limit along the meridian phi.
     """
-    g = _basis_angles(thetas, phis)
-    return _in_frame(thetas, phis, np.cos(g), -np.sin(g))
+    lift, c, s, st = _basis_terms(thetas, phis)
+    return np.stack([np.zeros_like(c), 1.0 - lift * c * c, -lift * s * c, -st * c])
 
 
 def v_vec_stack(thetas, phis) -> np.ndarray:
-    """Near-vertical basis vectors R(p-hat)(sin g, cos g, 0); they tend to y-hat as theta -> 0.
+    """Near-vertical basis vectors R_z(phi) R_y(theta) R_z(-phi) y-hat; they tend to y-hat as theta -> 0.
 
-    g is phi off the poles (_basis_angles).  They are
-    -i (exp(i g) eps_+ - exp(-i g) eps_-)/sqrt 2 of epsilon_stack's
-    helicity vectors, in real arithmetic.
+    In closed form (0, -L s c, 1 - L s^2, -sin theta s) with L, c, s of
+    _basis_terms.  Off the poles they are -i (exp(i phi) eps_+ -
+    exp(-i phi) eps_-)/sqrt 2 of epsilon_stack's helicity vectors, in
+    real arithmetic; on a pole they stay the limit along the meridian phi.
     """
-    g = _basis_angles(thetas, phis)
-    return _in_frame(thetas, phis, np.sin(g), np.cos(g))
+    lift, c, s, st = _basis_terms(thetas, phis)
+    return np.stack([np.zeros_like(c), -lift * s * c, 1.0 - lift * s * s, -st * s])
 
 
 def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:

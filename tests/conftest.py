@@ -15,9 +15,10 @@ def angle_gap(a, b):
 
 
 def concatenated(stacks):
-    """One stack of the rows of several, in order, keeping their matrices.
+    """One stack of the rows of several, in order.
 
-    The factor tables are padded to the widest with PAD (identity) entries.
+    The factor tables are padded to the widest with PAD (identity) entries,
+    which change no float of the fold.
     """
     width = max(s.kinds.shape[1] for s in stacks)
 
@@ -27,5 +28,4 @@ def concatenated(stacks):
     return TransformStack(
         np.vstack([padded(s.kinds, PAD) for s in stacks]),
         np.vstack([padded(s.params, 0.0) for s in stacks]),
-        np.concatenate([s.matrices for s in stacks]),
     )

@@ -527,7 +527,7 @@ def _fold_cases(rng):
     """Rotations that mix y with x, then random one-transform stacks."""
     drawn = random_stack(rng, 5)
     rows = [
-        TransformStack(drawn.kinds[i:i + 1], drawn.params[i:i + 1], drawn.matrices[i:i + 1])
+        TransformStack(drawn.kinds[i:i + 1], drawn.params[i:i + 1])
         for i in range(len(drawn))
     ]
     return list(_ROTATIONS) + rows
@@ -755,6 +755,7 @@ def test_a_grid_keeps_read_only_copies_of_a_callers_rules():
     assert [a[0] for a in kept] == [0.5, 1 / 3, 0.0, 0.25]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("axis, name", [(0, "theta"), (2, "phi")])
 def test_grid_rejects_rules_that_are_not_normalized_nonnegative_1d(axis, name):
     rules = [np.array([0.5, 1.0, 1.5]), np.full(3, 1 / 3), np.array([0.0, 1.0]), np.array([0.25, 0.75])]
@@ -771,6 +772,13 @@ def test_grid_rejects_rules_that_are_not_normalized_nonnegative_1d(axis, name):
         ((nodes, np.append(weights[:-1], -weights[-1])), "nonnegative"),
         ((nodes, np.zeros_like(weights)), "positive total"),
         ((nodes, weights * (1.0 + 2e-12)), "sum to 1"),
+        # a NaN weight passed the sum check and a non-finite phi node was
+        # never checked: the pass then failed on a NaN trace or warned
+        # from cos(inf); a NaN theta fails the [0, pi] check
+        ((np.append(math.nan, nodes[1:]), weights), "finite|lie in"),
+        ((np.append(-math.inf, nodes[1:]), weights), "finite|lie in"),
+        ((nodes, np.append(math.nan, weights[1:])), "finite"),
+        ((nodes, np.append(math.inf, weights[1:])), "finite"),
     ):
         with pytest.raises(ValueError, match=match) as err:
             QuadratureGrid(*with_rule(*bad))

@@ -6,12 +6,14 @@ shown to raise in both of its routes: a one-transform stack paired with
 every column, and a stack of one transform per column, where the bad
 column sits among good ones.
 """
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import photonboost.wigner as wigner
+from conftest import angle_gap
 from oracles import (
     production_transport,
     random_cases,
@@ -19,22 +21,27 @@ from oracles import (
     random_momenta,
     random_stack,
 )
+from photonboost import lorentz, validation
 from photonboost.lorentz import (
     BOOST_Z,
+    MAX_RAPIDITY,
     PAD,
     ROT_Y,
     ROT_Z,
     TransformStack,
     boost_z,
     compose,
-    factor_residuals,
     factor_table,
+    identity,
     null_momenta,
+    require_metric,
     rot_y,
+    rot_z,
     rotations_to,
     stack_from_factors,
     standard_boosts,
 )
+from photonboost.sweep import boost_stack, make_boost
 from photonboost.validation import frequency_angle_tolerance
 from photonboost.wigner import (
     LittleGroupError,
@@ -63,7 +70,6 @@ def test_stack_matrices_are_from_factors_row_by_row(rng):
     for factors, m, count in zip(lists, stack.matrices, stack.factor_counts):
         assert m.tobytes() == stack_from_factors([factors]).matrix.tobytes()
         assert count == len(factors)
-    assert np.all(factor_residuals(stack) == 0.0)
 
 
 def test_standard_frames_share_one_convention(rng):
@@ -94,7 +100,7 @@ def test_stack_guard_accepts_its_bounds():
 
 def _repeated(stack, n):
     """The one transform of stack, n times over, as an n-row stack."""
-    return TransformStack(*(np.repeat(a, n, axis=0) for a in (stack.kinds, stack.params, stack.matrices)))
+    return TransformStack(*(np.repeat(a, n, axis=0) for a in (stack.kinds, stack.params)))
 
 
 def test_one_transform_stack_pairs_with_every_column(rng):
@@ -146,8 +152,10 @@ def test_composed_stack_matches_compose(rng):
     second = random_stack(rng, 30, max_factors=3)
     both = compose(second, first)
     assert np.array_equal(both.factor_counts, second.factor_counts + first.factor_counts)
+    # compose folds the joined factor rows left to right, which is the
+    # product of the two folds to rounding
     for i, m in enumerate(both.matrices):
-        assert m.tobytes() == (second.matrices[i] @ first.matrices[i]).tobytes()
+        assert np.abs(m - second.matrices[i] @ first.matrices[i]).max() <= 1e-14 * np.abs(m).max()
         assert both.kinds[i].tolist() == second.kinds[i].tolist() + first.kinds[i].tolist()
     with pytest.raises(ValueError):
         compose(second, random_stack(rng, 2))
@@ -165,8 +173,9 @@ _ONE = ((ROT_Y,),)
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: TransformStack(_ONE, ((0.7,),), [_perturbed(rot_y(0.7), (1, 3), 1e-6)]), "metric"),
-        (lambda: TransformStack(_ONE, ((0.7,),), [np.full((4, 4), np.nan)]), "metric"),
+        # matrices no table folds to: the constructor's metric guard itself
+        (lambda: require_metric([_perturbed(rot_y(0.7), (1, 3), 1e-6)]), "metric"),
+        (lambda: require_metric([np.full((4, 4), np.nan)]), "metric"),
         (lambda: TransformStack(((3,),), ((0.1,),)), "unknown generator kind"),
         (lambda: TransformStack(((-2,),), ((0.1,),)), "unknown generator kind"),
         (lambda: stack_from_factors([((ROT_Y, 0.1), ("boost_x", 0.2))]), "integer codes"),
@@ -277,3 +286,55 @@ def test_stack_arrays_are_read_only_copies():
     for a in (stack.kinds, stack.params, stack.matrices):
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
+
+
+def test_a_stack_takes_no_matrices_beside_its_table():
+    # a table R_y(0.3) B_z(1) R_y(-0.3) with the matrix of B_z(2) once
+    # passed the guard, and the closed-form fold (0.147 rad at theta = 0.7,
+    # phi = 0.4) and the matrix oracle (0) read two different transforms
+    kinds, params = [[ROT_Y, BOOST_Z, ROT_Y]], [[0.3, 1.0, -0.3]]
+    with pytest.raises(TypeError):
+        TransformStack(kinds, params, boost_z(2.0).matrices)
+    with pytest.raises(TypeError):
+        TransformStack(kinds, params, matrices=boost_z(2.0).matrices)
+    stack = TransformStack(kinds, params)
+    p = null_momenta(0.7, 0.4, 1.0)[:, None]
+    assert angle_gap(wigner_angle_stack(stack, p), wigner_angle_oracle_stack(stack, p)).max() < 1e-12
+
+
+def _every_constructor(rng):
+    thetas, phis = random_directions(rng, 20)
+    thetas, phis = np.append(thetas, [0.0, math.pi]), np.append(phis, [1.0, -2.0])
+    drawn = random_stack(rng, 30)
+    return {
+        "identity": identity(),
+        "boost_z": boost_z(-1.3),
+        "rot_y": rot_y(0.4),
+        "rot_z": rot_z(-2.2),
+        "compose": compose(drawn, random_stack(rng, 30)),
+        "inverse": drawn.inverse(),
+        "stack_from_factors": stack_from_factors([((ROT_Z, 0.5),), (), ((BOOST_Z, 0.1), (ROT_Y, -0.2))]),
+        "make_boost": make_boost(0.7, 1.3),
+        "boost_stack": boost_stack(0.7, np.linspace(-MAX_RAPIDITY, MAX_RAPIDITY, 31)),
+        "rotations_to": rotations_to(thetas, phis),
+        "standard_boosts": standard_boosts(null_momenta(thetas, phis, rng.uniform(0.5, 2.0, len(thetas)))),
+        "_draw_stack": validation._draw_stack(rng, 50),
+    }
+
+
+def test_every_stack_is_the_fold_of_its_table_bit_for_bit(rng):
+    for name, stack in _every_constructor(rng).items():
+        assert stack.matrices.tobytes() == lorentz._fold(stack.kinds, stack.params).tobytes(), name
+        assert not stack.matrices.flags.writeable, name
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("boosts", [24, 60])
+def test_a_boost_chain_past_the_metric_guard_raises_the_guard_not_a_warning(boosts):
+    # 24 boosts of rapidity 15 fold to entries near 1e156, whose metric
+    # residual overflows, and 60 overflow the fold itself; 23 pass
+    with pytest.raises(ValueError, match="metric"):
+        TransformStack([[BOOST_Z] * boosts], [[MAX_RAPIDITY] * boosts])
+    with pytest.raises(ValueError, match="metric"):
+        functools.reduce(compose, [boost_z(MAX_RAPIDITY)] * boosts)
+    assert len(functools.reduce(compose, [boost_z(MAX_RAPIDITY)] * 23)) == 1

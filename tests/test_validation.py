@@ -85,18 +85,14 @@ def test_sign_flip_in_rotation_angle_rule_trips_wigner_group(monkeypatch):
     assert validate().passed
 
 
-def test_wrong_order_compose_trips_the_factor_clause(monkeypatch):
-    # the product b * a under the factor table of a * b
+def test_wrong_order_compose_trips_the_angle_and_transport_clauses(monkeypatch):
+    # the factor rows joined in the wrong order: b * a where a * b was asked
     real = lorentz.compose
-
-    def wrong_order(a, b):
-        table = real(a, b)
-        return lorentz.TransformStack(table.kinds, table.params, b.matrices @ a.matrices)
-
-    monkeypatch.setattr(lorentz, "compose", wrong_order)
+    monkeypatch.setattr(lorentz, "compose", lambda a, b: real(b, a))
     result = _run_group("composition_laws")
     assert not result.passed
-    assert float(result.detail.rpartition("factors ")[2]) > 1e-12
+    angle, transport = (float(c.rpartition(" ")[2]) for c in result.detail.split(", "))
+    assert angle > 1e-9 and transport > 1e-9
 
 
 def _on_tables(monkeypatch, replacement, on_form_grid=False):
@@ -205,10 +201,6 @@ def test_transport_clause_trips_omega_independence(monkeypatch, inject):
     assert not float(moments) <= validation._OMEGA_MOMENTS_TOL
 
 
-def _nan_factors(monkeypatch):
-    monkeypatch.setattr(lorentz, "factor_residuals", lambda stack: np.full(len(stack), np.nan))
-
-
 def _nan_oracle_angles(monkeypatch):
     monkeypatch.setattr(
         wigner, "wigner_angle_oracle_stack", lambda stack, p: np.full(np.shape(p)[1], np.nan)
@@ -219,22 +211,32 @@ def _nan_gauge_form(monkeypatch):
     _on_tables(monkeypatch, lambda table, t2: np.full_like(table, np.nan), on_form_grid=True)
 
 
-def _nan_composed_angles(monkeypatch):
-    # the closed-form angle of every composed transform reads NaN
-    compose, angles = lorentz.compose, wigner.wigner_angle_stack
+def _nan_for_composed(monkeypatch, name):
+    """Make wigner's route called name return NaN for every composed transform."""
+    compose, route = lorentz.compose, getattr(wigner, name)
     composed = []
 
     def recorded(a, b):
         composed.append(compose(a, b))
         return composed[-1]
 
-    def nan_for_composed(stack, p):
+    def nan_for_composed(stack, p, *eps):
         if any(stack is c for c in composed):
-            return np.full(np.shape(p)[1], np.nan)
-        return angles(stack, p)
+            return np.full(np.shape(route(stack, p, *eps)), np.nan)
+        return route(stack, p, *eps)
 
     monkeypatch.setattr(lorentz, "compose", recorded)
-    monkeypatch.setattr(wigner, "wigner_angle_stack", nan_for_composed)
+    monkeypatch.setattr(wigner, name, nan_for_composed)
+
+
+def _nan_composed_angles(monkeypatch):
+    # the closed-form angle of every composed transform reads NaN
+    _nan_for_composed(monkeypatch, "wigner_angle_stack")
+
+
+def _nan_composed_transport(monkeypatch):
+    # the rotation-form transport by every composed transform reads NaN
+    _nan_for_composed(monkeypatch, "d_rotation_form_stack")
 
 
 def _nan_metric_residuals(monkeypatch):
@@ -298,7 +300,7 @@ def _nan_trace_gap(monkeypatch):
         ("wigner_oracle", _nan_oracle_angles),
         ("d_form_equivalence", _nan_gauge_form),
         ("composition_laws", _nan_composed_angles),
-        ("composition_laws", _nan_factors),
+        ("composition_laws", _nan_composed_transport),
         ("rho_sanity", _nan_min_eigenvalue),
         ("rho_sanity", _nan_trace_gap),
         ("ln_rotation_invariance", _nan_log_negativity),
