@@ -21,9 +21,20 @@ node stands for itself and its image at half its weight apiece (a node
 on the mirror plane is its own image).  A boost along an axis in the x-z
 plane, every boost of a sweep, commutes with the reflection, so the image
 nodes cost nothing: their moments are the stored nodes' moments with
-signs flipped.  A boost along any other axis m moves the image nodes as
-the boost along the mirror axis P m moves the stored ones, so it takes a
-second pass over the stored nodes, about P m (see axis_moments).
+signs flipped.
+
+A boost along an axis off the plane, m = R_z(beta) m0 with m0 in the x-z
+plane, is integrated over the rule turned by beta about z, whose nodes
+are (theta, +-phi_j + beta).  The beam depends on theta alone, and h and
+v at R_z(beta) n are R_z(beta) (cos beta h(n) - sin beta v(n)) and
+R_z(beta) (sin beta h(n) + cos beta v(n)), so on the turned rule the
+moments about m are exactly U M(m0) U^T, with U = R_z(beta) (x) R(beta)
+on index 2i + a, R(beta) the turn of the (h, v) labels and M(m0) the
+moments about m0 on the grid's own rule (transported_moments).  The
+turned rule is again a periodic trapezoid rule in phi with the weights of
+the unturned one, so it converges alike (Trefethen & Weideman, SIAM Rev.
+56 (2014) 385); the two differ by the phi rule's error, and on the
+turned rule the moments turn exactly with every rotation about z.
 
 A transform is split as L = R B(xi, m), a rotation after a pure boost
 along the unit axis m.  B moves each direction along its great circle
@@ -47,12 +58,10 @@ m . (sqrt(w) v).  Each is a sum of a few products of a per-theta and a
 per-phi factor, so a block of nodes takes one small matrix product and
 no node vector (_aberration_tables); a pass forms every block in one
 workspace.  The per-phi factors read a node's azimuth about the axis
-from phi less the axis's azimuth folded into (-pi/2, pi/2], a fold that
-is exactly 0 in the x-z plane; h and v are read turned by the fold, and
-the map to the moments turns them back.
-The terms that vanish at +-m are formed from half angles about the
-axis, so a node keeps its digits relative to its distance from the axis
-however near it lies, and a node on the axis takes the azimuth 0.  The
+from phi, or phi - pi where the axis has m_x < 0.  The terms that
+vanish at +-m are formed from half angles about the axis, so a node
+keeps its digits relative to its distance from the axis however near it
+lies, and a node on the axis takes the azimuth 0.  The
 grid keeps no array per node and no derived table: it is the product of
 a theta rule and a rule over the stored phis and keeps only those, so
 every pass forms the trigonometric factors it reads from the two rules.
@@ -89,7 +98,7 @@ _BLOCK_BYTES = 1 << 18
 # theta rows, or parts of one row where a row holds more.  The edges
 # depend only on the grid, whatever the number of boosts, so that a row's
 # node sums are added in the same blocks alone as in a sweep.  A block's
-# table and t^2 (13 floats per node in the x-z plane) and the weights of
+# table and t^2 (13 floats per node) and the weights of
 # PRODUCT_ROWS boosts take twice _BLOCK_BYTES and stay in a core's L2
 # cache: 1,365-node blocks took 1.3 to 1.6 times as long on 192^2 and
 # 384^2, and 10,920-node ones 1.2 times
@@ -118,12 +127,6 @@ for _f in range(4):
     _SPLIT_TERMS[1, _f, 1 - _f % 2, _f] = 1.0 - 2.0 * (_f % 2)
 _SPLIT_TERMS = _SPLIT_TERMS.reshape(16, 4)
 del _f
-
-# the image of a node under the reflection P: y -> -y has h' = P h and
-# v' = -P v, so on index 2i + a of a moment block the reflection acts as
-# D = diag(1, -1, -1, 1, 1, -1): the spatial sign (1, -1, 1) of i times +1
-# for h and -1 for v; D G D flips these
-_IMAGE_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
 
 # the factor row of sweep.make_boost, R_y(a) B_z(xi) R_y(-a): a boost of
 # rapidity xi along (sin a, 0, cos a)
@@ -157,37 +160,7 @@ for _p in (0, 1):
         _GRAM_MAP[:, _p, 3 * _p + _r, 3 * _p + _c] = _GAMMA[_e]
         _GRAM_MAP[:, _p, 3 * _p + _c, 3 * _p + _r] = _GAMMA[_e]
 _GRAM_MAP = _GRAM_MAP.reshape(30, 36)
-
-# entries 00, 11, 01, 10, 22, 02, 20, 12 and 21 of the cross block
-# y_even y_odd^T of an off-plane pass (_aberration_tables), as multiples of
-# its node sums: a0 a1, a0 b1, b0 a1 and b0 b1, then those, C0 C1, t a0 C1,
-# t b0 C1, t C0 a1 and t C0 b1 weighted by g, then the same weighted by g^2,
-# the t-sums times exp(-xi); digit 0 is the even parity and 1 the odd one
-_CROSS_GAMMA = np.zeros((9, 22))
-_CROSS_GAMMA[:4, :4] = [[1], [1], [-1], [-1]]
-_CROSS_GAMMA[:4, 4:8] = [[-4, -2, -2, 0], [0, -2, -2, -4], [2, 4, 0, 2], [2, 0, 4, 2]]
-_CROSS_GAMMA[[0, 1, 2, 3], [13, 16, 14, 15]] = 4, 4, -4, -4
-_CROSS_GAMMA[4, [8, 17]] = 4, -4
-_CROSS_GAMMA[5:, 9:13] = [[2, 2, 0, 0], [0, 0, 2, 2], [-2, -2, 0, 0], [0, 0, -2, -2]]
-_CROSS_GAMMA[[5, 6, 7, 8], [18, 20, 19, 21]] = -4, -4, 4, 4
-
-# the map from an off-plane pass's (52,) node sums to its flattened 6x6
-# Gram in the parity basis: _GRAM_MAP's rows, each of its three groups
-# followed by the cross block's
-_CROSS_MAP = np.zeros((22, 6, 6))
-for _e, (_r, _c) in enumerate(((0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (0, 2), (2, 0), (1, 2), (2, 1))):
-    _CROSS_MAP[:, _r, 3 + _c] = _CROSS_MAP[:, 3 + _c, _r] = _CROSS_GAMMA[_e]
-_CROSS_MAP = _CROSS_MAP.reshape(22, 36)
-_FULL_MAP = np.vstack(
-    [_GRAM_MAP[:6], _CROSS_MAP[:4], _GRAM_MAP[6:18], _CROSS_MAP[4:13], _GRAM_MAP[18:], _CROSS_MAP[13:]]
-)
 del _p, _e, _r, _c
-
-# the rows of a pass's (12, n) or (21, n) node products summed unweighted,
-# and those scaled by exp(-xi) once weighted (_aberration_sums); the second
-# slice of each is empty on an axis in the x-z plane
-_ONE_ROWS = (slice(0, 6), slice(12, 16))
-_T_ROWS = (slice(8, 12), slice(17, 21))
 
 # floats a row keeps through the state stage (entanglement.state_readings):
 # its 36 moments in and its 90 block entries out; the stage's short-lived
@@ -561,30 +534,19 @@ def _theta_factors(frame: np.ndarray, grid: QuadratureGrid, top: int, bottom: in
     return f
 
 
-def _folded_azimuth(frame: np.ndarray) -> tuple[float, float]:
-    """(side, beta): the axis frame[:, 2] has the azimuth beta for side = 1 and beta + pi for -1.
-
-    beta lies in (-pi/2, pi/2], and is exactly 0 on every axis in the x-z
-    plane, where side = frame[1, 1] is e2 = side y-hat.
-    """
-    cos_m, sin_m = frame[1, 1], -frame[0, 1]
-    side = 1.0 if cos_m > 0.0 or (cos_m == 0.0 and sin_m > 0.0) else -1.0
-    return side, math.atan2(side * sin_m, side * cos_m) if sin_m else 0.0
-
-
 def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
     """(6, 4, n) factors of the stored phis lo ... hi - 1 in the projections (_theta_factors).
 
-    The axis has the azimuth beta or beta + pi (_folded_azimuth), so a
-    node's psi is phi - beta or phi - beta - pi, and u and v are 2 sin^2
-    and 2 cos^2 of half of it.  In the form of p . e1 that a node takes,
-    no term exceeds twice its distance s from the axis, so each
-    projection is formed to rounding relative to s.  cos, sin of
-    phi - beta and the square root of the phi weight are formed here from
-    the stored phis and their weights.
+    The axis lies in the x-z plane with e2 = side y-hat, so it has the
+    azimuth 0 for side = 1 and pi for -1, and a node's psi is phi or
+    phi - pi; u and v are 2 sin^2 and 2 cos^2 of half of it.  In the form
+    of p . e1 that a node takes, no term exceeds twice its distance s from
+    the axis, so each projection is formed to rounding relative to s.
+    cos, sin of phi and the square root of the phi weight are formed here
+    from the stored phis and their weights.
     """
-    side, beta = _folded_azimuth(frame)  # psi = phi - beta for side = 1, phi - beta - pi for -1
-    phis = grid.phis[lo:hi] - beta
+    side = frame[1, 1]
+    phis = grid.phis[lo:hi]
     cp, sp, cw = np.cos(phis), np.sin(phis), np.sqrt(grid.phi_weights[lo:hi])
     half = 0.5 * phis
     u, v = 2.0 * np.sin(half) ** 2, 2.0 * np.cos(half) ** 2
@@ -605,14 +567,13 @@ def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> n
 
 
 def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
-    """(12, n) or (21, n) node products and (n,) t^2 about the axis frame[:, 2], a block of nodes at a time.
+    """(12, n) node products and (n,) t^2 about the axis frame[:, 2] in the x-z plane, a block of nodes at a time.
 
     frame is (e1, e2, m) as columns.  A block's projections p . e1,
     p . e2, m . (sqrt(w) h), m . (sqrt(w) v), 1 - p . m and 1 + p . m are
     one small matrix product of per-theta and per-phi factors
-    (_theta_factors, _phi_factors); h and v here are the node's own turned
-    by the axis's folded azimuth beta (axis_moments turns them back), so
-    the projections depend on theta and psi alone.  They give
+    (_theta_factors, _phi_factors), which depend on theta and psi alone.
+    They give
     s^2 = (1 - p . m)(1 + p . m), the azimuth (p . e1, p . e2) / s and
     t^2 = (1 - p . m) / (1 + p . m); h and v are orthogonal to p, so their
     components along theta-hat about m are C = -(m . x) / s.  A node on
@@ -624,17 +585,11 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
     (a, b, C) = (C_h cos psi, -C_v sin psi, C_h) and the odd parity
     (C_h sin psi, C_v cos psi, C_v); the rows are a^2, b^2, ab, C^2,
     t C a and t C b, each for the even then the odd parity, so the sign
-    of C drops out.  An axis off the x-z plane adds the nine
-    cross-parity products a0 a1, a0 b1, b0 a1, b0 b1, C0 C1, t a0 C1,
-    t b0 C1, t C0 a1 and t C0 b1 (_CROSS_GAMMA): the stored nodes alone
-    are not mirror symmetric about it.  A block is whole theta rows of at
-    most _SUM_NODES nodes, or a part of one row where a row holds more.
-    Every block is formed in one workspace per call: the yielded table
-    and t^2 are views into it, valid only until the next block is asked
-    for.
+    of C drops out.  A block is whole theta rows of at most _SUM_NODES
+    nodes, or a part of one row where a row holds more.  Every block is
+    formed in one workspace per call: the yielded table and t^2 are views
+    into it, valid only until the next block is asked for.
     """
-    cross = frame[1, 2] != 0.0
-    products = 21 if cross else 12
     # the axis is -z, where the frame's azimuth is 0
     pinned_south = frame[2, 2] < 0.0 and frame[0, 2] == frame[1, 2] == 0.0
     n_cols = len(grid.phis)
@@ -645,7 +600,7 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
     span = step * max(1, _BLOCK_BYTES // (8 * 24 * step))
     # the largest block's table and t^2; each block lays its own out from the start
     most = min(step, len(grid.thetas)) * width
-    work = np.empty((products + 1) * most)
+    work = np.empty(13 * most)
     on_axis = np.empty(most, dtype=bool)
     for top in range(0, len(grid.thetas), span):
         rows = _theta_factors(frame, grid, top, top + span)
@@ -655,9 +610,9 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
             for first in range(0, rows.shape[-1], step):
                 block = rows[:, :, first:first + step].transpose(0, 2, 1)
                 size = block.shape[1] * n
-                table = work[:products * size].reshape(products, size)
-                t2 = work[products * size:(products + 1) * size]
-                paired = table[:12].reshape(6, 2, -1)
+                table = work[:12 * size].reshape(12, size)
+                t2 = work[12 * size:13 * size]
+                paired = table.reshape(6, 2, -1)
                 # the projections, in the rows of C^2, t C a and t C b
                 proj = table[6:12]
                 np.matmul(block, cols, out=proj.reshape(6, -1, n))
@@ -690,11 +645,6 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
                 t = np.sqrt(t2, out=minus)
                 np.multiply(t, x[3], out=plus)
                 np.multiply(t, x[2], out=minus)
-                if cross:
-                    np.multiply(ab[:, :1], ab[:, 1], out=table[12:16].reshape(2, 2, -1))
-                    np.multiply(x[2], x[3], out=table[16])
-                    np.multiply(tc[1], ab[:, 0], out=table[17:19])
-                    np.multiply(tc[0], ab[:, 1], out=table[19:])
                 np.multiply(x[2:], x[2:], out=paired[3])
                 np.multiply(tc, ab[0], out=paired[4])
                 np.multiply(tc, ab[1], out=paired[5])
@@ -703,7 +653,7 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
 
 
 def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """(k, 30) or (k, 52) node sums that give the stored nodes' Grams under k boosts B(xi, m).
+    """(k, 30) node sums that give the stored nodes' Grams under k boosts B(xi, m), m in the x-z plane.
 
     shrink holds each boost's exp(-xi), and frame is (e1, e2, m) as columns.
     A node keeps its azimuth about m and moves to cos theta' = c = 2 g - 1
@@ -711,10 +661,8 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     Its transported h and v vectors in the frame are y = (c a - b,
     a - c b, -s' C) for each parity: the even one is (e1 h, e2 v, m h)
     and the odd one (e2 h, -e1 v, m v).  Each Gram entry is a sum over
-    nodes of fixed products weighted by 1, g and g^2 (_GAMMA within a
-    parity, _CROSS_GAMMA across the two).  The sums are ordered as
-    _GRAM_MAP reads them, on an axis in the x-z plane, or as _FULL_MAP
-    does, with the cross-parity sums, off it.  The products come from
+    nodes of fixed products weighted by 1, g and g^2 (_GAMMA), and the
+    sums are ordered as _GRAM_MAP reads them.  The products come from
     _aberration_tables, in closed form from each node's p . e1, p . e2,
     p . m, m . (sqrt(w) h) and m . (sqrt(w) v); the terms of these that
     vanish at +-m are formed from half angles, so they keep their digits
@@ -727,11 +675,9 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     buffer.
     """
     k = len(shrink)
-    cross = frame[1, 2] != 0.0
     if not k:
-        return np.empty((0, len(_FULL_MAP if cross else _GRAM_MAP)))
-    products = 21 if cross else 12
-    n0, n1, n2 = np.zeros(products), np.zeros((k, products)), np.zeros((k, products))
+        return np.empty((0, len(_GRAM_MAP)))
+    n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
     scale = shrink * shrink
     unit = entanglement.PRODUCT_ROWS
     nodes = min(_SUM_NODES, len(grid))
@@ -748,68 +694,52 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
         for lo in range(0, k, rows):
             part = scale[lo:lo + rows]
             padded = weights[:-(-len(part) // unit) * unit]
-            g = np.multiply.outer(part, t2, out=padded[:len(part)])
+            g = np.multiply(part[:, None], t2, out=padded[:len(part)])
             g += 1.0
             np.reciprocal(g, out=g)
             n1[lo:lo + rows] += entanglement.rows_product(padded, table.T)[:len(part)]
             g *= g
             n2[lo:lo + rows] += entanglement.rows_product(padded, table.T)[:len(part)]
-    for cut in _T_ROWS:
-        n1[:, cut] *= shrink[:, None]
-        n2[:, cut] *= shrink[:, None]
-    one = np.concatenate([n0[cut] for cut in _ONE_ROWS])
-    return np.concatenate([np.broadcast_to(one, (k, len(one))), n1, n2], axis=1)
+    # the t-sums, rows t C a and t C b of both parities
+    n1[:, 8:] *= shrink[:, None]
+    n2[:, 8:] *= shrink[:, None]
+    return np.concatenate([np.broadcast_to(n0[:6], (k, 6)), n1, n2], axis=1)
 
 
 def _pass_map(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The frame (e1, e2, m) of one table pass about axis, and the map from its node sums to its 6x6 Gram.
+    """The frame (e1, e2, m) of the pass about an axis in the x-z plane, and the map from its node sums to its 6x6 Gram.
 
     The map takes the node sums to the Gram in the parity basis
-    (_GRAM_MAP or _FULL_MAP), the parity basis to the frame's components
-    (_PARITY_BASIS), and those to x, y and z.  The pass reads h' and v',
-    the node's h and v turned by the axis's folded azimuth beta
-    (_folded_azimuth), and the map turns them back to
-    h = cos beta h' - sin beta v' and v = sin beta h' + cos beta v', up to
-    a sign common to both.  The Gram is flattened, entry [2i + a, 2j + b]
-    at 6 (2i + a) + 2j + b.
+    (_GRAM_MAP), the parity basis to the frame's components
+    (_PARITY_BASIS), and those to x, y and z.  The Gram is flattened,
+    entry [2i + a, 2j + b] at 6 (2i + a) + 2j + b.
     """
     frame = _frames(axis[None])[0]
     basis = np.zeros((6, 6))
     basis[::2, ::2] = basis[1::2, 1::2] = frame
-    beta = _folded_azimuth(frame)[1]
-    if beta:
-        c, s = math.cos(beta), math.sin(beta)
-        basis = basis @ np.kron(np.eye(3), [[c, -s], [s, c]])
     basis = basis @ _PARITY_BASIS
-    gram_map = _FULL_MAP if frame[1, 2] != 0.0 else _GRAM_MAP
     # the Kronecker product basis (x) basis, acting on flattened 6x6 Grams
-    return frame, gram_map @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
+    return frame, _GRAM_MAP @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
 
 
 def axis_moments(axis: np.ndarray, shrinks, grid: QuadratureGrid):
     """The (k, 6, 6) moments (transported_moments) of each block of boosts B(xi, axis) in shrinks.
 
-    axis is a (3,) unit vector and each block of shrinks a (k,) array of
-    exp(-xi).  On an axis in the x-z plane the boost commutes with the
-    reflection P: y -> -y, so an image node's moments are its stored
-    node's with the signs of D (_IMAGE_SIGNS): the rule's Gram is the
-    even and odd parity blocks of one pass over the stored nodes, and the
-    cross-parity terms cancel.  Off the plane, the image of a stored node
-    transported by B(m) is the reflection of the node transported by
-    B(P m), so the rule's Gram is 1/2 (G(m) + D G(P m) D), G the Gram of
-    the stored nodes at their stored weights: two passes, each with its
-    cross-parity sums.  The passes' frames and the maps from node sums
-    (_aberration_sums) to Grams are formed once, for every block.
+    axis is a (3,) unit vector in the x-z plane, and each block of shrinks
+    a (k,) array of exp(-xi); an axis off the plane raises ValueError
+    (transported_moments turns such an axis into the plane).  The boost
+    commutes with the reflection P: y -> -y, so an image node's moments
+    are its stored node's with the spatial sign (1, -1, 1) of i times +1
+    for h and -1 for v: the rule's Gram is the even and odd parity blocks
+    of one pass over the stored nodes, and the cross-parity terms cancel.
+    The pass's frame and the map from node sums (_aberration_sums) to
+    Grams are formed once, for every block.
     """
-    if axis[1] == 0.0:
-        passes = [_pass_map(axis)]
-        gram_map = passes[0][1]
-    else:
-        passes = [_pass_map(axis), _pass_map(axis * [1.0, -1.0, 1.0])]
-        gram_map = 0.5 * np.vstack([passes[0][1], passes[1][1] * _IMAGE_SIGNS.reshape(36)])
+    if axis[1] != 0.0:
+        raise ValueError(f"axis must lie in the x-z plane, got {axis!r}")
+    frame, gram_map = _pass_map(axis)
     for shrink in shrinks:
-        sums = np.hstack([_aberration_sums(shrink, frame, grid) for frame, _ in passes])
-        yield entanglement.rows_product(sums, gram_map).reshape(-1, 6, 6)
+        yield entanglement.rows_product(_aberration_sums(shrink, frame, grid), gram_map).reshape(-1, 6, 6)
 
 
 def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarray:
@@ -818,14 +748,28 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
     Entry [2i + a, 2j + b] of each block is (M_ab)_ij = sum_n w_n
     x_a(p_n)_i x_b(p_n)_j over the grid's whole rule, for spatial
     components i, j in (x, y, z) and basis labels a, b in (h, v) = (0, 1).
-    The weights enter as sqrt(w) on both factors.
+    The weights enter as sqrt(w) on both factors.  A row whose boost axis
+    lies off the x-z plane is integrated over the rule turned about z by
+    the axis's azimuth beta, nodes (theta, +-phi_j + beta) (see the module
+    docstring); every other row over the grid's own rule.
 
     Each row is L = R B(xi, m) (_boost_parts), and its block is
-    (R (x) I2) G(B) (R (x) I2)^T.  Boosts along one axis (a rotation is
-    one with xi = 0 along +z) share one table pass over the nodes, two off
-    the x-z plane (axis_moments), the pass a sweep runs on its rows.
+    (R (x) I2) G(B) (R (x) I2)^T.  An axis m = R_z(beta) m0 off the x-z
+    plane, with m0 = (rho, 0, m_z), rho = hypot(m_x, m_y), is read as m0:
+    R_z(beta) joins R and R(beta) turns the h/v labels, so the block is
+    (R R_z(beta) (x) R(beta)) G(B(xi, m0)) (...)^T, with cos beta and
+    sin beta m_x / rho and m_y / rho.  Boosts along one axis (a rotation
+    is one with xi = 0 along +z) then share one table pass over the nodes
+    (axis_moments), the pass a sweep runs on its rows.
     """
     rot, axes, shrink, turned = _boost_parts(stack)
+    off = axes[:, 1] != 0.0
+    rho = np.hypot(axes[off, 0], axes[off, 1])
+    c, s = axes[off, 0] / rho, axes[off, 1] / rho
+    # R(beta), the turn of the h/v labels and of R's x and y columns
+    labels = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+    rot[off, :, :2] = rot[off, :, :2] @ labels
+    axes[off, 0], axes[off, 1] = rho, 0.0
     out = np.empty((len(stack), 6, 6))
     pending = np.ones(len(stack), dtype=bool)
     while pending.any():
@@ -834,8 +778,11 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
         pending &= ~rows
         out[rows] = next(axis_moments(m, [shrink[rows]], grid))
     if turned.any():
-        r = np.zeros((np.count_nonzero(turned), 6, 6))
-        r[:, ::2, ::2] = r[:, 1::2, 1::2] = rot[turned]
+        # R (x) I2 on index 2i + a, and R R_z(beta) (x) R(beta) off the plane
+        r = np.zeros((np.count_nonzero(turned), 3, 2, 3, 2))
+        r[:, :, 0, :, 0] = r[:, :, 1, :, 1] = rot[turned]
+        r[off[turned]] = rot[off, :, None, :, None] * labels[:, None, :, None, :]
+        r = r.reshape(-1, 6, 6)
         out[turned] = r @ out[turned] @ np.swapaxes(r, 1, 2)
     return out
 
@@ -865,7 +812,9 @@ def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> 
 
     The k = 1 case of density_states: L is a one-transform stack.  spec is
     the beam the grid was built for; the grid's weights already carry it,
-    so only the grid enters the state.
+    so only the grid enters the state.  A boost axis off the x-z plane,
+    at azimuth beta, is integrated over the grid's rule turned by beta
+    about z, nodes (theta, +-phi_j + beta) (transported_moments).
     """
     if len(L) != 1:
         raise ValueError(f"expected a one-transform stack, got {len(L)} transforms")

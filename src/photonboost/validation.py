@@ -39,7 +39,7 @@ _FREQUENCY_ULPS_PER_FACTOR = 16
 
 # the grid of omega_independence's moments clause, thetas by phis, the
 # frequencies it is run at and the largest gap it accepts (the worst of
-# seeds 0-39 was 1.4e-15)
+# seeds 0-39 was 1.1e-15)
 _OMEGA_GRID = (8, 4)
 _OMEGAS = (0.1, 10.0)
 _OMEGA_MOMENTS_TOL = 1e-12
@@ -131,27 +131,44 @@ def _check_wigner_oracle(rng, cases: int) -> GroupResult:
     return GroupResult("wigner_oracle", worst < 1e-9, f"max angle gap {worst:.2e}")
 
 
+def _axis_azimuths(matrices: np.ndarray) -> np.ndarray:
+    """The azimuth beta = atan2(L02, L01) of each (k, 4, 4) transform's boost axis, 0 where L02 == 0.
+
+    L = R B(xi, m) has L0i = sinh(xi) m_i, so beta is the azimuth of m, and
+    it is 0 on every axis in the x-z plane.  beams.transported_moments
+    integrates a transform over the grid's rule turned about z by beta;
+    this reads beta from the matrix alone, not from beams' split of it.
+    """
+    m = np.asarray(matrices, dtype=float)
+    return np.where(m[:, 0, 2] == 0.0, 0.0, np.arctan2(m[:, 0, 2], m[:, 0, 1]))
+
+
 def _moments_gap(stack: lorentz.TransformStack, grid: beams.QuadratureGrid, omegas=(1.0,)) -> float:
     """Largest gap of the production moments of stack on grid against the rotation form's at each of omegas.
 
     The production moments are beams.transported_moments', one table pass
-    per axis in the x-z plane and two per axis off it (beams.axis_moments).
-    The rotation form transports the h/v vectors of the same stored nodes
-    and of their images (theta, -phi), each at half the stored weight, at
-    momenta of each frequency, and their Gram is the moments.
+    per boost axis read in the x-z plane.  The rotation form transports
+    the h/v vectors of the stored nodes and of their images (theta, -phi),
+    each at half the stored weight, turned about z by the azimuth of each
+    transform's boost axis (_axis_azimuths), at momenta of each frequency,
+    and their Gram is the moments.
     """
     rows, cols = np.divmod(np.arange(len(grid)), len(grid.phis))
-    thetas = np.tile(grid.thetas[rows], 2)
-    phis = np.concatenate([grid.phis[cols], -grid.phis[cols]])
+    n = 2 * len(grid)
+    # the rule's nodes turned by each transform's azimuth, once per frequency
+    phis = np.concatenate([grid.phis[cols], -grid.phis[cols]]) + _axis_azimuths(stack.matrices)[:, None, None]
+    phis = np.broadcast_to(phis, (len(stack), len(omegas), n)).reshape(-1)
+    thetas = np.tile(grid.thetas[rows], 2 * len(stack) * len(omegas))
     root = np.sqrt(0.5 * np.tile(grid.theta_weights[rows] * grid.phi_weights[cols], 2))
-    p = np.hstack([lorentz.null_momenta(thetas, phis, w) for w in omegas])
+    p = lorentz.null_momenta(thetas, phis, np.repeat(np.tile(omegas, len(stack)), n))
     # the map is real and linear: h + i v goes to the transported h + i v
-    eps = np.tile(wigner.h_vec_stack(thetas, phis) + 1j * wigner.v_vec_stack(thetas, phis), len(omegas))
+    eps = wigner.h_vec_stack(thetas, phis) + 1j * wigner.v_vec_stack(thetas, phis)
     # one rotation-form call: each transform once per node column
-    tiled = lorentz.TransformStack(*(np.repeat(a, p.shape[1], axis=0) for a in (stack.kinds, stack.params)))
-    x = wigner.d_rotation_form_stack(tiled, np.tile(p, len(stack)), np.tile(eps, len(stack)))[1:]
+    per_row = len(omegas) * n
+    tiled = lorentz.TransformStack(*(np.repeat(a, per_row, axis=0) for a in (stack.kinds, stack.params)))
+    x = wigner.d_rotation_form_stack(tiled, p, eps)[1:]
     # entry 2i + a of a node's column is component i of its h (a = 0) or v vector
-    y = (np.stack([x.real, x.imag], axis=1).reshape(6, -1, len(thetas)) * root).swapaxes(0, 1)
+    y = (np.stack([x.real, x.imag], axis=1).reshape(6, -1, n) * root).swapaxes(0, 1)
     want = y @ y.swapaxes(1, 2)
     return _worst(np.abs(np.repeat(beams.transported_moments(stack, grid), len(omegas), axis=0) - want))
 

@@ -61,6 +61,7 @@ import numpy as np
 
 from .lorentz import (
     PAD,
+    POLE_TOL,
     ROT_Y,
     ROT_Z,
     TransformStack,
@@ -226,21 +227,22 @@ def boost_helicity_state(stack: TransformStack, momenta, lam: int) -> tuple[np.n
     return stack.apply(momenta), np.exp(-1j * lam * theta_w)
 
 
-def _frames(thetas, phis) -> np.ndarray:
-    """Frames R(p-hat) at arrays of angles as (3, 3, ...): out[c] is the image of unit vector c."""
-    thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float), phis)
-    m = rotations_to(thetas.ravel(), phis.ravel()).matrices
-    return m[:, 1:, 1:].transpose(2, 1, 0).reshape((3, 3) + thetas.shape)
-
-
 def epsilon_stack(thetas, phis, lam: int) -> np.ndarray:
     """(4, ...) helicity-lambda polarization 4-vectors at angles (thetas, phis).
 
     R(p-hat) applied to (x + i lambda y) / sqrt(2); the time part is 0.
+    R(p-hat) = R_z(phi) R_y(theta) takes x to (cos theta cos phi,
+    cos theta sin phi, -sin theta) and y to (-sin phi, cos phi, 0), with
+    phi read as 0 where sin(theta) < POLE_TOL, as lorentz.rotations_to
+    reads it.
     """
     check_helicity(lam)
-    f = _frames(thetas, phis)
-    spatial = (f[0] + (lam * 1j) * f[1]) * _INV_SQRT2
+    thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float), phis)
+    phis = np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)
+    ct, st, cp, sp = np.cos(thetas), np.sin(thetas), np.cos(phis), np.sin(phis)
+    x = np.stack([ct * cp, ct * sp, -st])
+    y = np.stack([-sp, cp, np.zeros_like(cp)])
+    spatial = (x + (lam * 1j) * y) * _INV_SQRT2
     return np.concatenate([np.zeros((1,) + spatial.shape[1:], dtype=complex), spatial])
 
 

@@ -12,7 +12,9 @@ Wigner fold applies factor by factor, is here too, for the tests of its
 closed-form rules, and so are the seeded draws of transforms, momenta and
 polarizations that many tests share (validate's own draws).  Every route
 integrates over the grid's whole rule, expanded by expanded_rule, and
-never uses the mirror fold of transported_moments.
+never uses the mirror fold of transported_moments.  A route given a
+transform L turns that rule about z by the azimuth of L's boost axis,
+read from L's matrix (rule_of), as transported_moments does.
 transport and aberration_tables are the exceptions to the rule above.
 transport is the aberration map applied node by node to node vectors
 (node_vectors), from the same split L = R B(xi, m) and axis frame as the
@@ -193,11 +195,15 @@ def closed_form_vectors(thetas, phis, weights, omega=1.0):
     ], axis=1)
 
 
-def gauge_form_moments(L, grid, omega=1.0):
-    """transported_moments of L on grid, each node of the whole rule transported by the gauge form."""
-    thetas, phis, weights = expanded_rule(grid)
-    vectors = closed_form_vectors(thetas, phis, weights, omega)
-    x = gauge_form_transport(L.matrices, vectors).reshape(len(L), 6, len(thetas))
+def gauge_form_moments(L, grid, omega=1.0, turned=True):
+    """transported_moments of L on grid, each node of the whole rule transported by the gauge form.
+
+    Row i is integrated over the rule turned by the azimuth of its boost
+    axis (rule_of), or over the grid's own rule where turned is False.
+    """
+    betas = validation._axis_azimuths(L.matrices) if turned else np.zeros(len(L))
+    vectors = np.stack([closed_form_vectors(*expanded_rule(grid, beta), omega) for beta in betas])
+    x = gauge_form_transport(L.matrices, vectors).reshape(len(L), 6, -1)
     return x @ np.swapaxes(x, 1, 2)
 
 
@@ -257,19 +263,30 @@ def stored_rule(grid):
     return grid.thetas[rows], grid.phis[cols], grid.theta_weights[rows] * grid.phi_weights[cols]
 
 
-def expanded_rule(grid):
-    """Polar angles, azimuths and weights of the whole rule a QuadratureGrid stands for.
+def expanded_rule(grid, beta=0.0):
+    """Polar angles, azimuths and weights of the whole rule a QuadratureGrid stands for, turned by beta about z.
 
     Every stored node (theta, phi) and its image (theta, -phi), each at
-    half the stored weight.  A node on the mirror plane appears twice,
-    which at half weight each is the same as once at its weight.
+    half the stored weight, at the azimuths phi + beta and -phi + beta.
+    A node on the mirror plane appears twice, which at half weight each
+    is the same as once at its weight.
     """
     thetas, phis, weights = stored_rule(grid)
-    return (
-        np.concatenate([thetas, thetas]),
-        np.concatenate([phis, -phis]),
-        np.concatenate([weights, weights]) / 2.0,
-    )
+    phis = np.concatenate([phis, -phis])
+    if beta:
+        phis = phis + beta
+    return np.concatenate([thetas, thetas]), phis, np.concatenate([weights, weights]) / 2.0
+
+
+def rule_of(L, grid):
+    """expanded_rule of grid turned by the azimuth of the boost axis of the one-transform stack L.
+
+    The azimuth is atan2(L02, L01), 0 where L02 == 0
+    (validation._axis_azimuths): the rule transported_moments integrates
+    L over.
+    """
+    (beta,) = validation._axis_azimuths(L.matrices)
+    return expanded_rule(grid, beta)
 
 
 def wigner_angle_generator(kind, parameter, p):
@@ -374,7 +391,7 @@ def _assemble(weights, x):
 
 def rotation_form_density(L, grid, omega):
     """reduced_density with every h/v vector transported by the rotation form at frequency omega."""
-    thetas, phis, weights = expanded_rule(grid)
+    thetas, phis, weights = rule_of(L, grid)
     xh, xv = rotation_form_pair_basis(L, thetas, phis, omega)
     return _assemble(weights, {"h": xh, "v": xv})
 
@@ -385,7 +402,7 @@ def direct_double_sum_density(L, grid, omega):
     Every pair state is pair_kernel's; each node's transported h and v
     vectors are computed once and reused for all pairs that contain it.
     """
-    thetas, phis, w = expanded_rule(grid)
+    thetas, phis, w = rule_of(L, grid)
     hv = transported_hv(L, thetas, phis, omega)
     kernels = _pair_states(hv, hv)
     rho = np.einsum("i,j,ijA,ijB->AB", w, w, kernels, kernels.conj())
@@ -402,7 +419,7 @@ def helicity_route_density(L, grid, omega):
     basis vector at the boosted direction.  Factorizes through 3x3 moments
     exactly like the h/v route.
     """
-    thetas, phis, weights = expanded_rule(grid)
+    thetas, phis, weights = rule_of(L, grid)
     p = null_momenta(thetas, phis, omega)
     y = {}
     for lam in (+1, -1):

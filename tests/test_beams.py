@@ -425,9 +425,13 @@ def test_reduced_density_is_the_read_only_one_row_case_of_density_states():
 
 def test_an_empty_block_of_boosts_has_an_empty_block_of_moments():
     grid = build_grid(BeamSpec(1.0), 8, 8)
-    for axis in (beams.in_plane_axes(0.5), np.array([0.6, 0.48, 0.64])):
+    for axis in (beams.in_plane_axes(0.5), beams.in_plane_axes(-2.5)):
         blocks = list(beams.axis_moments(axis, [np.empty(0), np.array([2.0])], grid))
         assert [b.shape for b in blocks] == [(0, 6, 6), (1, 6, 6)]
+    # the pass reads its axis in the x-z plane; transported_moments turns
+    # an axis off it into the plane first
+    with pytest.raises(ValueError, match="x-z plane"):
+        list(beams.axis_moments(np.array([0.6, 0.48, 0.64]), [np.array([2.0])], grid))
 
 
 def test_an_empty_stack_has_empty_states_and_readings():
@@ -549,8 +553,8 @@ def test_fold_of_general_stacks_matches_the_expanded_rule_double_sum(rng, n_phi)
 
 def test_small_blocks_keep_both_moment_paths_on_the_expanded_rule_double_sum(monkeypatch, rng):
     # blocks of 25 nodes, whole rows of 9 of the 6 x 9 = 54 stored nodes,
-    # and theta factors formed 4 rows at a time, for the one pass of an
-    # axis in the x-z plane and the two of an axis off it
+    # and theta factors formed 4 rows at a time, for the pass of an axis in
+    # the x-z plane and that of an axis off it, turned into the plane
     monkeypatch.setattr(beams, "_SUM_NODES", 25)
     monkeypatch.setattr(beams, "_BLOCK_BYTES", 8 * 24 * 4)
     grid = build_grid(BeamSpec(1.0), 6, 16)
@@ -563,7 +567,7 @@ def test_small_blocks_keep_both_moment_paths_on_the_expanded_rule_double_sum(mon
         assert np.abs(rho - direct_double_sum_density(L, grid, 1.0)).max() <= 1e-13
 
 
-def test_sweeps_sum_each_node_once_per_axis_and_off_plane_axes_table_twice(monkeypatch, rng):
+def test_sweeps_sum_each_node_once_per_axis_and_off_plane_axes_once_per_turned_axis(monkeypatch, rng):
     tabled, products = [], []
     real_tables = beams._aberration_tables
 
@@ -572,9 +576,6 @@ def test_sweeps_sum_each_node_once_per_axis_and_off_plane_axes_table_twice(monke
             tabled.append(len(t2))
             products.append(len(table))
             yield table, t2
-
-    def nodes_with(count):
-        return sum(n for n, rows in zip(tabled, products) if rows == count)
 
     monkeypatch.setattr(beams, "_aberration_tables", counting_tables)
     # a sweep's rows share one axis: every stored node enters one table once
@@ -589,25 +590,26 @@ def test_sweeps_sum_each_node_once_per_axis_and_off_plane_axes_table_twice(monke
     tabled.clear()
     beams.density_states(concatenated(_ROTATIONS), grid)
     assert sum(tabled) == len(grid)
-    # a drawn transform is R B(xi, m): one table per axis m in the x-z
-    # plane, and two off it, for m and its mirror image, each with the
-    # cross-parity products; no row is transported node by node
+    # a drawn transform is R B(xi, m): one table per axis, where an axis
+    # off the x-z plane is read turned into it about z, as
+    # (hypot(m_x, m_y), 0, m_z); every table has the 12 in-plane products,
+    # and no row is transported node by node
     drawn = random_stack(rng, 40)
     axes = beams._boost_parts(drawn)[1]
     off_plane = axes[:, 1] != 0.0
-    in_plane_axes = {tuple(m) for m in axes[~off_plane]}
-    off_plane_axes = {tuple(m) for m in axes[off_plane]}
+    read = {(math.hypot(x, y) if y else x, z) for x, y, z in axes}
     tabled.clear()
     products.clear()
     beams.density_states(drawn, grid)
-    assert nodes_with(12) == len(in_plane_axes) * len(grid)
-    assert nodes_with(21) == 2 * len(off_plane_axes) * len(grid)
-    assert len(off_plane_axes) and len(in_plane_axes) > 1
+    assert sum(tabled) == len(read) * len(grid) and set(products) == {12}
+    assert off_plane.any() and not off_plane.all()
     assert not hasattr(beams, "transport")
-    # every block of boosts along one off-plane axis tables the grid twice
+    # rows R B(m) after one off-plane boost share its axis whatever R,
+    # and so one table
+    boost = compose(compose(rot_z(0.4), make_boost(0.7, 1.0)), rot_z(-0.4))
     tabled.clear()
-    blocks = list(beams.axis_moments(np.array([0.6, 0.48, 0.64]), [np.ones(3), np.ones(2)], grid))
-    assert len(blocks) == 2 and sum(tabled) == 4 * len(grid)
+    beams.density_states(concatenated([compose(rot_z(g), boost) for g in (0.0, 1.0, -2.0)]), grid)
+    assert sum(tabled) == len(grid)
 
 
 def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
@@ -820,9 +822,9 @@ def _scaled_projections(monkeypatch, rows, factor):
 
 @pytest.mark.parametrize("case", sorted(_GUARD_CASES))
 def test_trace_guard_trips_on_node_vectors_scaled_by_1_plus_5e_11(monkeypatch, case):
-    # h and v scaled by 1 + 5e-11 move the trace by 2e-10, on the one
-    # table pass of an axis in the x-z plane and the two of an axis off it
-    # alike; rounding moves it by at most 7e-15.  The pass reads h and v
+    # h and v scaled by 1 + 5e-11 move the trace by 2e-10, on the table
+    # pass of an axis in the x-z plane and of an axis off it alike;
+    # rounding moves it by at most 7e-15.  The pass reads h and v
     # only through m . (sqrt(w) h) and m . (sqrt(w) v), so those are what
     # is scaled
     _scaled_projections(monkeypatch, [2, 3], 1.0 + 5e-11)
@@ -892,16 +894,65 @@ def test_boost_axis_through_a_node_matches_the_gauge_oracle():
 
 
 def test_an_off_plane_axis_takes_the_table_pass_to_the_node_by_node_moments():
-    # the boost along R_z(0.4) (sin 0.7, 0, cos 0.7) = (0.593, 0.251, 0.765):
-    # one pass about it, read as an axis in the x-z plane, puts the moments
-    # 0.28 away from these
+    # the boost along R_z(0.4) (sin 0.7, 0, cos 0.7) = (0.593, 0.251, 0.765)
+    # is read as the pass about (0.644, 0, 0.765), turned back; the gauge
+    # form over the rule turned by 0.4 agrees to rounding, and over the
+    # grid's own rule it is the 16-phi rule's error, 3.3e-9, away
     grid = build_grid(BeamSpec(1.0), 16, 16)
     stack = compose(compose(rot_z(0.4), make_boost(0.7, 1.0)), rot_z(-0.4))
-    _, (axis,), shrink = beams._polar_parts(stack.matrices)
+    _, (axis,), _ = beams._polar_parts(stack.matrices)
     assert axis[1] > 0.25
-    (got,) = beams.axis_moments(axis, [shrink], grid)
-    assert np.abs(got - transported_moments(stack, grid)).max() <= 1e-14
+    got = transported_moments(stack, grid)
     assert np.abs(got - gauge_form_moments(stack, grid)).max() <= 1e-14
+    assert np.abs(got - gauge_form_moments(stack, grid, turned=False)).max() > 1e-9
+
+
+def _azimuth_turn(beta):
+    """U = R_z(beta) (x) R(beta) on index 2i + a: the turn of the spatial index and of the h/v labels."""
+    c, s = math.cos(beta), math.sin(beta)
+    return np.kron([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], [[c, -s], [s, c]])
+
+
+def _turned_boosts(beta, alpha, xis):
+    """R_z(beta) B(xi, m0) R_z(-beta) for each xi, m0 = (sin alpha, 0, cos alpha): boosts along R_z(beta) m0."""
+    return concatenated([compose(compose(rot_z(beta), make_boost(alpha, xi)), rot_z(-beta)) for xi in xis])
+
+
+_TURNS = [0.4, math.pi / 2, -math.pi / 2, -2.5, 3.0]
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(8, 8), (9, 8)])
+@pytest.mark.parametrize("beta", _TURNS)
+def test_an_off_plane_boost_is_the_in_plane_pass_turned_about_z(beta, n_theta, n_phi):
+    # on the rule turned by beta, the moments of a boost along R_z(beta) m0
+    # are U M(m0) U^T exactly.  alpha < 0 puts m0 at the azimuth pi, which
+    # the pass reads as the azimuth beta + pi about (|sin alpha|, 0, cos
+    # alpha): the same on an even phi rule.  The boosts are read from
+    # their matrices, which costs eps cosh(xi)
+    grid = build_grid(BeamSpec(1.0), n_theta, n_phi)
+    xis = [-2.0, -0.5, 1.0, 2.5]
+    u = _azimuth_turn(beta)
+    for alpha in (0.7, 2.2, -1.1):
+        plane = transported_moments(boost_stack(alpha, xis), grid)
+        got = transported_moments(_turned_boosts(beta, alpha, xis), grid)
+        assert np.abs(got - u @ plane @ u.T).max() <= 1e-14, alpha
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_off_plane_moments_match_the_gauge_form_over_the_turned_rule_to_2e_15(n):
+    grid = build_grid(BeamSpec(1.0), n, n)
+    stack = concatenated([_turned_boosts(beta, 0.7, [-2.0, -0.5, 1.0, 2.5]) for beta in _TURNS])
+    assert np.abs(transported_moments(stack, grid) - gauge_form_moments(stack, grid)).max() <= 2e-15
+
+
+def test_off_plane_moments_match_the_unturned_rule_once_its_phi_rule_has_converged():
+    # 256 phis resolve |xi| <= 3 to about 5e-14, so turning the rule moves
+    # the moments by less than 1e-13: the turned rule changes what a
+    # coarse phi rule misses, not what the grid converges to
+    grid = build_grid(BeamSpec(1.0), 16, 256)
+    stack = concatenated([_turned_boosts(beta, 0.7, [-3.0, -1.0, 1.0, 3.0]) for beta in _TURNS])
+    want = gauge_form_moments(stack, grid, turned=False)
+    assert np.abs(transported_moments(stack, grid) - want).max() <= 1e-13
 
 
 def _y_axis_boosts(xis):
@@ -911,22 +962,40 @@ def _y_axis_boosts(xis):
 
 @pytest.mark.filterwarnings("error")
 def test_off_plane_boost_axis_through_a_node_matches_the_gauge_oracle():
-    # the stored node (pi/2, pi/2) of an odd theta rule lies on the axis m,
-    # where 1 - p . m = 0, and its image (pi/2, -pi/2) on -m; the pass about
-    # m puts the node on its axis, and the pass about P m puts it within
-    # rounding of -P m
+    # the rule turned by m's azimuth, about pi/2, puts its node (pi/2, 0)
+    # on m and (pi/2, pi) within rounding of -m: the pass about
+    # m0 = (1, 0, m_z) reads the stored nodes (pi/2, 0) on m0, where
+    # 1 - p . m0 = 0, and (pi/2, pi) on -m0, where 1 + p . m0 = 0
     grid = build_grid(BeamSpec(1.0), 9, 8)
     _, (m,), _ = beams._polar_parts(_y_axis_boosts([1.0]).matrices)
     assert m[1] == 1.0 and 0.0 < m[0] == m[2] < 1e-16
+    m0 = np.array([math.hypot(m[0], m[1]), 0.0, m[2]])
     thetas, phis, _ = stored_rule(grid)
-    (on,) = np.flatnonzero((thetas == math.pi / 2) & (phis == math.pi / 2))
-    assert 1.0 - node_vectors(grid, on, on + 1)[:, 0, 0] @ m == 0.0
+    p = node_vectors(grid, 0, len(grid))[:, 0]
+    (on,) = np.flatnonzero((thetas == math.pi / 2) & (phis == 0.0))
+    (behind,) = np.flatnonzero((thetas == math.pi / 2) & (phis == math.pi))
+    assert 1.0 - p[:, on] @ m0 == 0.0 and 1.0 + p[:, behind] @ m0 == 0.0
     # the gauge form's rounding grows like eps exp(|xi|), so it is compared
     # on |xi| <= 3; over the whole range the states stay finite
     stack = _y_axis_boosts(np.linspace(-3.0, 3.0, 7))
     assert np.abs(transported_moments(stack, grid) - gauge_form_moments(stack, grid)).max() <= 1e-14
     states, _, gap, _ = beams.density_states(_y_axis_boosts(np.linspace(-15.0, 15.0, 7)), grid)
     assert np.isfinite(states).all() and np.all(gap <= 1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_off_plane_boost_axis_through_a_node_keeps_a_unit_trace_to_rapidity_15():
+    # the library calls of a user: B(xi, m) R_z(-pi/2) boosts along
+    # m = (6e-17, 1, 6e-17), whose turned 9 x 8 rule has a node on m and
+    # one within rounding of -m, where the pass divides by the distance
+    # from the axis; a warning, a non-finite state or a trace off by more
+    # than 1e-14 fails
+    spec = BeamSpec(1.0)
+    grid = build_grid(spec, 9, 8)
+    for xi in (-15.0, 0.0, 15.0):
+        rho = reduced_density(compose(make_boost(math.pi / 2, xi), rot_z(-math.pi / 2)), grid, spec)
+        assert np.isfinite(rho).all() and abs(np.trace(rho) - 1.0) <= 1e-14, xi
+        assert math.isfinite(log_negativity(rho)), xi
 
 
 def _polar_row_grid(thetas, n_phi):

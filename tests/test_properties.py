@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import angle_gap, concatenated
-from oracles import expanded_rule
+from oracles import rule_of
 from photonboost.beams import BeamSpec, build_grid, density_states, transported_moments
 from photonboost.entanglement import log_negativity
 from photonboost.lorentz import (
@@ -154,10 +154,11 @@ def test_log_negativity_is_rotation_invariant(a, b, alpha, xi, sigma, n_theta, n
 def test_rotation_form_at_any_frequency_matches_production_transport(factors, log10_omega):
     # the production table pass never sees a frequency; the rotation form
     # goes through the Wigner angle at omega * p-hat.  The pass's moments
-    # are the Gram of the rotation form's vectors over the whole rule
+    # are the Gram of the rotation form's vectors over the whole rule,
+    # turned about z by the azimuth of L's boost axis
     grid = build_grid(BeamSpec(1.0), 16, 16)
     L = stack_from_factors([factors])
-    thetas, phis, weights = expanded_rule(grid)
+    thetas, phis, weights = rule_of(L, grid)
     p = null_momenta(thetas, phis, 10.0**log10_omega)
     basis = (h_vec_stack(thetas, phis), v_vec_stack(thetas, phis))
     x = np.stack([d_rotation_form_stack(L, p, e)[1:] for e in basis], axis=1).reshape(6, -1)

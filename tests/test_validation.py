@@ -114,10 +114,10 @@ def _on_tables(monkeypatch, replacement, on_form_grid=False):
 
 
 def _flipped(rows):
-    """A replacement for _on_tables that flips the sign of the node products in these rows, where a table has them."""
+    """A replacement for _on_tables that flips the sign of the node products in these rows."""
 
     def flip(table, t2):
-        table[[row for row in rows if row < len(table)]] *= -1.0
+        table[rows] *= -1.0
         return table
 
     return flip
@@ -151,14 +151,27 @@ def test_flipped_in_plane_product_trips_form_equivalence(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("seed", [validation.DEFAULT_SEED, *range(5)])
-def test_flipped_cross_parity_product_trips_form_equivalence(monkeypatch, seed):
-    # the t C0 b1 products, the last of the nine cross-parity ones that only
-    # a pass about an axis off the x-z plane sums, with their sign flipped;
-    # two of every three drawn transforms have such an axis
+def test_wrong_sign_of_the_label_turn_trips_form_equivalence(monkeypatch, seed):
+    # transported_moments reads a boost along R_z(beta) m0 as the pass
+    # about m0 conjugated by R_z(beta) (x) R(beta), R(beta) the turn of the
+    # h/v labels.  With R(-beta) there instead, each such row's moments
+    # are the production ones conjugated by I3 (x) R(-2 beta); two of every
+    # three drawn transforms have an axis off the x-z plane
     result = _run_group("d_form_equivalence", seed)
     assert result.passed
     assert int(result.detail.split(", ")[1].split()[0]) >= 2
-    _on_tables(monkeypatch, _flipped([20]))
+    real = beams.transported_moments
+
+    def wrong_sign(stack, grid):
+        beta = -2.0 * validation._axis_azimuths(stack.matrices)
+        c, s = np.cos(beta), np.sin(beta)
+        turn = np.zeros((len(stack), 3, 2, 3, 2))
+        for i in range(3):
+            turn[:, i, :, i, :] = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
+        turn = turn.reshape(-1, 6, 6)
+        return turn @ real(stack, grid) @ turn.swapaxes(1, 2)
+
+    monkeypatch.setattr(beams, "transported_moments", wrong_sign)
     result = _run_group("d_form_equivalence", seed)
     assert not result.passed
     assert float(result.detail.split()[3]) > 1e-10
