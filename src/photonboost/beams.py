@@ -23,9 +23,13 @@ plane, every boost of a sweep, commutes with the reflection, so the image
 nodes cost nothing: their moments are the stored nodes' moments with
 signs flipped.
 
-A boost along an axis off the plane, m = R_z(beta) m0 with m0 in the x-z
-plane, is integrated over the rule turned by beta about z, whose nodes
-are (theta, +-phi_j + beta).  The beam depends on theta alone, and h and
+A boost enters only through its axis line and its rapidity, since
+B(xi, m) = B(-xi, -m), so every boost is read along the end of its line
+whose azimuth beta lies in [0, pi), +z on the z axis, with the rapidity
+of the matching sign (line_ends): m = R_z(beta) m0 with
+m0 = (sin b, 0, cos b), sin b >= 0 and m0 never -z.  It is integrated
+over the rule turned by beta about z, whose nodes are
+(theta, +-phi_j + beta).  The beam depends on theta alone, and h and
 v at R_z(beta) n are R_z(beta) (cos beta h(n) - sin beta v(n)) and
 R_z(beta) (sin beta h(n) + cos beta v(n)), so on the turned rule the
 moments about m are exactly U M(m0) U^T, with U = R_z(beta) (x) R(beta)
@@ -33,8 +37,10 @@ on index 2i + a, R(beta) the turn of the (h, v) labels and M(m0) the
 moments about m0 on the grid's own rule (transported_moments).  The
 turned rule is again a periodic trapezoid rule in phi with the weights of
 the unturned one, so it converges alike (Trefethen & Weideman, SIAM Rev.
-56 (2014) 385); the two differ by the phi rule's error, and on the
-turned rule the moments turn exactly with every rotation about z.
+56 (2014) 385); the two differ by the phi rule's error.  The moments
+turn exactly with every rotation about z that keeps the line's azimuth
+in [0, pi), on any phi rule, and with every rotation about z on an even
+phi rule, which the turn by pi maps onto itself.
 
 A transform is split as L = R B(xi, m), a rotation after a pure boost
 along the unit axis m.  B moves each direction along its great circle
@@ -57,8 +63,8 @@ and p . m in the axis frame (e1, e2, m), and m . (sqrt(w) h) and
 m . (sqrt(w) v).  Each is a sum of a few products of a per-theta and a
 per-phi factor, so a block of nodes takes one small matrix product and
 no node vector (_aberration_tables); a pass forms every block in one
-workspace.  The per-phi factors read a node's azimuth about the axis
-from phi, or phi - pi where the axis has m_x < 0.  The terms that
+workspace.  The per-phi factors read a node's azimuth about m0 from phi
+alone, since m0 has the azimuth 0.  The terms that
 vanish at +-m are formed from half angles about the axis, so a node
 keeps its digits relative to its distance from the axis however near it
 lies, and a node on the axis takes the azimuth 0.  The
@@ -410,43 +416,43 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
 
 
 def _polar_parts(boosts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split each of (k, 4, 4) transforms as L = R B(xi, m), a rotation after a pure boost.
+    """Split each of (k, 4, 4) transforms as L = R B(xi, m), a rotation after a pure boost, m read along its line.
 
-    cosh xi = L00 and sinh xi m = L0i with xi >= 0, so
+    cosh |xi| = L00 and sinh |xi| m = +-L0i, so
     R_ij = L_ij - tanh(xi/2) L_i0 m_j = L_ij - L_i0 L_0j / (1 + L00).
-    Returns the (k, 3, 3) rotations R, the (k, 3) unit axes m and the
-    (k,) factors exp(-xi) = 1 / (L00 + |L0i|).  A rotation has the axis
-    +z and exp(-xi) = 1, and so does a boost whose exp(-xi) rounds to 1:
-    its aberration map is the identity along any axis, and a subnormal
-    sinh(xi) m has lost the direction of m.
+    Returns the (k, 3, 3) rotations R, the (k, 3) unit axes m, each the
+    end of its line that line_ends reads, and the (k,) factors exp(-xi)
+    for that end: 1 / (L00 + |L0i|) where m is L0i's direction, and
+    L00 + |L0i| itself, not its reciprocal, where m is the opposite one.
+    A rotation has the axis +z and exp(-xi) = 1, and so does a boost
+    whose exp(-xi) rounds to 1: its aberration map is the identity along
+    any axis, and a subnormal sinh(xi) m has lost the direction of m.
     """
     boost = boosts[:, 0, 1:]
     # hypot keeps a tiny rapidity's axis a unit vector where squares underflow
     sinh = np.hypot(np.hypot(boost[:, 0], boost[:, 1]), boost[:, 2])
-    shrink = 1.0 / (boosts[:, 0, 0] + sinh)
+    grow = boosts[:, 0, 0] + sinh
+    shrink = 1.0 / grow
     still = (sinh == 0.0) | (shrink == 1.0)
     axes = boost / np.where(still, 1.0, sinh)[:, None]
     axes[still] = 0.0, 0.0, 1.0
+    axes, sign = line_ends(axes)
     rot = boosts[:, 1:, 1:] - boosts[:, 1:, :1] * boosts[:, :1, 1:] / (1.0 + boosts[:, :1, :1])
-    return rot, axes, shrink
+    return rot, axes, np.where(sign > 0.0, shrink, grow)
 
 
-def _frames(axes: np.ndarray) -> np.ndarray:
-    """(k, 3, 3) right-handed frames with columns (e1, e2, m), one per unit axis m of (k, 3).
+def line_ends(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The end of each unit axis's line that a boost is read along, (..., 3), and the sign (...) that carries its rapidity there.
 
-    e1 and e2 are theta-hat and phi-hat at m about +z, and an axis on the
-    z axis takes the azimuth 0, so an axis m = (sin a, 0, cos a) with
-    sin a >= 0 gets e1 = (cos a, 0, -sin a) and e2 = y-hat, and any axis
-    in the x-z plane gets e2 = +-y-hat.
+    B(xi, m) = B(-xi, -m): a boost enters only through its axis line and
+    its rapidity.  The end read is the one whose azimuth beta lies in
+    [0, pi), +z on the z axis: m_y > 0, or m_y = 0 and m_x > 0, or
+    m = +z.  A boost of rapidity xi along an axis is the boost of
+    rapidity sign * xi along its end.  A flipped zero is written +0.
     """
-    rho = np.hypot(axes[:, 0], axes[:, 1])
-    on_axis = rho == 0.0
-    safe = rho + on_axis
-    cb, sb = (axes[:, 0] + on_axis) / safe, axes[:, 1] / safe
-    mz = axes[:, 2]
-    e1 = np.stack([mz * cb, mz * sb, -rho], axis=-1)
-    e2 = np.stack([-sb, cb, np.zeros_like(cb)], axis=-1)
-    return np.stack([e1, e2, axes], axis=-1)
+    x, y, z = np.moveaxis(axes, -1, 0)
+    sign = np.where((y < 0.0) | (y == 0.0) & ((x < 0.0) | (x == 0.0) & (z < 0.0)), -1.0, 1.0)
+    return axes * sign[..., None] + 0.0, sign
 
 
 def _axis_rows(stack: TransformStack) -> np.ndarray:
@@ -467,35 +473,35 @@ def in_plane_axes(alpha) -> np.ndarray:
     return np.stack([np.sin(alpha), np.zeros_like(alpha), np.cos(alpha)], axis=-1)
 
 
-def _boost_parts(stack: TransformStack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each row of stack as L = R B(xi, m), and a mask of the rows whose R is not read as I.
+def _boost_parts(stack: TransformStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of stack as L = R B(xi, m), with m the end of its axis line (line_ends) and exp(-xi) for that end.
 
     A row R_y(a) B_z(xi) R_y(-a) (every sweep.boost_stack and
-    sweep.make_boost row) is read from its factor row: R = I,
-    m = (sin a, 0, cos a) (in_plane_axes) and exp(-xi) exactly, as a
-    sweep reads its rows, where reading its matrix would cost
-    eps cosh(xi).  Any other row is split from its matrix (_polar_parts),
-    the fold of the same factor row, and its R is left out of the
-    returned (k, 3, 3) rotations where the mask is False.
+    sweep.make_boost row) is read from its factor row, as a sweep reads
+    its rows: R = I, m the end of the line through (sin a, 0, cos a)
+    (in_plane_axes) and exp(-xi) exactly, where reading its matrix would
+    cost eps cosh(xi).  Any other row is split from its matrix
+    (_polar_parts), the fold of the same factor row.
     """
     k = len(stack)
     rot, axes, shrink = np.empty((k, 3, 3)), np.empty((k, 3)), np.empty(k)
-    turned = ~_axis_rows(stack)
-    if not turned.all():
-        alpha, xi = stack.params[~turned, :2].T
-        axes[~turned] = in_plane_axes(alpha)
-        shrink[~turned] = np.exp(-xi)
-    if turned.any():
-        rot[turned], axes[turned], shrink[turned] = _polar_parts(stack.matrices[turned])
-    return rot, axes, shrink, turned
+    plain = _axis_rows(stack)
+    if plain.any():
+        alpha, xi = stack.params[plain, :2].T
+        axes[plain], sign = line_ends(in_plane_axes(alpha))
+        shrink[plain] = np.exp(-sign * xi)
+        rot[plain] = np.eye(3)
+    if not plain.all():
+        rot[~plain], axes[~plain], shrink[~plain] = _polar_parts(stack.matrices[~plain])
+    return rot, axes, shrink
 
 
-def _theta_factors(frame: np.ndarray, grid: QuadratureGrid, top: int, bottom: int) -> np.ndarray:
+def _theta_factors(axis: np.ndarray, grid: QuadratureGrid, top: int, bottom: int) -> np.ndarray:
     """(6, 4, n) factors of the theta rows top ... bottom - 1 in the projections of _aberration_tables.
 
-    With m at polar angle b and azimuth phi_m (0 or pi), a node (theta,
-    phi) has psi = phi - phi_m, and with u = 1 - cos psi, v = 1 + cos psi
-    and R = sin b (1 - cos theta):
+    With m = (sin b, 0, cos b) at polar angle b and azimuth 0, a node
+    (theta, psi) has u = 1 - cos psi, v = 1 + cos psi and
+    R = sin b (1 - cos theta):
     p . e1 = sin(theta - b) - cos b sin theta u where cos psi >= 0,
     and -sin(theta + b) + cos b sin theta v elsewhere;
     p . e2 = sin theta sin psi;
@@ -509,7 +515,7 @@ def _theta_factors(frame: np.ndarray, grid: QuadratureGrid, top: int, bottom: in
     the square root of the theta weight are formed here from the rows'
     thetas and weights.
     """
-    sin_b, cos_b = math.hypot(frame[0, 2], frame[1, 2]), frame[2, 2]
+    sin_b, cos_b = axis[0], axis[2]
     b = math.atan2(sin_b, cos_b)
     th = grid.thetas[top:bottom]
     st, ct, rw = np.sin(th), np.cos(th), np.sqrt(grid.theta_weights[top:bottom])
@@ -534,54 +540,48 @@ def _theta_factors(frame: np.ndarray, grid: QuadratureGrid, top: int, bottom: in
     return f
 
 
-def _phi_factors(frame: np.ndarray, grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
+def _phi_factors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
     """(6, 4, n) factors of the stored phis lo ... hi - 1 in the projections (_theta_factors).
 
-    The axis lies in the x-z plane with e2 = side y-hat, so it has the
-    azimuth 0 for side = 1 and pi for -1, and a node's psi is phi or
-    phi - pi; u and v are 2 sin^2 and 2 cos^2 of half of it.  In the form
-    of p . e1 that a node takes, no term exceeds twice its distance s from
-    the axis, so each projection is formed to rounding relative to s.
-    cos, sin of phi and the square root of the phi weight are formed here
-    from the stored phis and their weights.
+    The axis has the azimuth 0, so a node's psi is its phi; u and v are
+    2 sin^2 and 2 cos^2 of half of it.  In the form of p . e1 that a node
+    takes, no term exceeds twice its distance s from the axis, so each
+    projection is formed to rounding relative to s.  cos, sin of phi and
+    the square root of the phi weight are formed here from the stored
+    phis and their weights.
     """
-    side = frame[1, 1]
     phis = grid.phis[lo:hi]
     cp, sp, cw = np.cos(phis), np.sin(phis), np.sqrt(grid.phi_weights[lo:hi])
     half = 0.5 * phis
     u, v = 2.0 * np.sin(half) ** 2, 2.0 * np.cos(half) ** 2
-    if side < 0.0:
-        u, v = v, u
-    front = side * cp >= 0.0
+    front = cp >= 0.0
     g = np.zeros((6, 4, len(cp)))
     g[0, 0], g[0, 1] = front, ~front
     g[0, 2] = np.where(front, -u, v)
-    g[1, 0] = side * sp
+    g[1, 0] = sp
     # sqrt(w), then sqrt(w) sin^2 psi and sqrt(w) sin psi cos psi
     g[2, :3] = cw * g[0, :3]
     g[2, 3], g[3, 1] = cw * (sp * sp), cw * (sp * cp)
-    g[3, 0] = side * (cw * sp)
+    g[3, 0] = cw * sp
     g[4:, 0] = 1.0
     g[4:, 1] = u, v
     return g
 
 
-def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
-    """(12, n) node products and (n,) t^2 about the axis frame[:, 2] in the x-z plane, a block of nodes at a time.
+def _aberration_tables(axis: np.ndarray, grid: QuadratureGrid):
+    """(12, n) node products and (n,) t^2 about an axis m = (sin b, 0, cos b), a block of nodes at a time.
 
-    frame is (e1, e2, m) as columns.  A block's projections p . e1,
-    p . e2, m . (sqrt(w) h), m . (sqrt(w) v), 1 - p . m and 1 + p . m are
-    one small matrix product of per-theta and per-phi factors
-    (_theta_factors, _phi_factors), which depend on theta and psi alone.
-    They give
+    The axis is the end of its line that line_ends reads, sin b >= 0 and
+    m not -z, with the frame (e1, e2, m) = ((cos b, 0, -sin b), y-hat, m).
+    A block's projections p . e1, p . e2, m . (sqrt(w) h),
+    m . (sqrt(w) v), 1 - p . m and 1 + p . m are one small matrix product
+    of per-theta and per-phi factors (_theta_factors, _phi_factors), which
+    depend on theta and psi alone.  They give
     s^2 = (1 - p . m)(1 + p . m), the azimuth (p . e1, p . e2) / s and
     t^2 = (1 - p . m) / (1 + p . m); h and v are orthogonal to p, so their
     components along theta-hat about m are C = -(m . x) / s.  A node on
-    the axis (s = 0), in front of it or behind, takes psi = 0, where
-    theta-hat about m is the turned h, so C_h^2 = w and C_v = 0 whatever
-    the azimuths of the node and the axis, except at theta = pi on the
-    axis -z, whose frame takes the azimuth 0: there h turns with phi, and
-    (C_h, C_v) = sqrt(w) (cos 2 phi, sin 2 phi).  The even parity has
+    the axis (s = 0) takes psi = 0, where theta-hat about m is the turned
+    h, so C_h^2 = w and C_v = 0 whatever the node's azimuth.  The even parity has
     (a, b, C) = (C_h cos psi, -C_v sin psi, C_h) and the odd parity
     (C_h sin psi, C_v cos psi, C_v); the rows are a^2, b^2, ab, C^2,
     t C a and t C b, each for the even then the odd parity, so the sign
@@ -590,8 +590,6 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
     formed in one workspace per call: the yielded table and t^2 are views
     into it, valid only until the next block is asked for.
     """
-    # the axis is -z, where the frame's azimuth is 0
-    pinned_south = frame[2, 2] < 0.0 and frame[0, 2] == frame[1, 2] == 0.0
     n_cols = len(grid.phis)
     parts = -(-n_cols // _SUM_NODES)
     width = -(-n_cols // parts)
@@ -603,9 +601,9 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
     work = np.empty(13 * most)
     on_axis = np.empty(most, dtype=bool)
     for top in range(0, len(grid.thetas), span):
-        rows = _theta_factors(frame, grid, top, top + span)
+        rows = _theta_factors(axis, grid, top, top + span)
         for lo in range(0, n_cols, width):
-            cols = _phi_factors(frame, grid, lo, lo + width)
+            cols = _phi_factors(grid, lo, lo + width)
             n = cols.shape[-1]
             for first in range(0, rows.shape[-1], step):
                 block = rows[:, :, first:first + step].transpose(0, 2, 1)
@@ -627,13 +625,8 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
                 if on.any():
                     i = np.flatnonzero(on)
                     x[0, i] = 1.0
-                    root = np.sqrt(grid.theta_weights[top + first + i // n])
-                    root *= np.sqrt(grid.phi_weights[lo + i % n])
-                    if pinned_south:
-                        twice = 2.0 * grid.phis[lo + i % n]
-                        x[2, i], x[3, i] = root * np.cos(twice), root * np.sin(twice)
-                    else:
-                        x[2, i] = root
+                    x[2, i] = np.sqrt(grid.theta_weights[top + first + i // n])
+                    x[2, i] *= np.sqrt(grid.phi_weights[lo + i % n])
                 # a and b of both parities, in the rows of their squares
                 ab = paired[:2]
                 np.multiply(x[2], x[:2], out=ab[0])
@@ -652,12 +645,13 @@ def _aberration_tables(frame: np.ndarray, grid: QuadratureGrid):
                 yield table, t2
 
 
-def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """(k, 30) node sums that give the stored nodes' Grams under k boosts B(xi, m), m in the x-z plane.
+def _aberration_sums(shrink: np.ndarray, axis: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """(k, 30) node sums that give the stored nodes' Grams under k boosts B(xi, m) along one axis of _aberration_tables.
 
-    shrink holds each boost's exp(-xi), and frame is (e1, e2, m) as columns.
-    A node keeps its azimuth about m and moves to cos theta' = c = 2 g - 1
-    and sin theta' = s' = 2 exp(-xi) t g, with g = 1 / (1 + exp(-2 xi) t^2).
+    shrink holds each boost's exp(-xi), and axis is m, with the frame
+    (e1, e2, m) of _aberration_tables.  A node keeps its azimuth about m
+    and moves to cos theta' = c = 2 g - 1 and sin theta' = s' =
+    2 exp(-xi) t g, with g = 1 / (1 + exp(-2 xi) t^2).
     Its transported h and v vectors in the frame are y = (c a - b,
     a - c b, -s' C) for each parity: the even one is (e1 h, e2 v, m h)
     and the odd one (e2 h, -e1 v, m v).  Each Gram entry is a sum over
@@ -688,7 +682,7 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     # which cost fig2 and fig3 up to 8% of their time.  Its rows past the
     # last boost pad the last part to whole products of unit rows
     buf = np.zeros(rows * nodes)
-    for table, t2 in _aberration_tables(frame, grid):
+    for table, t2 in _aberration_tables(axis, grid):
         n0 += table.sum(axis=1)
         weights = buf[:rows * len(t2)].reshape(rows, -1)
         for lo in range(0, k, rows):
@@ -706,40 +700,42 @@ def _aberration_sums(shrink: np.ndarray, frame: np.ndarray, grid: QuadratureGrid
     return np.concatenate([np.broadcast_to(n0[:6], (k, 6)), n1, n2], axis=1)
 
 
-def _pass_map(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The frame (e1, e2, m) of the pass about an axis in the x-z plane, and the map from its node sums to its 6x6 Gram.
+def _pass_map(axis: np.ndarray) -> np.ndarray:
+    """The map from the node sums of the pass about m = (sin b, 0, cos b) to its flattened 6x6 Gram.
 
     The map takes the node sums to the Gram in the parity basis
-    (_GRAM_MAP), the parity basis to the frame's components
-    (_PARITY_BASIS), and those to x, y and z.  The Gram is flattened,
-    entry [2i + a, 2j + b] at 6 (2i + a) + 2j + b.
+    (_GRAM_MAP), the parity basis to the components along the pass's
+    frame (e1, e2, m) = ((cos b, 0, -sin b), y-hat, m) (_PARITY_BASIS),
+    and those to x, y and z.  The Gram is flattened, entry
+    [2i + a, 2j + b] at 6 (2i + a) + 2j + b.
     """
-    frame = _frames(axis[None])[0]
+    frame = np.array([[axis[2], 0.0, axis[0]], [0.0, 1.0, 0.0], [-axis[0], 0.0, axis[2]]])
     basis = np.zeros((6, 6))
     basis[::2, ::2] = basis[1::2, 1::2] = frame
     basis = basis @ _PARITY_BASIS
     # the Kronecker product basis (x) basis, acting on flattened 6x6 Grams
-    return frame, _GRAM_MAP @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
+    return _GRAM_MAP @ np.multiply.outer(basis, basis).transpose(1, 3, 0, 2).reshape(36, 36)
 
 
 def axis_moments(axis: np.ndarray, shrinks, grid: QuadratureGrid):
     """The (k, 6, 6) moments (transported_moments) of each block of boosts B(xi, axis) in shrinks.
 
-    axis is a (3,) unit vector in the x-z plane, and each block of shrinks
-    a (k,) array of exp(-xi); an axis off the plane raises ValueError
-    (transported_moments turns such an axis into the plane).  The boost
-    commutes with the reflection P: y -> -y, so an image node's moments
-    are its stored node's with the spatial sign (1, -1, 1) of i times +1
-    for h and -1 for v: the rule's Gram is the even and odd parity blocks
-    of one pass over the stored nodes, and the cross-parity terms cancel.
-    The pass's frame and the map from node sums (_aberration_sums) to
-    Grams are formed once, for every block.
+    axis is a (3,) unit vector (sin b, 0, cos b) in the x-z plane, the end
+    of its line that line_ends reads: sin b >= 0 and not -z.  Each block
+    of shrinks is a (k,) array of exp(-xi) for that end.  Any other axis
+    raises ValueError (transported_moments reads every axis as such an
+    end, turned about z).  The boost commutes with the reflection
+    P: y -> -y, so an image node's moments are its stored node's with the
+    spatial sign (1, -1, 1) of i times +1 for h and -1 for v: the rule's
+    Gram is the even and odd parity blocks of one pass over the stored
+    nodes, and the cross-parity terms cancel.  The map from node sums
+    (_aberration_sums) to Grams is formed once, for every block.
     """
-    if axis[1] != 0.0:
-        raise ValueError(f"axis must lie in the x-z plane, got {axis!r}")
-    frame, gram_map = _pass_map(axis)
+    if axis[1] != 0.0 or line_ends(axis)[1] < 0.0:
+        raise ValueError(f"axis must lie in the x-z plane with x >= 0, and not on -z, got {axis!r}")
+    gram_map = _pass_map(axis)
     for shrink in shrinks:
-        yield entanglement.rows_product(_aberration_sums(shrink, frame, grid), gram_map).reshape(-1, 6, 6)
+        yield entanglement.rows_product(_aberration_sums(shrink, axis, grid), gram_map).reshape(-1, 6, 6)
 
 
 def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarray:
@@ -748,28 +744,28 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
     Entry [2i + a, 2j + b] of each block is (M_ab)_ij = sum_n w_n
     x_a(p_n)_i x_b(p_n)_j over the grid's whole rule, for spatial
     components i, j in (x, y, z) and basis labels a, b in (h, v) = (0, 1).
-    The weights enter as sqrt(w) on both factors.  A row whose boost axis
-    lies off the x-z plane is integrated over the rule turned about z by
-    the axis's azimuth beta, nodes (theta, +-phi_j + beta) (see the module
-    docstring); every other row over the grid's own rule.
+    The weights enter as sqrt(w) on both factors.  Each boost is read
+    along its axis line, from the end at the azimuth beta in [0, pi)
+    (line_ends), and integrated over the rule turned about z by beta,
+    nodes (theta, +-phi_j + beta) (see the module docstring); beta = 0 on
+    the z axis and in the x-z plane, where that is the grid's own rule.
 
-    Each row is L = R B(xi, m) (_boost_parts), and its block is
-    (R (x) I2) G(B) (R (x) I2)^T.  An axis m = R_z(beta) m0 off the x-z
-    plane, with m0 = (rho, 0, m_z), rho = hypot(m_x, m_y), is read as m0:
-    R_z(beta) joins R and R(beta) turns the h/v labels, so the block is
-    (R R_z(beta) (x) R(beta)) G(B(xi, m0)) (...)^T, with cos beta and
-    sin beta m_x / rho and m_y / rho.  Boosts along one axis (a rotation
-    is one with xi = 0 along +z) then share one table pass over the nodes
+    Each row is L = R B(xi, m) (_boost_parts), m = R_z(beta) m0 with
+    m0 = (sin b, 0, cos b), sin b = hypot(m_x, m_y) >= 0 and m0 never -z;
+    cos beta and sin beta are m_x / sin b and m_y / sin b, (1, 0) on the
+    z axis.  Its block is (R R_z(beta) (x) R(beta)) G(B(xi, m0)) (...)^T,
+    R(beta) the turn of the h/v labels.  Boosts along one m0 (a rotation
+    is one with xi = 0 along +z) share one table pass over the nodes
     (axis_moments), the pass a sweep runs on its rows.
     """
-    rot, axes, shrink, turned = _boost_parts(stack)
-    off = axes[:, 1] != 0.0
-    rho = np.hypot(axes[off, 0], axes[off, 1])
-    c, s = axes[off, 0] / rho, axes[off, 1] / rho
+    rot, axes, shrink = _boost_parts(stack)
+    rho = np.hypot(axes[:, 0], axes[:, 1])
+    on_z = rho == 0.0
+    c, s = (axes[:, 0] + on_z) / (rho + on_z), axes[:, 1] / (rho + on_z)
     # R(beta), the turn of the h/v labels and of R's x and y columns
     labels = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], 1)
-    rot[off, :, :2] = rot[off, :, :2] @ labels
-    axes[off, 0], axes[off, 1] = rho, 0.0
+    rot[:, :, :2] = rot[:, :, :2] @ labels
+    axes[:, 0], axes[:, 1] = rho, 0.0
     out = np.empty((len(stack), 6, 6))
     pending = np.ones(len(stack), dtype=bool)
     while pending.any():
@@ -777,14 +773,9 @@ def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarr
         rows = pending & (axes == m).all(axis=1)
         pending &= ~rows
         out[rows] = next(axis_moments(m, [shrink[rows]], grid))
-    if turned.any():
-        # R (x) I2 on index 2i + a, and R R_z(beta) (x) R(beta) off the plane
-        r = np.zeros((np.count_nonzero(turned), 3, 2, 3, 2))
-        r[:, :, 0, :, 0] = r[:, :, 1, :, 1] = rot[turned]
-        r[off[turned]] = rot[off, :, None, :, None] * labels[:, None, :, None, :]
-        r = r.reshape(-1, 6, 6)
-        out[turned] = r @ out[turned] @ np.swapaxes(r, 1, 2)
-    return out
+    # R R_z(beta) (x) R(beta) on index 2i + a
+    r = (rot[:, :, None, :, None] * labels[:, None, :, None, :]).reshape(-1, 6, 6)
+    return r @ out @ np.swapaxes(r, 1, 2)
 
 
 def density_states(
@@ -812,9 +803,10 @@ def reduced_density(L: TransformStack, grid: QuadratureGrid, spec: BeamSpec) -> 
 
     The k = 1 case of density_states: L is a one-transform stack.  spec is
     the beam the grid was built for; the grid's weights already carry it,
-    so only the grid enters the state.  A boost axis off the x-z plane,
-    at azimuth beta, is integrated over the grid's rule turned by beta
-    about z, nodes (theta, +-phi_j + beta) (transported_moments).
+    so only the grid enters the state.  The boost is read along its axis
+    line, from the end at the azimuth beta in [0, pi), and integrated
+    over the grid's rule turned by beta about z, nodes
+    (theta, +-phi_j + beta) (transported_moments).
     """
     if len(L) != 1:
         raise ValueError(f"expected a one-transform stack, got {len(L)} transforms")

@@ -174,11 +174,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         configs, curve_key, out_path = preset_fig3(), "sigma_theta", args.out
     plot_path = args.plot_script
-    if out_path and plot_path and os.path.realpath(out_path) == os.path.realpath(plot_path):
-        raise ConfigError(f"cannot write the CSV and the plot script both to {plot_path}")
+    if plot_path is not None:
+        # gnuplot reads '-' as inline data, so a script cannot plot stdout
+        if out_path is None:
+            raise ConfigError("a plot script needs the CSV in a file: give --out")
+        if os.path.realpath(out_path) == os.path.realpath(plot_path):
+            raise ConfigError(f"cannot write the CSV and the plot script both to {plot_path}")
     with contextlib.ExitStack() as stack:
-        out = _open_output(stack, out_path) if out_path else sys.stdout
-        plot = _open_output(stack, plot_path) if plot_path else None
+        out = sys.stdout if out_path is None else _open_output(stack, out_path)
+        plot = None if plot_path is None else _open_output(stack, plot_path)
         table = run_sweeps(configs)
         # only sweep, whose one curve is configs[0], has --check-convergence
         message = convergence_problem(configs[0], table) if args.check_convergence else None
@@ -187,7 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _write(out, rows_to_csv(table))
         if plot is not None:
             values = tuple(getattr(c, curve_key) for c in configs)
-            _write(plot, gnuplot_script(out_path or "-", curve_key, values))
+            _write(plot, gnuplot_script(out_path, curve_key, values))
     return EXIT_OK if message is None else EXIT_CONVERGENCE
 
 

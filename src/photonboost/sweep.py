@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beams import ROWS_PER_BLOCK, BeamSpec, QuadratureGrid, axis_moments, build_grid, in_plane_axes
+from .beams import ROWS_PER_BLOCK, BeamSpec, QuadratureGrid, axis_moments, build_grid, in_plane_axes, line_ends
 from .entanglement import log_negativity_from_spectrum, state_readings
 from .lorentz import BOOST_Z, MAX_RAPIDITY, ROT_Y, TransformStack, boost_z, compose, rot_y
 
@@ -168,8 +168,9 @@ def _evaluate(
 
     Fills table, a (6, n) array, when one is given.  No TransformStack is
     built: SweepConfig has checked alpha and xi as a stack would.  The
-    axis is read from alpha once (beams.in_plane_axes), and the rows'
-    exp(-xi) go through the axis pass (beams.axis_moments)
+    axis is read from alpha once, as the end of its line (beams.line_ends
+    of beams.in_plane_axes) with the rapidities' matching sign, and the
+    rows' exp(-xi) go through the axis pass (beams.axis_moments)
     and the state stage (entanglement.state_readings: the trace and
     positivity guards and the exchange-block spectra)
     beams.ROWS_PER_BLOCK at a time, a count derived from the state
@@ -183,8 +184,9 @@ def _evaluate(
     alphas, sigmas, xi, ln, trace_res, min_eig = table  # views, one per SweepRow field
     alphas[:], sigmas[:], xi[:] = alpha, sigma_theta, xis
     blocks = [slice(lo, lo + ROWS_PER_BLOCK) for lo in range(0, len(xis), ROWS_PER_BLOCK)]
-    shrinks = (np.exp(-xis[block]) for block in blocks)
-    for block, moments in zip(blocks, axis_moments(in_plane_axes(alpha), shrinks, grid)):
+    axis, sign = line_ends(in_plane_axes(alpha))
+    shrinks = (np.exp(-sign * xis[block]) for block in blocks)
+    for block, moments in zip(blocks, axis_moments(axis, shrinks, grid)):
         _, min_eig[block], trace_res[block], spectra = state_readings(moments)
         ln[block] = log_negativity_from_spectrum(spectra)
     return table

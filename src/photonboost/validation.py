@@ -132,15 +132,16 @@ def _check_wigner_oracle(rng, cases: int) -> GroupResult:
 
 
 def _axis_azimuths(matrices: np.ndarray) -> np.ndarray:
-    """The azimuth beta = atan2(L02, L01) of each (k, 4, 4) transform's boost axis, 0 where L02 == 0.
+    """The azimuth beta = atan2(L02, L01) mod pi of each (k, 4, 4) transform's boost axis line.
 
-    L = R B(xi, m) has L0i = sinh(xi) m_i, so beta is the azimuth of m, and
-    it is 0 on every axis in the x-z plane.  beams.transported_moments
-    integrates a transform over the grid's rule turned about z by beta;
-    this reads beta from the matrix alone, not from beams' split of it.
+    L = R B(xi, m) has L0i = sinh(xi) m_i, so beta in [0, pi) is the
+    azimuth of m's line, and it is 0 on every axis in the x-z plane.
+    beams.transported_moments integrates a transform over the grid's rule
+    turned about z by beta; this reads beta from the matrix alone, not
+    from beams' split of it.
     """
     m = np.asarray(matrices, dtype=float)
-    return np.where(m[:, 0, 2] == 0.0, 0.0, np.arctan2(m[:, 0, 2], m[:, 0, 1]))
+    return np.mod(np.arctan2(m[:, 0, 2], m[:, 0, 1]), math.pi)
 
 
 def _moments_gap(stack: lorentz.TransformStack, grid: beams.QuadratureGrid, omegas=(1.0,)) -> float:

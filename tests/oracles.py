@@ -17,19 +17,20 @@ transform L turns that rule about z by the azimuth of L's boost axis,
 read from L's matrix (rule_of), as transported_moments does.
 transport and aberration_tables are the exceptions to the rule above.
 transport is the aberration map applied node by node to node vectors
-(node_vectors), from the same split L = R B(xi, m) and axis frame as the
-table pass (beams._polar_parts, beams._frames); production_transport lays
-it out in the rotation form's columns, so that tests can compare the two.
-aberration_tables builds the table pass's node products about an axis in
-the x-z plane from the grid's node vectors by theta-hat, the route the
-closed-form table of beams._aberration_tables replaced.
+(node_vectors), from the same split L = R B(xi, m) as the table pass
+(beams._polar_parts) and a frame about any axis of its own (_frames);
+production_transport lays it out in the rotation form's columns, so that
+tests can compare the two.  aberration_tables builds the table pass's
+node products about an axis in the x-z plane from the grid's node
+vectors by theta-hat, the route the closed-form table of
+beams._aberration_tables replaced.
 """
 import math
 
 import numpy as np
 
 from photonboost import beams, validation, wigner
-from photonboost.beams import QuadratureGrid, _frames, _polar_parts
+from photonboost.beams import QuadratureGrid, _polar_parts
 from photonboost.lorentz import (
     BOOST_Z,
     ROT_Y,
@@ -55,6 +56,24 @@ random_polarizations = validation._draw_polarizations
 # stays finite for every |xi| <= MAX_RAPIDITY, and a node within this of
 # -m, where the map is the identity, gets g = 1 / (1 + exp(-2 xi) t^2) ~ 0
 _S_FLOOR = 2.0 ** -480
+
+
+def _frames(axes):
+    """(k, 3, 3) right-handed frames with columns (e1, e2, m), one per unit axis m of (k, 3), any axis.
+
+    e1 and e2 are theta-hat and phi-hat at m about +z, and an axis on the
+    z axis takes the azimuth 0, so an axis m = (sin a, 0, cos a) with
+    sin a >= 0 gets the table pass's frame, e1 = (cos a, 0, -sin a) and
+    e2 = y-hat.
+    """
+    rho = np.hypot(axes[:, 0], axes[:, 1])
+    on_axis = rho == 0.0
+    safe = rho + on_axis
+    cb, sb = (axes[:, 0] + on_axis) / safe, axes[:, 1] / safe
+    mz = axes[:, 2]
+    e1 = np.stack([mz * cb, mz * sb, -rho], axis=-1)
+    e2 = np.stack([-sb, cb, np.zeros_like(cb)], axis=-1)
+    return np.stack([e1, e2, axes], axis=-1)
 
 
 def node_vectors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
@@ -207,11 +226,11 @@ def gauge_form_moments(L, grid, omega=1.0, turned=True):
     return x @ np.swapaxes(x, 1, 2)
 
 
-def aberration_tables(frame, grid):
+def aberration_tables(axis, grid):
     """beams._aberration_tables by theta-hat: (12, n) node products and (n,) t^2 per block.
 
-    frame is (e1, e2, m) as columns with m in the x-z plane, where the
-    table pass reads the nodes' own h and v.  Reads each block of the
+    axis is m in the x-z plane, read in its frame (e1, e2, m) (_frames),
+    where the table pass reads the nodes' own h and v.  Reads each block of the
     grid's stored node vectors (node_vectors) in the frame, takes s, the
     azimuth and t from _node_angles, and the components h_t and v_t of
     sqrt(w) h and sqrt(w) v along theta-hat = (p3 cos phi, p3 sin phi, -s)
@@ -221,6 +240,7 @@ def aberration_tables(frame, grid):
     and (h_t sin phi, v_t cos phi, v_t).  Blocks are _SUM_NODES stored
     nodes in order, cut anywhere in a row.
     """
+    frame = _frames(axis[None])[0]
     for lo in range(0, len(grid), beams._SUM_NODES):
         vectors = node_vectors(grid, lo, lo + beams._SUM_NODES)
         f = (frame.T @ vectors.reshape(3, -1)).reshape(3, 3, -1)

@@ -425,13 +425,17 @@ def test_reduced_density_is_the_read_only_one_row_case_of_density_states():
 
 def test_an_empty_block_of_boosts_has_an_empty_block_of_moments():
     grid = build_grid(BeamSpec(1.0), 8, 8)
-    for axis in (beams.in_plane_axes(0.5), beams.in_plane_axes(-2.5)):
+    for alpha in (0.5, -2.5, math.pi):
+        axis, sign = beams.line_ends(beams.in_plane_axes(alpha))
+        assert sign == (-1.0 if alpha < 0.0 else 1.0) and axis[0] >= 0.0
         blocks = list(beams.axis_moments(axis, [np.empty(0), np.array([2.0])], grid))
         assert [b.shape for b in blocks] == [(0, 6, 6), (1, 6, 6)]
-    # the pass reads its axis in the x-z plane; transported_moments turns
-    # an axis off it into the plane first
-    with pytest.raises(ValueError, match="x-z plane"):
-        list(beams.axis_moments(np.array([0.6, 0.48, 0.64]), [np.array([2.0])], grid))
+    # the pass reads its axis as the upper end of its line in the x-z
+    # plane; transported_moments turns an axis off it into the plane, and
+    # reads the other end of a line with x < 0 or on -z
+    for bad in ([0.6, 0.48, 0.64], beams.in_plane_axes(-2.5), [0.0, 0.0, -1.0]):
+        with pytest.raises(ValueError, match="x-z plane with x >= 0, and not on -z"):
+            list(beams.axis_moments(np.array(bad), [np.array([2.0])], grid))
 
 
 def test_an_empty_stack_has_empty_states_and_readings():
@@ -571,8 +575,8 @@ def test_sweeps_sum_each_node_once_per_axis_and_off_plane_axes_once_per_turned_a
     tabled, products = [], []
     real_tables = beams._aberration_tables
 
-    def counting_tables(frame, grid):
-        for table, t2 in real_tables(frame, grid):
+    def counting_tables(axis, grid):
+        for table, t2 in real_tables(axis, grid):
             tabled.append(len(t2))
             products.append(len(table))
             yield table, t2
@@ -641,8 +645,8 @@ def _allocations_over_64_kib_per_block(monkeypatch, run):
     """
     real, state, big = beams._aberration_tables, {"formed": False, "held": 0}, []
 
-    def tables(frame, grid):
-        for block in real(frame, grid):
+    def tables(axis, grid):
+        for block in real(axis, grid):
             state["formed"] = True
             yield block
 
@@ -683,8 +687,7 @@ def test_table_pass_allocations_over_64_kib_do_not_grow_with_its_node_blocks(mon
     for n in (96, 384):
         grid = build_grid(BeamSpec(1.0), n, n)
         big[n] = _allocations_over_64_kib_per_block(monkeypatch, lambda: beams.density_states(stack, grid))
-        frame = beams._frames(beams.in_plane_axes(0.7)[None])[0]
-        blocks[n] = sum(1 for _ in beams._aberration_tables(frame, grid))
+        blocks[n] = sum(1 for _ in beams._aberration_tables(beams.in_plane_axes(0.7), grid))
     assert blocks[384] > 4 * blocks[96] > 4
     assert len(big[384]) <= len(big[96]) == 0, big
 
@@ -699,8 +702,8 @@ def test_density_states_on_the_widest_grid_under_the_node_cap_peaks_under_5_mb(m
     stack = boost_stack(0.7, np.linspace(-1.0, 1.0, 3))
     widths, real = [], beams._aberration_tables
 
-    def counting_tables(frame, grid):
-        for table, t2 in real(frame, grid):
+    def counting_tables(axis, grid):
+        for table, t2 in real(axis, grid):
             widths.append(len(t2))
             yield table, t2
 
@@ -925,10 +928,11 @@ _TURNS = [0.4, math.pi / 2, -math.pi / 2, -2.5, 3.0]
 @pytest.mark.parametrize("beta", _TURNS)
 def test_an_off_plane_boost_is_the_in_plane_pass_turned_about_z(beta, n_theta, n_phi):
     # on the rule turned by beta, the moments of a boost along R_z(beta) m0
-    # are U M(m0) U^T exactly.  alpha < 0 puts m0 at the azimuth pi, which
-    # the pass reads as the azimuth beta + pi about (|sin alpha|, 0, cos
-    # alpha): the same on an even phi rule.  The boosts are read from
-    # their matrices, which costs eps cosh(xi)
+    # are U M(m0) U^T exactly.  A line whose azimuth beta turns out of
+    # [0, pi), beta < 0 here or m0 with alpha < 0, is read from its other
+    # end at beta + pi, over the rule turned by beta + pi: on an even phi
+    # rule the same rule.  The boosts are read from their matrices, which
+    # costs eps cosh(xi)
     grid = build_grid(BeamSpec(1.0), n_theta, n_phi)
     xis = [-2.0, -0.5, 1.0, 2.5]
     u = _azimuth_turn(beta)
@@ -936,6 +940,43 @@ def test_an_off_plane_boost_is_the_in_plane_pass_turned_about_z(beta, n_theta, n
         plane = transported_moments(boost_stack(alpha, xis), grid)
         got = transported_moments(_turned_boosts(beta, alpha, xis), grid)
         assert np.abs(got - u @ plane @ u.T).max() <= 1e-14, alpha
+
+
+@pytest.mark.parametrize("n_phi", [9, 15, 16])
+def test_a_boost_turned_within_the_azimuths_of_its_line_turns_its_moments_on_any_phi_rule(n_phi):
+    # a boost is read along the end of its axis line at the azimuth
+    # beta in [0, pi), whatever the sign of its rapidity, so turning it by
+    # such a beta turns its moments by U exactly on odd phi rules too.
+    # Read by the end with xi >= 0, a boost with xi < 0 was integrated over
+    # the rule turned by beta + pi, 4.6e-2 away at xi = -2 on 16 x 9
+    grid = build_grid(BeamSpec(1.0), 16, n_phi)
+    xis = [-2.0, -1.0, 1.0, 2.0]
+    for alpha in (0.7, 2.2):
+        plane = transported_moments(boost_stack(alpha, xis), grid)
+        for beta in (0.0, 0.4, math.pi / 2, 2.0, 3.0):
+            u = _azimuth_turn(beta)
+            got = transported_moments(_turned_boosts(beta, alpha, xis), grid)
+            assert np.abs(got - u @ plane @ u.T).max() <= 1e-14, (alpha, beta)
+
+
+def test_both_rapidities_along_one_axis_line_share_one_table_pass(monkeypatch):
+    # B(xi, m) = B(-xi, -m): boost_z(+-1) are boosts along +z, and the two
+    # turned boosts along R_z(0.4) m0 are read along one end of their line,
+    # so each pair takes one pass; read by the end with xi >= 0, each
+    # took two
+    grid = build_grid(BeamSpec(1.0), 8, 8)
+    passes = []
+    real = beams._aberration_tables
+
+    def counting_tables(axis, grid):
+        passes.append(tuple(axis))
+        yield from real(axis, grid)
+
+    monkeypatch.setattr(beams, "_aberration_tables", counting_tables)
+    for stack in (concatenated([boost_z(1.0), boost_z(-1.0)]), _turned_boosts(0.4, 0.7, [1.0, -1.0])):
+        passes.clear()
+        transported_moments(stack, grid)
+        assert len(passes) == 1, passes
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])
@@ -1008,11 +1049,12 @@ def _polar_row_grid(thetas, n_phi):
 @pytest.mark.parametrize("n_phi", [8, 4])
 @pytest.mark.parametrize("xi", [-1.0, 1.0])
 def test_a_node_at_theta_pi_takes_its_turning_h_on_the_axis_minus_z(xi, n_phi):
-    # boost_z(-1) boosts along -z exactly, whose axis frame takes the
-    # azimuth 0, so every node at theta = pi lies on the axis, where
-    # h = -(cos 2 phi, sin 2 phi, 0) turns with phi; the on-axis fix-up read
-    # C_h^2 = w and C_v = 0 there and was 0.25 from the node-by-node
-    # transport.  boost_z(1) takes the same nodes within rounding of -m.
+    # at theta = pi, h = -(cos 2 phi, sin 2 phi, 0) turns with phi.
+    # boost_z(+-1) are both read along +z, the upper end of their axis
+    # line, so no pass runs about -z, where these nodes would lie on the
+    # axis: they lie within rounding of -m, each at its own azimuth.  A
+    # node on the axis takes psi = 0, where C_h^2 = w and C_v = 0, which
+    # was 0.25 from the node-by-node transport when the pass ran about -z.
     # On the 4-phi rule, h turning by phi instead of 2 phi gives other
     # moments
     grid = _polar_row_grid([1.0, math.pi], n_phi)

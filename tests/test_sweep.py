@@ -430,7 +430,8 @@ def test_sweeps_keep_both_reflection_symmetries_to_rounding():
     # which the beam shares, and a boost of xi along the axis at alpha + pi
     # is one of -xi along alpha: so LN(-alpha, xi) = LN(alpha, xi) and
     # LN(alpha + pi, xi) = LN(alpha, -xi), which hold to 2e-15 here.
-    # Axes with sin(alpha) < 0 take the frame e2 = -y-hat; criterion 06
+    # Axes with sin(alpha) < 0 are read along the other end of their line,
+    # with the rapidity's sign flipped (beams.line_ends); criterion 06
     # checks the second only at alpha = pi/2, and only to 0.05
     alphas = (0.3, 1.2, 2 * math.pi / 5, math.pi / 2, 2.0, 2.9)
     cfgs = [
@@ -794,6 +795,54 @@ def test_cli_one_path_for_csv_and_plot_script_exits_1(argv, tmp_path, monkeypatc
 
 _SMALL_SWEEP = ["sweep", "--alpha", "0", "--sigma-theta", "1", "--xi-steps", "3",
                 "--n-theta", "8", "--n-phi", "8"]
+
+
+def _computing_fails(monkeypatch):
+    import photonboost.sweep as sweep_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before the outputs were checked")
+
+    monkeypatch.setattr(cli, "run_sweeps", must_not_run)
+    monkeypatch.setattr(sweep_mod, "_evaluate", must_not_run)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _SMALL_SWEEP + ["--out", ""],
+        _SMALL_SWEEP + ["--out", "", "--plot-script", ""],
+        _SMALL_SWEEP + ["--out", "{dir}/ok.csv", "--plot-script", ""],
+        ["fig2", "--out", ""],
+        ["fig3", "--out", "{dir}/ok.csv", "--plot-script", ""],
+    ],
+)
+def test_cli_an_empty_output_path_exits_1_before_computing(argv, tmp_path, monkeypatch, capsys):
+    # an empty path is a path that cannot be opened, not a request for stdout
+    _computing_fails(monkeypatch)
+    assert cli.main([a.format(dir=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _SMALL_SWEEP + ["--plot-script", "{dir}/s.gp"],
+        ["sweep", "--config", "{dir}/cfg.json", "--plot-script", "{dir}/s.gp"],
+    ],
+)
+def test_cli_a_plot_script_of_a_csv_on_stdout_exits_1_before_computing(argv, tmp_path, monkeypatch, capsys):
+    # the script would plot '-', gnuplot's inline-data marker, which can
+    # never read the CSV
+    _computing_fails(monkeypatch)
+    (tmp_path / "cfg.json").write_text(json.dumps({"alpha": 0.0, "sigma_theta": 1.0}))
+    assert cli.main([a.format(dir=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a plot script needs the CSV in a file: give --out\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

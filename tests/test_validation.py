@@ -105,9 +105,9 @@ def _on_tables(monkeypatch, replacement, on_form_grid=False):
     real = beams._aberration_tables
     form = (validation._FORM_NODES, validation._FORM_NODES // 2 + 1)
 
-    def tables(frame, grid):
+    def tables(axis, grid):
         routed = not on_form_grid or (len(grid.thetas), len(grid.phis)) == form
-        for table, t2 in real(frame, grid):
+        for table, t2 in real(axis, grid):
             yield (replacement(table.copy(), t2) if routed else table), t2
 
     monkeypatch.setattr(beams, "_aberration_tables", tables)
