@@ -56,8 +56,8 @@ transported h/v vectors (entanglement turns them into states), so the
 cost is linear, not quadratic, in the node count.  Along one axis, every
 node's moments are fixed products weighted by 1, g and g^2 with
 g = 1 / (1 + exp(-2 xi) t^2), t = tan(theta_m/2), so transported_moments
-sums each node once per pass and gets every row of a block from two
-matrix products over the nodes (_aberration_sums).  Those products are
+sums each node once per pass and gets every row of a block from matrix
+products over the nodes (_aberration_sums).  Those products are
 built in closed form from five projections of each node: p . e1, p . e2
 and p . m in the axis frame (e1, e2, m), and m . (sqrt(w) h) and
 m . (sqrt(w) v).  Each is a sum of a few products of a per-theta and a
@@ -104,11 +104,12 @@ _BLOCK_BYTES = 1 << 18
 # theta rows, or parts of one row where a row holds more.  The edges
 # depend only on the grid, whatever the number of boosts, so that a row's
 # node sums are added in the same blocks alone as in a sweep.  A block's
-# table and t^2 (13 floats per node) and the weights of
-# PRODUCT_ROWS boosts take twice _BLOCK_BYTES and stay in a core's L2
-# cache: 1,365-node blocks took 1.3 to 1.6 times as long on 192^2 and
-# 384^2, and 10,920-node ones 1.2 times
-_SUM_NODES = 2 * _BLOCK_BYTES // (8 * (13 + entanglement.PRODUCT_ROWS))
+# table and t^2 (13 floats per node) and the weights of PRODUCT_ROWS
+# boosts take four times _BLOCK_BYTES, half of a 2 MiB per-core L2 cache,
+# and each block pays a fixed count of array operations: a 9-row sweep on
+# 192^2 with its 384^2 probe took 5.3 ms with these 6,241-node blocks,
+# 5.8 ms with 3,120-node ones and 6.4 ms with 12,480-node ones
+_SUM_NODES = 4 * _BLOCK_BYTES // (8 * (13 + entanglement.PRODUCT_ROWS))
 
 # Newton steps allowed per Legendre root; from Tricomi's angles the
 # iteration in t converges cubically and stops after one to three (at
@@ -568,6 +569,21 @@ def _phi_factors(grid: QuadratureGrid, lo: int, hi: int) -> np.ndarray:
     return g
 
 
+def _line_aligned(alloc, n: int) -> np.ndarray:
+    """alloc(n) floats, alloc np.empty or np.zeros, whose data starts on a 64-byte cache line.
+
+    The table pass reads and writes whole rows of its workspace and its
+    weights, and a row that starts off a line splits vector loads across
+    two lines: fig2 then fig3 ran 6-14% slower with them 16 or 32 bytes
+    off a line, where the allocator can leave them, than on one.  Every
+    row starts on a line where a block's node count is a multiple of 8,
+    as on the preset grids.
+    """
+    raw = alloc(n + 7)
+    first = -raw.ctypes.data % 64 // 8
+    return raw[first:first + n]
+
+
 def _aberration_tables(axis: np.ndarray, grid: QuadratureGrid):
     """(12, n) node products and (n,) t^2 about an axis m = (sin b, 0, cos b), a block of nodes at a time.
 
@@ -598,8 +614,7 @@ def _aberration_tables(axis: np.ndarray, grid: QuadratureGrid):
     span = step * max(1, _BLOCK_BYTES // (8 * 24 * step))
     # the largest block's table and t^2; each block lays its own out from the start
     most = min(step, len(grid.thetas)) * width
-    work = np.empty(13 * most)
-    on_axis = np.empty(most, dtype=bool)
+    work = _line_aligned(np.empty, 13 * most)
     for top in range(0, len(grid.thetas), span):
         rows = _theta_factors(axis, grid, top, top + span)
         for lo in range(0, n_cols, width):
@@ -617,16 +632,16 @@ def _aberration_tables(axis: np.ndarray, grid: QuadratureGrid):
                 x, (minus, plus) = proj[:4], proj[4:]  # 1 - p . m and 1 + p . m
                 np.divide(minus, plus, out=t2)
                 s = np.sqrt(np.multiply(minus, plus, out=plus), out=plus)
-                on = np.equal(s, 0.0, out=on_axis[:size])
-                # cos psi, sin psi, -C_h and -C_v; s is 1 on the axis (adding
-                # the mask would cast it through a 64 KiB buffer per block)
-                np.copyto(s, 1.0, where=on)
-                np.divide(x, s, out=x)
-                if on.any():
-                    i = np.flatnonzero(on)
+                if not s.all():
+                    # a node on the axis takes psi = 0 and s = 1, with
+                    # cos psi = 1 and -C_h = sqrt(w), which the division keeps
+                    i = np.flatnonzero(s == 0.0)
+                    s[i] = 1.0
                     x[0, i] = 1.0
                     x[2, i] = np.sqrt(grid.theta_weights[top + first + i // n])
                     x[2, i] *= np.sqrt(grid.phi_weights[lo + i % n])
+                # cos psi, sin psi, -C_h and -C_v
+                np.divide(x, s, out=x)
                 # a and b of both parities, in the rows of their squares
                 ab = paired[:2]
                 np.multiply(x[2], x[:2], out=ab[0])
@@ -662,16 +677,20 @@ def _aberration_sums(shrink: np.ndarray, axis: np.ndarray, grid: QuadratureGrid)
     vanish at +-m are formed from half angles, so they keep their digits
     relative to the node's distance s from the axis, and a node on the
     axis (s = 0) takes psi = 0.  A block is whole theta rows of at most
-    _SUM_NODES nodes, or part of a longer row, and each block is summed
-    for as many boosts at a time as their weights fit in a quarter of
-    _BLOCK_BYTES, at least PRODUCT_ROWS, with two matrix products
-    (entanglement.rows_product); the weights of every block share one
-    buffer.
+    _SUM_NODES = 6,241 nodes, or part of a longer row, and each block is
+    summed for as many boosts at a time as their weights fit in a quarter
+    of _BLOCK_BYTES, at least PRODUCT_ROWS, with matrix products of
+    PRODUCT_ROWS-row tiles (entanglement.rows_product): a part of more
+    than PRODUCT_ROWS / 2 boosts takes one product for its g and one for
+    its g^2, and a shorter part, such as a lone row or the three rows of a
+    convergence probe, writes both into one tile and takes one product.
+    A row rounds alike at any position of a tile, so the sums are the same
+    bits either way.  The weights of every block share one buffer.
     """
     k = len(shrink)
     if not k:
         return np.empty((0, len(_GRAM_MAP)))
-    n0, n1, n2 = np.zeros(12), np.zeros((k, 12)), np.zeros((k, 12))
+    n0, n1, n2 = np.zeros(6), np.zeros((k, 12)), np.zeros((k, 12))
     scale = shrink * shrink
     unit = entanglement.PRODUCT_ROWS
     nodes = min(_SUM_NODES, len(grid))
@@ -681,23 +700,32 @@ def _aberration_sums(shrink: np.ndarray, axis: np.ndarray, grid: QuadratureGrid)
     # per block can be mapped and unmapped by the allocator each time,
     # which cost fig2 and fig3 up to 8% of their time.  Its rows past the
     # last boost pad the last part to whole products of unit rows
-    buf = np.zeros(rows * nodes)
+    buf = _line_aligned(np.zeros, rows * nodes)
     for table, t2 in _aberration_tables(axis, grid):
-        n0 += table.sum(axis=1)
+        # the sums weighted by 1 that the Gram reads: a^2, b^2 and ab
+        n0 += table[:6].sum(axis=1)
         weights = buf[:rows * len(t2)].reshape(rows, -1)
         for lo in range(0, k, rows):
             part = scale[lo:lo + rows]
-            padded = weights[:-(-len(part) // unit) * unit]
-            g = np.multiply(part[:, None], t2, out=padded[:len(part)])
+            p = len(part)
+            padded = weights[:-(-p // unit) * unit]
+            g = np.multiply(part[:, None], t2, out=padded[:p])
             g += 1.0
             np.reciprocal(g, out=g)
-            n1[lo:lo + rows] += entanglement.rows_product(padded, table.T)[:len(part)]
-            g *= g
-            n2[lo:lo + rows] += entanglement.rows_product(padded, table.T)[:len(part)]
+            if 2 * p <= unit:
+                # g and g^2 of a short part share one tile
+                np.multiply(g, g, out=padded[p:2 * p])
+                sums = entanglement.rows_product(padded, table.T)
+                n1[lo:lo + p] += sums[:p]
+                n2[lo:lo + p] += sums[p:2 * p]
+            else:
+                n1[lo:lo + p] += entanglement.rows_product(padded, table.T)[:p]
+                g *= g
+                n2[lo:lo + p] += entanglement.rows_product(padded, table.T)[:p]
     # the t-sums, rows t C a and t C b of both parities
     n1[:, 8:] *= shrink[:, None]
     n2[:, 8:] *= shrink[:, None]
-    return np.concatenate([np.broadcast_to(n0[:6], (k, 6)), n1, n2], axis=1)
+    return np.concatenate([np.broadcast_to(n0, (k, 6)), n1, n2], axis=1)
 
 
 def _pass_map(axis: np.ndarray) -> np.ndarray:

@@ -229,7 +229,10 @@ def rows_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     number of rows, or in the last, partial tile of a product's rows, and
     numpy sends a lone row down its matrix-vector path.  So the rows are
     multiplied as a stack of PRODUCT_ROWS-row products, one BLAS call
-    each, a short last block padded with zero rows.
+    each, a short last block padded with zero rows.  In such a product a
+    row comes out with the same bits at every position of its tile,
+    whatever the tile's other rows hold (tests/test_entanglement.py
+    checks this for the BLAS in use), so unrelated rows may share a tile.
     """
     k, n = rows.shape
     if k % PRODUCT_ROWS:

@@ -140,7 +140,7 @@ def _rot_y_angle(gamma, frame, frame_out):
 
 
 def _axial_angle(gamma, frame, frame_out):
-    """Theta of R_z(gamma), or of a boost along z with gamma = 0, between two _frames.
+    """Theta of R_z(gamma), or of a boost along z with gamma = 0, from the _frame of its input to that of its output.
 
     The factor keeps the z axis and carries the azimuth phi to phi + gamma,
     so W is R_z of the turn gamma + phi - phi' about +z and of its opposite

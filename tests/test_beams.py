@@ -618,7 +618,7 @@ def test_sweeps_sum_each_node_once_per_axis_and_off_plane_axes_once_per_turned_a
 
 def test_density_states_peaks_within_2_mb_of_its_inputs_on_384_squared():
     # the nodes are summed a block of _SUM_NODES at a time, so no array of
-    # the grid's size is made: 3 rows on 384^2 peak at 0.67 MiB, where
+    # the grid's size is made: 3 rows on 384^2 peak at 1.14 MiB, where
     # transporting a whole boosted copy of the grid's 7.1 MB of stored
     # vectors peaked at 11.9 MB
     grid = build_grid(BeamSpec(1.0), 384, 384)
@@ -678,25 +678,25 @@ def _allocations_over_64_kib_per_block(monkeypatch, run):
 def test_table_pass_allocations_over_64_kib_do_not_grow_with_its_node_blocks(monkeypatch):
     # each pass forms every block in one workspace, and every block's
     # weights in one buffer, both allocated before its first block: 3 rows
-    # on 384^2, 24 node blocks, allocate no more over 64 KiB once the first
-    # block is formed than on 96^2, 2 blocks: nothing.  With a fresh
+    # on 384^2, 12 node blocks, allocate no more over 64 KiB once the first
+    # block is formed than on 128^2, 2 blocks: nothing.  With a fresh
     # (12, nodes) table and fresh temporaries per block, each of the 55
     # blocks of 1,365 nodes on 384^2 allocated a 131 KB table
     stack = boost_stack(0.7, np.linspace(-1.0, 1.0, 3))
     big, blocks = {}, {}
-    for n in (96, 384):
+    for n in (128, 384):
         grid = build_grid(BeamSpec(1.0), n, n)
         big[n] = _allocations_over_64_kib_per_block(monkeypatch, lambda: beams.density_states(stack, grid))
         blocks[n] = sum(1 for _ in beams._aberration_tables(beams.in_plane_axes(0.7), grid))
-    assert blocks[384] > 4 * blocks[96] > 4
-    assert len(big[384]) <= len(big[96]) == 0, big
+    assert blocks[384] > 4 * blocks[128] > 4
+    assert len(big[384]) <= len(big[128]) == 0, big
 
 
 def test_density_states_on_the_widest_grid_under_the_node_cap_peaks_under_5_mb(monkeypatch):
     # 8 x 32768 stores 16,385 nodes in each theta row, more than a block of
     # the in-plane sums takes (_SUM_NODES), so each row is cut into parts
     # and the per-phi factors are built a part at a time: 3 rows peak at
-    # 1.8 MiB, 0.5 MiB of it the factors of a part of 2,731 phis, where
+    # 3.3 MiB, 1 MiB of it the factors of a part of 5,462 phis, where
     # the theta-hat route's node vectors peaked at 4.05 MB
     grid = build_grid(BeamSpec(1.0), 8, 32768)
     stack = boost_stack(0.7, np.linspace(-1.0, 1.0, 3))

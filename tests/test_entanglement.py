@@ -9,12 +9,14 @@ from photonboost import beams
 from photonboost.beams import BeamSpec, build_grid, reduced_density
 from photonboost.entanglement import (
     EXCHANGE_BASIS,
+    PRODUCT_ROWS,
     exchange_blocks,
     hermitian_eigenvalues,
     log_negativity,
     log_negativity_from_spectrum,
     pair_states,
     partial_transpose_A,
+    rows_product,
     symmetric_2x2_eigenvalues,
 )
 from photonboost.lorentz import compose, identity, rot_y, rot_z
@@ -340,6 +342,25 @@ def test_exchange_blocks_of_a_row_do_not_depend_on_the_rows_beside_it(rng):
     for i in (0, 33, 69):
         alone = exchange_blocks(moments[i:i + 1])
         assert np.array_equal(alone[0][0], sym[i]) and np.array_equal(alone[1][0], anti[i])
+
+
+def test_rows_product_rounds_a_row_alike_at_every_position_of_its_tile_whatever_the_others_hold(rng):
+    # beams._aberration_sums packs the g and g^2 weights of up to four
+    # boosts into one tile, so each row must come out with the bits it has
+    # alone, at any position and beside any rows; the widths are the node
+    # blocks of the benchmark's grids (16^2, 64^2, 96^2, 384^2 and 192^2),
+    # 1,440 placements in all
+    for width in (144, 2112, 4704, 6176, 6208):
+        table = rng.normal(size=(12, width))
+        for row in rng.uniform(0.0, 1.0, size=(4, width)):
+            tile = np.zeros((PRODUCT_ROWS, width))
+            tile[0] = row
+            want = rows_product(tile, table.T)[0]
+            for at in range(PRODUCT_ROWS):
+                for scale in (0.0, 1e-3, 1.0, 1e3, 1.0, 1e6, 1.0, 1e-6, 1.0):
+                    tile = scale * rng.uniform(-1.0, 1.0, size=(PRODUCT_ROWS, width))
+                    tile[at] = row
+                    assert rows_product(tile, table.T)[at].tobytes() == want.tobytes(), (width, at, scale)
 
 
 def test_exchange_blocks_of_any_gram_match_the_rotated_9x9(rng):

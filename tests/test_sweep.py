@@ -351,7 +351,7 @@ def _state_columns(row):
     return tuple(row[3:])
 
 
-@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("n", [16, 64, 128, 192])
 @pytest.mark.parametrize(
     "alpha",
     [0.0, 0.7, math.pi / 2, 2 * math.pi / 5, -2.9, 3.0],
@@ -367,12 +367,13 @@ def test_rows_of_a_curve_over_many_blocks_match_each_row_alone_and_the_stack(alp
     # 2.5e-15 on this curve.  A sweep reads each row's axis and exp(-xi) as
     # the stack route reads them from boost_stack's factor rows, so its
     # rows are density_states' readings of that stack, bit for bit; 128^2
-    # stores 8,320 nodes, three node blocks (beams._SUM_NODES), and 16^2
-    # and 64^2 one each
+    # and 192^2 store 8,320 and 18,624 nodes, two and three node blocks
+    # (beams._SUM_NODES), and 16^2 and 64^2 one each
     steps = 5 * ROWS_PER_BLOCK // 2
     xis = np.linspace(-15.0, 15.0, steps)
     grid = build_grid(BeamSpec(1.3), n, n)
-    assert (len(grid) > 2 * beams._SUM_NODES) == (n == 128)
+    blocks = sum(1 for _ in beams._aberration_tables(beams.in_plane_axes(0.7), grid))
+    assert blocks == {16: 1, 64: 1, 128: 2, 192: 3}[n]
     table = sweep_mod._evaluate(alpha, 1.3, xis, grid)
     _, min_eig, gap, spectra = density_states(boost_stack(alpha, xis), grid)
     stacked = (entanglement.log_negativity_from_spectrum(spectra), gap, min_eig)
@@ -414,7 +415,7 @@ def test_single_and_sweep_give_the_same_row_bit_for_bit(sigma, n):
     # 129 rows are summed a part at a time, each part in whole products of
     # 8 rows (entanglement.rows_product), the last one padded; single runs
     # each point as a sweep of one row, and must print what a sweep prints.
-    # 128^2 and 192^2 store 8,320 and 18,624 nodes, three and six node
+    # 128^2 and 192^2 store 8,320 and 18,624 nodes, two and three node
     # blocks (beams._SUM_NODES), which are the same for any row count
     cfg = SweepConfig(alpha=0.7, sigma_theta=sigma, xi_min=-3.0, xi_max=3.0, xi_steps=129,
                       n_theta=n, n_phi=n)
@@ -423,6 +424,21 @@ def test_single_and_sweep_give_the_same_row_bit_for_bit(sigma, n):
         xi = rows[i].xi
         (alone,) = run_sweep(replace(cfg, xi_min=xi, xi_max=xi, xi_steps=1))
         assert _state_columns(alone) == _state_columns(rows[i]), i
+
+
+def test_a_3_row_sweep_on_192_squared_gives_the_rows_of_a_61_row_sweep_bit_for_bit():
+    import photonboost.sweep as sweep_mod
+
+    # 192^2 takes 8 boosts per part of the node sums: the 61-row sweep sums
+    # its rows in parts of 8 and 5, each with two products of 8-row tiles,
+    # and the 3-row sweep sums g and g^2 of its rows in one tile, at other
+    # positions and beside other rows (entanglement.rows_product)
+    grid = build_grid(BeamSpec(1.3), 192, 192)
+    xis = np.linspace(-3.0, 3.0, 61)
+    table = sweep_mod._evaluate(1.1, 1.3, xis, grid)
+    picked = [13, 30, 60]
+    three = sweep_mod._evaluate(1.1, 1.3, xis[picked], grid)
+    assert three.tobytes() == np.ascontiguousarray(table[:, picked]).tobytes()
 
 
 def test_sweeps_keep_both_reflection_symmetries_to_rounding():
