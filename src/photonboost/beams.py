@@ -174,10 +174,21 @@ del _p, _e, _r, _c
 # copies take its peak to about twice that, 0.5 MB at ROWS_PER_BLOCK rows
 _STATE_ROW_FLOATS = 36 + 90
 
-# rows whose states are built and solved together (sweep._evaluate): what
-# they keep fills _BLOCK_BYTES, and the stage's fixed cost per call is
-# shared by that many rows
+# rows whose states are built and solved together (sweep._solve_rows):
+# what they keep fills _BLOCK_BYTES, and the stage's fixed cost per call
+# is shared by that many rows.  A sweep's block spans its curves: the
+# moments of every curve of a run are solved in order, this many rows per
+# call, so fig2's 305 rows take two calls and fig3's 244 one
 ROWS_PER_BLOCK = _BLOCK_BYTES // (8 * _STATE_ROW_FLOATS)
+
+# smallest theta weight build_grid keeps; a smaller one is set to 0.  A
+# node's table entries are its weight times trigonometric factors, so
+# smaller weights put subnormal numbers in the table, and the matrix
+# products of the node sums run about four times slower on them: with the
+# weights kept, fig3's sigma = 0.1 on 64^2 held 411 subnormal entries, and
+# a 64-row product took 0.36 ms against 0.09-0.10 ms for sigma >= 0.5
+# (0.09 ms with the floor).  The weights cut sum to less than 1e-150
+_WEIGHT_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 # pi - math.pi, so that pi - x - y is formed to rounding relative to itself
 # where a node and a boost axis lie nearly opposite (_theta_factors)
@@ -390,7 +401,9 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
     of roots, in O(n_theta) memory with no eigensolve, once per size: a
     later grid of the same n_theta reads the kept read-only rule.  Its
     weights times the beam density, renormalized to sum one, are the
-    theta rule of this grid alone, formed on every call;
+    theta rule of this grid alone, formed on every call, with every
+    weight below _WEIGHT_FLOOR (about 1.5e-154) set to 0 so that no node
+    product is subnormal;
     renormalizing absorbs the amplitude normalization constant, which is
     never needed in closed form.
     The phi rule is the uniform periodic grid phi_j = 2 pi j / n_phi with
@@ -411,9 +424,11 @@ def build_grid(spec: BeamSpec, n_theta: int, n_phi: int) -> QuadratureGrid:
             f"every node weight underflowed for sigma_theta={spec.sigma_theta}; "
             "the grid cannot resolve a beam this narrow"
         )
+    w_theta /= total
+    w_theta[w_theta < _WEIGHT_FLOOR] = 0.0
     j = np.arange(n_phi // 2 + 1)
     images = np.where((j == 0) | (2 * j == n_phi), 1.0, 2.0)
-    return QuadratureGrid(thetas, w_theta / total, j * (2.0 * math.pi / n_phi), images / n_phi)
+    return QuadratureGrid(thetas, w_theta, j * (2.0 * math.pi / n_phi), images / n_phi)
 
 
 def _polar_parts(boosts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -660,13 +675,13 @@ def _aberration_tables(axis: np.ndarray, grid: QuadratureGrid):
                 yield table, t2
 
 
-def _aberration_sums(shrink: np.ndarray, axis: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+def _aberration_sums(shrink: np.ndarray, tables, grid: QuadratureGrid) -> np.ndarray:
     """(k, 30) node sums that give the stored nodes' Grams under k boosts B(xi, m) along one axis of _aberration_tables.
 
-    shrink holds each boost's exp(-xi), and axis is m, with the frame
-    (e1, e2, m) of _aberration_tables.  A node keeps its azimuth about m
-    and moves to cos theta' = c = 2 g - 1 and sin theta' = s' =
-    2 exp(-xi) t g, with g = 1 / (1 + exp(-2 xi) t^2).
+    shrink holds each boost's exp(-xi), and tables are the blocks of
+    _aberration_tables about m, with the frame (e1, e2, m).  A node keeps
+    its azimuth about m and moves to cos theta' = c = 2 g - 1 and
+    sin theta' = s' = 2 exp(-xi) t g, with g = 1 / (1 + exp(-2 xi) t^2).
     Its transported h and v vectors in the frame are y = (c a - b,
     a - c b, -s' C) for each parity: the even one is (e1 h, e2 v, m h)
     and the odd one (e2 h, -e1 v, m v).  Each Gram entry is a sum over
@@ -701,7 +716,7 @@ def _aberration_sums(shrink: np.ndarray, axis: np.ndarray, grid: QuadratureGrid)
     # which cost fig2 and fig3 up to 8% of their time.  Its rows past the
     # last boost pad the last part to whole products of unit rows
     buf = _line_aligned(np.zeros, rows * nodes)
-    for table, t2 in _aberration_tables(axis, grid):
+    for table, t2 in tables:
         # the sums weighted by 1 that the Gram reads: a^2, b^2 and ab
         n0 += table[:6].sum(axis=1)
         weights = buf[:rows * len(t2)].reshape(rows, -1)
@@ -757,13 +772,19 @@ def axis_moments(axis: np.ndarray, shrinks, grid: QuadratureGrid):
     spatial sign (1, -1, 1) of i times +1 for h and -1 for v: the rule's
     Gram is the even and odd parity blocks of one pass over the stored
     nodes, and the cross-parity terms cancel.  The map from node sums
-    (_aberration_sums) to Grams is formed once, for every block.
+    (_aberration_sums) to Grams is formed once, for every block, and so
+    is the table of a grid that is one node block (at most _SUM_NODES
+    stored nodes); a larger grid runs its table pass for each block, so
+    the pass's memory stays bounded by a node block.
     """
     if axis[1] != 0.0 or line_ends(axis)[1] < 0.0:
         raise ValueError(f"axis must lie in the x-z plane with x >= 0, and not on -z, got {axis!r}")
     gram_map = _pass_map(axis)
+    # a grid of one node block keeps its table for every block of boosts
+    kept = list(_aberration_tables(axis, grid)) if len(grid) <= _SUM_NODES else None
     for shrink in shrinks:
-        yield entanglement.rows_product(_aberration_sums(shrink, axis, grid), gram_map).reshape(-1, 6, 6)
+        sums = _aberration_sums(shrink, kept or _aberration_tables(axis, grid), grid)
+        yield entanglement.rows_product(sums, gram_map).reshape(-1, 6, 6)
 
 
 def transported_moments(stack: TransformStack, grid: QuadratureGrid) -> np.ndarray:

@@ -5,6 +5,10 @@ grid.  Its rows (the log negativity and the state sanity numbers per
 rapidity) stay a (6, n) float table, table[i] holding CSV column i, from
 the solve to the CSV text, which is deterministic: a header read from
 SweepRow's fields, floats at nine significant digits, newline-ended rows.
+A run of several sweeps (run_sweeps, as fig2 and fig3) forms each curve's
+moments on its own grid and axis, and solves the states of all its rows
+in order, beams.ROWS_PER_BLOCK rows per call of the state stage, so a
+block of rows spans curves.
 """
 from __future__ import annotations
 
@@ -161,52 +165,101 @@ class SweepConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _evaluate(
-    alpha: float, sigma_theta: float, xis: np.ndarray, grid: QuadratureGrid, table: np.ndarray | None = None
-) -> np.ndarray:
+def _curve_moments(alpha: float, xis: np.ndarray, grid: QuadratureGrid):
+    """The (k, 6, 6) moments of one curve's rows at rapidities xis on grid, ROWS_PER_BLOCK rows at a time.
+
+    No TransformStack is built: SweepConfig has checked alpha and xi as a
+    stack would.  The axis is read from alpha once, as the end of its line
+    (beams.line_ends of beams.in_plane_axes) with the rapidities' matching
+    sign, and the rows' exp(-xi) go through the axis pass
+    (beams.axis_moments).
+    """
+    axis, sign = line_ends(in_plane_axes(alpha))
+    shrinks = (np.exp(-sign * xis[lo:lo + ROWS_PER_BLOCK]) for lo in range(0, len(xis), ROWS_PER_BLOCK))
+    return axis_moments(axis, shrinks, grid)
+
+
+def _regathered(blocks, rows: int):
+    """The moments in blocks, (k, 6, 6) of at most ROWS_PER_BLOCK rows each, ROWS_PER_BLOCK rows at a time.
+
+    Every stack yielded but the last holds ROWS_PER_BLOCK rows, whichever
+    blocks they came from; rows is the count of all of them.  A yielded
+    stack is a view, valid only until the next one is asked for, and at
+    most 2 * ROWS_PER_BLOCK rows are held.
+    """
+    held = np.empty((min(2 * ROWS_PER_BLOCK, rows), 6, 6))
+    n = 0
+    for block in blocks:
+        held[n:n + len(block)] = block
+        n += len(block)
+        if n >= ROWS_PER_BLOCK:
+            yield held[:ROWS_PER_BLOCK]
+            n -= ROWS_PER_BLOCK
+            held[:n] = held[ROWS_PER_BLOCK:ROWS_PER_BLOCK + n]
+    if n:
+        yield held[:n]
+
+
+def _solve_rows(blocks, table: np.ndarray) -> None:
+    """Fill the state columns of a (6, n) table from the moments of its rows, in order, in blocks.
+
+    The state stage (entanglement.state_readings: the trace and
+    positivity guards and the exchange-block spectra) takes
+    beams.ROWS_PER_BLOCK rows per call (_regathered), a count derived from
+    its per-row bytes, so memory does not grow with the row count and no
+    9x9 state is formed.  The stage rounds each row alike whatever else is
+    in its stack, so a row does not depend on where the calls are cut.
+    trace_residual is the trace gap before normalization.
+    """
+    ln, trace_res, min_eig = table[3:]
+    lo = 0
+    for moments in _regathered(blocks, len(ln)):
+        rows = slice(lo, lo + len(moments))
+        _, min_eig[rows], trace_res[rows], spectra = state_readings(moments)
+        ln[rows] = log_negativity_from_spectrum(spectra)
+        lo = rows.stop
+
+
+def _evaluate(alpha: float, sigma_theta: float, xis: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     """The (6, n) table of one curve at rapidities xis on grid; table[i] is CSV column i.
 
-    Fills table, a (6, n) array, when one is given.  No TransformStack is
-    built: SweepConfig has checked alpha and xi as a stack would.  The
-    axis is read from alpha once, as the end of its line (beams.line_ends
-    of beams.in_plane_axes) with the rapidities' matching sign, and the
-    rows' exp(-xi) go through the axis pass (beams.axis_moments)
-    and the state stage (entanglement.state_readings: the trace and
-    positivity guards and the exchange-block spectra)
-    beams.ROWS_PER_BLOCK at a time, a count derived from the state
-    stage's per-row bytes, so memory does not grow with the row count and
-    no 9x9 state is formed.  The rows are density_states(boost_stack(alpha,
-    xis), grid)'s readings bit for bit.  trace_residual is the trace gap
-    before normalization.
+    The rows are density_states(boost_stack(alpha, xis), grid)'s readings
+    bit for bit, and a run_sweeps curve's rows at the same rapidities.
     """
-    if table is None:
-        table = np.empty((len(SweepRow._fields), len(xis)))
-    alphas, sigmas, xi, ln, trace_res, min_eig = table  # views, one per SweepRow field
-    alphas[:], sigmas[:], xi[:] = alpha, sigma_theta, xis
-    blocks = [slice(lo, lo + ROWS_PER_BLOCK) for lo in range(0, len(xis), ROWS_PER_BLOCK)]
-    axis, sign = line_ends(in_plane_axes(alpha))
-    shrinks = (np.exp(-sign * xis[block]) for block in blocks)
-    for block, moments in zip(blocks, axis_moments(axis, shrinks, grid)):
-        _, min_eig[block], trace_res[block], spectra = state_readings(moments)
-        ln[block] = log_negativity_from_spectrum(spectra)
+    table = np.empty((len(SweepRow._fields), len(xis)))
+    table[0], table[1], table[2] = alpha, sigma_theta, xis
+    _solve_rows(_curve_moments(alpha, xis, grid), table)
     return table
 
 
-def run_sweeps(configs: list[SweepConfig]) -> np.ndarray:
-    """The (6, n) table of several sweeps' rows in order, as _evaluate lays it out.
+def _sweep_moments(configs: list[SweepConfig], table: np.ndarray):
+    """The moments of each config's curve in turn (_curve_moments), filling its alpha, sigma_theta and xi columns of table.
 
     Consecutive curves with one (sigma_theta, n_theta, n_phi) share a grid;
     a grid is dropped as soon as the next curve needs another one.
     """
-    table = np.empty((len(SweepRow._fields), sum(cfg.xi_steps for cfg in configs)))
     key = grid = None
     lo = 0
     for cfg in configs:
         if (cfg.sigma_theta, cfg.n_theta, cfg.n_phi) != key:
             key, grid = (cfg.sigma_theta, cfg.n_theta, cfg.n_phi), None
             grid = build_grid(BeamSpec(cfg.sigma_theta), cfg.n_theta, cfg.n_phi)
-        _evaluate(cfg.alpha, cfg.sigma_theta, cfg.xi_values(), grid, table[:, lo:lo + cfg.xi_steps])
+        curve = table[:3, lo:lo + cfg.xi_steps]
+        curve[0], curve[1], curve[2] = cfg.alpha, cfg.sigma_theta, cfg.xi_values()
+        yield from _curve_moments(cfg.alpha, curve[2], grid)
         lo += cfg.xi_steps
+
+
+def run_sweeps(configs: list[SweepConfig]) -> np.ndarray:
+    """The (6, n) table of several sweeps' rows in order; table[i] is CSV column i.
+
+    The moments of every curve go through one state stage in order
+    (_solve_rows), beams.ROWS_PER_BLOCK rows per call, so a block of rows
+    spans curves: fig2's 305 rows take two calls and fig3's 244 one.  Each
+    curve's rows are _evaluate's at its rapidities on its grid, bit for bit.
+    """
+    table = np.empty((len(SweepRow._fields), sum(cfg.xi_steps for cfg in configs)))
+    _solve_rows(_sweep_moments(configs, table), table)
     return table
 
 

@@ -23,6 +23,7 @@ from oracles import (
 )
 from photonboost import beams, entanglement
 from photonboost.beams import (
+    ROWS_PER_BLOCK,
     BeamSpec,
     QuadratureGrid,
     angular_weight,
@@ -80,6 +81,22 @@ def test_grid_weights_normalized():
         # narrow beams underflow the Gaussian to exact zeros off axis
         assert np.all(weights >= 0.0)
         assert weights.max() > 0.0
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1])
+def test_narrow_beam_tables_hold_no_subnormal_entry(sigma):
+    # with the theta weights below sqrt(tiny) kept, fig3's sigma = 0.1 on
+    # 64^2 put 411 subnormal entries in its table (and 0.05 four), and
+    # each matrix product of the node sums over it took about four times
+    # as long as over a table of normal numbers
+    grid = build_grid(BeamSpec(sigma), 64, 64)
+    tiny = np.finfo(float).tiny
+    assert abs(grid.theta_weights.sum() - 1.0) <= 1e-12
+    assert not np.any((grid.theta_weights > 0.0) & (grid.theta_weights < math.sqrt(tiny)))
+    for alpha in (0.0, 0.7, 2 * math.pi / 5, math.pi / 2):
+        for table, t2 in beams._aberration_tables(beams.in_plane_axes(alpha), grid):
+            for entries in (table, t2):
+                assert not np.any((entries != 0.0) & (np.abs(entries) < tiny)), alpha
 
 
 def test_grid_node_count():
@@ -1299,7 +1316,10 @@ def test_a_stack_with_one_rotated_row_takes_the_whole_block_solve(monkeypatch):
 
 def test_every_sweep_stack_takes_the_split_solve(monkeypatch):
     # odd theta rules put a node on the axis at alpha = pi/2, narrow and
-    # full-width beams, rapidities out to the cap
+    # full-width beams, rapidities out to the cap.  The 420 rows of the 60
+    # curves go through the state stage in order, ROWS_PER_BLOCK at a time,
+    # so each stack holds rows of many curves and grids: one row with a
+    # nonzero coupling would send its whole stack to the 6x6 and 3x3 solves
     cfgs = [
         SweepConfig(alpha=alpha, sigma_theta=sigma, xi_min=-15.0, xi_max=15.0, xi_steps=7,
                     n_theta=n_theta, n_phi=n_phi)
@@ -1309,7 +1329,8 @@ def test_every_sweep_stack_takes_the_split_solve(monkeypatch):
     ]
     shapes = _solved_shapes(monkeypatch)
     run_sweeps(cfgs)
-    assert shapes == [(7, 2, 4, 4)] * len(cfgs)
+    rows = 7 * len(cfgs)
+    assert shapes == [(ROWS_PER_BLOCK, 2, 4, 4), (rows - ROWS_PER_BLOCK, 2, 4, 4)]
 
 
 @pytest.mark.parametrize(

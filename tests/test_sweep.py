@@ -146,6 +146,16 @@ def test_curves_sharing_a_grid_match_separate_sweeps(monkeypatch):
     shared = run_sweeps(cfgs)
     assert shared.T.tolist() == [list(row) for row in separate]
     assert len(built) == 2
+    # three 200-row curves go through the state stage as blocks of 260,
+    # 260 and 80 rows: the first block holds all of the first curve and
+    # part of the second, the second the rest of it and part of the third,
+    # on another grid.  Each curve's rows are its own sweep's, bit for bit
+    cfgs = [SweepConfig(alpha=a, sigma_theta=s, xi_min=-9.0, xi_max=9.0, xi_steps=200, n_theta=16, n_phi=16)
+            for a, s in ((0.3, 1.0), (2.0, 1.0), (1.2, 0.4))]
+    assert cfgs[0].xi_steps < ROWS_PER_BLOCK < 2 * cfgs[0].xi_steps
+    shared = run_sweeps(cfgs)
+    for i, cfg in enumerate(cfgs):
+        assert shared[:, 200 * i:200 * (i + 1)].tobytes() == run_sweeps([cfg]).tobytes(), i
 
 
 def test_sweep_rows_cover_the_grid():
@@ -321,11 +331,13 @@ def test_run_sweeps_solves_no_9x9(monkeypatch):
                         n_theta=16, n_phi=16) for a in (0.0, 2 * math.pi / 5)]
     assert run_sweeps(cfgs).shape == (len(SweepRow._fields), 2 * steps)
     assert run_sweeps([]).shape == (len(SweepRow._fields), 0)
-    # one solve for each ROWS_PER_BLOCK-row block of a curve: the even 4x4
-    # symmetric blocks of its states and their partial transposes; the
+    # one solve for each ROWS_PER_BLOCK rows of the run, whichever curves
+    # they belong to: the two curves' 532 rows take blocks of 260, 260 and
+    # 12, the second spanning both curves.  Each solve takes the even 4x4
+    # symmetric blocks of the states and their partial transposes; the
     # 2x2 and 1x1 blocks are solved in closed form, and no 9x9, 6x6 or
     # 3x3 matrix is solved
-    assert shapes == [(ROWS_PER_BLOCK, 2, 4, 4), (6, 2, 4, 4)] * 2
+    assert shapes == [(ROWS_PER_BLOCK, 2, 4, 4), (ROWS_PER_BLOCK, 2, 4, 4), (12, 2, 4, 4)]
 
 
 def test_rows_per_block_comes_from_the_byte_budget():
@@ -462,6 +474,34 @@ def test_sweeps_keep_both_reflection_symmetries_to_rounding():
         assert base.max() > 0.1
         assert np.abs(mirrored - base).max() <= 1e-13
         assert np.abs(opposite - base[::-1]).max() <= 1e-13
+
+
+def test_a_curve_on_a_grid_of_one_node_block_runs_one_table_pass(monkeypatch):
+    import photonboost.sweep as sweep_mod
+
+    # dense_curve's shape: 1201 rows on 16^2 (144 stored nodes, one node
+    # block) go through the axis pass in 5 blocks of rows, which share one
+    # table; 128^2 (8,320 stored nodes, two node blocks) keeps running the
+    # pass for each block of rows, so its memory stays bounded by a node
+    # block.  Every row is the row of its block of rows alone, bit for bit
+    passes = []
+    real = beams._aberration_tables
+
+    def counting_tables(axis, grid):
+        passes.append(len(grid))
+        yield from real(axis, grid)
+
+    for n, steps, want in ((16, 1201, 1), (128, 5 * ROWS_PER_BLOCK // 2, 3)):
+        grid = build_grid(BeamSpec(1.0), n, n)
+        xis = np.linspace(-3.0, 3.0, steps)
+        blocks = [sweep_mod._evaluate(0.7, 1.0, xis[lo:lo + ROWS_PER_BLOCK], grid)
+                  for lo in range(0, steps, ROWS_PER_BLOCK)]
+        monkeypatch.setattr(beams, "_aberration_tables", counting_tables)
+        passes.clear()
+        table = sweep_mod._evaluate(0.7, 1.0, xis, grid)
+        monkeypatch.undo()
+        assert passes == [len(grid)] * want
+        assert table.tobytes() == np.concatenate(blocks, axis=1).tobytes()
 
 
 def test_a_1201_row_curve_peaks_under_1_mb():
@@ -937,13 +977,13 @@ def test_cli_sweep_passes_other_warnings_to_the_caller(monkeypatch, capsys):
     # swallow any warning it does not raise itself
     import photonboost.sweep as sweep_mod
 
-    real = sweep_mod._evaluate
+    real = sweep_mod.state_readings
 
-    def warning_evaluate(*args):
+    def warning_state_readings(*args):
         warnings.warn("injected inside the sweep", UserWarning)
         return real(*args)
 
-    monkeypatch.setattr(sweep_mod, "_evaluate", warning_evaluate)
+    monkeypatch.setattr(sweep_mod, "state_readings", warning_state_readings)
     with pytest.warns(UserWarning, match="injected inside the sweep"):
         assert cli.main(_SMALL_SWEEP) == 0
     assert capsys.readouterr().err == ""
