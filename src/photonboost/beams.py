@@ -77,9 +77,9 @@ states of those moments through entanglement's state stage.  It and
 transported_moments take a lorentz.TransformStack of k boosts, whose
 constructor has guarded them, and evaluate all k at once; a single
 transform is the k = 1 case.  Sweeps build no stack: a curve's one axis
-and its rows' exp(-xi) go straight to axis_moments, ROWS_PER_BLOCK rows
-at a time, a count derived from the bytes a row keeps through the state
-stage.
+and its rows' exp(-xi) go straight to axis_moments, in parts cut at the
+run's block edges, every ROWS_PER_BLOCK rows, a count derived from the
+bytes a row keeps through the state stage.
 """
 from __future__ import annotations
 
@@ -176,9 +176,9 @@ _STATE_ROW_FLOATS = 36 + 90
 
 # rows whose states are built and solved together (sweep._solve_rows):
 # what they keep fills _BLOCK_BYTES, and the stage's fixed cost per call
-# is shared by that many rows.  A sweep's block spans its curves: the
-# moments of every curve of a run are solved in order, this many rows per
-# call, so fig2's 305 rows take two calls and fig3's 244 one
+# is shared by that many rows.  A run cuts its rows at its own block
+# edges, every this many rows whichever curves they come from, so fig2's
+# 305 rows take two calls and fig3's 244 one
 ROWS_PER_BLOCK = _BLOCK_BYTES // (8 * _STATE_ROW_FLOATS)
 
 # smallest theta weight build_grid keeps; a smaller one is set to 0.  A

@@ -362,8 +362,9 @@ def state_readings(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     three, each block's ascending, or ascending within each parity when
     split (4 + 2 and 1 + 2).  Raises numpy.linalg.LinAlgError if a gap
     exceeds _TRACE_TOL or an eigenvalue lies below _MIN_EIG_TOL: either is
-    an internal error.  Its memory grows with k, so sweeps pass
-    beams.ROWS_PER_BLOCK rows at a time; k = 0 gives empty readings.
+    an internal error.  Its memory grows with k, so a sweep run passes its
+    rows in blocks cut at its own edges, every beams.ROWS_PER_BLOCK rows;
+    k = 0 gives empty readings.
     """
     sym, anti = exchange_blocks(moments)
     tr = np.add.reduce(sym[:, 0].diagonal(0, 1, 2), axis=1)

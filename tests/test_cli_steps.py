@@ -41,11 +41,8 @@ def test_a_sweep_along_a_boost_axis_through_grid_nodes_prints_finite_rows_and_no
         out = tmp_path / "axis.csv"
         argv = [*_AXIS_SWEEP, "--alpha", repr(alpha), *grid, *(["--out", str(out)] if to_file else [])]
         assert cli.main(argv) == 0
-        text = out.read_text() if to_file else capsys.readouterr().out
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 7
+        rows = _assert_rows_without_noise(out.read_text() if to_file else capsys.readouterr().out, 7)
         assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
-        assert not [row["xi"] for row in rows if 0.0 < float(row["log_negativity"]) < 1e-12]
         columns.append([row["log_negativity"] for row in rows])
     assert columns[0] == columns[1]
     assert max(map(float, columns[0])) > 0.1
@@ -103,6 +100,21 @@ def _measured_run(argv):
         pytest.param(["--alpha", "0.7", "--sigma-theta", "1.0", "--xi-steps", "3",
                       "--n-theta", "4096", "--n-phi", "64"], 3, 42,
                      id="narrow_phi_sweep_at_the_node_cap"),
+        # 32768 x 8 is within the node cap, and the convergence probe builds
+        # a 65536-node theta rule: the sweep took 38 s with a cosine and a
+        # sine per root and frequency, and about 2 s with each frequency
+        # split in two (1.4-1.7 s over three runs on 2 vCPUs).  At
+        # alpha = 0 the 8-node phi rule is exact, so the doubling check
+        # passes.  The rule sums its series for a few roots at a time, and
+        # the grid keeps only its theta and phi rules (1 MB at 65536 x 16;
+        # with ten factors per theta and nine per phi it kept 6.3 MB).
+        # beams also keeps the 32768- and 65536-node rules themselves for
+        # later grids, 1.5 MB, so the peak resident memory is 38.3-38.4 MB
+        # over three runs (38.2-38.4 MB when no rule was kept), 30 MB of it
+        # the imports; the 48 MB bound is about 1.25 times that
+        pytest.param(["--alpha", "0", "--sigma-theta", "1.0", "--n-theta", "32768", "--n-phi", "8",
+                      "--xi-steps", "3"], 3, 48,
+                     id="widest_theta_rule_the_node_cap_admits"),
     ],
 )
 def test_a_probed_sweep_keeps_its_peak_resident_memory_bound_and_prints_no_noise(argv, rows, limit_mb, tmp_path):
@@ -110,16 +122,16 @@ def test_a_probed_sweep_keeps_its_peak_resident_memory_bound_and_prints_no_noise
     code, peak_mb = _measured_run(["sweep", *argv, "--check-convergence", "--out", str(out)])
     assert code == 0
     assert peak_mb <= limit_mb, f"peak RSS {peak_mb:.1f} MB (limit {limit_mb} MB)"
-    _assert_rows_without_noise(out, rows)
+    _assert_rows_without_noise(out.read_text(), rows)
 
 
-def _assert_rows_without_noise(path, rows):
-    """The CSV at path holds rows rows, and no log negativity in (0, 1e-12)."""
-    with open(path, newline="") as fh:
-        table = list(csv.DictReader(fh))
+def _assert_rows_without_noise(text, rows):
+    """The rows of CSV text, checked to be rows in number with no log negativity in (0, 1e-12)."""
+    table = list(csv.DictReader(io.StringIO(text)))
     assert len(table) == rows
     # a row with a positive partial transpose prints an exact 0
     assert not [row["xi"] for row in table if 0.0 < float(row["log_negativity"]) < 1e-12]
+    return table
 
 
 @pytest.mark.parametrize(
@@ -147,4 +159,56 @@ def test_a_figure_or_a_sweep_at_the_row_cap_prints_its_rows_and_no_noise(argv, r
     assert code == 0
     if limit_mb is not None:
         assert peak_mb <= limit_mb, f"peak RSS {peak_mb:.1f} MB (limit {limit_mb} MB)"
-    _assert_rows_without_noise(out, rows)
+    _assert_rows_without_noise(out.read_text(), rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sweep_to_stdout_with_its_convergence_probe_prints_its_rows_and_no_noise(capsys):
+    # the emitter's stdout path, with the convergence probe; a plot script
+    # needs the CSV in a file, so it is not asked for here
+    argv = ["sweep", "--alpha", "0.8", "--sigma-theta", "1.0", "--xi-steps", "21", "--check-convergence"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    _assert_rows_without_noise(out, 21)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_single_point_prints_the_log_negativity_of_a_one_row_sweep(capsys, tmp_path):
+    point = ["--alpha", "0", "--sigma-theta", "1.0"]
+    assert cli.main(["single", *point, "--xi", "2.0"]) == 0
+    single = capsys.readouterr().out
+    out = tmp_path / "one.csv"
+    assert cli.main(["sweep", *point, "--xi-min", "2", "--xi-max", "2", "--xi-steps", "1", "--out", str(out)]) == 0
+    (row,) = _assert_rows_without_noise(out.read_text(), 1)
+    assert single == row["log_negativity"] + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_deep_boost_sweep_prints_no_rounding_noise(tmp_path):
+    # partial-transpose spectra that hold only rounding pairs near -1e-16
+    out = tmp_path / "deep.csv"
+    argv = ["sweep", "--alpha", "0", "--sigma-theta", "3.14159", "--xi-min", "-15", "--xi-max", "-12",
+            "--xi-steps", "4", "--n-theta", "8", "--n-phi", "8", "--out", str(out)]
+    assert cli.main(argv) == 0
+    _assert_rows_without_noise(out.read_text(), 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_flag_overrides_a_field_of_the_config_file(tmp_path):
+    # the file's xi_min is -2 and the flag's -12: the first row's xi is -12
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.5, "sigma_theta": 0.8, "xi_min": -2, "xi_max": 2, "xi_steps": 9,
+                               "n_theta": 16, "n_phi": 16}))
+    out = tmp_path / "cfg.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--xi-min", "-12", "--out", str(out)]) == 0
+    rows = _assert_rows_without_noise(out.read_text(), 9)
+    assert rows[0]["xi"] == "-12"
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_exits_0_with_a_passing_json_report(capsys):
+    assert cli.main(["validate"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["passed"] is True

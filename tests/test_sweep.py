@@ -504,6 +504,42 @@ def test_a_curve_on_a_grid_of_one_node_block_runs_one_table_pass(monkeypatch):
         assert table.tobytes() == np.concatenate(blocks, axis=1).tobytes()
 
 
+@pytest.mark.parametrize(
+    "preset, cuts, stage",
+    [
+        (preset_fig2, [61, 61, 61, 61, 16, 45], [260, 45]),
+        (preset_fig3, [61, 61, 61, 61], [244]),
+        (lambda: [SweepConfig(alpha=0.7, sigma_theta=1.0, xi_steps=1201, n_theta=16, n_phi=16)],
+         [260, 260, 260, 260, 161], [260, 260, 260, 260, 161]),
+    ],
+    ids=["fig2", "fig3", "dense_curve"],
+)
+def test_a_run_cuts_its_curves_at_its_own_block_edges(preset, cuts, stage, monkeypatch):
+    import photonboost.sweep as sweep_mod
+
+    # mechanism pin (block edges, ROADMAP item 14): the run's rows go
+    # through the state stage ROWS_PER_BLOCK at a time whichever curves
+    # they come from, so fig2's fifth curve is cut into the 16 rows that
+    # fill the first block and the 45 that start the second, fig3's 244
+    # rows take one call, and dense_curve's 1201 rows five
+    blocks, calls = [], []
+    real_moments, real_stage = sweep_mod.axis_moments, sweep_mod.state_readings
+
+    def recording_moments(axis, shrinks, grid):
+        for moments in real_moments(axis, shrinks, grid):
+            blocks.append(len(moments))
+            yield moments
+
+    def recording_stage(moments):
+        calls.append(len(moments))
+        return real_stage(moments)
+
+    monkeypatch.setattr(sweep_mod, "axis_moments", recording_moments)
+    monkeypatch.setattr(sweep_mod, "state_readings", recording_stage)
+    run_sweeps(preset())
+    assert (blocks, calls) == (cuts, stage)
+
+
 def test_a_1201_row_curve_peaks_under_1_mb():
     import photonboost.sweep as sweep_mod
 

@@ -25,6 +25,7 @@ EXPECTED_GROUPS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 def test_fresh_build_passes_every_group():
     report = validate()
     assert {g.name for g in report.groups} == EXPECTED_GROUPS
@@ -43,6 +44,7 @@ def _omega_group():
     return _run_group("omega_independence")
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(40))
 def test_every_group_passes_across_seeds(seed):
     failures = [(g.name, g.detail) for g in validate(seed).groups if not g.passed]
