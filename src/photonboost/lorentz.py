@@ -329,30 +329,18 @@ def rot_z(gamma: float) -> TransformStack:
     return stack_from_factors([((ROT_Z, gamma),)])
 
 
-def _standard_table(thetas, phis, magnitudes=None) -> tuple[np.ndarray, np.ndarray]:
-    """(k, F) factor table of R_z(phi) R_y(theta), then B_z(log m) if magnitudes are given.
-
-    This is the standard-frame convention, and the only place it is
-    written: the frame R(p-hat) = R_z(phi) R_y(theta) takes +z to p-hat,
-    and the standard transformation H(p) = R(p-hat) B_z(log p^0) takes the
-    reference momentum k to p.  It defines helicity for every momentum, so
-    all little-group angles are relative to it.  phi is taken as 0 wherever
-    sin(theta) < POLE_TOL, as direction_angles gives it.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    columns = [(ROT_Z, np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)), (ROT_Y, thetas)]
-    if magnitudes is not None:
-        columns.append((BOOST_Z, np.log(_positive(magnitudes))))
-    params = np.stack(np.broadcast_arrays(*(c for _, c in columns)), axis=-1)
-    return np.broadcast_to([k for k, _ in columns], params.shape), params
-
-
-def rotations_to(thetas, phis) -> TransformStack:
-    """Stack of the frames R(p-hat) = R_z(phi) R_y(theta), one per angle pair of 1-D arrays."""
-    return TransformStack(*_standard_table(thetas, phis))
-
-
 def standard_boosts(momenta) -> TransformStack:
-    """Stack of the standard transformations H(p), one per column p of (4, k) momenta."""
+    """Stack of the standard transformations H(p), one per column p of (4, k) momenta.
+
+    This is the standard-frame convention: the frame
+    R(p-hat) = R_z(phi) R_y(theta) takes +z to p-hat, and the standard
+    transformation H(p) = R(p-hat) B_z(log p^0) takes the reference
+    momentum k to p.  It defines helicity for every momentum, so all
+    little-group angles are relative to it.  phi is 0 wherever
+    sin(theta) < POLE_TOL, as direction_angles gives it;
+    wigner._rotations writes the same frames in closed form.
+    """
     p = np.asarray(momenta, dtype=float)
-    return TransformStack(*_standard_table(*direction_angles(p[1:]), p[0]))
+    thetas, phis = direction_angles(p[1:])
+    params = np.stack(np.broadcast_arrays(phis, thetas, np.log(_positive(p[0]))), axis=-1)
+    return TransformStack(np.broadcast_to([ROT_Z, ROT_Y, BOOST_Z], params.shape), params)

@@ -3,7 +3,9 @@
 Each group re-verifies one family of invariants on seeded random inputs and
 reports the worst residual it saw.  The groups deliberately route through
 the public module surfaces (not cached locals), so an injected bug in any
-single formula flips the matching group to failed.  The one exception is
+single formula flips the matching group to failed; rho_sanity takes the
+sweep path (beams.axis_moments, then one entanglement.state_readings and
+pair_states call for all its rows).  The one exception is
 the Gauss-Legendre rule, which beams keeps per size once built: a fault
 injected into its internals shows only after
 beams._gauss_legendre.cache_clear().  Case counts are sized
@@ -218,16 +220,18 @@ def _check_composition(rng, cases: int) -> GroupResult:
 def _check_rho_sanity(rng, cases: int) -> GroupResult:
     # the trace gap before normalization, within 1e-13 so that a gap under
     # the states' own 1e-12 guard still shows: the normalized trace is 1 to an ulp
-    traces, herms, eigs = [], [], []
-    for _ in range(cases):
+    # each drawn beam and boost is read as a sweep reads its rows, and the
+    # state stage runs once over all of them
+    moments = np.empty((cases, 6, 6))
+    for i in range(cases):
         grid = beams.build_grid(beams.BeamSpec(rng.uniform(0.05, 1.3)), 32, 32)
-        L = sweep.boost_stack(rng.uniform(0.0, math.pi / 2), [rng.uniform(-2.0, 2.0)])
-        (rho,), min_eig, gap, _ = beams.density_states(L, grid)
-        traces.append(gap)
-        herms.append(np.abs(rho - rho.T).max())
-        eigs.append(min_eig)
-    worst_trace, worst_herm = _worst(traces), _worst(herms)
-    worst_eig = float(np.min(eigs))  # NaN stays NaN and fails
+        axis, sign = beams.line_ends(beams.in_plane_axes(rng.uniform(0.0, math.pi / 2)))
+        shrink = np.exp(-sign * rng.uniform(-2.0, 2.0, 1))
+        (moments[i],) = next(beams.axis_moments(axis, [shrink], grid))
+    tr, min_eig, gap, _ = entanglement.state_readings(moments)
+    rho = entanglement.pair_states(moments) / tr[:, None, None]
+    worst_trace, worst_herm = _worst(gap), _worst(np.abs(rho - rho.swapaxes(1, 2)))
+    worst_eig = float(np.min(min_eig))  # NaN stays NaN and fails
     passed = worst_trace < 1e-13 and worst_herm < 1e-10 and worst_eig >= -1e-9
     return GroupResult(
         "rho_sanity",

@@ -46,7 +46,8 @@ that h and v tend to x-hat and y-hat as theta -> 0; no frame is pinned,
 so at the poles too they are the limits along the meridian phi.
 ``d_rotation_form_stack`` transports polarizations in rotation form:
 from the frame at p to the frame at L p with the little-group angle in
-between.  It is manifestly
+between, each frame written in closed form (_rotations) from the fold's
+own.  It is manifestly
 norm-preserving and, through the Wigner angle, independent of the
 production aberration map (beams.axis_moments, which sums it over a grid
 in closed form), so it is the oracle that map is checked against
@@ -67,7 +68,6 @@ from .lorentz import (
     TransformStack,
     direction_angles,
     paired_columns,
-    rotations_to,
     standard_boosts,
 )
 
@@ -127,6 +127,12 @@ def _frame(vectors) -> tuple[np.ndarray, ...]:
     return np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi), phi
 
 
+def _rotations(ct, st, cp, sp) -> np.ndarray:
+    """(3, 3, ...) frames R(p-hat) = R_z(phi) R_y(theta) of lorentz.standard_boosts, from cos and sin of theta and phi."""
+    rows = [ct * cp, -sp, st * cp], [ct * sp, cp, st * sp], [-st, np.zeros_like(ct), ct]
+    return np.stack([np.stack(row) for row in rows])
+
+
 def _rot_y_angle(gamma, frame, frame_out):
     """Theta of R_y(gamma) from the _frame of its input to that of its output.
 
@@ -173,11 +179,11 @@ def wigner_angle_stack(stack: TransformStack, momenta) -> np.ndarray:
     last turn takes the chain to the frame of L p.  Padding factors add
     exactly 0 and leave the momentum unchanged.
     """
-    return _folded_angles(stack, momentum_columns(stack, momenta))
+    return _folded_angles(stack, momentum_columns(stack, momenta))[0]
 
 
-def _folded_angles(stack: TransformStack, p: np.ndarray) -> np.ndarray:
-    """wigner_angle_stack on (4, n) columns that momentum_columns has checked."""
+def _folded_angles(stack: TransformStack, p: np.ndarray) -> tuple[np.ndarray, list]:
+    """wigner_angle_stack on (4, n) columns that momentum_columns has checked, and the _frame of p and of L p."""
     g = stack.factor_matrices()
     width = stack.kinds.shape[1]
     chain = [p.T[:, :, None]]  # the momenta, rightmost factor first
@@ -192,7 +198,8 @@ def _folded_angles(stack: TransformStack, p: np.ndarray) -> np.ndarray:
     kinds = np.hstack([np.full((len(stack), 1), PAD), stack.kinds])[:, ::-1].T
     params = np.hstack([np.zeros((len(stack), 1)), stack.params])[:, ::-1].T
     axial = _axial_angle(np.where(kinds == ROT_Z, params, 0.0), before, after)
-    return principal_angle(np.where(kinds == ROT_Y, _rot_y_angle(params, before, after), axial).sum(axis=0))
+    angles = principal_angle(np.where(kinds == ROT_Y, _rot_y_angle(params, before, after), axial).sum(axis=0))
+    return angles, [f[::width + 1] for f in frames]
 
 
 def wigner_angle_oracle_stack(stack: TransformStack, momenta) -> np.ndarray:
@@ -230,19 +237,15 @@ def boost_helicity_state(stack: TransformStack, momenta, lam: int) -> tuple[np.n
 def epsilon_stack(thetas, phis, lam: int) -> np.ndarray:
     """(4, ...) helicity-lambda polarization 4-vectors at angles (thetas, phis).
 
-    R(p-hat) applied to (x + i lambda y) / sqrt(2); the time part is 0.
-    R(p-hat) = R_z(phi) R_y(theta) takes x to (cos theta cos phi,
-    cos theta sin phi, -sin theta) and y to (-sin phi, cos phi, 0), with
-    phi read as 0 where sin(theta) < POLE_TOL, as lorentz.rotations_to
-    reads it.
+    R(p-hat) (_rotations) applied to (x + i lambda y) / sqrt(2); the time
+    part is 0.  phi is read as 0 where sin(theta) < POLE_TOL, as
+    lorentz.standard_boosts reads it.
     """
     check_helicity(lam)
     thetas, phis = np.broadcast_arrays(np.asarray(thetas, dtype=float), phis)
     phis = np.where(np.sin(thetas) < POLE_TOL, 0.0, phis)
-    ct, st, cp, sp = np.cos(thetas), np.sin(thetas), np.cos(phis), np.sin(phis)
-    x = np.stack([ct * cp, ct * sp, -st])
-    y = np.stack([-sp, cp, np.zeros_like(cp)])
-    spatial = (x + (lam * 1j) * y) * _INV_SQRT2
+    r = _rotations(np.cos(thetas), np.sin(thetas), np.cos(phis), np.sin(phis))
+    spatial = (r[:, 0] + (lam * 1j) * r[:, 1]) * _INV_SQRT2
     return np.concatenate([np.zeros((1,) + spatial.shape[1:], dtype=complex), spatial])
 
 
@@ -300,11 +303,11 @@ def d_rotation_form_stack(stack: TransformStack, momenta, eps) -> np.ndarray:
     mdot = eps[0] * p[0] - eps[1] * p[1] - eps[2] * p[2] - eps[3] * p[3]
     if not (np.abs(mdot) <= 1e-8 * np.maximum(1.0, p[0])).all():
         raise ValueError("polarization vector is not transverse to the momentum")
-    theta_w = _folded_angles(stack, p)
-    n = p.shape[1]
-    # the frames at p and at L p, one stack
-    frames = rotations_to(*direction_angles(np.hstack([p, stack.apply(p)])[1:]))
-    spin = TransformStack(np.full((n, 1), ROT_Z), theta_w[:, None])
-    v = np.swapaxes(frames.matrices[:n], 1, 2) @ eps.T[:, :, None]
-    return (frames.matrices[n:] @ (spin.matrices @ v))[:, :, 0].T
+    theta_w, frames = _folded_angles(stack, p)
+    # the (3, 3, n) frames at p and at L p
+    r_p, r_lp = np.moveaxis(_rotations(*frames[:4]), 2, 0)
+    v = (r_p * eps[1:, None]).sum(axis=0)  # R(p-hat)^T eps
+    c, s = np.cos(theta_w), np.sin(theta_w)
+    v = np.stack([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])  # R_z(Theta) v
+    return np.concatenate([eps[:1], (r_lp * v).sum(axis=1)])
 

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import photonboost.wigner as wigner
 from oracles import random_directions, random_momenta, random_stack
 from photonboost.lorentz import (
     BOOST_Z,
     MAX_RAPIDITY,
     PAD,
+    POLE_TOL,
     METRIC,
     ROT_Y,
     ROT_Z,
@@ -24,7 +26,6 @@ from photonboost.lorentz import (
     require_metric,
     rot_y,
     rot_z,
-    rotations_to,
     stack_from_factors,
     standard_boosts,
     unit_vectors,
@@ -96,18 +97,38 @@ def test_minkowski_dot_invariance(rng):
     assert np.abs(_minkowski(L.apply(u), L.apply(v)) - _minkowski(u, v)).max() < 1e-10
 
 
+def _rotation_to(theta, phi):
+    """The closed-form frame R(p-hat) = R_z(phi) R_y(theta) that the rotation form reads (3, 3)."""
+    return wigner._rotations(math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi))
+
+
 def test_rotation_to_pole_is_identity():
-    assert np.abs(rotations_to(0.0, 0.0).matrix - np.eye(4)).max() == 0.0
+    assert np.abs(_rotation_to(0.0, 0.0) - np.eye(3)).max() == 0.0
 
 
 def test_rotation_to_equator_x():
-    out = rotations_to(math.pi / 2, 0.0).apply(_column(Z))[:, 0]
-    assert np.abs(out - [0.0, 1.0, 0.0, 0.0]).max() < 1e-15
+    out = _rotation_to(math.pi / 2, 0.0) @ Z[1:]
+    assert np.abs(out - [1.0, 0.0, 0.0]).max() < 1e-15
 
 
 def test_rotation_to_equator_y():
-    out = rotations_to(math.pi / 2, math.pi / 2).apply(_column(Z))[:, 0]
-    assert np.abs(out - [0.0, 0.0, 1.0, 0.0]).max() < 1e-15
+    out = _rotation_to(math.pi / 2, math.pi / 2) @ Z[1:]
+    assert np.abs(out - [0.0, 1.0, 0.0]).max() < 1e-15
+
+
+def test_closed_form_frames_are_the_standard_boosts_at_unit_frequency(rng):
+    # H(p) = R(p-hat) B_z(log p^0) and B_z(0) = I: the spatial block of a
+    # unit-frequency standard boost is its frame, read from the same
+    # direction; at the poles and within POLE_TOL of them phi is 0
+    thetas, phis = random_directions(rng, 1000)
+    tiny = 0.5 * POLE_TOL
+    thetas = np.append(thetas, [0.0, math.pi, tiny, math.pi - tiny])
+    phis = np.append(phis, [1.0, -2.0, 2.5, 0.7])
+    p = null_momenta(thetas, phis, 1.0)
+    frames = np.moveaxis(wigner._rotations(*wigner._frame(p[1:])[:4]), -1, 0)
+    boosts = standard_boosts(p).matrices
+    assert np.abs(boosts[:, 1:, 1:] - frames).max() <= 4e-16
+    assert np.all(frames[-4:, 1, 1] == 1.0)  # cos phi
 
 
 def test_standard_boost_unit_along_z_is_identity():

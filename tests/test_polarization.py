@@ -13,6 +13,7 @@ from oracles import (
 )
 from photonboost.lorentz import (
     METRIC,
+    TransformStack,
     boost_z,
     compose,
     identity,
@@ -159,6 +160,23 @@ def test_transport_group_property(rng):
     stepped = d_rotation_form_stack(L2, L1.apply(p), d_rotation_form_stack(L1, p, eps))
     direct = d_rotation_form_stack(compose(L2, L1), p, eps)
     assert np.abs(stepped - direct).max() < 1e-9
+
+
+def test_rotation_form_builds_no_stack_and_boosts_each_momentum_once(monkeypatch, rng):
+    # mechanism pin (closed-form frames, ROADMAP item 14): the frames at p
+    # and at L p and the little-group turn are written in closed form from
+    # the Wigner fold's own frames, and L p is formed once, by the fold
+    L, p, eps = random_cases(rng, 40)
+    calls = []
+
+    def counted(name):
+        real = getattr(TransformStack, name)
+        return lambda self, *args: calls.append(name) or real(self, *args)
+
+    for name in ("__post_init__", "apply"):
+        monkeypatch.setattr(TransformStack, name, counted(name))
+    d_rotation_form_stack(L, p, eps)
+    assert calls == ["apply"]
 
 
 def test_transport_outputs_zero_time_component(rng):

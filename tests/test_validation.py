@@ -9,6 +9,7 @@ import photonboost.beams as beams
 import photonboost.cli as cli
 import photonboost.entanglement as entanglement
 import photonboost.lorentz as lorentz
+import photonboost.sweep as sweep
 import photonboost.validation as validation
 import photonboost.wigner as wigner
 from photonboost.validation import validate
@@ -181,9 +182,10 @@ def test_wrong_sign_of_the_label_turn_trips_form_equivalence(monkeypatch, seed):
 
 def test_raw_trace_gap_trips_rho_sanity_only(monkeypatch):
     # moments 1e-13 too large put the trace 2e-13 off: under the 1e-12
-    # guard, over the 1e-13 clause, and gone once the state is normalized
-    real = beams.transported_moments
-    monkeypatch.setattr(beams, "transported_moments", lambda b, g: real(b, g) * (1.0 + 1e-13))
+    # guard, over the 1e-13 clause, and gone once the state is normalized;
+    # every route to the moments runs the axis pass
+    real = beams.axis_moments
+    monkeypatch.setattr(beams, "axis_moments", lambda *args: (m * (1.0 + 1e-13) for m in real(*args)))
     failed = {g.name: g.detail for g in validate().groups if not g.passed}
     assert list(failed) == ["rho_sanity"]
     assert float(failed["rho_sanity"].split(",")[0].removeprefix("trace ")) > 1e-13
@@ -254,24 +256,42 @@ def _nan_composed_transport(monkeypatch):
     _nan_for_composed(monkeypatch, "d_rotation_form_stack")
 
 
+def _in_validation(monkeypatch, module, **replacements):
+    """Give validation a copy of module with these functions replaced.
+
+    module itself, and the code inside the package that calls it, keep
+    the real ones.
+    """
+    proxy = types.ModuleType(module.__name__)
+    proxy.__dict__.update(vars(module))
+    proxy.__dict__.update(replacements)
+    monkeypatch.setattr(validation, module.__name__.rpartition(".")[2], proxy)
+
+
 def _nan_metric_residuals(monkeypatch):
     # only validate's own call reads NaN: the stack guard, inside lorentz,
     # keeps the real residuals
-    proxy = types.ModuleType(lorentz.__name__)
-    proxy.__dict__.update(vars(lorentz))
-    proxy.metric_residuals = lambda m: np.full(len(m), np.nan)
-    monkeypatch.setattr(validation, "lorentz", proxy)
+    _in_validation(monkeypatch, lorentz, metric_residuals=lambda m: np.full(len(m), np.nan))
+
+
+def _nan_reading(monkeypatch, index):
+    """Make reading index of validate's own entanglement.state_readings calls NaN.
+
+    Only rho_sanity calls the state stage itself; density_states, inside
+    beams, keeps the real readings.
+    """
+    real = entanglement.state_readings
+
+    def nan_reading(moments):
+        readings = list(real(moments))
+        readings[index] = np.full_like(readings[index], np.nan)
+        return tuple(readings)
+
+    _in_validation(monkeypatch, entanglement, state_readings=nan_reading)
 
 
 def _nan_min_eigenvalue(monkeypatch):
-    # only rho_sanity evaluates one boost at a time
-    real = beams.density_states
-
-    def nan_for_one_boost(boosts, grid):
-        states, min_eig, gap, spectra = real(boosts, grid)
-        return states, min_eig if len(boosts) > 1 else np.full(1, np.nan), gap, spectra
-
-    monkeypatch.setattr(beams, "density_states", nan_for_one_boost)
+    _nan_reading(monkeypatch, 1)
 
 
 def _nan_log_negativity(monkeypatch):
@@ -298,14 +318,7 @@ def _nan_fine_grid_state(monkeypatch):
 
 
 def _nan_trace_gap(monkeypatch):
-    # only rho_sanity reads the trace gap
-    real = beams.density_states
-
-    def nan_gap(boosts, grid):
-        states, min_eig, gap, spectra = real(boosts, grid)
-        return states, min_eig, np.full_like(gap, np.nan), spectra
-
-    monkeypatch.setattr(beams, "density_states", nan_gap)
+    _nan_reading(monkeypatch, 2)
 
 
 @pytest.mark.parametrize(
@@ -357,7 +370,42 @@ def test_drawn_factor_lists_fold_to_random_transform_bit_for_bit(seed):
 
 
 def test_validate_builds_each_of_its_four_rule_sizes_once():
-    # 8, 32, 64 and 128 theta nodes, over about twenty grids
+    # mechanism pin (rule cache, ROADMAP item 14): 8, 32, 64 and 128
+    # theta nodes, over about twenty grids
     beams._gauss_legendre.cache_clear()
     validate(validation.DEFAULT_SEED)
     assert beams._gauss_legendre.cache_info().misses == 4
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17, validation.DEFAULT_SEED])
+def test_rho_sanity_reads_the_states_of_the_boost_stack_route_bit_for_bit(monkeypatch, seed):
+    # mechanism pin (rho_sanity on the sweep path, ROADMAP item 14): the
+    # group reads each drawn beam and boost as a sweep reads its rows and
+    # runs the state stage once; every case gives the gap, smallest
+    # eigenvalue and state of density_states(boost_stack(alpha, [xi]), grid)
+    seen = {}
+
+    def recorded(name):
+        real = getattr(entanglement, name)
+
+        def call(moments):
+            seen[name] = real(moments)
+            return seen[name]
+
+        return call
+
+    names = ("state_readings", "pair_states")
+    _in_validation(monkeypatch, entanglement, **{name: recorded(name) for name in names})
+    assert _run_group("rho_sanity", seed).passed
+    tr, min_eig, gap, _ = seen["state_readings"]
+    states = seen["pair_states"] / tr[:, None, None]
+    # the group's draws, in its order: the beam's spread, alpha, xi
+    rng = validation._group_rng(seed, "rho_sanity")
+    assert len(gap) == 12
+    for i in range(len(gap)):
+        grid = beams.build_grid(beams.BeamSpec(rng.uniform(0.05, 1.3)), 32, 32)
+        stack = sweep.boost_stack(rng.uniform(0.0, math.pi / 2), [rng.uniform(-2.0, 2.0)])
+        (rho,), want_eig, want_gap, _ = beams.density_states(stack, grid)
+        assert gap[i:i + 1].tobytes() == want_gap.tobytes()
+        assert min_eig[i:i + 1].tobytes() == want_eig.tobytes()
+        assert states[i].tobytes() == rho.tobytes()
