@@ -156,28 +156,8 @@ def _read_map() -> np.ndarray:
     return read.reshape(36, 21)
 
 
-def _upper_triangles() -> tuple[np.ndarray, np.ndarray]:
-    """The 54 of the 90 flattened block entries on or above each block's diagonal, and their mirror map.
-
-    The 90 entries are the two 6x6 blocks, then the two 3x3 blocks, of
-    exchange_blocks.  Returns the entries i <= j in that order and, for
-    each of the 90, the index among those 54 of the entry
-    (min(i, j), max(i, j)) of its block.
-    """
-    kept, mirror = [], []
-    for offset, size in ((0, 6), (36, 6), (72, 3), (81, 3)):
-        upper = [(i, j) for i in range(size) for j in range(i, size)]
-        rank = {pair: len(kept) + n for n, pair in enumerate(upper)}
-        kept += [offset + size * i + j for i, j in upper]
-        mirror += [rank[min(i, j), max(i, j)] for i in range(size) for j in range(size)]
-    return np.array(kept), np.array(mirror)
-
-
-_UPPER, _MIRROR = _upper_triangles()
-
-
 def _product_blocks() -> np.ndarray:
-    """(45, 54) map from the products of exchange_blocks to the exchange blocks of rho and rho^T_A.
+    """(45, 90) map from the products of exchange_blocks to the exchange blocks of rho and rho^T_A.
 
     A symmetric A = sum_m a_m E_m, with E_m the symmetric 0/1 matrix at
     _SYM_PAIRS[m], has A (x) A = sum_mn a_m a_n E_m (x) E_n, and an
@@ -188,9 +168,7 @@ def _product_blocks() -> np.ndarray:
     The columns hold the flattened 6x6 blocks of rho and rho^T_A, then
     their 3x3 blocks, in the basis EXCHANGE_BASIS: rows and columns xx,
     yy, zz, xz, xy, yz of the symmetric blocks and xz, xy, yz of the
-    antisymmetric ones; only the entries on and above each diagonal are
-    kept (_UPPER), which exchange_blocks mirrors, so every block is
-    exactly symmetric.
+    antisymmetric ones.
     """
     sym, anti = np.zeros((6, 3, 3)), np.zeros((3, 3, 3))
     for m, (i, j) in enumerate(_SYM_PAIRS):
@@ -211,9 +189,9 @@ def _product_blocks() -> np.ndarray:
     for unit in (0.5, math.sqrt(0.5)):
         exact = np.round(out / unit) * unit
         out = np.where(np.abs(out - exact) <= 1e-12, exact, out)
-    # C order: OpenBLAS multiplies a Fortran-ordered right factor with
-    # kernels that round a row differently for different row counts
-    out = np.ascontiguousarray(out[:, _UPPER])
+    # out stays C-ordered: OpenBLAS multiplies a Fortran-ordered right
+    # factor with kernels that round a row differently for different row
+    # counts
     out.flags.writeable = False
     return out
 
@@ -260,10 +238,12 @@ def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and each block entry is a fixed bilinear form in their entries.  One
     matrix product reads those entries (_READ_MAP), a batched one and a
     broadcast one make their 45 weighted pairwise products, and a third
-    maps these onto the blocks' entries on and above the diagonal
-    (_PRODUCT_BLOCKS), which are mirrored below it, so every block is
-    exactly symmetric.  Each row's blocks are the same bit for bit
-    whatever k is (rows_product).  No 9x9 matrix is formed.
+    maps these onto the blocks' entries (_PRODUCT_BLOCKS).  Each block is
+    symmetric to rounding, not exactly: the solvers symmetrize what they
+    solve (hermitian_eigenvalues, symmetric_2x2_eigenvalues).  The blocks
+    are column-major, the row axis fastest, for the batched solve.  Each
+    row's blocks are the same bit for bit whatever k is (rows_product).
+    No 9x9 matrix is formed.
     """
     k = len(moments)
     u = rows_product(moments.reshape(k, 36), _READ_MAP)
@@ -271,7 +251,9 @@ def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     products = np.empty((k, 45))
     np.matmul((_TERM_WEIGHTS * hvs).swapaxes(1, 2), hvs, out=products[:, :36].reshape(k, 6, 6))
     np.multiply(kappa[:, :, None], kappa[:, None, :], out=products[:, 36:].reshape(k, 3, 3))
-    blocks = rows_product(products, _PRODUCT_BLOCKS)[:, _MIRROR]
+    # numpy's batched eigvalsh solves a stack faster when its row axis
+    # has the smallest stride
+    blocks = np.asfortranarray(rows_product(products, _PRODUCT_BLOCKS))
     return blocks[:, :72].reshape(k, 2, 6, 6), blocks[:, 72:].reshape(k, 2, 3, 3)
 
 
@@ -416,16 +398,14 @@ def log_negativity_from_spectrum(ev) -> np.ndarray:
 def log_negativity(rho):
     """log2 of the trace norm of the partial transpose; zero for PPT states.
 
-    rho is a unit-trace state (see log_negativity_from_spectrum).  Returns a
+    rho is a unit-trace state (see log_negativity_from_spectrum): raises
+    ValueError if a trace is more than 1e-9 from 1 or is NaN.  Returns a
     float for one state and a (k,) array for a (k, 9, 9) stack.
     """
-    ev = hermitian_eigenvalues(partial_transpose_A(rho))
-    log_trace_norm = np.log2(np.abs(ev).sum(axis=-1))
-    if not np.all(log_trace_norm >= -1e-9):
-        # the trace norm of the partial transpose of a unit-trace state is
-        # at least one, so anything beyond rounding is corruption
-        raise ValueError(
-            f"log negativity {float(np.min(log_trace_norm))!r} below the rounding floor"
-        )
-    ln = log_negativity_from_spectrum(ev)
+    m = _entries(rho)
+    tr = np.trace(m, axis1=-2, axis2=-1).ravel()
+    bad = tr[~(np.abs(tr - 1.0) <= 1e-9)]  # NaN fails too
+    if bad.size:
+        raise ValueError(f"log_negativity takes a unit-trace state, got trace {bad[0].item()!r}")
+    ln = log_negativity_from_spectrum(hermitian_eigenvalues(partial_transpose_A(m)))
     return float(ln) if ln.ndim == 0 else ln

@@ -1013,6 +1013,25 @@ def test_off_plane_moments_match_the_unturned_rule_once_its_phi_rule_has_converg
     assert np.abs(transported_moments(stack, grid) - want).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n_phi", [16, 256])
+def test_an_off_plane_boost_reads_differently_from_its_in_plane_turn(n_phi):
+    # the moments of L_beta = R_z(beta) R_y(0.9) B_z(1) R_y(-0.9) R_z(-beta)
+    # are U M(m0) U^T with U = R_z(beta) (x) R(beta).  The readings are
+    # invariant under the spatial turn R_z(beta), but not under the turn
+    # R(beta) of the h/v labels, which takes the pair state
+    # (|hh> - |vv>)/sqrt 2 to another one: the log negativity moves with
+    # beta by -7.03e-6 at 0.3 and -2.19e-5 at 0.8, on a converged phi rule
+    # too, so a state off the x-z plane is solved on its own blocks.  The
+    # sweep path's reading agrees with the gauge form over the turned rule
+    grid = build_grid(BeamSpec(1.0), 48, n_phi)
+    stack = concatenated([_turned_boosts(beta, 0.9, [1.0]) for beta in (0.0, 0.3, 0.8)])
+    got = log_negativity_from_spectrum(beams.density_states(stack, grid)[3])
+    states = entanglement.pair_states(gauge_form_moments(stack, grid))
+    states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+    assert np.abs(got - log_negativity(states)).max() <= 1e-14
+    assert np.all(np.abs(got[1:] - got[0]) > 5e-6)
+
+
 def _y_axis_boosts(xis):
     """B(xi, m) R_z(-pi/2) for each xi, with m = R_z(pi/2) x-hat = (6e-17, 1, 6e-17), off the x-z plane."""
     return concatenated([compose(make_boost(math.pi / 2, xi), rot_z(-math.pi / 2)) for xi in xis])
@@ -1218,6 +1237,8 @@ def test_trace_guard_fires_on_a_broken_transport(monkeypatch):
             state_readings(turn(_diagonal_moments((1.0, 1.0, 0.0), (math.sqrt(1.0 + 4e-12), 1.0, 0.0))))
         shapes.clear()
         state_readings(turn(_diagonal_moments((1.0, 1.0, 0.0), (1.0 + 2.0**-41, 1.0, 0.0))))
+        # mechanism pin (eigvalsh shapes, ROADMAP item 14): each path
+        # solves the blocks it is named for
         assert shapes == solves
 
 
@@ -1241,6 +1262,7 @@ def test_psd_guard_fires_below_minus_1e_9(monkeypatch):
         shapes.clear()
         _, min_eig, _, _ = state_readings(turn(moments(5e-10)))
         assert min_eig[1] == pytest.approx(-5e-10, abs=1e-15)
+        # mechanism pin (eigvalsh shapes, ROADMAP item 14)
         assert shapes == solves
 
 
@@ -1288,6 +1310,8 @@ def _whole_block_readings(moments):
 @pytest.mark.parametrize("n_theta, n_phi", [(16, 16), (17, 12)])
 @pytest.mark.parametrize("alpha", [0.0, math.pi / 8, 2 * math.pi / 5, math.pi / 2])
 def test_split_spectra_match_the_whole_block_spectra(monkeypatch, alpha, n_theta, n_phi):
+    # mechanism pin (split solve, ROADMAP item 14): a sweep stack takes one
+    # 4x4 solve, and its spectra are those of the whole 6x6 and 3x3 blocks
     grid = build_grid(BeamSpec(1.0), n_theta, n_phi)
     moments = transported_moments(boost_stack(alpha, np.linspace(-15.0, 15.0, 31)), grid)
     min_want, spectra_want = _whole_block_readings(moments)
@@ -1299,6 +1323,8 @@ def test_split_spectra_match_the_whole_block_spectra(monkeypatch, alpha, n_theta
 
 
 def test_a_stack_with_one_rotated_row_takes_the_whole_block_solve(monkeypatch):
+    # mechanism pin (whole-block solve, ROADMAP item 14): one coupled row
+    # sends its whole stack to the 6x6 and 3x3 solves
     turned = compose(compose(rot_z(0.5), make_boost(0.7, 1.5)), rot_z(-0.5))
     stack = concatenated([boost_stack(2 * math.pi / 5, np.linspace(-6.0, 6.0, 9)), turned])
     moments = transported_moments(stack, build_grid(BeamSpec(1.3), 16, 16))
@@ -1315,8 +1341,9 @@ def test_a_stack_with_one_rotated_row_takes_the_whole_block_solve(monkeypatch):
 
 
 def test_every_sweep_stack_takes_the_split_solve(monkeypatch):
-    # odd theta rules put a node on the axis at alpha = pi/2, narrow and
-    # full-width beams, rapidities out to the cap.  The 420 rows of the 60
+    # mechanism pin (split solve, ROADMAP item 14).  Odd theta rules put a
+    # node on the axis at alpha = pi/2, narrow and full-width beams,
+    # rapidities out to the cap.  The 420 rows of the 60
     # curves go through the state stage in order, ROWS_PER_BLOCK at a time,
     # so each stack holds rows of many curves and grids: one row with a
     # nonzero coupling would send its whole stack to the 6x6 and 3x3 solves

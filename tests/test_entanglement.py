@@ -162,11 +162,21 @@ def test_eigenvalue_sum_drift_guard(monkeypatch):
 
 
 def test_log_negativity_floor_guard():
-    # a trace-1/2 "state" has trace norm 1/2: log2 = -1, far below rounding
-    with pytest.raises(ValueError, match="rounding floor"):
-        log_negativity(np.eye(9) / 18.0)
-    # rounding below zero is clamped
+    # log2(1 + 2 N) holds only for a unit-trace state: a scaled state's
+    # trace norm scales with it (3 BELL_RHO would read 2.0, and 2 rho of a
+    # beam more than rho), so any trace off 1, or NaN, is refused
+    spec = BeamSpec(0.5)
+    rho = reduced_density(identity(), build_grid(spec, 16, 16), spec)
+    for scaled in (np.eye(9) / 18.0, 3.0 * BELL_RHO, 2.0 * rho, 0.5 * rho, np.full((9, 9), np.nan)):
+        with pytest.raises(ValueError, match="unit-trace state, got trace"):
+            log_negativity(scaled)
+    # in a stack the first state off unit trace is named
+    product = np.diag([1.0 + 2.0**-20] + [0.0] * 8)
+    with pytest.raises(ValueError, match=r"got trace 1\.0000009536743164$"):
+        log_negativity(np.stack([BELL_RHO, product, 3.0 * BELL_RHO]))
+    # a trace within 1e-9 of 1 is accepted, and rounding below zero is clamped
     assert log_negativity(np.eye(9) * (1.0 - 1e-12) / 9.0) == 0.0
+    assert log_negativity(rho * (1.0 + 5e-10)) > 0.8
 
 
 def test_spectrum_rounding_band_is_relative_to_the_row():
@@ -324,15 +334,15 @@ def test_exchange_blocks_drop_only_vanishing_couplings(case):
         assert np.abs(full[:, 6:, 6:] - anti[:, i]).max() <= 1e-15
 
 
-@pytest.mark.parametrize("case", range(4))
-def test_exchange_blocks_are_exactly_symmetric(case, rng):
-    # each block's entries below the diagonal are its entries above it, on
-    # sweep and drawn stacks and on any Gram
-    stack, grid = _exchange_case(case)
-    x = rng.normal(size=(20, 6, 8))
-    for moments in (beams.transported_moments(stack, grid), x @ x.swapaxes(1, 2)):
-        for b in exchange_blocks(moments):
-            assert np.array_equal(b, b.swapaxes(-1, -2))
+def test_exchange_blocks_are_column_major_for_the_batched_solve(rng):
+    # mechanism pin (column-major blocks, ROADMAP item 14): numpy's batched
+    # eigvalsh solves a stack faster when its row axis has the smallest
+    # stride, so the blocks of a stack of rows are laid out that way
+    for k in (2, 7, 20):
+        x = rng.normal(size=(k, 6, 8))
+        for b in exchange_blocks(x @ x.swapaxes(1, 2)):
+            assert b.strides[0] == b.itemsize == min(b.strides)
+            assert np.abs(b - b.swapaxes(-1, -2)).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_exchange_blocks_of_a_row_do_not_depend_on_the_rows_beside_it(rng):

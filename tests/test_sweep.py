@@ -318,6 +318,7 @@ def test_gnuplot_columns_are_the_header_positions(curve_key):
 
 
 def test_run_sweeps_solves_no_9x9(monkeypatch):
+    # mechanism pin (eigvalsh shapes and block edges, ROADMAP item 14)
     shapes = []
     real = np.linalg.eigvalsh
 
