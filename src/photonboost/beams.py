@@ -97,15 +97,15 @@ from .lorentz import BOOST_Z, PAD, ROT_Y, TransformStack
 # so none grows with the grid: _gauss_legendre's arrays for a block of
 # roots and _aberration_sums' weights for a block of nodes take at most a
 # quarter of it each, below glibc's 128 KiB mmap threshold (the weights
-# take one product of PRODUCT_ROWS boosts where that is more)
+# take one product's PRODUCT_ROWS rows where that is more)
 _BLOCK_BYTES = 1 << 18
 
 # at most this many stored nodes per block of _aberration_tables: whole
 # theta rows, or parts of one row where a row holds more.  The edges
 # depend only on the grid, whatever the number of boosts, so that a row's
 # node sums are added in the same blocks alone as in a sweep.  A block's
-# table and t^2 (13 floats per node) and the weights of PRODUCT_ROWS
-# boosts take four times _BLOCK_BYTES, half of a 2 MiB per-core L2 cache,
+# table and t^2 (13 floats per node) and PRODUCT_ROWS rows of weights
+# take four times _BLOCK_BYTES, half of a 2 MiB per-core L2 cache,
 # and each block pays a fixed count of array operations: a 9-row sweep on
 # 192^2 with its 384^2 probe took 5.3 ms with these 6,241-node blocks,
 # 5.8 ms with 3,120-node ones and 6.4 ms with 12,480-node ones
@@ -171,7 +171,8 @@ del _p, _e, _r, _c
 
 # floats a row keeps through the state stage (entanglement.state_readings):
 # its 36 moments in and its 90 block entries out; the stage's short-lived
-# copies take its peak to about twice that, 0.5 MB at ROWS_PER_BLOCK rows
+# copies take its peak to about 1.7 times that, 0.44 MB at ROWS_PER_BLOCK
+# rows
 _STATE_ROW_FLOATS = 36 + 90
 
 # rows whose states are built and solved together (sweep._solve_rows):
@@ -693,54 +694,46 @@ def _aberration_sums(shrink: np.ndarray, tables, grid: QuadratureGrid) -> np.nda
     relative to the node's distance s from the axis, and a node on the
     axis (s = 0) takes psi = 0.  A block is whole theta rows of at most
     _SUM_NODES = 6,241 nodes, or part of a longer row, and each block is
-    summed for as many boosts at a time as their weights fit in a quarter
-    of _BLOCK_BYTES, at least PRODUCT_ROWS, with matrix products of
-    PRODUCT_ROWS-row tiles (entanglement.rows_product): a part of more
-    than PRODUCT_ROWS / 2 boosts takes one product for its g and one for
-    its g^2, and a shorter part, such as a lone row or the three rows of a
-    convergence probe, writes both into one tile and takes one product.
-    A row rounds alike at any position of a tile, so the sums are the same
-    bits either way.  The weights of every block share one buffer.
+    summed for as many boosts at a time as the g and g^2 weights of each
+    fit in a quarter of _BLOCK_BYTES, at least PRODUCT_ROWS / 2: a part
+    writes the g rows of its boosts and then their g^2 rows, and takes
+    one matrix product of PRODUCT_ROWS-row tiles (entanglement.rows_product).
+    A row rounds alike at any position of a tile, so a boost's sums are
+    the same bits in any part.  The weights of every block share one
+    buffer.
     """
     k = len(shrink)
     if not k:
         return np.empty((0, len(_GRAM_MAP)))
-    n0, n1, n2 = np.zeros(6), np.zeros((k, 12)), np.zeros((k, 12))
+    n0, n12 = np.zeros(6), np.zeros((2, k, 12))
     scale = shrink * shrink
     unit = entanglement.PRODUCT_ROWS
     nodes = min(_SUM_NODES, len(grid))
-    # boosts whose weights are formed at a time; a row rounds alike in any number
+    # weight rows formed at a time, g and then g^2 of half as many boosts;
+    # a row rounds alike in any number and at any position of a tile
     rows = min(max(unit, _BLOCK_BYTES // (32 * nodes) // unit * unit), -(-k // unit) * unit)
+    step = rows // 2
     # one buffer holds every block's weights: a fresh (rows, nodes) array
     # per block can be mapped and unmapped by the allocator each time,
     # which cost fig2 and fig3 up to 8% of their time.  Its rows past the
-    # last boost pad the last part to whole products of unit rows
+    # last boost's g^2 pad a part to whole products of unit rows
     buf = _line_aligned(np.zeros, rows * nodes)
     for table, t2 in tables:
         # the sums weighted by 1 that the Gram reads: a^2, b^2 and ab
         n0 += table[:6].sum(axis=1)
         weights = buf[:rows * len(t2)].reshape(rows, -1)
-        for lo in range(0, k, rows):
-            part = scale[lo:lo + rows]
+        for lo in range(0, k, step):
+            part = scale[lo:lo + step]
             p = len(part)
-            padded = weights[:-(-p // unit) * unit]
-            g = np.multiply(part[:, None], t2, out=padded[:p])
+            g = np.multiply(part[:, None], t2, out=weights[:p])
             g += 1.0
             np.reciprocal(g, out=g)
-            if 2 * p <= unit:
-                # g and g^2 of a short part share one tile
-                np.multiply(g, g, out=padded[p:2 * p])
-                sums = entanglement.rows_product(padded, table.T)
-                n1[lo:lo + p] += sums[:p]
-                n2[lo:lo + p] += sums[p:2 * p]
-            else:
-                n1[lo:lo + p] += entanglement.rows_product(padded, table.T)[:p]
-                g *= g
-                n2[lo:lo + p] += entanglement.rows_product(padded, table.T)[:p]
+            np.multiply(g, g, out=weights[p:2 * p])
+            sums = entanglement.rows_product(weights[:-(-2 * p // unit) * unit], table.T)
+            n12[:, lo:lo + p] += sums[:2 * p].reshape(2, p, 12)
     # the t-sums, rows t C a and t C b of both parities
-    n1[:, 8:] *= shrink[:, None]
-    n2[:, 8:] *= shrink[:, None]
-    return np.concatenate([np.broadcast_to(n0, (k, 6)), n1, n2], axis=1)
+    n12[:, :, 8:] *= shrink[:, None]
+    return np.concatenate([np.broadcast_to(n0, (k, 6)), n12[0], n12[1]], axis=1)
 
 
 def _pass_map(axis: np.ndarray) -> np.ndarray:
@@ -835,7 +828,7 @@ def density_states(
     The readings are entanglement.state_readings' smallest eigenvalues,
     trace gaps and partial-transpose spectra of the moments
     (transported_moments), as on the sweep path, so no 9x9 matrix is
-    solved.  The states are assembled from the same moments
+    solved.  The states are gathered from the same moments' weighted Gram
     (entanglement.pair_states) and divided by the same traces, for the
     callers that read a 9x9 state: reduced_density, validate and the
     tests.

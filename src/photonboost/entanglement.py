@@ -15,17 +15,24 @@ eigenvalues, and the log negativity is log2(1 + 2 N).  Negative
 eigenvalues witness entanglement; a positive partial transpose has N = 0
 and a log negativity of exactly zero.
 
+The state is formed in one place (_weighted_gram), as the weighted Gram
+X = sum_ab w_ab vec(M_ab) vec(M_ab)^T of one batched matrix product,
+kept as the 45 entries on and above its diagonal.
+Entry ((i, j), (k, l)) of X is entry ((i, k), (j, l)) of rho and
+((j, k), (i, l)) of its partial transpose, so both are fixed
+rearrangements of X, and exchange_blocks and pair_states both read it.
+
 Both photons see the same moments, so the state commutes with photon
 exchange (SWAP) exactly, and so does its partial transpose: both are
 block diagonal in the exchange basis (EXCHANGE_BASIS), a 6x6 block on
 the symmetric subspace and a 3x3 block on the antisymmetric one, and
-their spectra are the union of the blocks'.  exchange_blocks builds
-those blocks straight from the moments, and state_readings reads the
-state through them: the trace is the sum of the blocks' traces, the
-smallest eigenvalue is the least over the spectra of both of rho's
-blocks, and the same solve yields the partial-transpose spectra that
-log_negativity_from_spectrum reads.  This is the sweep path, and it
-forms no 9x9 matrix.
+their spectra are the union of the blocks'.  exchange_blocks maps X
+onto those blocks with one product by a constant map (_BLOCK_MAP), and
+state_readings reads the state through them: the trace is the sum of
+the blocks' traces, the smallest eigenvalue is the least over the
+spectra of both of rho's blocks, and the same solve yields the
+partial-transpose spectra that log_negativity_from_spectrum reads.  This
+is the sweep path, and it never assembles the 9x9 state.
 
 The basis is ordered by parity under the reflection y -> -y: the
 symmetric block runs xx, yy, zz, xz (even), then xy, yz (odd), and the
@@ -37,8 +44,8 @@ antisymmetric one into 1x1 and 2x2 blocks.  A stack of such states takes
 one LAPACK solve of its 4x4 blocks and solves the rest in closed form
 (symmetric_2x2_eigenvalues); any other stack solves the whole blocks.
 
-pair_states assembles the 9x9 states from the same moments, for the
-callers that read one (beams.density_states).  partial_transpose_A and
+pair_states gathers the 9x9 states from X, for the callers that read
+one (beams.density_states).  partial_transpose_A and
 log_negativity accept a single 9x9 matrix or a (k, 9, 9) stack and work
 on the whole stack at once; they serve those callers
 (beams.reduced_density, validate).
@@ -57,6 +64,22 @@ _PAIR_SIGNS = np.array([1.0, -1.0])
 # w_ab = s_a s_b / 2, the weight of M_ab (x) M_ab in the state, for
 # (a, b) = hh, hv, vh, vv
 _PAIR_WEIGHTS = 0.5 * np.multiply.outer(_PAIR_SIGNS, _PAIR_SIGNS).ravel()
+
+# the flattened moments' entries [2i + a, 2j + b] in the order of the rows
+# vec(M_ab) of _weighted_gram: (a, b) = hh, hv, vh, vv, then (i, j)
+_VEC_ENTRIES = np.arange(36).reshape(_DIM, 2, _DIM, 2).transpose(1, 3, 0, 2).ravel()
+
+# the 45 entries (p, q), p <= q, that stand for the symmetric 9x9 Gram X
+# (_weighted_gram), and where entry (p, q) lies among them, in either
+# order of p and q
+_UPPER = np.triu_indices(9)
+_GRAM_INDEX = np.zeros((9, 9), dtype=int)
+_GRAM_INDEX[_UPPER] = np.arange(45)
+_GRAM_INDEX = np.maximum(_GRAM_INDEX, _GRAM_INDEX.T)
+
+# the stored entry of X that each entry ((i, k), (j, l)) of the flattened
+# state reads: X's entry ((i, j), (k, l))
+_STATE_ENTRIES = _GRAM_INDEX.reshape((_DIM,) * 4).transpose(0, 2, 1, 3).ravel()
 
 # PSD tolerance on the state; anything below is an internal error, not a
 # tuning problem
@@ -84,12 +107,6 @@ def partial_transpose_A(rho) -> np.ndarray:
     blocks = m.reshape(m.shape[:-2] + (_DIM,) * 4)
     return np.swapaxes(blocks, -4, -2).reshape(m.shape)
 
-
-# the entries (i, j) of a symmetric 3x3 matrix with i <= j, and of an
-# antisymmetric one with i < j, in the order the moments are read
-# (_read_map) and multiplied (_product_blocks)
-_SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-_ANTI_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 # the pairs i < j of the exchange basis, by parity under y -> -y: xz is
 # even, xy and yz are odd
@@ -126,75 +143,37 @@ def _exchange_basis() -> np.ndarray:
 
 EXCHANGE_BASIS = _exchange_basis()
 
-# the weights w_hh, w_vv and w_hv + w_vh of H (x) H, V (x) V and S (x) S in
-# the state (exchange_blocks), shaped to scale a (k, 3, 6) stack of their
-# unique entries; K (x) K has the weight of S (x) S
-_TERM_WEIGHTS = np.array([_PAIR_WEIGHTS[0], _PAIR_WEIGHTS[3], _PAIR_WEIGHTS[1] + _PAIR_WEIGHTS[2]])[:, None]
 
+def _block_map() -> np.ndarray:
+    """(45, 90) map from the stored weighted Gram (_weighted_gram) to the exchange blocks of rho and rho^T_A.
 
-def _read_map() -> np.ndarray:
-    """(36, 21) map from flattened 6x6 moments to the unique entries exchange_blocks reads.
-
-    Entry [2i + a, 2j + b] of the moments is (M_ab)_ij.  The columns hold
-    H = M_hh, V = M_vv and S = (X + X^T)/2 at _SYM_PAIRS, then K =
-    (X - X^T)/2 at _ANTI_PAIRS, with X = (M_hv + M_vh^T)/2; each entry
-    averages the moments' two triangles, which are equal for a Gram.
+    Entry ((i, j), (k, l)) of the Gram X is entry ((i, k), (j, l)) of rho
+    and ((j, k), (i, l)) of rho^T_A, so a block entry Q_m rho Q_n^T, with
+    Q_m a row of EXCHANGE_BASIS read as a 3x3 amplitude, takes X's entry
+    ((i, j), (k, l)) times (Q_m)_ik (Q_n)_jl, and the partial transpose
+    swaps i and j.  X is symmetric, so the rows of an entry and of its
+    mirror are summed into the row of the one stored.  The columns hold
+    the flattened 6x6 blocks of rho and rho^T_A, then their 3x3 blocks.
     """
-    read = np.zeros((6, 6, 21))
-    for m, (i, j) in enumerate(_SYM_PAIRS):
-        for a in (0, 1):
-            read[2 * i + a, 2 * j + a, 6 * a + m] += 0.5
-            read[2 * j + a, 2 * i + a, 6 * a + m] += 0.5
-        for r, c in ((2 * i, 2 * j + 1), (2 * j + 1, 2 * i), (2 * j, 2 * i + 1), (2 * i + 1, 2 * j)):
-            read[r, c, 12 + m] += 0.25
-    for m, (i, j) in enumerate(_ANTI_PAIRS):
-        for (r, c), sign in (
-            ((2 * i, 2 * j + 1), 1.0), ((2 * j + 1, 2 * i), 1.0),
-            ((2 * j, 2 * i + 1), -1.0), ((2 * i + 1, 2 * j), -1.0),
-        ):
-            read[r, c, 18 + m] += 0.25 * sign
-    return read.reshape(36, 21)
-
-
-def _product_blocks() -> np.ndarray:
-    """(45, 90) map from the products of exchange_blocks to the exchange blocks of rho and rho^T_A.
-
-    A symmetric A = sum_m a_m E_m, with E_m the symmetric 0/1 matrix at
-    _SYM_PAIRS[m], has A (x) A = sum_mn a_m a_n E_m (x) E_n, and an
-    antisymmetric K = sum_m k_m F_m, with F_m = e_i e_j^T - e_j e_i^T at
-    _ANTI_PAIRS[m], has K (x) K = sum_mn k_m k_n F_m (x) F_n.  Rows 6 m + n
-    hold the blocks of E_m (x) E_n, and rows 36 + 3 m + n those of
-    F_m (x) F_n times the weight K (x) K has in the state (_TERM_WEIGHTS).
-    The columns hold the flattened 6x6 blocks of rho and rho^T_A, then
-    their 3x3 blocks, in the basis EXCHANGE_BASIS: rows and columns xx,
-    yy, zz, xz, xy, yz of the symmetric blocks and xz, xy, yz of the
-    antisymmetric ones.
-    """
-    sym, anti = np.zeros((6, 3, 3)), np.zeros((3, 3, 3))
-    for m, (i, j) in enumerate(_SYM_PAIRS):
-        sym[m, i, j] = sym[m, j, i] = 1.0
-    for m, (i, j) in enumerate(_ANTI_PAIRS):
-        anti[m, i, j], anti[m, j, i] = 1.0, -1.0
-    terms = np.concatenate([
-        np.einsum("mij,nkl->mnikjl", sym, sym).reshape(36, 9, 9),
-        _TERM_WEIGHTS[2] * np.einsum("mij,nkl->mnikjl", anti, anti).reshape(9, 9, 9),
-    ])
-    q = EXCHANGE_BASIS
-    pt = partial_transpose_A(terms)
-    out = np.concatenate(
-        [(b @ t @ b.T).reshape(45, -1) for b in (q[:6], q[6:]) for t in (terms, pt)], axis=1
-    )
-    # every entry is 0, +-1/2, +-1 or +-sqrt(1/2); the products of the
-    # basis' sqrt(1/2) leave some an ulp off, which is taken back here
-    for unit in (0.5, math.sqrt(0.5)):
-        exact = np.round(out / unit) * unit
-        out = np.where(np.abs(out - exact) <= 1e-12, exact, out)
+    q = EXCHANGE_BASIS.reshape(9, _DIM, _DIM)
+    full = np.concatenate([
+        np.einsum(spec, b, b).reshape(81, -1)
+        for b in (q[:6], q[6:]) for spec in ("mik,njl->ijklmn", "mik,njl->jiklmn")
+    ], axis=1)
+    # every entry is 0, +-1, +-sqrt(1/2) or +-1/2; the square of the
+    # basis' sqrt(1/2) is an ulp above 1/2, which is taken back here.  An
+    # entry and its mirror's are equal or opposite, so their sums are exact
+    full = np.sign(full) * np.sqrt(np.round(4.0 * full * full) / 4.0)
+    out = np.zeros((45, full.shape[1]))
+    np.add.at(out, _GRAM_INDEX.ravel(), full)
     # out stays C-ordered: OpenBLAS multiplies a Fortran-ordered right
     # factor with kernels that round a row differently for different row
     # counts
     out.flags.writeable = False
     return out
 
+
+_BLOCK_MAP = _block_map()
 
 # rows of each matrix product that rows_product takes
 PRODUCT_ROWS = 8
@@ -218,8 +197,27 @@ def rows_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (rows.reshape(-1, PRODUCT_ROWS, n) @ matrix).reshape(-1, matrix.shape[1])[:k]
 
 
-_READ_MAP = _read_map()
-_PRODUCT_BLOCKS = _product_blocks()
+def _weighted_gram(moments: np.ndarray) -> np.ndarray:
+    """The weighted Grams X = sum_ab w_ab vec(M_ab) vec(M_ab)^T of (k, 6, 6) moments, 45 entries each.
+
+    Entry [2i + a, 2j + b] of the moments is (M_ab)_ij, and w_ab are
+    _PAIR_WEIGHTS.  One batched (k, 9, 4) @ (k, 4, 9) product of the
+    weighted vectors vec(M_ab) by the vectors themselves forms X, so entry
+    ((i, j), (k, l)) is sum_ab w_ab (M_ab)_ij (M_ab)_kl, each row's with
+    the same bits whatever k is.  X is the 9x9 state up to a fixed
+    permutation of its entries (pair_states).  It is symmetric, but some
+    BLAS kernels (OpenBLAS's Nehalem and Atom) round the last row of the
+    product otherwise than its last column, so only the 45 entries on and
+    above the diagonal are kept (_UPPER), and stand for both orders.
+    They are returned as rows in a buffer of whole PRODUCT_ROWS-row tiles,
+    its rows past k zero, which rows_product multiplies without a copy.
+    """
+    k = len(moments)
+    vecs = moments.reshape(k, 36)[:, _VEC_ENTRIES].reshape(k, 4, 9)
+    gram = np.matmul((_PAIR_WEIGHTS[:, None] * vecs).swapaxes(1, 2), vecs)
+    out = np.zeros((-(-k // PRODUCT_ROWS) * PRODUCT_ROWS, 45))
+    out[:k] = gram[:, _UPPER[0], _UPPER[1]]
+    return out
 
 
 def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,29 +229,22 @@ def exchange_blocks(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     holds the blocks of rho and index 1 those of its partial transpose,
     in the basis EXCHANGE_BASIS: the symmetric blocks' rows and columns
     run xx, yy, zz, xz (even under y -> -y), then xy, yz (odd), and the
-    antisymmetric ones' xz (even), then xy, yz (odd).  With H = M_hh,
-    V = M_vv and M_hv = S + K split into its symmetric and antisymmetric
-    parts,
-    rho = w_hh H (x) H + w_vv V (x) V + (w_hv + w_vh) (S (x) S + K (x) K),
-    and each block entry is a fixed bilinear form in their entries.  One
-    matrix product reads those entries (_READ_MAP), a batched one and a
-    broadcast one make their 45 weighted pairwise products, and a third
-    maps these onto the blocks' entries (_PRODUCT_BLOCKS).  Each block is
-    symmetric to rounding, not exactly: the solvers symmetrize what they
-    solve (hermitian_eigenvalues, symmetric_2x2_eigenvalues).  The blocks
-    are column-major, the row axis fastest, for the batched solve.  Each
-    row's blocks are the same bit for bit whatever k is (rows_product).
-    No 9x9 matrix is formed.
+    antisymmetric ones' xz (even), then xy, yz (odd).  Both states are
+    fixed permutations of the weighted Gram X (_weighted_gram), so every
+    block entry is a fixed linear form in X's entries, and one matrix
+    product of X's 45 stored entries with a constant map gives them all
+    (_BLOCK_MAP, Q (x) Q on each block, the partial transpose's index
+    swap folded into its columns).  Each block is symmetric to rounding, not exactly: the
+    solvers symmetrize what they solve (hermitian_eigenvalues,
+    symmetric_2x2_eigenvalues).  The blocks are column-major, the row
+    axis fastest, for the batched solve.  Each row's blocks are the same
+    bit for bit whatever k is (rows_product).  The 9x9 state is never
+    assembled.
     """
     k = len(moments)
-    u = rows_product(moments.reshape(k, 36), _READ_MAP)
-    hvs, kappa = u[:, :18].reshape(k, 3, 6), u[:, 18:]
-    products = np.empty((k, 45))
-    np.matmul((_TERM_WEIGHTS * hvs).swapaxes(1, 2), hvs, out=products[:, :36].reshape(k, 6, 6))
-    np.multiply(kappa[:, :, None], kappa[:, None, :], out=products[:, 36:].reshape(k, 3, 3))
     # numpy's batched eigvalsh solves a stack faster when its row axis
     # has the smallest stride
-    blocks = np.asfortranarray(rows_product(products, _PRODUCT_BLOCKS))
+    blocks = np.asfortranarray(rows_product(_weighted_gram(moments), _BLOCK_MAP)[:k])
     return blocks[:, :72].reshape(k, 2, 6, 6), blocks[:, 72:].reshape(k, 2, 3, 3)
 
 
@@ -314,17 +305,17 @@ def symmetric_2x2_eigenvalues(m) -> np.ndarray:
 def pair_states(moments: np.ndarray) -> np.ndarray:
     """Unnormalized (k, 9, 9) states sum_ab w_ab M_ab (x) M_ab of (k, 6, 6) moments.
 
-    One broadcast product makes the four terms, one per (a, b).  Entry
-    ((i, k), (j, l)) of a term is the product of (M_ab)_ij and (M_ab)_kl,
-    and the terms are summed in one order for every entry, so exchanging
-    the photons maps each entry onto an exactly equal one:
-    SWAP rho SWAP = rho holds to the last bit.  Only the callers that read
-    a 9x9 state call it; sweeps never do.
+    Entry ((i, k), (j, l)) of a state is entry ((i, j), (k, l)) of the
+    weighted Gram X (_weighted_gram), which exchange_blocks reads too, so
+    the states are a fixed gather of X's stored entries (_STATE_ENTRIES),
+    each row's the same bit for bit whatever k is.  Exchanging the photons
+    maps each entry of X onto its mirror, which is the same stored float,
+    so SWAP rho SWAP = rho holds to the last bit whatever BLAS kernel
+    formed X.  Only the callers that read a 9x9 state call it; sweeps
+    never do.
     """
     k = len(moments)
-    m = moments.reshape(k, 3, 2, 3, 2).transpose(2, 4, 0, 1, 3).reshape(4, k, 3, 3)
-    terms = (_PAIR_WEIGHTS[:, None, None, None] * m)[:, :, :, None, :, None] * m[:, :, None, :, None, :]
-    return np.add.reduce(terms, axis=0).reshape(k, 9, 9)
+    return _weighted_gram(moments)[:k, _STATE_ENTRIES].reshape(k, 9, 9)
 
 
 def state_readings(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

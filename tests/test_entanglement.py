@@ -349,17 +349,20 @@ def test_exchange_blocks_of_a_row_do_not_depend_on_the_rows_beside_it(rng):
     x = rng.normal(size=(70, 6, 8))
     moments = x @ x.swapaxes(1, 2)
     sym, anti = exchange_blocks(moments)
+    # the 9x9 states come from the same batched product as the blocks
+    states = pair_states(moments)
     for i in (0, 33, 69):
         alone = exchange_blocks(moments[i:i + 1])
         assert np.array_equal(alone[0][0], sym[i]) and np.array_equal(alone[1][0], anti[i])
+        assert pair_states(moments[i:i + 1])[0].tobytes() == states[i].tobytes()
 
 
 def test_rows_product_rounds_a_row_alike_at_every_position_of_its_tile_whatever_the_others_hold(rng):
-    # beams._aberration_sums packs the g and g^2 weights of up to four
-    # boosts into one tile, so each row must come out with the bits it has
-    # alone, at any position and beside any rows; the widths are the node
-    # blocks of the benchmark's grids (16^2, 64^2, 96^2, 384^2 and 192^2),
-    # 1,440 placements in all
+    # beams._aberration_sums writes the g and then the g^2 weights of a
+    # part's boosts into one product, so each row must come out with the
+    # bits it has alone, at any position and beside any rows; the widths
+    # are the node blocks of the benchmark's grids (16^2, 64^2, 96^2, 384^2
+    # and 192^2), 1,440 placements in all
     for width in (144, 2112, 4704, 6176, 6208):
         table = rng.normal(size=(12, width))
         for row in rng.uniform(0.0, 1.0, size=(4, width)):

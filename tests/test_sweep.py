@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -439,13 +440,76 @@ def test_single_and_sweep_give_the_same_row_bit_for_bit(sigma, n):
         assert _state_columns(alone) == _state_columns(rows[i]), i
 
 
+# run in a fresh interpreter, where OPENBLAS_CORETYPE picks the BLAS
+# kernels: every 7th row of a 650-row sweep on 16^2, alone, against its
+# sweep row, and the 9x9 states of a stack of Grams, row by row and under
+# photon exchange; prints the failures
+_CORE_TYPE_PROBE = """
+from dataclasses import replace
+import numpy as np
+from photonboost.entanglement import pair_states
+from photonboost.sweep import SweepConfig, run_sweep
+
+cfg = SweepConfig(alpha=0.7, sigma_theta=1.3, xi_min=-15.0, xi_max=15.0, xi_steps=650,
+                  n_theta=16, n_phi=16)
+rows = run_sweep(cfg)
+bad = [i for i in range(0, len(rows), 7)
+       if repr(run_sweep(replace(cfg, xi_min=rows[i].xi, xi_max=rows[i].xi, xi_steps=1))[0][3:])
+       != repr(rows[i][3:])]
+x = np.random.default_rng(7).normal(size=(70, 6, 8))
+moments = x @ x.swapaxes(1, 2)
+states = pair_states(moments)
+swap = np.arange(9).reshape(3, 3).T.ravel()
+bad += ["swap"] * (not np.array_equal(states[:, swap][:, :, swap], states))
+bad += [f"state {i}" for i in (0, 33, 69)
+        if pair_states(moments[i:i + 1])[0].tobytes() != states[i].tobytes()]
+print(bad)
+"""
+
+
+def _openblas_core_types():
+    """The OPENBLAS_CORETYPE values this CPU runs; skips the test where there are none."""
+    if platform.machine() != "x86_64":
+        pytest.skip("the core types are x86_64 ones")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy does not report its BLAS")
+    if "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS")
+    try:
+        with open("/proc/cpuinfo") as info:
+            flags = next((line.split(":", 1)[1].split() for line in info if line.startswith("flags")), [])
+    except OSError:
+        pytest.skip("the CPU's flags are not readable")
+    cores = (("Nehalem", "sse4_2"), ("Haswell", "avx2"), ("SkylakeX", "avx512f"))
+    return ["Prescott"] + [core for core, flag in cores if flag in flags]
+
+
+def test_a_lone_row_matches_its_sweep_row_under_every_openblas_core_type_the_cpu_runs():
+    # README: a lone row equals its sweep row bit for bit under every
+    # OpenBLAS core type tried; each core type rounds otherwise, so each
+    # is compared with itself.  Nehalem's kernel rounds the last row of a
+    # 9x9 product otherwise than its last column, which pair_states' exact
+    # exchange symmetry must not depend on
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for core in _openblas_core_types():
+        done = subprocess.run(
+            [sys.executable, "-c", _CORE_TYPE_PROBE], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": core},
+        )
+        assert done.returncode == 0, (core, done.stderr)
+        assert done.stdout.strip() == "[]", core
+
+
 def test_a_3_row_sweep_on_192_squared_gives_the_rows_of_a_61_row_sweep_bit_for_bit():
     import photonboost.sweep as sweep_mod
 
-    # 192^2 takes 8 boosts per part of the node sums: the 61-row sweep sums
-    # its rows in parts of 8 and 5, each with two products of 8-row tiles,
-    # and the 3-row sweep sums g and g^2 of its rows in one tile, at other
-    # positions and beside other rows (entanglement.rows_product)
+    # 192^2 takes 4 boosts per part of the node sums, g and g^2 of each in
+    # one product of 8-row tiles: the 61-row sweep sums its rows in parts
+    # of 4 and a last one of 1, and the 3-row sweep sums g and g^2 of its
+    # rows in one tile, at other positions and beside other rows
+    # (entanglement.rows_product)
     grid = build_grid(BeamSpec(1.3), 192, 192)
     xis = np.linspace(-3.0, 3.0, 61)
     table = sweep_mod._evaluate(1.1, 1.3, xis, grid)
